@@ -222,11 +222,6 @@ def smith_normal_form(matrix: IntMatrix):
             IntMatrix.from_rows(V) if n else IntMatrix(0, 0, ()))
 
 
-def matrix_rank(matrix: IntMatrix) -> int:
-    _, d, _ = smith_normal_form(matrix)
-    return sum(1 for x in d.diagonal() if x)
-
-
 def kernel_columns(matrix: IntMatrix) -> list:
     """An integer basis (list of columns) of {x : matrix @ x = 0}."""
     _, d, v = smith_normal_form(matrix)
@@ -439,10 +434,6 @@ class GroupHom:
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
     return GroupHom(source, target,
                     IntMatrix.zeros(target.num_generators, source.num_generators))
-
-
-def identity_hom(group: FgAbGroup) -> GroupHom:
-    return GroupHom(group, group, IntMatrix.identity(group.num_generators))
 
 
 def compose_homs(second: GroupHom, first: GroupHom) -> GroupHom:

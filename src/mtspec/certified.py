@@ -3,7 +3,10 @@
 The file ships with the package and carries the cohomology tables with
 their named generators, the homotopy table, the self-cohomology of the
 integral Eilenberg-MacLane spectrum, every recorded generator map, and
-the manifold catalog.  Tests diff it bit-exactly; the environment
+the manifold catalog.  Every table row the package serves comes from
+this file.  Loading validates it: each uncovered cohomology row must
+equal the matching Thom-module piece of the ring, and each recorded map
+must be well-defined between the rows it names.  The environment
 variable MTSPEC_DATA overrides the path.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
-from .charclasses import CohomologyEntry
+from .charclasses import CohomologyEntry, thom_module_piece
 from .errors import DataFormatError
 
 ENV_DATA_PATH = "MTSPEC_DATA"
@@ -25,7 +28,12 @@ _TERM_RE = re.compile(r"([+-]?\d+)\*([A-Za-z][A-Za-z0-9^]*)")
 
 @dataclass(frozen=True)
 class ArrowRecord:
-    """One recorded generator map between table entries."""
+    """One recorded generator map between two table entries in degree k.
+
+    kind "cover" maps the spectrum to its first cover, "dim" and "covdim"
+    restrict from dimension d to to_d (uncovered and covered), and "unit"
+    maps the Eilenberg-MacLane self-cohomology to the spectrum.
+    """
 
     kind: str        # cover | dim | covdim | unit
     d: int
@@ -34,8 +42,14 @@ class ArrowRecord:
     provenance: str  # diagram | names | square | forced | unit
     assignments: tuple  # ((source name, ((target name, coeff), ...)), ...)
 
-    def assignment_map(self) -> dict:
-        return {src: dict(combo) for src, combo in self.assignments}
+    def image_of(self, name: str) -> dict:
+        """The image of one source generator as {target name: coefficient}."""
+        return dict(dict(self.assignments)[name])
+
+    def to_group_hom(self, data=None) -> GroupHom:
+        """The map in canonical coordinates between its two table entries."""
+        source, target = _arrow_endpoints(data or load_data(), self)
+        return assignments_to_group_hom(source, target, self.assignments)
 
 
 @dataclass(frozen=True)
@@ -172,25 +186,40 @@ def default_data_path() -> Path:
 
 
 def _arrow_endpoints(data: CertifiedData, arrow: ArrowRecord):
+    """The (source, target) table entries an arrow maps between."""
     if arrow.kind == "cover":
-        return data.entry(arrow.d, 0, arrow.k), data.entry(arrow.d, 1, arrow.k)
-    if arrow.kind == "dim":
-        return data.entry(arrow.d, 0, arrow.k), data.entry(arrow.to_d, 0, arrow.k)
-    if arrow.kind == "covdim":
-        return data.entry(arrow.d, 1, arrow.k), data.entry(arrow.to_d, 1, arrow.k)
-    if arrow.kind == "unit":
-        if arrow.k not in data.hz:
-            return None, None
-        return hz_entry(data.hz[arrow.k], arrow.k), data.entry(arrow.d, 0, arrow.k)
-    raise DataFormatError("unknown arrow kind %r" % arrow.kind)
+        source = data.entry(arrow.d, 0, arrow.k)
+        target = data.entry(arrow.d, 1, arrow.k)
+    elif arrow.kind == "dim":
+        source = data.entry(arrow.d, 0, arrow.k)
+        target = data.entry(arrow.to_d, 0, arrow.k)
+    elif arrow.kind == "covdim":
+        source = data.entry(arrow.d, 1, arrow.k)
+        target = data.entry(arrow.to_d, 1, arrow.k)
+    elif arrow.kind == "unit":
+        source = hz_entry(data.hz[arrow.k], arrow.k) if arrow.k in data.hz else None
+        target = data.entry(arrow.d, 0, arrow.k)
+    else:
+        raise DataFormatError("unknown arrow kind %r" % arrow.kind)
+    if source is None or target is None:
+        raise DataFormatError("arrow %s references a missing table entry" % (arrow,))
+    return source, target
 
 
 def _validate(data: CertifiedData):
+    for (d, cover, k), entry in data.cohomology.items():
+        if cover == 0:
+            try:
+                ring = thom_module_piece(d, k)
+            except ValueError as exc:
+                raise DataFormatError("uncovered row (d=%d, k=%d): %s" % (d, k, exc))
+            if entry != ring:
+                raise DataFormatError(
+                    "uncovered row (d=%d, k=%d) holds %s (%s) but the Thom "
+                    "module gives %s (%s)" % (d, k, entry.group, ",".join(entry.names),
+                                              ring.group, ",".join(ring.names)))
     for arrow in data.arrows:
-        source, target = _arrow_endpoints(data, arrow)
-        if source is None or target is None:
-            raise DataFormatError("arrow %s references a missing table entry" % (arrow,))
-        assignments_to_group_hom(source, target, arrow.assignments)
+        arrow.to_group_hom(data)
 
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:

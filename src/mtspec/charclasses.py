@@ -212,10 +212,6 @@ class RingElement:
         return out
 
 
-def multiply(x: RingElement, y: RingElement) -> RingElement:
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # graded pieces and named entries
 

@@ -40,15 +40,6 @@ class TheoryGroup:
     def is_trivial(self) -> bool:
         return self.unit_rank == 0 and self.finite_part.is_trivial
 
-    def describe(self) -> str:
-        if self.is_trivial:
-            return "trivial"
-        head = "C^x" if self.unit_rank == 1 else "(C^x)^%d" % self.unit_rank
-        out = "%s on (%s)" % (head, ", ".join(self.basis_names))
-        if not self.finite_part.is_trivial:
-            out += " + %s" % self.finite_part
-        return out
-
 
 @dataclass(frozen=True)
 class TheoryParams:
@@ -72,10 +63,6 @@ class ExtensionClass:
     """An integer multiple of the generating class of the cover group."""
 
     rho_multiple: int
-
-    def __str__(self):
-        n = self.rho_multiple
-        return "rho" if n == 1 else "%d*rho" % n
 
 
 def classify(d: int, n: int, data=None) -> TheoryGroup:
@@ -148,14 +135,6 @@ class RestrictionKernel:
     basis_names: tuple
     elements: tuple | None  # tuples of ExactComplex, or None when infinite/large
 
-    def describe(self) -> str:
-        if self.group.is_trivial:
-            return "trivial"
-        out = str(self.group)
-        if self.elements is not None:
-            out += " (%d explicit elements)" % len(self.elements)
-        return out
-
 
 def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> RestrictionKernel:
     """Theories with the same restriction: the kernel of the coordinate map."""
@@ -221,21 +200,8 @@ class GilmerMasbaumReport:
     walker_class: ExtensionClass
     gilmer_class: ExtensionClass
     mcg_dictionary: tuple       # ((label, rho multiple, induced class), ...)
-    fundamental_realizable: bool
-    walker_index4_possible: bool
+    fundamental_realizable: bool  # also decides Walker's index-4 subcategory
     argument: tuple
-
-    def describe(self) -> str:
-        lines = ["Z-central extensions of the three-dimensional oriented "
-                 "bordism category form %s, generated by %s" % (self.group, self.generator),
-                 self.cover_note]
-        for label, mult, induced in self.mcg_dictionary:
-            lines.append("  %s: %s -> %d times the mapping class group generator"
-                         % (label, ExtensionClass(mult), induced))
-        lines.extend(self.argument)
-        lines.append("fundamental extension: %s"
-                     % ("realizable" if self.fundamental_realizable else "impossible"))
-        return "\n".join(lines)
 
 
 def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:
@@ -283,6 +249,5 @@ def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:
         gilmer_class=gilmer,
         mcg_dictionary=dictionary,
         fundamental_realizable=realizable,
-        walker_index4_possible=realizable,
         argument=argument,
     )

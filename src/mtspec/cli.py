@@ -197,12 +197,6 @@ def cmd_kernel(args):
     return inputs, result, _render_kernel(kernel, args.ascii)
 
 
-def _genus_of(manifold) -> int:
-    if manifold.dim != 2:
-        raise MtspecError("genus extraction needs a surface")
-    return (2 - manifold.euler) // 2
-
-
 def cmd_eval(args):
     catalog = tftlab.standard_manifolds()
     inputs = {"theory": args.theory}
@@ -235,12 +229,14 @@ def cmd_eval(args):
             raise MtspecError("eval frobenius needs --mu")
         if args.g is not None:
             genus = args.g
+            value = tftlab.frobenius_closed_value(parse_exact(args.mu), genus)
         elif args.manifold is not None:
-            genus = _genus_of(tftlab.parse_manifold(args.manifold, catalog))
+            manifold = tftlab.parse_manifold(args.manifold, catalog)
+            value = tftlab.frobenius_surface_value(parse_exact(args.mu), manifold)
+            genus = (2 - manifold.euler) // 2  # of the connected surface with this euler
             inputs["manifold"] = args.manifold
         else:
             raise MtspecError("eval frobenius needs --g or --manifold")
-        value = tftlab.frobenius_closed_value(parse_exact(args.mu), genus)
         inputs.update({"mu": args.mu, "g": genus})
     return inputs, {"value": value.to_json()}, render_exact(value, args.ascii)
 
@@ -286,7 +282,7 @@ def cmd_gilmer_masbaum(args):
                                                   "mcg_class": induced}
                     for label, mult, induced in report.mcg_dictionary},
         "fundamental_realizable": report.fundamental_realizable,
-        "walker_index4_possible": report.walker_index4_possible,
+        "walker_index4_possible": report.fundamental_realizable,
     }
     return {}, result, "\n".join(lines)
 

@@ -143,13 +143,16 @@ def parse_exact(text: str) -> ExactComplex:
     match = _PARSE_RE.match(text)
     if not match or (match.group("rat") is None and match.group("order") is None):
         raise ValueError("cannot parse exact value %r" % text)
-    mag = Fraction(match.group("rat")) if match.group("rat") else Fraction(1)
+    try:
+        mag = Fraction(match.group("rat")) if match.group("rat") else Fraction(1)
+        root = Fraction(0)
+        if match.group("order"):
+            power = int(match.group("power") or 1)
+            root = Fraction(power, int(match.group("order")))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in exact value %r" % text) from None
     if match.group("sign") == "-":
         mag = -mag
-    root = Fraction(0)
-    if match.group("order"):
-        power = int(match.group("power") or 1)
-        root = Fraction(power, int(match.group("order")))
     return ExactComplex._make(mag, root)
 
 

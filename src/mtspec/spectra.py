@@ -7,9 +7,10 @@ verifier for the fiber sequence
     (cover) -> (spectrum) -> (integral Eilenberg-MacLane spectrum),
 
 grid equivalences between cover levels, and a constrained derivation
-engine that re-derives every cover entry of the table.  The table is
-the source of truth; the derivation is a machine-checked consistency
-proof of it.
+engine that re-derives every cover entry of the table.  Every table row
+is served from the certified data file, the single source of truth: its
+uncovered rows are checked against the ring when the file is loaded, and
+the derivation is a machine-checked consistency proof of the cover rows.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 from . import certified
 from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
                       cokernel_with_projection, enumerate_extensions, zero_hom)
-from .charclasses import CohomologyEntry, thom_module_piece
-from .errors import (ContradictoryConstraints, InternalCheckError, NotRecorded,
-                     OutOfTable, Unsupported)
+from .charclasses import CohomologyEntry
+from .errors import (ContradictoryConstraints, DataFormatError,
+                     InternalCheckError, NotRecorded, OutOfTable, Unsupported)
 
 MAX_TABLE_DEGREE = 5
 
@@ -53,29 +54,6 @@ class SpectrumId:
         sup = "¹²³⁴"[self.d - 1]
         base = "Σ%sMTSO(%d)" % (sup, self.d)
         return base if not self.cover_level else "p≥%d%s" % (self.cover_level, base)
-
-
-@dataclass(frozen=True)
-class NamedHom:
-    """A recorded generator map between two table entries in one degree."""
-
-    source: SpectrumId
-    target: SpectrumId
-    degree: int
-    assignments: tuple  # ((source name, ((target name, coeff), ...)), ...)
-    provenance: str = "diagram"
-
-    def assignment_map(self) -> dict:
-        return {src: dict(combo) for src, combo in self.assignments}
-
-    def image_of(self, name: str) -> dict:
-        return self.assignment_map()[name]
-
-    def to_group_hom(self, data=None) -> GroupHom:
-        data = data or certified.load_data()
-        src = cohomology(self.source, self.degree, data)
-        tgt = cohomology(self.target, self.degree, data)
-        return certified.assignments_to_group_hom(src, tgt, self.assignments)
 
 
 def _data(data=None):
@@ -111,10 +89,6 @@ class VfSplitting:
     group: FgAbGroup            # the full homotopy group in degree d
     bordism_group: FgAbGroup    # image of the quotient map to oriented bordism
 
-    def describe(self) -> str:
-        inv = ", ".join(self.invariants) if self.invariants else "none (group is 0)"
-        return "pi_%d splits as %s via (%s)" % (self.d, self.group, inv)
-
 
 _ORIENTED_BORDISM = {1: FgAbGroup(), 2: FgAbGroup(), 3: FgAbGroup(), 4: FgAbGroup(1)}
 
@@ -145,19 +119,19 @@ def vf_splitting(d: int, data=None) -> VfSplitting:
 def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
     """Integral cohomology of a spectrum in degrees 0..5.
 
-    Uncovered spectra are computed live from the Thom-module description;
-    first covers are served from the certified table.  Higher covers are
-    only reachable through grid_equivalence and are refused here.
+    Uncovered spectra and first covers are served from the certified
+    table; the uncovered rows were checked against the Thom-module
+    description when the table was loaded.  Higher covers are only
+    reachable through grid_equivalence and are refused here.
     """
     data = _data(data)
     if not 0 <= k <= MAX_TABLE_DEGREE:
         raise Unsupported("cohomology is tabulated for degrees 0..%d" % MAX_TABLE_DEGREE)
-    if spectrum.cover_level == 0:
-        return thom_module_piece(spectrum.d, k)
     entry = data.entry(spectrum.d, spectrum.cover_level, k)
     if entry is None:
-        raise Unsupported("no table entry for %s; resolve the cover through "
-                          "grid_equivalence first" % spectrum.display(True))
+        raise Unsupported("no table entry for %s in degree %d; resolve higher "
+                          "covers through grid_equivalence first"
+                          % (spectrum.display(True), k))
     return entry
 
 
@@ -191,7 +165,8 @@ def equivalent_stored_cover(d: int, cover: int, data=None) -> int:
 # recorded maps
 
 
-def cover_map(d: int, k: int, kind: str = "cover", data=None) -> NamedHom:
+def cover_map(d: int, k: int, kind: str = "cover",
+              data=None) -> certified.ArrowRecord:
     """A recorded generator map, exactly as stored.
 
     kind "cover" is the map from the spectrum to its first cover, "dim"
@@ -206,13 +181,7 @@ def cover_map(d: int, k: int, kind: str = "cover", data=None) -> NamedHom:
     record = data.arrow(kind, d, k, to_d)
     if record is None:
         raise NotRecorded("no recorded %s arrow for d=%d, k=%d" % (kind, d, k))
-    if kind == "cover":
-        source, target = SpectrumId(d, 0), SpectrumId(d, 1)
-    elif kind == "dim":
-        source, target = SpectrumId(d, 0), SpectrumId(to_d, 0)
-    else:
-        source, target = SpectrumId(d, 1), SpectrumId(to_d, 1)
-    return NamedHom(source, target, k, record.assignments, record.provenance)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +222,6 @@ class LesReport:
     def all_exact(self) -> bool:
         return all(c.exact for c in self.checks)
 
-    def describe(self) -> str:
-        lines = ["long exact sequence check, d=%d:" % self.d]
-        for chunk in self.chunks:
-            lines.append("  %s  [%s]" % (chunk.description,
-                                         "exact" if chunk.exact else "NOT EXACT"))
-        for check in self.checks:
-            if not check.exact:
-                lines.append("  failure at %s: %s" % (check.node.label, check.note))
-        lines.extend("  note: %s" % n for n in self.notes)
-        lines.append("  verdict: %s" % ("all exact" if self.all_exact else "FAILED"))
-        return "\n".join(lines)
-
 
 def _hz_node(k: int, data) -> LesNode:
     group = hz_self_cohomology(k, data)
@@ -302,25 +259,22 @@ def verify_les(d: int, data=None) -> LesReport:
     notes = []
     failures = {}
 
-    def entry_for(node: LesNode) -> CohomologyEntry:
-        return CohomologyEntry(node.group, node.generators)
-
     def alpha(k: int) -> GroupHom:
         src, tgt = nodes[3 * k], nodes[3 * k + 1]
         if src.group.is_trivial or tgt.group.is_trivial:
             return zero_hom(src.group, tgt.group)
         record = data.arrow("unit", d, k)
         if record is not None:
-            return certified.assignments_to_group_hom(
-                entry_for(src), entry_for(tgt), record.assignments)
+            return record.to_group_hom(data)
         if src.group == tgt.group:
             src_names = [name for name, _ in src.generators]
             tgt_names = [name for name, _ in tgt.generators]
             pairing = tuple((s, ((t, 1),)) for s, t in zip(src_names, tgt_names))
             try:
                 hom = certified.assignments_to_group_hom(
-                    entry_for(src), entry_for(tgt), pairing)
-            except Exception:
+                    CohomologyEntry(src.group, src.generators),
+                    CohomologyEntry(tgt.group, tgt.generators), pairing)
+            except DataFormatError:
                 failures[3 * k + 1] = "no generator pairing identifies the groups"
                 return zero_hom(src.group, tgt.group)
             notes.append("degree %d: identification of %s with %s synthesized "
@@ -337,8 +291,7 @@ def verify_les(d: int, data=None) -> LesReport:
         if record is None:
             failures[3 * k + 2] = "cover arrow not recorded"
             return zero_hom(src.group, tgt.group)
-        return certified.assignments_to_group_hom(
-            entry_for(src), entry_for(tgt), record.assignments)
+        return record.to_group_hom(data)
 
     def delta(k: int, beta_hom: GroupHom) -> GroupHom:
         src, tgt = nodes[3 * k + 2], nodes[3 * (k + 1)]

@@ -4,8 +4,8 @@ Manifolds are descriptor tuples, not triangulations: the theories in
 range see only the Euler characteristic, the signature, the first
 Pontryagin number and (in dimensions 1 mod 4) the real semicharacteristic,
 so the data model stores exactly those.  The catalog entries carry their
-invariants from the shipped data file; Pontryagin numbers are populated
-through the signature theorem p1 = 3*sigma and never invented silently.
+invariants from the shipped data file, whose Pontryagin numbers satisfy
+the signature theorem p1 = 3*sigma; none is invented silently.
 
 All evaluation is exact: parameters and values are rational numbers
 times roots of unity.
@@ -49,13 +49,6 @@ class ManifoldClass:
                 raise InvalidManifold("kr applies in dimensions 1 mod 4 only")
             if self.kr not in (0, 1):
                 raise InvalidManifold("kr is a mod-2 value")
-
-    @classmethod
-    def from_signature_theorem(cls, name, dim, euler, signature) -> "ManifoldClass":
-        """Build a 4-manifold whose p1 number is sourced from p1 = 3*sigma."""
-        if dim != 4:
-            raise InvalidManifold("the signature theorem route needs dimension 4")
-        return cls(name, dim, euler, signature, 3 * signature)
 
 
 def disjoint_union(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
@@ -135,9 +128,6 @@ class ManifoldCatalog:
 
     def names(self):
         return sorted(self._entries)
-
-    def family_patterns(self):
-        return [family.name for _, family in self._families]
 
     def get(self, name: str) -> ManifoldClass:
         if name in self._entries:
@@ -248,6 +238,17 @@ def frobenius_closed_value(mu, g: int) -> ExactComplex:
     if g < 0:
         raise ValueError("genus must be nonnegative")
     return ExactComplex.of(mu) ** (1 - g)
+
+
+def frobenius_surface_value(mu, m: ManifoldClass) -> ExactComplex:
+    """Value on a closed, possibly disconnected surface.
+
+    A genus-g component gives mu^(1-g) = mu^(chi/2) and the theory is
+    multiplicative under disjoint union, so the value is mu^(chi/2).
+    """
+    if m.dim != 2:
+        raise DimensionMismatch("the Frobenius theory evaluates surfaces")
+    return ExactComplex.of(mu) ** (m.euler // 2)
 
 
 @dataclass(frozen=True)

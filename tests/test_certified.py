@@ -45,6 +45,14 @@ class TestParser:
         with pytest.raises(DataFormatError):
             parse_data("version=1\ncohomology d=2 cover=0 k=0 group=Z gens=u,cu\n")
 
+    def test_uncovered_row_must_match_the_ring(self):
+        with pytest.raises(DataFormatError, match=r"\(d=1, k=5\)"):
+            parse_data("version=1\ncohomology d=1 cover=0 k=5 group=Z gens=x\n")
+        with pytest.raises(DataFormatError, match=r"\(d=2, k=2\)"):
+            parse_data("version=1\ncohomology d=2 cover=0 k=2 group=Z gens=c\n")
+        with pytest.raises(DataFormatError):
+            parse_data("version=1\ncohomology d=5 cover=0 k=0 group=Z gens=u\n")
+
     def test_ill_defined_arrow_rejected(self):
         bad = (
             "version=1\n"

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from mtspec.abelian import FgAbGroup
-from mtspec.charclasses import (RingElement, graded_piece, multiply,
-                                restrict_generators, thom_module_piece)
+from mtspec.charclasses import (RingElement, graded_piece, restrict_generators,
+                                thom_module_piece)
 from mtspec.errors import AmbientMismatch
 
 
@@ -110,11 +110,11 @@ class TestMultiplication:
 
     def test_unit_law(self):
         x = gen(4, "e") + gen(4, "p1")
-        assert multiply(x, RingElement.one(4)) == x
+        assert x * RingElement.one(4) == x
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            multiply(gen(2, "c"), gen(3, "p1"))
+            gen(2, "c") * gen(3, "p1")
 
     def test_commutative_associative(self):
         rng = random.Random(17)

@@ -161,7 +161,6 @@ class TestGilmerMasbaum:
         assert report.walker_class == ExtensionClass(2)
         assert report.gilmer_class == ExtensionClass(1)
         assert not report.fundamental_realizable
-        assert not report.walker_index4_possible
 
     def test_dictionary(self):
         report = gilmer_masbaum_report()

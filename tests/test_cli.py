@@ -69,8 +69,8 @@ class TestTableCommand:
         assert code == 0 and out == "ℤ,0,0,ℤ/2,0,ℤ/6,0\n"
 
     def test_table_matches_data_file_rendering(self, capsys):
-        # the live Thom-module path must render byte-identically to the rows
-        # shipped in the certified data file
+        # every row, uncovered or covered, is served from the certified data
+        # file, so the table renders exactly the stored rows
         data = load_data()
         for d in (2, 3, 4):
             for cover in (0, 1):
@@ -143,6 +143,18 @@ class TestEvalCommands:
                              "--l2", "1", "--manifold", "CP2")
         assert code == 0 and out == "-1\n"
 
+    def test_frobenius_disconnected_surface(self, capsys):
+        # the theory is multiplicative, so S2+S2 gives mu^(chi/2), the Euler
+        # theory's value at lam with lam^2 = mu
+        code, out = run_main(capsys, "eval", "frobenius", "--mu", "4",
+                             "--manifold", "S2+S2")
+        assert code == 0 and out == "16\n"
+        code, out = run_main(capsys, "eval", "euler", "--lam", "2",
+                             "--manifold", "S2+S2")
+        assert code == 0 and out == "16\n"
+        assert main(["eval", "frobenius", "--mu", "4", "--g", "-1"]) == 2
+        capsys.readouterr()
+
     def test_unknown_manifold_exits_two(self, capsys):
         assert main(["eval", "four_d", "--l1", "2", "--l2", "1",
                      "--manifold", "Nope"]) == 2
@@ -177,6 +189,7 @@ class TestGilmerMasbaumCommand:
         assert classes["walker"] == {"rho_multiple": 2, "mcg_class": 4}
         assert classes["gilmer"] == {"rho_multiple": 1, "mcg_class": 2}
         assert document["result"]["fundamental_realizable"] is False
+        assert document["result"]["walker_index4_possible"] is False
 
 
 class TestStructuredOutput:
@@ -224,6 +237,31 @@ class TestProcessLevel:
         assert proc.returncode == 2
         proc = run_subprocess("classify", "--d", "9", "--n", "1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "frobenius", "--mu", "1/0", "--g", "1"],
+        ["eval", "four_d", "--l1", "zeta0", "--l2", "1", "--manifold", "S4"],
+    ])
+    def test_zero_denominator_exits_two(self, argv):
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 2
+        assert "zero denominator" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_tampered_uncovered_row_exits_two(self, tmp_path):
+        # uncovered rows are checked against the ring when the file loads
+        text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()
+        modified = text.replace("cohomology d=1 cover=0 k=5 group=0",
+                                "cohomology d=1 cover=0 k=5 group=Z gens=x")
+        assert modified != text
+        override = tmp_path / "tampered.txt"
+        override.write_text(modified)
+        proc = run_subprocess("table", "cohomology", "--d", "1",
+                              env_extra={"MTSPEC_DATA": str(override)})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "(d=1, k=5)" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_data_override(self, tmp_path):
         text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()

@@ -63,7 +63,8 @@ class TestParsing:
     def test_literals(self, text, expected):
         assert parse_exact(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "x", "1.5", "zeta", "0"])
+    @pytest.mark.parametrize("text", ["", "x", "1.5", "zeta", "0",
+                                      "1/0", "3/00", "zeta0", "-2*zeta0^3"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_exact(text)

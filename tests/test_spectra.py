@@ -1,10 +1,11 @@
 import pytest
 
+from mtspec import certified
 from mtspec.abelian import FgAbGroup, compose_homs
 from mtspec.certified import load_data
 from mtspec.charclasses import RingElement, restrict_generators, thom_module_piece
-from mtspec.errors import (ContradictoryConstraints, NotRecorded, OutOfTable,
-                           Unsupported)
+from mtspec.errors import (ContradictoryConstraints, DataFormatError,
+                           NotRecorded, OutOfTable, Unsupported)
 from mtspec.spectra import (DerivationConstraint, SpectrumId, cohomology,
                             cover_map, default_constraints,
                             derive_cover_cohomology, grid_equivalence,
@@ -182,7 +183,31 @@ class TestVerifyLes:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_all_chunks_exact(self, d):
         report = verify_les(d)
-        assert report.all_exact, report.describe()
+        assert report.all_exact, [c for c in report.checks if not c.exact]
+
+    @staticmethod
+    def _fail_identification(monkeypatch, exc):
+        # the degree-3 identification of HZ^3(HZ) is synthesized from a
+        # generator pairing; make only that pairing fail
+        original = certified.assignments_to_group_hom
+
+        def patched(source, target, assignments):
+            if assignments[0][0] == "hz3":
+                raise exc
+            return original(source, target, assignments)
+        monkeypatch.setattr(certified, "assignments_to_group_hom", patched)
+
+    def test_failed_identification_is_reported(self, monkeypatch):
+        self._fail_identification(monkeypatch, DataFormatError("no pairing"))
+        report = verify_les(4)
+        assert not report.all_exact
+        assert "no generator pairing identifies the groups" in \
+            [c.note for c in report.checks]
+
+    def test_unrelated_errors_propagate(self, monkeypatch):
+        self._fail_identification(monkeypatch, RuntimeError("broken"))
+        with pytest.raises(RuntimeError):
+            verify_les(4)
 
     def test_degree_four_chunk_of_d4(self):
         report = verify_les(4)

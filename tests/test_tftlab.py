@@ -10,7 +10,8 @@ from mtspec.exactnum import ExactComplex
 from mtspec.tftlab import (FormalSum, FrobeniusData, ManifoldClass,
                            SurfaceBordism, connected_sum, disjoint_union,
                            euler_theory_value, frobenius_closed_value,
-                           frobenius_verify, invertible_4d_value,
+                           frobenius_surface_value, frobenius_verify,
+                           invertible_4d_value,
                            is_vf_nullbordant, parse_formal_sum, parse_manifold,
                            standard_manifolds, vf_invariant)
 
@@ -164,6 +165,17 @@ class TestFrobenius:
         assert frobenius_closed_value(mu, 1).is_one
         assert frobenius_closed_value(mu, 0) == mu
         assert frobenius_closed_value(4, 2).rational_value() == Fraction(1, 4)
+
+    def test_surface_values(self):
+        mu = rational(Fraction(7, 3))
+        for g in range(5):
+            assert frobenius_surface_value(mu, CATALOG.sigma(g)) == \
+                frobenius_closed_value(mu, g)
+        # multiplicative under disjoint union: mu^(chi/2)
+        two_spheres = disjoint_union(CATALOG.get("S2"), CATALOG.get("S2"))
+        assert frobenius_surface_value(mu, two_spheres) == mu * mu
+        with pytest.raises(DimensionMismatch):
+            frobenius_surface_value(mu, CATALOG.get("S4"))
 
 
 class TestEulerTheory:
