@@ -257,11 +257,6 @@ def lattice_contains(columns, vector) -> bool:
     return _lattice_solver(list(columns), len(vector))(vector)
 
 
-def _lattice_subset(cols_a, cols_b, dim) -> bool:
-    contains = _lattice_solver(cols_b, dim)
-    return all(contains(c) for c in cols_a)
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
@@ -301,13 +296,15 @@ class FgAbGroup:
                 free += 1
             elif c > 1:
                 finite.append(c)
-        if not finite:
-            return cls(free, ())
-        k = len(finite)
-        diag = IntMatrix(k, k, tuple(finite[i] if i == j else 0
-                                     for i in range(k) for j in range(k)))
-        _, d, _ = smith_normal_form(diag)
-        return cls(free, tuple(x for x in d.diagonal() if x > 1))
+        # invariant factors of a diagonal matrix: replacing a pair (a, b)
+        # by (gcd, lcm) keeps the group, and repeating it left to right
+        # leaves a divisibility chain
+        for i in range(len(finite)):
+            for j in range(i + 1, len(finite)):
+                a, b = finite[i], finite[j]
+                g = math.gcd(a, b)
+                finite[i], finite[j] = g, a // g * b
+        return cls(free, tuple(x for x in finite if x > 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -444,7 +441,12 @@ def compose_homs(second: GroupHom, first: GroupHom) -> GroupHom:
 
 
 def check_exact(f: GroupHom, g: GroupHom) -> bool:
-    """Exactness at the middle group: g o f == 0 and image(f) == kernel(g)."""
+    """Exactness at the middle group: g o f == 0 and image(f) == kernel(g).
+
+    Once g o f == 0, image(f) lies in kernel(g): every image column then
+    maps into the target relations, and the middle relations map there
+    because g is well-defined.  So only kernel(g) <= image(f) is tested.
+    """
     if f.target != g.source:
         raise CompositionMismatch("check_exact needs target(f) == source(g)")
     middle = f.target
@@ -457,16 +459,14 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
                for j in range(composite.cols)):
         return False
 
-    image = f.matrix.columns() + rel_mid
-
     # kernel of g as a lattice in Z^n: x with g.matrix @ x in the span of
     # the target relations; computed from the kernel of [g.matrix | rel_tgt]
     stacked = IntMatrix.from_columns(g.matrix.columns() + rel_tgt,
                                      g.target.num_generators)
-    kernel = [col[:n] for col in kernel_columns(stacked)] + rel_mid
+    kernel = [col[:n] for col in kernel_columns(stacked)]
 
-    return (_lattice_subset(image, kernel, n)
-            and _lattice_subset(kernel, image, n))
+    in_image = _lattice_solver(f.matrix.columns() + rel_mid, n)
+    return all(in_image(col) for col in kernel)
 
 
 def cokernel(relations: IntMatrix) -> FgAbGroup:
@@ -608,7 +608,4 @@ def units_kernel(exponents: IntMatrix) -> FgAbGroup:
     and each nonunit nonzero invariant factor d contributes a Z/d of roots
     of unity.
     """
-    _, d, _ = smith_normal_form(exponents)
-    diag = d.diagonal()
-    rank = sum(1 for x in diag if x)
-    return FgAbGroup(exponents.rows - rank, tuple(x for x in diag if x > 1))
+    return cokernel(exponents)

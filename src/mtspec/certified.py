@@ -4,10 +4,12 @@ The file ships with the package and carries the cohomology tables with
 their named generators, the homotopy table, the self-cohomology of the
 integral Eilenberg-MacLane spectrum, every recorded generator map, and
 the manifold catalog.  Every table row the package serves comes from
-this file.  Loading validates it: each uncovered cohomology row must
-equal the matching Thom-module piece of the ring, and each recorded map
-must be well-defined between the rows it names.  The environment
-variable MTSPEC_DATA overrides the path.
+this file, and every catalog manifold is a ManifoldClass built here.
+Loading validates it: each uncovered cohomology row must equal the
+matching Thom-module piece of the ring, each recorded map must be
+well-defined between the rows it names, and each manifold record must
+satisfy the ManifoldClass invariants.  The environment variable
+MTSPEC_DATA overrides the path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, thom_module_piece
-from .errors import DataFormatError
+from .errors import DataFormatError, InvalidManifold
 
 ENV_DATA_PATH = "MTSPEC_DATA"
 
@@ -53,13 +55,32 @@ class ArrowRecord:
 
 
 @dataclass(frozen=True)
-class ManifoldRecord:
+class ManifoldClass:
+    """An oriented closed manifold, remembered through its invariants."""
+
     name: str
     dim: int
     euler: int
-    signature: int
-    p1: int
-    kr: int | None
+    signature: int = 0
+    p1_number: int = 0
+    kr: int | None = None
+
+    def __post_init__(self):
+        if self.dim not in (1, 2, 3, 4):
+            raise InvalidManifold("dimension must be 1..4")
+        if self.dim % 2 and self.euler != 0:
+            raise InvalidManifold("closed odd-dimensional manifolds have euler 0")
+        if self.dim % 4 and self.signature:
+            raise InvalidManifold("signature is only meaningful in dimensions 0 mod 4")
+        if self.dim != 4 and self.p1_number:
+            raise InvalidManifold("p1 numbers live in dimension 4 only")
+        if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
+            raise InvalidManifold("euler + signature must be even (duality parity)")
+        if self.kr is not None:
+            if self.dim % 4 != 1:
+                raise InvalidManifold("kr applies in dimensions 1 mod 4 only")
+            if self.kr not in (0, 1):
+                raise InvalidManifold("kr is a mod-2 value")
 
 
 @dataclass(frozen=True)
@@ -122,7 +143,7 @@ class CertifiedData:
         self.homotopy = homotopy        # (d, k) -> FgAbGroup
         self.hz = hz                    # k -> FgAbGroup
         self.arrows = arrows            # list of ArrowRecord
-        self.manifolds = manifolds      # name -> ManifoldRecord
+        self.manifolds = manifolds      # name -> ManifoldClass
         self.families = families        # name -> FamilyRecord
         self.path = path
         self._arrow_index = {(a.kind, a.d, a.k, a.to_d): a for a in arrows}
@@ -260,11 +281,11 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     assignments=_parse_map(fields["map"]),
                 ))
             elif rectype == "manifold":
-                rec = ManifoldRecord(
+                rec = ManifoldClass(
                     name=fields["name"], dim=int(fields["dim"]),
                     euler=int(fields["euler"]),
                     signature=int(fields.get("signature", 0)),
-                    p1=int(fields.get("p1", 0)),
+                    p1_number=int(fields.get("p1", 0)),
                     kr=int(fields["kr"]) if "kr" in fields else None)
                 manifolds[rec.name] = rec
             elif rectype == "family":
@@ -276,7 +297,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 families[rec.name] = rec
             else:
                 raise DataFormatError("unknown record type %r" % rectype)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, InvalidManifold) as exc:
             raise DataFormatError("bad record %r: %s" % (line, exc))
     if version is None:
         raise DataFormatError("data file lacks a version line")

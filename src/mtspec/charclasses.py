@@ -9,8 +9,8 @@ The rings served here are, as graded rings,
 
 together with the restriction maps that preserve same-named generators,
 send e to zero and send p1 to -c^2.  The class W3 arises as an integral
-Bockstein of the second mod-2 class; that origin is kept as generator
-metadata only and no mod-2 operations are computed here.
+Bockstein of the second mod-2 class; no mod-2 operations are computed
+here.
 
 A formal degree-zero class u turns each graded piece into the matching
 piece of the suspended Thom spectrum: the virtual bundle has dimension
@@ -27,8 +27,6 @@ from .errors import AmbientMismatch
 
 GEN_ORDER = ("W3", "e", "p1", "c")
 GEN_DEGREES = {"W3": 3, "e": 4, "p1": 4, "c": 2}
-GEN_TORSION = {"W3": 2}
-GEN_NOTES = {"W3": "integral Bockstein of the second mod-2 class (metadata only)"}
 LEGAL_GENERATORS = {
     1: frozenset(),
     2: frozenset({"c"}),

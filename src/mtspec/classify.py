@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import spectra
+from . import certified, spectra
 from .abelian import FgAbGroup, IntMatrix, smith_normal_form, units_kernel
 from .errors import InternalCheckError, NotRecorded, OutOfRange
 from .exactnum import ExactComplex
@@ -33,8 +33,6 @@ class TheoryGroup:
     unit_rank: int            # number of C^x coordinates
     finite_part: FgAbGroup    # torsion contribution from one degree up
     basis_names: tuple        # generator names the coordinates are dual to
-    spectrum: SpectrumId      # requested cover
-    stored_spectrum: SpectrumId  # equivalent cover the tables hold
 
     @property
     def is_trivial(self) -> bool:
@@ -69,14 +67,11 @@ def classify(d: int, n: int, data=None) -> TheoryGroup:
     """Invertible theories in dimension d with category number n."""
     if not (isinstance(d, int) and isinstance(n, int) and 1 <= n <= d <= 4):
         raise OutOfRange("need 1 <= n <= d <= 4")
-    cover = d - n
-    stored = spectra.equivalent_stored_cover(d, cover, data)
-    spec = SpectrumId(d, stored)
+    spec = SpectrumId(d, spectra.equivalent_stored_cover(d, d - n, data))
     here = spectra.cohomology(spec, d, data)
     above = spectra.cohomology(spec, d + 1, data)
     finite = FgAbGroup(0, above.group.torsion)
-    return TheoryGroup(d, n, here.group.free_rank, finite, here.free_names,
-                       SpectrumId(d, cover), spec)
+    return TheoryGroup(d, n, here.group.free_rank, finite, here.free_names)
 
 
 def restriction_matrix(d: int, n_from: int, n_to: int, data=None) -> IntMatrix:
@@ -89,8 +84,10 @@ def restriction_matrix(d: int, n_from: int, n_to: int, data=None) -> IntMatrix:
         raise OutOfRange("need 1 <= n_to < n_from <= d <= 4")
     source = classify(d, n_from, data)
     target = classify(d, n_to, data)
+    data = data or certified.load_data()  # once, for the lookups below
     src_names, tgt_names = source.basis_names, target.basis_names
-    if source.stored_spectrum == target.stored_spectrum:
+    if (spectra.equivalent_stored_cover(d, d - n_from, data)
+            == spectra.equivalent_stored_cover(d, d - n_to, data)):
         if src_names != tgt_names:
             raise InternalCheckError("equivalent covers disagree on generators")
         return IntMatrix.identity(len(src_names))
@@ -229,7 +226,6 @@ def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:
                        for label, cls in (("Atiyah (p1-structures)", atiyah),
                                           ("Walker (signature)", walker),
                                           ("Gilmer (index-2 subcategory)", gilmer)))
-    fundamental = ExtensionClass(1)
     target = 1  # the generating mapping class group extension
     realizable = (target % 2 == 0)  # every induced class 2n is even
     argument = (

@@ -37,11 +37,8 @@ class SpectrumId:
 
     d: int
     cover_level: int = 0
-    family: str = "MTSO"
 
     def __post_init__(self):
-        if self.family != "MTSO":
-            raise ValueError("only the oriented family is supported")
         if self.d not in (1, 2, 3, 4):
             raise ValueError("dimension must be 1..4")
         if self.cover_level not in (0, 1, 2, 3):
@@ -189,17 +186,8 @@ def cover_map(d: int, k: int, kind: str = "cover",
 
 
 @dataclass(frozen=True)
-class LesNode:
-    kind: str    # "hz" | "spectrum" | "cover"
-    k: int
-    label: str
-    group: FgAbGroup
-    generators: tuple
-
-
-@dataclass(frozen=True)
 class LesCheck:
-    node: LesNode
+    label: str
     exact: bool
     note: str = ""
 
@@ -223,19 +211,6 @@ class LesReport:
         return all(c.exact for c in self.checks)
 
 
-def _hz_node(k: int, data) -> LesNode:
-    group = hz_self_cohomology(k, data)
-    entry = certified.hz_entry(group, k)
-    return LesNode("hz", k, "HZ^%d(HZ)" % k, group, entry.generators)
-
-
-def _spec_node(spectrum: SpectrumId, k: int, data) -> LesNode:
-    entry = cohomology(spectrum, k, data)
-    kind = "cover" if spectrum.cover_level else "spectrum"
-    return LesNode(kind, k, "H^%d(%s)" % (k, spectrum.display(True)),
-                   entry.group, entry.generators)
-
-
 def verify_les(d: int, data=None) -> LesReport:
     """Assemble the long exact sequence in degrees 0..5 and check it.
 
@@ -247,14 +222,14 @@ def verify_les(d: int, data=None) -> LesReport:
     data = _data(data)
     if d not in (2, 3, 4):
         raise Unsupported("the fiber sequence is recorded for d = 2, 3, 4")
-    spectrum, cover = SpectrumId(d, 0), SpectrumId(d, 1)
-
-    nodes = []
-    for k in range(MAX_TABLE_DEGREE + 1):
-        nodes.append(_hz_node(k, data))
-        nodes.append(_spec_node(spectrum, k, data))
-        nodes.append(_spec_node(cover, k, data))
-    nodes.append(_hz_node(MAX_TABLE_DEGREE + 1, data))
+    labels, nodes = [], []  # one labelled CohomologyEntry per group, in order
+    for k in range(MAX_TABLE_DEGREE + 2):
+        labels.append("HZ^%d(HZ)" % k)
+        nodes.append(certified.hz_entry(hz_self_cohomology(k, data), k))
+        if k <= MAX_TABLE_DEGREE:
+            for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1)):
+                labels.append("H^%d(%s)" % (k, spectrum.display(True)))
+                nodes.append(cohomology(spectrum, k, data))
 
     notes = []
     failures = {}
@@ -267,18 +242,15 @@ def verify_les(d: int, data=None) -> LesReport:
         if record is not None:
             return record.to_group_hom(data)
         if src.group == tgt.group:
-            src_names = [name for name, _ in src.generators]
-            tgt_names = [name for name, _ in tgt.generators]
-            pairing = tuple((s, ((t, 1),)) for s, t in zip(src_names, tgt_names))
+            pairing = tuple((s, ((t, 1),)) for s, t in zip(src.names, tgt.names))
             try:
-                hom = certified.assignments_to_group_hom(
-                    CohomologyEntry(src.group, src.generators),
-                    CohomologyEntry(tgt.group, tgt.generators), pairing)
+                hom = certified.assignments_to_group_hom(src, tgt, pairing)
             except DataFormatError:
                 failures[3 * k + 1] = "no generator pairing identifies the groups"
                 return zero_hom(src.group, tgt.group)
             notes.append("degree %d: identification of %s with %s synthesized "
-                         "as the canonical isomorphism" % (k, src.label, tgt.label))
+                         "as the canonical isomorphism"
+                         % (k, labels[3 * k], labels[3 * k + 1]))
             return hom
         failures[3 * k + 1] = "groups differ but no map is recorded"
         return zero_hom(src.group, tgt.group)
@@ -304,7 +276,7 @@ def verify_les(d: int, data=None) -> LesReport:
                                      "image is %s, expected %s" % (quotient, tgt.group))
             return zero_hom(src.group, tgt.group)
         notes.append("degree %d: connecting map onto %s synthesized as the "
-                     "canonical quotient projection" % (k, tgt.label))
+                     "canonical quotient projection" % (k, labels[3 * (k + 1)]))
         return GroupHom(src.group, tgt.group, proj.matrix)
 
     maps = [zero_hom(TRIVIAL_GROUP, nodes[0].group)]
@@ -315,9 +287,9 @@ def verify_les(d: int, data=None) -> LesReport:
     maps.append(zero_hom(nodes[-1].group, TRIVIAL_GROUP))
 
     checks = []
-    for idx, node in enumerate(nodes):
+    for idx, label in enumerate(labels):
         exact = check_exact(maps[idx], maps[idx + 1]) and idx not in failures
-        checks.append(LesCheck(node, exact, failures.get(idx, "")))
+        checks.append(LesCheck(label, exact, failures.get(idx, "")))
 
     chunks = []
     run = []
@@ -338,7 +310,7 @@ def _make_chunk(nodes, checks, indices) -> LesChunk:
     names = []
     for idx in indices:
         node = nodes[idx]
-        gens = ",".join(name for name, _ in node.generators)
+        gens = ",".join(node.names)
         names.append("%s%s" % (node.group, " (%s)" % gens if gens else ""))
     description = "0 -> " + " -> ".join(names) + " -> 0"
     exact = all(checks[idx].exact for idx in indices)

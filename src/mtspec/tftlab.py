@@ -3,9 +3,11 @@
 Manifolds are descriptor tuples, not triangulations: the theories in
 range see only the Euler characteristic, the signature, the first
 Pontryagin number and (in dimensions 1 mod 4) the real semicharacteristic,
-so the data model stores exactly those.  The catalog entries carry their
-invariants from the shipped data file, whose Pontryagin numbers satisfy
-the signature theorem p1 = 3*sigma; none is invented silently.
+so the data model (ManifoldClass, defined in certified and re-exported
+here) stores exactly those.  The catalog serves the ManifoldClass
+instances built and validated when the shipped data file loads, whose
+Pontryagin numbers satisfy the signature theorem p1 = 3*sigma; none is
+invented silently.
 
 All evaluation is exact: parameters and values are rational numbers
 times roots of unity.
@@ -17,38 +19,10 @@ import re
 from dataclasses import dataclass
 
 from . import certified
+from .certified import ManifoldClass
 from .errors import (DimensionMismatch, InvalidManifold, MissingKr,
                      UnknownManifold)
 from .exactnum import ExactComplex
-
-
-@dataclass(frozen=True)
-class ManifoldClass:
-    """An oriented closed manifold, remembered through its invariants."""
-
-    name: str
-    dim: int
-    euler: int
-    signature: int = 0
-    p1_number: int = 0
-    kr: int | None = None
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3, 4):
-            raise InvalidManifold("dimension must be 1..4")
-        if self.dim % 2 and self.euler != 0:
-            raise InvalidManifold("closed odd-dimensional manifolds have euler 0")
-        if self.dim % 4 and self.signature:
-            raise InvalidManifold("signature is only meaningful in dimensions 0 mod 4")
-        if self.dim != 4 and self.p1_number:
-            raise InvalidManifold("p1 numbers live in dimension 4 only")
-        if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
-            raise InvalidManifold("euler + signature must be even (duality parity)")
-        if self.kr is not None:
-            if self.dim % 4 != 1:
-                raise InvalidManifold("kr applies in dimensions 1 mod 4 only")
-            if self.kr not in (0, 1):
-                raise InvalidManifold("kr is a mod-2 value")
 
 
 def disjoint_union(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
@@ -131,9 +105,7 @@ class ManifoldCatalog:
 
     def get(self, name: str) -> ManifoldClass:
         if name in self._entries:
-            rec = self._entries[name]
-            return ManifoldClass(rec.name, rec.dim, rec.euler, rec.signature,
-                                 rec.p1, rec.kr)
+            return self._entries[name]
         for pattern, family in self._families:
             match = pattern.match(name)
             if match:
@@ -212,8 +184,11 @@ class FrobeniusData:
 
 @dataclass(frozen=True)
 class FrobeniusVerdict:
-    ok: bool
     failures: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def __bool__(self):
         return self.ok
@@ -230,7 +205,7 @@ def frobenius_verify(f: FrobeniusData) -> FrobeniusVerdict:
     product = f.comult * f.counit
     if not product.is_one:
         failures.append("counit*comult != 1 (got %s)" % product)
-    return FrobeniusVerdict(not failures, tuple(failures))
+    return FrobeniusVerdict(tuple(failures))
 
 
 def frobenius_closed_value(mu, g: int) -> ExactComplex:

@@ -108,6 +108,15 @@ class TestFgAbGroup:
         assert FgAbGroup.of(cyclic=(2, 4)) == FgAbGroup(0, (2, 4))
         assert FgAbGroup.of(1, (0, 12, 60)) == FgAbGroup(2, (12, 60))
 
+    def test_canonicalization_matches_the_smith_form(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            cyclic = [rng.randint(-40, 40) for _ in range(rng.randint(0, 6))]
+            k = len(cyclic)
+            diagonal = IntMatrix(k, k, tuple(cyclic[i] if i == j else 0
+                                             for i in range(k) for j in range(k)))
+            assert FgAbGroup.of(0, cyclic) == cokernel(diagonal), cyclic
+
     def test_invalid_chain_rejected(self):
         with pytest.raises(ValueError):
             FgAbGroup(0, (4, 2))

@@ -1,6 +1,6 @@
 import pytest
 
-from mtspec.certified import load_data, parse_data
+from mtspec.certified import ManifoldClass, load_data, parse_data
 from mtspec.errors import DataFormatError
 
 MINIMAL = """\
@@ -52,6 +52,14 @@ class TestParser:
             parse_data("version=1\ncohomology d=2 cover=0 k=2 group=Z gens=c\n")
         with pytest.raises(DataFormatError):
             parse_data("version=1\ncohomology d=5 cover=0 k=0 group=Z gens=u\n")
+
+    def test_manifold_record_must_be_a_manifold(self):
+        with pytest.raises(DataFormatError, match="name=X"):
+            parse_data(MINIMAL + "manifold name=X dim=3 euler=2\n")
+
+    def test_catalog_records_are_manifold_classes(self):
+        data = parse_data(MINIMAL + "manifold name=CP2 dim=4 euler=3 signature=1 p1=3\n")
+        assert data.manifolds["CP2"] == ManifoldClass("CP2", 4, 3, 1, 3)
 
     def test_ill_defined_arrow_rejected(self):
         bad = (

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -167,3 +168,9 @@ class TestGilmerMasbaum:
         classes = {label.split(" ")[0]: (mult, induced)
                    for label, mult, induced in report.mcg_dictionary}
         assert classes == {"Atiyah": (6, 12), "Walker": (2, 4), "Gilmer": (1, 2)}
+
+
+def test_submodule_is_not_shadowed_by_the_package():
+    # the package namespace re-exports nothing, so the attribute stays the module
+    import mtspec.classify
+    assert inspect.ismodule(mtspec.classify)

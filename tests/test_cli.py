@@ -30,6 +30,17 @@ def run_subprocess(*argv, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+def write_odd_euler_t3(tmp_path):
+    """A copy of the shipped data file whose T3 record has euler 2."""
+    text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+    modified = text.replace("manifold name=T3 dim=3 euler=0",
+                            "manifold name=T3 dim=3 euler=2")
+    assert modified != text
+    path = tmp_path / "odd_euler_t3.txt"
+    path.write_text(modified)
+    return path
+
+
 GOLDEN_COVER_TABLE = """\
 H*(p≥1Σ⁴MTSO(4))
 k=0: 0
@@ -262,6 +273,33 @@ class TestProcessLevel:
         assert proc.stdout == ""
         assert "(d=1, k=5)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_invalid_manifold_record_exits_two(self, tmp_path):
+        # manifold records are checked against the ManifoldClass invariants
+        # when the file loads, not when the manifold is first used
+        proc = run_subprocess("table", "hz", env_extra={
+            "MTSPEC_DATA": str(write_odd_euler_t3(tmp_path))})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "manifold name=T3 dim=3 euler=2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "cohomology", "--d", "4"],
+        ["classify", "--d", "4", "--n", "4"],
+        ["restrict", "--d", "4", "--from", "4", "--to", "3", "--params", "2,3"],
+        ["kernel", "--d", "4", "--from", "4", "--to", "3"],
+        ["eval", "frobenius", "--mu", "4", "--g", "2"],
+        ["bordism", "--d", "2", "--sum", "S2"],
+        ["gilmer-masbaum"],
+    ])
+    def test_invalid_manifold_record_refused_by_every_subcommand(
+            self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("MTSPEC_DATA", str(write_odd_euler_t3(tmp_path)))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "name=T3" in captured.err
 
     def test_data_override(self, tmp_path):
         text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()

@@ -203,6 +203,9 @@ class TestVerifyLes:
         assert not report.all_exact
         assert "no generator pairing identifies the groups" in \
             [c.note for c in report.checks]
+        failing = next(c for c in report.checks if c.note)
+        assert not failing.exact
+        assert failing.label == "H^3(Sigma^4 MTSO(4))"
 
     def test_unrelated_errors_propagate(self, monkeypatch):
         self._fail_identification(monkeypatch, RuntimeError("broken"))
