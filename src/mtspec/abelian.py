@@ -1,11 +1,23 @@
 """Exact linear algebra over the integers.
 
 Everything in this module is computed with arbitrary-precision integers;
-there is no floating point anywhere.  It provides Smith normal form with
-unimodular transforms, finitely generated abelian groups in canonical
-invariant-factor form, homomorphisms between them, Ext groups, middle
-groups of short exact sequences, and an exactness checker.  These are
-the primitives every other module is built on.
+there is no floating point anywhere.  It provides Smith normal form,
+finitely generated abelian groups in canonical invariant-factor form,
+homomorphisms between them, Ext groups, middle groups of short exact
+sequences, and an exactness checker.  These are the primitives every
+other module is built on.
+
+The Smith form has two paths:
+
+- Diagonal only, modulo a maximal minor (``cokernel``): a fraction-free
+  elimination finds the rank and a nonzero maximal minor D, and the
+  matrix is then diagonalized over Z/|D|, so entries stay bounded.
+  ``units_kernel`` and the middle groups of ``enumerate_extensions`` go
+  through it.
+- With unimodular transforms (``smith_normal_form``), for callers that
+  need U or V: ``kernel_columns``, ``_lattice_solver`` (hence
+  ``lattice_contains`` and ``check_exact``), ``cokernel_with_projection``
+  and ``classify.restriction_kernel``.
 
 All values are immutable after construction and all operations are pure,
 so concurrent use needs no synchronization.
@@ -112,29 +124,42 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, minor = _rank_and_minor(self.to_rows(), self.cols)
+        return minor if rank == self.rows else 0
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in self.row_list(i))
                                for i in range(self.rows)) + "]"
+
+
+def _rank_and_minor(rows, ncols: int):
+    """Rank r of an integer matrix and a nonzero r x r minor of it.
+
+    One fraction-free (Bareiss) elimination with row swaps; a column with
+    no pivot is skipped.  The minor is that of the pivot rows and pivot
+    columns, signed so that for a nonsingular square matrix it is the
+    determinant; it is 1 when r = 0.  Every intermediate entry is itself a
+    minor of the input, so entries stay within Hadamard's bound.
+    """
+    m = [list(row) for row in rows]
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if rank == len(m):
+            break
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
+        p = m[rank][c]
+        tail = m[rank][c + 1:]
+        for row in m[rank + 1:]:
+            q = row[c]
+            row[c + 1:] = [(x * p - q * y) // prev for x, y in zip(row[c + 1:], tail)]
+        prev = p
+        rank += 1
+    return rank, sign * prev
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +247,103 @@ def smith_normal_form(matrix: IntMatrix):
             IntMatrix.from_rows(V) if n else IntMatrix(0, 0, ()))
 
 
+# ---------------------------------------------------------------------------
+# Smith diagonal modulo a maximal minor
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) = s * a + t * b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _cyclic_orders_modulo(rows, modulus: int) -> list:
+    """Orders of cyclic groups whose sum is Z^m / (column span + modulus Z^m).
+
+    Here m = len(rows).  The matrix is diagonalized over Z/modulus, so no
+    entry grows past the modulus.  A pivot that is a unit there clears its
+    row and column by plain elimination and adds nothing.  Otherwise 2 x 2
+    extended-gcd row and column steps shrink the pivot to a divisor of the
+    modulus, which is recorded.  Each row left once the rest is zero adds
+    a full Z/modulus.  The orders are not sorted into a divisibility chain.
+    """
+    mat = [[x % modulus for x in row] for row in rows]
+    orders = []
+    while mat and mat[0]:
+        pivot = _pick_pivot(mat, modulus)
+        if pivot is None:
+            break
+        g, pi, pj = pivot
+        top = mat.pop(pi)
+        if g == 1:
+            inv = pow(top[pj], -1, modulus)
+            top = [x * inv % modulus for x in top]
+            mat = [[(x - f * y) % modulus for x, y in zip(row, top)]
+                   if (f := row[pj]) else row for row in mat]
+        else:
+            for row in (top, *mat):
+                row[0], row[pj] = row[pj], row[0]
+            orders.append(_clear_pivot(top, mat, modulus))
+            pj = 0
+        for row in mat:  # the pivot column is zero now
+            row[pj] = row[-1]
+            row.pop()
+    orders.extend([modulus] * len(mat))
+    return orders
+
+
+def _pick_pivot(mat: list, modulus: int):
+    """(gcd with the modulus, row, column) of the first entry that is a unit
+    mod the modulus, else of the nonzero entry sharing least with it; None
+    when every entry is zero."""
+    best = None
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x:
+                g = math.gcd(x, modulus)
+                if g == 1:
+                    return g, i, j
+                if best is None or g < best[0]:
+                    best = (g, i, j)
+    return best
+
+
+def _clear_pivot(top: list, mat: list, modulus: int) -> int:
+    """Clear column 0 of ``mat`` and the row ``top`` around the pivot top[0].
+
+    Works mod the modulus; rows of ``mat`` are replaced in place.  Returns
+    the order gcd(pivot, modulus) of the cyclic group the pivot splits off.
+    """
+    while True:
+        for k, row in enumerate(mat):
+            a, b = top[0], row[0]
+            if not b:
+                continue
+            if b % a == 0:
+                q = b // a
+                mat[k] = [(x - q * y) % modulus for x, y in zip(row, top)]
+            else:
+                g, s, t = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                top, mat[k] = ([(s * x + t * y) % modulus for x, y in zip(top, row)],
+                               [(ag * y - bg * x) % modulus for x, y in zip(top, row)])
+        # column 0 is now top[0] * e_0, and modulus * e_0 lies in the span
+        p = top[0] = math.gcd(top[0], modulus)
+        j = next((j for j in range(1, len(top)) if top[j] % p), None)
+        if j is None:
+            return p
+        g, s, t = _xgcd(p, top[j])
+        ag, bg = p // g, top[j] // g
+        for row in (top, *mat):
+            x, y = row[0], row[j]
+            row[0], row[j] = (s * x + t * y) % modulus, (ag * y - bg * x) % modulus
+
+
 def kernel_columns(matrix: IntMatrix) -> list:
     """An integer basis (list of columns) of {x : matrix @ x = 0}."""
     _, d, v = smith_normal_form(matrix)
@@ -294,17 +416,9 @@ class FgAbGroup:
             c = abs(int(c))
             if c == 0:
                 free += 1
-            elif c > 1:
+            else:
                 finite.append(c)
-        # invariant factors of a diagonal matrix: replacing a pair (a, b)
-        # by (gcd, lcm) keeps the group, and repeating it left to right
-        # leaves a divisibility chain
-        for i in range(len(finite)):
-            for j in range(i + 1, len(finite)):
-                a, b = finite[i], finite[j]
-                g = math.gcd(a, b)
-                finite[i], finite[j] = g, a // g * b
-        return cls(free, tuple(x for x in finite if x > 1))
+        return cls(free, _invariant_factors(finite))
 
     @property
     def is_trivial(self) -> bool:
@@ -366,6 +480,22 @@ class FgAbGroup:
 
 
 TRIVIAL_GROUP = FgAbGroup()
+
+
+def _invariant_factors(orders) -> tuple:
+    """The divisibility chain d1 | d2 | ... (each >= 2) of a sum of Z/c.
+
+    These are the invariant factors of a diagonal matrix: replacing a pair
+    (a, b) by (gcd, lcm) keeps the group, and repeating it left to right
+    leaves a divisibility chain.
+    """
+    finite = [c for c in orders if c > 1]
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            a, b = finite[i], finite[j]
+            g = math.gcd(a, b)
+            finite[i], finite[j] = g, a // g * b
+    return tuple(x for x in finite if x > 1)
 
 
 def _relation_columns(group: FgAbGroup) -> list:
@@ -470,11 +600,22 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
 
 
 def cokernel(relations: IntMatrix) -> FgAbGroup:
-    """The group Z^rows modulo the column span of the relation matrix."""
-    _, d, _ = smith_normal_form(relations)
-    diag = d.diagonal()
-    rank = sum(1 for x in diag if x)
-    return FgAbGroup(relations.rows - rank, tuple(x for x in diag if x > 1))
+    """The group Z^rows modulo the column span of the relation matrix.
+
+    Diagonal only, modulo a maximal minor: with rank r and a nonzero r x r
+    minor D, every nonzero invariant factor s_i divides |D|, so
+    Z^rows / (span + |D| Z^rows) is the sum of the Z/s_i and rows - r
+    copies of Z/|D|.  Those copies, the top of the chain, become the free
+    part.  No transform is built and no entry exceeds |D|.
+    """
+    rows = relations.to_rows()
+    rank, minor = _rank_and_minor(rows, relations.cols)
+    free = relations.rows - rank
+    modulus = abs(minor)
+    if modulus == 1:  # includes rank 0
+        return FgAbGroup(free)
+    chain = _invariant_factors(_cyclic_orders_modulo(rows, modulus))
+    return FgAbGroup(free, chain[:len(chain) - free])
 
 
 def cokernel_with_projection(group: FgAbGroup, column_vectors):

@@ -7,8 +7,10 @@ the manifold catalog.  Every table row the package serves comes from
 this file, and every catalog manifold is a ManifoldClass built here.
 Loading validates it: each uncovered cohomology row must equal the
 matching Thom-module piece of the ring, each recorded map must be
-well-defined between the rows it names, and each manifold record must
-satisfy the ManifoldClass invariants.  The environment variable
+well-defined between the rows it names, each manifold record must
+satisfy the ManifoldClass invariants, and each family record (name ending
+in _g) must yield valid members for g = 0 and g = 1, which suffices
+because every invariant is affine in g.  The environment variable
 MTSPEC_DATA overrides the path.
 """
 
@@ -91,6 +93,12 @@ class FamilyRecord:
     eulerg: int
     signature: int
     p1: int
+
+    def member(self, name: str, g: int) -> ManifoldClass:
+        """The member with parameter g; raises InvalidManifold if invalid."""
+        return ManifoldClass(name, self.dim,
+                             self.euler0 + self.eulerg * g,
+                             self.signature, self.p1)
 
 
 def hz_entry(group: FgAbGroup, k: int) -> CohomologyEntry:
@@ -294,6 +302,11 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     euler0=int(fields["euler0"]), eulerg=int(fields["eulerg"]),
                     signature=int(fields.get("signature", 0)),
                     p1=int(fields.get("p1", 0)))
+                if not rec.name.endswith("_g"):
+                    raise InvalidManifold("family name has no parameter slot _g")
+                # every invariant is affine in g, so two members check all
+                rec.member(rec.name, 0)
+                rec.member(rec.name, 1)
                 families[rec.name] = rec
             else:
                 raise DataFormatError("unknown record type %r" % rectype)

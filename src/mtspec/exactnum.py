@@ -14,6 +14,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Largest |exponent| to which a magnitude other than 1 may be raised: the
+# digits of q ** e grow linearly in e, so an unbounded power of a rational
+# can exhaust memory.  Roots of unity of magnitude 1 cost nothing to power.
+MAX_POWER_EXPONENT = 10_000
+
 
 @dataclass(frozen=True)
 class ExactComplex:
@@ -70,6 +75,10 @@ class ExactComplex:
     def __pow__(self, exponent: int) -> "ExactComplex":
         if not isinstance(exponent, int):
             raise TypeError("only integer powers stay exact")
+        if self.mag != 1 and abs(exponent) > MAX_POWER_EXPONENT:
+            raise ValueError("exponent %d exceeds the bound %d on powers of "
+                             "a magnitude other than 1"
+                             % (exponent, MAX_POWER_EXPONENT))
         return ExactComplex._make(self.mag ** exponent, self.root * exponent)
 
     def inverse(self) -> "ExactComplex":

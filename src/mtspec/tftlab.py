@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from . import certified
 from .certified import ManifoldClass
-from .errors import (DimensionMismatch, InvalidManifold, MissingKr,
-                     UnknownManifold)
+from .errors import DimensionMismatch, MissingKr, UnknownManifold
 from .exactnum import ExactComplex
 
 
@@ -95,8 +94,6 @@ class ManifoldCatalog:
         self._entries = dict(manifolds)
         self._families = []
         for family in families.values():
-            if not family.name.endswith("_g"):
-                raise InvalidManifold("family name %r has no parameter slot" % family.name)
             pattern = re.compile("^" + re.escape(family.name[:-2]) + r"_(\d+)$")
             self._families.append((pattern, family))
 
@@ -109,10 +106,7 @@ class ManifoldCatalog:
         for pattern, family in self._families:
             match = pattern.match(name)
             if match:
-                g = int(match.group(1))
-                return ManifoldClass(name, family.dim,
-                                     family.euler0 + family.eulerg * g,
-                                     family.signature, family.p1)
+                return family.member(name, int(match.group(1)))
         raise UnknownManifold("no catalog entry named %r" % name)
 
     def sigma(self, g: int) -> ManifoldClass:

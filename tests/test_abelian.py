@@ -48,6 +48,14 @@ def random_unimodular(rng, n):
     return IntMatrix.from_rows(rows)
 
 
+def smith_cokernel(a):
+    """The cokernel read off the diagonal of the transform Smith form."""
+    _, d, _ = smith_normal_form(a)
+    diag = d.diagonal()
+    rank = sum(1 for x in diag if x)
+    return FgAbGroup(a.rows - rank, tuple(x for x in diag if x > 1))
+
+
 def assert_snf_contract(a):
     u, d, v = smith_normal_form(a)
     assert (u * a * v).entries == d.entries
@@ -115,7 +123,7 @@ class TestFgAbGroup:
             k = len(cyclic)
             diagonal = IntMatrix(k, k, tuple(cyclic[i] if i == j else 0
                                              for i in range(k) for j in range(k)))
-            assert FgAbGroup.of(0, cyclic) == cokernel(diagonal), cyclic
+            assert FgAbGroup.of(0, cyclic) == smith_cokernel(diagonal), cyclic
 
     def test_invalid_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -336,3 +344,132 @@ class TestCompose:
         g = GroupHom(Z2, Z, IntMatrix.from_rows([[1, 0]]))
         with pytest.raises(CompositionMismatch):
             compose_homs(g, f)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the diagonal-only cokernel against two references: the
+# diagonal of the transform Smith form, and sympy's Smith normal form.  The
+# strategies are built inside each test, so that the module still imports
+# and its other tests still run when hypothesis is missing.
+
+def property_settings(hypothesis, max_examples):
+    return hypothesis.settings(max_examples=max_examples, deadline=None,
+                               derandomize=True, database=None)
+
+
+def matrices(st, max_side, max_entry=9):
+    """Any shape up to max_side (0 included); some rows are combinations."""
+    @st.composite
+    def build(draw):
+        m = draw(st.integers(0, max_side))
+        n = draw(st.integers(0, max_side))
+        entries = st.integers(-max_entry, max_entry)
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        for i in range(2, m):  # rank-deficient: row i from rows 0 and 1
+            if draw(st.booleans()):
+                p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+                rows[i] = [p * x + q * y for x, y in zip(rows[0], rows[1])]
+        return IntMatrix(m, n, tuple(x for row in rows for x in row))
+    return build()
+
+
+@pytest.mark.parametrize("a", [
+    IntMatrix(3, 0, ()), IntMatrix(0, 4, ()), IntMatrix(0, 0, ()),
+    IntMatrix.zeros(1, 1), IntMatrix.zeros(3, 5), IntMatrix.zeros(4, 2),
+], ids=lambda a: "%dx%d" % (a.rows, a.cols))
+def test_cokernel_of_empty_and_zero_matrices(a):
+    assert cokernel(a) == FgAbGroup(a.rows) == smith_cokernel(a)
+
+
+def test_cokernel_matches_the_smith_diagonal():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @property_settings(hypothesis, 100)
+    @hypothesis.given(matrices(st, 6))
+    def check(a):
+        assert cokernel(a) == smith_cokernel(a)
+
+    check()
+
+
+def test_cokernel_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    st = hypothesis.strategies
+
+    @property_settings(hypothesis, 25)
+    @hypothesis.given(matrices(st, 8).filter(lambda a: a.rows and a.cols))
+    def check(a):
+        snf = sympy_snf(Matrix(a.to_rows()), domain=ZZ)
+        diag = [abs(int(snf[i, i])) for i in range(min(a.rows, a.cols))]
+        rank = sum(1 for x in diag if x)
+        assert cokernel(a) == FgAbGroup(a.rows - rank, tuple(x for x in diag if x > 1))
+
+    check()
+
+
+@pytest.mark.parametrize("chain,shape", [
+    ((1, 1, 1), (3, 3)),                    # unimodular: |minor| = 1
+    ((1, 1), (2, 4)),                       # wide, no torsion
+    ((2, 6, 0), (3, 3)),                    # rank-deficient
+    ((3, 3 * 2 ** 70), (2, 2)),             # |minor| above 2^64
+    ((1, 2, 2 ** 66 + 2), (5, 3)),          # tall, |minor| above 2^64
+], ids=str)
+def test_cokernel_of_a_known_chain(chain, shape):
+    rng = random.Random(repr(chain))
+    m, n = shape
+    d = IntMatrix(m, n, tuple(chain[i] if i == j and i < len(chain) else 0
+                              for i in range(m) for j in range(n)))
+    a = random_unimodular(rng, m) * d * random_unimodular(rng, n)
+    rank = sum(1 for x in chain if x)
+    assert cokernel(a) == FgAbGroup(m - rank, tuple(x for x in chain if x > 1))
+    if m == n == rank:
+        assert abs(a.det()) == math.prod(chain)
+
+
+def test_cokernel_of_random_known_chains():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @property_settings(hypothesis, 100)
+    @hypothesis.given(
+        factors=st.lists(st.sampled_from([1, 1, 2, 3, 5, 2 ** 65 + 1]), max_size=5),
+        zeros=st.integers(0, 2), extra_rows=st.integers(0, 2),
+        extra_cols=st.integers(0, 2), seed=st.integers(0, 2 ** 32))
+    def check(factors, zeros, extra_rows, extra_cols, seed):
+        chain = list(itertools.accumulate(factors, lambda x, y: x * y)) + [0] * zeros
+        m, n = len(chain) + extra_rows, len(chain) + extra_cols
+        d = IntMatrix(m, n, tuple(chain[i] if i == j and i < len(chain) else 0
+                                  for i in range(m) for j in range(n)))
+        rng = random.Random(seed)
+        a = random_unimodular(rng, m) * d * random_unimodular(rng, n)
+        rank = len(factors)
+        assert cokernel(a) == FgAbGroup(m - rank, tuple(x for x in chain if x > 1))
+
+    check()
+
+
+def laplace_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def test_det_matches_the_laplace_expansion():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @property_settings(hypothesis, 100)
+    @hypothesis.given(st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def check(rows):
+        n = len(rows)
+        assert IntMatrix(n, n, tuple(x for r in rows for x in r)).det() == laplace_det(rows)
+
+    check()

@@ -57,6 +57,16 @@ class TestParser:
         with pytest.raises(DataFormatError, match="name=X"):
             parse_data(MINIMAL + "manifold name=X dim=3 euler=2\n")
 
+    @pytest.mark.parametrize("record", [
+        "family name=Sigma_g dim=2 euler0=2 eulerg=-1",   # Sigma_1 has odd euler
+        "family name=Sigma_g dim=2 euler0=1 eulerg=-2",   # Sigma_0 has odd euler
+        "family name=Sigma_g dim=3 euler0=0 eulerg=2",    # odd dimension, euler 2g
+        "family name=Sigma dim=2 euler0=2 eulerg=-2",     # no parameter slot
+    ])
+    def test_family_record_must_yield_manifolds(self, record):
+        with pytest.raises(DataFormatError, match="family name=Sigma"):
+            parse_data(MINIMAL + record + "\n")
+
     def test_catalog_records_are_manifold_classes(self):
         data = parse_data(MINIMAL + "manifold name=CP2 dim=4 euler=3 signature=1 p1=3\n")
         assert data.manifolds["CP2"] == ManifoldClass("CP2", 4, 3, 1, 3)

@@ -21,13 +21,19 @@ def run_main(capsys, *argv):
     return code, captured.out
 
 
-def run_subprocess(*argv, env_extra=None):
+def run_subprocess(*argv, env_extra=None, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "mtspec", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def limit_address_space():
+    """Cap the child at 1 GiB, so a runaway allocation fails in the child."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def write_odd_euler_t3(tmp_path):
@@ -300,6 +306,33 @@ class TestProcessLevel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "name=T3" in captured.err
+
+    def test_invalid_family_record_exits_two(self, tmp_path):
+        # a family is checked through its members g=0 and g=1 at load;
+        # here Sigma_1 would have euler 1
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+        modified = text.replace("family name=Sigma_g dim=2 euler0=2 eulerg=-2",
+                                "family name=Sigma_g dim=2 euler0=2 eulerg=-1")
+        assert modified != text
+        path = tmp_path / "odd_genus_step.txt"
+        path.write_text(modified)
+        proc = run_subprocess("table", "hz", env_extra={"MTSPEC_DATA": str(path)})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Sigma_g" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs resource limits")
+    def test_huge_exponent_exits_two(self):
+        # without a bound the power of 2 grows until memory runs out; the
+        # timeout and the address-space cap make that a failure, not a hang
+        proc = run_subprocess("eval", "euler", "--lam", "2", "--chi-total",
+                              "99999999999999999999", timeout=60,
+                              preexec_fn=limit_address_space)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "bound" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_data_override(self, tmp_path):
         text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mtspec.exactnum import ExactComplex, parse_exact
+from mtspec.exactnum import MAX_POWER_EXPONENT, ExactComplex, parse_exact
 
 
 class TestConstruction:
@@ -44,6 +44,19 @@ class TestArithmetic:
         z4 = ExactComplex.root_of_unity(4)
         assert abs(z4.to_complex() - 1j) < 1e-12
         assert abs(ExactComplex.of(-2).to_complex() + 2) < 1e-12
+
+    def test_power_exponent_is_bounded(self):
+        x = ExactComplex.of(Fraction(-3, 2))
+        assert (x ** -MAX_POWER_EXPONENT).rational_value() == \
+            Fraction(-2, 3) ** MAX_POWER_EXPONENT
+        for exponent in (MAX_POWER_EXPONENT + 1, -MAX_POWER_EXPONENT - 1, 10 ** 20):
+            with pytest.raises(ValueError, match=str(MAX_POWER_EXPONENT)):
+                x ** exponent
+
+    def test_roots_of_unity_power_without_bound(self):
+        z3 = ExactComplex.root_of_unity(3)
+        assert (z3 ** (3 * 10 ** 20 + 1)) == z3
+        assert (ExactComplex.of(-1) ** (10 ** 20 + 1)).rational_value() == -1
 
     def test_non_integer_power_rejected(self):
         with pytest.raises(TypeError):
