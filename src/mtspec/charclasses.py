@@ -291,10 +291,17 @@ def graded_piece(d: int, k: int) -> CohomologyEntry:
     return _entry_from_monomials(_degree_monomials(d, k), Monomial.name)
 
 
+_THOM_PIECES = {}  # (d, k) -> CohomologyEntry; entries are immutable
+
+
 def thom_module_piece(d: int, k: int) -> CohomologyEntry:
     """Degree-k piece of the suspended Thom spectrum: the same group with
     every basis monomial m renamed m*u (the Thom class has degree zero)."""
-    return _entry_from_monomials(_degree_monomials(d, k), Monomial.thom_name)
+    entry = _THOM_PIECES.get((d, k))
+    if entry is None:
+        entry = _THOM_PIECES[(d, k)] = _entry_from_monomials(
+            _degree_monomials(d, k), Monomial.thom_name)
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,11 @@ def cmd_table(args):
                            for k, g in enumerate(groups)]}
         return {"kind": "homotopy", "d": args.d}, result, text
     spectrum = SpectrumId(args.d, args.cover)
+    stored = SpectrumId(args.d, spectra.equivalent_stored_cover(args.d, args.cover))
     rows = []
     lines = ["H*(%s)" % spectrum.display(ascii_mode)]
     for k in range(6):
-        entry = spectra.cohomology(spectrum, k)
+        entry = spectra.cohomology(stored, k)
         names = ", ".join(render_gen(n, ascii_mode) for n in entry.names)
         lines.append("k=%d: %s%s" % (k, render_group(entry.group, ascii_mode),
                                      " (%s)" % names if names else ""))

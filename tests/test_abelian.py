@@ -394,18 +394,22 @@ def test_cokernel_matches_the_smith_diagonal():
     check()
 
 
+def sympy_smith_diagonal(a):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    snf = sympy_snf(Matrix(a.to_rows()), domain=ZZ)
+    return [abs(int(snf[i, i])) for i in range(min(a.rows, a.cols))]
+
+
 def test_cokernel_matches_sympy():
     hypothesis = pytest.importorskip("hypothesis")
     pytest.importorskip("sympy")
-    from sympy import ZZ, Matrix
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     st = hypothesis.strategies
 
     @property_settings(hypothesis, 25)
     @hypothesis.given(matrices(st, 8).filter(lambda a: a.rows and a.cols))
     def check(a):
-        snf = sympy_snf(Matrix(a.to_rows()), domain=ZZ)
-        diag = [abs(int(snf[i, i])) for i in range(min(a.rows, a.cols))]
+        diag = sympy_smith_diagonal(a)
         rank = sum(1 for x in diag if x)
         assert cokernel(a) == FgAbGroup(a.rows - rank, tuple(x for x in diag if x > 1))
 
@@ -418,6 +422,15 @@ def test_cokernel_matches_sympy():
     ((2, 6, 0), (3, 3)),                    # rank-deficient
     ((3, 3 * 2 ** 70), (2, 2)),             # |minor| above 2^64
     ((1, 2, 2 ** 66 + 2), (5, 3)),          # tall, |minor| above 2^64
+    # wide: the spare minors of the last pivot row bring the modulus to 1
+    ((1,), (1, 4)),                         # minor -9, spare minors 3, 0, 7
+    ((1, 0, 0), (3, 6)),                    # rank-deficient, minor -3
+    ((1, 1, 0, 0), (4, 6)),                 # rank-deficient, minor -5
+    # wide: the spare minors shrink the modulus but leave it above 1
+    ((1, 1, 1), (3, 7)),                    # minor 6, modulus 2, no torsion
+    ((1, 1, 1, 3), (4, 8)),                 # minor 6, modulus 3
+    ((2, 2, 2), (3, 7)),                    # minor 72, modulus 8
+    ((1, 1, 3, 0), (4, 9)),                 # minor 90, modulus 18
 ], ids=str)
 def test_cokernel_of_a_known_chain(chain, shape):
     rng = random.Random(repr(chain))
@@ -473,3 +486,54 @@ def test_det_matches_the_laplace_expansion():
         assert IntMatrix(n, n, tuple(x for r in rows for x in r)).det() == laplace_det(rows)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# property tests of the transform Smith form: its contract on every kind of
+# input, and its diagonal against sympy's
+
+def smith_inputs(st, max_side):
+    """Any shape and rank from ``matrices``, plus zero and unimodular ones."""
+    zero = st.builds(IntMatrix.zeros, st.integers(0, max_side), st.integers(0, max_side))
+    unimodular = st.builds(lambda n, seed: random_unimodular(random.Random(seed), n),
+                           st.integers(1, max_side), st.integers(0, 2 ** 32))
+    return st.one_of(matrices(st, max_side), zero, unimodular)
+
+
+def test_smith_normal_form_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @property_settings(hypothesis, 150)
+    @hypothesis.given(smith_inputs(st, 8))
+    def check(a):
+        assert_snf_contract(a)
+
+    check()
+
+
+def test_smith_diagonal_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    @property_settings(hypothesis, 40)
+    @hypothesis.given(smith_inputs(st, 8).filter(lambda a: a.rows and a.cols))
+    def check(a):
+        _, d, _ = smith_normal_form(a)
+        assert d.diagonal() == sympy_smith_diagonal(a)
+
+    check()
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (30, 40)], ids=str)
+def test_smith_transforms_stay_small(shape):
+    # choosing a new pivot from the whole block after every partial
+    # reduction lets these entries reach about 1,450 digits at 40 x 40;
+    # finishing each pivot first keeps them near 550
+    rng = random.Random(repr(shape))
+    m, n = shape
+    a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    u, d, v = smith_normal_form(a)
+    assert (u * a * v).entries == d.entries
+    assert all(abs(x) < 10 ** 800 for x in u.entries + v.entries)

@@ -103,11 +103,27 @@ class TestTableCommand:
                                      str(d), "--cover", str(cover), "--ascii")
                 assert code == 0 and out == expected
 
+    @pytest.mark.parametrize("d,cover,stored", [(2, 2, 1), (3, 2, 1), (3, 3, 1),
+                                                (4, 2, 1), (4, 3, 1)])
+    def test_higher_cover_is_served_from_its_stored_equivalent(self, capsys, d,
+                                                               cover, stored):
+        # the rows are those of the equivalent stored level, as in classify;
+        # the header names the requested spectrum
+        _, want = run_main(capsys, "table", "cohomology", "--d", str(d),
+                           "--cover", str(stored), "--ascii")
+        code, out = run_main(capsys, "table", "cohomology", "--d", str(d),
+                             "--cover", str(cover), "--ascii")
+        assert code == 0
+        assert out.splitlines()[0] == "H*(%s)" % SpectrumId(d, cover).display(True)
+        assert out.splitlines()[1:] == want.splitlines()[1:]
+
     def test_out_of_range_exits_two(self, capsys):
         assert main(["table", "cohomology", "--d", "7"]) == 2
         capsys.readouterr()
-        assert main(["table", "cohomology", "--d", "4", "--cover", "2"]) == 2
-        capsys.readouterr()
+        # no stored level is equivalent to these covers
+        assert main(["table", "cohomology", "--d", "2", "--cover", "3"]) == 2
+        assert main(["table", "cohomology", "--d", "1", "--cover", "2"]) == 2
+        assert "not equivalent to a stored one" in capsys.readouterr().err
 
 
 class TestClassifyCommands:
