@@ -3,9 +3,9 @@
 Everything in this module is computed with arbitrary-precision integers;
 there is no floating point anywhere.  It provides Smith normal form,
 finitely generated abelian groups in canonical invariant-factor form,
-homomorphisms between them, Ext groups, middle groups of short exact
-sequences, and an exactness checker.  These are the primitives every
-other module is built on.
+homomorphisms between them, the extensions of one group by another, and
+an exactness checker.  These are the primitives every other module is
+built on.
 
 The Smith form has two paths:
 
@@ -123,9 +123,6 @@ class IntMatrix:
 
     def diagonal(self) -> list:
         return [self.at(i, i) for i in range(min(self.rows, self.cols))]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -494,13 +491,6 @@ class FgAbGroup:
             return None
         return math.prod(self.torsion) if self.torsion else 1
 
-    def direct_sum(self, *others) -> "FgAbGroup":
-        free = self.free_rank + sum(g.free_rank for g in others)
-        cyclic = list(self.torsion)
-        for g in others:
-            cyclic.extend(g.torsion)
-        return FgAbGroup.of(free, cyclic)
-
     def to_text(self) -> str:
         if self.is_trivial:
             return "0"
@@ -573,11 +563,6 @@ def element_is_zero(group: FgAbGroup, vector) -> bool:
     return all((x == 0) if o == 0 else (x % o == 0) for x, o in zip(vector, orders))
 
 
-def element_normal_form(group: FgAbGroup, vector) -> tuple:
-    orders = group.generator_orders()
-    return tuple(x if o == 0 else x % o for x, o in zip(vector, orders))
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -607,23 +592,10 @@ class GroupHom:
             if not element_is_zero(self.target, scaled):
                 raise ValueError("homomorphism not well-defined on torsion generator %d" % j)
 
-    def apply(self, vector) -> tuple:
-        return element_normal_form(self.target, self.matrix.apply(vector))
-
-    def is_zero(self) -> bool:
-        return all(element_is_zero(self.target, c) for c in self.matrix.columns())
-
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
     return GroupHom(source, target,
                     IntMatrix.zeros(target.num_generators, source.num_generators))
-
-
-def compose_homs(second: GroupHom, first: GroupHom) -> GroupHom:
-    """The composite second o first."""
-    if first.target != second.source:
-        raise CompositionMismatch("cannot compose: target(first) != source(second)")
-    return GroupHom(first.source, second.target, second.matrix * first.matrix)
 
 
 def check_exact(f: GroupHom, g: GroupHom) -> bool:
@@ -699,19 +671,7 @@ def cokernel_with_projection(group: FgAbGroup, column_vectors):
 
 
 # ---------------------------------------------------------------------------
-# Ext groups and extension middles
-
-
-def ext_group(b: FgAbGroup, a: FgAbGroup) -> FgAbGroup:
-    """Ext^1(B, A), additively over cyclic summands.
-
-    Uses Ext(Z, -) = 0, Ext(Z/n, Z) = Z/n and Ext(Z/n, Z/m) = Z/gcd(n, m).
-    """
-    cyclic = []
-    for d in b.torsion:
-        cyclic.extend([d] * a.free_rank)
-        cyclic.extend(math.gcd(d, m) for m in a.torsion)
-    return FgAbGroup.of(cyclic=cyclic)
+# extensions
 
 
 @dataclass(frozen=True)
@@ -788,11 +748,6 @@ def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
         relations = (IntMatrix.from_columns(cols, n) if cols
                      else IntMatrix(n, 0, ()))
         yield Extension(cokernel(relations), n, relations, a_offset, na)
-
-
-def middle_group_candidates(a: FgAbGroup, b: FgAbGroup) -> frozenset:
-    """Isomorphism classes of X admitting 0 -> A -> X -> B -> 0."""
-    return frozenset(ext.group for ext in enumerate_extensions(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -148,12 +148,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> int:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     def degree(self):
         """Common degree of a homogeneous element (None for zero)."""
         degrees = {m.degree for m, _ in self.terms}
@@ -275,32 +269,22 @@ def _degree_monomials(d: int, k: int):
     return _sorted_monomials(found)
 
 
-def _entry_from_monomials(monomials, name_of) -> CohomologyEntry:
-    gens = tuple((name_of(m), 2 if m.has_torsion else None) for m in monomials)
-    free = sum(1 for _, order in gens if order is None)
-    cyclic = [order for _, order in gens if order is not None]
-    return CohomologyEntry(FgAbGroup.of(free, cyclic), gens)
-
-
-def graded_piece(d: int, k: int) -> CohomologyEntry:
-    """Degree-k additive piece of the ring, with its monomial basis.
-
-    Each torsion-free monomial contributes a Z and each W3-divisible
-    monomial contributes a Z/2.
-    """
-    return _entry_from_monomials(_degree_monomials(d, k), Monomial.name)
-
-
 _THOM_PIECES = {}  # (d, k) -> CohomologyEntry; entries are immutable
 
 
 def thom_module_piece(d: int, k: int) -> CohomologyEntry:
-    """Degree-k piece of the suspended Thom spectrum: the same group with
-    every basis monomial m renamed m*u (the Thom class has degree zero)."""
+    """Degree-k piece of the suspended Thom spectrum, with its monomial basis.
+
+    Each torsion-free monomial m of degree k contributes a Z and each
+    W3-divisible one a Z/2, named m*u (the Thom class has degree zero).
+    """
     entry = _THOM_PIECES.get((d, k))
     if entry is None:
-        entry = _THOM_PIECES[(d, k)] = _entry_from_monomials(
-            _degree_monomials(d, k), Monomial.thom_name)
+        gens = tuple((m.thom_name(), 2 if m.has_torsion else None)
+                     for m in _degree_monomials(d, k))
+        free = sum(1 for _, order in gens if order is None)
+        cyclic = [order for _, order in gens if order is not None]
+        entry = _THOM_PIECES[(d, k)] = CohomologyEntry(FgAbGroup.of(free, cyclic), gens)
     return entry
 
 

@@ -65,21 +65,9 @@ def group_to_json(group: FgAbGroup) -> dict:
     return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
 
 
-def group_from_json(data: dict) -> FgAbGroup:
-    return FgAbGroup(data["free_rank"], tuple(data["torsion"]))
-
-
 def document_to_json(command: str, inputs: dict, result: dict) -> str:
     return json.dumps({"command": command, "inputs": inputs, "result": result},
                       ensure_ascii=False, indent=2)
-
-
-def parse_document(text: str) -> dict:
-    document = json.loads(text)
-    for key in ("command", "inputs", "result"):
-        if key not in document:
-            raise ValueError("document lacks the %r field" % key)
-    return document
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +217,14 @@ def cmd_eval(args):
         if args.mu is None:
             raise MtspecError("eval frobenius needs --mu")
         if args.g is not None:
-            genus = args.g
-            value = tftlab.frobenius_closed_value(parse_exact(args.mu), genus)
+            value = tftlab.frobenius_closed_value(parse_exact(args.mu), args.g)
         elif args.manifold is not None:
             manifold = tftlab.parse_manifold(args.manifold, catalog)
             value = tftlab.frobenius_surface_value(parse_exact(args.mu), manifold)
-            genus = (2 - manifold.euler) // 2  # of the connected surface with this euler
             inputs["manifold"] = args.manifold
         else:
             raise MtspecError("eval frobenius needs --g or --manifold")
-        inputs.update({"mu": args.mu, "g": genus})
+        inputs.update({"mu": args.mu, "g": args.g})
     return inputs, {"value": value.to_json()}, render_exact(value, args.ascii)
 
 
@@ -385,6 +371,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    # Python converts at most 4300 digits between integers and text.  The
+    # integers read here are bounded by the length of the arguments and
+    # those computed by exactnum's bounds on powers, so that limit would
+    # only turn exact answers into errors.  Python 3.10.6 and older have
+    # no such limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(main())
 
 

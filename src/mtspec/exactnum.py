@@ -3,21 +3,23 @@
 This little value class is what keeps theory parameters, kernel elements
 and manifold invariants exact end to end.  Every value is q * zeta_n^k
 with q a positive rational and 0 <= k < n reduced, which is closed under
-multiplication, division and integer powers.  Floating point appears only
-in ``to_complex`` for display.
+multiplication, division and integer powers.  There is no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Largest |exponent| to which a magnitude other than 1 may be raised: the
-# digits of q ** e grow linearly in e, so an unbounded power of a rational
-# can exhaust memory.  Roots of unity of magnitude 1 cost nothing to power.
+# Bounds on powers of a magnitude other than 1: the largest |exponent|, and
+# the most decimal digits the result's numerator or denominator may have.
+# The digits of q ** e grow with e times the digits of q, so either
+# unbounded can exhaust memory; both are checked before powering.  Roots
+# of unity of magnitude 1 cost nothing to power.
 MAX_POWER_EXPONENT = 10_000
+MAX_POWER_DIGITS = 20_000
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,17 @@ class ExactComplex:
     def __pow__(self, exponent: int) -> "ExactComplex":
         if not isinstance(exponent, int):
             raise TypeError("only integer powers stay exact")
-        if self.mag != 1 and abs(exponent) > MAX_POWER_EXPONENT:
-            raise ValueError("exponent %d exceeds the bound %d on powers of "
-                             "a magnitude other than 1"
-                             % (exponent, MAX_POWER_EXPONENT))
+        if self.mag != 1:
+            if abs(exponent) > MAX_POWER_EXPONENT:
+                raise ValueError("exponent %d exceeds the bound %d on powers of "
+                                 "a magnitude other than 1"
+                                 % (exponent, MAX_POWER_EXPONENT))
+            # log10(2) > 3/10, so this undercounts the digits of the result
+            digits = abs(exponent) * 3 * max(self.mag.numerator.bit_length(),
+                                             self.mag.denominator.bit_length()) // 10
+            if digits > MAX_POWER_DIGITS:
+                raise ValueError("a power with about %d digits exceeds the bound "
+                                 "MAX_POWER_DIGITS = %d" % (digits, MAX_POWER_DIGITS))
         return ExactComplex._make(self.mag ** exponent, self.root * exponent)
 
     def inverse(self) -> "ExactComplex":
@@ -109,9 +118,6 @@ class ExactComplex:
     def root_power(self) -> int:
         return self.root.numerator
 
-    def to_complex(self) -> complex:
-        return float(self.mag) * cmath.exp(2j * cmath.pi * float(self.root))
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
@@ -130,19 +136,13 @@ class ExactComplex:
             out["root_of_unity"] = {"order": self.root_order, "power": self.root_power}
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ExactComplex":
-        mag = Fraction(data["magnitude"])
-        root = data.get("root_of_unity")
-        if root is None:
-            return cls._make(mag, Fraction(0))
-        return cls._make(mag, Fraction(root["power"], root["order"]))
 
-
+# Each token takes the whitespace after it, so a run of whitespace can be
+# matched one way only and a failing match backtracks in linear time.
 _PARSE_RE = re.compile(
-    r"""^\s*(?P<sign>[+-])?\s*
-        (?P<rat>\d+(?:/\d+)?)?\s*
-        (?:\*?\s*(?:zeta|ζ)(?P<order>\d+)(?:\^(?P<power>-?\d+))?)?\s*$""",
+    r"""^\s*(?:(?P<sign>[+-])\s*)?
+        (?:(?P<rat>\d+(?:/\d+)?)\s*)?
+        (?:(?:\*\s*)?(?:zeta|ζ)(?P<order>\d+)(?:\^(?P<power>-?\d+))?\s*)?$""",
     re.VERBOSE,
 )
 
@@ -163,6 +163,3 @@ def parse_exact(text: str) -> ExactComplex:
     if match.group("sign") == "-":
         mag = -mag
     return ExactComplex._make(mag, root)
-
-
-ONE = ExactComplex.one()

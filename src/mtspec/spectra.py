@@ -77,42 +77,6 @@ def hz_self_cohomology(k: int, data=None) -> FgAbGroup:
     return table[k]
 
 
-@dataclass(frozen=True)
-class VfSplitting:
-    """How the degree-d homotopy group splits into concrete invariants."""
-
-    d: int
-    invariants: tuple           # names of the splitting coordinates
-    group: FgAbGroup            # the full homotopy group in degree d
-    bordism_group: FgAbGroup    # image of the quotient map to oriented bordism
-
-
-_ORIENTED_BORDISM = {1: FgAbGroup(), 2: FgAbGroup(), 3: FgAbGroup(), 4: FgAbGroup(1)}
-
-
-def vf_splitting(d: int, data=None) -> VfSplitting:
-    """Splitting of the vector-field bordism group in dimension d.
-
-    The recipe depends on d mod 4: (chi+sigma)/2 plus the bordism class
-    for d = 0 mod 4, chi/2 for d = 2 mod 4, the semicharacteristic kr for
-    d = 1 mod 4, and the bordism class alone for d = 3 mod 4.
-    """
-    if d not in (1, 2, 3, 4):
-        raise OutOfTable("dimension must be 1..4")
-    group = homotopy_group(d, d, data)
-    bordism = _ORIENTED_BORDISM[d]
-    residue = d % 4
-    if residue == 0:
-        invariants = ("(chi+sigma)/2", "signature")
-    elif residue == 2:
-        invariants = ("chi/2",) + (("bordism_class",) if not bordism.is_trivial else ())
-    elif residue == 1:
-        invariants = ("kr",) + (("bordism_class",) if not bordism.is_trivial else ())
-    else:
-        invariants = ("bordism_class",) if not bordism.is_trivial else ()
-    return VfSplitting(d, invariants, group, bordism)
-
-
 def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
     """Integral cohomology of a spectrum in degrees 0..5.
 

@@ -65,23 +65,6 @@ class FormalSum:
             acc[manifold] = acc.get(manifold, 0) + mult
         return cls(tuple((m, c) for m, c in acc.items() if c))
 
-    @classmethod
-    def single(cls, manifold: ManifoldClass, mult: int = 1) -> "FormalSum":
-        return cls.of([(manifold, mult)])
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum.of(list(self.terms) + list(other.terms))
-
-    def scale(self, k: int) -> "FormalSum":
-        return FormalSum.of([(m, k * c) for m, c in self.terms])
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
-
-    @property
-    def dim(self):
-        return self.terms[0][0].dim if self.terms else None
-
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -97,9 +80,6 @@ class ManifoldCatalog:
             pattern = re.compile("^" + re.escape(family.name[:-2]) + r"_(\d+)$")
             self._families.append((pattern, family))
 
-    def names(self):
-        return sorted(self._entries)
-
     def get(self, name: str) -> ManifoldClass:
         if name in self._entries:
             return self._entries[name]
@@ -108,12 +88,6 @@ class ManifoldCatalog:
             if match:
                 return family.member(name, int(match.group(1)))
         raise UnknownManifold("no catalog entry named %r" % name)
-
-    def sigma(self, g: int) -> ManifoldClass:
-        return self.get("Sigma_%d" % g)
-
-    def s2_x_sigma(self, g: int) -> ManifoldClass:
-        return self.get("S2xSigma_%d" % g)
 
 
 def standard_manifolds(data=None) -> ManifoldCatalog:
@@ -162,46 +136,6 @@ def is_vf_nullbordant(d: int, s: FormalSum) -> bool:
 # Frobenius and Euler theories
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
-    """A one-dimensional Frobenius algebra: the line with scalar structure."""
-
-    mu: ExactComplex
-    comult: ExactComplex
-    counit: ExactComplex
-
-    @classmethod
-    def from_mu(cls, mu) -> "FrobeniusData":
-        mu = ExactComplex.of(mu)
-        return cls(mu, mu.inverse(), mu)
-
-
-@dataclass(frozen=True)
-class FrobeniusVerdict:
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-
-def frobenius_verify(f: FrobeniusData) -> FrobeniusVerdict:
-    """Check the algebra identities; on a line they reduce to scalars.
-
-    Associativity, coassociativity and the unit laws hold for any scalars;
-    the snake identity forces the comultiplication and counit scalars to
-    be mutually inverse.
-    """
-    failures = []
-    product = f.comult * f.counit
-    if not product.is_one:
-        failures.append("counit*comult != 1 (got %s)" % product)
-    return FrobeniusVerdict(tuple(failures))
-
-
 def frobenius_closed_value(mu, g: int) -> ExactComplex:
     """Value of the Frobenius theory on the closed genus-g surface."""
     if g < 0:
@@ -244,8 +178,10 @@ def invertible_4d_value(l1, l2, m: ManifoldClass) -> ExactComplex:
 # expression parsing (shared with the command line)
 
 
+# Each token takes the whitespace after it, so a run of whitespace can be
+# matched one way only and a failing match backtracks in linear time.
 _SUM_TERM_RE = re.compile(
-    r"\s*([+-])?\s*(?:\(?\s*(-?\d+)\s*\)?\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)")
+    r"\s*(?:([+-])\s*)?(?:(?:\(\s*)?(-?\d+)\s*(?:\)\s*)?\*\s*)?([A-Za-z][A-Za-z0-9_]*)")
 
 
 def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> FormalSum:

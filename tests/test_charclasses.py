@@ -4,8 +4,7 @@ import random
 import pytest
 
 from mtspec.abelian import FgAbGroup
-from mtspec.charclasses import (RingElement, graded_piece, restrict_generators,
-                                thom_module_piece)
+from mtspec.charclasses import RingElement, restrict_generators, thom_module_piece
 from mtspec.errors import AmbientMismatch
 
 
@@ -29,10 +28,15 @@ def brute_force_degree_counts(d, k):
     return free, torsion
 
 
+def monomial_names(d, k):
+    """The ring's degree-k monomial basis: the Thom-module basis without u
+    (the unit's name becomes empty)."""
+    return [name[:-1] for name in thom_module_piece(d, k).names]
+
+
 def random_homogeneous(rng, d, degree):
-    entry = graded_piece(d, degree)
     elem = RingElement.zero(d)
-    for name, _ in entry.generators:
+    for name in monomial_names(d, degree):
         coeff = rng.randint(-3, 3)
         if coeff:
             elem = elem + _element_from_name(d, name).scale(coeff)
@@ -62,39 +66,41 @@ def _element_from_name(d, name):
 
 
 class TestGradedPiece:
+    """The degree-k pieces of the ring, read through the Thom module."""
+
     def test_degree_four_of_bso4(self):
-        entry = graded_piece(4, 4)
+        entry = thom_module_piece(4, 4)
         assert entry.group == FgAbGroup(2)
-        assert entry.names == ("e", "p1")
+        assert entry.names == ("eu", "p1u")
 
     def test_degree_three_of_bso4(self):
-        entry = graded_piece(4, 3)
+        entry = thom_module_piece(4, 3)
         assert entry.group == FgAbGroup(0, (2,))
-        assert entry.generators == (("W3", 2),)
+        assert entry.generators == (("W3u", 2),)
 
     def test_odd_degree_of_bso2_vanishes(self):
-        assert graded_piece(2, 5).group == FgAbGroup()
+        assert thom_module_piece(2, 5).group == FgAbGroup()
 
     def test_degree_seven_of_bso4(self):
-        entry = graded_piece(4, 7)
+        entry = thom_module_piece(4, 7)
         assert entry.group == FgAbGroup(0, (2, 2))
-        assert entry.names == ("W3e", "W3p1")
+        assert entry.names == ("W3eu", "W3p1u")
 
     def test_trivial_ring_for_d1(self):
-        assert graded_piece(1, 0).group == FgAbGroup(1)
-        assert graded_piece(1, 3).group == FgAbGroup()
+        assert thom_module_piece(1, 0).group == FgAbGroup(1)
+        assert thom_module_piece(1, 3).group == FgAbGroup()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_against_enumeration_oracle(self, d):
         for k in range(13):
-            entry = graded_piece(d, k)
+            entry = thom_module_piece(d, k)
             free, torsion = brute_force_degree_counts(d, k)
             assert entry.group.free_rank == free
             assert entry.group.torsion == tuple([2] * torsion)
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
-            graded_piece(4, 65)
+            thom_module_piece(4, 65)
 
 
 class TestMultiplication:
@@ -166,9 +172,13 @@ class TestThomModule:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_degree_preserving_isomorphism(self, d):
+        # each basis name is a distinct degree-k monomial of the ring times u,
+        # of order 2 exactly when W3 divides it
         for k in range(13):
-            plain = graded_piece(d, k)
             thom = thom_module_piece(d, k)
-            assert thom.group == plain.group
-            assert thom.names == tuple(
-                "u" if n == "1" else n + "u" for n in plain.names)
+            assert all(name.endswith("u") for name in thom.names)
+            monomials = [_element_from_name(d, n) for n in monomial_names(d, k)]
+            assert len(set(monomials)) == len(monomials)
+            for (name, order), mono in zip(thom.generators, monomials):
+                assert mono.degree() == k
+                assert order == (2 if "W3" in name else None)

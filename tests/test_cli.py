@@ -3,13 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 from mtspec.certified import load_data
-from mtspec.cli import (document_to_json, group_from_json, main,
-                        parse_document, render_gen, render_group)
-from mtspec.exactnum import ExactComplex
+from mtspec.cli import document_to_json, main, render_gen, render_group
+from mtspec.exactnum import parse_exact
 from mtspec.spectra import SpectrumId
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -188,6 +189,17 @@ class TestEvalCommands:
         assert main(["eval", "frobenius", "--mu", "4", "--g", "-1"]) == 2
         capsys.readouterr()
 
+    def test_inputs_echo_only_the_options_given(self, capsys):
+        # no genus is derived for a manifold: S2+S2 has none
+        code, out = run_main(capsys, "eval", "frobenius", "--mu", "4",
+                             "--manifold", "S2+S2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {
+            "theory": "frobenius", "manifold": "S2+S2", "mu": "4", "g": None}
+        code, out = run_main(capsys, "eval", "frobenius", "--mu", "4", "--g", "2",
+                             "--format", "json")
+        assert json.loads(out)["inputs"] == {"theory": "frobenius", "mu": "4", "g": 2}
+
     def test_unknown_manifold_exits_two(self, capsys):
         assert main(["eval", "four_d", "--l1", "2", "--l2", "1",
                      "--manifold", "Nope"]) == 2
@@ -216,7 +228,7 @@ class TestGilmerMasbaumCommand:
 
     def test_json_certificate(self, capsys):
         code, out = run_main(capsys, "gilmer-masbaum", "--format", "json")
-        document = parse_document(out)
+        document = json.loads(out)
         classes = document["result"]["classes"]
         assert classes["atiyah"] == {"rho_multiple": 6, "mcg_class": 12}
         assert classes["walker"] == {"rho_multiple": 2, "mcg_class": 4}
@@ -241,23 +253,23 @@ class TestStructuredOutput:
         code = main(argv + ["--format", "json"])
         out = capsys.readouterr().out
         assert code == 0
-        document = parse_document(out)
+        document = json.loads(out)
+        assert list(document) == ["command", "inputs", "result"]
         rebuilt = document_to_json(document["command"], document["inputs"],
                                    document["result"])
-        assert parse_document(rebuilt) == document
+        assert rebuilt + "\n" == out
 
     def test_typed_payload_reconstruction(self, capsys):
         code = main(["classify", "--d", "4", "--n", "4", "--format", "json"])
         out = capsys.readouterr().out
-        document = parse_document(out)
-        group = group_from_json(document["result"]["finite_part"])
-        assert group.is_trivial
+        document = json.loads(out)
+        assert document["result"]["finite_part"] == {"free_rank": 0, "torsion": []}
         code = main(["restrict", "--d", "4", "--from", "4", "--to", "3",
                      "--params", "2,3", "--format", "json"])
         out = capsys.readouterr().out
-        document = parse_document(out)
-        values = [ExactComplex.from_json(v) for v in document["result"]["params"]]
-        assert [str(v) for v in values] == ["4", "27/2"]
+        document = json.loads(out)
+        assert document["result"]["params"] == [parse_exact("4").to_json(),
+                                                parse_exact("27/2").to_json()]
 
 
 class TestProcessLevel:
@@ -349,6 +361,50 @@ class TestProcessLevel:
         assert proc.stdout == ""
         assert "bound" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_power_result_size_is_bounded(self):
+        # the result would have about 300,000 digits; it is refused before
+        # it is computed, under mtspec's own bound
+        proc = run_subprocess("eval", "euler", "--lam",
+                              "999999999999999999999999999999/7",
+                              "--chi-total", "9999", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "MAX_POWER_DIGITS" in proc.stderr
+        assert "Exceeds the limit" not in proc.stderr
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no limit on integer strings")
+    @pytest.mark.parametrize("argv,expected", [
+        (["eval", "euler", "--lam", "3/2", "--chi-total", "10000"],
+         lambda: Fraction(3, 2) ** 10000),
+        (["eval", "four_d", "--l1", "7" * 5000, "--l2", "1", "--manifold", "S4"],
+         lambda: int("7" * 5000) ** 2),
+        (["bordism", "--d", "2", "--sum", "Sigma_" + "1" * 5000],
+         lambda: 1 - int("1" * 5000)),
+    ])
+    def test_integers_past_pythons_string_limit(self, argv, expected):
+        # Python converts at most 4300 digits between integers and text by
+        # default; the CLI reads and prints longer ones exactly
+        proc = run_subprocess(*argv, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert str(expected()) in proc.stdout
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "euler", "--lam", " " * 100_000 + "!", "--chi-total", "2"],
+        ["bordism", "--d", "2", "--sum", "S2" + " " * 100_000 + "!"],
+    ])
+    def test_long_whitespace_runs_fail_fast(self, argv):
+        start = time.perf_counter()
+        proc = run_subprocess(*argv, timeout=60)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2
+        assert "cannot parse" in proc.stderr
 
     def test_data_override(self, tmp_path):
         text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()

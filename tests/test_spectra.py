@@ -1,7 +1,7 @@
 import pytest
 
 from mtspec import certified
-from mtspec.abelian import FgAbGroup, compose_homs
+from mtspec.abelian import FgAbGroup
 from mtspec.certified import load_data
 from mtspec.charclasses import RingElement, restrict_generators, thom_module_piece
 from mtspec.errors import (ContradictoryConstraints, DataFormatError,
@@ -9,8 +9,8 @@ from mtspec.errors import (ContradictoryConstraints, DataFormatError,
 from mtspec.spectra import (DerivationConstraint, SpectrumId, cohomology,
                             cover_map, default_constraints,
                             derive_cover_cohomology, grid_equivalence,
-                            homotopy_group, hz_self_cohomology, verify_les,
-                            vf_splitting)
+                            homotopy_group, hz_self_cohomology, verify_les)
+from mtspec.tftlab import FormalSum, standard_manifolds, vf_invariant
 
 Z = FgAbGroup(1)
 Z2 = FgAbGroup(0, (2,))
@@ -31,25 +31,29 @@ class TestHomotopyTable:
 
 
 class TestVfSplitting:
+    """The vector-field bordism invariant has one coordinate per generator
+    of the degree-d homotopy group."""
+
+    @staticmethod
+    def invariant_length(d, name):
+        manifold = standard_manifolds().get(name)
+        return len(vf_invariant(d, FormalSum.of([(manifold, 1)])))
+
     def test_dimension_four(self):
-        split = vf_splitting(4)
-        assert split.group == FgAbGroup(2)
-        assert split.invariants == ("(chi+sigma)/2", "signature")
+        assert homotopy_group(4, 4) == FgAbGroup(2)
+        assert self.invariant_length(4, "CP2") == homotopy_group(4, 4).num_generators
 
     def test_dimension_two(self):
-        split = vf_splitting(2)
-        assert split.group == Z
-        assert split.invariants == ("chi/2",)
+        assert homotopy_group(2, 2) == Z
+        assert self.invariant_length(2, "S2") == homotopy_group(2, 2).num_generators
 
     def test_dimension_three_trivial(self):
-        split = vf_splitting(3)
-        assert split.group == FgAbGroup()
-        assert split.invariants == ()
+        assert homotopy_group(3, 3) == FgAbGroup()
+        assert self.invariant_length(3, "S3") == homotopy_group(3, 3).num_generators
 
     def test_dimension_one(self):
-        split = vf_splitting(1)
-        assert split.group == Z2
-        assert split.invariants == ("kr",)
+        assert homotopy_group(1, 1) == Z2
+        assert self.invariant_length(1, "S1") == homotopy_group(1, 1).num_generators
 
 
 class TestHzTable:
@@ -293,16 +297,16 @@ class TestCommutingSquare:
         right = cover_map(4, 4, "covdim").to_group_hom()       # psi,sigma -> rho
         left = cover_map(4, 4, "dim").to_group_hom()           # eu,p1u -> p1u
         bottom = cover_map(3, 4, "cover").to_group_hom()       # p1u -> rho
-        via_cover = compose_homs(right, top)
-        via_dimension = compose_homs(bottom, left)
-        assert via_cover.matrix.entries == via_dimension.matrix.entries
+        via_cover = right.matrix * top.matrix
+        via_dimension = bottom.matrix * left.matrix
+        assert via_cover.entries == via_dimension.entries
         # p1u: 3*sigma -> 6*rho equals p1u -> p1u -> 6*rho
         src = cohomology(SpectrumId(4, 0), 4)
         p1u_index = src.names.index("p1u")
-        assert via_cover.matrix.col_list(p1u_index) == [6]
+        assert via_cover.col_list(p1u_index) == [6]
         # eu: (2*psi - sigma) -> 2*rho - 2*rho = 0 equals eu -> 0 -> 0
         eu_index = src.names.index("eu")
-        assert via_cover.matrix.col_list(eu_index) == [0]
+        assert via_cover.col_list(eu_index) == [0]
 
 
 class TestSpectrumId:
