@@ -16,15 +16,18 @@ The Smith form has two paths:
   for a wide matrix of full row rank, means no torsion and no pass.
   ``units_kernel`` and the middle groups of ``enumerate_extensions`` go
   through it.
-- With unimodular transforms (``smith_normal_form``), for callers that
-  need U or V: ``kernel_columns``, ``_lattice_solver`` (hence
-  ``lattice_contains`` and ``check_exact``), ``cokernel_with_projection``
-  and ``classify.restriction_kernel``.  Each pivot's column is cleared by
-  row Euclid steps and its row by column Euclid steps, with
-  nearest-integer quotients, before the next pivot is chosen.  That keeps
-  the transform entries of a random 40 x 40 matrix with entries in
-  [-9, 9] near 550 digits; choosing a new pivot from the whole block
-  after every partial reduction lets them reach about 1,450.
+- With unimodular transforms, for callers that need U or V: one private
+  core, ``_smith``, on plain row lists, returning U's rows, the diagonal
+  and V's columns.  ``smith_normal_form`` wraps it in ``IntMatrix``
+  values for ``classify.restriction_kernel``; ``_lattice_solver`` (hence
+  ``lattice_contains``), ``check_exact`` and ``cokernel_with_projection``
+  call it on lists, so the small matrices of the long exact sequence
+  build no matrix objects.  Each pivot's column is cleared by row Euclid
+  steps and its row by column Euclid steps, with nearest-integer
+  quotients, before the next pivot is chosen.  That keeps the transform
+  entries of a random 40 x 40 matrix with entries in [-9, 9] near 550
+  digits; choosing a new pivot from the whole block after every partial
+  reduction lets them reach about 1,450.
 
 All values are immutable after construction and all operations are pure,
 so concurrent use needs no synchronization.
@@ -180,18 +183,34 @@ def smith_normal_form(matrix: IntMatrix):
 
     Returns (U, D, V) with U * matrix * V == D, det(U), det(V) in {1, -1},
     D diagonal with nonnegative entries satisfying d1 | d2 | ... (zeros
-    trail).  Each step takes the smallest nonzero entry of the remaining
-    block as the pivot, ties broken by lowest (row, col), clears its column
-    by row Euclid steps and then its row by column Euclid steps, both with
-    nearest-integer quotients, and repeats while a column step refills the
-    pivot column.  A pivot that fails to divide the rest of the block
-    pulls in an offending row and is chosen again.  The transforms are
-    deterministic.  Finishing each pivot before choosing the next keeps
-    their entries small, and nearest quotients keep them smaller and
-    faster to compute than floor quotients do.
+    trail).  The work is done by ``_smith`` on plain lists.
     """
     m, n = matrix.rows, matrix.cols
-    M = matrix.to_rows()
+    U, diag, V = _smith(matrix.to_rows(), n)
+    D = IntMatrix(m, n, tuple(diag[i] if i == j else 0
+                              for i in range(m) for j in range(n)))
+    return (IntMatrix.from_rows(U) if m else IntMatrix(0, 0, ()), D,
+            IntMatrix.from_columns(V, n) if n else IntMatrix(0, 0, ()))
+
+
+def _smith(rows: list, n: int):
+    """Smith normal form of the m x n matrix with the given rows, on lists.
+
+    Returns (U rows, diagonal, V columns): U * A * V is the diagonal
+    matrix, which has min(m, n) entries d1 | d2 | ..., nonnegative with
+    zeros trailing.  The rows are not modified.  Each step takes the
+    smallest nonzero entry of the remaining block as the pivot, ties broken
+    by lowest (row, col), clears its column by row Euclid steps and then
+    its row by column Euclid steps, both with nearest-integer quotients,
+    and repeats while a column step refills the pivot column.  A pivot that
+    fails to divide the rest of the block pulls in an offending row and is
+    chosen again.  The transforms are deterministic.  Finishing each pivot
+    before choosing the next keeps their entries small, and nearest
+    quotients keep them smaller and faster to compute than floor quotients
+    do.
+    """
+    m = len(rows)
+    M = [list(row) for row in rows]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for i in range(n)] for j in range(n)]  # V[j] is column j
 
@@ -223,9 +242,7 @@ def smith_normal_form(matrix: IntMatrix):
                 continue
         t += 1
 
-    return (IntMatrix.from_rows(U) if m else IntMatrix(0, 0, ()),
-            IntMatrix.from_rows(M) if m else IntMatrix(0, n, ()),
-            IntMatrix.from_columns(V, n) if n else IntMatrix(0, 0, ()))
+    return U, [M[i][i] for i in range(min(m, n))], V
 
 
 def _smallest_entry(M: list, t: int):
@@ -397,31 +414,19 @@ def _clear_pivot(top: list, mat: list, modulus: int) -> int:
             row[0], row[j] = (s * x + t * y) % modulus, (ag * y - bg * x) % modulus
 
 
-def kernel_columns(matrix: IntMatrix) -> list:
-    """An integer basis (list of columns) of {x : matrix @ x = 0}."""
-    _, d, v = smith_normal_form(matrix)
-    rank = sum(1 for x in d.diagonal() if x)
-    return [v.col_list(j) for j in range(rank, matrix.cols)]
-
-
 def _lattice_solver(columns, dim):
     """Precompute a membership test for the Z-span of the given columns."""
     if not columns:
         return lambda vec: all(x == 0 for x in vec)
-    mat = IntMatrix.from_columns(columns, dim)
-    u, d, _ = smith_normal_form(mat)
-    diag = d.diagonal()
+    u, diag, _ = _smith(list(zip(*columns)), len(columns))
     rank = sum(1 for x in diag if x)
+    divisors = list(zip(u[:rank], diag))
+    rest = u[rank:]
 
     def contains(vec):
-        y = u.apply(vec)
-        for i in range(dim):
-            if i < rank:
-                if y[i] % diag[i]:
-                    return False
-            elif y[i]:
-                return False
-        return True
+        return (all(sum(a * b for a, b in zip(row, vec)) % d == 0
+                    for row, d in divisors)
+                and not any(sum(a * b for a, b in zip(row, vec)) for row in rest))
 
     return contains
 
@@ -608,23 +613,26 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     if f.target != g.source:
         raise CompositionMismatch("check_exact needs target(f) == source(g)")
     middle = f.target
+    if middle.is_trivial:
+        return True
     n = middle.num_generators
-    rel_mid = _relation_columns(middle)
-    rel_tgt = _relation_columns(g.target)
+    g_rows = g.matrix.to_rows()
+    f_cols = f.matrix.columns()
 
-    composite = g.matrix * f.matrix
-    if not all(element_is_zero(g.target, composite.col_list(j))
-               for j in range(composite.cols)):
-        return False
+    for col in f_cols:
+        if not element_is_zero(g.target, [sum(a * b for a, b in zip(row, col))
+                                          for row in g_rows]):
+            return False
 
     # kernel of g as a lattice in Z^n: x with g.matrix @ x in the span of
     # the target relations; computed from the kernel of [g.matrix | rel_tgt]
-    stacked = IntMatrix.from_columns(g.matrix.columns() + rel_tgt,
-                                     g.target.num_generators)
-    kernel = [col[:n] for col in kernel_columns(stacked)]
+    rel_tgt = _relation_columns(g.target)
+    stacked = [row + [rel[i] for rel in rel_tgt] for i, row in enumerate(g_rows)]
+    _, diag, v = _smith(stacked, n + len(rel_tgt))
+    rank = sum(1 for x in diag if x)
 
-    in_image = _lattice_solver(f.matrix.columns() + rel_mid, n)
-    return all(in_image(col) for col in kernel)
+    in_image = _lattice_solver(f_cols + _relation_columns(middle), n)
+    return all(in_image(col[:n]) for col in v[rank:])
 
 
 def cokernel(relations: IntMatrix) -> FgAbGroup:
@@ -657,14 +665,11 @@ def cokernel_with_projection(group: FgAbGroup, column_vectors):
     """
     n = group.num_generators
     cols = [list(c) for c in column_vectors] + _relation_columns(group)
-    mat = IntMatrix.from_columns(cols, n) if cols else IntMatrix(n, 0, ())
-    u, d, _ = smith_normal_form(mat)
-    diag = d.diagonal()
+    u, diag, _ = _smith(list(zip(*cols)) if cols else [()] * n, len(cols))
     rank = sum(1 for x in diag if x)
-    free_rows = list(range(rank, n))
     torsion_rows = [i for i in range(rank) if diag[i] > 1]
-    quotient = FgAbGroup(len(free_rows), tuple(diag[i] for i in torsion_rows))
-    proj_rows = [u.row_list(i) for i in free_rows + torsion_rows]
+    quotient = FgAbGroup(n - rank, tuple(diag[i] for i in torsion_rows))
+    proj_rows = u[rank:] + [u[i] for i in torsion_rows]
     proj_matrix = (IntMatrix.from_rows(proj_rows) if proj_rows
                    else IntMatrix(0, n, ()))
     return quotient, GroupHom(group, quotient, proj_matrix)

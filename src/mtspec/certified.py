@@ -167,14 +167,15 @@ def _parse_combo(text: str):
     if text == "0":
         return ()
     terms = []
-    consumed = 0
-    for match in _TERM_RE.finditer(text):
-        if match.start() != consumed:
+    pos = 0
+    while pos < len(text) or not terms:
+        # matching only where the last term ended keeps the work linear; a
+        # search would retry every start inside a run of digits
+        match = _TERM_RE.match(text, pos)
+        if match is None:
             raise DataFormatError("cannot parse combo %r" % text)
         terms.append((match.group(2), int(match.group(1))))
-        consumed = match.end()
-    if consumed != len(text) or not terms:
-        raise DataFormatError("cannot parse combo %r" % text)
+        pos = match.end()
     return tuple(terms)
 
 

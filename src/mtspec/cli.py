@@ -350,6 +350,22 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # Python converts at most 4300 digits between integers and text.  The
+    # integers read here are bounded by the length of the arguments and
+    # those computed by exactnum's bounds on powers, so that limit would
+    # only turn exact answers into errors.  It is lifted for this call
+    # only; Python 3.10.6 and older have no such limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -371,13 +387,6 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    # Python converts at most 4300 digits between integers and text.  The
-    # integers read here are bounded by the length of the arguments and
-    # those computed by exactnum's bounds on powers, so that limit would
-    # only turn exact answers into errors.  Python 3.10.6 and older have
-    # no such limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     raise SystemExit(main())
 
 

@@ -461,6 +461,8 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
                     break
             if ok:
                 survivors.add(ext.group)
+                if ext.group == pinned:
+                    break  # the pinned group is admissible; nothing else can survive
         if not survivors:
             raise ContradictoryConstraints("no extension satisfies the constraints")
         if pinned is not None:

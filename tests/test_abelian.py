@@ -564,3 +564,54 @@ def test_smith_transforms_stay_small(shape):
     u, d, v = smith_normal_form(a)
     assert (u * a * v).entries == d.entries
     assert all(abs(x) < 10 ** 800 for x in u.entries + v.entries)
+
+
+def composable_pairs(st, max_order=36):
+    """(f, g) through a finite middle group of order <= max_order; either
+    map may be zero, and g may be the projection onto the cokernel of f,
+    which makes the pair exact."""
+    groups = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), max_size=3).map(
+        lambda cyclic: FgAbGroup.of(cyclic=cyclic)).filter(
+        lambda group: group.order() <= max_order)
+
+    def hom(draw, source, target, zero):
+        rows = [[0 if zero else t // math.gcd(s, t) * draw(st.integers(0, math.gcd(s, t) - 1))
+                 for s in source.generator_orders()]
+                for t in target.generator_orders()]
+        matrix = (IntMatrix.from_rows(rows) if rows
+                  else IntMatrix(0, source.num_generators, ()))
+        return GroupHom(source, target, matrix)
+
+    @st.composite
+    def build(draw):
+        a, b = draw(groups), draw(groups)
+        f = hom(draw, a, b, draw(st.booleans()))
+        kind = draw(st.sampled_from(["random", "zero", "cokernel"]))
+        if kind == "cokernel":
+            _, g = cokernel_with_projection(b, f.matrix.columns())
+        else:
+            g = hom(draw, b, draw(groups), kind == "zero")
+        return f, g
+    return build()
+
+
+def test_check_exact_matches_the_element_chase():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @property_settings(hypothesis, 300)
+    @hypothesis.given(composable_pairs(st))
+    def check(pair):
+        f, g = pair
+        exact = brute_force_exact(f, g)
+        assert check_exact(f, g) == exact
+        seen.add("exact" if exact else "not exact")
+        if f.target.is_trivial:
+            seen.add("trivial middle")
+        for name, hom in (("f", f), ("g", g)):
+            if not any(hom.matrix.entries) and hom.matrix.entries:
+                seen.add("zero " + name)
+
+    check()
+    assert seen == {"exact", "not exact", "trivial middle", "zero f", "zero g"}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mtspec.certified import ManifoldClass, load_data, parse_data
@@ -90,3 +92,15 @@ class TestParser:
         )
         with pytest.raises(DataFormatError):
             parse_data(bad)
+
+    def test_long_digit_run_fails_fast(self):
+        bad = (
+            "version=1\n"
+            "cohomology d=2 cover=0 k=0 group=Z gens=u\n"
+            "cohomology d=2 cover=1 k=0 group=Z gens=t\n"
+            "arrow kind=cover d=2 k=0 prov=diagram map=u:" + "1" * 100_000 + "\n"
+        )
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError, match="cannot parse combo"):
+            parse_data(bad)
+        assert time.perf_counter() - start < 1

@@ -383,12 +383,15 @@ class TestProcessLevel:
         (["bordism", "--d", "2", "--sum", "Sigma_" + "1" * 5000],
          lambda: 1 - int("1" * 5000)),
     ])
-    def test_integers_past_pythons_string_limit(self, argv, expected):
+    def test_integers_past_pythons_string_limit(self, capsys, argv, expected):
         # Python converts at most 4300 digits between integers and text by
-        # default; the CLI reads and prints longer ones exactly
+        # default; the CLI reads and prints longer ones exactly, and main
+        # called in process restores the caller's limit afterwards
         proc = run_subprocess(*argv, timeout=60)
         assert proc.returncode == 0, proc.stderr
         previous = sys.get_int_max_str_digits()
+        assert run_main(capsys, *argv) == (0, proc.stdout)
+        assert sys.get_int_max_str_digits() == previous
         sys.set_int_max_str_digits(0)
         try:
             assert str(expected()) in proc.stdout
@@ -405,6 +408,21 @@ class TestProcessLevel:
         assert time.perf_counter() - start < 5
         assert proc.returncode == 2
         assert "cannot parse" in proc.stderr
+
+    def test_long_digit_run_in_a_data_file_fails_fast(
+            self, capsys, monkeypatch, tmp_path):
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+        modified = text.replace("map=hz0:1*u", "map=hz0:" + "1" * 100_000, 1)
+        assert modified != text
+        path = tmp_path / "long_combo.txt"
+        path.write_text(modified)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        start = time.perf_counter()
+        assert main(["table", "hz"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse combo" in captured.err
 
     def test_data_override(self, tmp_path):
         text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()

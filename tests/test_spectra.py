@@ -290,6 +290,18 @@ class TestDerivation:
                 DerivationConstraint.universal_coefficients("dual"),
             ])
 
+    def test_pinned_group_outside_the_extensions_contradicts(self):
+        # a homotopy table with pi_4 = Z pins H^4 of the d=4 cover to Z, but
+        # every extension of Z/6 by Z^2 has rank 2: no class may end the
+        # search early, and the contradiction is reported
+        text = certified.default_data_path().read_text()
+        modified = text.replace("homotopy d=4 k=4 group=Z^2", "homotopy d=4 k=4 group=Z")
+        assert modified != text
+        data = certified.parse_data(modified)
+        with pytest.raises(ContradictoryConstraints,
+                           match="constraint-pinned group is not an admissible middle group"):
+            derive_cover_cohomology(4, 4, default_constraints(4, 4, data), data)
+
 
 class TestCommutingSquare:
     def test_generator_chases_agree(self):
