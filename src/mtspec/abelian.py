@@ -13,7 +13,10 @@ The Smith form has two paths:
   elimination finds the rank r, a nonzero r x r minor and, in its last
   pivot row, more r x r minors.  With D the gcd of these, the matrix is
   diagonalized over Z/D, so entries stay bounded; D = 1, the usual case
-  for a wide matrix of full row rank, means no torsion and no pass.
+  for a wide matrix of full row rank, means no torsion and no pass.  A
+  nonsingular square matrix is diagonalized modulo the gcd of its
+  determinant and the (r-1) x (r-1) minors of the next-to-last pivot
+  row instead, which yields every invariant factor but the top one.
   ``units_kernel`` and the middle groups of ``enumerate_extensions`` go
   through it.
 - With unimodular transforms, for callers that need U or V: one private
@@ -131,7 +134,7 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        rank, minor, _ = _rank_and_minor(self.to_rows(), self.cols)
+        rank, minor, _, _ = _rank_and_minor(self.to_rows(), self.cols)
         return minor if rank == self.rows else 0
 
     def __str__(self):
@@ -140,8 +143,8 @@ class IntMatrix:
 
 
 def _rank_and_minor(rows, ncols: int):
-    """Rank r of an integer matrix, a nonzero r x r minor of it, and a list
-    of more r x r minors.
+    """Rank r of an integer matrix, a nonzero r x r minor of it, a list of
+    more r x r minors, and a list of (r-1) x (r-1) minors.
 
     One fraction-free (Bareiss) elimination with row swaps; a column with
     no pivot is skipped.  The minor is that of the pivot rows and pivot
@@ -151,10 +154,12 @@ def _rank_and_minor(rows, ncols: int):
     particular each entry of the last pivot row right of its pivot is,
     up to sign, the r x r minor on the pivot rows and on the pivot columns
     with the last one swapped for that entry's column: these are the spare
-    minors returned.
+    minors returned.  Likewise each entry of the next-to-last pivot row,
+    from its pivot on, is an (r-1) x (r-1) minor; for r < 2 the list is
+    [1], the empty minor.
     """
     m = [list(row) for row in rows]
-    rank, sign, prev, last = 0, 1, 1, ncols
+    rank, sign, prev, last, before = 0, 1, 1, ncols, ncols
     for c in range(ncols):
         if rank == len(m):
             break
@@ -169,9 +174,11 @@ def _rank_and_minor(rows, ncols: int):
         for row in m[rank + 1:]:
             q = row[c]
             row[c + 1:] = [(x * p - q * y) // prev for x, y in zip(row[c + 1:], tail)]
-        prev, last = p, c
+        prev, last, before = p, c, last
         rank += 1
-    return rank, sign * prev, (m[rank - 1][last + 1:] if rank else [])
+    spare = m[rank - 1][last + 1:] if rank else []
+    lower = m[rank - 2][before:] if rank >= 2 else [1]
+    return rank, sign * prev, spare, lower
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +645,30 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
 def cokernel(relations: IntMatrix) -> FgAbGroup:
     """The group Z^rows modulo the column span of the relation matrix.
 
-    Diagonal only, modulo maximal minors: with rank r, the product of the
-    nonzero invariant factors s_i is the gcd of all r x r minors, so every
-    s_i divides the gcd D of the few r x r minors the rank computation
+    Diagonal only, modulo minors: with rank r, the product of the nonzero
+    invariant factors s_i is the gcd of all r x r minors, so every s_i
+    divides the gcd D of the few r x r minors the rank computation
     yields.  Then Z^rows / (span + D Z^rows) is the sum of the Z/s_i and
     rows - r copies of Z/D.  Those copies, the top of the chain, become
     the free part.  No transform is built and no entry exceeds D; when
     D = 1, as for most wide matrices of full row rank, there is no torsion
     and no pass at all.
+
+    A nonsingular square matrix has a single r x r minor, |det|, but
+    s_1 ... s_(r-1) is the gcd of the (r-1) x (r-1) minors, so it divides
+    the gcd g of |det| and the few the elimination yields.  The pass
+    modulo g returns s_1, ..., s_(r-1) and gcd(s_r, g), whose top is
+    replaced by s_r = |det| / (s_1 ... s_(r-1)); when g = 1 there is no
+    pass and the answer is Z/|det|.
     """
     rows = relations.to_rows()
-    rank, minor, spare = _rank_and_minor(rows, relations.cols)
+    rank, minor, spare, lower = _rank_and_minor(rows, relations.cols)
     free = relations.rows - rank
+    if relations.rows == relations.cols == rank:
+        modulus = math.gcd(minor, *lower)
+        chain = (_invariant_factors(_cyclic_orders_modulo(rows, modulus))[:-1]
+                 if modulus > 1 else ())
+        return FgAbGroup.of(0, chain + (abs(minor) // math.prod(chain),))
     modulus = math.gcd(minor, *spare)
     if modulus == 1:  # includes rank 0
         return FgAbGroup(free)

@@ -1,4 +1,4 @@
-"""Loader for the versioned certified data file.
+"""The versioned certified data file, and the tables served from it.
 
 The file ships with the package and carries the cohomology tables with
 their named generators, the homotopy table, the self-cohomology of the
@@ -7,11 +7,19 @@ the manifold catalog.  Every table row the package serves comes from
 this file, and every catalog manifold is a ManifoldClass built here.
 Loading validates it: each uncovered cohomology row must equal the
 matching Thom-module piece of the ring, each recorded map must be
-well-defined between the rows it names, each manifold record must
-satisfy the ManifoldClass invariants, and each family record (name ending
-in _g) must yield valid members for g = 0 and g = 1, which suffices
-because every invariant is affine in g.  The environment variable
-MTSPEC_DATA overrides the path.
+well-defined between the rows it names (the maps built for that check
+are kept and served by ArrowRecord.to_group_hom), each manifold record
+must satisfy the ManifoldClass invariants, and each family record (name
+ending in _g) must yield valid members for g = 0 and g = 1, which
+suffices because every invariant is affine in g.  The environment
+variable MTSPEC_DATA overrides the path.
+
+The lookups at the end of the module serve the tables: homotopy and
+cohomology of the suspended Madsen-Tillmann spectra and their first
+covers (SpectrumId), the self-cohomology of the Eilenberg-MacLane
+spectrum, grid equivalences between cover levels, and the recorded
+arrows.  They need nothing beyond this module, so serving a table loads
+no part of the consistency proof in ``spectra``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from pathlib import Path
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, thom_module_piece
-from .errors import DataFormatError, InvalidManifold
+from .errors import (DataFormatError, InvalidManifold, NotRecorded, OutOfTable,
+                     Unsupported)
 
 ENV_DATA_PATH = "MTSPEC_DATA"
 
@@ -51,9 +60,17 @@ class ArrowRecord:
         return dict(dict(self.assignments)[name])
 
     def to_group_hom(self, data=None) -> GroupHom:
-        """The map in canonical coordinates between its two table entries."""
-        source, target = _arrow_endpoints(data or load_data(), self)
-        return assignments_to_group_hom(source, target, self.assignments)
+        """The map in canonical coordinates between its two table entries.
+
+        The data's own arrows were built when it loaded and are served
+        from there; any other arrow is built against the data's entries.
+        """
+        data = data or load_data()
+        hom = data.homs.get(self)
+        if hom is None:
+            source, target = _arrow_endpoints(data, self)
+            hom = assignments_to_group_hom(source, target, self.assignments)
+        return hom
 
 
 @dataclass(frozen=True)
@@ -155,6 +172,7 @@ class CertifiedData:
         self.families = families        # name -> FamilyRecord
         self.path = path
         self._arrow_index = {(a.kind, a.d, a.k, a.to_d): a for a in arrows}
+        self.homs = {}                  # ArrowRecord -> GroupHom, built by _validate
 
     def entry(self, d: int, cover: int, k: int) -> CohomologyEntry | None:
         return self.cohomology.get((d, cover, k))
@@ -249,7 +267,8 @@ def _validate(data: CertifiedData):
                     "module gives %s (%s)" % (d, k, entry.group, ",".join(entry.names),
                                               ring.group, ",".join(ring.names)))
     for arrow in data.arrows:
-        arrow.to_group_hom(data)
+        source, target = _arrow_endpoints(data, arrow)
+        data.homs[arrow] = assignments_to_group_hom(source, target, arrow.assignments)
 
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:
@@ -331,3 +350,116 @@ def load_data(path=None) -> CertifiedData:
     if path not in _CACHE:
         _CACHE[path] = parse_data(Path(path).read_text(), path)
     return _CACHE[path]
+
+
+# ---------------------------------------------------------------------------
+# serving the tables
+
+
+MAX_TABLE_DEGREE = 5
+
+
+@dataclass(frozen=True)
+class SpectrumId:
+    """A suspended oriented Madsen-Tillmann spectrum, possibly covered.
+
+    The suspension is always by the dimension d, and cover_level k means
+    the connective cover killing homotopy below degree k (0 = no cover).
+    """
+
+    d: int
+    cover_level: int = 0
+
+    def __post_init__(self):
+        if self.d not in (1, 2, 3, 4):
+            raise ValueError("dimension must be 1..4")
+        if self.cover_level not in (0, 1, 2, 3):
+            raise ValueError("cover level must be 0..3")
+
+    def display(self, ascii_mode: bool = False) -> str:
+        if ascii_mode:
+            base = "Sigma^%d MTSO(%d)" % (self.d, self.d)
+            return base if not self.cover_level else "p>=%d %s" % (self.cover_level, base)
+        sup = "¹²³⁴"[self.d - 1]
+        base = "Σ%sMTSO(%d)" % (sup, self.d)
+        return base if not self.cover_level else "p≥%d%s" % (self.cover_level, base)
+
+
+def homotopy_group(d: int, k: int, data=None) -> FgAbGroup:
+    """Homotopy of the suspended spectrum, from the certified table."""
+    table = (data or load_data()).homotopy
+    if (d, k) not in table:
+        raise OutOfTable("homotopy group (d=%d, k=%d) is outside the table" % (d, k))
+    return table[(d, k)]
+
+
+def hz_self_cohomology(k: int, data=None) -> FgAbGroup:
+    """Integral self-cohomology of the integral Eilenberg-MacLane spectrum."""
+    table = (data or load_data()).hz
+    if k not in table:
+        raise OutOfTable("self-cohomology degree %d is outside the table" % k)
+    return table[k]
+
+
+def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
+    """Integral cohomology of a spectrum in degrees 0..5.
+
+    Uncovered spectra and first covers are served from the certified
+    table; the uncovered rows were checked against the Thom-module
+    description when the table was loaded.  Higher covers are only
+    reachable through grid_equivalence and are refused here.
+    """
+    data = data or load_data()
+    if not 0 <= k <= MAX_TABLE_DEGREE:
+        raise Unsupported("cohomology is tabulated for degrees 0..%d" % MAX_TABLE_DEGREE)
+    entry = data.entry(spectrum.d, spectrum.cover_level, k)
+    if entry is None:
+        raise Unsupported("no table entry for %s in degree %d; resolve higher "
+                          "covers through grid_equivalence first"
+                          % (spectrum.display(True), k))
+    return entry
+
+
+def grid_equivalence(d: int, from_cover: int, to_cover: int, data=None) -> bool:
+    """Is the natural map between the two cover levels an equivalence?
+
+    True exactly when every homotopy group in degrees [min, max) of the
+    two levels vanishes per the table; degrees beyond the table raise.
+    """
+    SpectrumId(d, from_cover)
+    SpectrumId(d, to_cover)
+    lo, hi = sorted((from_cover, to_cover))
+    for i in range(lo, hi):
+        if not homotopy_group(d, i, data).is_trivial:
+            return False
+    return True
+
+
+def equivalent_stored_cover(d: int, cover: int, data=None) -> int:
+    """The stored cover level (0 or 1) equivalent to the requested one."""
+    if cover <= 1:
+        return cover
+    for stored in (1, 0):
+        if grid_equivalence(d, cover, stored, data):
+            return stored
+    raise Unsupported("cover level %d of d=%d is not equivalent to a stored one"
+                      % (cover, d))
+
+
+def cover_map(d: int, k: int, kind: str = "cover",
+              data=None) -> ArrowRecord:
+    """A recorded generator map, exactly as stored.
+
+    kind "cover" is the map from the spectrum to its first cover, "dim"
+    the dimension restriction between uncovered spectra, and "covdim"
+    the dimension restriction between the covers.  Unrecorded arrows
+    raise NotRecorded; nothing is ever guessed.
+    """
+    data = data or load_data()
+    if kind not in ("cover", "dim", "covdim"):
+        raise ValueError("unknown arrow kind %r" % kind)
+    to_d = None if kind == "cover" else d - 1
+    record = data.arrow(kind, d, k, to_d)
+    if record is None:
+        raise NotRecorded("no recorded %s arrow for d=%d, k=%d" % (kind, d, k))
+    return record

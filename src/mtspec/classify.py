@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import certified, spectra
+from . import certified
 from .abelian import FgAbGroup, IntMatrix, smith_normal_form, units_kernel
+from .certified import SpectrumId
 from .errors import InternalCheckError, NotRecorded, OutOfRange
 from .exactnum import ExactComplex
-from .spectra import SpectrumId
 
 _KERNEL_LISTING_BOUND = 64
 
@@ -67,9 +67,9 @@ def classify(d: int, n: int, data=None) -> TheoryGroup:
     """Invertible theories in dimension d with category number n."""
     if not (isinstance(d, int) and isinstance(n, int) and 1 <= n <= d <= 4):
         raise OutOfRange("need 1 <= n <= d <= 4")
-    spec = SpectrumId(d, spectra.equivalent_stored_cover(d, d - n, data))
-    here = spectra.cohomology(spec, d, data)
-    above = spectra.cohomology(spec, d + 1, data)
+    spec = SpectrumId(d, certified.equivalent_stored_cover(d, d - n, data))
+    here = certified.cohomology(spec, d, data)
+    above = certified.cohomology(spec, d + 1, data)
     finite = FgAbGroup(0, above.group.torsion)
     return TheoryGroup(d, n, here.group.free_rank, finite, here.free_names)
 
@@ -86,14 +86,14 @@ def restriction_matrix(d: int, n_from: int, n_to: int, data=None) -> IntMatrix:
     target = classify(d, n_to, data)
     data = data or certified.load_data()  # once, for the lookups below
     src_names, tgt_names = source.basis_names, target.basis_names
-    if (spectra.equivalent_stored_cover(d, d - n_from, data)
-            == spectra.equivalent_stored_cover(d, d - n_to, data)):
+    if (certified.equivalent_stored_cover(d, d - n_from, data)
+            == certified.equivalent_stored_cover(d, d - n_to, data)):
         if src_names != tgt_names:
             raise InternalCheckError("equivalent covers disagree on generators")
         return IntMatrix.identity(len(src_names))
     if not src_names:
         return IntMatrix(0, len(tgt_names), ())
-    arrow = spectra.cover_map(d, d, "cover", data)
+    arrow = certified.cover_map(d, d, "cover", data)
     rows = []
     for name in src_names:
         image = arrow.image_of(name)
@@ -203,15 +203,15 @@ class GilmerMasbaumReport:
 
 def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:
     """Derive the certificate from the certified tables and recorded maps."""
-    if not spectra.grid_equivalence(3, 2, 1, data):
+    if not certified.grid_equivalence(3, 2, 1, data):
         raise InternalCheckError("the second cover no longer matches the stored one")
-    entry = spectra.cohomology(SpectrumId(3, 1), 4, data)
+    entry = certified.cohomology(SpectrumId(3, 1), 4, data)
     if entry.group != FgAbGroup(1) or entry.names != ("rho",):
         raise InternalCheckError("the degree-4 cover group is no longer Z on rho")
 
-    cover_arrow = spectra.cover_map(3, 4, "cover", data)
+    cover_arrow = certified.cover_map(3, 4, "cover", data)
     atiyah_mult = cover_arrow.image_of("p1u").get("rho", 0)
-    cover_dim_arrow = spectra.cover_map(4, 4, "covdim", data)
+    cover_dim_arrow = certified.cover_map(4, 4, "covdim", data)
     if cover_dim_arrow.image_of("psi").get("rho", 0) != 1:
         raise InternalCheckError("psi no longer maps to the generator")
     walker_mult = cover_dim_arrow.image_of("sigma").get("rho", 0)

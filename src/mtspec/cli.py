@@ -7,6 +7,12 @@ form {"command", "inputs", "result"}.
 
 Exit codes: 0 on success, 2 on usage or range errors, 3 when an internal
 consistency check fails (which the shipped data never triggers).
+
+Start-up is most of the cost of one call, so each subcommand imports the
+modules it computes with inside its handler: ``table`` loads only the
+data file's lookups in ``certified``, ``eval`` and ``bordism`` load
+``tftlab``, and the other four load ``classify``.  No subcommand loads
+the consistency proof in ``spectra``.
 """
 
 from __future__ import annotations
@@ -16,14 +22,13 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import spectra, tftlab
-from .abelian import FgAbGroup
-from .classify import (TheoryParams, classify, gilmer_masbaum_report,
-                       restrict_theory, restriction_kernel)
 from .errors import InternalCheckError, MtspecError
-from .exactnum import ExactComplex, parse_exact
-from .spectra import SpectrumId
+
+if TYPE_CHECKING:
+    from .abelian import FgAbGroup
+    from .exactnum import ExactComplex
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _GREEK = {"psi": "ψ", "sigma": "σ", "tau": "τ", "rho": "ρ"}
@@ -75,9 +80,11 @@ def document_to_json(command: str, inputs: dict, result: dict) -> str:
 
 
 def cmd_table(args):
+    from .certified import (SpectrumId, cohomology, equivalent_stored_cover,
+                            homotopy_group, hz_self_cohomology)
     ascii_mode = args.ascii
     if args.kind == "hz":
-        groups = [spectra.hz_self_cohomology(k) for k in range(7)]
+        groups = [hz_self_cohomology(k) for k in range(7)]
         text = ",".join(render_group(g, ascii_mode) for g in groups)
         result = {"kind": "hz",
                   "rows": [{"k": k, "group": group_to_json(g)}
@@ -86,18 +93,18 @@ def cmd_table(args):
     if args.d is None:
         raise MtspecError("table %s needs --d" % args.kind)
     if args.kind == "homotopy":
-        groups = [spectra.homotopy_group(args.d, k) for k in range(args.d + 1)]
+        groups = [homotopy_group(args.d, k) for k in range(args.d + 1)]
         text = ", ".join(render_group(g, ascii_mode) for g in groups)
         result = {"kind": "homotopy", "d": args.d,
                   "rows": [{"k": k, "group": group_to_json(g)}
                            for k, g in enumerate(groups)]}
         return {"kind": "homotopy", "d": args.d}, result, text
     spectrum = SpectrumId(args.d, args.cover)
-    stored = SpectrumId(args.d, spectra.equivalent_stored_cover(args.d, args.cover))
+    stored = SpectrumId(args.d, equivalent_stored_cover(args.d, args.cover))
     rows = []
     lines = ["H*(%s)" % spectrum.display(ascii_mode)]
     for k in range(6):
-        entry = spectra.cohomology(stored, k)
+        entry = cohomology(stored, k)
         names = ", ".join(render_gen(n, ascii_mode) for n in entry.names)
         lines.append("k=%d: %s%s" % (k, render_group(entry.group, ascii_mode),
                                      " (%s)" % names if names else ""))
@@ -126,6 +133,7 @@ def _render_theory_group(tg, ascii_mode: bool) -> str:
 
 
 def cmd_classify(args):
+    from .classify import classify
     tg = classify(args.d, args.n)
     result = {"unit_rank": tg.unit_rank,
               "finite_part": group_to_json(tg.finite_part),
@@ -135,6 +143,8 @@ def cmd_classify(args):
 
 
 def cmd_restrict(args):
+    from .classify import TheoryParams, restrict_theory
+    from .exactnum import parse_exact
     params = TheoryParams.of(
         [parse_exact(p) for p in args.params.split(",")] if args.params else [])
     out = restrict_theory(args.d, args.n_from, args.n_to, params)
@@ -176,6 +186,7 @@ def _render_kernel(kernel, ascii_mode: bool) -> str:
 
 
 def cmd_kernel(args):
+    from .classify import restriction_kernel
     kernel = restriction_kernel(args.d, args.n_from, args.n_to)
     elements = None
     if kernel.elements is not None:
@@ -187,6 +198,8 @@ def cmd_kernel(args):
 
 
 def cmd_eval(args):
+    from . import tftlab
+    from .exactnum import parse_exact
     catalog = tftlab.standard_manifolds()
     inputs = {"theory": args.theory}
     if args.theory == "four_d":
@@ -229,6 +242,7 @@ def cmd_eval(args):
 
 
 def cmd_bordism(args):
+    from . import tftlab
     catalog = tftlab.standard_manifolds()
     total = tftlab.parse_formal_sum(args.sum, catalog)
     invariant = tftlab.vf_invariant(args.d, total)
@@ -245,6 +259,7 @@ def cmd_bordism(args):
 
 
 def cmd_gilmer_masbaum(args):
+    from .classify import gilmer_masbaum_report
     report = gilmer_masbaum_report()
     rho = "rho" if args.ascii else "ρ"
     z = "Z" if args.ascii else "ℤ"

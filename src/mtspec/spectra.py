@@ -1,16 +1,18 @@
-"""Suspended Madsen-Tillmann spectra and their connective covers.
+"""The consistency proof behind the certified tables.
 
-Serves the certified homotopy and cohomology tables with their named
-generators, the recorded restriction maps, a long-exact-sequence
-verifier for the fiber sequence
+A long-exact-sequence verifier for the fiber sequence
 
     (cover) -> (spectrum) -> (integral Eilenberg-MacLane spectrum),
 
-grid equivalences between cover levels, and a constrained derivation
-engine that re-derives every cover entry of the table.  Every table row
-is served from the certified data file, the single source of truth: its
-uncovered rows are checked against the ring when the file is loaded, and
-the derivation is a machine-checked consistency proof of the cover rows.
+and a constrained derivation engine that re-derives every cover entry of
+the table.  The tables themselves are served by ``certified``, next to
+the data file they are read from; the uncovered rows are checked against
+the ring when the file is loaded, and this module is the machine-checked
+consistency proof of the cover rows.  It re-exports the table lookups
+(``SpectrumId``, ``cohomology``, ``homotopy_group``,
+``hz_self_cohomology``, ``grid_equivalence``, ``equivalent_stored_cover``,
+``cover_map`` and ``MAX_TABLE_DEGREE``), so ``spectra.cohomology`` and
+the others resolve as before; serving a table does not import it.
 """
 
 from __future__ import annotations
@@ -20,130 +22,12 @@ from dataclasses import dataclass
 from . import certified
 from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
                       cokernel_with_projection, enumerate_extensions, zero_hom)
-from .charclasses import CohomologyEntry
+# the lookups below are used here or re-exported; see the module docstring
+from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology, cover_map,  # noqa: F401
+                        equivalent_stored_cover, grid_equivalence, homotopy_group,
+                        hz_self_cohomology)
 from .errors import (ContradictoryConstraints, DataFormatError,
-                     InternalCheckError, NotRecorded, OutOfTable, Unsupported)
-
-MAX_TABLE_DEGREE = 5
-
-
-@dataclass(frozen=True)
-class SpectrumId:
-    """A suspended oriented Madsen-Tillmann spectrum, possibly covered.
-
-    The suspension is always by the dimension d, and cover_level k means
-    the connective cover killing homotopy below degree k (0 = no cover).
-    """
-
-    d: int
-    cover_level: int = 0
-
-    def __post_init__(self):
-        if self.d not in (1, 2, 3, 4):
-            raise ValueError("dimension must be 1..4")
-        if self.cover_level not in (0, 1, 2, 3):
-            raise ValueError("cover level must be 0..3")
-
-    def display(self, ascii_mode: bool = False) -> str:
-        if ascii_mode:
-            base = "Sigma^%d MTSO(%d)" % (self.d, self.d)
-            return base if not self.cover_level else "p>=%d %s" % (self.cover_level, base)
-        sup = "¹²³⁴"[self.d - 1]
-        base = "Σ%sMTSO(%d)" % (sup, self.d)
-        return base if not self.cover_level else "p≥%d%s" % (self.cover_level, base)
-
-
-def _data(data=None):
-    return data or certified.load_data()
-
-
-# ---------------------------------------------------------------------------
-# tables
-
-
-def homotopy_group(d: int, k: int, data=None) -> FgAbGroup:
-    """Homotopy of the suspended spectrum, from the certified table."""
-    table = _data(data).homotopy
-    if (d, k) not in table:
-        raise OutOfTable("homotopy group (d=%d, k=%d) is outside the table" % (d, k))
-    return table[(d, k)]
-
-
-def hz_self_cohomology(k: int, data=None) -> FgAbGroup:
-    """Integral self-cohomology of the integral Eilenberg-MacLane spectrum."""
-    table = _data(data).hz
-    if k not in table:
-        raise OutOfTable("self-cohomology degree %d is outside the table" % k)
-    return table[k]
-
-
-def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
-    """Integral cohomology of a spectrum in degrees 0..5.
-
-    Uncovered spectra and first covers are served from the certified
-    table; the uncovered rows were checked against the Thom-module
-    description when the table was loaded.  Higher covers are only
-    reachable through grid_equivalence and are refused here.
-    """
-    data = _data(data)
-    if not 0 <= k <= MAX_TABLE_DEGREE:
-        raise Unsupported("cohomology is tabulated for degrees 0..%d" % MAX_TABLE_DEGREE)
-    entry = data.entry(spectrum.d, spectrum.cover_level, k)
-    if entry is None:
-        raise Unsupported("no table entry for %s in degree %d; resolve higher "
-                          "covers through grid_equivalence first"
-                          % (spectrum.display(True), k))
-    return entry
-
-
-def grid_equivalence(d: int, from_cover: int, to_cover: int, data=None) -> bool:
-    """Is the natural map between the two cover levels an equivalence?
-
-    True exactly when every homotopy group in degrees [min, max) of the
-    two levels vanishes per the table; degrees beyond the table raise.
-    """
-    SpectrumId(d, from_cover)
-    SpectrumId(d, to_cover)
-    lo, hi = sorted((from_cover, to_cover))
-    for i in range(lo, hi):
-        if not homotopy_group(d, i, data).is_trivial:
-            return False
-    return True
-
-
-def equivalent_stored_cover(d: int, cover: int, data=None) -> int:
-    """The stored cover level (0 or 1) equivalent to the requested one."""
-    if cover <= 1:
-        return cover
-    for stored in (1, 0):
-        if grid_equivalence(d, cover, stored, data):
-            return stored
-    raise Unsupported("cover level %d of d=%d is not equivalent to a stored one"
-                      % (cover, d))
-
-
-# ---------------------------------------------------------------------------
-# recorded maps
-
-
-def cover_map(d: int, k: int, kind: str = "cover",
-              data=None) -> certified.ArrowRecord:
-    """A recorded generator map, exactly as stored.
-
-    kind "cover" is the map from the spectrum to its first cover, "dim"
-    the dimension restriction between uncovered spectra, and "covdim"
-    the dimension restriction between the covers.  Unrecorded arrows
-    raise NotRecorded; nothing is ever guessed.
-    """
-    data = _data(data)
-    if kind not in ("cover", "dim", "covdim"):
-        raise ValueError("unknown arrow kind %r" % kind)
-    to_d = None if kind == "cover" else d - 1
-    record = data.arrow(kind, d, k, to_d)
-    if record is None:
-        raise NotRecorded("no recorded %s arrow for d=%d, k=%d" % (kind, d, k))
-    return record
-
+                     InternalCheckError, Unsupported)
 
 # ---------------------------------------------------------------------------
 # long exact sequence verification
@@ -183,7 +67,7 @@ def verify_les(d: int, data=None) -> LesReport:
     Eilenberg-MacLane groups are synthesized canonically (cokernel
     projections), and a mismatch there is reported as a failure.
     """
-    data = _data(data)
+    data = data or certified.load_data()
     if d not in (2, 3, 4):
         raise Unsupported("the fiber sequence is recorded for d = 2, 3, 4")
     labels, nodes = [], []  # one labelled CohomologyEntry per group, in order
@@ -370,7 +254,7 @@ def _extract_ses(d: int, k: int, data):
 
 def default_constraints(d: int, k: int, data=None) -> list:
     """The constraint set under which every cover entry derives uniquely."""
-    data = _data(data)
+    data = data or certified.load_data()
     conn = _cover_connectivity(d, data)
     if k < conn:
         return [DerivationConstraint.hurewicz_vanishing(
@@ -399,7 +283,7 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
     filters them through the constraints, and returns the unique survivor
     (asserted against the certified table) or flags the ambiguity.
     """
-    data = _data(data)
+    data = data or certified.load_data()
     if d not in (2, 3, 4) or not 0 <= k <= MAX_TABLE_DEGREE:
         raise Unsupported("cover entries exist for d=2..4, k=0..5")
     notes = []

@@ -493,6 +493,40 @@ def test_cokernel_of_random_known_chains():
     check()
 
 
+def test_square_cokernel_matches_sympy():
+    # a nonsingular square matrix is read modulo the gcd g of its
+    # determinant and the (n-1) x (n-1) minors of the next-to-last pivot
+    # row; the draws must reach both g = 1 (no pass) and non-cyclic answers
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    from mtspec.abelian import _rank_and_minor
+    st = hypothesis.strategies
+    seen = set()
+
+    @property_settings(hypothesis, 80)
+    @hypothesis.given(
+        factors=st.lists(st.sampled_from([1, 1, 2, 3, 4, 5, 2 ** 65 + 1]),
+                         min_size=1, max_size=6),
+        seed=st.integers(0, 2 ** 32))
+    def check(factors, seed):
+        chain = list(itertools.accumulate(factors, lambda x, y: x * y))
+        n = len(chain)
+        d = IntMatrix(n, n, tuple(chain[i] if i == j else 0
+                                  for i in range(n) for j in range(n)))
+        rng = random.Random(seed)
+        a = random_unimodular(rng, n) * d * random_unimodular(rng, n)
+        diag = sympy_smith_diagonal(a)
+        assert diag == chain
+        torsion = tuple(x for x in diag if x > 1)
+        assert cokernel(a) == FgAbGroup(0, torsion)
+        _, det, _, lower = _rank_and_minor(a.to_rows(), n)
+        seen.add("no pass" if math.gcd(det, *lower) == 1 else "pass")
+        seen.add("cyclic" if len(torsion) <= 1 else "not cyclic")
+
+    check()
+    assert seen == {"no pass", "pass", "cyclic", "not cyclic"}
+
+
 def laplace_det(rows):
     if not rows:
         return 1

@@ -447,3 +447,72 @@ class TestProcessLevel:
                               env_extra={"MTSPEC_DATA": str(override)})
         assert proc.returncode == 3
         assert "internal consistency failure" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# byte-identical output and the modules each subcommand loads
+
+CLI_EXPECTED = json.loads(
+    (SRC.parent / "perfbench" / "cli_expected.json").read_text(encoding="utf-8"))
+USAGE_EXPECTED = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "cli_usage_expected.json").read_text(encoding="utf-8"))
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "call", CLI_EXPECTED["calls"] + CLI_EXPECTED["known_defects"],
+        ids=lambda call: " ".join(call["argv"]))
+    def test_benchmark_call(self, capsys, monkeypatch, call):
+        # every call of the cli-oneshot pool, and the three inputs that
+        # once failed, in process: a name a handler no longer imports
+        # fails here on whichever rendering path uses it
+        monkeypatch.delenv("MTSPEC_DATA", raising=False)
+        assert run_main(capsys, *call["argv"]) == (call["exit"], call["stdout"])
+
+    @pytest.mark.parametrize("call", USAGE_EXPECTED["calls"],
+                             ids=lambda call: " ".join(call["argv"]) or "(none)")
+    def test_help_and_errors(self, capsys, monkeypatch, call):
+        monkeypatch.delenv("MTSPEC_DATA", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(list(call["argv"]))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (call["exit"], call["stdout"],
+                                                      call["stderr"])
+
+
+LOADED_MODULES = """\
+import contextlib, io, sys
+from mtspec.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "mtspec")))
+"""
+
+TABLE_MODULES = {"mtspec", "mtspec.abelian", "mtspec.certified", "mtspec.charclasses",
+                 "mtspec.cli", "mtspec.errors"}
+
+
+class TestSubcommandImports:
+    @pytest.mark.parametrize("argv,extra", [
+        (["table", "cohomology", "--d", "4", "--cover", "1"], set()),
+        (["classify", "--d", "4", "--n", "4"], {"mtspec.classify", "mtspec.exactnum"}),
+        (["restrict", "--d", "4", "--from", "4", "--to", "3", "--params", "2,3"],
+         {"mtspec.classify", "mtspec.exactnum"}),
+        (["kernel", "--d", "4", "--from", "4", "--to", "3"],
+         {"mtspec.classify", "mtspec.exactnum"}),
+        (["gilmer-masbaum"], {"mtspec.classify", "mtspec.exactnum"}),
+        (["eval", "euler", "--lam", "2", "--manifold", "Sigma_2"],
+         {"mtspec.tftlab", "mtspec.exactnum"}),
+        (["bordism", "--d", "4", "--sum", "K3 + 2*S4"], {"mtspec.tftlab", "mtspec.exactnum"}),
+    ], ids=["table", "classify", "restrict", "kernel", "gilmer-masbaum", "eval", "bordism"])
+    def test_each_subcommand_loads_only_what_it_runs(self, argv, extra):
+        # a fresh interpreter per subcommand; the consistency proof in
+        # spectra is never loaded to serve an answer
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("MTSPEC_DATA", None)
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                              capture_output=True, text=True, env=env)
+        code, modules = proc.stdout.split(" ", 1)
+        assert code == "0", proc.stderr
+        assert set(modules.split()) == TABLE_MODULES | extra

@@ -229,6 +229,26 @@ class TestVerifyLes:
         assert chunk.exact
         assert "cu" in chunk.description and "tau" in chunk.description
 
+    def test_recorded_maps_are_built_once(self, monkeypatch):
+        # parse_data builds each recorded arrow's map to validate it and
+        # keeps it; the sequence reuses those maps and builds only the two
+        # degree-3 identifications it synthesizes (d = 3 and d = 4)
+        original = certified.assignments_to_group_hom
+        built = []
+
+        def counting(source, target, assignments):
+            built.append(assignments)
+            return original(source, target, assignments)
+        monkeypatch.setattr(certified, "assignments_to_group_hom", counting)
+        data = certified.parse_data(certified.default_data_path().read_text())
+        assert len(built) == len(data.arrows) == 20
+        built.clear()
+        for d in (2, 3, 4):
+            assert verify_les(d, data).all_exact
+        recorded = {arrow.assignments for arrow in data.arrows}
+        assert [a for a in built if a in recorded] == []
+        assert [a[0][0] for a in built] == ["hz3", "hz3"]
+
     def test_cover_degree_five_vanishing_is_consistent(self):
         for d in (2, 3, 4):
             assert cohomology(SpectrumId(d, 1), 5).group == FgAbGroup()
