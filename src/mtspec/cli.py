@@ -6,20 +6,25 @@ default, --ascii for portability) or as structured JSON documents of the
 form {"command", "inputs", "result"}.
 
 Exit codes: 0 on success, 2 on usage or range errors, 3 when an internal
-consistency check fails (which the shipped data never triggers).
+consistency check fails (which the shipped data never triggers).  The
+process entry point also exits with 2 on an operating-system error, such
+as output into a closed pipe.
 
 Start-up is most of the cost of one call, so each subcommand imports the
 modules it computes with inside its handler: ``table`` loads only the
 data file's lookups in ``certified``, ``eval`` and ``bordism`` load
 ``tftlab``, and the other four load ``classify``.  No subcommand loads
-the consistency proof in ``spectra``.
+the consistency proof in ``spectra``, and the process skips the
+interpreter's teardown (see ``entrypoint``).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -402,7 +407,31 @@ def _run(argv) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
+    """Run `main` as the whole of a one-shot process and leave with its code.
+
+    The process ends with `os._exit` once stdout and stderr are flushed,
+    which skips the interpreter's teardown: clearing the modules, a last
+    full cyclic collection and the finalizers, none of which changes what
+    the call prints.  The cyclic collector is off for the same reason: a
+    call leaves a fixed amount of cyclic garbage (the argument parser),
+    whatever the size of its input.  An operating-system error, such as
+    writing into a pipe whose reader has gone, exits with 2 and one line
+    on stderr instead of a traceback.  `main` itself is unchanged, so
+    callers in process keep the usual semantics.
+    """
+    gc.disable()
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its descriptor was closed at start-up
+                stream.flush()
+    except OSError as exc:
+        code = 2
+        try:
+            print("error: %s" % exc, file=sys.stderr)
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -25,10 +26,14 @@ def run_main(capsys, *argv):
 def run_subprocess(*argv, env_extra=None, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    # buffered stdout unless a test asks otherwise, so that output lost
+    # to a missing flush shows
+    env.pop("PYTHONUNBUFFERED", None)
     if env_extra:
         env.update(env_extra)
+    kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "mtspec", *argv],
-                          capture_output=True, text=True, env=env, **kwargs)
+                          stderr=subprocess.PIPE, text=True, env=env, **kwargs)
 
 
 def limit_address_space():
@@ -44,6 +49,17 @@ def write_odd_euler_t3(tmp_path):
                             "manifold name=T3 dim=3 euler=2")
     assert modified != text
     path = tmp_path / "odd_euler_t3.txt"
+    path.write_text(modified)
+    return path
+
+
+def write_inconsistent_data(tmp_path):
+    """A copy of the shipped data file that fails the certificate's checks:
+    an odd signature multiple breaks the evenness cross-check."""
+    text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+    modified = text.replace("map=psi:1*rho;sigma:2*rho", "map=psi:1*rho;sigma:3*rho")
+    assert modified != text
+    path = tmp_path / "tampered.txt"
     path.write_text(modified)
     return path
 
@@ -437,14 +453,8 @@ class TestProcessLevel:
         assert "k=2: Z/3 (tau)" in proc.stdout
 
     def test_inconsistent_data_exits_three(self, tmp_path):
-        # an odd signature multiple breaks the evenness cross-check
-        text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()
-        modified = text.replace("map=psi:1*rho;sigma:2*rho",
-                                "map=psi:1*rho;sigma:3*rho")
-        override = tmp_path / "tampered.txt"
-        override.write_text(modified)
-        proc = run_subprocess("gilmer-masbaum",
-                              env_extra={"MTSPEC_DATA": str(override)})
+        proc = run_subprocess("gilmer-masbaum", env_extra={
+            "MTSPEC_DATA": str(write_inconsistent_data(tmp_path))})
         assert proc.returncode == 3
         assert "internal consistency failure" in proc.stderr
 
@@ -516,3 +526,88 @@ class TestSubcommandImports:
         code, modules = proc.stdout.split(" ", 1)
         assert code == "0", proc.stderr
         assert set(modules.split()) == TABLE_MODULES | extra
+
+
+# ---------------------------------------------------------------------------
+# the one-shot entry point behind `python -m mtspec` and the `mtspec` script
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv,code", [
+        (["table", "cohomology", "--d", "4", "--cover", "1"], 0),
+        (["classify", "--d", "4", "--n", "4", "--format", "json"], 0),
+        (["restrict", "--d", "4", "--from", "4", "--to", "3", "--params", "2,3"], 0),
+        (["kernel", "--d", "4", "--from", "4", "--to", "3", "--ascii"], 0),
+        (["eval", "euler", "--lam", "4", "--manifold", "Sigma_2"], 0),
+        (["bordism", "--d", "4", "--sum", "K3 + 2*S4", "--format", "json"], 0),
+        (["gilmer-masbaum"], 0),
+        (["--help"], 0),
+        (["table", "nosuchkind"], 2),
+        (["classify", "--d", "9", "--n", "1"], 2),
+        (["gilmer-masbaum"], 3),
+    ], ids=["table", "classify", "restrict", "kernel", "eval", "bordism",
+            "gilmer-masbaum", "help", "usage-error", "range-error", "internal-check"])
+    def test_process_matches_main_in_process(self, capsys, monkeypatch, tmp_path,
+                                             argv, code):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("MTSPEC_DATA", raising=False)
+        if code == 3:
+            monkeypatch.setenv("MTSPEC_DATA", str(write_inconsistent_data(tmp_path)))
+        proc = run_subprocess(*argv)
+        in_process = (main(list(argv)), *capsys.readouterr())
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+        assert proc.returncode == code
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_two(self, unbuffered):
+        # a pipe whose read end is closed before the child starts: the
+        # unbuffered write inside main fails, or the buffered one at the flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_subprocess(
+                "table", "hz", stdout=write_end,
+                env_extra={"PYTHONUNBUFFERED": "1"} if unbuffered else None)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Broken pipe" in proc.stderr
+
+    @pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+    def test_closed_standard_stream_is_not_flushed(self, fd):
+        # Python starts with sys.stdout or sys.stderr None when the
+        # descriptor is closed; the answer is then discarded, as at exit
+        proc = run_subprocess("table", "hz", "--ascii", preexec_fn=lambda: os.close(fd))
+        assert proc.returncode == 0
+        expected_out = "" if fd == 1 else "Z,0,0,Z/2,0,Z/6,0\n"
+        assert (proc.stdout, proc.stderr) == (expected_out, "")
+
+    def test_missing_data_file_exits_two(self, tmp_path):
+        proc = run_subprocess("table", "hz",
+                              env_extra={"MTSPEC_DATA": str(tmp_path / "absent.txt")})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "absent.txt" in proc.stderr
+
+    @pytest.mark.parametrize("argv,term", [
+        (["bordism", "--d", "4", "--sum"], "K3"),
+        (["eval", "euler", "--lam", "2", "--manifold"], "Sigma_2"),
+    ], ids=["bordism", "eval"])
+    def test_cyclic_garbage_does_not_grow_with_input(self, capsys, argv, term):
+        # the entry point turns the cyclic collector off, which keeps a call's
+        # memory bounded only while its cyclic garbage is the same for any input
+        def garbage(terms):
+            was_enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv + [" + ".join([term] * terms)]) == 0
+                return gc.collect()
+            finally:
+                capsys.readouterr()
+                if was_enabled:
+                    gc.enable()
+
+        garbage(1)  # the handler's lazy imports and the data file's cache
+        assert garbage(1) == garbage(500)
