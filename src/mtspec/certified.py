@@ -8,11 +8,14 @@ this file, and every catalog manifold is a ManifoldClass built here.
 Loading validates it: each uncovered cohomology row must equal the
 matching Thom-module piece of the ring, each recorded map must be
 well-defined between the rows it names (the maps built for that check
-are kept and served by ArrowRecord.to_group_hom), each manifold record
-must satisfy the ManifoldClass invariants, and each family record (name
-ending in _g) must yield valid members for g = 0 and g = 1, which
+are kept and served by ArrowRecord.to_group_hom), each dim arrow must
+lower d by one and agree with the ring restriction on every named
+generator (coefficients on a Z/n generator modulo n), each manifold
+record must satisfy the ManifoldClass invariants, and each family record
+(name ending in _g) must yield valid members for g = 0 and g = 1, which
 suffices because every invariant is affine in g.  The environment
-variable MTSPEC_DATA overrides the path.
+variable MTSPEC_DATA overrides the path; a file that cannot be read is a
+DataFormatError like any other bad file.
 
 The lookups at the end of the module serve the tables: homotopy and
 cohomology of the suspended Madsen-Tillmann spectra and their first
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
-from .charclasses import CohomologyEntry, thom_module_piece
+from .charclasses import CohomologyEntry, ring_restriction, thom_module_piece
 from .errors import (DataFormatError, InvalidManifold, NotRecorded, OutOfTable,
                      Unsupported)
 
@@ -60,16 +63,12 @@ class ArrowRecord:
         return dict(dict(self.assignments)[name])
 
     def to_group_hom(self, data=None) -> GroupHom:
-        """The map in canonical coordinates between its two table entries.
-
-        The data's own arrows were built when it loaded and are served
-        from there; any other arrow is built against the data's entries.
-        """
-        data = data or load_data()
-        hom = data.homs.get(self)
+        """The map in canonical coordinates between its two table entries,
+        as built when the data loaded; an arrow the data does not record
+        raises NotRecorded."""
+        hom = (data or load_data()).homs.get(self)
         if hom is None:
-            source, target = _arrow_endpoints(data, self)
-            hom = assignments_to_group_hom(source, target, self.assignments)
+            raise NotRecorded("arrow %s is not recorded in this data" % (self,))
         return hom
 
 
@@ -267,8 +266,40 @@ def _validate(data: CertifiedData):
                     "module gives %s (%s)" % (d, k, entry.group, ",".join(entry.names),
                                               ring.group, ",".join(ring.names)))
     for arrow in data.arrows:
+        # the lookups find a restriction only one dimension down, and
+        # any other arrow only without a target dimension
+        if arrow.to_d != (arrow.d - 1 if arrow.kind in ("dim", "covdim") else None):
+            raise DataFormatError("%s arrow (d=%d, k=%d) cannot go to d=%s"
+                                  % (arrow.kind, arrow.d, arrow.k, arrow.to_d))
         source, target = _arrow_endpoints(data, arrow)
         data.homs[arrow] = assignments_to_group_hom(source, target, arrow.assignments)
+        if arrow.kind == "dim":
+            _check_ring_restriction(arrow, target)
+
+
+def _check_ring_restriction(arrow: ArrowRecord, target: CohomologyEntry):
+    """A dim arrow must be the ring restriction, read on named generators.
+
+    The arrow's map was built already, so both rows exist and every name
+    it uses is a generator of them.
+    """
+    orders = dict(target.generators)
+
+    def reduced(combo):
+        out = {}
+        for name, coeff in dict(combo).items():
+            coeff = coeff % orders[name] if orders[name] else coeff
+            if coeff:
+                out[name] = coeff
+        return out
+
+    ring = dict(ring_restriction(arrow.d, arrow.k, arrow.to_d))
+    for name, combo in arrow.assignments:
+        recorded, expected = reduced(combo), reduced(ring[name])
+        if recorded != expected:
+            raise DataFormatError(
+                "dim arrow (d=%d, k=%d) sends %s to %s but the ring restriction "
+                "gives %s" % (arrow.d, arrow.k, name, recorded, expected))
 
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:
@@ -348,7 +379,12 @@ def load_data(path=None) -> CertifiedData:
         path = os.environ.get(ENV_DATA_PATH) or default_data_path()
     path = str(Path(path).resolve())
     if path not in _CACHE:
-        _CACHE[path] = parse_data(Path(path).read_text(), path)
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise DataFormatError("cannot read data file %s: %s"
+                                  % (path, exc.strerror or exc))
+        _CACHE[path] = parse_data(text, path)
     return _CACHE[path]
 
 

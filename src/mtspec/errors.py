@@ -13,10 +13,6 @@ class CompositionMismatch(MtspecError):
     """Two homomorphisms were chained but target(f) != source(g)."""
 
 
-class AmbientMismatch(MtspecError):
-    """Ring elements from different ambient dimensions were combined."""
-
-
 class OutOfTable(MtspecError):
     """A lookup fell outside the certified homotopy/cohomology tables."""
 

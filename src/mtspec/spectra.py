@@ -5,11 +5,13 @@ A long-exact-sequence verifier for the fiber sequence
     (cover) -> (spectrum) -> (integral Eilenberg-MacLane spectrum),
 
 and a constrained derivation engine that re-derives every cover entry of
-the table.  The tables themselves are served by ``certified``, next to
-the data file they are read from; the uncovered rows are checked against
-the ring when the file is loaded, and this module is the machine-checked
-consistency proof of the cover rows.  It re-exports the table lookups
-(``SpectrumId``, ``cohomology``, ``homotopy_group``,
+the table, admitting only constraints read from the data: Hurewicz facts
+from the homotopy table and divisibility from the recorded cover arrows.
+The tables themselves are served by ``certified``, next to the data file
+they are read from; the uncovered rows and the dim arrows are checked
+against the ring when the file is loaded, and this module is the
+machine-checked consistency proof of the cover rows.  It re-exports the
+table lookups (``SpectrumId``, ``cohomology``, ``homotopy_group``,
 ``hz_self_cohomology``, ``grid_equivalence``, ``equivalent_stored_cover``,
 ``cover_map`` and ``MAX_TABLE_DEGREE``), so ``spectra.cohomology`` and
 the others resolve as before; serving a table does not import it.
@@ -17,6 +19,7 @@ the others resolve as before; serving a table does not import it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import certified
@@ -253,7 +256,13 @@ def _extract_ses(d: int, k: int, data):
 
 
 def default_constraints(d: int, k: int, data=None) -> list:
-    """The constraint set under which every cover entry derives uniquely."""
+    """The constraint set under which every cover entry derives uniquely.
+
+    Below and at the cover's first homotopy degree, the homotopy table
+    gives Hurewicz constraints.  Elsewhere, each source generator of the
+    recorded degree-k cover arrow whose image coefficients have a common
+    divisor g > 1 is admitted as divisible by g.
+    """
     data = data or certified.load_data()
     conn = _cover_connectivity(d, data)
     if k < conn:
@@ -267,13 +276,17 @@ def default_constraints(d: int, k: int, data=None) -> list:
             DerivationConstraint.universal_coefficients(
                 "cohomology in the first nonzero degree is the dual of homology"),
         ]
-    if d == 3 and k == 4:
-        return [DerivationConstraint.divisibility_from_square(
-            6, "p1u", "recorded square: the image of p1u is six times a class")]
-    if d == 2 and k == 4:
-        return [DerivationConstraint.divisibility_from_square(
-            6, "c^2u", "recorded square: the image of c^2u is six times a class")]
-    return []
+    arrow = data.arrow("cover", d, k)
+    if arrow is None:
+        return []
+    constraints = []
+    for name, combo in arrow.assignments:
+        divisor = math.gcd(*(coeff for _, coeff in combo))
+        if divisor > 1:
+            constraints.append(DerivationConstraint.divisibility_from_square(
+                divisor, name, "recorded cover arrow (prov=%s): the image of %s "
+                "is %d times a class" % (arrow.provenance, name, divisor)))
+    return constraints
 
 
 def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> DerivationResult:

@@ -2,8 +2,9 @@ import time
 
 import pytest
 
-from mtspec.certified import ManifoldClass, load_data, parse_data
-from mtspec.errors import DataFormatError
+from mtspec.certified import ManifoldClass, default_data_path, load_data, parse_data
+from mtspec.cli import main
+from mtspec.errors import DataFormatError, NotRecorded
 
 MINIMAL = """\
 version=1
@@ -28,6 +29,64 @@ class TestShippedData:
         data = load_data()
         assert {"S1", "S2", "S4", "T4", "CP2", "K3"} <= set(data.manifolds)
         assert set(data.families) == {"Sigma_g", "S2xSigma_g"}
+
+
+def tampered(old, new):
+    text = default_data_path().read_text()
+    modified = text.replace(old, new)
+    assert modified != text
+    return modified
+
+
+class TestArrowsAtLoad:
+    """Each arrow's target dimension, and each dim arrow against the ring
+    restriction, is checked when the file loads."""
+
+    @pytest.mark.parametrize("old,new", [
+        ("map=p1u:-1*c^2u", "map=p1u:1*c^2u"),                 # p1 -> +c^2
+        ("map=eu:0;p1u:1*p1u", "map=eu:1*p1u;p1u:1*p1u"),       # e survives
+        ("d=3 to=2 k=0 prov=names", "d=3 to=1 k=0 prov=names"),  # skips d=2
+    ])
+    def test_tampered_dim_arrow_exits_two(self, capsys, monkeypatch, tmp_path, old, new):
+        modified = tampered(old, new)
+        with pytest.raises(DataFormatError):
+            parse_data(modified)
+        path = tmp_path / "tampered.txt"
+        path.write_text(modified)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("old,new", [
+        ("kind=covdim d=4 to=3 k=4", "kind=covdim d=4 to=2 k=4"),
+        ("kind=cover d=3 k=4 prov=diagram", "kind=cover d=3 to=2 k=4 prov=diagram"),
+    ])
+    def test_every_arrow_names_the_target_its_lookup_uses(self, old, new):
+        # both would load and then be unreachable through cover_map
+        with pytest.raises(DataFormatError, match="cannot go to d=2"):
+            parse_data(tampered(old, new))
+
+    def test_torsion_coefficients_compare_modulo_the_order(self):
+        # W3u generates Z/2, so 3*W3u is W3u
+        data = parse_data(tampered("map=W3u:1*W3u", "map=W3u:3*W3u"))
+        assert data.arrow("dim", 4, 3, 3).image_of("W3u") == {"W3u": 3}
+        with pytest.raises(DataFormatError, match="W3u"):
+            parse_data(tampered("map=W3u:1*W3u", "map=W3u:2*W3u"))
+
+
+class TestUnreadableFile:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_exits_two_in_process(self, capsys, monkeypatch, tmp_path, kind):
+        path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        with pytest.raises(DataFormatError, match="cannot read data file"):
+            load_data()
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
 
 
 class TestParser:
@@ -82,6 +141,11 @@ class TestParser:
         )
         with pytest.raises(DataFormatError):
             parse_data(bad)
+
+    def test_foreign_arrow_is_not_recorded(self):
+        arrow = load_data().arrow("cover", 4, 4)
+        with pytest.raises(NotRecorded):
+            arrow.to_group_hom(parse_data(MINIMAL))
 
     def test_bad_combo_rejected(self):
         bad = (

@@ -1,15 +1,38 @@
 import itertools
-import random
+import re
+from collections import Counter
 
 import pytest
+import sympy
 
 from mtspec.abelian import FgAbGroup
-from mtspec.charclasses import RingElement, restrict_generators, thom_module_piece
-from mtspec.errors import AmbientMismatch
+from mtspec.charclasses import ring_restriction, thom_module_piece
+
+SYMBOLS = dict(zip(("W3", "e", "p1", "c"), sympy.symbols("W3 e p1 c")))
+GENS = tuple(SYMBOLS.values())
+W3, E, P1, C = GENS
+LEGAL = {1: (), 2: ("c",), 3: ("W3", "p1"), 4: ("W3", "e", "p1")}
+# one dimension down: e dies; W3 dies and p1 lands on -c^2; c dies
+STEPS = {4: {E: 0}, 3: {W3: 0, P1: -C ** 2}, 2: {C: 0}}
 
 
-def gen(d, name):
-    return RingElement.generator(d, name)
+def as_sympy(name):
+    """The monomial a Thom-module basis name stands for: p1^2u -> p1**2."""
+    assert re.fullmatch(r"((W3|e|p1|c)(\^\d+)?)*u", name), name
+    expr = sympy.Integer(1)
+    for gen, power in re.findall(r"(W3|e|p1|c)(?:\^(\d+))?", name[:-1]):
+        expr *= SYMBOLS[gen] ** int(power or 1)
+    return expr
+
+
+def reduced_terms(expr):
+    """{exponents: coefficient} of a polynomial, W3 terms taken mod 2 (2 W3 = 0)."""
+    terms = {}
+    for exps, coeff in sympy.Poly(expr, *GENS).terms():
+        coeff = int(coeff) % 2 if exps[0] else int(coeff)
+        if coeff:
+            terms[exps] = coeff
+    return terms
 
 
 def brute_force_degree_counts(d, k):
@@ -26,43 +49,6 @@ def brute_force_degree_counts(d, k):
         else:
             free += 1
     return free, torsion
-
-
-def monomial_names(d, k):
-    """The ring's degree-k monomial basis: the Thom-module basis without u
-    (the unit's name becomes empty)."""
-    return [name[:-1] for name in thom_module_piece(d, k).names]
-
-
-def random_homogeneous(rng, d, degree):
-    elem = RingElement.zero(d)
-    for name in monomial_names(d, degree):
-        coeff = rng.randint(-3, 3)
-        if coeff:
-            elem = elem + _element_from_name(d, name).scale(coeff)
-    return elem
-
-
-def _element_from_name(d, name):
-    elem = RingElement.one(d)
-    pos = 0
-    while pos < len(name):
-        for g in ("W3", "p1", "e", "c"):
-            if name.startswith(g, pos):
-                pos += len(g)
-                power = 1
-                if name.startswith("^", pos):
-                    end = pos + 1
-                    while end < len(name) and name[end].isdigit():
-                        end += 1
-                    power = int(name[pos + 1:end])
-                    pos = end
-                for _ in range(power):
-                    elem = elem * gen(d, g)
-                break
-        else:
-            raise AssertionError("cannot rebuild monomial %r" % name)
-    return elem
 
 
 class TestGradedPiece:
@@ -103,64 +89,70 @@ class TestGradedPiece:
             thom_module_piece(4, 65)
 
 
-class TestMultiplication:
-    def test_torsion_square_survives(self):
-        w = gen(4, "W3")
-        assert not (w * w).is_zero
-        assert (w.scale(2) * w).is_zero  # 2*W3 = 0
-
-    def test_chern_square(self):
-        c = gen(2, "c")
-        assert (c * c).degree() == 4
-        assert str(c * c) == "c^2"
-
-    def test_unit_law(self):
-        x = gen(4, "e") + gen(4, "p1")
-        assert x * RingElement.one(4) == x
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(AmbientMismatch):
-            gen(2, "c") * gen(3, "p1")
-
-    def test_commutative_associative(self):
-        rng = random.Random(17)
-        for _ in range(40):
-            d = rng.choice([2, 3, 4])
-            x = random_homogeneous(rng, d, rng.choice([2, 3, 4, 6, 7, 8]))
-            y = random_homogeneous(rng, d, rng.choice([2, 3, 4]))
-            z = random_homogeneous(rng, d, rng.choice([2, 3, 4]))
-            assert x * y == y * x
-            assert (x * y) * z == x * (y * z)
-
-
 class TestRestriction:
+    """ring_restriction against sympy substitution of the generators."""
+
+    @pytest.mark.parametrize("d,to_d", [(4, 3), (4, 2), (4, 1), (3, 2), (3, 1), (2, 1)])
+    def test_against_substitution_oracle(self, d, to_d):
+        for k in range(25):
+            images = ring_restriction(d, k, to_d)
+            assert [name for name, _ in images] == list(thom_module_piece(d, k).names)
+            targets = set(thom_module_piece(to_d, k).names)
+            assert all(t in targets for _, image in images for t, _ in image)
+            for name, image in images:
+                expected = as_sympy(name)
+                for step in range(d, to_d, -1):
+                    expected = sympy.expand(expected.subs(STEPS[step]))
+                got = sum((coeff * as_sympy(target) for target, coeff in image),
+                          sympy.Integer(0))
+                assert reduced_terms(got) == reduced_terms(expected), (d, k, to_d, name)
+
     def test_p1_survives_to_three(self):
-        assert restrict_generators(gen(4, "p1"), 3) == gen(3, "p1")
+        assert dict(ring_restriction(4, 4, 3))["p1u"] == (("p1u", 1),)
 
     def test_p1_hits_minus_c_squared(self):
-        c = gen(2, "c")
-        assert restrict_generators(gen(3, "p1"), 2) == (c * c).scale(-1)
+        assert ring_restriction(3, 4, 2) == (("p1u", (("c^2u", -1),)),)
+        assert ring_restriction(3, 8, 2) == (("p1^2u", (("c^4u", 1),)),)
 
     def test_euler_class_dies(self):
-        assert restrict_generators(gen(4, "e"), 3).is_zero
+        assert dict(ring_restriction(4, 4, 3))["eu"] == ()
 
     def test_w3_dies_in_two(self):
-        assert restrict_generators(gen(3, "W3"), 2).is_zero
+        assert ring_restriction(3, 3, 2) == (("W3u", ()),)
+        assert dict(ring_restriction(4, 3, 3))["W3u"] == (("W3u", 1),)
 
     def test_composite_matches_stepwise(self):
-        x = gen(4, "p1")
-        assert restrict_generators(x, 2) == restrict_generators(
-            restrict_generators(x, 3), 2)
+        for d, mid, to_d in ((4, 3, 2), (4, 3, 1), (4, 2, 1), (3, 2, 1)):
+            for k in range(25):
+                second = dict(ring_restriction(mid, k, to_d))
+                for name, image in ring_restriction(d, k, to_d):
+                    composite = Counter()
+                    for target, coeff in dict(ring_restriction(d, k, mid))[name]:
+                        for final, coeff2 in second[target]:
+                            composite[final] += coeff * coeff2
+                    assert {t: c for t, c in composite.items() if c} == dict(image), \
+                        (d, mid, to_d, k, name)
 
     def test_is_ring_homomorphism(self):
-        rng = random.Random(29)
-        for _ in range(40):
-            d = rng.choice([3, 4])
-            to_d = rng.choice([2] if d == 3 else [2, 3])
-            x = random_homogeneous(rng, d, rng.choice([3, 4, 6, 7, 8, 11, 12]))
-            y = random_homogeneous(rng, d, rng.choice([3, 4, 6, 7]))
-            assert restrict_generators(x * y, to_d) == \
-                restrict_generators(x, to_d) * restrict_generators(y, to_d)
+        # the image of a product of basis monomials is the product of images
+        def image(d, k, to_d, name):
+            combo = dict(ring_restriction(d, k, to_d))[name]
+            return sum((c * as_sympy(t) for t, c in combo), sympy.Integer(0))
+
+        for d, to_d in ((4, 3), (4, 2), (3, 2), (2, 1)):
+            for a in range(9):
+                for b in range(9):
+                    names = {as_sympy(n): n for n in thom_module_piece(d, a + b).names}
+                    for x in thom_module_piece(d, a).names:
+                        for y in thom_module_piece(d, b).names:
+                            product = names[sympy.expand(as_sympy(x) * as_sympy(y))]
+                            assert reduced_terms(image(d, a + b, to_d, product)) == \
+                                reduced_terms(image(d, a, to_d, x) * image(d, b, to_d, y))
+
+    @pytest.mark.parametrize("d,to_d", [(4, 4), (3, 4), (2, 0), (5, 4)])
+    def test_must_lower_the_dimension(self, d, to_d):
+        with pytest.raises(ValueError):
+            ring_restriction(d, 4, to_d)
 
 
 class TestThomModule:
@@ -176,9 +168,10 @@ class TestThomModule:
         # of order 2 exactly when W3 divides it
         for k in range(13):
             thom = thom_module_piece(d, k)
-            assert all(name.endswith("u") for name in thom.names)
-            monomials = [_element_from_name(d, n) for n in monomial_names(d, k)]
+            monomials = [as_sympy(n) for n in thom.names]
             assert len(set(monomials)) == len(monomials)
             for (name, order), mono in zip(thom.generators, monomials):
-                assert mono.degree() == k
-                assert order == (2 if "W3" in name else None)
+                exps = sympy.Poly(mono, *GENS).monoms()[0]
+                assert sum(e * w for e, w in zip(exps, (3, 4, 4, 2))) == k
+                assert mono.free_symbols <= {SYMBOLS[g] for g in LEGAL[d]}
+                assert order == (2 if exps[0] else None)

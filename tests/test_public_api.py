@@ -20,9 +20,6 @@ ALLOWED = {
                            "cover derivation runs under",
     "derive_cover_cohomology": "verify-data entry point: re-derives each "
                                "cover entry of any data file",
-    "restrict_generators": "the ring restriction the tests check the "
-                           "recorded dim arrows against; `mtspec verify` is "
-                           "to run that check",
 }
 
 

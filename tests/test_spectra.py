@@ -3,11 +3,11 @@ import pytest
 from mtspec import certified
 from mtspec.abelian import FgAbGroup
 from mtspec.certified import load_data
-from mtspec.charclasses import RingElement, restrict_generators, thom_module_piece
+from mtspec.charclasses import ring_restriction, thom_module_piece
 from mtspec.errors import (ContradictoryConstraints, DataFormatError,
                            NotRecorded, OutOfTable, Unsupported)
-from mtspec.spectra import (DerivationConstraint, SpectrumId, cohomology,
-                            cover_map, default_constraints,
+from mtspec.spectra import (KIND_DIVISIBILITY, DerivationConstraint,
+                            SpectrumId, cohomology, cover_map, default_constraints,
                             derive_cover_cohomology, grid_equivalence,
                             homotopy_group, hz_self_cohomology, verify_les)
 from mtspec.tftlab import FormalSum, standard_manifolds, vf_invariant
@@ -133,54 +133,11 @@ class TestCoverMap:
             arrow.to_group_hom()  # raises if the torsion is not respected
 
     def test_dim_arrows_match_ring_restriction(self):
-        # the recorded dimension arrows must agree with the generator-level
-        # restriction maps applied to the Thom module
+        # the shipped dimension arrows are the ring restriction exactly,
+        # not only modulo the torsion orders the load-time check allows
         for d, k in ((4, 0), (4, 3), (4, 4), (3, 0), (3, 3), (3, 4)):
             arrow = cover_map(d, k, "dim")
-            source = thom_module_piece(d, k)
-            target = thom_module_piece(d - 1, k)
-            for name, order in source.generators:
-                core = "1" if name == "u" else name[:-1]
-                elem = _from_monomial_name(d, core)
-                image = restrict_generators(elem, d - 1)
-                expected = {}
-                for tgt_name, tgt_order in target.generators:
-                    tgt_core = "1" if tgt_name == "u" else tgt_name[:-1]
-                    coeff = _coefficient_of(image, d - 1, tgt_core)
-                    if coeff:
-                        expected[tgt_name] = coeff
-                assert arrow.image_of(name) == expected, (d, k, name)
-
-
-def _from_monomial_name(d, name):
-    if name == "1":
-        return RingElement.one(d)
-    elem = RingElement.one(d)
-    pos = 0
-    while pos < len(name):
-        for g in ("W3", "p1", "e", "c"):
-            if name.startswith(g, pos):
-                pos += len(g)
-                power = 1
-                if name.startswith("^", pos):
-                    end = pos + 1
-                    while end < len(name) and name[end].isdigit():
-                        end += 1
-                    power = int(name[pos + 1:end])
-                    pos = end
-                for _ in range(power):
-                    elem = elem * RingElement.generator(d, g)
-                break
-        else:
-            raise AssertionError(name)
-    return elem
-
-
-def _coefficient_of(elem, d, monomial_name):
-    for mono, coeff in elem.terms:
-        if mono.name() == monomial_name:
-            return coeff
-    return 0
+            assert arrow.assignments == ring_restriction(d, k, d - 1), (d, k)
 
 
 class TestVerifyLes:
@@ -309,6 +266,33 @@ class TestDerivation:
                 DerivationConstraint.hurewicz_iso(2, FgAbGroup(2), "wrong"),
                 DerivationConstraint.universal_coefficients("dual"),
             ])
+
+    def test_divisibility_comes_from_the_cover_arrows(self):
+        found = {}
+        for d in (2, 3, 4):
+            for k in range(6):
+                for c in default_constraints(d, k):
+                    if c.kind == KIND_DIVISIBILITY:
+                        found[(d, k)] = (c.divisor, c.generator, c.basis)
+        assert found == {
+            (2, 4): (6, "c^2u", "recorded cover arrow (prov=square): the image "
+                                "of c^2u is 6 times a class"),
+            (3, 4): (6, "p1u", "recorded cover arrow (prov=diagram): the image "
+                               "of p1u is 6 times a class"),
+        }
+
+    def test_tampered_cover_divisor_contradicts(self):
+        # the divisibility of c^2u is read from its recorded cover arrow, so
+        # an image of -5*rho admits no extension of Z/6 by Z
+        text = certified.default_data_path().read_text()
+        modified = text.replace("map=c^2u:-6*rho", "map=c^2u:-5*rho")
+        assert modified != text
+        data = certified.parse_data(modified)
+        assert [(c.divisor, c.generator) for c in default_constraints(2, 4, data)] \
+            == [(5, "c^2u")]
+        with pytest.raises(ContradictoryConstraints,
+                           match="no extension satisfies the constraints"):
+            derive_cover_cohomology(2, 4, default_constraints(2, 4, data), data)
 
     def test_pinned_group_outside_the_extensions_contradicts(self):
         # a homotopy table with pi_4 = Z pins H^4 of the d=4 cover to Z, but
