@@ -17,20 +17,21 @@ The Smith form has two paths:
   nonsingular square matrix is diagonalized modulo the gcd of its
   determinant and the (r-1) x (r-1) minors of the next-to-last pivot
   row instead, which yields every invariant factor but the top one.
-  ``units_kernel`` and the middle groups of ``enumerate_extensions`` go
-  through it.
+  ``units_kernel`` goes through it.
 - With unimodular transforms, for callers that need U or V: one private
   core, ``_smith``, on plain row lists, returning U's rows, the diagonal
   and V's columns.  ``smith_normal_form`` wraps it in ``IntMatrix``
-  values for ``classify.restriction_kernel``; ``_lattice_solver`` (hence
-  ``lattice_contains``), ``check_exact`` and ``cokernel_with_projection``
-  call it on lists, so the small matrices of the long exact sequence
-  build no matrix objects.  Each pivot's column is cleared by row Euclid
-  steps and its row by column Euclid steps, with nearest-integer
-  quotients, before the next pivot is chosen.  That keeps the transform
-  entries of a random 40 x 40 matrix with entries in [-9, 9] near 550
-  digits; choosing a new pivot from the whole block after every partial
-  reduction lets them reach about 1,450.
+  values for ``classify.restriction_kernel``.  The consistency proof
+  calls it on lists, once per matrix it decides: ``_quotient`` reads a
+  quotient group and the projection onto it off U and the diagonal (for
+  ``cokernel_with_projection`` and for each class of
+  ``enumerate_extensions``), ``check_exact`` reads a kernel off V, and
+  ``_lattice_solver`` tests membership in a span.  Each pivot's column
+  is cleared by row Euclid steps and its row by column Euclid steps,
+  with nearest-integer quotients, before the next pivot is chosen.  That
+  keeps the transform entries of a random 40 x 40 matrix with entries
+  in [-9, 9] near 550 digits; choosing a new pivot from the whole block
+  after every partial reduction lets them reach about 1,450.
 
 All values are immutable after construction and all operations are pure,
 so concurrent use needs no synchronization.
@@ -218,11 +219,11 @@ def _smith(rows: list, n: int):
     """
     m = len(rows)
     M = [list(row) for row in rows]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for i in range(n)] for j in range(n)]  # V[j] is column j
+    U = _identity(m)
+    V = _identity(n)  # V[j] is column j
 
-    t = 0
-    while t < min(m, n):
+    t, r = 0, min(m, n)
+    while t < r:
         pivot = _smallest_entry(M, t)
         if pivot is None:
             break
@@ -249,7 +250,11 @@ def _smith(rows: list, n: int):
                 continue
         t += 1
 
-    return U, [M[i][i] for i in range(min(m, n))], V
+    return U, [M[i][i] for i in range(r)], V
+
+
+def _identity(n: int) -> list:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def _smallest_entry(M: list, t: int):
@@ -421,7 +426,7 @@ def _clear_pivot(top: list, mat: list, modulus: int) -> int:
             row[0], row[j] = (s * x + t * y) % modulus, (ag * y - bg * x) % modulus
 
 
-def _lattice_solver(columns, dim):
+def _lattice_solver(columns):
     """Precompute a membership test for the Z-span of the given columns."""
     if not columns:
         return lambda vec: all(x == 0 for x in vec)
@@ -436,12 +441,6 @@ def _lattice_solver(columns, dim):
                 and not any(sum(a * b for a, b in zip(row, vec)) for row in rest))
 
     return contains
-
-
-def lattice_contains(columns, vector) -> bool:
-    """Is the vector in the Z-span of the given columns?"""
-    vector = list(vector)
-    return _lattice_solver(list(columns), len(vector))(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +557,9 @@ def _invariant_factors(orders) -> tuple:
 
 def _relation_columns(group: FgAbGroup) -> list:
     """Presentation relations of the group in its canonical generators."""
-    n = group.num_generators
-    cols = []
-    for idx, d in enumerate(group.torsion):
-        col = [0] * n
-        col[group.free_rank + idx] = d
-        cols.append(col)
-    return cols
+    n, free = group.num_generators, group.free_rank
+    return [[d if i == free + j else 0 for i in range(n)]
+            for j, d in enumerate(group.torsion)]
 
 
 def element_is_zero(group: FgAbGroup, vector) -> bool:
@@ -597,9 +592,7 @@ class GroupHom:
             raise ValueError("matrix row count does not match target generators")
         if self.matrix.cols != self.source.num_generators:
             raise ValueError("matrix column count does not match source generators")
-        for j, d in enumerate(self.source.generator_orders()):
-            if d == 0:
-                continue
+        for j, d in enumerate(self.source.torsion, self.source.free_rank):
             scaled = [d * x for x in self.matrix.col_list(j)]
             if not element_is_zero(self.target, scaled):
                 raise ValueError("homomorphism not well-defined on torsion generator %d" % j)
@@ -616,6 +609,9 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     Once g o f == 0, image(f) lies in kernel(g): every image column then
     maps into the target relations, and the middle relations map there
     because g is well-defined.  So only kernel(g) <= image(f) is tested.
+    A zero map on either side needs one Smith form: a zero g needs f onto,
+    read off the diagonal for [f | middle relations]; a zero f needs g
+    injective, every kernel vector of [g | target relations] zero.
     """
     if f.target != g.source:
         raise CompositionMismatch("check_exact needs target(f) == source(g)")
@@ -623,9 +619,12 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     if middle.is_trivial:
         return True
     n = middle.num_generators
+    if not any(g.matrix.entries):
+        cols = f.matrix.columns() + _relation_columns(middle)
+        _, diag, _ = _smith(_rows(cols, n), len(cols))
+        return diag.count(1) == n
     g_rows = g.matrix.to_rows()
-    f_cols = f.matrix.columns()
-
+    f_cols = f.matrix.columns() if any(f.matrix.entries) else []
     for col in f_cols:
         if not element_is_zero(g.target, [sum(a * b for a, b in zip(row, col))
                                           for row in g_rows]):
@@ -636,10 +635,11 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     rel_tgt = _relation_columns(g.target)
     stacked = [row + [rel[i] for rel in rel_tgt] for i, row in enumerate(g_rows)]
     _, diag, v = _smith(stacked, n + len(rel_tgt))
-    rank = sum(1 for x in diag if x)
-
-    in_image = _lattice_solver(f_cols + _relation_columns(middle), n)
-    return all(in_image(col[:n]) for col in v[rank:])
+    kernel = [col[:n] for col in v[sum(1 for x in diag if x):]]
+    if not f_cols:
+        return all(element_is_zero(middle, x) for x in kernel)
+    in_image = _lattice_solver(f_cols + _relation_columns(middle))
+    return all(in_image(x) for x in kernel)
 
 
 def cokernel(relations: IntMatrix) -> FgAbGroup:
@@ -676,6 +676,22 @@ def cokernel(relations: IntMatrix) -> FgAbGroup:
     return FgAbGroup(free, chain[:len(chain) - free])
 
 
+def _rows(columns, n: int) -> list:
+    """The rows of the n-row matrix with the given columns."""
+    return list(zip(*columns)) if columns else [()] * n
+
+
+def _quotient(n: int, columns):
+    """Z^n modulo the span of the columns, from one Smith form: the group
+    Q and the rows of the projection onto Q's canonical generators (the
+    rows of U for the free part, then those of invariant factors above 1)."""
+    u, diag, _ = _smith(_rows(columns, n), len(columns))
+    rank = sum(1 for x in diag if x)
+    torsion_rows = [i for i in range(rank) if diag[i] > 1]
+    return (FgAbGroup(n - rank, tuple(diag[i] for i in torsion_rows)),
+            u[rank:] + [u[i] for i in torsion_rows])
+
+
 def cokernel_with_projection(group: FgAbGroup, column_vectors):
     """Quotient of a group by the subgroup generated by the given columns.
 
@@ -683,12 +699,8 @@ def cokernel_with_projection(group: FgAbGroup, column_vectors):
     canonical form Q of the quotient.
     """
     n = group.num_generators
-    cols = [list(c) for c in column_vectors] + _relation_columns(group)
-    u, diag, _ = _smith(list(zip(*cols)) if cols else [()] * n, len(cols))
-    rank = sum(1 for x in diag if x)
-    torsion_rows = [i for i in range(rank) if diag[i] > 1]
-    quotient = FgAbGroup(n - rank, tuple(diag[i] for i in torsion_rows))
-    proj_rows = u[rank:] + [u[i] for i in torsion_rows]
+    quotient, proj_rows = _quotient(
+        n, [list(c) for c in column_vectors] + _relation_columns(group))
     proj_matrix = (IntMatrix.from_rows(proj_rows) if proj_rows
                    else IntMatrix(0, n, ()))
     return quotient, GroupHom(group, quotient, proj_matrix)
@@ -700,28 +712,23 @@ def cokernel_with_projection(group: FgAbGroup, column_vectors):
 
 @dataclass(frozen=True)
 class Extension:
-    """One extension class 0 -> A -> X -> B -> 0, with X presented explicitly.
+    """One extension class 0 -> A -> X -> B -> 0.
 
-    The presentation has the lifted B-generators first and the A-generators
-    last, so the inclusion of A sends its i-th generator to the basis vector
-    at index a_offset + i.
+    ``a_images`` holds, for each A-generator, its image in X on the
+    canonical generators of ``group`` (free ones first), as read off the
+    Smith form of X's presentation; a torsion coordinate is not reduced.
     """
 
     group: FgAbGroup
-    num_gens: int
-    relations: IntMatrix
-    a_offset: int
-    a_gens: int
+    a_images: tuple  # ((coordinate, ...), ...), one tuple per A-generator
 
     def a_generator_divisible(self, index: int, divisor: int) -> bool:
-        """Is the image of the A-generator divisible by ``divisor`` in X?"""
-        if not 0 <= index < self.a_gens:
+        """Is the image of the A-generator divisible by ``divisor`` in X?
+        On each coordinate x: divisor | x if free, gcd(divisor, d) | x on Z/d."""
+        if not 0 <= index < len(self.a_images):
             raise ValueError("A-generator index out of range")
-        n = self.num_gens
-        cols = [[divisor * int(i == j) for i in range(n)] for j in range(n)]
-        cols += self.relations.columns()
-        target = [int(i == self.a_offset + index) for i in range(n)]
-        return lattice_contains(cols, target)
+        return all(x % math.gcd(divisor, order) == 0 for x, order
+                   in zip(self.a_images[index], self.group.generator_orders()))
 
 
 ENUMERATION_BOUND = 64
@@ -732,21 +739,19 @@ def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
     """Yield one Extension per class of Ext^1(B, A).
 
     Classes are enumerated through coset representatives of A/(d*A) for
-    each torsion order d of B; the middle group is canonicalized from the
-    explicit presentation.
+    each torsion order d of B.  The presentation of the middle group has
+    the lifted B-generators first and the A-generators last; one Smith
+    form of it gives the canonical group and the images of A in it.
     """
     for d in a.torsion + b.torsion:
         if d > ENUMERATION_BOUND:
             raise UnsupportedShape("torsion order %d exceeds the enumeration bound" % d)
     fa, ta = a.free_rank, a.torsion
-    fb, tb = b.free_rank, b.torsion
-    na = fa + len(ta)
-    n = fb + len(tb) + na
-    a_offset = fb + len(tb)
+    na, a_offset = a.num_generators, b.num_generators
 
     reps_per_relation = []
     count = 1
-    for d in tb:
+    for d in b.torsion:
         ranges = [range(d)] * fa + [range(math.gcd(d, m)) for m in ta]
         reps = list(itertools.product(*ranges))
         count *= len(reps)
@@ -754,24 +759,14 @@ def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
             raise UnsupportedShape("too many extension classes to enumerate")
         reps_per_relation.append(reps)
 
-    a_relation_cols = []
-    for j, m in enumerate(ta):
-        col = [0] * n
-        col[a_offset + fa + j] = m
-        a_relation_cols.append(col)
-
+    # each relation d e_i of B lifts to d e_i - phi_i; A keeps its own
+    b_relations = _relation_columns(b)
+    a_relations = [[0] * a_offset + col for col in _relation_columns(a)]
     for phi in itertools.product(*reps_per_relation):
-        cols = []
-        for i, d in enumerate(tb):
-            col = [0] * n
-            col[fb + i] = d
-            for j, c in enumerate(phi[i]):
-                col[a_offset + j] -= c
-            cols.append(col)
-        cols += a_relation_cols
-        relations = (IntMatrix.from_columns(cols, n) if cols
-                     else IntMatrix(n, 0, ()))
-        yield Extension(cokernel(relations), n, relations, a_offset, na)
+        cols = [rel + [-c for c in rep] for rel, rep in zip(b_relations, phi)]
+        group, proj_rows = _quotient(a_offset + na, cols + a_relations)
+        yield Extension(group, tuple(tuple(row[a_offset + j] for row in proj_rows)
+                                     for j in range(na)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ their named generators, the homotopy table, the self-cohomology of the
 integral Eilenberg-MacLane spectrum, every recorded generator map, and
 the manifold catalog.  Every table row the package serves comes from
 this file, and every catalog manifold is a ManifoldClass built here.
-Loading validates it: each uncovered cohomology row must equal the
-matching Thom-module piece of the ring, each recorded map must be
-well-defined between the rows it names (the maps built for that check
-are kept and served by ArrowRecord.to_group_hom), each dim arrow must
-lower d by one and agree with the ring restriction on every named
-generator (coefficients on a Z/n generator modulo n), each manifold
-record must satisfy the ManifoldClass invariants, and each family record
+Loading validates it: no two records of one type may share a key (a
+repeat is refused, not taken in place of the first), each uncovered
+cohomology row must equal the matching Thom-module piece of the ring,
+each recorded map must be well-defined between the rows it names (the
+maps built for that check are kept and served by
+ArrowRecord.to_group_hom), each dim arrow must lower d by one and agree
+with the ring restriction on every named generator (coefficients on a
+Z/n generator modulo n), each manifold record must satisfy the
+ManifoldClass invariants, Hirzebruch's p1 = 3 * signature in dimension 4
+among them, and each family record
 (name ending in _g) must yield valid members for g = 0 and g = 1, which
 suffices because every invariant is affine in g.  The environment
 variable MTSPEC_DATA overrides the path; a file that cannot be read is a
@@ -92,6 +95,10 @@ class ManifoldClass:
             raise InvalidManifold("signature is only meaningful in dimensions 0 mod 4")
         if self.dim != 4 and self.p1_number:
             raise InvalidManifold("p1 numbers live in dimension 4 only")
+        # Hirzebruch: signature = p1 / 3 on a closed 4-manifold.  The planned
+        # pairing of classes with manifolds will derive this condition too.
+        if self.dim == 4 and self.p1_number != 3 * self.signature:
+            raise InvalidManifold("a 4-manifold has p1 = 3 * signature (Hirzebruch)")
         if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
             raise InvalidManifold("euler + signature must be even (duality parity)")
         if self.kr is not None:
@@ -119,12 +126,8 @@ class FamilyRecord:
 
 def hz_entry(group: FgAbGroup, k: int) -> CohomologyEntry:
     """A synthetic named entry for the Eilenberg-MacLane self-cohomology."""
-    gens = []
-    for _ in range(group.free_rank):
-        gens.append(("hz%d" % k, None))
-    for order in group.torsion:
-        gens.append(("hz%d" % k, order))
-    return CohomologyEntry(group, tuple(gens))
+    return CohomologyEntry(group, tuple(("hz%d" % k, order or None)
+                                        for order in group.generator_orders()))
 
 
 def assignments_to_group_hom(source: CohomologyEntry,
@@ -132,25 +135,20 @@ def assignments_to_group_hom(source: CohomologyEntry,
                              assignments) -> GroupHom:
     """Build a canonical-coordinate GroupHom from named generator images."""
     amap = {src: dict(combo) for src, combo in assignments}
-    if set(amap) != set(source.names):
+    src_names = source.names
+    if set(amap) != set(src_names):
         raise DataFormatError("assignments do not cover the source generators")
-    tgt_names = list(target.names)
-    n_src = len(source.names)
-    n_tgt = len(tgt_names)
-    listed = [[0] * n_src for _ in range(n_tgt)]
-    for j, src_name in enumerate(source.names):
+    position = {}  # target name -> canonical index; a repeated name takes the first
+    for name, i in zip(target.names, target.canonical_index()):
+        position.setdefault(name, i)
+    n_src = len(source.generators)
+    canonical = [[0] * n_src for _ in target.generators]
+    for src_name, j in zip(src_names, source.canonical_index()):
         for tgt_name, coeff in amap[src_name].items():
-            if tgt_name not in tgt_names:
+            if tgt_name not in position:
                 raise DataFormatError("unknown target generator %r" % tgt_name)
-            listed[tgt_names.index(tgt_name)][j] = coeff
-    src_perm = source.canonical_index()
-    tgt_perm = target.canonical_index()
-    canonical = [[0] * n_src for _ in range(n_tgt)]
-    for i in range(n_tgt):
-        for j in range(n_src):
-            canonical[tgt_perm[i]][src_perm[j]] = listed[i][j]
-    matrix = (IntMatrix.from_rows(canonical) if n_tgt
-              else IntMatrix(0, n_src, ()))
+            canonical[position[tgt_name]][j] = coeff
+    matrix = IntMatrix(len(canonical), n_src, tuple(x for row in canonical for x in row))
     try:
         return GroupHom(source.group, target.group, matrix)
     except ValueError as exc:
@@ -166,11 +164,11 @@ class CertifiedData:
         self.cohomology = cohomology    # (d, cover, k) -> CohomologyEntry
         self.homotopy = homotopy        # (d, k) -> FgAbGroup
         self.hz = hz                    # k -> FgAbGroup
-        self.arrows = arrows            # list of ArrowRecord
+        self._arrow_index = arrows      # (kind, d, k, to_d) -> ArrowRecord
+        self.arrows = list(arrows.values())
         self.manifolds = manifolds      # name -> ManifoldClass
         self.families = families        # name -> FamilyRecord
         self.path = path
-        self._arrow_index = {(a.kind, a.d, a.k, a.to_d): a for a in arrows}
         self.homs = {}                  # ArrowRecord -> GroupHom, built by _validate
 
     def entry(self, d: int, cover: int, k: int) -> CohomologyEntry | None:
@@ -307,9 +305,16 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
     cohomology = {}
     homotopy = {}
     hz = {}
-    arrows = []
+    arrows = {}
     manifolds = {}
     families = {}
+    # the rows repeat few texts: one group per group text, and one entry
+    # per (group, gens) text, shared by every row that spells it
+    groups, entries = {}, {}
+
+    def group(text):
+        return groups.get(text) or groups.setdefault(text, FgAbGroup.from_text(text))
+
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -321,24 +326,28 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
         rectype, fields = parts[0], _parse_fields(parts[1:])
         try:
             if rectype == "cohomology":
-                key = (int(fields["d"]), int(fields["cover"]), int(fields["k"]))
-                entry = CohomologyEntry(FgAbGroup.from_text(fields["group"]),
-                                        _parse_gens(fields.get("gens", "")))
-                cohomology[key] = entry
+                table, key = cohomology, (int(fields["d"]), int(fields["cover"]),
+                                          int(fields["k"]))
+                spelled = (fields["group"], fields.get("gens", ""))
+                if spelled not in entries:
+                    entries[spelled] = CohomologyEntry(group(spelled[0]),
+                                                       _parse_gens(spelled[1]))
+                rec = entries[spelled]
             elif rectype == "homotopy":
-                homotopy[(int(fields["d"]), int(fields["k"]))] = \
-                    FgAbGroup.from_text(fields["group"])
+                table, key = homotopy, (int(fields["d"]), int(fields["k"]))
+                rec = group(fields["group"])
             elif rectype == "hz":
-                hz[int(fields["k"])] = FgAbGroup.from_text(fields["group"])
+                table, key, rec = hz, int(fields["k"]), group(fields["group"])
             elif rectype == "arrow":
-                arrows.append(ArrowRecord(
+                rec = ArrowRecord(
                     kind=fields["kind"],
                     d=int(fields["d"]),
                     k=int(fields["k"]),
                     to_d=int(fields["to"]) if "to" in fields else None,
                     provenance=fields["prov"],
                     assignments=_parse_map(fields["map"]),
-                ))
+                )
+                table, key = arrows, (rec.kind, rec.d, rec.k, rec.to_d)
             elif rectype == "manifold":
                 rec = ManifoldClass(
                     name=fields["name"], dim=int(fields["dim"]),
@@ -346,7 +355,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     signature=int(fields.get("signature", 0)),
                     p1_number=int(fields.get("p1", 0)),
                     kr=int(fields["kr"]) if "kr" in fields else None)
-                manifolds[rec.name] = rec
+                table, key = manifolds, rec.name
             elif rectype == "family":
                 rec = FamilyRecord(
                     name=fields["name"], dim=int(fields["dim"]),
@@ -358,9 +367,12 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 # every invariant is affine in g, so two members check all
                 rec.member(rec.name, 0)
                 rec.member(rec.name, 1)
-                families[rec.name] = rec
+                table, key = families, rec.name
             else:
                 raise DataFormatError("unknown record type %r" % rectype)
+            if key in table:  # a repeat is refused, not taken over the first
+                raise ValueError("a record with the key %s came earlier" % (key,))
+            table[key] = rec
         except (KeyError, ValueError, InvalidManifold) as exc:
             raise DataFormatError("bad record %r: %s" % (line, exc))
     if version is None:

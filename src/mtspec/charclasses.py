@@ -68,19 +68,11 @@ class CohomologyEntry:
     def canonical_index(self) -> list:
         """Position of each listed generator among the canonical ones
         (free generators first, then torsion by ascending order)."""
-        free_seen = 0
-        torsion_positions = sorted(
-            (order, idx) for idx, (_, order) in enumerate(self.generators)
-            if order is not None)
-        torsion_rank = {idx: self.group.free_rank + pos
-                        for pos, (_, idx) in enumerate(torsion_positions)}
-        out = []
-        for idx, (_, order) in enumerate(self.generators):
-            if order is None:
-                out.append(free_seen)
-                free_seen += 1
-            else:
-                out.append(torsion_rank[idx])
+        canonical = sorted(range(len(self.generators)),
+                           key=lambda i: (self.generators[i][1] or 0, i))
+        out = [0] * len(canonical)
+        for position, i in enumerate(canonical):
+            out[i] = position
         return out
 
 

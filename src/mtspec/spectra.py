@@ -19,6 +19,7 @@ the others resolve as before; serving a table does not import it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,85 +75,80 @@ def verify_les(d: int, data=None) -> LesReport:
     if d not in (2, 3, 4):
         raise Unsupported("the fiber sequence is recorded for d = 2, 3, 4")
     labels, nodes = [], []  # one labelled CohomologyEntry per group, in order
+    shown = [(spectrum, spectrum.display(True))
+             for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
     for k in range(MAX_TABLE_DEGREE + 2):
         labels.append("HZ^%d(HZ)" % k)
         nodes.append(certified.hz_entry(hz_self_cohomology(k, data), k))
         if k <= MAX_TABLE_DEGREE:
-            for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1)):
-                labels.append("H^%d(%s)" % (k, spectrum.display(True)))
+            for spectrum, text in shown:
+                labels.append("H^%d(%s)" % (k, text))
                 nodes.append(cohomology(spectrum, k, data))
 
     notes = []
     failures = {}
 
-    def alpha(k: int) -> GroupHom:
-        src, tgt = nodes[3 * k], nodes[3 * k + 1]
-        if src.group.is_trivial or tgt.group.is_trivial:
-            return zero_hom(src.group, tgt.group)
+    def alpha(k: int):
         record = data.arrow("unit", d, k)
         if record is not None:
             return record.to_group_hom(data)
+        src, tgt = nodes[3 * k], nodes[3 * k + 1]
         if src.group == tgt.group:
             pairing = tuple((s, ((t, 1),)) for s, t in zip(src.names, tgt.names))
             try:
                 hom = certified.assignments_to_group_hom(src, tgt, pairing)
             except DataFormatError:
                 failures[3 * k + 1] = "no generator pairing identifies the groups"
-                return zero_hom(src.group, tgt.group)
+                return None
             notes.append("degree %d: identification of %s with %s synthesized "
                          "as the canonical isomorphism"
                          % (k, labels[3 * k], labels[3 * k + 1]))
             return hom
         failures[3 * k + 1] = "groups differ but no map is recorded"
-        return zero_hom(src.group, tgt.group)
+        return None
 
-    def beta(k: int) -> GroupHom:
-        src, tgt = nodes[3 * k + 1], nodes[3 * k + 2]
-        if src.group.is_trivial or tgt.group.is_trivial:
-            return zero_hom(src.group, tgt.group)
+    def beta(k: int):
         record = data.arrow("cover", d, k)
         if record is None:
             failures[3 * k + 2] = "cover arrow not recorded"
-            return zero_hom(src.group, tgt.group)
+            return None
         return record.to_group_hom(data)
 
-    def delta(k: int, beta_hom: GroupHom) -> GroupHom:
-        src, tgt = nodes[3 * k + 2], nodes[3 * (k + 1)]
-        if src.group.is_trivial or tgt.group.is_trivial:
-            return zero_hom(src.group, tgt.group)
-        quotient, proj = cokernel_with_projection(src.group,
-                                                  beta_hom.matrix.columns())
+    def delta(k: int):
+        src, tgt = nodes[3 * k + 2], nodes[3 * k + 3]
+        image = maps[3 * k + 2].matrix.columns() if maps[3 * k + 2] else []
+        quotient, proj = cokernel_with_projection(src.group, image)
         if quotient != tgt.group:
-            failures[3 * (k + 1)] = ("connecting map: quotient by the recorded "
-                                     "image is %s, expected %s" % (quotient, tgt.group))
-            return zero_hom(src.group, tgt.group)
+            failures[3 * k + 3] = ("connecting map: quotient by the recorded "
+                                   "image is %s, expected %s" % (quotient, tgt.group))
+            return None
         notes.append("degree %d: connecting map onto %s synthesized as the "
-                     "canonical quotient projection" % (k, labels[3 * (k + 1)]))
-        return GroupHom(src.group, tgt.group, proj.matrix)
+                     "canonical quotient projection" % (k, labels[3 * k + 3]))
+        return proj
 
-    maps = [zero_hom(TRIVIAL_GROUP, nodes[0].group)]
-    for k in range(MAX_TABLE_DEGREE + 1):
-        a = alpha(k)
-        b = beta(k)
-        maps.extend([a, b, delta(k, b)])
-    maps.append(zero_hom(nodes[-1].group, TRIVIAL_GROUP))
+    # maps[i] goes into nodes[i], and the last one out of the sequence; a
+    # map touching a zero group is None, made a zero map only if checked
+    groups = [TRIVIAL_GROUP] + [node.group for node in nodes] + [TRIVIAL_GROUP]
+    maps = [None]
+    for i in range(1, len(nodes)):
+        k, step = divmod(i - 1, 3)
+        touches_zero = groups[i].is_trivial or groups[i + 1].is_trivial
+        maps.append(None if touches_zero else (alpha, beta, delta)[step](k))
+    maps.append(None)
+
+    def into(i: int) -> GroupHom:
+        return maps[i] or zero_hom(groups[i], groups[i + 1])
 
     checks = []
     for idx, label in enumerate(labels):
-        exact = check_exact(maps[idx], maps[idx + 1]) and idx not in failures
+        exact = idx not in failures and (groups[idx + 1].is_trivial
+                                         or check_exact(into(idx), into(idx + 1)))
         checks.append(LesCheck(label, exact, failures.get(idx, "")))
 
-    chunks = []
-    run = []
-    for idx, node in enumerate(nodes):
-        if node.group.is_trivial:
-            if run:
-                chunks.append(_make_chunk(nodes, checks, run))
-                run = []
-        else:
-            run.append(idx)
-    if run:
-        chunks.append(_make_chunk(nodes, checks, run))
+    runs = itertools.groupby(range(len(nodes)),
+                             key=lambda idx: groups[idx + 1].is_trivial)
+    chunks = [_make_chunk(nodes, checks, list(run))
+              for trivial, run in runs if not trivial]
 
     return LesReport(d, tuple(checks), tuple(chunks), tuple(notes))
 

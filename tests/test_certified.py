@@ -75,6 +75,26 @@ class TestArrowsAtLoad:
             parse_data(tampered("map=W3u:1*W3u", "map=W3u:2*W3u"))
 
 
+class TestRepeatedKeys:
+    """A record whose key an earlier record of its type already holds is
+    refused, whatever the order of its fields."""
+
+    @pytest.mark.parametrize("record", [
+        "cohomology d=2 cover=1 k=2 group=Z/3 gens=tau:3",
+        "cohomology d=2 cover=1 k=2 group=Z gens=tau",      # a verbatim repeat
+        "homotopy k=0 d=2 group=Z",
+        "hz k=0 group=Z/2",
+        "arrow kind=cover d=3 k=4 prov=diagram map=p1u:5*rho",
+        "arrow to=3 kind=dim d=4 k=0 prov=names map=u:1*u",
+        "manifold name=S2 dim=2 euler=2",
+        "family name=Sigma_g dim=2 euler0=2 eulerg=-2",
+    ])
+    def test_repeated_key_is_refused(self, record):
+        text = default_data_path().read_text() + record + "\n"
+        with pytest.raises(DataFormatError, match="came earlier"):
+            parse_data(text)
+
+
 class TestUnreadableFile:
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_exits_two_in_process(self, capsys, monkeypatch, tmp_path, kind):
@@ -127,6 +147,14 @@ class TestParser:
     def test_family_record_must_yield_manifolds(self, record):
         with pytest.raises(DataFormatError, match="family name=Sigma"):
             parse_data(MINIMAL + record + "\n")
+
+    def test_four_manifold_record_must_satisfy_hirzebruch(self):
+        # p1 = 3 * signature; the record is refused before any use of it
+        with pytest.raises(DataFormatError, match="name=X4"):
+            parse_data(MINIMAL + "manifold name=X4 dim=4 euler=2 signature=0 p1=5\n")
+        with pytest.raises(DataFormatError, match="name=SxS_g"):
+            parse_data(MINIMAL + "family name=SxS_g dim=4 euler0=4 eulerg=-4 "
+                                 "signature=0 p1=3\n")
 
     def test_catalog_records_are_manifold_classes(self):
         data = parse_data(MINIMAL + "manifold name=CP2 dim=4 euler=3 signature=1 p1=3\n")

@@ -452,6 +452,31 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert "k=2: Z/3 (tau)" in proc.stdout
 
+    def test_repeated_arrow_exits_two(self, tmp_path):
+        # a second cover arrow for (d=3, k=4) used to win over the first,
+        # and the certificate then printed "5rho -> 10"
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+        path = tmp_path / "repeated_arrow.txt"
+        path.write_text(text + "arrow kind=cover d=3 k=4 prov=diagram map=p1u:5*rho\n")
+        proc = run_subprocess("gilmer-masbaum", env_extra={"MTSPEC_DATA": str(path)})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "map=p1u:5*rho" in proc.stderr and "came earlier" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_four_manifold_off_the_signature_theorem_exits_two(self, tmp_path):
+        # X4 has the invariants of S4 but p1 = 5; it used to be called
+        # bordant to S4 although the 4d theories tell the two apart
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+        path = tmp_path / "x4.txt"
+        path.write_text(text + "manifold name=X4 dim=4 euler=2 signature=0 p1=5\n")
+        proc = run_subprocess("bordism", "--d", "4", "--sum", "X4 - S4",
+                              env_extra={"MTSPEC_DATA": str(path)})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "name=X4" in proc.stderr and "Hirzebruch" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_inconsistent_data_exits_three(self, tmp_path):
         proc = run_subprocess("gilmer-masbaum", env_extra={
             "MTSPEC_DATA": str(write_inconsistent_data(tmp_path))})

@@ -336,3 +336,31 @@ class TestSpectrumId:
             SpectrumId(5)
         with pytest.raises(ValueError):
             SpectrumId(2, 4)
+
+
+def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
+    # exact call counts, no timing, on the shipped data.  Each nontrivial
+    # exactness check takes one Smith form, plus a lattice solver when
+    # neither map is zero (4 of 22), and each of the 4 connecting maps one
+    # more; each extension class takes one.  Before, a class took a
+    # cokernel plus a second Smith form per divisibility test, and every
+    # check two Smith forms: 53 _smith and 26 cokernel calls in all.
+    from mtspec import abelian, classify
+    calls = {}
+    for name in ("_smith", "cokernel"):
+        def counting(*args, _name=name, _original=getattr(abelian, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(abelian, name, counting)
+
+    data = certified.parse_data(certified.default_data_path().read_text())
+    assert calls == {}
+    for d in (2, 3, 4):
+        assert verify_les(d, data).all_exact
+    assert calls == {"_smith": 30}
+    for d in (2, 3, 4):
+        for k in range(6):
+            derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
+    assert calls == {"_smith": 56}
+    classify.gilmer_masbaum_report(data)
+    assert calls == {"_smith": 56}

@@ -76,6 +76,17 @@ class TestConstructors:
             ManifoldClass("bad", 2, euler=2, signature=1)
         with pytest.raises(InvalidManifold):
             ManifoldClass("bad", 2, euler=2, kr=1)
+        with pytest.raises(InvalidManifold, match="Hirzebruch"):
+            ManifoldClass("bad", 4, euler=2, signature=0, p1_number=5)
+        with pytest.raises(InvalidManifold, match="Hirzebruch"):
+            ManifoldClass("bad", 4, euler=3, signature=1, p1_number=0)
+
+    def test_sums_keep_the_signature_theorem(self):
+        for a in FOUR_MANIFOLDS:
+            for b in FOUR_MANIFOLDS:
+                for m in (connected_sum(CATALOG.get(a), CATALOG.get(b)),
+                          disjoint_union(CATALOG.get(a), CATALOG.get(b))):
+                    assert m.p1_number == 3 * m.signature
 
     def test_connected_sum(self):
         cp2 = CATALOG.get("CP2")
