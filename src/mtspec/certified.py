@@ -5,8 +5,9 @@ their named generators, the homotopy table, the self-cohomology of the
 integral Eilenberg-MacLane spectrum, every recorded generator map, and
 the manifold catalog.  Every table row the package serves comes from
 this file, and every catalog manifold is a ManifoldClass built here.
-Loading validates it: no two records of one type may share a key (a
-repeat is refused, not taken in place of the first), each uncovered
+Loading validates it: no two records of one type may share a key, no
+record may name a field twice and the file has one integer version line
+(each repeat is refused, not taken in place of the first), each uncovered
 cohomology row must equal the matching Thom-module piece of the ring,
 each recorded map must be well-defined between the rows it names (the
 maps built for that check are kept and served by
@@ -19,6 +20,12 @@ among them, and each family record
 suffices because every invariant is affine in g.  The environment
 variable MTSPEC_DATA overrides the path; a file that cannot be read is a
 DataFormatError like any other bad file.
+
+``load_data`` reads MTSPEC_DATA and resolves the path on every call, so
+each public function that takes ``data=`` resolves the file once, at its
+top, and passes that one CertifiedData to everything it calls: a call
+answers from one snapshot of the data even if MTSPEC_DATA changes during
+it, and a caller that passes ``data=`` skips the lookup altogether.
 
 The lookups at the end of the module serve the tables: homotopy and
 cohomology of the suspended Madsen-Tillmann spectra and their first
@@ -65,11 +72,11 @@ class ArrowRecord:
         """The image of one source generator as {target name: coefficient}."""
         return dict(dict(self.assignments)[name])
 
-    def to_group_hom(self, data=None) -> GroupHom:
+    def to_group_hom(self, data: CertifiedData) -> GroupHom:
         """The map in canonical coordinates between its two table entries,
         as built when the data loaded; an arrow the data does not record
         raises NotRecorded."""
-        hom = (data or load_data()).homs.get(self)
+        hom = data.homs.get(self)
         if hom is None:
             raise NotRecorded("arrow %s is not recorded in this data" % (self,))
         return hom
@@ -222,6 +229,8 @@ def _parse_fields(parts):
         if "=" not in part:
             raise DataFormatError("bad field %r" % part)
         key, value = part.split("=", 1)
+        if key in fields:  # a repeat is refused, not taken over the first
+            raise ValueError("the field %s= came earlier" % key)
         fields[key] = value
     return fields
 
@@ -319,12 +328,14 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("version="):
-            version = int(line.split("=", 1)[1])
-            continue
-        parts = line.split()
-        rectype, fields = parts[0], _parse_fields(parts[1:])
         try:
+            if line.startswith("version="):
+                if version is not None:
+                    raise ValueError("a version line came earlier")
+                version = int(line.split("=", 1)[1])
+                continue
+            parts = line.split()
+            rectype, fields = parts[0], _parse_fields(parts[1:])
             if rectype == "cohomology":
                 table, key = cohomology, (int(fields["d"]), int(fields["cover"]),
                                           int(fields["k"]))
@@ -476,6 +487,7 @@ def grid_equivalence(d: int, from_cover: int, to_cover: int, data=None) -> bool:
     """
     SpectrumId(d, from_cover)
     SpectrumId(d, to_cover)
+    data = data or load_data()
     lo, hi = sorted((from_cover, to_cover))
     for i in range(lo, hi):
         if not homotopy_group(d, i, data).is_trivial:
@@ -487,6 +499,7 @@ def equivalent_stored_cover(d: int, cover: int, data=None) -> int:
     """The stored cover level (0 or 1) equivalent to the requested one."""
     if cover <= 1:
         return cover
+    data = data or load_data()
     for stored in (1, 0):
         if grid_equivalence(d, cover, stored, data):
             return stored

@@ -67,6 +67,7 @@ def classify(d: int, n: int, data=None) -> TheoryGroup:
     """Invertible theories in dimension d with category number n."""
     if not (isinstance(d, int) and isinstance(n, int) and 1 <= n <= d <= 4):
         raise OutOfRange("need 1 <= n <= d <= 4")
+    data = data or certified.load_data()
     spec = SpectrumId(d, certified.equivalent_stored_cover(d, d - n, data))
     here = certified.cohomology(spec, d, data)
     above = certified.cohomology(spec, d + 1, data)
@@ -82,9 +83,9 @@ def restriction_matrix(d: int, n_from: int, n_to: int, data=None) -> IntMatrix:
     """
     if not 1 <= n_to < n_from <= d <= 4:
         raise OutOfRange("need 1 <= n_to < n_from <= d <= 4")
+    data = data or certified.load_data()
     source = classify(d, n_from, data)
     target = classify(d, n_to, data)
-    data = data or certified.load_data()  # once, for the lookups below
     src_names, tgt_names = source.basis_names, target.basis_names
     if (certified.equivalent_stored_cover(d, d - n_from, data)
             == certified.equivalent_stored_cover(d, d - n_to, data)):
@@ -107,6 +108,7 @@ def restriction_matrix(d: int, n_from: int, n_to: int, data=None) -> IntMatrix:
 def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
                     data=None) -> TheoryParams:
     """Push theory coordinates along a restriction, exactly."""
+    data = data or certified.load_data()
     source = classify(d, n_from, data)
     target = classify(d, n_to, data)
     if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
@@ -135,6 +137,7 @@ class RestrictionKernel:
 
 def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> RestrictionKernel:
     """Theories with the same restriction: the kernel of the coordinate map."""
+    data = data or certified.load_data()
     source = classify(d, n_from, data)
     matrix = restriction_matrix(d, n_from, n_to, data)
     group = units_kernel(matrix)
@@ -203,6 +206,7 @@ class GilmerMasbaumReport:
 
 def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:
     """Derive the certificate from the certified tables and recorded maps."""
+    data = data or certified.load_data()
     if not certified.grid_equivalence(3, 2, 1, data):
         raise InternalCheckError("the second cover no longer matches the stored one")
     entry = certified.cohomology(SpectrumId(3, 1), 4, data)

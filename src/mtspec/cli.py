@@ -15,7 +15,9 @@ modules it computes with inside its handler: ``table`` loads only the
 data file's lookups in ``certified``, ``eval`` and ``bordism`` load
 ``tftlab``, and the other four load ``classify``.  No subcommand loads
 the consistency proof in ``spectra``, and the process skips the
-interpreter's teardown (see ``entrypoint``).
+interpreter's teardown (see ``entrypoint``).  The dispatcher reads
+MTSPEC_DATA and resolves the data file once per call, and hands that
+data to the handler, which passes it to every lookup it makes.
 """
 
 from __future__ import annotations
@@ -81,15 +83,16 @@ def document_to_json(command: str, inputs: dict, result: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (inputs, result, text)
+# subcommands: each takes the parsed arguments and the data in effect, and
+# returns (inputs, result, text)
 
 
-def cmd_table(args):
+def cmd_table(args, data):
     from .certified import (SpectrumId, cohomology, equivalent_stored_cover,
                             homotopy_group, hz_self_cohomology)
     ascii_mode = args.ascii
     if args.kind == "hz":
-        groups = [hz_self_cohomology(k) for k in range(7)]
+        groups = [hz_self_cohomology(k, data) for k in range(7)]
         text = ",".join(render_group(g, ascii_mode) for g in groups)
         result = {"kind": "hz",
                   "rows": [{"k": k, "group": group_to_json(g)}
@@ -98,18 +101,18 @@ def cmd_table(args):
     if args.d is None:
         raise MtspecError("table %s needs --d" % args.kind)
     if args.kind == "homotopy":
-        groups = [homotopy_group(args.d, k) for k in range(args.d + 1)]
+        groups = [homotopy_group(args.d, k, data) for k in range(args.d + 1)]
         text = ", ".join(render_group(g, ascii_mode) for g in groups)
         result = {"kind": "homotopy", "d": args.d,
                   "rows": [{"k": k, "group": group_to_json(g)}
                            for k, g in enumerate(groups)]}
         return {"kind": "homotopy", "d": args.d}, result, text
     spectrum = SpectrumId(args.d, args.cover)
-    stored = SpectrumId(args.d, equivalent_stored_cover(args.d, args.cover))
+    stored = SpectrumId(args.d, equivalent_stored_cover(args.d, args.cover, data))
     rows = []
     lines = ["H*(%s)" % spectrum.display(ascii_mode)]
     for k in range(6):
-        entry = cohomology(stored, k)
+        entry = cohomology(stored, k, data)
         names = ", ".join(render_gen(n, ascii_mode) for n in entry.names)
         lines.append("k=%d: %s%s" % (k, render_group(entry.group, ascii_mode),
                                      " (%s)" % names if names else ""))
@@ -137,9 +140,9 @@ def _render_theory_group(tg, ascii_mode: bool) -> str:
     return out
 
 
-def cmd_classify(args):
+def cmd_classify(args, data):
     from .classify import classify
-    tg = classify(args.d, args.n)
+    tg = classify(args.d, args.n, data)
     result = {"unit_rank": tg.unit_rank,
               "finite_part": group_to_json(tg.finite_part),
               "basis": list(tg.basis_names)}
@@ -147,12 +150,12 @@ def cmd_classify(args):
             _render_theory_group(tg, args.ascii))
 
 
-def cmd_restrict(args):
+def cmd_restrict(args, data):
     from .classify import TheoryParams, restrict_theory
     from .exactnum import parse_exact
     params = TheoryParams.of(
         [parse_exact(p) for p in args.params.split(",")] if args.params else [])
-    out = restrict_theory(args.d, args.n_from, args.n_to, params)
+    out = restrict_theory(args.d, args.n_from, args.n_to, params, data)
     text = (", ".join(render_exact(v, args.ascii) for v in out)
             if len(out) else "(no coordinates: the theory group is trivial)")
     result = {"params": [v.to_json() for v in out]}
@@ -190,9 +193,9 @@ def _render_kernel(kernel, ascii_mode: bool) -> str:
     return "%s: %s" % (head, listing)
 
 
-def cmd_kernel(args):
+def cmd_kernel(args, data):
     from .classify import restriction_kernel
-    kernel = restriction_kernel(args.d, args.n_from, args.n_to)
+    kernel = restriction_kernel(args.d, args.n_from, args.n_to, data)
     elements = None
     if kernel.elements is not None:
         elements = [[x.to_json() for x in e] for e in kernel.elements]
@@ -202,10 +205,10 @@ def cmd_kernel(args):
     return inputs, result, _render_kernel(kernel, args.ascii)
 
 
-def cmd_eval(args):
+def cmd_eval(args, data):
     from . import tftlab
     from .exactnum import parse_exact
-    catalog = tftlab.standard_manifolds()
+    catalog = tftlab.standard_manifolds(data)
     inputs = {"theory": args.theory}
     if args.theory == "four_d":
         if args.l1 is None or args.l2 is None or args.manifold is None:
@@ -246,9 +249,9 @@ def cmd_eval(args):
     return inputs, {"value": value.to_json()}, render_exact(value, args.ascii)
 
 
-def cmd_bordism(args):
+def cmd_bordism(args, data):
     from . import tftlab
-    catalog = tftlab.standard_manifolds()
+    catalog = tftlab.standard_manifolds(data)
     total = tftlab.parse_formal_sum(args.sum, catalog)
     invariant = tftlab.vf_invariant(args.d, total)
     trivial = tftlab.is_vf_nullbordant(args.d, total)
@@ -263,9 +266,9 @@ def cmd_bordism(args):
     return {"d": args.d, "sum": args.sum}, result, text
 
 
-def cmd_gilmer_masbaum(args):
+def cmd_gilmer_masbaum(args, data):
     from .classify import gilmer_masbaum_report
-    report = gilmer_masbaum_report()
+    report = gilmer_masbaum_report(data)
     rho = "rho" if args.ascii else "ρ"
     z = "Z" if args.ascii else "ℤ"
 
@@ -392,7 +395,8 @@ def _run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        inputs, result, text = _HANDLERS[args.command](args)
+        from .certified import load_data
+        inputs, result, text = _HANDLERS[args.command](args, load_data())
     except InternalCheckError as exc:
         print("internal consistency failure: %s" % exc, file=sys.stderr)
         return 3

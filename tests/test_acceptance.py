@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from mtspec.abelian import (FgAbGroup, IntMatrix, check_exact, cokernel,
                             cokernel_with_projection, smith_normal_form)
+from mtspec.certified import load_data
 from mtspec.classify import (ExtensionClass, TheoryParams, classify,
                              gilmer_masbaum_report, mcg_extension_class,
                              restrict_theory, restriction_kernel)
@@ -257,10 +258,11 @@ def test_criterion_8_property_suites():
             failures.append(("cokernel invariance", a))
 
     # commuting square of recorded generator maps
-    via_cover = (cover_map(4, 4, "covdim").to_group_hom().matrix
-                 * cover_map(4, 4, "cover").to_group_hom().matrix)
-    via_dim = (cover_map(3, 4, "cover").to_group_hom().matrix
-               * cover_map(4, 4, "dim").to_group_hom().matrix)
+    data = load_data()
+    via_cover = (cover_map(4, 4, "covdim").to_group_hom(data).matrix
+                 * cover_map(4, 4, "cover").to_group_hom(data).matrix)
+    via_dim = (cover_map(3, 4, "cover").to_group_hom(data).matrix
+               * cover_map(4, 4, "dim").to_group_hom(data).matrix)
     src = cohomology(SpectrumId(4, 0), 4)
     if via_cover.entries != via_dim.entries:
         failures.append("square does not commute")

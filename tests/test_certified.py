@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -93,6 +94,34 @@ class TestRepeatedKeys:
         text = default_data_path().read_text() + record + "\n"
         with pytest.raises(DataFormatError, match="came earlier"):
             parse_data(text)
+
+
+class TestRepeatedFields:
+    """A field named twice in one record, and a second or non-integer
+    version line, are refused naming the line, in process and through
+    MTSPEC_DATA."""
+
+    @pytest.mark.parametrize("old,new", [
+        # would load as the d=1 row, which the line also spells d=2
+        ("cohomology d=1 cover=0 k=0 group=Z gens=u",
+         "cohomology d=2 cover=0 k=0 d=1 group=Z gens=u"),
+        # would load with euler 4
+        ("manifold name=S2 dim=2 euler=2", "manifold name=S2 dim=2 euler=2 euler=4"),
+        ("version=1", "version=1\nversion=2"),    # would load as version 2
+        ("version=1", "version=abc"),             # escaped as a bare ValueError
+    ])
+    def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
+        modified = tampered(old, new)
+        line = new.splitlines()[-1]
+        with pytest.raises(DataFormatError, match=re.escape(repr(line))):
+            parse_data(modified)
+        path = tmp_path / "repeated.txt"
+        path.write_text(modified)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert repr(line) in captured.err
 
 
 class TestUnreadableFile:

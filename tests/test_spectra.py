@@ -130,7 +130,7 @@ class TestCoverMap:
             if record.kind == "unit":
                 continue
             arrow = cover_map(record.d, record.k, record.kind)
-            arrow.to_group_hom()  # raises if the torsion is not respected
+            arrow.to_group_hom(data)  # raises if the torsion is not respected
 
     def test_dim_arrows_match_ring_restriction(self):
         # the shipped dimension arrows are the ring restriction exactly,
@@ -309,10 +309,11 @@ class TestDerivation:
 
 class TestCommutingSquare:
     def test_generator_chases_agree(self):
-        top = cover_map(4, 4, "cover").to_group_hom()          # eu,p1u -> psi,sigma
-        right = cover_map(4, 4, "covdim").to_group_hom()       # psi,sigma -> rho
-        left = cover_map(4, 4, "dim").to_group_hom()           # eu,p1u -> p1u
-        bottom = cover_map(3, 4, "cover").to_group_hom()       # p1u -> rho
+        data = load_data()
+        top = cover_map(4, 4, "cover").to_group_hom(data)      # eu,p1u -> psi,sigma
+        right = cover_map(4, 4, "covdim").to_group_hom(data)   # psi,sigma -> rho
+        left = cover_map(4, 4, "dim").to_group_hom(data)       # eu,p1u -> p1u
+        bottom = cover_map(3, 4, "cover").to_group_hom(data)   # p1u -> rho
         via_cover = right.matrix * top.matrix
         via_dimension = bottom.matrix * left.matrix
         assert via_cover.entries == via_dimension.entries
