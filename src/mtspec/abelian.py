@@ -5,7 +5,9 @@ there is no floating point anywhere.  It provides Smith normal form,
 finitely generated abelian groups in canonical invariant-factor form,
 homomorphisms between them, the extensions of one group by another, and
 an exactness checker.  These are the primitives every other module is
-built on.
+built on.  An ``IntMatrix`` stores its rows as a tuple of tuples, with its
+column count for the matrix without rows, so every routine here reads the
+rows directly.
 
 The Smith form has two paths:
 
@@ -52,124 +54,75 @@ from .errors import CompositionMismatch, UnsupportedShape
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """An immutable integer matrix stored row-major."""
+    """An immutable integer matrix: its rows as tuples, and its column
+    count, which a matrix without rows cannot show.  Any iterable of
+    integer rows is accepted and stored as a tuple of tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    rows: tuple
+    ncols: int
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        if not all(isinstance(x, int) for x in self.entries):
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        if self.ncols < 0:
+            raise ValueError("negative column count")
+        if any(len(row) != self.ncols for row in rows):
+            raise ValueError("row length does not match the column count")
+        if not all(isinstance(x, int) for row in rows for x in row):
             raise ValueError("matrix entries must be integers")
 
     @classmethod
-    def from_rows(cls, rows_data) -> "IntMatrix":
-        rows_data = [list(r) for r in rows_data]
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if rows_data else 0
-        if any(len(r) != ncols for r in rows_data):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(x for r in rows_data for x in r))
-
-    @classmethod
-    def from_columns(cls, columns, nrows: int) -> "IntMatrix":
-        columns = [list(c) for c in columns]
-        if any(len(c) != nrows for c in columns):
-            raise ValueError("column length does not match row count")
-        return cls(nrows, len(columns),
-                   tuple(columns[j][i] for i in range(nrows) for j in range(len(columns))))
+    def from_rows(cls, rows) -> "IntMatrix":
+        """The matrix with these rows; without rows it has no columns."""
+        rows = tuple(map(tuple, rows))
+        return cls(rows, len(rows[0]) if rows else 0)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        return cls(_identity(n), n)
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(nrows, ncols, (0,) * (nrows * ncols))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row_list(self, i: int) -> list:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def col_list(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+    @property
+    def entries(self) -> tuple:
+        """Every entry, row by row (the benchmark's tracer reads these)."""
+        return tuple(x for row in self.rows for x in row)
 
     def to_rows(self) -> list:
-        return [self.row_list(i) for i in range(self.rows)]
+        return [list(row) for row in self.rows]
 
     def columns(self) -> list:
-        return [self.col_list(j) for j in range(self.cols)]
+        return [[row[j] for row in self.rows] for j in range(self.ncols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix dimensions incompatible for product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row_list(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, vector) -> list:
-        """Matrix-times-column-vector product."""
-        vector = list(vector)
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [sum(self.at(i, k) * vector[k] for k in range(self.cols))
-                for i in range(self.rows)]
+        return IntMatrix(self.columns(), len(self.rows))
 
     def diagonal(self) -> list:
-        return [self.at(i, i) for i in range(min(self.rows, self.cols))]
-
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        rank, minor, _, _ = _rank_and_minor(self.to_rows(), self.cols)
-        return minor if rank == self.rows else 0
-
-    def __str__(self):
-        return "[" + "; ".join(" ".join(str(x) for x in self.row_list(i))
-                               for i in range(self.rows)) + "]"
+        return [row[i] for i, row in enumerate(self.rows[:self.ncols])]
 
 
 def _rank_and_minor(rows, ncols: int):
     """Rank r of an integer matrix, a nonzero r x r minor of it, a list of
-    more r x r minors, and a list of (r-1) x (r-1) minors.
+    more r x r minors, and a list of (r-1) x (r-1) minors, each up to sign.
 
     One fraction-free (Bareiss) elimination with row swaps; a column with
     no pivot is skipped.  The minor is that of the pivot rows and pivot
-    columns, signed so that for a nonsingular square matrix it is the
-    determinant; it is 1 when r = 0.  Every intermediate entry is itself a
-    minor of the input, so entries stay within Hadamard's bound.  In
-    particular each entry of the last pivot row right of its pivot is,
-    up to sign, the r x r minor on the pivot rows and on the pivot columns
-    with the last one swapped for that entry's column: these are the spare
-    minors returned.  Likewise each entry of the next-to-last pivot row,
-    from its pivot on, is an (r-1) x (r-1) minor; for r < 2 the list is
-    [1], the empty minor.
+    columns, so for a nonsingular square matrix it is the determinant up to
+    sign; it is 1 when r = 0.  Every intermediate entry is itself a minor
+    of the input, so entries stay within Hadamard's bound.  In particular
+    each entry of the last pivot row right of its pivot is the r x r minor
+    on the pivot rows and on the pivot columns with the last one swapped
+    for that entry's column: these are the spare minors returned.
+    Likewise each entry of the next-to-last pivot row, from its pivot on,
+    is an (r-1) x (r-1) minor; for r < 2 the list is [1], the empty minor.
     """
     m = [list(row) for row in rows]
-    rank, sign, prev, last, before = 0, 1, 1, ncols, ncols
+    rank, prev, last, before = 0, 1, ncols, ncols
     for c in range(ncols):
         if rank == len(m):
             break
         pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != rank:
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            sign = -sign
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
         p = m[rank][c]
         tail = m[rank][c + 1:]
         for row in m[rank + 1:]:
@@ -179,7 +132,7 @@ def _rank_and_minor(rows, ncols: int):
         rank += 1
     spare = m[rank - 1][last + 1:] if rank else []
     lower = m[rank - 2][before:] if rank >= 2 else [1]
-    return rank, sign * prev, spare, lower
+    return rank, prev, spare, lower
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +146,10 @@ def smith_normal_form(matrix: IntMatrix):
     D diagonal with nonnegative entries satisfying d1 | d2 | ... (zeros
     trail).  The work is done by ``_smith`` on plain lists.
     """
-    m, n = matrix.rows, matrix.cols
-    U, diag, V = _smith(matrix.to_rows(), n)
-    D = IntMatrix(m, n, tuple(diag[i] if i == j else 0
-                              for i in range(m) for j in range(n)))
-    return (IntMatrix.from_rows(U) if m else IntMatrix(0, 0, ()), D,
-            IntMatrix.from_columns(V, n) if n else IntMatrix(0, 0, ()))
+    m, n = len(matrix.rows), matrix.ncols
+    U, diag, V = _smith(matrix.rows, n)
+    D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    return IntMatrix(U, m), IntMatrix(D, n), IntMatrix(zip(*V), n)
 
 
 def _smith(rows: list, n: int):
@@ -588,19 +539,19 @@ class GroupHom:
     matrix: IntMatrix
 
     def __post_init__(self):
-        if self.matrix.rows != self.target.num_generators:
+        rows = self.matrix.rows
+        if len(rows) != self.target.num_generators:
             raise ValueError("matrix row count does not match target generators")
-        if self.matrix.cols != self.source.num_generators:
+        if self.matrix.ncols != self.source.num_generators:
             raise ValueError("matrix column count does not match source generators")
         for j, d in enumerate(self.source.torsion, self.source.free_rank):
-            scaled = [d * x for x in self.matrix.col_list(j)]
-            if not element_is_zero(self.target, scaled):
+            if not element_is_zero(self.target, [d * row[j] for row in rows]):
                 raise ValueError("homomorphism not well-defined on torsion generator %d" % j)
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
-    return GroupHom(source, target,
-                    IntMatrix.zeros(target.num_generators, source.num_generators))
+    n = source.num_generators
+    return GroupHom(source, target, IntMatrix([[0] * n] * target.num_generators, n))
 
 
 def check_exact(f: GroupHom, g: GroupHom) -> bool:
@@ -619,12 +570,12 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     if middle.is_trivial:
         return True
     n = middle.num_generators
-    if not any(g.matrix.entries):
+    g_rows = g.matrix.rows
+    if not any(map(any, g_rows)):
         cols = f.matrix.columns() + _relation_columns(middle)
         _, diag, _ = _smith(_rows(cols, n), len(cols))
         return diag.count(1) == n
-    g_rows = g.matrix.to_rows()
-    f_cols = f.matrix.columns() if any(f.matrix.entries) else []
+    f_cols = f.matrix.columns() if any(map(any, f.matrix.rows)) else []
     for col in f_cols:
         if not element_is_zero(g.target, [sum(a * b for a, b in zip(row, col))
                                           for row in g_rows]):
@@ -633,7 +584,7 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     # kernel of g as a lattice in Z^n: x with g.matrix @ x in the span of
     # the target relations; computed from the kernel of [g.matrix | rel_tgt]
     rel_tgt = _relation_columns(g.target)
-    stacked = [row + [rel[i] for rel in rel_tgt] for i, row in enumerate(g_rows)]
+    stacked = [[*row, *(rel[i] for rel in rel_tgt)] for i, row in enumerate(g_rows)]
     _, diag, v = _smith(stacked, n + len(rel_tgt))
     kernel = [col[:n] for col in v[sum(1 for x in diag if x):]]
     if not f_cols:
@@ -661,10 +612,10 @@ def cokernel(relations: IntMatrix) -> FgAbGroup:
     replaced by s_r = |det| / (s_1 ... s_(r-1)); when g = 1 there is no
     pass and the answer is Z/|det|.
     """
-    rows = relations.to_rows()
-    rank, minor, spare, lower = _rank_and_minor(rows, relations.cols)
-    free = relations.rows - rank
-    if relations.rows == relations.cols == rank:
+    rows = relations.rows
+    rank, minor, spare, lower = _rank_and_minor(rows, relations.ncols)
+    free = len(rows) - rank
+    if len(rows) == relations.ncols == rank:
         modulus = math.gcd(minor, *lower)
         chain = (_invariant_factors(_cyclic_orders_modulo(rows, modulus))[:-1]
                  if modulus > 1 else ())
@@ -701,9 +652,7 @@ def cokernel_with_projection(group: FgAbGroup, column_vectors):
     n = group.num_generators
     quotient, proj_rows = _quotient(
         n, [list(c) for c in column_vectors] + _relation_columns(group))
-    proj_matrix = (IntMatrix.from_rows(proj_rows) if proj_rows
-                   else IntMatrix(0, n, ()))
-    return quotient, GroupHom(group, quotient, proj_matrix)
+    return quotient, GroupHom(group, quotient, IntMatrix(proj_rows, n))
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,8 @@ def assignments_to_group_hom(source: CohomologyEntry,
             if tgt_name not in position:
                 raise DataFormatError("unknown target generator %r" % tgt_name)
             canonical[position[tgt_name]][j] = coeff
-    matrix = IntMatrix(len(canonical), n_src, tuple(x for row in canonical for x in row))
     try:
-        return GroupHom(source.group, target.group, matrix)
+        return GroupHom(source.group, target.group, IntMatrix(canonical, n_src))
     except ValueError as exc:
         raise DataFormatError("recorded map is not well-defined: %s" % exc)
 
@@ -195,7 +194,7 @@ def _parse_combo(text: str):
         # search would retry every start inside a run of digits
         match = _TERM_RE.match(text, pos)
         if match is None:
-            raise DataFormatError("cannot parse combo %r" % text)
+            raise ValueError("cannot parse combo %r" % text)
         terms.append((match.group(2), int(match.group(1))))
         pos = match.end()
     return tuple(terms)
@@ -205,7 +204,7 @@ def _parse_map(text: str):
     out = []
     for item in text.split(";"):
         if ":" not in item:
-            raise DataFormatError("bad map item %r" % item)
+            raise ValueError("bad map item %r" % item)
         src, combo = item.split(":", 1)
         out.append((src, _parse_combo(combo)))
     return tuple(out)
@@ -227,7 +226,7 @@ def _parse_fields(parts):
     fields = {}
     for part in parts:
         if "=" not in part:
-            raise DataFormatError("bad field %r" % part)
+            raise ValueError("bad field %r" % part)
         key, value = part.split("=", 1)
         if key in fields:  # a repeat is refused, not taken over the first
             raise ValueError("the field %s= came earlier" % key)

@@ -75,17 +75,21 @@ def classify(d: int, n: int, data=None) -> TheoryGroup:
     return TheoryGroup(d, n, here.group.free_rank, finite, here.free_names)
 
 
-def restriction_matrix(d: int, n_from: int, n_to: int, data=None) -> IntMatrix:
-    """Exponent matrix of the restriction map on free generators.
+def _check_levels(d: int, n_from: int, n_to: int):
+    if not 1 <= n_to < n_from <= d <= 4:
+        raise OutOfRange("need 1 <= n_to < n_from <= d <= 4")
+
+
+def restriction_matrix(source: TheoryGroup, target: TheoryGroup, data=None) -> IntMatrix:
+    """Exponent matrix of the restriction map on free generators, from the
+    theories at one level of a dimension to those at a lower level.
 
     Row i carries the powers of the i-th source coordinate, so the j-th
     restricted coordinate is prod_i s_i^(A[i][j]).
     """
-    if not 1 <= n_to < n_from <= d <= 4:
-        raise OutOfRange("need 1 <= n_to < n_from <= d <= 4")
+    d, n_from, n_to = source.d, source.n, target.n
+    _check_levels(d, n_from, n_to)
     data = data or certified.load_data()
-    source = classify(d, n_from, data)
-    target = classify(d, n_to, data)
     src_names, tgt_names = source.basis_names, target.basis_names
     if (certified.equivalent_stored_cover(d, d - n_from, data)
             == certified.equivalent_stored_cover(d, d - n_to, data)):
@@ -93,7 +97,7 @@ def restriction_matrix(d: int, n_from: int, n_to: int, data=None) -> IntMatrix:
             raise InternalCheckError("equivalent covers disagree on generators")
         return IntMatrix.identity(len(src_names))
     if not src_names:
-        return IntMatrix(0, len(tgt_names), ())
+        return IntMatrix((), len(tgt_names))
     arrow = certified.cover_map(d, d, "cover", data)
     rows = []
     for name in src_names:
@@ -113,15 +117,15 @@ def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
     target = classify(d, n_to, data)
     if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
         raise OutOfRange("coordinate transport needs trivial finite parts")
-    matrix = restriction_matrix(d, n_from, n_to, data)
+    matrix = restriction_matrix(source, target, data)
     coords = tuple(ExactComplex.of(v) for v in params)
-    if len(coords) != matrix.rows:
-        raise OutOfRange("expected %d coordinates, got %d" % (matrix.rows, len(coords)))
+    if len(coords) != len(matrix.rows):
+        raise OutOfRange("expected %d coordinates, got %d" % (len(matrix.rows), len(coords)))
     out = []
-    for j in range(matrix.cols):
+    for column in matrix.columns():
         value = ExactComplex.one()
-        for i in range(matrix.rows):
-            value = value * coords[i] ** matrix.at(i, j)
+        for x, e in zip(coords, column):
+            value = value * x ** e
         out.append(value)
     return TheoryParams(tuple(out))
 
@@ -139,7 +143,8 @@ def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> Restriction
     """Theories with the same restriction: the kernel of the coordinate map."""
     data = data or certified.load_data()
     source = classify(d, n_from, data)
-    matrix = restriction_matrix(d, n_from, n_to, data)
+    _check_levels(d, n_from, n_to)  # before the target level is classified
+    matrix = restriction_matrix(source, classify(d, n_to, data), data)
     group = units_kernel(matrix)
     elements = None
     order = group.order()
@@ -154,11 +159,10 @@ def _enumerate_kernel_elements(matrix: IntMatrix) -> tuple:
     Writing x = exp(2*pi*i*z) turns the condition into A^T z integral; the
     solutions mod 1 are enumerated exactly through the Smith form of A^T.
     """
-    m = matrix.rows
+    m = len(matrix.rows)
     if m == 0:
         return ((),)
-    transpose = matrix.transpose()
-    _, diag_m, v = smith_normal_form(transpose)
+    _, diag_m, v = smith_normal_form(matrix.transpose())
     diag = diag_m.diagonal()
     if sum(1 for x in diag if x) != m:
         raise InternalCheckError("kernel is infinite; elements cannot be listed")
@@ -168,8 +172,7 @@ def _enumerate_kernel_elements(matrix: IntMatrix) -> tuple:
     elements = []
     for combo in combos:
         w = [Fraction(k, diag[i]) for i, k in enumerate(combo)]
-        z = [sum(Fraction(v.at(i, j)) * w[j] for j in range(m)) % 1
-             for i in range(m)]
+        z = [sum(Fraction(x) * y for x, y in zip(row, w)) % 1 for row in v.rows]
         elements.append(tuple(
             ExactComplex.root_of_unity(f.denominator, f.numerator) for f in z))
     elements.sort(key=lambda tup: [x.root for x in tup])

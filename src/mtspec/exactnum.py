@@ -3,8 +3,7 @@
 This little value class is what keeps theory parameters, kernel elements
 and manifold invariants exact end to end.  Every value is q * zeta_n^k
 with q a positive rational and 0 <= k < n reduced, which is closed under
-multiplication, division and integer powers.  There is no floating
-point anywhere.
+multiplication and integer powers.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -70,10 +69,6 @@ class ExactComplex:
         other = ExactComplex.of(other)
         return ExactComplex._make(self.mag * other.mag, self.root + other.root)
 
-    def __truediv__(self, other: "ExactComplex") -> "ExactComplex":
-        other = ExactComplex.of(other)
-        return ExactComplex._make(self.mag / other.mag, self.root - other.root)
-
     def __pow__(self, exponent: int) -> "ExactComplex":
         if not isinstance(exponent, int):
             raise TypeError("only integer powers stay exact")
@@ -90,14 +85,7 @@ class ExactComplex:
                                  "MAX_POWER_DIGITS = %d" % (digits, MAX_POWER_DIGITS))
         return ExactComplex._make(self.mag ** exponent, self.root * exponent)
 
-    def inverse(self) -> "ExactComplex":
-        return ExactComplex._make(1 / self.mag, -self.root)
-
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def is_one(self) -> bool:
-        return self.mag == 1 and self.root == 0
 
     @property
     def is_rational(self) -> bool:

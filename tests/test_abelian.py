@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -23,6 +25,34 @@ def snf_2x2_oracle(a, b, c, d):
     if g == 0:
         return (0, 0)
     return (g, det // g) if det else (g, 0)
+
+
+def sympy_matrix(a):
+    """An IntMatrix as a sympy matrix: the oracle for products and
+    determinants, which the package does not compute."""
+    from sympy import Matrix
+    return Matrix(len(a.rows), a.ncols, [x for row in a.rows for x in row])
+
+
+def product(*factors):
+    """The product of IntMatrix factors, computed by sympy."""
+    result = functools.reduce(operator.mul, map(sympy_matrix, factors))
+    return IntMatrix([[int(x) for x in row] for row in result.tolist()], result.cols)
+
+
+def image(matrix, vector):
+    """The IntMatrix times a column vector."""
+    return [sum(x * y for x, y in zip(row, vector)) for row in matrix.rows]
+
+
+def zeros(m, n):
+    return IntMatrix([[0] * n] * m, n)
+
+
+def chain_matrix(chain, m, n):
+    """The m x n matrix with the chain down its diagonal, zeros elsewhere."""
+    return IntMatrix([[chain[i] if i == j and i < len(chain) else 0 for j in range(n)]
+                      for i in range(m)], n)
 
 
 def random_matrix(rng, max_size=5, lo=-9, hi=9):
@@ -52,14 +82,15 @@ def smith_cokernel(a):
     _, d, _ = smith_normal_form(a)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x)
-    return FgAbGroup(a.rows - rank, tuple(x for x in diag if x > 1))
+    return FgAbGroup(len(a.rows) - rank, tuple(x for x in diag if x > 1))
 
 
 def assert_snf_contract(a):
     u, d, v = smith_normal_form(a)
-    assert (u * a * v).entries == d.entries
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
+    U, V = sympy_matrix(u), sympy_matrix(v)
+    assert U * sympy_matrix(a) * V == sympy_matrix(d)
+    assert abs(U.det()) == 1
+    assert abs(V.det()) == 1
     diag = d.diagonal()
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
@@ -67,10 +98,10 @@ def assert_snf_contract(a):
             assert y == 0
         else:
             assert y % x == 0
-    for i in range(d.rows):
-        for j in range(d.cols):
+    for i, row in enumerate(d.rows):
+        for j, x in enumerate(row):
             if i != j:
-                assert d.at(i, j) == 0
+                assert x == 0
     return diag
 
 
@@ -88,13 +119,20 @@ class TestSmithNormalForm:
     def test_zero_matrix(self):
         a = IntMatrix.from_rows([[0]])
         u, d, v = smith_normal_form(a)
-        assert d.entries == (0,)
-        assert u.entries == (1,) and v.entries == (1,)
+        assert d.rows == ((0,),)
+        assert u.rows == ((1,),) and v.rows == ((1,),)
 
     def test_empty_shapes(self):
-        for a in (IntMatrix(2, 0, ()), IntMatrix(0, 3, ()), IntMatrix(0, 0, ())):
+        def shape(matrix):
+            return len(matrix.rows), matrix.ncols
+
+        for a in (IntMatrix([[], []], 0), IntMatrix((), 3), IntMatrix((), 0)):
+            m, n = shape(a)
             u, d, v = smith_normal_form(a)
-            assert d.rows == a.rows and d.cols == a.cols
+            assert (shape(u), shape(d), shape(v)) == ((m, m), (m, n), (n, n))
+            assert shape(a.transpose()) == (n, m)
+            assert a.transpose().transpose() == a
+            assert a.columns() == [[]] * n
 
     def test_against_2x2_oracle(self):
         rng = random.Random(7)
@@ -109,6 +147,17 @@ class TestSmithNormalForm:
             assert_snf_contract(random_matrix(rng))
 
 
+@pytest.mark.parametrize("rows,ncols", [
+    ([[1, 2], [3]], 2),     # ragged
+    ([[1]], 2),             # row shorter than the column count
+    ([[1.0]], 1),           # not an integer
+    ((), -1),               # negative column count
+], ids=range(4))
+def test_malformed_matrices_are_refused(rows, ncols):
+    with pytest.raises(ValueError):
+        IntMatrix(rows, ncols)
+
+
 class TestFgAbGroup:
     def test_canonicalization(self):
         assert FgAbGroup.of(cyclic=(2, 3)) == FgAbGroup(0, (6,))
@@ -120,8 +169,7 @@ class TestFgAbGroup:
         for _ in range(300):
             cyclic = [rng.randint(-40, 40) for _ in range(rng.randint(0, 6))]
             k = len(cyclic)
-            diagonal = IntMatrix(k, k, tuple(cyclic[i] if i == j else 0
-                                             for i in range(k) for j in range(k)))
+            diagonal = chain_matrix(cyclic, k, k)
             assert FgAbGroup.of(0, cyclic) == smith_cokernel(diagonal), cyclic
 
     def test_invalid_chain_rejected(self):
@@ -143,7 +191,7 @@ class TestFgAbGroup:
 class TestCokernel:
     def test_examples(self):
         assert cokernel(IntMatrix.from_rows([[2, -1], [0, 3]])) == FgAbGroup(0, (6,))
-        assert cokernel(IntMatrix(2, 0, ())) == Z2
+        assert cokernel(IntMatrix([[], []], 0)) == Z2
         assert cokernel(IntMatrix.from_rows([[2]])) == FgAbGroup(0, (2,))
 
     def test_invariance_under_unimodular_changes(self):
@@ -151,9 +199,9 @@ class TestCokernel:
         for _ in range(30):
             a = random_matrix(rng, max_size=4)
             expected = cokernel(a)
-            p = random_unimodular(rng, a.rows)
-            q = random_unimodular(rng, a.cols)
-            assert cokernel(p * a * q) == expected
+            p = random_unimodular(rng, len(a.rows))
+            q = random_unimodular(rng, a.ncols)
+            assert cokernel(product(p, a, q)) == expected
 
 
 def ext_order(b, a):
@@ -239,9 +287,7 @@ def finite_elements(group):
 
 def hom_apply_oracle(hom, vec):
     orders = hom.target.generator_orders()
-    raw = [sum(hom.matrix.at(i, j) * vec[j] for j in range(len(vec)))
-           for i in range(len(orders))]
-    return tuple(x % o for x, o in zip(raw, orders))
+    return tuple(x % o for x, o in zip(image(hom.matrix, vec), orders))
 
 
 def brute_force_exact(f, g):
@@ -273,9 +319,7 @@ def random_hom(rng, source, target):
             step = t // math.gcd(s, t)  # well-definedness on torsion
             row.append(step * rng.randrange(t // step) if step < t else 0)
         rows.append(row)
-    matrix = (IntMatrix.from_rows(rows) if rows
-              else IntMatrix(0, len(src_orders), ()))
-    return GroupHom(source, target, matrix)
+    return GroupHom(source, target, IntMatrix(rows, len(src_orders)))
 
 
 class TestCheckExact:
@@ -322,8 +366,8 @@ class TestQuotientProjection:
     def test_mod_two_projection(self):
         q, proj = cokernel_with_projection(Z, [[2]])
         assert q == FgAbGroup(0, (2,))
-        assert not element_is_zero(q, proj.matrix.apply([1]))
-        assert element_is_zero(q, proj.matrix.apply([2]))
+        assert not element_is_zero(q, image(proj.matrix, [1]))
+        assert element_is_zero(q, image(proj.matrix, [2]))
 
     def test_composite_vanishes(self):
         rng = random.Random(3)
@@ -333,7 +377,7 @@ class TestQuotientProjection:
                     for _ in range(rng.randint(0, 2))]
             q, proj = cokernel_with_projection(g, cols)
             for col in cols:
-                assert element_is_zero(q, proj.matrix.apply(col))
+                assert element_is_zero(q, image(proj.matrix, col))
 
 
 class TestUnitsKernel:
@@ -349,7 +393,7 @@ class TestUnitsKernel:
             n = rng.randint(1, 4)
             a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)]
                                      for _ in range(n)])
-            det = a.det()
+            det = sympy_matrix(a).det()
             if det == 0:
                 continue
             seen += 1
@@ -361,11 +405,6 @@ class TestUnitsKernel:
 
 
 class TestCompose:
-    def test_compose_matrices(self):
-        f = GroupHom(Z, Z2, IntMatrix.from_rows([[1], [1]]))
-        g = GroupHom(Z2, Z, IntMatrix.from_rows([[1, 2]]))
-        assert (g.matrix * f.matrix).entries == (3,)
-
     def test_compose_mismatch(self):
         f = GroupHom(Z, Z, IntMatrix.from_rows([[1]]))
         g = GroupHom(Z2, Z, IntMatrix.from_rows([[1, 0]]))
@@ -397,16 +436,16 @@ def matrices(st, max_side, max_entry=9):
             if draw(st.booleans()):
                 p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
                 rows[i] = [p * x + q * y for x, y in zip(rows[0], rows[1])]
-        return IntMatrix(m, n, tuple(x for row in rows for x in row))
+        return IntMatrix(rows, n)
     return build()
 
 
 @pytest.mark.parametrize("a", [
-    IntMatrix(3, 0, ()), IntMatrix(0, 4, ()), IntMatrix(0, 0, ()),
-    IntMatrix.zeros(1, 1), IntMatrix.zeros(3, 5), IntMatrix.zeros(4, 2),
-], ids=lambda a: "%dx%d" % (a.rows, a.cols))
+    IntMatrix([[]] * 3, 0), IntMatrix((), 4), IntMatrix((), 0),
+    zeros(1, 1), zeros(3, 5), zeros(4, 2),
+], ids=lambda a: "%dx%d" % (len(a.rows), a.ncols))
 def test_cokernel_of_empty_and_zero_matrices(a):
-    assert cokernel(a) == FgAbGroup(a.rows) == smith_cokernel(a)
+    assert cokernel(a) == FgAbGroup(len(a.rows)) == smith_cokernel(a)
 
 
 def test_cokernel_matches_the_smith_diagonal():
@@ -422,10 +461,10 @@ def test_cokernel_matches_the_smith_diagonal():
 
 
 def sympy_smith_diagonal(a):
-    from sympy import ZZ, Matrix
+    from sympy import ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-    snf = sympy_snf(Matrix(a.to_rows()), domain=ZZ)
-    return [abs(int(snf[i, i])) for i in range(min(a.rows, a.cols))]
+    snf = sympy_snf(sympy_matrix(a), domain=ZZ)
+    return [abs(int(snf[i, i])) for i in range(min(len(a.rows), a.ncols))]
 
 
 def test_cokernel_matches_sympy():
@@ -434,11 +473,11 @@ def test_cokernel_matches_sympy():
     st = hypothesis.strategies
 
     @property_settings(hypothesis, 25)
-    @hypothesis.given(matrices(st, 8).filter(lambda a: a.rows and a.cols))
+    @hypothesis.given(matrices(st, 8).filter(lambda a: a.rows and a.ncols))
     def check(a):
         diag = sympy_smith_diagonal(a)
         rank = sum(1 for x in diag if x)
-        assert cokernel(a) == FgAbGroup(a.rows - rank, tuple(x for x in diag if x > 1))
+        assert cokernel(a) == FgAbGroup(len(a.rows) - rank, tuple(x for x in diag if x > 1))
 
     check()
 
@@ -462,13 +501,12 @@ def test_cokernel_matches_sympy():
 def test_cokernel_of_a_known_chain(chain, shape):
     rng = random.Random(repr(chain))
     m, n = shape
-    d = IntMatrix(m, n, tuple(chain[i] if i == j and i < len(chain) else 0
-                              for i in range(m) for j in range(n)))
-    a = random_unimodular(rng, m) * d * random_unimodular(rng, n)
+    a = product(random_unimodular(rng, m), chain_matrix(chain, m, n),
+                random_unimodular(rng, n))
     rank = sum(1 for x in chain if x)
     assert cokernel(a) == FgAbGroup(m - rank, tuple(x for x in chain if x > 1))
     if m == n == rank:
-        assert abs(a.det()) == math.prod(chain)
+        assert abs(sympy_matrix(a).det()) == math.prod(chain)
 
 
 def test_cokernel_of_random_known_chains():
@@ -483,10 +521,9 @@ def test_cokernel_of_random_known_chains():
     def check(factors, zeros, extra_rows, extra_cols, seed):
         chain = list(itertools.accumulate(factors, lambda x, y: x * y)) + [0] * zeros
         m, n = len(chain) + extra_rows, len(chain) + extra_cols
-        d = IntMatrix(m, n, tuple(chain[i] if i == j and i < len(chain) else 0
-                                  for i in range(m) for j in range(n)))
         rng = random.Random(seed)
-        a = random_unimodular(rng, m) * d * random_unimodular(rng, n)
+        a = product(random_unimodular(rng, m), chain_matrix(chain, m, n),
+                    random_unimodular(rng, n))
         rank = len(factors)
         assert cokernel(a) == FgAbGroup(m - rank, tuple(x for x in chain if x > 1))
 
@@ -511,42 +548,19 @@ def test_square_cokernel_matches_sympy():
     def check(factors, seed):
         chain = list(itertools.accumulate(factors, lambda x, y: x * y))
         n = len(chain)
-        d = IntMatrix(n, n, tuple(chain[i] if i == j else 0
-                                  for i in range(n) for j in range(n)))
         rng = random.Random(seed)
-        a = random_unimodular(rng, n) * d * random_unimodular(rng, n)
+        a = product(random_unimodular(rng, n), chain_matrix(chain, n, n),
+                    random_unimodular(rng, n))
         diag = sympy_smith_diagonal(a)
         assert diag == chain
         torsion = tuple(x for x in diag if x > 1)
         assert cokernel(a) == FgAbGroup(0, torsion)
-        _, det, _, lower = _rank_and_minor(a.to_rows(), n)
-        seen.add("no pass" if math.gcd(det, *lower) == 1 else "pass")
+        _, minor, _, lower = _rank_and_minor(a.rows, n)
+        seen.add("no pass" if math.gcd(minor, *lower) == 1 else "pass")
         seen.add("cyclic" if len(torsion) <= 1 else "not cyclic")
 
     check()
     assert seen == {"no pass", "pass", "cyclic", "not cyclic"}
-
-
-def laplace_det(rows):
-    if not rows:
-        return 1
-    return sum((-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, x in enumerate(rows[0]) if x)
-
-
-def test_det_matches_the_laplace_expansion():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @property_settings(hypothesis, 100)
-    @hypothesis.given(st.integers(0, 5).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                           min_size=n, max_size=n)))
-    def check(rows):
-        n = len(rows)
-        assert IntMatrix(n, n, tuple(x for r in rows for x in r)).det() == laplace_det(rows)
-
-    check()
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +569,7 @@ def test_det_matches_the_laplace_expansion():
 
 def smith_inputs(st, max_side):
     """Any shape and rank from ``matrices``, plus zero and unimodular ones."""
-    zero = st.builds(IntMatrix.zeros, st.integers(0, max_side), st.integers(0, max_side))
+    zero = st.builds(zeros, st.integers(0, max_side), st.integers(0, max_side))
     unimodular = st.builds(lambda n, seed: random_unimodular(random.Random(seed), n),
                            st.integers(1, max_side), st.integers(0, 2 ** 32))
     return st.one_of(matrices(st, max_side), zero, unimodular)
@@ -579,7 +593,7 @@ def test_smith_diagonal_matches_sympy():
     st = hypothesis.strategies
 
     @property_settings(hypothesis, 40)
-    @hypothesis.given(smith_inputs(st, 8).filter(lambda a: a.rows and a.cols))
+    @hypothesis.given(smith_inputs(st, 8).filter(lambda a: a.rows and a.ncols))
     def check(a):
         _, d, _ = smith_normal_form(a)
         assert d.diagonal() == sympy_smith_diagonal(a)
@@ -596,8 +610,8 @@ def test_smith_transforms_stay_small(shape):
     m, n = shape
     a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
     u, d, v = smith_normal_form(a)
-    assert (u * a * v).entries == d.entries
-    assert all(abs(x) < 10 ** 800 for x in u.entries + v.entries)
+    assert sympy_matrix(u) * sympy_matrix(a) * sympy_matrix(v) == sympy_matrix(d)
+    assert all(abs(x) < 10 ** 800 for t in (u, v) for row in t.rows for x in row)
 
 
 def composable_pairs(st, max_order=36):
@@ -612,9 +626,7 @@ def composable_pairs(st, max_order=36):
         rows = [[0 if zero else t // math.gcd(s, t) * draw(st.integers(0, math.gcd(s, t) - 1))
                  for s in source.generator_orders()]
                 for t in target.generator_orders()]
-        matrix = (IntMatrix.from_rows(rows) if rows
-                  else IntMatrix(0, source.num_generators, ()))
-        return GroupHom(source, target, matrix)
+        return GroupHom(source, target, IntMatrix(rows, source.num_generators))
 
     @st.composite
     def build(draw):
@@ -648,9 +660,9 @@ def test_check_exact_matches_the_element_chase():
         # a zero side takes its own path; a map from or to the trivial
         # group, with an empty matrix, is zero as well
         for name, hom in (("f", f), ("g", g)):
-            if not any(hom.matrix.entries):
+            if not any(map(any, hom.matrix.rows)):
                 seen.add("zero %s, %s" % (name, outcome))
-                if not hom.matrix.entries:
+                if 0 in (len(hom.matrix.rows), hom.matrix.ncols):
                     seen.add("empty " + name)
 
     check()
@@ -660,9 +672,7 @@ def test_check_exact_matches_the_element_chase():
 
 
 def hom_of(source, target, rows):
-    matrix = (IntMatrix.from_rows(rows) if rows
-              else IntMatrix(0, source.num_generators, ()))
-    return GroupHom(source, target, matrix)
+    return GroupHom(source, target, IntMatrix(rows, source.num_generators))
 
 
 Z_MOD_2 = FgAbGroup(0, (2,))
@@ -723,7 +733,7 @@ def small_group_pairs(st, max_classes=200):
 
 
 def relation_matrix(n, cols):
-    return IntMatrix.from_columns(cols, n) if cols else IntMatrix(n, 0, ())
+    return IntMatrix([[col[i] for col in cols] for i in range(n)], len(cols))
 
 
 def test_extension_group_is_the_cokernel_of_its_presentation():

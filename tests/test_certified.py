@@ -214,6 +214,15 @@ class TestParser:
         with pytest.raises(DataFormatError):
             parse_data(bad)
 
+    @pytest.mark.parametrize("record", [
+        "cohomology d=2 cover=0 k=0 group=Z gens=u junk",         # a field without =
+        "arrow kind=cover d=2 k=0 prov=diagram map=u:t+t",        # a bad combo
+        "arrow kind=cover d=2 k=0 prov=diagram map=u",            # a map item without :
+    ])
+    def test_field_errors_name_the_line(self, record):
+        with pytest.raises(DataFormatError, match=re.escape(repr(record))):
+            parse_data(MINIMAL + record + "\n")
+
     def test_long_digit_run_fails_fast(self):
         bad = (
             "version=1\n"

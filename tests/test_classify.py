@@ -17,6 +17,10 @@ def zeta(order, power=1):
     return ExactComplex.root_of_unity(order, power)
 
 
+def levels_matrix(d, n_from, n_to):
+    return restriction_matrix(classify(d, n_from), classify(d, n_to))
+
+
 def random_rational(rng):
     num = rng.choice([n for n in range(-20, 21) if n])
     return Fraction(num, rng.randint(1, 20))
@@ -61,19 +65,24 @@ class TestClassify:
 
 class TestRestrictionMatrix:
     def test_four_to_three(self):
-        m = restriction_matrix(4, 4, 3)
+        m = levels_matrix(4, 4, 3)
         assert m.to_rows() == [[2, -1], [0, 3]]
 
     def test_two_to_one(self):
-        assert restriction_matrix(2, 2, 1).to_rows() == [[2]]
+        assert levels_matrix(2, 2, 1).to_rows() == [[2]]
 
     def test_grid_equivalent_levels_are_identity(self):
-        assert restriction_matrix(4, 3, 2).to_rows() == [[1, 0], [0, 1]]
-        assert restriction_matrix(4, 2, 1).to_rows() == [[1, 0], [0, 1]]
+        assert levels_matrix(4, 3, 2).to_rows() == [[1, 0], [0, 1]]
+        assert levels_matrix(4, 2, 1).to_rows() == [[1, 0], [0, 1]]
 
     def test_dimension_three_is_empty(self):
-        m = restriction_matrix(3, 3, 1)
-        assert (m.rows, m.cols) == (0, 0)
+        m = levels_matrix(3, 3, 1)
+        assert (m.rows, m.ncols) == ((), 0)
+
+    def test_levels_must_go_down(self):
+        for n_from, n_to in ((3, 4), (3, 3)):
+            with pytest.raises(OutOfRange, match="n_to < n_from"):
+                levels_matrix(4, n_from, n_to)
 
 
 class TestRestrictTheory:
@@ -87,7 +96,7 @@ class TestRestrictTheory:
 
     def test_identity_parameters(self):
         out = restrict_theory(4, 4, 3, TheoryParams.of([1, 1]))
-        assert all(v.is_one for v in out)
+        assert all(v == ExactComplex.one() for v in out)
 
     def test_formula_on_random_rationals(self):
         rng = random.Random(13)
@@ -124,9 +133,17 @@ class TestRestrictionKernel:
         assert kernel.group.is_trivial
         assert kernel.elements == ((ExactComplex.one(), ExactComplex.one()),)
 
+    def test_bad_levels_keep_their_messages(self):
+        # the kernel checks the levels before it classifies the target one
+        with pytest.raises(OutOfRange, match="n_to < n_from"):
+            restriction_kernel(4, 3, 5)
+        with pytest.raises(OutOfRange, match="n <= d"):
+            restrict_theory(4, 4, 5, TheoryParams.of([1, 1]))
+
     def test_kernel_order_matches_determinant(self):
-        m = restriction_matrix(4, 4, 3)
-        assert restriction_kernel(4, 4, 3).group.order() == abs(m.det())
+        from sympy import Matrix
+        m = levels_matrix(4, 4, 3)
+        assert restriction_kernel(4, 4, 3).group.order() == abs(Matrix(m.to_rows()).det())
 
     def test_kernel_elements_restrict_trivially(self):
         rng = random.Random(43)

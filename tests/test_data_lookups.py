@@ -4,7 +4,10 @@ A counting wrapper around ``certified.load_data`` sees every lookup, since
 every module calls it through ``certified``.  With ``data`` omitted a call
 makes exactly one; with an explicit ``data`` it makes none, and every
 answer comes from that data even when it differs from the shipped file.
+A restriction likewise classifies each of its two levels once.
 """
+
+import importlib
 
 import pytest
 
@@ -113,3 +116,23 @@ class TestExplicitData:
         assert gilmer_masbaum_report(data).atiyah_class.rho_multiple == 10
         assert standard_manifolds(data).get("X4").signature == 2
         assert lookups == []
+
+
+class TestOneClassificationPerLevel:
+    """A counting wrapper around ``classify.classify``, which the
+    restriction calls reach as a module global."""
+
+    @pytest.mark.parametrize("kind", ["restrict", "kernel"])
+    def test_each_level_is_classified_once(self, monkeypatch, kind):
+        module = importlib.import_module("mtspec.classify")
+        data = certified.load_data()
+        calls = []
+        original = module.classify
+
+        def counting(d, n, data=None):
+            calls.append((d, n))
+            return original(d, n, data)
+
+        monkeypatch.setattr(module, "classify", counting)
+        API_CALLS[kind](data)
+        assert sorted(calls) == [(4, 3), (4, 4)]

@@ -12,6 +12,8 @@ from mtspec.spectra import (KIND_DIVISIBILITY, DerivationConstraint,
                             homotopy_group, hz_self_cohomology, verify_les)
 from mtspec.tftlab import FormalSum, standard_manifolds, vf_invariant
 
+from test_abelian import product
+
 Z = FgAbGroup(1)
 Z2 = FgAbGroup(0, (2,))
 
@@ -314,16 +316,16 @@ class TestCommutingSquare:
         right = cover_map(4, 4, "covdim").to_group_hom(data)   # psi,sigma -> rho
         left = cover_map(4, 4, "dim").to_group_hom(data)       # eu,p1u -> p1u
         bottom = cover_map(3, 4, "cover").to_group_hom(data)   # p1u -> rho
-        via_cover = right.matrix * top.matrix
-        via_dimension = bottom.matrix * left.matrix
-        assert via_cover.entries == via_dimension.entries
+        via_cover = product(right.matrix, top.matrix)
+        via_dimension = product(bottom.matrix, left.matrix)
+        assert via_cover == via_dimension
         # p1u: 3*sigma -> 6*rho equals p1u -> p1u -> 6*rho
         src = cohomology(SpectrumId(4, 0), 4)
         p1u_index = src.names.index("p1u")
-        assert via_cover.col_list(p1u_index) == [6]
+        assert via_cover.columns()[p1u_index] == [6]
         # eu: (2*psi - sigma) -> 2*rho - 2*rho = 0 equals eu -> 0 -> 0
         eu_index = src.names.index("eu")
-        assert via_cover.col_list(eu_index) == [0]
+        assert via_cover.columns()[eu_index] == [0]
 
 
 class TestSpectrumId:
