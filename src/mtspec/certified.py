@@ -21,8 +21,12 @@ suffices because every invariant is affine in g.  The environment
 variable MTSPEC_DATA overrides the path; a file that cannot be read is a
 DataFormatError like any other bad file.
 
-``load_data`` reads MTSPEC_DATA and resolves the path on every call, so
-each public function that takes ``data=`` resolves the file once, at its
+``load_data`` reads MTSPEC_DATA and resolves the path on every call, with
+one ``os.path.realpath`` (the shipped file's absolute path is computed
+once, at import), and keys its cache on the resolved path: a symlink or a
+relative MTSPEC_DATA naming the shipped file shares its CertifiedData, a
+retargeted symlink is followed, and a symlink loop is an unreadable file.
+Each public function that takes ``data=`` resolves the file once, at its
 top, and passes that one CertifiedData to everything it calls: a call
 answers from one snapshot of the data even if MTSPEC_DATA changes during
 it, and a caller that passes ``data=`` skips the lookup altogether.
@@ -234,8 +238,13 @@ def _parse_fields(parts):
     return fields
 
 
+# the shipped file, made absolute once; load_data resolves it per call
+_SHIPPED_DATA_PATH = Path(os.path.abspath(__file__)).parent / "data" / "certified_data.txt"
+
+
 def default_data_path() -> Path:
-    return Path(__file__).resolve().parent / "data" / "certified_data.txt"
+    """The shipped data file, absolute but not resolved."""
+    return _SHIPPED_DATA_PATH
 
 
 def _arrow_endpoints(data: CertifiedData, arrow: ArrowRecord):
@@ -399,10 +408,11 @@ _CACHE = {}
 def load_data(path=None) -> CertifiedData:
     if path is None:
         path = os.environ.get(ENV_DATA_PATH) or default_data_path()
-    path = str(Path(path).resolve())
+    path = os.path.realpath(path)  # never raises, even on a symlink loop
     if path not in _CACHE:
         try:
-            text = Path(path).read_text()
+            with open(path) as handle:
+                text = handle.read()
         except OSError as exc:
             raise DataFormatError("cannot read data file %s: %s"
                                   % (path, exc.strerror or exc))

@@ -114,6 +114,7 @@ def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
     """Push theory coordinates along a restriction, exactly."""
     data = data or certified.load_data()
     source = classify(d, n_from, data)
+    _check_levels(d, n_from, n_to)  # before the target level is classified
     target = classify(d, n_to, data)
     if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
         raise OutOfRange("coordinate transport needs trivial finite parts")

@@ -125,9 +125,14 @@ class TestRepeatedFields:
 
 
 class TestUnreadableFile:
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "loop"])
     def test_exits_two_in_process(self, capsys, monkeypatch, tmp_path, kind):
-        path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+        if kind == "loop":  # two symlinks that point at each other
+            path = tmp_path / "a.txt"
+            path.symlink_to(tmp_path / "b.txt")
+            (tmp_path / "b.txt").symlink_to(path)
+        else:
+            path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
         with pytest.raises(DataFormatError, match="cannot read data file"):
             load_data()

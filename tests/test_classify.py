@@ -134,10 +134,11 @@ class TestRestrictionKernel:
         assert kernel.elements == ((ExactComplex.one(), ExactComplex.one()),)
 
     def test_bad_levels_keep_their_messages(self):
-        # the kernel checks the levels before it classifies the target one
+        # both check the levels before they classify the target one, so a
+        # bad target level gets one message
         with pytest.raises(OutOfRange, match="n_to < n_from"):
             restriction_kernel(4, 3, 5)
-        with pytest.raises(OutOfRange, match="n <= d"):
+        with pytest.raises(OutOfRange, match="n_to < n_from"):
             restrict_theory(4, 4, 5, TheoryParams.of([1, 1]))
 
     def test_kernel_order_matches_determinant(self):

@@ -324,6 +324,18 @@ class TestProcessLevel:
         assert "(d=1, k=5)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_symlink_loop_data_path_exits_two(self, tmp_path):
+        # resolving a loop must not raise; reading it is an unreadable file
+        path = tmp_path / "a.txt"
+        path.symlink_to(tmp_path / "b.txt")
+        (tmp_path / "b.txt").symlink_to(path)
+        proc = run_subprocess("table", "hz", env_extra={"MTSPEC_DATA": str(path)})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read data file")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_invalid_manifold_record_exits_two(self, tmp_path):
         # manifold records are checked against the ManifoldClass invariants
         # when the file loads, not when the manifold is first used

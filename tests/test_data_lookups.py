@@ -4,10 +4,14 @@ A counting wrapper around ``certified.load_data`` sees every lookup, since
 every module calls it through ``certified``.  With ``data`` omitted a call
 makes exactly one; with an explicit ``data`` it makes none, and every
 answer comes from that data even when it differs from the shipped file.
-A restriction likewise classifies each of its two levels once.
+A restriction likewise classifies each of its two levels once.  One
+lookup resolves its path with one ``os.path.realpath``, and every path
+that names the shipped file serves the same CertifiedData.
 """
 
 import importlib
+import os
+import pathlib
 
 import pytest
 
@@ -136,3 +140,53 @@ class TestOneClassificationPerLevel:
         monkeypatch.setattr(module, "classify", counting)
         API_CALLS[kind](data)
         assert sorted(calls) == [(4, 3), (4, 4)]
+
+
+class TestOneResolvePerLookup:
+    """Counting wrappers around ``os.path.realpath`` and ``Path.resolve``,
+    which ``load_data`` reaches through their modules."""
+
+    @pytest.mark.parametrize("source", ["default", "environment"])
+    def test_one_realpath_and_no_path_resolve(self, monkeypatch, tmp_path, source):
+        monkeypatch.delenv(certified.ENV_DATA_PATH, raising=False)
+        if source == "environment":
+            copy = tmp_path / "copy.txt"
+            copy.write_text(default_data_path().read_text())
+            monkeypatch.setenv(certified.ENV_DATA_PATH, str(copy))
+        calls = []
+        realpath, resolve = os.path.realpath, pathlib.Path.resolve
+
+        def counting_realpath(path, *args, **kwargs):
+            calls.append("realpath")
+            return realpath(path, *args, **kwargs)
+
+        def counting_resolve(self, *args, **kwargs):
+            calls.append("resolve")
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(os.path, "realpath", counting_realpath)
+        monkeypatch.setattr(pathlib.Path, "resolve", counting_resolve)
+        certified.load_data()
+        assert calls == ["realpath"]
+
+
+class TestSameFileSameData:
+    """A path that names the shipped file by another route is a cache hit."""
+
+    @pytest.mark.parametrize("route", ["symlink", "relative"])
+    def test_same_object_and_output(self, monkeypatch, capsys, tmp_path, route):
+        monkeypatch.delenv(certified.ENV_DATA_PATH, raising=False)
+        shipped = certified.load_data()
+        assert main(["table", "hz"]) == 0
+        expected = capsys.readouterr().out
+        if route == "symlink":
+            link = tmp_path / "link.txt"
+            link.symlink_to(default_data_path())
+            monkeypatch.setenv(certified.ENV_DATA_PATH, str(link))
+        else:
+            monkeypatch.chdir(tmp_path)
+            monkeypatch.setenv(certified.ENV_DATA_PATH,
+                               os.path.relpath(default_data_path(), tmp_path))
+        assert certified.load_data() is shipped
+        assert main(["table", "hz"]) == 0
+        assert capsys.readouterr().out == expected
