@@ -21,11 +21,20 @@ suffices because every invariant is affine in g.  The environment
 variable MTSPEC_DATA overrides the path; a file that cannot be read is a
 DataFormatError like any other bad file.
 
-``load_data`` reads MTSPEC_DATA and resolves the path on every call, with
-one ``os.path.realpath`` (the shipped file's absolute path is computed
-once, at import), and keys its cache on the resolved path: a symlink or a
-relative MTSPEC_DATA naming the shipped file shares its CertifiedData, a
-retargeted symlink is followed, and a symlink loop is an unreadable file.
+``load_data`` reads MTSPEC_DATA on every call and checks its cache with
+one ``os.stat`` of the path in effect (the shipped file's absolute path is
+computed once, at import).  The cache is keyed on the file's identity, its
+device and inode, and an entry is served while the file keeps the size
+and modification time it had when it was read, the rule
+``linecache.checkcache`` uses.  So a symlink or a relative MTSPEC_DATA
+naming the shipped file shares its CertifiedData, a retargeted symlink
+and a file moved over the path are followed, and a rewrite that changes
+the size or the mtime is read again; a rewrite of the same size within
+one mtime tick is not seen.  A miss reads the file and resolves its path
+once, with ``os.path.realpath``, to name it in CertifiedData.path.  Only a
+regular file of at most MAX_DATA_BYTES is read: a fifo, which would block
+the read, a device, which may never end, and a longer file are unreadable
+files, as are a missing file, a directory and a symlink loop.
 Each public function that takes ``data=`` resolves the file once, at its
 top, and passes that one CertifiedData to everything it calls: a call
 answers from one snapshot of the data even if MTSPEC_DATA changes during
@@ -41,8 +50,10 @@ no part of the consistency proof in ``spectra``.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,7 +249,7 @@ def _parse_fields(parts):
     return fields
 
 
-# the shipped file, made absolute once; load_data resolves it per call
+# the shipped file, made absolute once; load_data stats it per call
 _SHIPPED_DATA_PATH = Path(os.path.abspath(__file__)).parent / "data" / "certified_data.txt"
 
 
@@ -402,22 +413,38 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
     return data
 
 
-_CACHE = {}
+MAX_DATA_BYTES = 1 << 20  # the shipped file has under 5 KB
+
+_CACHE = {}  # (st_dev, st_ino) -> (st_size, st_mtime_ns, CertifiedData)
 
 
 def load_data(path=None) -> CertifiedData:
     if path is None:
         path = os.environ.get(ENV_DATA_PATH) or default_data_path()
-    path = os.path.realpath(path)  # never raises, even on a symlink loop
-    if path not in _CACHE:
-        try:
-            with open(path) as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise DataFormatError("cannot read data file %s: %s"
-                                  % (path, exc.strerror or exc))
-        _CACHE[path] = parse_data(text, path)
-    return _CACHE[path]
+    try:
+        st = os.stat(path)  # follows symlinks; a symlink loop raises ELOOP
+        cached = _CACHE.get((st.st_dev, st.st_ino))
+        if (cached is not None and cached[0] == st.st_size
+                and cached[1] == st.st_mtime_ns):
+            return cached[2]
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISREG(st.st_mode):  # a fifo blocks the open, a device may never end
+            raise OSError("not a regular file")
+        with open(path, "rb") as handle:
+            st = os.fstat(handle.fileno())  # the stamp of the bytes read
+            raw = handle.read(MAX_DATA_BYTES + 1)
+        if len(raw) > MAX_DATA_BYTES:
+            raise OSError("more than MAX_DATA_BYTES (%d) bytes" % MAX_DATA_BYTES)
+    except OSError as exc:
+        raise DataFormatError("cannot read data file %s: %s"
+                              % (os.path.realpath(path), exc.strerror or exc))
+    data = parse_data(raw.decode("utf-8"), os.path.realpath(path))
+    # a file moved over this path drops the entry of the file it replaced
+    for key in [key for key, entry in _CACHE.items() if entry[2].path == data.path]:
+        del _CACHE[key]
+    _CACHE[(st.st_dev, st.st_ino)] = (st.st_size, st.st_mtime_ns, data)
+    return data
 
 
 # ---------------------------------------------------------------------------

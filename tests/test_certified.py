@@ -1,11 +1,17 @@
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
-from mtspec.certified import ManifoldClass, default_data_path, load_data, parse_data
+from mtspec.certified import (MAX_DATA_BYTES, ManifoldClass, default_data_path,
+                              load_data, parse_data)
 from mtspec.cli import main
 from mtspec.errors import DataFormatError, NotRecorded
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
 version=1
@@ -124,13 +130,24 @@ class TestRepeatedFields:
         assert repr(line) in captured.err
 
 
+def cap_address_space():
+    """Cap a child at 512 MiB, so that an unbounded read fails in the child."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
 class TestUnreadableFile:
-    @pytest.mark.parametrize("kind", ["missing", "directory", "loop"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "loop", "oversized"])
     def test_exits_two_in_process(self, capsys, monkeypatch, tmp_path, kind):
         if kind == "loop":  # two symlinks that point at each other
             path = tmp_path / "a.txt"
             path.symlink_to(tmp_path / "b.txt")
             (tmp_path / "b.txt").symlink_to(path)
+        elif kind == "oversized":  # a valid file, padded past the bound
+            path = tmp_path / "big.txt"
+            comments = "#" * 1023 + "\n"
+            path.write_text(default_data_path().read_text()
+                            + comments * (MAX_DATA_BYTES // len(comments)))
         else:
             path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
@@ -141,6 +158,26 @@ class TestUnreadableFile:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err
+
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_exits_two_without_reading(self, tmp_path, kind):
+        # a fifo with no writer blocks an open and /dev/zero never ends: the
+        # file is refused before it is opened, and the timeout and the
+        # address-space cap make a regression fail instead of hang
+        if kind == "fifo":
+            path = str(tmp_path / "fifo")
+            os.mkfifo(path)
+        else:
+            path = "/dev/zero"
+        env = dict(os.environ, MTSPEC_DATA=path)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-m", "mtspec", "table", "hz"],
+                              capture_output=True, text=True, env=env, timeout=10,
+                              preexec_fn=cap_address_space)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: cannot read data file %s: not a regular file\n"
+                               % os.path.realpath(path))
 
 
 class TestParser:

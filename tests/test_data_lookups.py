@@ -4,9 +4,10 @@ A counting wrapper around ``certified.load_data`` sees every lookup, since
 every module calls it through ``certified``.  With ``data`` omitted a call
 makes exactly one; with an explicit ``data`` it makes none, and every
 answer comes from that data even when it differs from the shipped file.
-A restriction likewise classifies each of its two levels once.  One
-lookup resolves its path with one ``os.path.realpath``, and every path
-that names the shipped file serves the same CertifiedData.
+A restriction likewise classifies each of its two levels once.  A
+cached lookup costs one ``os.stat`` and resolves no path, every path that
+names the shipped file serves the same CertifiedData, and a file that was
+rewritten, replaced or retargeted since it was read is read again.
 """
 
 import importlib
@@ -20,6 +21,7 @@ from mtspec.certified import SpectrumId, default_data_path, parse_data
 from mtspec.classify import (TheoryParams, classify, gilmer_masbaum_report,
                              restrict_theory, restriction_kernel)
 from mtspec.cli import main
+from mtspec.errors import DataFormatError
 from mtspec.exactnum import ExactComplex
 from mtspec.tftlab import (SurfaceBordism, euler_theory_value, frobenius_closed_value,
                            invertible_4d_value, is_vf_nullbordant, parse_formal_sum,
@@ -142,32 +144,50 @@ class TestOneClassificationPerLevel:
         assert sorted(calls) == [(4, 3), (4, 4)]
 
 
-class TestOneResolvePerLookup:
-    """Counting wrappers around ``os.path.realpath`` and ``Path.resolve``,
-    which ``load_data`` reaches through their modules."""
+def count_path_calls(monkeypatch):
+    """The names of the ``os.stat``, ``os.path.realpath`` and
+    ``Path.resolve`` calls made from now on; ``load_data`` reaches each
+    through its module."""
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(os, "stat")
+    counting(os.path, "realpath")
+    counting(pathlib.Path, "resolve")
+    return calls
+
+
+class TestOneStatPerLookup:
+    """A cache hit costs one ``os.stat`` and resolves no path; a miss
+    resolves the path once, to name the file it read."""
 
     @pytest.mark.parametrize("source", ["default", "environment"])
-    def test_one_realpath_and_no_path_resolve(self, monkeypatch, tmp_path, source):
+    def test_a_hit_is_one_stat(self, monkeypatch, tmp_path, source):
         monkeypatch.delenv(certified.ENV_DATA_PATH, raising=False)
         if source == "environment":
             copy = tmp_path / "copy.txt"
             copy.write_text(default_data_path().read_text())
             monkeypatch.setenv(certified.ENV_DATA_PATH, str(copy))
-        calls = []
-        realpath, resolve = os.path.realpath, pathlib.Path.resolve
+        data = certified.load_data()
+        calls = count_path_calls(monkeypatch)
+        assert certified.load_data() is data
+        assert calls == ["stat"]
 
-        def counting_realpath(path, *args, **kwargs):
-            calls.append("realpath")
-            return realpath(path, *args, **kwargs)
-
-        def counting_resolve(self, *args, **kwargs):
-            calls.append("resolve")
-            return resolve(self, *args, **kwargs)
-
-        monkeypatch.setattr(os.path, "realpath", counting_realpath)
-        monkeypatch.setattr(pathlib.Path, "resolve", counting_resolve)
+    def test_a_miss_resolves_once(self, monkeypatch, tmp_path):
+        copy = tmp_path / "copy.txt"
+        copy.write_text(default_data_path().read_text())
+        monkeypatch.setenv(certified.ENV_DATA_PATH, str(copy))
+        calls = count_path_calls(monkeypatch)
         certified.load_data()
-        assert calls == ["realpath"]
+        assert calls.count("realpath") == 1 and "resolve" not in calls
 
 
 class TestSameFileSameData:
@@ -190,3 +210,65 @@ class TestSameFileSameData:
         assert certified.load_data() is shipped
         assert main(["table", "hz"]) == 0
         assert capsys.readouterr().out == expected
+
+
+def renamed(text, name):
+    """The data text with the generator tau of the (d=2, cover=1, k=2) row
+    renamed, in the row and in the cover arrow that names it."""
+    return text.replace("gens=tau", "gens=" + name).replace("cu:2*tau", "cu:2*" + name)
+
+
+def rewrite(path, text):
+    """Rewrite a file in place and move its mtime a second on, so that the
+    test does not depend on the file system's timestamp granularity."""
+    stamp = os.stat(path).st_mtime_ns + 10**9
+    path.write_text(text)
+    os.utime(path, ns=(stamp, stamp))
+
+
+class TestChangedFile:
+    """A file rewritten, replaced or retargeted between calls is read again."""
+
+    @pytest.fixture
+    def copy(self, tmp_path):
+        path = tmp_path / "copy.txt"
+        path.write_text(default_data_path().read_text())
+        return path
+
+    @pytest.mark.parametrize("name", ["theta", "tao"])  # a new size, the same size
+    def test_in_place_rewrite_is_reloaded(self, copy, name):
+        assert classify(2, 1, certified.load_data(copy)).basis_names == ("tau",)
+        inode = os.stat(copy).st_ino
+        rewrite(copy, renamed(copy.read_text(), name))
+        assert os.stat(copy).st_ino == inode
+        assert classify(2, 1, certified.load_data(copy)).basis_names == (name,)
+
+    def test_invalid_rewrite_raises(self, copy):
+        certified.load_data(copy)
+        # the cover arrow still names tau, which the row no longer has
+        rewrite(copy, copy.read_text().replace("gens=tau", "gens=theta"))
+        with pytest.raises(DataFormatError):
+            certified.load_data(copy)
+
+    def test_replaced_file_is_served_in_the_old_ones_place(self, copy, tmp_path):
+        certified.load_data(copy)
+        entries = len(certified._CACHE)
+        new = tmp_path / "new.txt"
+        new.write_text(renamed(copy.read_text(), "theta"))
+        os.replace(new, copy)
+        assert classify(2, 1, certified.load_data(copy)).basis_names == ("theta",)
+        assert len(certified._CACHE) == entries
+
+    def test_retargeted_symlink_serves_each_copy(self, copy, tmp_path):
+        other = tmp_path / "other.txt"
+        other.write_text(renamed(copy.read_text(), "theta"))
+        link = tmp_path / "link.txt"
+        served = []
+        for target in [copy, other, copy]:
+            staged = tmp_path / "staged.txt"
+            staged.symlink_to(target)
+            os.replace(staged, link)
+            served.append(certified.load_data(link))
+        assert [classify(2, 1, data).basis_names for data in served] == [
+            ("tau",), ("theta",), ("tau",)]
+        assert served[2] is served[0]
