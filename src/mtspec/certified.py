@@ -1,25 +1,27 @@
 """The versioned certified data file, and the tables served from it.
 
-The file ships with the package and carries the cohomology tables with
-their named generators, the homotopy table, the self-cohomology of the
-integral Eilenberg-MacLane spectrum, every recorded generator map, and
-the manifold catalog.  Every table row the package serves comes from
-this file, and every catalog manifold is a ManifoldClass built here.
-Loading validates it: no two records of one type may share a key, no
-record may name a field twice and the file has one integer version line
-(each repeat is refused, not taken in place of the first), each uncovered
-cohomology row must equal the matching Thom-module piece of the ring,
-each recorded map must be well-defined between the rows it names (the
-maps built for that check are kept and served by
-ArrowRecord.to_group_hom), each dim arrow must lower d by one and agree
-with the ring restriction on every named generator (coefficients on a
-Z/n generator modulo n), each manifold record must satisfy the
-ManifoldClass invariants, Hirzebruch's p1 = 3 * signature in dimension 4
-among them, and each family record
+The file ships with the package and carries the cover rows of the
+cohomology table with their named generators, the homotopy table, the
+self-cohomology of the integral Eilenberg-MacLane spectrum, every
+recorded generator map, and the manifold catalog.  Two facts are not in
+it, because the package computes them: each uncovered cohomology row is
+the Thom-module piece of the ring (``charclasses.thom_module_piece``),
+entered into the table before the file's rows are read, and each
+manifold's p1 number is 3 * signature (Hirzebruch), a property of
+ManifoldClass.  A file that records either anyway, a cover=0 row or a
+p1= field, is refused naming the line.  Loading validates the rest: no
+two records of one type may share a key, no record may name a field
+twice and the file has one integer version line (each repeat is
+refused, not taken in place of the first), each recorded map must be
+well-defined between the rows it names (the maps built for that check
+are kept and served by ArrowRecord.to_group_hom), each dim arrow must
+lower d by one and agree with the ring restriction on every named
+generator (coefficients on a Z/n generator modulo n), each manifold
+record must satisfy the ManifoldClass invariants, and each family record
 (name ending in _g) must yield valid members for g = 0 and g = 1, which
 suffices because every invariant is affine in g.  The environment
-variable MTSPEC_DATA overrides the path; a file that cannot be read is a
-DataFormatError like any other bad file.
+variable MTSPEC_DATA overrides the path; a file that cannot be read or
+is not UTF-8 is a DataFormatError like any other bad file.
 
 ``load_data`` reads MTSPEC_DATA on every call and checks its cache with
 one ``os.stat`` of the path in effect (the shipped file's absolute path is
@@ -63,6 +65,7 @@ from .errors import (DataFormatError, InvalidManifold, NotRecorded, OutOfTable,
                      Unsupported)
 
 ENV_DATA_PATH = "MTSPEC_DATA"
+MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
 
 _TERM_RE = re.compile(r"([+-]?\d+)\*([A-Za-z][A-Za-z0-9^]*)")
 
@@ -105,7 +108,6 @@ class ManifoldClass:
     dim: int
     euler: int
     signature: int = 0
-    p1_number: int = 0
     kr: int | None = None
 
     def __post_init__(self):
@@ -115,12 +117,6 @@ class ManifoldClass:
             raise InvalidManifold("closed odd-dimensional manifolds have euler 0")
         if self.dim % 4 and self.signature:
             raise InvalidManifold("signature is only meaningful in dimensions 0 mod 4")
-        if self.dim != 4 and self.p1_number:
-            raise InvalidManifold("p1 numbers live in dimension 4 only")
-        # Hirzebruch: signature = p1 / 3 on a closed 4-manifold.  The planned
-        # pairing of classes with manifolds will derive this condition too.
-        if self.dim == 4 and self.p1_number != 3 * self.signature:
-            raise InvalidManifold("a 4-manifold has p1 = 3 * signature (Hirzebruch)")
         if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
             raise InvalidManifold("euler + signature must be even (duality parity)")
         if self.kr is not None:
@@ -128,6 +124,12 @@ class ManifoldClass:
                 raise InvalidManifold("kr applies in dimensions 1 mod 4 only")
             if self.kr not in (0, 1):
                 raise InvalidManifold("kr is a mod-2 value")
+
+    @property
+    def p1_number(self) -> int:
+        """The first Pontryagin number, 3 * signature by Hirzebruch's
+        signature theorem; 0 outside dimension 4, as the signature is."""
+        return 3 * self.signature
 
 
 @dataclass(frozen=True)
@@ -137,13 +139,11 @@ class FamilyRecord:
     euler0: int
     eulerg: int
     signature: int
-    p1: int
 
     def member(self, name: str, g: int) -> ManifoldClass:
         """The member with parameter g; raises InvalidManifold if invalid."""
-        return ManifoldClass(name, self.dim,
-                             self.euler0 + self.eulerg * g,
-                             self.signature, self.p1)
+        return ManifoldClass(name, self.dim, self.euler0 + self.eulerg * g,
+                             self.signature)
 
 
 def hz_entry(group: FgAbGroup, k: int) -> CohomologyEntry:
@@ -280,17 +280,6 @@ def _arrow_endpoints(data: CertifiedData, arrow: ArrowRecord):
 
 
 def _validate(data: CertifiedData):
-    for (d, cover, k), entry in data.cohomology.items():
-        if cover == 0:
-            try:
-                ring = thom_module_piece(d, k)
-            except ValueError as exc:
-                raise DataFormatError("uncovered row (d=%d, k=%d): %s" % (d, k, exc))
-            if entry != ring:
-                raise DataFormatError(
-                    "uncovered row (d=%d, k=%d) holds %s (%s) but the Thom "
-                    "module gives %s (%s)" % (d, k, entry.group, ",".join(entry.names),
-                                              ring.group, ",".join(ring.names)))
     for arrow in data.arrows:
         # the lookups find a restriction only one dimension down, and
         # any other arrow only without a target dimension
@@ -330,7 +319,9 @@ def _check_ring_restriction(arrow: ArrowRecord, target: CohomologyEntry):
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:
     version = None
-    cohomology = {}
+    # the uncovered rows are the ring's; the file records only the covers
+    cohomology = {(d, 0, k): thom_module_piece(d, k)
+                  for d in (1, 2, 3, 4) for k in range(MAX_TABLE_DEGREE + 1)}
     homotopy = {}
     hz = {}
     arrows = {}
@@ -355,9 +346,14 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 continue
             parts = line.split()
             rectype, fields = parts[0], _parse_fields(parts[1:])
+            if "p1" in fields:
+                raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
             if rectype == "cohomology":
                 table, key = cohomology, (int(fields["d"]), int(fields["cover"]),
                                           int(fields["k"]))
+                if key[1] == 0:
+                    raise ValueError("uncovered rows are the ring's Thom-module "
+                                     "pieces, not recorded; delete the cover=0 row")
                 spelled = (fields["group"], fields.get("gens", ""))
                 if spelled not in entries:
                     entries[spelled] = CohomologyEntry(group(spelled[0]),
@@ -383,15 +379,13 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     name=fields["name"], dim=int(fields["dim"]),
                     euler=int(fields["euler"]),
                     signature=int(fields.get("signature", 0)),
-                    p1_number=int(fields.get("p1", 0)),
                     kr=int(fields["kr"]) if "kr" in fields else None)
                 table, key = manifolds, rec.name
             elif rectype == "family":
                 rec = FamilyRecord(
                     name=fields["name"], dim=int(fields["dim"]),
                     euler0=int(fields["euler0"]), eulerg=int(fields["eulerg"]),
-                    signature=int(fields.get("signature", 0)),
-                    p1=int(fields.get("p1", 0)))
+                    signature=int(fields.get("signature", 0)))
                 if not rec.name.endswith("_g"):
                     raise InvalidManifold("family name has no parameter slot _g")
                 # every invariant is affine in g, so two members check all
@@ -436,10 +430,11 @@ def load_data(path=None) -> CertifiedData:
             raw = handle.read(MAX_DATA_BYTES + 1)
         if len(raw) > MAX_DATA_BYTES:
             raise OSError("more than MAX_DATA_BYTES (%d) bytes" % MAX_DATA_BYTES)
-    except OSError as exc:
-        raise DataFormatError("cannot read data file %s: %s"
-                              % (os.path.realpath(path), exc.strerror or exc))
-    data = parse_data(raw.decode("utf-8"), os.path.realpath(path))
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # a decode error has none
+        raise DataFormatError("cannot read data file %s: %s" % (os.path.realpath(path), reason))
+    data = parse_data(text, os.path.realpath(path))
     # a file moved over this path drops the entry of the file it replaced
     for key in [key for key, entry in _CACHE.items() if entry[2].path == data.path]:
         del _CACHE[key]
@@ -449,9 +444,6 @@ def load_data(path=None) -> CertifiedData:
 
 # ---------------------------------------------------------------------------
 # serving the tables
-
-
-MAX_TABLE_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -500,9 +492,9 @@ def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
     """Integral cohomology of a spectrum in degrees 0..5.
 
     Uncovered spectra and first covers are served from the certified
-    table; the uncovered rows were checked against the Thom-module
-    description when the table was loaded.  Higher covers are only
-    reachable through grid_equivalence and are refused here.
+    table, whose uncovered rows are the Thom-module pieces of the ring.
+    Higher covers are only reachable through grid_equivalence and are
+    refused here.
     """
     data = data or load_data()
     if not 0 <= k <= MAX_TABLE_DEGREE:

@@ -18,9 +18,9 @@ computed here.
 
 A formal degree-zero class u turns each graded piece into the matching
 piece of the suspended Thom spectrum: the virtual bundle has dimension
-zero, so tensoring with u shifts nothing.  The certified data file is
-checked against both when it loads: its uncovered rows against
-thom_module_piece and its dim arrows against ring_restriction.
+zero, so tensoring with u shifts nothing.  The certified tables take
+their uncovered rows from thom_module_piece, and the data file's dim
+arrows are checked against ring_restriction when it loads.
 """
 
 from __future__ import annotations

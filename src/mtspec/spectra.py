@@ -8,13 +8,14 @@ and a constrained derivation engine that re-derives every cover entry of
 the table, admitting only constraints read from the data: Hurewicz facts
 from the homotopy table and divisibility from the recorded cover arrows.
 The tables themselves are served by ``certified``, next to the data file
-they are read from; the uncovered rows and the dim arrows are checked
-against the ring when the file is loaded, and this module is the
-machine-checked consistency proof of the cover rows.  It re-exports the
-table lookups (``SpectrumId``, ``cohomology``, ``homotopy_group``,
-``hz_self_cohomology``, ``grid_equivalence``, ``equivalent_stored_cover``,
-``cover_map`` and ``MAX_TABLE_DEGREE``), so ``spectra.cohomology`` and
-the others resolve as before; serving a table does not import it.
+they are read from; the uncovered rows are the ring's own, the dim
+arrows are checked against the ring when the file is loaded, and this
+module is the machine-checked consistency proof of the cover rows.  It
+re-exports the table lookups (``SpectrumId``, ``cohomology``,
+``homotopy_group``, ``hz_self_cohomology``, ``grid_equivalence``,
+``equivalent_stored_cover``, ``cover_map`` and ``MAX_TABLE_DEGREE``), so
+``spectra.cohomology`` and the others resolve as before; serving a table
+does not import it.
 """
 
 from __future__ import annotations

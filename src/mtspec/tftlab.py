@@ -4,10 +4,9 @@ Manifolds are descriptor tuples, not triangulations: the theories in
 range see only the Euler characteristic, the signature, the first
 Pontryagin number and (in dimensions 1 mod 4) the real semicharacteristic,
 so the data model (ManifoldClass, defined in certified and re-exported
-here) stores exactly those.  The catalog serves the ManifoldClass
-instances built and validated when the shipped data file loads, whose
-Pontryagin numbers satisfy the signature theorem p1 = 3*sigma; none is
-invented silently.
+here) stores the others and computes p1 = 3*sigma by the signature
+theorem.  The catalog serves the ManifoldClass instances built and
+validated when the shipped data file loads; none is invented silently.
 
 All evaluation is exact: parameters and values are rational numbers
 times roots of unity.
@@ -32,8 +31,7 @@ def disjoint_union(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
     if a.kr is not None and b.kr is not None:
         kr = (a.kr + b.kr) % 2
     return ManifoldClass("%s+%s" % (a.name, b.name), a.dim,
-                         a.euler + b.euler, a.signature + b.signature,
-                         a.p1_number + b.p1_number, kr)
+                         a.euler + b.euler, a.signature + b.signature, kr=kr)
 
 
 def connected_sum(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
@@ -43,8 +41,7 @@ def connected_sum(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
     if a.dim not in (2, 4):
         raise DimensionMismatch("connected sum is provided for dimensions 2 and 4")
     return ManifoldClass("%s#%s" % (a.name, b.name), a.dim,
-                         a.euler + b.euler - 2, a.signature + b.signature,
-                         a.p1_number + b.p1_number)
+                         a.euler + b.euler - 2, a.signature + b.signature)
 
 
 @dataclass(frozen=True)

@@ -6,23 +6,24 @@ import time
 
 import pytest
 
-from mtspec.certified import (MAX_DATA_BYTES, ManifoldClass, default_data_path,
-                              load_data, parse_data)
+from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, ManifoldClass,
+                              default_data_path, load_data, parse_data)
+from mtspec.charclasses import thom_module_piece
 from mtspec.cli import main
 from mtspec.errors import DataFormatError, NotRecorded
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
-version=1
-cohomology d=2 cover=0 k=0 group=Z gens=u
+version=2
+cohomology d=2 cover=1 k=2 group=Z gens=tau
 """
 
 
 class TestShippedData:
     def test_loads_and_validates(self):
         data = load_data()
-        assert data.version == 1
+        assert data.version == 2
         assert len(data.cohomology) == 42  # seven rows, degrees 0..5
         assert len(data.arrows) == 20
         assert set(data.hz) == set(range(7))
@@ -108,13 +109,13 @@ class TestRepeatedFields:
     MTSPEC_DATA."""
 
     @pytest.mark.parametrize("old,new", [
-        # would load as the d=1 row, which the line also spells d=2
-        ("cohomology d=1 cover=0 k=0 group=Z gens=u",
-         "cohomology d=2 cover=0 k=0 d=1 group=Z gens=u"),
+        # would load as the d=2 row, which the line also spells d=3
+        ("cohomology d=2 cover=1 k=2 group=Z gens=tau",
+         "cohomology d=3 cover=1 k=2 d=2 group=Z gens=tau"),
         # would load with euler 4
         ("manifold name=S2 dim=2 euler=2", "manifold name=S2 dim=2 euler=2 euler=4"),
-        ("version=1", "version=1\nversion=2"),    # would load as version 2
-        ("version=1", "version=abc"),             # escaped as a bare ValueError
+        ("version=2", "version=2\nversion=3"),    # would load as version 3
+        ("version=2", "version=abc"),             # escaped as a bare ValueError
     ])
     def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
         modified = tampered(old, new)
@@ -137,7 +138,8 @@ def cap_address_space():
 
 
 class TestUnreadableFile:
-    @pytest.mark.parametrize("kind", ["missing", "directory", "loop", "oversized"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "loop", "oversized",
+                                      "non-utf8"])
     def test_exits_two_in_process(self, capsys, monkeypatch, tmp_path, kind):
         if kind == "loop":  # two symlinks that point at each other
             path = tmp_path / "a.txt"
@@ -148,6 +150,9 @@ class TestUnreadableFile:
             comments = "#" * 1023 + "\n"
             path.write_text(default_data_path().read_text()
                             + comments * (MAX_DATA_BYTES // len(comments)))
+        elif kind == "non-utf8":  # 0xff starts no UTF-8 sequence
+            path = tmp_path / "latin.txt"
+            path.write_bytes(b"version=2\n\xff\n")
         else:
             path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
@@ -183,27 +188,39 @@ class TestUnreadableFile:
 class TestParser:
     def test_minimal_document(self):
         data = parse_data(MINIMAL)
+        assert data.entry(2, 1, 2).names == ("tau",)
         assert data.entry(2, 0, 0).names == ("u",)
 
     def test_version_required(self):
-        with pytest.raises(DataFormatError):
-            parse_data("cohomology d=2 cover=0 k=0 group=Z gens=u\n")
+        with pytest.raises(DataFormatError, match="lacks a version line"):
+            parse_data("cohomology d=2 cover=1 k=2 group=Z gens=tau\n")
 
     def test_unknown_record_rejected(self):
         with pytest.raises(DataFormatError):
             parse_data(MINIMAL + "mystery a=1\n")
 
     def test_generator_list_must_realize_group(self):
-        with pytest.raises(DataFormatError):
-            parse_data("version=1\ncohomology d=2 cover=0 k=0 group=Z gens=u,cu\n")
+        with pytest.raises(DataFormatError, match="does not realize the group"):
+            parse_data("version=2\ncohomology d=2 cover=1 k=2 group=Z gens=tau,x\n")
 
     def test_uncovered_row_must_match_the_ring(self):
-        with pytest.raises(DataFormatError, match=r"\(d=1, k=5\)"):
-            parse_data("version=1\ncohomology d=1 cover=0 k=5 group=Z gens=x\n")
-        with pytest.raises(DataFormatError, match=r"\(d=2, k=2\)"):
-            parse_data("version=1\ncohomology d=2 cover=0 k=2 group=Z gens=c\n")
-        with pytest.raises(DataFormatError):
-            parse_data("version=1\ncohomology d=5 cover=0 k=0 group=Z gens=u\n")
+        # the uncovered rows are the ring's pieces themselves, in any file
+        for text in (MINIMAL, default_data_path().read_text()):
+            data = parse_data(text)
+            for d in (1, 2, 3, 4):
+                for k in range(MAX_TABLE_DEGREE + 1):
+                    assert data.entry(d, 0, k) is thom_module_piece(d, k), (d, k)
+
+    @pytest.mark.parametrize("record,remedy", [
+        ("cohomology d=2 cover=0 k=0 group=Z gens=u", "delete the cover=0 row"),
+        ("manifold name=CP2 dim=4 euler=3 signature=1 p1=3", "delete the p1= field"),
+        ("family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 p1=0", "delete the p1= field"),
+    ], ids=["cover-row", "manifold-p1", "family-p1"])
+    def test_computed_fact_is_refused(self, record, remedy):
+        # a version-1 file recorded these; each now only repeats the code
+        with pytest.raises(DataFormatError) as info:
+            parse_data(MINIMAL + record + "\n")
+        assert repr(record) in str(info.value) and remedy in str(info.value)
 
     def test_manifold_record_must_be_a_manifold(self):
         with pytest.raises(DataFormatError, match="name=X"):
@@ -220,25 +237,24 @@ class TestParser:
             parse_data(MINIMAL + record + "\n")
 
     def test_four_manifold_record_must_satisfy_hirzebruch(self):
-        # p1 = 3 * signature; the record is refused before any use of it
-        with pytest.raises(DataFormatError, match="name=X4"):
-            parse_data(MINIMAL + "manifold name=X4 dim=4 euler=2 signature=0 p1=5\n")
-        with pytest.raises(DataFormatError, match="name=SxS_g"):
-            parse_data(MINIMAL + "family name=SxS_g dim=4 euler0=4 eulerg=-4 "
-                                 "signature=0 p1=3\n")
+        # p1 = 3 * signature is computed, so no record can break it
+        data = parse_data(MINIMAL + "manifold name=X4 dim=4 euler=4 signature=2\n"
+                          "family name=SxS_g dim=4 euler0=4 eulerg=-4 signature=2\n")
+        assert data.manifolds["X4"].p1_number == 6
+        assert data.families["SxS_g"].member("SxS_3", 3).p1_number == 6
 
     def test_catalog_records_are_manifold_classes(self):
-        data = parse_data(MINIMAL + "manifold name=CP2 dim=4 euler=3 signature=1 p1=3\n")
-        assert data.manifolds["CP2"] == ManifoldClass("CP2", 4, 3, 1, 3)
+        data = parse_data(MINIMAL + "manifold name=CP2 dim=4 euler=3 signature=1\n")
+        assert data.manifolds["CP2"] == ManifoldClass("CP2", 4, 3, 1)
+        assert data.manifolds["CP2"].p1_number == 3
 
     def test_ill_defined_arrow_rejected(self):
         bad = (
-            "version=1\n"
-            "cohomology d=3 cover=0 k=3 group=Z/2 gens=W3u:2\n"
+            "version=2\n"
             "cohomology d=3 cover=1 k=3 group=Z gens=x\n"
             "arrow kind=cover d=3 k=3 prov=diagram map=W3u:1*x\n"
         )
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="not well-defined"):
             parse_data(bad)
 
     def test_foreign_arrow_is_not_recorded(self):
@@ -248,8 +264,7 @@ class TestParser:
 
     def test_bad_combo_rejected(self):
         bad = (
-            "version=1\n"
-            "cohomology d=2 cover=0 k=0 group=Z gens=u\n"
+            "version=2\n"
             "cohomology d=2 cover=1 k=0 group=Z gens=t\n"
             "arrow kind=cover d=2 k=0 prov=diagram map=u:t+t\n"
         )
@@ -267,8 +282,7 @@ class TestParser:
 
     def test_long_digit_run_fails_fast(self):
         bad = (
-            "version=1\n"
-            "cohomology d=2 cover=0 k=0 group=Z gens=u\n"
+            "version=2\n"
             "cohomology d=2 cover=1 k=0 group=Z gens=t\n"
             "arrow kind=cover d=2 k=0 prov=diagram map=u:" + "1" * 100_000 + "\n"
         )

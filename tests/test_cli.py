@@ -310,18 +310,16 @@ class TestProcessLevel:
         assert "Traceback" not in proc.stderr
 
     def test_tampered_uncovered_row_exits_two(self, tmp_path):
-        # uncovered rows are checked against the ring when the file loads
-        text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()
-        modified = text.replace("cohomology d=1 cover=0 k=5 group=0",
-                                "cohomology d=1 cover=0 k=5 group=Z gens=x")
-        assert modified != text
+        # uncovered rows come from the ring; a file that records one is refused
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
         override = tmp_path / "tampered.txt"
-        override.write_text(modified)
+        override.write_text(text + "cohomology d=1 cover=0 k=5 group=Z gens=x\n")
         proc = run_subprocess("table", "cohomology", "--d", "1",
                               env_extra={"MTSPEC_DATA": str(override)})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "(d=1, k=5)" in proc.stderr
+        assert "cohomology d=1 cover=0 k=5 group=Z gens=x" in proc.stderr
+        assert "delete the cover=0 row" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_symlink_loop_data_path_exits_two(self, tmp_path):
@@ -477,8 +475,8 @@ class TestProcessLevel:
         assert "Traceback" not in proc.stderr
 
     def test_four_manifold_off_the_signature_theorem_exits_two(self, tmp_path):
-        # X4 has the invariants of S4 but p1 = 5; it used to be called
-        # bordant to S4 although the 4d theories tell the two apart
+        # X4 has the invariants of S4 but p1 = 5; p1 is 3 * signature by
+        # construction, so a record that states a p1 at all is refused
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
         path = tmp_path / "x4.txt"
         path.write_text(text + "manifold name=X4 dim=4 euler=2 signature=0 p1=5\n")
@@ -486,7 +484,7 @@ class TestProcessLevel:
                               env_extra={"MTSPEC_DATA": str(path)})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "name=X4" in proc.stderr and "Hirzebruch" in proc.stderr
+        assert "name=X4" in proc.stderr and "delete the p1= field" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_inconsistent_data_exits_three(self, tmp_path):

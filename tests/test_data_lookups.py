@@ -106,7 +106,7 @@ def variant_data():
                      ("p1u:3*sigma", "p1u:5*sigma"), ("map=p1u:6*rho", "map=p1u:10*rho")]:
         assert text.count(old) == 1, old
         text = text.replace(old, new)
-    return parse_data(text + "manifold name=X4 dim=4 euler=4 signature=2 p1=6\n")
+    return parse_data(text + "manifold name=X4 dim=4 euler=4 signature=2\n")
 
 
 class TestExplicitData:

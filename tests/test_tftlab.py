@@ -76,9 +76,10 @@ class TestConstructors:
             ManifoldClass("bad", 2, euler=2, signature=1)
         with pytest.raises(InvalidManifold):
             ManifoldClass("bad", 2, euler=2, kr=1)
-        with pytest.raises(InvalidManifold, match="Hirzebruch"):
+        # p1 = 3 * signature is computed: it cannot be given off the theorem
+        with pytest.raises(TypeError, match="p1_number"):
             ManifoldClass("bad", 4, euler=2, signature=0, p1_number=5)
-        with pytest.raises(InvalidManifold, match="Hirzebruch"):
+        with pytest.raises(TypeError, match="p1_number"):
             ManifoldClass("bad", 4, euler=3, signature=1, p1_number=0)
 
     def test_sums_keep_the_signature_theorem(self):
