@@ -237,6 +237,16 @@ def _parse_gens(text: str):
     return tuple(gens)
 
 
+_RECORD_FIELDS = {
+    "cohomology": {"d", "cover", "k", "group", "gens"},
+    "homotopy": {"d", "k", "group"},
+    "hz": {"k", "group"},
+    "arrow": {"kind", "d", "k", "to", "prov", "map"},
+    "manifold": {"name", "dim", "euler", "signature", "kr"},
+    "family": {"name", "dim", "euler0", "eulerg", "signature"},
+}
+
+
 def _parse_fields(parts):
     fields = {}
     for part in parts:
@@ -348,6 +358,12 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             rectype, fields = parts[0], _parse_fields(parts[1:])
             if "p1" in fields:
                 raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
+            known = _RECORD_FIELDS.get(rectype)
+            if known is None:
+                raise DataFormatError("unknown record type %r" % rectype)
+            if not known.issuperset(fields):  # a misspelled field would lose its value
+                raise ValueError("a %s record has no field %s" % (
+                    rectype, ", ".join(sorted(k + "=" for k in fields.keys() - known))))
             if rectype == "cohomology":
                 table, key = cohomology, (int(fields["d"]), int(fields["cover"]),
                                           int(fields["k"]))
@@ -392,8 +408,6 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 rec.member(rec.name, 0)
                 rec.member(rec.name, 1)
                 table, key = families, rec.name
-            else:
-                raise DataFormatError("unknown record type %r" % rectype)
             if key in table:  # a repeat is refused, not taken over the first
                 raise ValueError("a record with the key %s came earlier" % (key,))
             table[key] = rec

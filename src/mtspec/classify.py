@@ -7,19 +7,19 @@ coordinate each, and torsion in degree d+1 would contribute a finite
 part (it is zero in every case in range, but is computed honestly).
 Restriction maps act multiplicatively through the recorded generator
 maps; kernels are reported as groups and, when small, as explicit
-root-of-unity tuples.  Everything is exact.
+root-of-unity tuples.  Everything is exact.  Only the functions that
+make coordinates import ``exactnum`` (and ``fractions``), so a
+classification or the certificate loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import certified
 from .abelian import FgAbGroup, IntMatrix, smith_normal_form, units_kernel
 from .certified import SpectrumId
 from .errors import InternalCheckError, NotRecorded, OutOfRange
-from .exactnum import ExactComplex
 
 _KERNEL_LISTING_BOUND = 64
 
@@ -47,6 +47,7 @@ class TheoryParams:
 
     @classmethod
     def of(cls, values) -> "TheoryParams":
+        from .exactnum import ExactComplex
         return cls(tuple(ExactComplex.of(v) for v in values))
 
     def __iter__(self):
@@ -112,6 +113,7 @@ def restriction_matrix(source: TheoryGroup, target: TheoryGroup, data=None) -> I
 def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
                     data=None) -> TheoryParams:
     """Push theory coordinates along a restriction, exactly."""
+    from .exactnum import ExactComplex
     data = data or certified.load_data()
     source = classify(d, n_from, data)
     _check_levels(d, n_from, n_to)  # before the target level is classified
@@ -160,6 +162,9 @@ def _enumerate_kernel_elements(matrix: IntMatrix) -> tuple:
     Writing x = exp(2*pi*i*z) turns the condition into A^T z integral; the
     solutions mod 1 are enumerated exactly through the Smith form of A^T.
     """
+    from fractions import Fraction
+
+    from .exactnum import ExactComplex
     m = len(matrix.rows)
     if m == 0:
         return ((),)

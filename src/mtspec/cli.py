@@ -10,11 +10,14 @@ consistency check fails (which the shipped data never triggers).  The
 process entry point also exits with 2 on an operating-system error, such
 as output into a closed pipe.
 
-Start-up is most of the cost of one call, so each subcommand imports the
-modules it computes with inside its handler: ``table`` loads only the
-data file's lookups in ``certified``, ``eval`` and ``bordism`` load
-``tftlab``, and the other four load ``classify``.  No subcommand loads
-the consistency proof in ``spectra``, and the process skips the
+Start-up is most of the cost of one call.  A call builds the parser of
+the subcommand it names only (``parse_args``), and imports ``json`` only
+for ``--format json``.  Each subcommand imports the modules it computes
+with inside its handler: ``table`` loads only the data file's lookups in
+``certified``, ``eval`` and ``bordism`` load ``tftlab``, and the other
+four load ``classify``, of which only ``restrict`` and ``kernel`` go on
+to load the exact numbers of ``exactnum``.  No subcommand loads the
+consistency proof in ``spectra``, and the process skips the
 interpreter's teardown (see ``entrypoint``).  The dispatcher reads
 MTSPEC_DATA and resolves the data file once per call, and hands that
 data to the handler, which passes it to every lookup it makes.
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import re
@@ -78,6 +80,7 @@ def group_to_json(group: FgAbGroup) -> dict:
 
 
 def document_to_json(command: str, inputs: dict, result: dict) -> str:
+    import json
     return json.dumps({"command": command, "inputs": inputs, "result": result},
                       ensure_ascii=False, indent=2)
 
@@ -307,58 +310,65 @@ def _add_common(parser):
                         help="render plain ASCII instead of unicode math")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_D = (("--d",), {"type": int, "required": True})
+_FROM = (("--from",), {"dest": "n_from", "type": int, "required": True})
+_TO = (("--to",), {"dest": "n_to", "type": int, "required": True})
+
+# each subcommand's help line and its own arguments, as (flags, options)
+# pairs in the order of its usage line; _add_common adds --format and --ascii
+_SUBCOMMANDS = {
+    "table": ("print a certified table", [
+        (("kind",), {"choices": ["cohomology", "homotopy", "hz"]}),
+        (("--d",), {"type": int}),
+        (("--cover",), {"type": int, "default": 0})]),
+    "classify": ("the group of invertible theories", [
+        _D, (("--n",), {"type": int, "required": True})]),
+    "restrict": ("transport theory coordinates", [
+        _D, _FROM, _TO, (("--params",), {"default": ""})]),
+    "kernel": ("kernel of a restriction map", [_D, _FROM, _TO]),
+    "eval": ("evaluate a concrete theory", [
+        (("theory",), {"choices": ["euler", "frobenius", "four_d"]}),
+        (("--lam",), {}), (("--mu",), {}), (("--l1",), {}), (("--l2",), {}),
+        (("--manifold",), {}),
+        (("--g",), {"type": int}),
+        (("--chi-total",), {"type": int}),
+        (("--chi-source",), {"type": int})]),
+    "bordism": ("vector-field bordism invariant of a sum", [
+        _D, (("--sum",), {"required": True})]),
+    "gilmer-masbaum": ("print the impossibility certificate", []),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone."""
     parser = argparse.ArgumentParser(
         prog="mtspec",
         description="Exact tables, classifications and certificates for "
                     "invertible topological field theories in dimensions <= 4.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    table = sub.add_parser("table", help="print a certified table")
-    table.add_argument("kind", choices=["cohomology", "homotopy", "hz"])
-    table.add_argument("--d", type=int)
-    table.add_argument("--cover", type=int, default=0)
-    _add_common(table)
-
-    cls = sub.add_parser("classify", help="the group of invertible theories")
-    cls.add_argument("--d", type=int, required=True)
-    cls.add_argument("--n", type=int, required=True)
-    _add_common(cls)
-
-    res = sub.add_parser("restrict", help="transport theory coordinates")
-    res.add_argument("--d", type=int, required=True)
-    res.add_argument("--from", dest="n_from", type=int, required=True)
-    res.add_argument("--to", dest="n_to", type=int, required=True)
-    res.add_argument("--params", default="")
-    _add_common(res)
-
-    ker = sub.add_parser("kernel", help="kernel of a restriction map")
-    ker.add_argument("--d", type=int, required=True)
-    ker.add_argument("--from", dest="n_from", type=int, required=True)
-    ker.add_argument("--to", dest="n_to", type=int, required=True)
-    _add_common(ker)
-
-    ev = sub.add_parser("eval", help="evaluate a concrete theory")
-    ev.add_argument("theory", choices=["euler", "frobenius", "four_d"])
-    ev.add_argument("--lam")
-    ev.add_argument("--mu")
-    ev.add_argument("--l1")
-    ev.add_argument("--l2")
-    ev.add_argument("--manifold")
-    ev.add_argument("--g", type=int)
-    ev.add_argument("--chi-total", dest="chi_total", type=int)
-    ev.add_argument("--chi-source", dest="chi_source", type=int)
-    _add_common(ev)
-
-    bor = sub.add_parser("bordism", help="vector-field bordism invariant of a sum")
-    bor.add_argument("--d", type=int, required=True)
-    bor.add_argument("--sum", required=True)
-    _add_common(bor)
-
-    gm = sub.add_parser("gilmer-masbaum", help="print the impossibility certificate")
-    _add_common(gm)
-
+    for name in [command] if command else _SUBCOMMANDS:
+        help_text, arguments = _SUBCOMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            subparser.add_argument(*flags, **options)
+        _add_common(subparser)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv (sys.argv[1:] when None) as the full parser does.
+
+    Only the subcommand that the first argument names gets a parser.  What
+    the top-level parser reports, whose usage lists every subcommand, goes
+    through the full parser: --help, a missing or unknown subcommand, and
+    an argument that the subcommand does not take.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 _HANDLERS = {
@@ -389,9 +399,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -222,6 +222,20 @@ class TestParser:
             parse_data(MINIMAL + record + "\n")
         assert repr(record) in str(info.value) and remedy in str(info.value)
 
+    @pytest.mark.parametrize("record,field", [
+        # would load X4 with signature 0
+        ("manifold name=X4 dim=4 euler=2 signatur=2", "signatur="),
+        ("hz k=7 group=Z bogus=3", "bogus="),
+        ("homotopy d=2 k=1 group=0 cover=1", "cover="),
+        ("cohomology d=2 cover=1 k=3 group=0 gen=tau", "gen="),
+        ("arrow kind=cover d=2 k=2 prov=names map=tau:1*tau from=1", "from="),
+        ("family name=T_g dim=2 euler0=2 eulerg=-2 signature=0 kr=0", "kr="),
+    ], ids=["manifold", "hz", "homotopy", "cohomology", "arrow", "family"])
+    def test_unknown_field_is_refused_naming_the_line(self, record, field):
+        with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
+            parse_data(MINIMAL + record + "\n")
+        assert "has no field " + field in str(info.value)
+
     def test_manifold_record_must_be_a_manifold(self):
         with pytest.raises(DataFormatError, match="name=X"):
             parse_data(MINIMAL + "manifold name=X dim=3 euler=2\n")

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from mtspec.certified import load_data
-from mtspec.cli import document_to_json, main, render_gen, render_group
+from mtspec.cli import (build_parser, document_to_json, main, parse_args, render_gen,
+                        render_group)
 from mtspec.exactnum import parse_exact
 from mtspec.spectra import SpectrumId
 
@@ -487,6 +488,18 @@ class TestProcessLevel:
         assert "name=X4" in proc.stderr and "delete the p1= field" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_misspelled_field_exits_two(self, tmp_path):
+        # read without its signature= field, X4 would evaluate to 2^2 = 4
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+        path = tmp_path / "x4.txt"
+        path.write_text(text + "manifold name=X4 dim=4 euler=2 signatur=2\n")
+        proc = run_subprocess("eval", "four_d", "--l1", "2", "--l2", "3",
+                              "--manifold", "X4", env_extra={"MTSPEC_DATA": str(path)})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "name=X4" in proc.stderr and "no field signatur=" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_inconsistent_data_exits_three(self, tmp_path):
         proc = run_subprocess("gilmer-masbaum", env_extra={
             "MTSPEC_DATA": str(write_inconsistent_data(tmp_path))})
@@ -530,37 +543,76 @@ import contextlib, io, sys
 from mtspec.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "mtspec")))
+print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "mtspec"
+                            or m in ("json", "fractions", "decimal"))))
 """
 
 TABLE_MODULES = {"mtspec", "mtspec.abelian", "mtspec.certified", "mtspec.charclasses",
                  "mtspec.cli", "mtspec.errors"}
+EXACT = {"mtspec.exactnum", "fractions", "decimal"}
 
 
 class TestSubcommandImports:
     @pytest.mark.parametrize("argv,extra", [
         (["table", "cohomology", "--d", "4", "--cover", "1"], set()),
-        (["classify", "--d", "4", "--n", "4"], {"mtspec.classify", "mtspec.exactnum"}),
+        (["table", "hz", "--format", "json"], {"json"}),
+        (["classify", "--d", "4", "--n", "4"], {"mtspec.classify"}),
         (["restrict", "--d", "4", "--from", "4", "--to", "3", "--params", "2,3"],
-         {"mtspec.classify", "mtspec.exactnum"}),
-        (["kernel", "--d", "4", "--from", "4", "--to", "3"],
-         {"mtspec.classify", "mtspec.exactnum"}),
-        (["gilmer-masbaum"], {"mtspec.classify", "mtspec.exactnum"}),
-        (["eval", "euler", "--lam", "2", "--manifold", "Sigma_2"],
-         {"mtspec.tftlab", "mtspec.exactnum"}),
-        (["bordism", "--d", "4", "--sum", "K3 + 2*S4"], {"mtspec.tftlab", "mtspec.exactnum"}),
-    ], ids=["table", "classify", "restrict", "kernel", "gilmer-masbaum", "eval", "bordism"])
+         {"mtspec.classify"} | EXACT),
+        (["kernel", "--d", "4", "--from", "4", "--to", "3"], {"mtspec.classify"} | EXACT),
+        (["gilmer-masbaum"], {"mtspec.classify"}),
+        (["eval", "euler", "--lam", "2", "--manifold", "Sigma_2"], {"mtspec.tftlab"} | EXACT),
+        (["bordism", "--d", "4", "--sum", "K3 + 2*S4"], {"mtspec.tftlab"} | EXACT),
+    ], ids=["table", "table-json", "classify", "restrict", "kernel", "gilmer-masbaum",
+            "eval", "bordism"])
     def test_each_subcommand_loads_only_what_it_runs(self, argv, extra):
-        # a fresh interpreter per subcommand; the consistency proof in
-        # spectra is never loaded to serve an answer
+        # a fresh interpreter per subcommand, without site, whose imports
+        # vary by installation; the consistency proof in spectra is never
+        # loaded to serve an answer, json only for --format json, and the
+        # exact numbers only where a subcommand makes or reads them
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         env.pop("MTSPEC_DATA", None)
-        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+        proc = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES, *argv],
                               capture_output=True, text=True, env=env)
         code, modules = proc.stdout.split(" ", 1)
         assert code == "0", proc.stderr
         assert set(modules.split()) == TABLE_MODULES | extra
+
+
+# ---------------------------------------------------------------------------
+# the parser of one subcommand against the parser of all seven
+
+GOLDEN_ARGVS = [call["argv"] for call in (CLI_EXPECTED["calls"] + CLI_EXPECTED["known_defects"]
+                                          + USAGE_EXPECTED["calls"])]
+
+
+def _outcome(parse, argv):
+    """The Namespace that parse returns for argv, or the code it exits with."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestOneSubcommandParser:
+    @pytest.mark.parametrize("name", ["table", "classify", "restrict", "kernel", "eval",
+                                      "bordism", "gilmer-masbaum"])
+    def test_help_matches_the_full_parser(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parser in (build_parser(name), build_parser()):
+            assert _outcome(parser.parse_args, [name, "--help"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: mtspec " + name)
+
+    @pytest.mark.parametrize("argv", GOLDEN_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "(none)")
+    def test_namespace_matches_the_full_parser(self, capsys, argv):
+        # every golden call parses to the same Namespace, or exits with the
+        # same code; test_help_and_errors pins what the exits print
+        assert _outcome(parse_args, argv) == _outcome(build_parser().parse_args, argv)
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
