@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import CompositionMismatch, UnsupportedShape
+from .errors import InternalCheckError, MtspecError
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,7 @@ class IntMatrix:
         return tuple(x for row in self.rows for x in row)
 
     def to_rows(self) -> list:
+        """The rows as lists (the benchmark's SNF check reads these)."""
         return [list(row) for row in self.rows]
 
     def columns(self) -> list:
@@ -565,7 +566,7 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     injective, every kernel vector of [g | target relations] zero.
     """
     if f.target != g.source:
-        raise CompositionMismatch("check_exact needs target(f) == source(g)")
+        raise InternalCheckError("check_exact needs target(f) == source(g)")
     middle = f.target
     if middle.is_trivial:
         return True
@@ -694,7 +695,7 @@ def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
     """
     for d in a.torsion + b.torsion:
         if d > ENUMERATION_BOUND:
-            raise UnsupportedShape("torsion order %d exceeds the enumeration bound" % d)
+            raise MtspecError("torsion order %d exceeds the enumeration bound" % d)
     fa, ta = a.free_rank, a.torsion
     na, a_offset = a.num_generators, b.num_generators
 
@@ -705,7 +706,7 @@ def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
         reps = list(itertools.product(*ranges))
         count *= len(reps)
         if count > _MAX_EXTENSION_CLASSES:
-            raise UnsupportedShape("too many extension classes to enumerate")
+            raise MtspecError("too many extension classes to enumerate")
         reps_per_relation.append(reps)
 
     # each relation d e_i of B lifts to d e_i - phi_i; A keeps its own

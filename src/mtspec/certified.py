@@ -61,8 +61,7 @@ from pathlib import Path
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, ring_restriction, thom_module_piece
-from .errors import (DataFormatError, InvalidManifold, NotRecorded, OutOfTable,
-                     Unsupported)
+from .errors import DataFormatError, MtspecError
 
 ENV_DATA_PATH = "MTSPEC_DATA"
 MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
@@ -93,10 +92,10 @@ class ArrowRecord:
     def to_group_hom(self, data: CertifiedData) -> GroupHom:
         """The map in canonical coordinates between its two table entries,
         as built when the data loaded; an arrow the data does not record
-        raises NotRecorded."""
+        raises MtspecError."""
         hom = data.homs.get(self)
         if hom is None:
-            raise NotRecorded("arrow %s is not recorded in this data" % (self,))
+            raise MtspecError("arrow %s is not recorded in this data" % (self,))
         return hom
 
 
@@ -112,18 +111,18 @@ class ManifoldClass:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3, 4):
-            raise InvalidManifold("dimension must be 1..4")
+            raise MtspecError("dimension must be 1..4")
         if self.dim % 2 and self.euler != 0:
-            raise InvalidManifold("closed odd-dimensional manifolds have euler 0")
+            raise MtspecError("closed odd-dimensional manifolds have euler 0")
         if self.dim % 4 and self.signature:
-            raise InvalidManifold("signature is only meaningful in dimensions 0 mod 4")
+            raise MtspecError("signature is only meaningful in dimensions 0 mod 4")
         if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
-            raise InvalidManifold("euler + signature must be even (duality parity)")
+            raise MtspecError("euler + signature must be even (duality parity)")
         if self.kr is not None:
             if self.dim % 4 != 1:
-                raise InvalidManifold("kr applies in dimensions 1 mod 4 only")
+                raise MtspecError("kr applies in dimensions 1 mod 4 only")
             if self.kr not in (0, 1):
-                raise InvalidManifold("kr is a mod-2 value")
+                raise MtspecError("kr is a mod-2 value")
 
     @property
     def p1_number(self) -> int:
@@ -141,7 +140,7 @@ class FamilyRecord:
     signature: int
 
     def member(self, name: str, g: int) -> ManifoldClass:
-        """The member with parameter g; raises InvalidManifold if invalid."""
+        """The member with parameter g; raises MtspecError if invalid."""
         return ManifoldClass(name, self.dim, self.euler0 + self.eulerg * g,
                              self.signature)
 
@@ -279,11 +278,9 @@ def _arrow_endpoints(data: CertifiedData, arrow: ArrowRecord):
     elif arrow.kind == "covdim":
         source = data.entry(arrow.d, 1, arrow.k)
         target = data.entry(arrow.to_d, 1, arrow.k)
-    elif arrow.kind == "unit":
+    else:  # unit; parse_data refuses any other kind
         source = hz_entry(data.hz[arrow.k], arrow.k) if arrow.k in data.hz else None
         target = data.entry(arrow.d, 0, arrow.k)
-    else:
-        raise DataFormatError("unknown arrow kind %r" % arrow.kind)
     if source is None or target is None:
         raise DataFormatError("arrow %s references a missing table entry" % (arrow,))
     return source, target
@@ -360,7 +357,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
             known = _RECORD_FIELDS.get(rectype)
             if known is None:
-                raise DataFormatError("unknown record type %r" % rectype)
+                raise ValueError("unknown record type %r" % rectype)
             if not known.issuperset(fields):  # a misspelled field would lose its value
                 raise ValueError("a %s record has no field %s" % (
                     rectype, ", ".join(sorted(k + "=" for k in fields.keys() - known))))
@@ -381,6 +378,8 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             elif rectype == "hz":
                 table, key, rec = hz, int(fields["k"]), group(fields["group"])
             elif rectype == "arrow":
+                if fields["kind"] not in ("cover", "dim", "covdim", "unit"):
+                    raise ValueError("unknown arrow kind %r" % fields["kind"])
                 rec = ArrowRecord(
                     kind=fields["kind"],
                     d=int(fields["d"]),
@@ -403,7 +402,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     euler0=int(fields["euler0"]), eulerg=int(fields["eulerg"]),
                     signature=int(fields.get("signature", 0)))
                 if not rec.name.endswith("_g"):
-                    raise InvalidManifold("family name has no parameter slot _g")
+                    raise MtspecError("family name has no parameter slot _g")
                 # every invariant is affine in g, so two members check all
                 rec.member(rec.name, 0)
                 rec.member(rec.name, 1)
@@ -411,7 +410,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             if key in table:  # a repeat is refused, not taken over the first
                 raise ValueError("a record with the key %s came earlier" % (key,))
             table[key] = rec
-        except (KeyError, ValueError, InvalidManifold) as exc:
+        except (KeyError, ValueError) as exc:
             raise DataFormatError("bad record %r: %s" % (line, exc))
     if version is None:
         raise DataFormatError("data file lacks a version line")
@@ -473,9 +472,9 @@ class SpectrumId:
 
     def __post_init__(self):
         if self.d not in (1, 2, 3, 4):
-            raise ValueError("dimension must be 1..4")
+            raise MtspecError("dimension must be 1..4")
         if self.cover_level not in (0, 1, 2, 3):
-            raise ValueError("cover level must be 0..3")
+            raise MtspecError("cover level must be 0..3")
 
     def display(self, ascii_mode: bool = False) -> str:
         if ascii_mode:
@@ -490,7 +489,7 @@ def homotopy_group(d: int, k: int, data=None) -> FgAbGroup:
     """Homotopy of the suspended spectrum, from the certified table."""
     table = (data or load_data()).homotopy
     if (d, k) not in table:
-        raise OutOfTable("homotopy group (d=%d, k=%d) is outside the table" % (d, k))
+        raise MtspecError("homotopy group (d=%d, k=%d) is outside the table" % (d, k))
     return table[(d, k)]
 
 
@@ -498,7 +497,7 @@ def hz_self_cohomology(k: int, data=None) -> FgAbGroup:
     """Integral self-cohomology of the integral Eilenberg-MacLane spectrum."""
     table = (data or load_data()).hz
     if k not in table:
-        raise OutOfTable("self-cohomology degree %d is outside the table" % k)
+        raise MtspecError("self-cohomology degree %d is outside the table" % k)
     return table[k]
 
 
@@ -512,10 +511,10 @@ def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
     """
     data = data or load_data()
     if not 0 <= k <= MAX_TABLE_DEGREE:
-        raise Unsupported("cohomology is tabulated for degrees 0..%d" % MAX_TABLE_DEGREE)
+        raise MtspecError("cohomology is tabulated for degrees 0..%d" % MAX_TABLE_DEGREE)
     entry = data.entry(spectrum.d, spectrum.cover_level, k)
     if entry is None:
-        raise Unsupported("no table entry for %s in degree %d; resolve higher "
+        raise MtspecError("no table entry for %s in degree %d; resolve higher "
                           "covers through grid_equivalence first"
                           % (spectrum.display(True), k))
     return entry
@@ -545,7 +544,7 @@ def equivalent_stored_cover(d: int, cover: int, data=None) -> int:
     for stored in (1, 0):
         if grid_equivalence(d, cover, stored, data):
             return stored
-    raise Unsupported("cover level %d of d=%d is not equivalent to a stored one"
+    raise MtspecError("cover level %d of d=%d is not equivalent to a stored one"
                       % (cover, d))
 
 
@@ -556,7 +555,7 @@ def cover_map(d: int, k: int, kind: str = "cover",
     kind "cover" is the map from the spectrum to its first cover, "dim"
     the dimension restriction between uncovered spectra, and "covdim"
     the dimension restriction between the covers.  Unrecorded arrows
-    raise NotRecorded; nothing is ever guessed.
+    raise MtspecError; nothing is ever guessed.
     """
     data = data or load_data()
     if kind not in ("cover", "dim", "covdim"):
@@ -564,5 +563,5 @@ def cover_map(d: int, k: int, kind: str = "cover",
     to_d = None if kind == "cover" else d - 1
     record = data.arrow(kind, d, k, to_d)
     if record is None:
-        raise NotRecorded("no recorded %s arrow for d=%d, k=%d" % (kind, d, k))
+        raise MtspecError("no recorded %s arrow for d=%d, k=%d" % (kind, d, k))
     return record

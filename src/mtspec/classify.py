@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import certified
 from .abelian import FgAbGroup, IntMatrix, smith_normal_form, units_kernel
 from .certified import SpectrumId
-from .errors import InternalCheckError, NotRecorded, OutOfRange
+from .errors import InternalCheckError, MtspecError
 
 _KERNEL_LISTING_BOUND = 64
 
@@ -67,7 +67,7 @@ class ExtensionClass:
 def classify(d: int, n: int, data=None) -> TheoryGroup:
     """Invertible theories in dimension d with category number n."""
     if not (isinstance(d, int) and isinstance(n, int) and 1 <= n <= d <= 4):
-        raise OutOfRange("need 1 <= n <= d <= 4")
+        raise MtspecError("need 1 <= n <= d <= 4")
     data = data or certified.load_data()
     spec = SpectrumId(d, certified.equivalent_stored_cover(d, d - n, data))
     here = certified.cohomology(spec, d, data)
@@ -78,7 +78,7 @@ def classify(d: int, n: int, data=None) -> TheoryGroup:
 
 def _check_levels(d: int, n_from: int, n_to: int):
     if not 1 <= n_to < n_from <= d <= 4:
-        raise OutOfRange("need 1 <= n_to < n_from <= d <= 4")
+        raise MtspecError("need 1 <= n_to < n_from <= d <= 4")
 
 
 def restriction_matrix(source: TheoryGroup, target: TheoryGroup, data=None) -> IntMatrix:
@@ -105,7 +105,7 @@ def restriction_matrix(source: TheoryGroup, target: TheoryGroup, data=None) -> I
         image = arrow.image_of(name)
         extra = set(image) - set(tgt_names)
         if extra:
-            raise NotRecorded("image of %s lands outside the free generators" % name)
+            raise MtspecError("image of %s lands outside the free generators" % name)
         rows.append([image.get(t, 0) for t in tgt_names])
     return IntMatrix.from_rows(rows)
 
@@ -119,11 +119,11 @@ def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
     _check_levels(d, n_from, n_to)  # before the target level is classified
     target = classify(d, n_to, data)
     if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
-        raise OutOfRange("coordinate transport needs trivial finite parts")
+        raise MtspecError("coordinate transport needs trivial finite parts")
     matrix = restriction_matrix(source, target, data)
     coords = tuple(ExactComplex.of(v) for v in params)
     if len(coords) != len(matrix.rows):
-        raise OutOfRange("expected %d coordinates, got %d" % (len(matrix.rows), len(coords)))
+        raise MtspecError("expected %d coordinates, got %d" % (len(matrix.rows), len(coords)))
     out = []
     for column in matrix.columns():
         value = ExactComplex.one()

@@ -5,10 +5,12 @@ invariants and the impossibility certificate, as text (unicode by
 default, --ascii for portability) or as structured JSON documents of the
 form {"command", "inputs", "result"}.
 
-Exit codes: 0 on success, 2 on usage or range errors, 3 when an internal
-consistency check fails (which the shipped data never triggers).  The
-process entry point also exits with 2 on an operating-system error, such
-as output into a closed pipe.
+Exit codes follow the contract of ``errors``: 0 on success; 2 on a usage
+error, or when an ``MtspecError`` refuses the input or the data file; 3
+on any other exception, an internal failure that the shipped data never
+triggers, reported in one line without a traceback.  The process entry
+point also exits with 2 on an operating-system error, such as output
+into a closed pipe.
 
 Start-up is most of the cost of one call.  A call builds the parser of
 the subcommand it names only (``parse_args``), and imports ``json`` only
@@ -33,7 +35,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import InternalCheckError, MtspecError
+from .errors import MtspecError
 
 if TYPE_CHECKING:
     from .abelian import FgAbGroup
@@ -406,12 +408,14 @@ def _run(argv) -> int:
     try:
         from .certified import load_data
         inputs, result, text = _HANDLERS[args.command](args, load_data())
-    except InternalCheckError as exc:
-        print("internal consistency failure: %s" % exc, file=sys.stderr)
-        return 3
-    except (MtspecError, ValueError) as exc:
+    except MtspecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except OSError:
+        raise
+    except Exception as exc:
+        print("internal consistency failure: %s" % exc, file=sys.stderr)
+        return 3
     if args.format == "json":
         print(document_to_json(args.command, inputs, result))
     else:

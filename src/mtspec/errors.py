@@ -1,57 +1,19 @@
-"""Exception types shared across the package."""
+"""The error contract: what the command line exits with for each kind.
+
+An ``MtspecError`` refuses the caller's input, and a ``DataFormatError``
+the data file; both exit 2.  Any other exception is an internal failure
+and exits 3, an ``InternalCheckError`` (a consistency check of the data or
+of the proof failed) as well as a ``ValueError`` from a broken invariant.
+"""
 
 
-class MtspecError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class UnsupportedShape(MtspecError):
-    """A group exceeds the enumeration bounds of an exhaustive routine."""
-
-
-class CompositionMismatch(MtspecError):
-    """Two homomorphisms were chained but target(f) != source(g)."""
-
-
-class OutOfTable(MtspecError):
-    """A lookup fell outside the certified homotopy/cohomology tables."""
-
-
-class Unsupported(MtspecError):
-    """A (dimension, cover, degree) combination is not served directly."""
-
-
-class NotRecorded(MtspecError):
-    """The requested generator map is not part of the recorded data."""
-
-
-class ContradictoryConstraints(MtspecError):
-    """Derivation constraints conflict with each other or the tables."""
-
-
-class OutOfRange(MtspecError):
-    """Arguments outside the supported (d, n) range."""
-
-
-class DimensionMismatch(MtspecError):
-    """Manifold operands of different dimensions were combined."""
-
-
-class MissingKr(MtspecError):
-    """A semicharacteristic was required but the descriptor lacks one."""
-
-
-class InvalidManifold(MtspecError):
-    """A manifold descriptor violates a construction invariant."""
-
-
-class UnknownManifold(MtspecError):
-    """A name does not resolve against the manifold catalog."""
+class MtspecError(ValueError):
+    """The input or the data file was refused (exit 2)."""
 
 
 class DataFormatError(MtspecError):
-    """The certified data file is malformed or inconsistent."""
+    """The data file is unreadable, malformed or inconsistent."""
 
 
-class InternalCheckError(MtspecError):
-    """An internal cross-check failed; the installed data is inconsistent."""
+class InternalCheckError(Exception):
+    """An internal cross-check failed (exit 3); deliberately no MtspecError."""

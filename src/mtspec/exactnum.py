@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import MtspecError
+
 # Bounds on powers of a magnitude other than 1: the largest |exponent|, and
 # the most decimal digits the result's numerator or denominator may have.
 # The digits of q ** e grow with e times the digits of q, so either
@@ -37,7 +39,7 @@ class ExactComplex:
     @staticmethod
     def _make(mag: Fraction, root: Fraction) -> "ExactComplex":
         if mag == 0:
-            raise ValueError("exact complex values are nonzero")
+            raise MtspecError("exact complex values are nonzero")
         if mag < 0:
             mag = -mag
             root = root + Fraction(1, 2)
@@ -74,15 +76,15 @@ class ExactComplex:
             raise TypeError("only integer powers stay exact")
         if self.mag != 1:
             if abs(exponent) > MAX_POWER_EXPONENT:
-                raise ValueError("exponent %d exceeds the bound %d on powers of "
-                                 "a magnitude other than 1"
-                                 % (exponent, MAX_POWER_EXPONENT))
+                raise MtspecError("exponent %d exceeds the bound %d on powers of "
+                                  "a magnitude other than 1"
+                                  % (exponent, MAX_POWER_EXPONENT))
             # log10(2) > 3/10, so this undercounts the digits of the result
             digits = abs(exponent) * 3 * max(self.mag.numerator.bit_length(),
                                              self.mag.denominator.bit_length()) // 10
             if digits > MAX_POWER_DIGITS:
-                raise ValueError("a power with about %d digits exceeds the bound "
-                                 "MAX_POWER_DIGITS = %d" % (digits, MAX_POWER_DIGITS))
+                raise MtspecError("a power with about %d digits exceeds the bound "
+                                  "MAX_POWER_DIGITS = %d" % (digits, MAX_POWER_DIGITS))
         return ExactComplex._make(self.mag ** exponent, self.root * exponent)
 
     # -- inspection ---------------------------------------------------------
@@ -139,7 +141,7 @@ def parse_exact(text: str) -> ExactComplex:
     """Parse "2", "-3/2", "zeta6", "zeta6^5" or "-2*zeta3" exactly."""
     match = _PARSE_RE.match(text)
     if not match or (match.group("rat") is None and match.group("order") is None):
-        raise ValueError("cannot parse exact value %r" % text)
+        raise MtspecError("cannot parse exact value %r" % text)
     try:
         mag = Fraction(match.group("rat")) if match.group("rat") else Fraction(1)
         root = Fraction(0)
@@ -147,7 +149,9 @@ def parse_exact(text: str) -> ExactComplex:
             power = int(match.group("power") or 1)
             root = Fraction(power, int(match.group("order")))
     except ZeroDivisionError:
-        raise ValueError("zero denominator in exact value %r" % text) from None
+        raise MtspecError("zero denominator in exact value %r" % text) from None
+    except ValueError as exc:  # more digits than this interpreter converts
+        raise MtspecError("cannot parse exact value: %s" % exc) from None
     if match.group("sign") == "-":
         mag = -mag
     return ExactComplex._make(mag, root)

@@ -31,8 +31,7 @@ from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
 from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology, cover_map,  # noqa: F401
                         equivalent_stored_cover, grid_equivalence, homotopy_group,
                         hz_self_cohomology)
-from .errors import (ContradictoryConstraints, DataFormatError,
-                     InternalCheckError, Unsupported)
+from .errors import DataFormatError, InternalCheckError, MtspecError
 
 # ---------------------------------------------------------------------------
 # long exact sequence verification
@@ -74,7 +73,7 @@ def verify_les(d: int, data=None) -> LesReport:
     """
     data = data or certified.load_data()
     if d not in (2, 3, 4):
-        raise Unsupported("the fiber sequence is recorded for d = 2, 3, 4")
+        raise MtspecError("the fiber sequence is recorded for d = 2, 3, 4")
     labels, nodes = [], []  # one labelled CohomologyEntry per group, in order
     shown = [(spectrum, spectrum.display(True))
              for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
@@ -295,7 +294,7 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
     """
     data = data or certified.load_data()
     if d not in (2, 3, 4) or not 0 <= k <= MAX_TABLE_DEGREE:
-        raise Unsupported("cover entries exist for d=2..4, k=0..5")
+        raise MtspecError("cover entries exist for d=2..4, k=0..5")
     notes = []
 
     pinned = None
@@ -305,24 +304,24 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
     for c in constraints:
         if c.kind == KIND_HUREWICZ_VANISHING:
             if k >= conn:
-                raise ContradictoryConstraints(
+                raise MtspecError(
                     "connectivity from the homotopy table stops below degree %d" % k)
             pinned = TRIVIAL_GROUP
             notes.append("pinned to 0: %s" % c.basis)
         elif c.kind == KIND_HUREWICZ_ISO:
             if c.degree != k or k != conn or k > d:
-                raise ContradictoryConstraints(
+                raise MtspecError(
                     "the first-homotopy identification applies only in degree %d" % conn)
             table_pi = homotopy_group(d, k, data)
             if c.group != table_pi:
-                raise ContradictoryConstraints(
+                raise MtspecError(
                     "stated homotopy %s conflicts with the table value %s"
                     % (c.group, table_pi))
             iso_group = table_pi
     if iso_group is not None and has_uct:
         dual = FgAbGroup(iso_group.free_rank)
         if pinned is not None and pinned != dual:
-            raise ContradictoryConstraints("constraints pin two different groups")
+            raise MtspecError("constraints pin two different groups")
         pinned = dual
         notes.append("pinned to %s: dual of the first homotopy group" % dual)
 
@@ -339,7 +338,7 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
     else:
         a_group, a_names, b_group = ses
         if divisibility and not a_names:
-            raise ContradictoryConstraints(
+            raise MtspecError(
                 "divisibility constraint references a generator, but the "
                 "subgroup has none in this degree")
         survivors = set()
@@ -347,7 +346,7 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
             ok = True
             for c in divisibility:
                 if c.generator not in a_names:
-                    raise ContradictoryConstraints(
+                    raise MtspecError(
                         "no generator named %r in this degree" % c.generator)
                 index = a_names.index(c.generator)
                 if not ext.a_generator_divisible(index, c.divisor):
@@ -358,11 +357,11 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
                 if ext.group == pinned:
                     break  # the pinned group is admissible; nothing else can survive
         if not survivors:
-            raise ContradictoryConstraints("no extension satisfies the constraints")
+            raise MtspecError("no extension satisfies the constraints")
         if pinned is not None:
             survivors &= {pinned}
             if not survivors:
-                raise ContradictoryConstraints(
+                raise MtspecError(
                     "constraint-pinned group is not an admissible middle group")
         candidates = frozenset(survivors)
         if len(candidates) != 1:

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 from . import certified
 from .certified import ManifoldClass
-from .errors import DimensionMismatch, MissingKr, UnknownManifold
+from .errors import MtspecError
 from .exactnum import ExactComplex
 
 
 def disjoint_union(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
     """Disjoint union: every invariant is additive."""
     if a.dim != b.dim:
-        raise DimensionMismatch("disjoint union needs equal dimensions")
+        raise MtspecError("disjoint union needs equal dimensions")
     kr = None
     if a.kr is not None and b.kr is not None:
         kr = (a.kr + b.kr) % 2
@@ -37,9 +37,9 @@ def disjoint_union(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
 def connected_sum(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
     """Connected sum in dimensions 2 and 4: the sphere's euler 2 drops out."""
     if a.dim != b.dim:
-        raise DimensionMismatch("connected sum needs equal dimensions")
+        raise MtspecError("connected sum needs equal dimensions")
     if a.dim not in (2, 4):
-        raise DimensionMismatch("connected sum is provided for dimensions 2 and 4")
+        raise MtspecError("connected sum is provided for dimensions 2 and 4")
     return ManifoldClass("%s#%s" % (a.name, b.name), a.dim,
                          a.euler + b.euler - 2, a.signature + b.signature)
 
@@ -53,7 +53,7 @@ class FormalSum:
     def __post_init__(self):
         dims = {m.dim for m, _ in self.terms}
         if len(dims) > 1:
-            raise DimensionMismatch("formal sums must be homogeneous in dimension")
+            raise MtspecError("formal sums must be homogeneous in dimension")
 
     @classmethod
     def of(cls, pairs) -> "FormalSum":
@@ -83,8 +83,8 @@ class ManifoldCatalog:
         for pattern, family in self._families:
             match = pattern.match(name)
             if match:
-                return family.member(name, int(match.group(1)))
-        raise UnknownManifold("no catalog entry named %r" % name)
+                return family.member(name, _int(match.group(1)))
+        raise MtspecError("no catalog entry named %r" % name)
 
 
 def standard_manifolds(data=None) -> ManifoldCatalog:
@@ -104,16 +104,15 @@ def vf_invariant(d: int, s: FormalSum) -> tuple:
     signature).
     """
     if d not in (1, 2, 3, 4):
-        raise DimensionMismatch("dimension must be 1..4")
+        raise MtspecError("dimension must be 1..4")
     for manifold, _ in s.terms:
         if manifold.dim != d:
-            raise DimensionMismatch("sum contains a manifold of dimension %d"
-                                    % manifold.dim)
+            raise MtspecError("sum contains a manifold of dimension %d" % manifold.dim)
     if d == 1:
         total = 0
         for manifold, mult in s.terms:
             if manifold.kr is None:
-                raise MissingKr("%s carries no semicharacteristic" % manifold.name)
+                raise MtspecError("%s carries no semicharacteristic" % manifold.name)
             total += mult * manifold.kr
         return (total % 2,)
     if d == 2:
@@ -136,7 +135,7 @@ def is_vf_nullbordant(d: int, s: FormalSum) -> bool:
 def frobenius_closed_value(mu, g: int) -> ExactComplex:
     """Value of the Frobenius theory on the closed genus-g surface."""
     if g < 0:
-        raise ValueError("genus must be nonnegative")
+        raise MtspecError("genus must be nonnegative")
     return ExactComplex.of(mu) ** (1 - g)
 
 
@@ -147,7 +146,7 @@ def frobenius_surface_value(mu, m: ManifoldClass) -> ExactComplex:
     multiplicative under disjoint union, so the value is mu^(chi/2).
     """
     if m.dim != 2:
-        raise DimensionMismatch("the Frobenius theory evaluates surfaces")
+        raise MtspecError("the Frobenius theory evaluates surfaces")
     return ExactComplex.of(mu) ** (m.euler // 2)
 
 
@@ -167,7 +166,7 @@ def euler_theory_value(lam, b: SurfaceBordism) -> ExactComplex:
 def invertible_4d_value(l1, l2, m: ManifoldClass) -> ExactComplex:
     """Value of the two-parameter theory on a closed oriented 4-manifold."""
     if m.dim != 4:
-        raise DimensionMismatch("this theory evaluates 4-manifolds")
+        raise MtspecError("this theory evaluates 4-manifolds")
     return ExactComplex.of(l1) ** m.euler * ExactComplex.of(l2) ** m.p1_number
 
 
@@ -181,6 +180,15 @@ _SUM_TERM_RE = re.compile(
     r"\s*(?:([+-])\s*)?(?:(?:\(\s*)?(-?\d+)\s*(?:\)\s*)?\*\s*)?([A-Za-z][A-Za-z0-9_]*)")
 
 
+def _int(digits: str) -> int:
+    """The integer the digits spell, refused past the interpreter's limit
+    on converting digits (``sys.set_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise MtspecError(str(exc)) from None
+
+
 def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> FormalSum:
     """Parse sums like "K3 + 2*S4" or "Sigma_3 - (-2)*S2"."""
     pos = 0
@@ -189,14 +197,14 @@ def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> FormalSum:
     while pos < len(text):
         match = _SUM_TERM_RE.match(text, pos)
         if not match or (not first and match.group(1) is None):
-            raise ValueError("cannot parse formal sum at %r" % text[pos:])
+            raise MtspecError("cannot parse formal sum at %r" % text[pos:])
         sign = -1 if match.group(1) == "-" else 1
-        coeff = int(match.group(2)) if match.group(2) is not None else 1
+        coeff = _int(match.group(2)) if match.group(2) is not None else 1
         pairs.append((catalog.get(match.group(3)), sign * coeff))
         pos = match.end()
         first = False
     if not pairs:
-        raise ValueError("empty formal sum")
+        raise MtspecError("empty formal sum")
     return FormalSum.of(pairs)
 
 

@@ -10,7 +10,7 @@ from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, ManifoldClass,
                               default_data_path, load_data, parse_data)
 from mtspec.charclasses import thom_module_piece
 from mtspec.cli import main
-from mtspec.errors import DataFormatError, NotRecorded
+from mtspec.errors import DataFormatError, MtspecError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -199,6 +199,15 @@ class TestParser:
         with pytest.raises(DataFormatError):
             parse_data(MINIMAL + "mystery a=1\n")
 
+    @pytest.mark.parametrize("record,reason", [
+        ("bogus x=1", "unknown record type 'bogus'"),
+        ("arrow kind=zz d=2 k=2 prov=names map=tau:1*tau", "unknown arrow kind 'zz'"),
+    ], ids=["record-type", "arrow-kind"])
+    def test_unknown_name_is_refused_naming_the_line(self, record, reason):
+        with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
+            parse_data("version=2\n" + record + "\n")
+        assert reason in str(info.value)
+
     def test_generator_list_must_realize_group(self):
         with pytest.raises(DataFormatError, match="does not realize the group"):
             parse_data("version=2\ncohomology d=2 cover=1 k=2 group=Z gens=tau,x\n")
@@ -273,7 +282,7 @@ class TestParser:
 
     def test_foreign_arrow_is_not_recorded(self):
         arrow = load_data().arrow("cover", 4, 4)
-        with pytest.raises(NotRecorded):
+        with pytest.raises(MtspecError, match="is not recorded in this data"):
             arrow.to_group_hom(parse_data(MINIMAL))
 
     def test_bad_combo_rejected(self):
