@@ -22,13 +22,16 @@ The Smith form has two paths:
   ``units_kernel`` goes through it.
 - With unimodular transforms, for callers that need U or V: one private
   core, ``_smith``, on plain row lists, returning U's rows, the diagonal
-  and V's columns.  ``smith_normal_form`` wraps it in ``IntMatrix``
-  values for ``classify.restriction_kernel``.  The consistency proof
-  calls it on lists, once per matrix it decides: ``_quotient`` reads a
-  quotient group and the projection onto it off U and the diagonal (for
-  ``cokernel_with_projection`` and for each class of
-  ``enumerate_extensions``), ``check_exact`` reads a kernel off V, and
-  ``_lattice_solver`` tests membership in a span.  Each pivot's column
+  and V's columns.  It works on the active block only: each working row
+  holds its entries from the pivot column on, followed by its row of U,
+  so one row step updates both, and a finished pivot sets its U row
+  aside and leaves the block with its column.  ``smith_normal_form``
+  wraps it in ``IntMatrix`` values for ``classify.restriction_kernel``.
+  The consistency proof calls it on lists, once per matrix it decides:
+  ``_quotient`` reads a quotient group and the projection onto it off U
+  and the diagonal (for ``cokernel_with_projection`` and for each class
+  of ``enumerate_extensions``), ``check_exact`` reads a kernel off V,
+  and ``_lattice_solver`` tests membership in a span.  Each pivot's column
   is cleared by row Euclid steps and its row by column Euclid steps,
   with nearest-integer quotients, before the next pivot is chosen.  That
   keeps the transform entries of a random 40 x 40 matrix with entries
@@ -158,127 +161,98 @@ def _smith(rows: list, n: int):
 
     Returns (U rows, diagonal, V columns): U * A * V is the diagonal
     matrix, which has min(m, n) entries d1 | d2 | ..., nonnegative with
-    zeros trailing.  The rows are not modified.  Each step takes the
-    smallest nonzero entry of the remaining block as the pivot, ties broken
-    by lowest (row, col), clears its column by row Euclid steps and then
-    its row by column Euclid steps, both with nearest-integer quotients,
-    and repeats while a column step refills the pivot column.  A pivot that
-    fails to divide the rest of the block pulls in an offending row and is
-    chosen again.  The transforms are deterministic.  Finishing each pivot
-    before choosing the next keeps their entries small, and nearest
-    quotients keep them smaller and faster to compute than floor quotients
-    do.
+    zeros trailing.  The rows are not modified.  Pivot t works on the
+    block of rows and columns from t on; each row of ``block`` holds its
+    n - t entries there, then its row of U.  Each step takes the smallest
+    nonzero entry of the block as the pivot, ties broken by lowest
+    (row, col), clears its column by row Euclid steps and then its row by
+    column Euclid steps, both with nearest-integer quotients, and repeats
+    while a column step refills the pivot column; the smallest remainder
+    becomes the pivot each time.  A pivot that fails to divide the rest of
+    the block pulls in an offending row and is chosen again.  A finished
+    pivot's U row is set aside, and its row and column leave the block.
+    The transforms are deterministic.  Finishing each pivot before
+    choosing the next keeps their entries small, and nearest quotients
+    keep them smaller and faster to compute than floor quotients do.
     """
     m = len(rows)
-    M = [list(row) for row in rows]
-    U = _identity(m)
+    block = _identity(m)
+    for row, u in zip(rows, block):  # each row: its entries, then its U row
+        u[:0] = row
     V = _identity(n)  # V[j] is column j
-
+    U, diag = [], []
     t, r = 0, min(m, n)
     while t < r:
-        pivot = _smallest_entry(M, t)
-        if pivot is None:
+        w = n - t  # the block's width; U's part of a row follows it
+        best, pivot = 0, None
+        for i, row in enumerate(block):
+            for j in range(w):
+                x = abs(row[j])
+                if x and (x < best or not best):
+                    best, pivot = x, (i, j)
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:  # the block is zero; its rows keep their U part
+            block = [row[w:] for row in block]
             break
         pi, pj = pivot
-        M[t], M[pi] = M[pi], M[t]
-        U[t], U[pi] = U[pi], U[t]
-        _swap_columns(M, V, t, pj)
+        block[0], block[pi] = block[pi], block[0]
         while True:
-            _clear_column(M, U, t)
-            j = _reduce_row(M[t], V, t)
-            if j is None:
+            if pj:  # the pivot column becomes column t
+                for row in block:
+                    row[0], row[pj] = row[pj], row[0]
+                V[t], V[t + pj] = V[t + pj], V[t]
+            while True:  # clear the column; the smallest remainder is the pivot
+                top = block[0]
+                p = top[0]
+                pi = 0
+                for i in range(1, len(block)):
+                    x = block[i][0]
+                    if x:
+                        q = (2 * x + p) // (2 * p)
+                        if q:
+                            block[i] = row = [a - q * b for a, b in zip(block[i], top)]
+                            x = row[0]
+                        if x and (not pi or abs(x) < abs(block[pi][0])):
+                            pi = i
+                if not pi:
+                    break
+                block[0], block[pi] = block[pi], block[0]
+            # clear the row: with the column clear, only the top row changes
+            top, vt, pj = block[0], V[t], 0
+            for j in range(1, w):
+                x = top[j]
+                if x:
+                    q = (2 * x + p) // (2 * p)
+                    if q:
+                        top[j] = x = x - q * p
+                        V[t + j] = [a - q * b for a, b in zip(V[t + j], vt)]
+                    if x and (not pj or abs(x) < abs(top[pj])):
+                        pj = j
+            if not pj:
                 break
-            _swap_columns(M, V, t, j)  # the smaller remainder becomes the pivot
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
-            U[t] = [-x for x in U[t]]
-        p = M[t][t]
+        if p < 0:
+            block[0] = top = [-x for x in top]
+            p = -p
         if p > 1:
-            stray = next((i for i in range(t + 1, m)
-                          if any(x % p for x in M[i][t + 1:])), None)
+            stray = next((row for row in block[1:]
+                          if any(x % p for x in row[1:w])), None)
             if stray is not None:  # pull the bad row in; gcd shrinks the pivot
-                M[t] = [a + b for a, b in zip(M[t], M[stray])]
-                U[t] = [a + b for a, b in zip(U[t], U[stray])]
+                block[0] = [a + b for a, b in zip(top, stray)]
                 continue
+        diag.append(p)
+        U.append(top[w:])
+        del block[0]
+        for row in block:
+            del row[0]
         t += 1
-
-    return U, [M[i][i] for i in range(r)], V
+    return U + block, diag + [0] * (r - t), V
 
 
 def _identity(n: int) -> list:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-
-
-def _smallest_entry(M: list, t: int):
-    """(row, col) of the first nonzero entry of least absolute value in the
-    block of rows and columns from t on; None when the block is zero."""
-    best, where = 0, None
-    for i in range(t, len(M)):
-        row = M[i]
-        for j in range(t, len(row)):
-            x = abs(row[j])
-            if x and (x < best or not best):
-                if x == 1:
-                    return i, j
-                best, where = x, (i, j)
-    return where
-
-
-def _swap_columns(M: list, V: list, j: int, k: int):
-    if j != k:
-        for row in M:
-            row[j], row[k] = row[k], row[j]
-        V[j], V[k] = V[k], V[j]
-
-
-def _clear_column(M: list, U: list, t: int):
-    """Zero column t below the pivot M[t][t] by row operations, kept in U.
-
-    Every row takes off the nearest multiple of the pivot row, leaving a
-    remainder of at most half the pivot; the row with the smallest nonzero
-    remainder then becomes the pivot row, until no remainder is left.
-    """
-    while True:
-        top, utop = M[t], U[t]
-        p = top[t]
-        best = None
-        for i in range(t + 1, len(M)):
-            x = M[i][t]
-            if x:
-                q = (2 * x + p) // (2 * p)
-                if q:
-                    M[i] = row = [a - q * b for a, b in zip(M[i], top)]
-                    U[i] = [a - q * b for a, b in zip(U[i], utop)]
-                    x = row[t]
-                if x and (best is None or abs(x) < abs(M[best][t])):
-                    best = i
-        if best is None:
-            return
-        M[t], M[best] = M[best], M[t]
-        U[t], U[best] = U[best], U[t]
-
-
-def _reduce_row(top: list, V: list, t: int):
-    """Reduce the pivot row ``top`` right of the pivot by column operations.
-
-    Column t of the block must be zero below the pivot, so a column
-    operation changes only ``top`` and the columns of V.  Returns the
-    column of the smallest nonzero remainder, or None when the row is
-    clear.
-    """
-    p = top[t]
-    vt = V[t]
-    best = None
-    for j in range(t + 1, len(top)):
-        x = top[j]
-        if x:
-            q = (2 * x + p) // (2 * p)
-            if q:
-                top[j] = x = x - q * p
-                V[j] = [a - q * b for a, b in zip(V[j], vt)]
-            if x and (best is None or abs(x) < abs(top[best])):
-                best = j
-    return best
 
 
 # ---------------------------------------------------------------------------

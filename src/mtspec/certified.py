@@ -10,6 +10,7 @@ entered into the table before the file's rows are read, and each
 manifold's p1 number is 3 * signature (Hirzebruch), a property of
 ManifoldClass.  A file that records either anyway, a cover=0 row or a
 p1= field, is refused naming the line.  Loading validates the rest: no
+group may have more than MAX_GROUP_GENERATORS generators as spelled, no
 two records of one type may share a key, no record may name a field
 twice and the file has one integer version line (each repeat is
 refused, not taken in place of the first), each recorded map must be
@@ -65,6 +66,11 @@ from .errors import DataFormatError, MtspecError
 
 ENV_DATA_PATH = "MTSPEC_DATA"
 MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
+# generators of one group in the data file, free rank plus cyclic parts:
+# sixteen times the shipped file's largest group, Z^2.  A file at the
+# bound loads as fast as the shipped one; past a few thousand generators
+# the load time grows superlinearly with the rank
+MAX_GROUP_GENERATORS = 32
 
 _TERM_RE = re.compile(r"([+-]?\d+)\*([A-Za-z][A-Za-z0-9^]*)")
 
@@ -339,7 +345,16 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
     groups, entries = {}, {}
 
     def group(text):
-        return groups.get(text) or groups.setdefault(text, FgAbGroup.from_text(text))
+        if text not in groups:
+            # counted as spelled, before the canonical form sorts the
+            # torsion; |k| for Z^k, so a negative rank hides no parts
+            spelled = sum(abs(int(part[2:])) if part.startswith("Z^") else 1
+                          for part in text.split("+"))
+            if spelled > MAX_GROUP_GENERATORS:
+                raise ValueError("%d generators, more than MAX_GROUP_GENERATORS (%d)"
+                                 % (spelled, MAX_GROUP_GENERATORS))
+            groups[text] = FgAbGroup.from_text(text)
+        return groups[text]
 
     for raw in text.splitlines():
         line = raw.strip()

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from mtspec.abelian import (FgAbGroup, GroupHom, IntMatrix, TRIVIAL_GROUP,
+from mtspec.abelian import (FgAbGroup, GroupHom, IntMatrix, TRIVIAL_GROUP, _smith,
                             check_exact, cokernel, cokernel_with_projection,
                             element_is_zero, enumerate_extensions,
                             smith_normal_form, units_kernel)
@@ -440,6 +441,26 @@ def matrices(st, max_side, max_entry=9):
     return build()
 
 
+def shaped_matrices(st, max_side, max_entry=9):
+    """Square, wide (fewer rows than columns) and rank-deficient matrices,
+    the last with some rows combinations of the others."""
+    @st.composite
+    def build(draw):
+        shape = draw(st.sampled_from(["square", "wide", "deficient"]))
+        n = draw(st.integers(2 if shape == "wide" else 1, max_side))
+        m = draw(st.integers(1, n - 1)) if shape == "wide" else n
+        rank = draw(st.integers(0, m - 1)) if shape == "deficient" else m
+        entries = st.integers(-max_entry, max_entry)
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=rank, max_size=rank))
+        coefficients = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+        for _ in range(m - rank):
+            c = draw(coefficients)
+            rows.append([sum(a * row[j] for a, row in zip(c, rows[:rank])) for j in range(n)])
+        return IntMatrix(draw(st.permutations(rows)), n)
+    return build()
+
+
 @pytest.mark.parametrize("a", [
     IntMatrix([[]] * 3, 0), IntMatrix((), 4), IntMatrix((), 0),
     zeros(1, 1), zeros(3, 5), zeros(4, 2),
@@ -452,8 +473,8 @@ def test_cokernel_matches_the_smith_diagonal():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @property_settings(hypothesis, 100)
-    @hypothesis.given(matrices(st, 6))
+    @property_settings(hypothesis, 200)
+    @hypothesis.given(st.one_of(matrices(st, 6), shaped_matrices(st, 12)))
     def check(a):
         assert cokernel(a) == smith_cokernel(a)
 
@@ -601,17 +622,49 @@ def test_smith_diagonal_matches_sympy():
     check()
 
 
+def seeded_rows(shape, torsion=False, deficient=0):
+    """The rows of a seeded matrix of this shape with entries in [-9, 9];
+    with ``torsion``, multiples of 2, 3 or 6 in [-24, 24] instead, so that
+    pivots above 1 pull stray rows in.  The last ``deficient`` rows are
+    combinations of two earlier ones."""
+    rng = random.Random(repr(shape))
+    m, n = shape
+    if torsion:
+        entry = lambda: rng.choice([2, 3, 6]) * rng.randint(-4, 4)
+    else:
+        entry = lambda: rng.randint(-9, 9)
+    rows = [[entry() for _ in range(n)] for _ in range(m - deficient)]
+    for _ in range(deficient):
+        a, b = rng.sample(rows, 2)
+        s = rng.randint(-3, 3)
+        rows.append([x + s * y for x, y in zip(a, b)])
+    return rows
+
+
 @pytest.mark.parametrize("shape", [(40, 40), (30, 40)], ids=str)
 def test_smith_transforms_stay_small(shape):
     # choosing a new pivot from the whole block after every partial
     # reduction lets these entries reach about 1,450 digits at 40 x 40;
     # finishing each pivot first keeps them near 550
-    rng = random.Random(repr(shape))
-    m, n = shape
-    a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    a = IntMatrix.from_rows(seeded_rows(shape))
     u, d, v = smith_normal_form(a)
     assert sympy_matrix(u) * sympy_matrix(a) * sympy_matrix(v) == sympy_matrix(d)
     assert all(abs(x) < 10 ** 800 for t in (u, v) for row in t.rows for x in row)
+
+
+# sha256 of repr((U rows, diagonal, V columns)): a change to a quotient, a
+# tie-break or the order of the steps changes the transforms and so these
+@pytest.mark.parametrize("shape, torsion, deficient, digest", [
+    ((40, 40), False, 0, "2ad110bb026a269eeb83d4576e946c6a19c6b96f84e040515f3d02aa33ed19ad"),
+    ((30, 40), False, 0, "5191dc7bdf97e0536f6b59513466a8b05e978dd3c7756f91afbcd2e82c62f3aa"),
+    ((12, 12), True, 3, "39cf527e6e648da29c16890340b5ca3b0974c2c26e29a70bd36611eb7f4f6ca5"),
+    ((9, 12), True, 0, "d814fcabe0203072944f2a5cb104fef63e56d20c250310ab696c231fb8d66beb"),
+], ids=lambda x: str(x)[:12])
+def test_smith_transforms_are_pinned(shape, torsion, deficient, digest):
+    rows = seeded_rows(shape, torsion, deficient)
+    result = _smith(rows, shape[1])
+    assert rows == seeded_rows(shape, torsion, deficient)  # the input is not modified
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
 
 
 def composable_pairs(st, max_order=36):

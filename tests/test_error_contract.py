@@ -10,11 +10,14 @@ the shipped data ``cli.main`` returns 0 or 2 and never raises.
 
 import contextlib
 import io
+import time
 
 import pytest
 
 from mtspec import cli, errors
-from mtspec.certified import CertifiedData, default_data_path, load_data, parse_data
+from mtspec.abelian import FgAbGroup
+from mtspec.certified import (MAX_GROUP_GENERATORS, CertifiedData, default_data_path,
+                              load_data, parse_data)
 from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
 from mtspec.exactnum import ExactComplex, parse_exact
 from mtspec.tftlab import (FormalSum, ManifoldClass, parse_formal_sum, parse_manifold,
@@ -212,6 +215,41 @@ def test_parse_data_loads_or_refuses_the_file(text):
     except DataFormatError:
         return
     assert isinstance(data, CertifiedData)
+
+
+def with_hz0_group(group):
+    """The shipped file with another group in its hz k=0 row."""
+    shipped = "\n".join(SHIPPED_LINES) + "\n"
+    text = shipped.replace("\nhz k=0 group=Z\n", "\nhz k=0 group=%s\n" % group)
+    assert text != shipped
+    return text
+
+
+OVERSIZED_GROUPS = {"Z^200000": "Z^200000", "1000 Z parts": "+".join(["Z"] * 1000),
+                    "1000 Z/2 parts": "+".join(["Z/2"] * 1000),
+                    "Z^-1000 and 1000 Z/2 parts": "+".join(["Z^-1000"] + ["Z/2"] * 1000)}
+
+
+@pytest.mark.parametrize("group", OVERSIZED_GROUPS.values(), ids=OVERSIZED_GROUPS.keys())
+def test_a_group_past_the_generator_bound_is_refused_at_once(group, tmp_path, monkeypatch,
+                                                             capsys):
+    start = time.perf_counter()
+    with pytest.raises(DataFormatError, match=r"^bad record 'hz k=0 group=Z[^']*': \d+ "
+                                              r"generators, more than MAX_GROUP_GENERATORS "
+                                              r"\(32\)$"):
+        parse_data(with_hz0_group(group))
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "data.txt"
+    path.write_text(with_hz0_group(group), encoding="utf-8")
+    monkeypatch.setenv("MTSPEC_DATA", str(path))
+    assert cli.main(["table", "hz"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_group_at_the_generator_bound_loads():
+    text = with_hz0_group("Z^%d" % MAX_GROUP_GENERATORS)
+    assert parse_data(text).hz[0] == FgAbGroup(MAX_GROUP_GENERATORS)
 
 
 # ---------------------------------------------------------------------------
