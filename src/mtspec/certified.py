@@ -10,8 +10,9 @@ entered into the table before the file's rows are read, and each
 manifold's p1 number is 3 * signature (Hirzebruch), a property of
 ManifoldClass.  A file that records either anyway, a cover=0 row or a
 p1= field, is refused naming the line.  Loading validates the rest: no
-group may have more than MAX_GROUP_GENERATORS generators as spelled, no
-two records of one type may share a key, no record may name a field
+group may have more than MAX_GROUP_GENERATORS generators as spelled, an
+hz group must be cyclic (the maps name its generator hz<k>), no two
+records of one type may share a key, no record may name a field
 twice and the file has one integer version line (each repeat is
 refused, not taken in place of the first), each recorded map must be
 well-defined between the rows it names (the maps built for that check
@@ -392,6 +393,8 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 rec = group(fields["group"])
             elif rectype == "hz":
                 table, key, rec = hz, int(fields["k"]), group(fields["group"])
+                if rec.num_generators > 1:  # the maps name its generator hz<k>
+                    raise ValueError("an hz group must be cyclic, generated by hz%d" % key)
             elif rectype == "arrow":
                 if fields["kind"] not in ("cover", "dim", "covdim", "unit"):
                     raise ValueError("unknown arrow kind %r" % fields["kind"])

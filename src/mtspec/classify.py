@@ -53,9 +53,6 @@ class TheoryParams:
     def __iter__(self):
         return iter(self.coords)
 
-    def __len__(self):
-        return len(self.coords)
-
 
 @dataclass(frozen=True)
 class ExtensionClass:
@@ -204,13 +201,11 @@ class GilmerMasbaumReport:
 
     group: FgAbGroup            # classification group of Z-central extensions
     generator: str              # its generating class
-    cover_note: str
     atiyah_class: ExtensionClass
     walker_class: ExtensionClass
     gilmer_class: ExtensionClass
-    mcg_dictionary: tuple       # ((label, rho multiple, induced class), ...)
+    mcg_dictionary: tuple       # ((key, rho multiple, induced class), ...)
     fundamental_realizable: bool  # also decides Walker's index-4 subcategory
-    argument: tuple
 
 
 def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:
@@ -230,33 +225,14 @@ def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:
     walker_mult = cover_dim_arrow.image_of("sigma").get("rho", 0)
     if walker_mult % 2:
         raise InternalCheckError("the signature class is not an even multiple")
-    gilmer_mult = walker_mult // 2
 
-    atiyah = ExtensionClass(atiyah_mult)
-    walker = ExtensionClass(walker_mult)
-    gilmer = ExtensionClass(gilmer_mult)
-    dictionary = tuple((label, cls.rho_multiple, mcg_extension_class(cls))
-                       for label, cls in (("Atiyah (p1-structures)", atiyah),
-                                          ("Walker (signature)", walker),
-                                          ("Gilmer (index-2 subcategory)", gilmer)))
+    classes = {"atiyah": ExtensionClass(atiyah_mult), "walker": ExtensionClass(walker_mult),
+               "gilmer": ExtensionClass(walker_mult // 2)}
     target = 1  # the generating mapping class group extension
     realizable = (target % 2 == 0)  # every induced class 2n is even
-    argument = (
-        "every class n*rho induces the mapping class group extension 2n, "
-        "which is always even",
-        "the generating extension corresponds to the odd class %d, so no "
-        "Z-central extension of the bordism category induces it" % target,
-        "in particular no index-4 subcategory of Walker's category exists",
-    )
     return GilmerMasbaumReport(
-        group=entry.group,
-        generator="rho",
-        cover_note=("the second cover agrees with the stored first cover: "
-                    "no homotopy in degree 1"),
-        atiyah_class=atiyah,
-        walker_class=walker,
-        gilmer_class=gilmer,
-        mcg_dictionary=dictionary,
-        fundamental_realizable=realizable,
-        argument=argument,
-    )
+        group=entry.group, generator="rho", atiyah_class=classes["atiyah"],
+        walker_class=classes["walker"], gilmer_class=classes["gilmer"],
+        mcg_dictionary=tuple((key, cls.rho_multiple, mcg_extension_class(cls))
+                             for key, cls in classes.items()),
+        fundamental_realizable=realizable)

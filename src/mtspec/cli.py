@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Emits the certified tables, classifications, theory evaluations, bordism
-invariants and the impossibility certificate, as text (unicode by
-default, --ascii for portability) or as structured JSON documents of the
-form {"command", "inputs", "result"}.
+Each subcommand has a handler, which returns (inputs, result), and a
+renderer, which builds the text (unicode, or --ascii) from the result
+alone; ``--format json`` prints the document {"command", "inputs",
+"result"} instead.  So the text shows nothing the document lacks but the
+certificate's constant prose.
 
 Exit codes follow the contract of ``errors``: 0 on success; 2 on a usage
 error, or when an ``MtspecError`` refuses the input or the data file; 3
@@ -33,20 +34,24 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import MtspecError
-
-if TYPE_CHECKING:
-    from .abelian import FgAbGroup
-    from .exactnum import ExactComplex
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _GREEK = {"psi": "ψ", "sigma": "σ", "tau": "τ", "rho": "ρ"}
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering the parts of a result document
+
+
+def _power(base: str, exponent: int, ascii_mode: bool) -> str:
+    """base to the exponent, which is left out when it is 1."""
+    if exponent == 1:
+        return base
+    if ascii_mode:
+        return "%s^%d" % (base, exponent)
+    return base + str(exponent).translate(_SUPERSCRIPTS)
 
 
 def render_gen(name: str, ascii_mode: bool) -> str:
@@ -58,26 +63,35 @@ def render_gen(name: str, ascii_mode: bool) -> str:
     return re.sub(r"\^(\d+)", lambda m: m.group(1).translate(_SUPERSCRIPTS), out)
 
 
-def render_group(group: FgAbGroup, ascii_mode: bool) -> str:
-    if group.is_trivial:
+def render_group(group: dict, ascii_mode: bool) -> str:
+    """A group given as {"free_rank", "torsion"}."""
+    if not (group["free_rank"] or group["torsion"]):
         return "0"
     z, slash, plus = ("Z", "Z/", "+") if ascii_mode else ("ℤ", "ℤ/", "⊕")
-    parts = [z] * group.free_rank + [slash + str(d) for d in group.torsion]
+    parts = [z] * group["free_rank"] + [slash + str(d) for d in group["torsion"]]
     return plus.join(parts)
 
 
-def render_exact(value: ExactComplex, ascii_mode: bool) -> str:
-    if value.is_rational:
-        return str(value.rational_value())
-    if ascii_mode:
-        return str(value)
-    zeta = "ζ%d" % value.root_order
-    if value.root_power != 1:
-        zeta += str(value.root_power).translate(_SUPERSCRIPTS)
-    return zeta if value.mag == 1 else "%s·%s" % (value.mag, zeta)
+def _root(value: dict) -> tuple:
+    """(order, power) of an exact value's root of unity; (1, 0) for none."""
+    root = value.get("root_of_unity")
+    return (root["order"], root["power"]) if root else (1, 0)
 
 
-def group_to_json(group: FgAbGroup) -> dict:
+def render_exact(value: dict, ascii_mode: bool) -> str:
+    """An exact value given as {"magnitude", "root_of_unity"?}; a root of
+    order 2 is a minus sign."""
+    magnitude = value["magnitude"]
+    order, power = _root(value)
+    if order <= 2:  # no root, or the root -1
+        return ("-" if order == 2 else "") + magnitude
+    zeta = _power(("zeta%d" if ascii_mode else "ζ%d") % order, power, ascii_mode)
+    if magnitude == "1":
+        return zeta
+    return ("%s*%s" if ascii_mode else "%s·%s") % (magnitude, zeta)
+
+
+def group_to_json(group) -> dict:
     return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
 
 
@@ -88,126 +102,110 @@ def document_to_json(command: str, inputs: dict, result: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the parsed arguments and the data in effect, and
-# returns (inputs, result, text)
+# subcommands: each handler takes the parsed arguments and the data in
+# effect and returns (inputs, result); its renderer takes the result and
+# --ascii, and returns the text
 
 
 def cmd_table(args, data):
     from .certified import (SpectrumId, cohomology, equivalent_stored_cover,
                             homotopy_group, hz_self_cohomology)
-    ascii_mode = args.ascii
     if args.kind == "hz":
-        groups = [hz_self_cohomology(k, data) for k in range(7)]
-        text = ",".join(render_group(g, ascii_mode) for g in groups)
-        result = {"kind": "hz",
-                  "rows": [{"k": k, "group": group_to_json(g)}
-                           for k, g in enumerate(groups)]}
-        return {"kind": "hz"}, result, text
-    if args.d is None:
+        inputs = {"kind": "hz"}
+        rows = [{"k": k, "group": group_to_json(hz_self_cohomology(k, data))}
+                for k in range(7)]
+    elif args.d is None:
         raise MtspecError("table %s needs --d" % args.kind)
-    if args.kind == "homotopy":
-        groups = [homotopy_group(args.d, k, data) for k in range(args.d + 1)]
-        text = ", ".join(render_group(g, ascii_mode) for g in groups)
-        result = {"kind": "homotopy", "d": args.d,
-                  "rows": [{"k": k, "group": group_to_json(g)}
-                           for k, g in enumerate(groups)]}
-        return {"kind": "homotopy", "d": args.d}, result, text
-    spectrum = SpectrumId(args.d, args.cover)
-    stored = SpectrumId(args.d, equivalent_stored_cover(args.d, args.cover, data))
-    rows = []
-    lines = ["H*(%s)" % spectrum.display(ascii_mode)]
-    for k in range(6):
-        entry = cohomology(stored, k, data)
-        names = ", ".join(render_gen(n, ascii_mode) for n in entry.names)
-        lines.append("k=%d: %s%s" % (k, render_group(entry.group, ascii_mode),
-                                     " (%s)" % names if names else ""))
-        rows.append({"k": k, "group": group_to_json(entry.group),
-                     "generators": [[n, o] for n, o in entry.generators]})
-    result = {"kind": "cohomology", "d": args.d, "cover": args.cover, "rows": rows}
-    inputs = {"kind": "cohomology", "d": args.d, "cover": args.cover}
-    return inputs, result, "\n".join(lines)
-
-
-def _render_theory_group(tg, ascii_mode: bool) -> str:
-    if tg.is_trivial:
-        return "trivial"
-    units = "C^x" if ascii_mode else "ℂˣ"
-    if tg.unit_rank == 1:
-        head = units
-    elif ascii_mode:
-        head = "(%s)^%d" % (units, tg.unit_rank)
+    elif args.kind == "homotopy":
+        inputs = {"kind": "homotopy", "d": args.d}
+        rows = [{"k": k, "group": group_to_json(homotopy_group(args.d, k, data))}
+                for k in range(args.d + 1)]
     else:
-        head = "(%s)%s" % (units, str(tg.unit_rank).translate(_SUPERSCRIPTS))
-    basis = ", ".join(render_gen(n, ascii_mode) for n in tg.basis_names)
-    out = "%s on (%s)" % (head, basis)
-    if not tg.finite_part.is_trivial:
-        out += " + %s" % render_group(tg.finite_part, ascii_mode)
-    return out
+        inputs = {"kind": "cohomology", "d": args.d, "cover": args.cover}
+        SpectrumId(args.d, args.cover)  # refuses --d and --cover out of range
+        stored = SpectrumId(args.d, equivalent_stored_cover(args.d, args.cover, data))
+        rows = []
+        for k in range(6):
+            entry = cohomology(stored, k, data)
+            rows.append({"k": k, "group": group_to_json(entry.group),
+                         "generators": [[n, o] for n, o in entry.generators]})
+    return inputs, dict(inputs, rows=rows)
+
+
+def _render_table(result: dict, ascii_mode: bool) -> str:
+    groups = [render_group(row["group"], ascii_mode) for row in result["rows"]]
+    if result["kind"] != "cohomology":
+        return ("," if result["kind"] == "hz" else ", ").join(groups)
+    from .certified import SpectrumId
+    lines = ["H*(%s)" % SpectrumId(result["d"], result["cover"]).display(ascii_mode)]
+    for row, group in zip(result["rows"], groups):
+        names = ", ".join(render_gen(n, ascii_mode) for n, _ in row["generators"])
+        lines.append("k=%d: %s%s" % (row["k"], group, " (%s)" % names if names else ""))
+    return "\n".join(lines)
 
 
 def cmd_classify(args, data):
     from .classify import classify
     tg = classify(args.d, args.n, data)
-    result = {"unit_rank": tg.unit_rank,
-              "finite_part": group_to_json(tg.finite_part),
-              "basis": list(tg.basis_names)}
-    return ({"d": args.d, "n": args.n}, result,
-            _render_theory_group(tg, args.ascii))
+    return {"d": args.d, "n": args.n}, {"unit_rank": tg.unit_rank,
+                                        "finite_part": group_to_json(tg.finite_part),
+                                        "basis": list(tg.basis_names)}
+
+
+def _render_theory_group(result: dict, ascii_mode: bool) -> str:
+    rank, finite = result["unit_rank"], render_group(result["finite_part"], ascii_mode)
+    if rank == 0 and finite == "0":
+        return "trivial"
+    units = "C^x" if ascii_mode else "ℂˣ"
+    head = units if rank == 1 else _power("(%s)" % units, rank, ascii_mode)
+    basis = ", ".join(render_gen(n, ascii_mode) for n in result["basis"])
+    out = "%s on (%s)" % (head, basis)
+    return out if finite == "0" else "%s + %s" % (out, finite)
 
 
 def cmd_restrict(args, data):
     from .classify import TheoryParams, restrict_theory
-    from .exactnum import parse_exact
-    params = TheoryParams.of(
-        [parse_exact(p) for p in args.params.split(",")] if args.params else [])
+    params = TheoryParams.of(args.params.split(",") if args.params else [])
     out = restrict_theory(args.d, args.n_from, args.n_to, params, data)
-    text = (", ".join(render_exact(v, args.ascii) for v in out)
-            if len(out) else "(no coordinates: the theory group is trivial)")
-    result = {"params": [v.to_json() for v in out]}
     inputs = {"d": args.d, "from": args.n_from, "to": args.n_to,
               "params": args.params}
-    return inputs, result, text
+    return inputs, {"params": [v.to_json() for v in out]}
 
 
-def _render_kernel(kernel, ascii_mode: bool) -> str:
-    if kernel.group.is_trivial:
-        return "trivial"
-    head = render_group(kernel.group, ascii_mode)
-    if not kernel.elements:
-        return head
-    order = kernel.group.order()
-    exponent = kernel.group.torsion[-1]
-    if order == exponent:  # cyclic: show a generating tuple
-        generator = next(
-            e for e in kernel.elements
-            if math.lcm(*(x.root_order for x in e)) == exponent)
-        powers = [x.root_power * (exponent // x.root_order) for x in generator]
-        zeta = "zeta" if ascii_mode else "ζ"
-        def power(p):
-            if p == 0:
-                return "1"
-            if p == 1:
-                return zeta
-            return "%s^%d" % (zeta, p) if ascii_mode else zeta + str(p).translate(_SUPERSCRIPTS)
-        tup = ", ".join(power(p) for p in powers)
-        eq = "%s^%d=1" % (zeta, exponent) if ascii_mode else \
-            zeta + str(exponent).translate(_SUPERSCRIPTS) + "=1"
-        return "%s: (%s), %s" % (head, tup, eq)
-    listing = "; ".join("(%s)" % ", ".join(render_exact(x, ascii_mode) for x in e)
-                        for e in kernel.elements)
-    return "%s: %s" % (head, listing)
+def _render_restrict(result: dict, ascii_mode: bool) -> str:
+    if not result["params"]:
+        return "(no coordinates: the theory group is trivial)"
+    return ", ".join(render_exact(v, ascii_mode) for v in result["params"])
 
 
 def cmd_kernel(args, data):
     from .classify import restriction_kernel
     kernel = restriction_kernel(args.d, args.n_from, args.n_to, data)
-    elements = None
-    if kernel.elements is not None:
-        elements = [[x.to_json() for x in e] for e in kernel.elements]
-    result = {"group": group_to_json(kernel.group),
-              "basis": list(kernel.basis_names), "elements": elements}
+    elements = (None if kernel.elements is None
+                else [[x.to_json() for x in e] for e in kernel.elements])
     inputs = {"d": args.d, "from": args.n_from, "to": args.n_to}
-    return inputs, result, _render_kernel(kernel, args.ascii)
+    return inputs, {"group": group_to_json(kernel.group),
+                    "basis": list(kernel.basis_names), "elements": elements}
+
+
+def _render_kernel(result: dict, ascii_mode: bool) -> str:
+    head, elements = render_group(result["group"], ascii_mode), result["elements"]
+    if head == "0":
+        return "trivial"
+    if not elements:
+        return head
+    torsion = result["group"]["torsion"]
+    exponent = torsion[-1]
+    if math.prod(torsion) == exponent:  # cyclic: show a generating tuple
+        generator = next(e for e in elements
+                         if math.lcm(*(_root(x)[0] for x in e)) == exponent)
+        zeta = "zeta" if ascii_mode else "ζ"
+        tup = ", ".join(_power(zeta, power * (exponent // order), ascii_mode) if power
+                        else "1" for order, power in map(_root, generator))
+        return "%s: (%s), %s=1" % (head, tup, _power(zeta, exponent, ascii_mode))
+    listing = "; ".join("(%s)" % ", ".join(render_exact(x, ascii_mode) for x in e)
+                        for e in elements)
+    return "%s: %s" % (head, listing)
 
 
 def cmd_eval(args, data):
@@ -251,55 +249,68 @@ def cmd_eval(args, data):
         else:
             raise MtspecError("eval frobenius needs --g or --manifold")
         inputs.update({"mu": args.mu, "g": args.g})
-    return inputs, {"value": value.to_json()}, render_exact(value, args.ascii)
+    return inputs, {"value": value.to_json()}
+
+
+def _render_eval(result: dict, ascii_mode: bool) -> str:
+    return render_exact(result["value"], ascii_mode)
 
 
 def cmd_bordism(args, data):
     from . import tftlab
-    catalog = tftlab.standard_manifolds(data)
-    total = tftlab.parse_formal_sum(args.sum, catalog)
-    invariant = tftlab.vf_invariant(args.d, total)
-    trivial = tftlab.is_vf_nullbordant(args.d, total)
-    if len(invariant) == 0:
-        shown = "0"
-    elif len(invariant) == 1:
-        shown = str(invariant[0])
-    else:
-        shown = "(%s)" % ", ".join(str(x) for x in invariant)
-    text = "invariant: %s\nnull-bordant: %s" % (shown, "true" if trivial else "false")
-    result = {"invariant": list(invariant), "null_bordant": trivial}
-    return {"d": args.d, "sum": args.sum}, result, text
+    total = tftlab.parse_formal_sum(args.sum, tftlab.standard_manifolds(data))
+    return {"d": args.d, "sum": args.sum}, {
+        "invariant": list(tftlab.vf_invariant(args.d, total)),
+        "null_bordant": tftlab.is_vf_nullbordant(args.d, total)}
+
+
+def _render_bordism(result: dict, ascii_mode: bool) -> str:
+    shown = ", ".join(str(x) for x in result["invariant"]) or "0"
+    if len(result["invariant"]) > 1:
+        shown = "(%s)" % shown
+    return "invariant: %s\nnull-bordant: %s" % (
+        shown, "true" if result["null_bordant"] else "false")
 
 
 def cmd_gilmer_masbaum(args, data):
     from .classify import gilmer_masbaum_report
     report = gilmer_masbaum_report(data)
-    rho = "rho" if args.ascii else "ρ"
-    z = "Z" if args.ascii else "ℤ"
-
-    def cls(multiple):
-        return rho if multiple == 1 else "%d%s" % (multiple, rho)
-
-    lines = ["%s-central extensions of the 3-dimensional oriented bordism "
-             "category form %s, generated by %s"
-             % (z, render_group(report.group, args.ascii), rho),
-             "(%s)" % report.cover_note]
-    for label, mult, induced in report.mcg_dictionary:
-        lines.append("%s: %s -> %d times the mapping class group generator"
-                     % (label, cls(mult), induced))
-    lines.extend(report.argument)
-    lines.append("fundamental extension: %s"
-                 % ("realizable" if report.fundamental_realizable else "impossible"))
-    result = {
+    return {}, {
         "group": group_to_json(report.group),
         "generator": report.generator,
-        "classes": {label.split(" ")[0].lower(): {"rho_multiple": mult,
-                                                  "mcg_class": induced}
-                    for label, mult, induced in report.mcg_dictionary},
+        "classes": {key: {"rho_multiple": mult, "mcg_class": induced}
+                    for key, mult, induced in report.mcg_dictionary},
         "fundamental_realizable": report.fundamental_realizable,
         "walker_index4_possible": report.fundamental_realizable,
     }
-    return {}, result, "\n".join(lines)
+
+
+# the certificate's prose, which its document does not carry
+_CLASS_LABELS = {"atiyah": "Atiyah (p1-structures)", "walker": "Walker (signature)",
+                 "gilmer": "Gilmer (index-2 subcategory)"}
+_ARGUMENT = (
+    "every class n*rho induces the mapping class group extension 2n, which is always even",
+    "the generating extension corresponds to the odd class 1, so no Z-central extension "
+    "of the bordism category induces it",
+    "in particular no index-4 subcategory of Walker's category exists")
+
+
+def _render_gilmer_masbaum(result: dict, ascii_mode: bool) -> str:
+    generator = render_gen(result["generator"], ascii_mode)
+    lines = ["%s-central extensions of the 3-dimensional oriented bordism "
+             "category form %s, generated by %s"
+             % ("Z" if ascii_mode else "ℤ", render_group(result["group"], ascii_mode),
+                generator),
+             "(the second cover agrees with the stored first cover: no homotopy in degree 1)"]
+    for key, cls in result["classes"].items():
+        multiple = cls["rho_multiple"]
+        lines.append("%s: %s -> %d times the mapping class group generator"
+                     % (_CLASS_LABELS[key], generator if multiple == 1
+                        else "%d%s" % (multiple, generator), cls["mcg_class"]))
+    lines.extend(_ARGUMENT)
+    lines.append("fundamental extension: %s"
+                 % ("realizable" if result["fundamental_realizable"] else "impossible"))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +384,14 @@ def parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-_HANDLERS = {
-    "table": cmd_table,
-    "classify": cmd_classify,
-    "restrict": cmd_restrict,
-    "kernel": cmd_kernel,
-    "eval": cmd_eval,
-    "bordism": cmd_bordism,
-    "gilmer-masbaum": cmd_gilmer_masbaum,
-}
+_HANDLERS = {"table": cmd_table, "classify": cmd_classify, "restrict": cmd_restrict,
+             "kernel": cmd_kernel, "eval": cmd_eval, "bordism": cmd_bordism,
+             "gilmer-masbaum": cmd_gilmer_masbaum}
+
+# each subcommand's text, from its result and --ascii
+_RENDERERS = {"table": _render_table, "classify": _render_theory_group,
+              "restrict": _render_restrict, "kernel": _render_kernel, "eval": _render_eval,
+              "bordism": _render_bordism, "gilmer-masbaum": _render_gilmer_masbaum}
 
 
 def main(argv=None) -> int:
@@ -407,7 +417,11 @@ def _run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         from .certified import load_data
-        inputs, result, text = _HANDLERS[args.command](args, load_data())
+        inputs, result = _HANDLERS[args.command](args, load_data())
+        if args.format == "json":
+            out = document_to_json(args.command, inputs, result)
+        else:
+            out = _RENDERERS[args.command](result, args.ascii)
     except MtspecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -416,10 +430,7 @@ def _run(argv) -> int:
     except Exception as exc:
         print("internal consistency failure: %s" % exc, file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(document_to_json(args.command, inputs, result))
-    else:
-        print(text)
+    print(out)
     return 0
 
 

@@ -112,19 +112,27 @@ class ExactComplex:
 
     def __str__(self):
         if self.is_rational:
-            return str(self.rational_value())
+            return _text(self.rational_value())
         zeta = "zeta%d" % self.root_order
         if self.root_power != 1:
             zeta += "^%d" % self.root_power
         if self.mag == 1:
             return zeta
-        return "%s*%s" % (self.mag, zeta)
+        return "%s*%s" % (_text(self.mag), zeta)
 
     def to_json(self) -> dict:
-        out = {"magnitude": str(self.mag)}
+        out = {"magnitude": _text(self.mag)}
         if self.root != 0:
             out["root_of_unity"] = {"order": self.root_order, "power": self.root_power}
         return out
+
+
+def _text(q: Fraction) -> str:
+    """str(q), refused past the limit of sys.set_int_max_str_digits."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise MtspecError(str(exc)) from None
 
 
 # Each token takes the whitespace after it, so a run of whitespace can be

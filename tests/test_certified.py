@@ -303,6 +303,22 @@ class TestParser:
         with pytest.raises(DataFormatError, match=re.escape(repr(record))):
             parse_data(MINIMAL + record + "\n")
 
+    @pytest.mark.parametrize("group", ["Z^2", "Z+Z/2", "Z/2+Z/2"])
+    def test_hz_group_must_be_cyclic(self, capsys, monkeypatch, tmp_path, group):
+        # the maps name every generator of an hz group hz<k>, so a second
+        # generator could not be told apart: the unit arrow hz0:1*u would
+        # send both to u
+        record = "hz k=0 group=%s" % group
+        text = tampered("hz k=0 group=Z\n", record + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(repr(record))):
+            parse_data(text)
+        path = tmp_path / "hz.txt"
+        path.write_text(text)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be cyclic" in captured.err
+
     def test_long_digit_run_fails_fast(self):
         bad = (
             "version=2\n"

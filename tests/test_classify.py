@@ -183,9 +183,8 @@ class TestGilmerMasbaum:
 
     def test_dictionary(self):
         report = gilmer_masbaum_report()
-        classes = {label.split(" ")[0]: (mult, induced)
-                   for label, mult, induced in report.mcg_dictionary}
-        assert classes == {"Atiyah": (6, 12), "Walker": (2, 4), "Gilmer": (1, 2)}
+        assert report.mcg_dictionary == (("atiyah", 6, 12), ("walker", 2, 4),
+                                         ("gilmer", 1, 2))
 
 
 def test_submodule_is_not_shadowed_by_the_package():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from mtspec import cli
 from mtspec.certified import load_data
 from mtspec.cli import (build_parser, document_to_json, main, parse_args, render_gen,
                         render_group)
@@ -113,8 +114,10 @@ class TestTableCommand:
                 for k in range(6):
                     entry = data.entry(d, cover, k)
                     names = ", ".join(render_gen(n, True) for n in entry.names)
+                    group = {"free_rank": entry.group.free_rank,
+                             "torsion": list(entry.group.torsion)}
                     lines.append("k=%d: %s%s" % (
-                        k, render_group(entry.group, True),
+                        k, render_group(group, True),
                         " (%s)" % names if names else ""))
                 expected = "\n".join(lines) + "\n"
                 code, out = run_main(capsys, "table", "cohomology", "--d",
@@ -425,6 +428,22 @@ class TestProcessLevel:
         finally:
             sys.set_int_max_str_digits(previous)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no limit on integer strings")
+    def test_exact_value_past_pythons_string_limit_in_process(self, capsys):
+        # 3^10000 has 4,772 digits; to_json, which turns the value into
+        # text, runs under the limit main lifts for the call
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            result = run_main(capsys, "eval", "euler", "--lam", "3", "--chi-total", "10000")
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            assert result == (0, str(3 ** 10000) + "\n")
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert len(result[1]) == 4772 + 1
+
     @pytest.mark.parametrize("argv", [
         ["eval", "euler", "--lam", " " * 100_000 + "!", "--chi-total", "2"],
         ["bordism", "--d", "2", "--sum", "S2" + " " * 100_000 + "!"],
@@ -536,6 +555,64 @@ class TestGoldenOutput:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (call["exit"], call["stdout"],
                                                       call["stderr"])
+
+
+# ---------------------------------------------------------------------------
+# the text is rendered from the JSON document alone
+
+# the successful calls whose text this file pins, and calls that reach the
+# renderers' other branches: no coordinates, a trivial kernel, a root of
+# unity times a magnitude, -1, an empty invariant
+TEXT_ARGVS = [
+    ["table", "cohomology", "--d", "3"],
+    *(["table", "cohomology", "--d", str(d), "--cover", str(cover)]
+      for d in (2, 3, 4) for cover in range(min(d + 1, 4))),
+    ["table", "homotopy", "--d", "3"],
+    ["classify", "--d", "3", "--n", "1"],
+    ["kernel", "--d", "3", "--from", "3", "--to", "1"],
+    ["restrict", "--d", "3", "--from", "3", "--to", "2"],
+    ["restrict", "--d", "4", "--from", "4", "--to", "3", "--params", "zeta6,3*zeta4^3"],
+    ["eval", "four_d", "--l1", "zeta6^3", "--l2", "1", "--manifold", "CP2"],
+    ["eval", "four_d", "--l1", "2*zeta3", "--l2", "zeta5^2", "--manifold", "CP2"],
+    ["eval", "four_d", "--l1", "2", "--l2", "3", "--manifold", "K3"],
+    ["eval", "euler", "--lam", "2", "--manifold", "S2+S2"],
+    ["eval", "euler", "--lam", "3", "--chi-total", "10000"],
+    ["eval", "euler", "--lam", "3/2", "--chi-total", "10000"],
+    ["bordism", "--d", "4", "--sum", "CP2"],
+    ["bordism", "--d", "3", "--sum", "S3"],
+]
+for _call in CLI_EXPECTED["calls"] + CLI_EXPECTED["known_defects"]:
+    _argv = [a for a in _call["argv"] if a != "--ascii"]
+    if "--format" in _argv:
+        del _argv[_argv.index("--format"):_argv.index("--format") + 2]
+    if _call["exit"] == 0 and _argv not in TEXT_ARGVS:
+        TEXT_ARGVS.append(_argv)
+
+
+class TestTextFromDocument:
+    @pytest.mark.parametrize("argv", TEXT_ARGVS, ids=" ".join)
+    def test_text_is_the_rendered_document(self, capsys, argv):
+        # the JSON result, read back, gives the text and the --ascii text
+        # byte for byte through the subcommand's renderer
+        code, out = run_main(capsys, *argv, "--format", "json")
+        assert code == 0
+        document = json.loads(out)
+        render = cli._RENDERERS[document["command"]]
+        for ascii_mode in (False, True):
+            code, text = run_main(capsys, *argv, *(["--ascii"] if ascii_mode else []))
+            assert (code, text) == (0, render(document["result"], ascii_mode) + "\n")
+
+    def test_a_non_cyclic_kernel_lists_its_elements(self):
+        # no restriction of the shipped data has one
+        one = {"magnitude": "1"}
+        minus = {"magnitude": "1", "root_of_unity": {"order": 2, "power": 1}}
+        i = {"magnitude": "1", "root_of_unity": {"order": 4, "power": 1}}
+        result = {"group": {"free_rank": 0, "torsion": [2, 2]}, "basis": ["a", "b"],
+                  "elements": [[one, one], [one, minus], [minus, one], [minus, i]]}
+        assert cli._render_kernel(result, True) == \
+            "Z/2+Z/2: (1, 1); (1, -1); (-1, 1); (-1, zeta4)"
+        assert cli._render_kernel(result, False) == \
+            "ℤ/2⊕ℤ/2: (1, 1); (1, -1); (-1, 1); (-1, ζ4)"
 
 
 LOADED_MODULES = """\

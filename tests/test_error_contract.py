@@ -248,8 +248,12 @@ def test_a_group_past_the_generator_bound_is_refused_at_once(group, tmp_path, mo
 
 
 def test_a_group_at_the_generator_bound_loads():
-    text = with_hz0_group("Z^%d" % MAX_GROUP_GENERATORS)
-    assert parse_data(text).hz[0] == FgAbGroup(MAX_GROUP_GENERATORS)
+    # an hz group must be cyclic, so the bound is met in a homotopy row
+    shipped = "\n".join(SHIPPED_LINES) + "\n"
+    text = shipped.replace("\nhomotopy d=2 k=0 group=Z\n",
+                           "\nhomotopy d=2 k=0 group=Z^%d\n" % MAX_GROUP_GENERATORS)
+    assert text != shipped
+    assert parse_data(text).homotopy[(2, 0)] == FgAbGroup(MAX_GROUP_GENERATORS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from mtspec import exactnum
+from mtspec.errors import MtspecError
 from mtspec.exactnum import (MAX_POWER_DIGITS, MAX_POWER_EXPONENT, ExactComplex,
                              parse_exact)
 
@@ -112,6 +114,23 @@ class TestJson:
             assert parse_exact(text) == v
         assert ExactComplex.of(Fraction(-27, 2)).to_json() == {
             "magnitude": "27/2", "root_of_unity": {"order": 2, "power": 1}}
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no limit on integer strings")
+    def test_past_the_interpreters_digit_limit(self):
+        # 3^10000 has 4,772 digits, more than Python turns into text by
+        # default; the refusal is mtspec's and names the way to lift it
+        big = ExactComplex.of(3) ** 10000
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for value in (big, big * ExactComplex.of(-1),
+                          big * ExactComplex.root_of_unity(3)):
+                for render in (str, ExactComplex.to_json):
+                    with pytest.raises(MtspecError, match="set_int_max_str_digits"):
+                        render(value)
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 # The parser's regular expression before each run of whitespace could match
