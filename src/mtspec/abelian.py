@@ -353,9 +353,8 @@ def _clear_pivot(top: list, mat: list, modulus: int) -> int:
 
 
 def _lattice_solver(columns):
-    """Precompute a membership test for the Z-span of the given columns."""
-    if not columns:
-        return lambda vec: all(x == 0 for x in vec)
+    """Precompute a membership test for the Z-span of the given columns,
+    of which there is at least one."""
     u, diag, _ = _smith(list(zip(*columns)), len(columns))
     rank = sum(1 for x in diag if x)
     divisors = list(zip(u[:rank], diag))

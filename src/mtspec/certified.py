@@ -2,25 +2,26 @@
 
 The file ships with the package and carries the cover rows of the
 cohomology table with their named generators, the homotopy table, the
-self-cohomology of the integral Eilenberg-MacLane spectrum, every
-recorded generator map, and the manifold catalog.  Two facts are not in
-it, because the package computes them: each uncovered cohomology row is
-the Thom-module piece of the ring (``charclasses.thom_module_piece``),
-entered into the table before the file's rows are read, and each
-manifold's p1 number is 3 * signature (Hirzebruch), a property of
-ManifoldClass.  A file that records either anyway, a cover=0 row or a
-p1= field, is refused naming the line.  Loading validates the rest: no
-group may have more than MAX_GROUP_GENERATORS generators as spelled, an
-hz group must be cyclic (the maps name its generator hz<k>), no two
-records of one type may share a key, no record may name a field
+self-cohomology of the integral Eilenberg-MacLane spectrum, the four
+recorded arrows of the restriction diagram, and the manifold catalog.
+What the package computes is not in it: the uncovered cohomology rows
+are the ring's Thom-module pieces (``charclasses.thom_module_piece``),
+entered before the file's rows are read; a manifold's p1 number is 3 *
+signature (Hirzebruch), a property of ManifoldClass; the restriction
+between the spectra is the ring's (``charclasses.ring_restriction``), a
+map touching a zero group is zero, and ``spectra.verify_les`` synthesizes
+the degree-0 unit map; and once the recorded arrows are validated, covdim
+d=3 k=4 is the same-name map and cover d=2 k=4 is solved from the 3 -> 2
+square.  A file that records any of these anyway is refused naming the
+line.  Loading validates the rest: no group may have more than
+MAX_GROUP_GENERATORS generators as spelled, an hz group must be cyclic,
+no two records of one type may share a key, no record may name a field
 twice and the file has one integer version line (each repeat is
-refused, not taken in place of the first), each recorded map must be
+refused, not taken in place of the first), each arrow's map must be
 well-defined between the rows it names (the maps built for that check
-are kept and served by ArrowRecord.to_group_hom), each dim arrow must
-lower d by one and agree with the ring restriction on every named
-generator (coefficients on a Z/n generator modulo n), each manifold
-record must satisfy the ManifoldClass invariants, and each family record
-(name ending in _g) must yield valid members for g = 0 and g = 1, which
+are kept and served by ArrowRecord.to_group_hom), each manifold record
+must satisfy the ManifoldClass invariants, and each family record (name
+ending in _g) must yield valid members for g = 0 and g = 1, which
 suffices because every invariant is affine in g.  The environment
 variable MTSPEC_DATA overrides the path; a file that cannot be read or
 is not UTF-8 is a DataFormatError like any other bad file.
@@ -47,8 +48,8 @@ it, and a caller that passes ``data=`` skips the lookup altogether.
 The lookups at the end of the module serve the tables: homotopy and
 cohomology of the suspended Madsen-Tillmann spectra and their first
 covers (SpectrumId), the self-cohomology of the Eilenberg-MacLane
-spectrum, grid equivalences between cover levels, and the recorded
-arrows.  They need nothing beyond this module, so serving a table loads
+spectrum, grid equivalences between cover levels, and the arrows,
+recorded or computed.  They need nothing beyond this module, so serving a table loads
 no part of the consistency proof in ``spectra``.
 """
 
@@ -78,18 +79,16 @@ _TERM_RE = re.compile(r"([+-]?\d+)\*([A-Za-z][A-Za-z0-9^]*)")
 
 @dataclass(frozen=True)
 class ArrowRecord:
-    """One recorded generator map between two table entries in degree k.
+    """One generator map between two table entries in degree k.
 
-    kind "cover" maps the spectrum to its first cover, "dim" and "covdim"
-    restrict from dimension d to to_d (uncovered and covered), and "unit"
-    maps the Eilenberg-MacLane self-cohomology to the spectrum.
+    kind "cover" maps the spectrum to its first cover, and "covdim"
+    restricts the first cover from dimension d to d - 1.
     """
 
-    kind: str        # cover | dim | covdim | unit
+    kind: str        # cover | covdim
     d: int
     k: int
-    to_d: int | None
-    provenance: str  # diagram | names | square | forced | unit
+    provenance: str  # diagram (recorded) | names | square (computed)
     assignments: tuple  # ((source name, ((target name, coeff), ...)), ...)
 
     def image_of(self, name: str) -> dict:
@@ -98,7 +97,7 @@ class ArrowRecord:
 
     def to_group_hom(self, data: CertifiedData) -> GroupHom:
         """The map in canonical coordinates between its two table entries,
-        as built when the data loaded; an arrow the data does not record
+        as built when the data loaded; an arrow the data does not hold
         raises MtspecError."""
         hom = data.homs.get(self)
         if hom is None:
@@ -152,12 +151,6 @@ class FamilyRecord:
                              self.signature)
 
 
-def hz_entry(group: FgAbGroup, k: int) -> CohomologyEntry:
-    """A synthetic named entry for the Eilenberg-MacLane self-cohomology."""
-    return CohomologyEntry(group, tuple(("hz%d" % k, order or None)
-                                        for order in group.generator_orders()))
-
-
 def assignments_to_group_hom(source: CohomologyEntry,
                              target: CohomologyEntry,
                              assignments) -> GroupHom:
@@ -191,7 +184,7 @@ class CertifiedData:
         self.cohomology = cohomology    # (d, cover, k) -> CohomologyEntry
         self.homotopy = homotopy        # (d, k) -> FgAbGroup
         self.hz = hz                    # k -> FgAbGroup
-        self._arrow_index = arrows      # (kind, d, k, to_d) -> ArrowRecord
+        self._arrow_index = arrows      # (kind, d, k) -> ArrowRecord
         self.arrows = list(arrows.values())
         self.manifolds = manifolds      # name -> ManifoldClass
         self.families = families        # name -> FamilyRecord
@@ -201,8 +194,8 @@ class CertifiedData:
     def entry(self, d: int, cover: int, k: int) -> CohomologyEntry | None:
         return self.cohomology.get((d, cover, k))
 
-    def arrow(self, kind: str, d: int, k: int, to_d=None) -> ArrowRecord | None:
-        return self._arrow_index.get((kind, d, k, to_d))
+    def arrow(self, kind: str, d: int, k: int) -> ArrowRecord | None:
+        return self._arrow_index.get((kind, d, k))
 
 
 def _parse_combo(text: str):
@@ -247,7 +240,7 @@ _RECORD_FIELDS = {
     "cohomology": {"d", "cover", "k", "group", "gens"},
     "homotopy": {"d", "k", "group"},
     "hz": {"k", "group"},
-    "arrow": {"kind", "d", "k", "to", "prov", "map"},
+    "arrow": {"kind", "d", "k", "map"},
     "manifold": {"name", "dim", "euler", "signature", "kr"},
     "family": {"name", "dim", "euler0", "eulerg", "signature"},
 }
@@ -274,61 +267,73 @@ def default_data_path() -> Path:
     return _SHIPPED_DATA_PATH
 
 
+# the arrows a rule gives, by kind or by (kind, d, k), each with its rule
+_RULED_ARROWS = {
+    "dim": "the restriction between the spectra is the ring's "
+           "(charclasses.ring_restriction)",
+    "unit": "the degree-0 unit map is the canonical identification",
+    ("covdim", 3, 4): "covdim d=3 k=4 keeps the generator names",
+    ("cover", 2, 4): "cover d=2 k=4 is solved from the 3 -> 2 square",
+}
+
+
 def _arrow_endpoints(data: CertifiedData, arrow: ArrowRecord):
     """The (source, target) table entries an arrow maps between."""
     if arrow.kind == "cover":
-        source = data.entry(arrow.d, 0, arrow.k)
-        target = data.entry(arrow.d, 1, arrow.k)
-    elif arrow.kind == "dim":
-        source = data.entry(arrow.d, 0, arrow.k)
-        target = data.entry(arrow.to_d, 0, arrow.k)
-    elif arrow.kind == "covdim":
-        source = data.entry(arrow.d, 1, arrow.k)
-        target = data.entry(arrow.to_d, 1, arrow.k)
-    else:  # unit; parse_data refuses any other kind
-        source = hz_entry(data.hz[arrow.k], arrow.k) if arrow.k in data.hz else None
-        target = data.entry(arrow.d, 0, arrow.k)
+        source, target = data.entry(arrow.d, 0, arrow.k), data.entry(arrow.d, 1, arrow.k)
+    else:  # covdim; parse_data refuses any other kind
+        source, target = data.entry(arrow.d, 1, arrow.k), data.entry(arrow.d - 1, 1, arrow.k)
     if source is None or target is None:
-        raise DataFormatError("arrow %s references a missing table entry" % (arrow,))
+        raise DataFormatError("the arrow references a missing table entry")
     return source, target
 
 
-def _validate(data: CertifiedData):
+def _validate(data: CertifiedData, lines: dict):
     for arrow in data.arrows:
-        # the lookups find a restriction only one dimension down, and
-        # any other arrow only without a target dimension
-        if arrow.to_d != (arrow.d - 1 if arrow.kind in ("dim", "covdim") else None):
-            raise DataFormatError("%s arrow (d=%d, k=%d) cannot go to d=%s"
-                                  % (arrow.kind, arrow.d, arrow.k, arrow.to_d))
-        source, target = _arrow_endpoints(data, arrow)
-        data.homs[arrow] = assignments_to_group_hom(source, target, arrow.assignments)
-        if arrow.kind == "dim":
-            _check_ring_restriction(arrow, target)
+        try:
+            source, target = _arrow_endpoints(data, arrow)
+            if source.group.is_trivial or target.group.is_trivial:
+                raise DataFormatError("a map into or out of a zero group is zero, "
+                                      "not recorded; delete the line")
+            data.homs[arrow] = assignments_to_group_hom(source, target, arrow.assignments)
+        except DataFormatError as exc:
+            raise DataFormatError("bad record %r: %s" % (lines[arrow], exc))
+    for arrow in _computed_arrows(data):
+        try:
+            data.homs[arrow] = assignments_to_group_hom(*_arrow_endpoints(data, arrow),
+                                                        arrow.assignments)
+        except DataFormatError as exc:
+            raise DataFormatError("the computed %s arrow d=%d k=%d (prov=%s): %s"
+                                  % (arrow.kind, arrow.d, arrow.k, arrow.provenance, exc))
+        data._arrow_index[(arrow.kind, arrow.d, arrow.k)] = arrow
+        data.arrows.append(arrow)
 
 
-def _check_ring_restriction(arrow: ArrowRecord, target: CohomologyEntry):
-    """A dim arrow must be the ring restriction, read on named generators.
+def _computed_arrows(data: CertifiedData):
+    """The 3 -> 2 row of the degree-4 square, from the validated arrows.
 
-    The arrow's map was built already, so both rows exist and every name
-    it uses is a generator of them.
+    covdim keeps names, so cover_2 = covdim o cover_3 o dim^-1 is cover_3
+    read through dim^-1.  The ring's dim sends each generator to +-1 times
+    one generator or to 0, so its inverse is a lookup by name.  A file
+    without cover_3 gets neither arrow, as it lacks any arrow it omits.
     """
-    orders = dict(target.generators)
-
-    def reduced(combo):
-        out = {}
-        for name, coeff in dict(combo).items():
-            coeff = coeff % orders[name] if orders[name] else coeff
-            if coeff:
-                out[name] = coeff
-        return out
-
-    ring = dict(ring_restriction(arrow.d, arrow.k, arrow.to_d))
-    for name, combo in arrow.assignments:
-        recorded, expected = reduced(combo), reduced(ring[name])
-        if recorded != expected:
-            raise DataFormatError(
-                "dim arrow (d=%d, k=%d) sends %s to %s but the ring restriction "
-                "gives %s" % (arrow.d, arrow.k, name, recorded, expected))
+    cover_3 = data.arrow("cover", 3, 4)
+    if cover_3 is None:
+        return ()
+    names = data.entry(3, 1, 4).names  # cover_3 was built, so the row exists
+    preimage = {image[0][0]: (name, image[0][1])
+                for name, image in ring_restriction(3, 4, 2)
+                if len(image) == 1 and image[0][1] in (1, -1)}
+    solved = []
+    for name in thom_module_piece(2, 4).names:
+        if name not in preimage:
+            raise DataFormatError("the 3 -> 2 square leaves the cover image of %s "
+                                  "undetermined" % name)
+        source, sign = preimage[name]
+        solved.append((name, tuple((target, sign * coeff)
+                                   for target, coeff in cover_3.image_of(source).items())))
+    return (ArrowRecord("covdim", 3, 4, "names", tuple((n, ((n, 1),)) for n in names)),
+            ArrowRecord("cover", 2, 4, "square", tuple(solved)))
 
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:
@@ -339,6 +344,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
     homotopy = {}
     hz = {}
     arrows = {}
+    lines = {}  # ArrowRecord -> its line, named by a refusal after the parse
     manifolds = {}
     families = {}
     # the rows repeat few texts: one group per group text, and one entry
@@ -393,20 +399,18 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 rec = group(fields["group"])
             elif rectype == "hz":
                 table, key, rec = hz, int(fields["k"]), group(fields["group"])
-                if rec.num_generators > 1:  # the maps name its generator hz<k>
+                if rec.num_generators > 1:  # verify_les names its generator hz<k>
                     raise ValueError("an hz group must be cyclic, generated by hz%d" % key)
             elif rectype == "arrow":
-                if fields["kind"] not in ("cover", "dim", "covdim", "unit"):
-                    raise ValueError("unknown arrow kind %r" % fields["kind"])
-                rec = ArrowRecord(
-                    kind=fields["kind"],
-                    d=int(fields["d"]),
-                    k=int(fields["k"]),
-                    to_d=int(fields["to"]) if "to" in fields else None,
-                    provenance=fields["prov"],
-                    assignments=_parse_map(fields["map"]),
-                )
-                table, key = arrows, (rec.kind, rec.d, rec.k, rec.to_d)
+                rec = ArrowRecord(kind=fields["kind"], d=int(fields["d"]), k=int(fields["k"]),
+                                  provenance="diagram", assignments=_parse_map(fields["map"]))
+                table, key = arrows, (rec.kind, rec.d, rec.k)
+                rule = _RULED_ARROWS.get(rec.kind) or _RULED_ARROWS.get(key)
+                if rule:
+                    raise ValueError(rule + ", not recorded; delete the line")
+                if rec.kind not in ("cover", "covdim"):
+                    raise ValueError("unknown arrow kind %r" % rec.kind)
+                lines[rec] = line
             elif rectype == "manifold":
                 rec = ManifoldClass(
                     name=fields["name"], dim=int(fields["dim"]),
@@ -434,7 +438,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
         raise DataFormatError("data file lacks a version line")
     data = CertifiedData(version, cohomology, homotopy, hz, arrows,
                          manifolds, families, path)
-    _validate(data)
+    _validate(data, lines)
     return data
 
 
@@ -568,18 +572,17 @@ def equivalent_stored_cover(d: int, cover: int, data=None) -> int:
 
 def cover_map(d: int, k: int, kind: str = "cover",
               data=None) -> ArrowRecord:
-    """A recorded generator map, exactly as stored.
+    """A generator map as loaded, recorded or computed (see its provenance).
 
-    kind "cover" is the map from the spectrum to its first cover, "dim"
-    the dimension restriction between uncovered spectra, and "covdim"
-    the dimension restriction between the covers.  Unrecorded arrows
-    raise MtspecError; nothing is ever guessed.
+    kind "cover" is the map from the spectrum to its first cover, and
+    "covdim" the dimension restriction from the first cover in d to the
+    one in d - 1.  An arrow the data does not hold raises MtspecError;
+    nothing is ever guessed.
     """
     data = data or load_data()
-    if kind not in ("cover", "dim", "covdim"):
+    if kind not in ("cover", "covdim"):
         raise ValueError("unknown arrow kind %r" % kind)
-    to_d = None if kind == "cover" else d - 1
-    record = data.arrow(kind, d, k, to_d)
+    record = data.arrow(kind, d, k)
     if record is None:
         raise MtspecError("no recorded %s arrow for d=%d, k=%d" % (kind, d, k))
     return record

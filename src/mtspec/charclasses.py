@@ -19,8 +19,9 @@ computed here.
 A formal degree-zero class u turns each graded piece into the matching
 piece of the suspended Thom spectrum: the virtual bundle has dimension
 zero, so tensoring with u shifts nothing.  The certified tables take
-their uncovered rows from thom_module_piece, and the data file's dim
-arrows are checked against ring_restriction when it loads.
+their uncovered rows from thom_module_piece, and the restriction between
+the spectra is ring_restriction: no data file records it, and the loader
+solves the d=2 cover arrow in degree 4 from the 3 -> 2 square with it.
 """
 
 from __future__ import annotations

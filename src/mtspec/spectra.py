@@ -8,9 +8,9 @@ and a constrained derivation engine that re-derives every cover entry of
 the table, admitting only constraints read from the data: Hurewicz facts
 from the homotopy table and divisibility from the recorded cover arrows.
 The tables themselves are served by ``certified``, next to the data file
-they are read from; the uncovered rows are the ring's own, the dim
-arrows are checked against the ring when the file is loaded, and this
-module is the machine-checked consistency proof of the cover rows.  It
+they are read from, which computes the uncovered rows, the restriction
+between the spectra and part of the restriction diagram; this module is
+the machine-checked consistency proof of the cover rows.  It
 re-exports the table lookups (``SpectrumId``, ``cohomology``,
 ``homotopy_group``, ``hz_self_cohomology``, ``grid_equivalence``,
 ``equivalent_stored_cover``, ``cover_map`` and ``MAX_TABLE_DEGREE``), so
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from . import certified
 from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
                       cokernel_with_projection, enumerate_extensions, zero_hom)
+from .charclasses import CohomologyEntry
 # the lookups below are used here or re-exported; see the module docstring
 from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology, cover_map,  # noqa: F401
                         equivalent_stored_cover, grid_equivalence, homotopy_group,
@@ -66,10 +67,12 @@ class LesReport:
 def verify_les(d: int, data=None) -> LesReport:
     """Assemble the long exact sequence in degrees 0..5 and check it.
 
-    Recorded arrows enter as stored; maps touching a zero group are zero;
-    the degree-3 identification and the connecting surjections onto the
-    Eilenberg-MacLane groups are synthesized canonically (cokernel
-    projections), and a mismatch there is reported as a failure.
+    The data's arrows enter as loaded; maps touching a zero group are
+    zero; the identifications of the Eilenberg-MacLane groups with the
+    spectrum's (the unit map in degree 0, and degree 3) and the
+    connecting surjections onto them are synthesized canonically
+    (generator pairings and cokernel projections), and a mismatch there
+    is reported as a failure.
     """
     data = data or certified.load_data()
     if d not in (2, 3, 4):
@@ -79,7 +82,9 @@ def verify_les(d: int, data=None) -> LesReport:
              for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
     for k in range(MAX_TABLE_DEGREE + 2):
         labels.append("HZ^%d(HZ)" % k)
-        nodes.append(certified.hz_entry(hz_self_cohomology(k, data), k))
+        hz = hz_self_cohomology(k, data)  # cyclic, generated by hz<k>
+        nodes.append(CohomologyEntry(hz, tuple(("hz%d" % k, order or None)
+                                               for order in hz.generator_orders())))
         if k <= MAX_TABLE_DEGREE:
             for spectrum, text in shown:
                 labels.append("H^%d(%s)" % (k, text))
@@ -89,9 +94,6 @@ def verify_les(d: int, data=None) -> LesReport:
     failures = {}
 
     def alpha(k: int):
-        record = data.arrow("unit", d, k)
-        if record is not None:
-            return record.to_group_hom(data)
         src, tgt = nodes[3 * k], nodes[3 * k + 1]
         if src.group == tgt.group:
             pairing = tuple((s, ((t, 1),)) for s, t in zip(src.names, tgt.names))

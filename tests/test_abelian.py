@@ -273,6 +273,22 @@ class TestMiddleGroups:
         with pytest.raises(MtspecError, match="torsion order 128 exceeds the enumeration bound"):
             middle_groups(Z, FgAbGroup(0, (128,)))
 
+    def test_torsion_at_the_enumeration_bound_enumerates(self):
+        assert extension_count(Z, FgAbGroup(0, (64,))) == 64
+        assert extension_count(FgAbGroup(0, (64,)), FgAbGroup(0, (2,))) == 2
+        for a, b in ((Z, FgAbGroup(0, (65,))), (FgAbGroup(0, (65,)), Z)):
+            with pytest.raises(MtspecError,
+                               match="torsion order 65 exceeds the enumeration bound"):
+                next(enumerate_extensions(a, b))
+
+    def test_class_count_at_its_bound_enumerates(self):
+        # Ext(Z/58, Z^3) has 58^3 = 195,112 classes, within the bound of
+        # 200,000; Ext(Z/59, Z^3) has 59^3 = 205,379, past it
+        first = next(enumerate_extensions(FgAbGroup(3), FgAbGroup(0, (58,))))
+        assert first.group == FgAbGroup(3, (58,))  # the zero class splits
+        with pytest.raises(MtspecError, match="too many extension classes"):
+            next(enumerate_extensions(FgAbGroup(3), FgAbGroup(0, (59,))))
+
     def test_divisibility_marks_the_nonsplit_classes(self):
         # in 0 -> Z -> X -> Z/6 -> 0 the image of the Z generator is
         # divisible by 6 exactly when the middle is Z itself

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from mtspec.abelian import (FgAbGroup, IntMatrix, check_exact, cokernel,
                             cokernel_with_projection, smith_normal_form)
-from mtspec.certified import load_data
+from mtspec.certified import assignments_to_group_hom, load_data
+from mtspec.charclasses import ring_restriction, thom_module_piece
 from mtspec.classify import (ExtensionClass, TheoryParams, classify,
                              gilmer_masbaum_report, mcg_extension_class,
                              restrict_theory, restriction_kernel)
@@ -262,8 +263,10 @@ def test_criterion_8_property_suites():
     data = load_data()
     via_cover = product(cover_map(4, 4, "covdim").to_group_hom(data).matrix,
                         cover_map(4, 4, "cover").to_group_hom(data).matrix)
+    ring_dim = assignments_to_group_hom(thom_module_piece(4, 4), thom_module_piece(3, 4),
+                                        ring_restriction(4, 4, 3))
     via_dim = product(cover_map(3, 4, "cover").to_group_hom(data).matrix,
-                      cover_map(4, 4, "dim").to_group_hom(data).matrix)
+                      ring_dim.matrix)
     src = cohomology(SpectrumId(4, 0), 4)
     if via_cover != via_dim:
         failures.append("square does not commute")

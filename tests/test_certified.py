@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from mtspec import certified
 from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, ManifoldClass,
                               default_data_path, load_data, parse_data)
 from mtspec.charclasses import thom_module_piece
@@ -15,7 +16,7 @@ from mtspec.errors import DataFormatError, MtspecError
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
-version=2
+version=3
 cohomology d=2 cover=1 k=2 group=Z gens=tau
 """
 
@@ -23,15 +24,22 @@ cohomology d=2 cover=1 k=2 group=Z gens=tau
 class TestShippedData:
     def test_loads_and_validates(self):
         data = load_data()
-        assert data.version == 2
+        assert data.version == 3
         assert len(data.cohomology) == 42  # seven rows, degrees 0..5
-        assert len(data.arrows) == 20
         assert set(data.hz) == set(range(7))
 
-    def test_every_arrow_cites_its_provenance(self):
-        allowed = {"diagram", "names", "square", "forced", "unit"}
-        for arrow in load_data().arrows:
-            assert arrow.provenance in allowed
+    def test_the_file_records_the_diagram_and_the_load_computes_two_arrows(self):
+        text = default_data_path().read_text()
+        arrow_lines = [line for line in text.splitlines() if line.startswith("arrow ")]
+        assert len(arrow_lines) == 4
+        assert all(" prov=" not in line and " to=" not in line for line in arrow_lines)
+        arrows = {(a.kind, a.d, a.k): a for a in load_data().arrows}
+        assert {key: a.provenance for key, a in arrows.items()} == {
+            ("cover", 2, 2): "diagram", ("cover", 3, 4): "diagram",
+            ("cover", 4, 4): "diagram", ("covdim", 4, 4): "diagram",
+            ("covdim", 3, 4): "names", ("cover", 2, 4): "square"}
+        assert arrows[("covdim", 3, 4)].assignments == (("rho", (("rho", 1),)),)
+        assert arrows[("cover", 2, 4)].assignments == (("c^2u", (("rho", -6),)),)
 
     def test_catalog_records(self):
         data = load_data()
@@ -46,41 +54,99 @@ def tampered(old, new):
     return modified
 
 
-class TestArrowsAtLoad:
-    """Each arrow's target dimension, and each dim arrow against the ring
-    restriction, is checked when the file loads."""
+# the arrow records of the version-2 file, of which version 3 keeps four
+V2_ARROWS = """\
+arrow kind=unit d=2 k=0 prov=unit map=hz0:1*u
+arrow kind=unit d=3 k=0 prov=unit map=hz0:1*u
+arrow kind=unit d=4 k=0 prov=unit map=hz0:1*u
+arrow kind=cover d=2 k=0 prov=forced map=u:0
+arrow kind=cover d=2 k=2 prov=diagram map=cu:2*tau
+arrow kind=cover d=2 k=4 prov=square map=c^2u:-6*rho
+arrow kind=cover d=3 k=0 prov=forced map=u:0
+arrow kind=cover d=3 k=3 prov=forced map=W3u:0
+arrow kind=cover d=3 k=4 prov=diagram map=p1u:6*rho
+arrow kind=cover d=4 k=0 prov=forced map=u:0
+arrow kind=cover d=4 k=3 prov=forced map=W3u:0
+arrow kind=cover d=4 k=4 prov=diagram map=eu:2*psi-1*sigma;p1u:3*sigma
+arrow kind=dim d=4 to=3 k=0 prov=names map=u:1*u
+arrow kind=dim d=4 to=3 k=3 prov=names map=W3u:1*W3u
+arrow kind=dim d=4 to=3 k=4 prov=diagram map=eu:0;p1u:1*p1u
+arrow kind=dim d=3 to=2 k=0 prov=names map=u:1*u
+arrow kind=dim d=3 to=2 k=3 prov=forced map=W3u:0
+arrow kind=dim d=3 to=2 k=4 prov=diagram map=p1u:-1*c^2u
+arrow kind=covdim d=4 to=3 k=4 prov=diagram map=psi:1*rho;sigma:2*rho
+arrow kind=covdim d=3 to=2 k=4 prov=names map=rho:1*rho
+"""
 
-    @pytest.mark.parametrize("old,new", [
-        ("map=p1u:-1*c^2u", "map=p1u:1*c^2u"),                 # p1 -> +c^2
-        ("map=eu:0;p1u:1*p1u", "map=eu:1*p1u;p1u:1*p1u"),       # e survives
-        ("d=3 to=2 k=0 prov=names", "d=3 to=1 k=0 prov=names"),  # skips d=2
-    ])
-    def test_tampered_dim_arrow_exits_two(self, capsys, monkeypatch, tmp_path, old, new):
-        modified = tampered(old, new)
-        with pytest.raises(DataFormatError):
-            parse_data(modified)
-        path = tmp_path / "tampered.txt"
-        path.write_text(modified)
+
+def without_prov_and_to(line):
+    return " ".join(part for part in line.split()
+                    if not part.startswith(("prov=", "to=")))
+
+
+class TestArrowsAtLoad:
+    """A version-3 file records only the four arrows of the restriction
+    diagram; a record of an arrow a rule gives is refused naming the line."""
+
+    def test_a_version_2_file_is_refused_at_its_first_arrow(self):
+        text = default_data_path().read_text().replace("version=3", "version=2")
+        arrows = [line for line in text.splitlines() if line.startswith("arrow ")]
+        for line in arrows:
+            text = text.replace(line + "\n", "")
+        v2 = text + V2_ARROWS
+        first = V2_ARROWS.splitlines()[0]
+        with pytest.raises(DataFormatError, match=re.escape(repr(first))) as info:
+            parse_data(v2)
+        assert "has no field prov=" in str(info.value)
+
+    @pytest.mark.parametrize("line", [without_prov_and_to(line)
+                                      for line in V2_ARROWS.splitlines()])
+    def test_each_version_2_arrow_is_refused_naming_its_line(self, line):
+        # the four diagram arrows are repeats; each other one a rule gives
+        with pytest.raises(DataFormatError, match=re.escape(repr(line))) as info:
+            parse_data(default_data_path().read_text() + line + "\n")
+        reason = str(info.value)
+        assert "came earlier" in reason or "not recorded; delete the line" in reason
+
+    @pytest.mark.parametrize("line,reason", [
+        ("arrow kind=dim d=4 k=0 map=u:1*u", "the ring's"),
+        ("arrow kind=unit d=2 k=0 map=hz0:1*u", "canonical identification"),
+        ("arrow kind=covdim d=3 k=4 map=rho:1*rho", "keeps the generator names"),
+        ("arrow kind=cover d=2 k=4 map=c^2u:-6*rho", "solved from the 3 -> 2 square"),
+        ("arrow kind=cover d=2 k=0 map=u:0", "zero group"),        # into a zero group
+        ("arrow kind=cover d=2 k=1 map=x:1*t", "zero group"),      # out of one
+    ], ids=["dim", "unit", "names", "square", "into-zero", "out-of-zero"])
+    def test_a_ruled_arrow_exits_two(self, capsys, monkeypatch, tmp_path, line, reason):
+        text = (MINIMAL + "cohomology d=2 cover=1 k=0 group=0\n"
+                "cohomology d=2 cover=1 k=1 group=Z gens=t\n" + line + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(repr(line))) as info:
+            parse_data(text)
+        assert reason in str(info.value)
+        path = tmp_path / "ruled.txt"
+        path.write_text(text)
         monkeypatch.setenv("MTSPEC_DATA", str(path))
         assert main(["table", "hz"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert repr(line) in captured.err
 
-    @pytest.mark.parametrize("old,new", [
-        ("kind=covdim d=4 to=3 k=4", "kind=covdim d=4 to=2 k=4"),
-        ("kind=cover d=3 k=4 prov=diagram", "kind=cover d=3 to=2 k=4 prov=diagram"),
-    ])
-    def test_every_arrow_names_the_target_its_lookup_uses(self, old, new):
-        # both would load and then be unreachable through cover_map
-        with pytest.raises(DataFormatError, match="cannot go to d=2"):
-            parse_data(tampered(old, new))
+    def test_the_square_solves_the_d2_cover_arrow_from_the_d3_one(self):
+        data = parse_data(tampered("map=p1u:6*rho", "map=p1u:5*rho"))
+        assert data.arrow("cover", 2, 4).image_of("c^2u") == {"rho": -5}
 
-    def test_torsion_coefficients_compare_modulo_the_order(self):
-        # W3u generates Z/2, so 3*W3u is W3u
-        data = parse_data(tampered("map=W3u:1*W3u", "map=W3u:3*W3u"))
-        assert data.arrow("dim", 4, 3, 3).image_of("W3u") == {"W3u": 3}
-        with pytest.raises(DataFormatError, match="W3u"):
-            parse_data(tampered("map=W3u:1*W3u", "map=W3u:2*W3u"))
+    def test_a_square_that_leaves_a_generator_undetermined_is_refused(self, monkeypatch):
+        monkeypatch.setattr(certified, "ring_restriction", lambda d, k, to_d: (("p1u", ()),))
+        with pytest.raises(DataFormatError, match="leaves the cover image of c\\^2u "
+                                                  "undetermined"):
+            parse_data(default_data_path().read_text())
+
+    def test_a_computed_arrow_that_is_not_well_defined_is_refused(self):
+        text = tampered("cohomology d=2 cover=1 k=4 group=Z gens=rho",
+                        "cohomology d=2 cover=1 k=4 group=Z gens=theta")
+        with pytest.raises(DataFormatError, match=re.escape(
+                "the computed covdim arrow d=3 k=4 (prov=names): "
+                "unknown target generator 'rho'")):
+            parse_data(text)
 
 
 class TestRepeatedKeys:
@@ -92,8 +158,8 @@ class TestRepeatedKeys:
         "cohomology d=2 cover=1 k=2 group=Z gens=tau",      # a verbatim repeat
         "homotopy k=0 d=2 group=Z",
         "hz k=0 group=Z/2",
-        "arrow kind=cover d=3 k=4 prov=diagram map=p1u:5*rho",
-        "arrow to=3 kind=dim d=4 k=0 prov=names map=u:1*u",
+        "arrow kind=cover d=3 k=4 map=p1u:5*rho",
+        "arrow map=psi:1*rho;sigma:2*rho k=4 d=4 kind=covdim",
         "manifold name=S2 dim=2 euler=2",
         "family name=Sigma_g dim=2 euler0=2 eulerg=-2",
     ])
@@ -114,8 +180,8 @@ class TestRepeatedFields:
          "cohomology d=3 cover=1 k=2 d=2 group=Z gens=tau"),
         # would load with euler 4
         ("manifold name=S2 dim=2 euler=2", "manifold name=S2 dim=2 euler=2 euler=4"),
-        ("version=2", "version=2\nversion=3"),    # would load as version 3
-        ("version=2", "version=abc"),             # escaped as a bare ValueError
+        ("version=3", "version=3\nversion=2"),    # would load as version 2
+        ("version=3", "version=abc"),             # escaped as a bare ValueError
     ])
     def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
         modified = tampered(old, new)
@@ -152,7 +218,7 @@ class TestUnreadableFile:
                             + comments * (MAX_DATA_BYTES // len(comments)))
         elif kind == "non-utf8":  # 0xff starts no UTF-8 sequence
             path = tmp_path / "latin.txt"
-            path.write_bytes(b"version=2\n\xff\n")
+            path.write_bytes(b"version=3\n\xff\n")
         else:
             path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
@@ -201,16 +267,16 @@ class TestParser:
 
     @pytest.mark.parametrize("record,reason", [
         ("bogus x=1", "unknown record type 'bogus'"),
-        ("arrow kind=zz d=2 k=2 prov=names map=tau:1*tau", "unknown arrow kind 'zz'"),
+        ("arrow kind=zz d=2 k=2 map=tau:1*tau", "unknown arrow kind 'zz'"),
     ], ids=["record-type", "arrow-kind"])
     def test_unknown_name_is_refused_naming_the_line(self, record, reason):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=2\n" + record + "\n")
+            parse_data("version=3\n" + record + "\n")
         assert reason in str(info.value)
 
     def test_generator_list_must_realize_group(self):
         with pytest.raises(DataFormatError, match="does not realize the group"):
-            parse_data("version=2\ncohomology d=2 cover=1 k=2 group=Z gens=tau,x\n")
+            parse_data("version=3\ncohomology d=2 cover=1 k=2 group=Z gens=tau,x\n")
 
     def test_uncovered_row_must_match_the_ring(self):
         # the uncovered rows are the ring's pieces themselves, in any file
@@ -237,9 +303,12 @@ class TestParser:
         ("hz k=7 group=Z bogus=3", "bogus="),
         ("homotopy d=2 k=1 group=0 cover=1", "cover="),
         ("cohomology d=2 cover=1 k=3 group=0 gen=tau", "gen="),
-        ("arrow kind=cover d=2 k=2 prov=names map=tau:1*tau from=1", "from="),
+        ("arrow kind=cover d=2 k=2 map=tau:1*tau from=1", "from="),
+        ("arrow kind=cover d=2 k=2 map=cu:2*tau prov=diagram", "prov="),
+        ("arrow kind=covdim d=4 to=3 k=4 map=psi:1*rho;sigma:2*rho", "to="),
         ("family name=T_g dim=2 euler0=2 eulerg=-2 signature=0 kr=0", "kr="),
-    ], ids=["manifold", "hz", "homotopy", "cohomology", "arrow", "family"])
+    ], ids=["manifold", "hz", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to",
+            "family"])
     def test_unknown_field_is_refused_naming_the_line(self, record, field):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
             parse_data(MINIMAL + record + "\n")
@@ -273,9 +342,9 @@ class TestParser:
 
     def test_ill_defined_arrow_rejected(self):
         bad = (
-            "version=2\n"
+            "version=3\n"
             "cohomology d=3 cover=1 k=3 group=Z gens=x\n"
-            "arrow kind=cover d=3 k=3 prov=diagram map=W3u:1*x\n"
+            "arrow kind=cover d=3 k=3 map=W3u:1*x\n"
         )
         with pytest.raises(DataFormatError, match="not well-defined"):
             parse_data(bad)
@@ -287,17 +356,17 @@ class TestParser:
 
     def test_bad_combo_rejected(self):
         bad = (
-            "version=2\n"
+            "version=3\n"
             "cohomology d=2 cover=1 k=0 group=Z gens=t\n"
-            "arrow kind=cover d=2 k=0 prov=diagram map=u:t+t\n"
+            "arrow kind=cover d=2 k=0 map=u:t+t\n"
         )
         with pytest.raises(DataFormatError):
             parse_data(bad)
 
     @pytest.mark.parametrize("record", [
         "cohomology d=2 cover=0 k=0 group=Z gens=u junk",         # a field without =
-        "arrow kind=cover d=2 k=0 prov=diagram map=u:t+t",        # a bad combo
-        "arrow kind=cover d=2 k=0 prov=diagram map=u",            # a map item without :
+        "arrow kind=cover d=2 k=0 map=u:t+t",        # a bad combo
+        "arrow kind=cover d=2 k=0 map=u",            # a map item without :
     ])
     def test_field_errors_name_the_line(self, record):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))):
@@ -305,9 +374,9 @@ class TestParser:
 
     @pytest.mark.parametrize("group", ["Z^2", "Z+Z/2", "Z/2+Z/2"])
     def test_hz_group_must_be_cyclic(self, capsys, monkeypatch, tmp_path, group):
-        # the maps name every generator of an hz group hz<k>, so a second
-        # generator could not be told apart: the unit arrow hz0:1*u would
-        # send both to u
+        # the sequence names every generator of an hz group hz<k>, so a
+        # second generator could not be told apart: the unit map's
+        # pairing hz0 -> u would send both to u
         record = "hz k=0 group=%s" % group
         text = tampered("hz k=0 group=Z\n", record + "\n")
         with pytest.raises(DataFormatError, match=re.escape(repr(record))):
@@ -321,9 +390,9 @@ class TestParser:
 
     def test_long_digit_run_fails_fast(self):
         bad = (
-            "version=2\n"
+            "version=3\n"
             "cohomology d=2 cover=1 k=0 group=Z gens=t\n"
-            "arrow kind=cover d=2 k=0 prov=diagram map=u:" + "1" * 100_000 + "\n"
+            "arrow kind=cover d=2 k=0 map=u:" + "1" * 100_000 + "\n"
         )
         start = time.perf_counter()
         with pytest.raises(DataFormatError, match="cannot parse combo"):

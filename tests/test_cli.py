@@ -458,7 +458,7 @@ class TestProcessLevel:
     def test_long_digit_run_in_a_data_file_fails_fast(
             self, capsys, monkeypatch, tmp_path):
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
-        modified = text.replace("map=hz0:1*u", "map=hz0:" + "1" * 100_000, 1)
+        modified = text.replace("map=cu:2*tau", "map=cu:" + "1" * 100_000, 1)
         assert modified != text
         path = tmp_path / "long_combo.txt"
         path.write_text(modified)
@@ -487,7 +487,7 @@ class TestProcessLevel:
         # and the certificate then printed "5rho -> 10"
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
         path = tmp_path / "repeated_arrow.txt"
-        path.write_text(text + "arrow kind=cover d=3 k=4 prov=diagram map=p1u:5*rho\n")
+        path.write_text(text + "arrow kind=cover d=3 k=4 map=p1u:5*rho\n")
         proc = run_subprocess("gilmer-masbaum", env_extra={"MTSPEC_DATA": str(path)})
         assert proc.returncode == 2
         assert proc.stdout == ""

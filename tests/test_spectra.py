@@ -1,7 +1,7 @@
 import pytest
 
 from mtspec import certified
-from mtspec.abelian import FgAbGroup
+from mtspec.abelian import FgAbGroup, IntMatrix
 from mtspec.certified import load_data
 from mtspec.charclasses import ring_restriction, thom_module_piece
 from mtspec.errors import DataFormatError, MtspecError
@@ -108,11 +108,13 @@ class TestCoverMap:
         assert cover_map(3, 4).image_of("p1u") == {"rho": 6}
         assert cover_map(2, 2).image_of("cu") == {"tau": 2}
 
-    def test_dimension_arrows(self):
-        arrow = cover_map(4, 4, "dim")
-        assert arrow.image_of("eu") == {}
-        assert arrow.image_of("p1u") == {"p1u": 1}
-        assert cover_map(3, 4, "dim").image_of("p1u") == {"c^2u": -1}
+    def test_computed_arrows(self):
+        # the names rule gives covdim 3 -> 2, and the 3 -> 2 square then
+        # gives cover_2(c^2u) = covdim(cover_3(dim^-1(c^2u))) = -6 rho
+        arrow = cover_map(3, 4, "covdim")
+        assert (arrow.provenance, arrow.image_of("rho")) == ("names", {"rho": 1})
+        arrow = cover_map(2, 4)
+        assert (arrow.provenance, arrow.image_of("c^2u")) == ("square", {"rho": -6})
 
     def test_cover_arrows_between_covers(self):
         arrow = cover_map(4, 4, "covdim")
@@ -122,23 +124,16 @@ class TestCoverMap:
     def test_not_recorded(self):
         with pytest.raises(MtspecError, match="no recorded cover arrow for d=4, k=2"):
             cover_map(4, 2)
-        with pytest.raises(MtspecError, match="no recorded dim arrow for d=2, k=3"):
-            cover_map(2, 3, "dim")
+        with pytest.raises(MtspecError, match="no recorded covdim arrow for d=2, k=3"):
+            cover_map(2, 3, "covdim")
+        with pytest.raises(ValueError, match="unknown arrow kind 'dim'"):
+            cover_map(4, 4, "dim")  # the ring gives it: charclasses.ring_restriction
 
     def test_well_defined_group_homs(self):
         data = load_data()
         for record in data.arrows:
-            if record.kind == "unit":
-                continue
             arrow = cover_map(record.d, record.k, record.kind)
             arrow.to_group_hom(data)  # raises if the torsion is not respected
-
-    def test_dim_arrows_match_ring_restriction(self):
-        # the shipped dimension arrows are the ring restriction exactly,
-        # not only modulo the torsion orders the load-time check allows
-        for d, k in ((4, 0), (4, 3), (4, 4), (3, 0), (3, 3), (3, 4)):
-            arrow = cover_map(d, k, "dim")
-            assert arrow.assignments == ring_restriction(d, k, d - 1), (d, k)
 
 
 class TestVerifyLes:
@@ -146,6 +141,11 @@ class TestVerifyLes:
     def test_all_chunks_exact(self, d):
         report = verify_les(d)
         assert report.all_exact, [c for c in report.checks if not c.exact]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_the_unit_map_is_synthesized(self, d):
+        assert ("degree 0: identification of HZ^0(HZ) with H^0(Sigma^%d MTSO(%d)) "
+                "synthesized as the canonical isomorphism" % (d, d)) in verify_les(d).notes
 
     @staticmethod
     def _fail_identification(monkeypatch, exc):
@@ -188,9 +188,10 @@ class TestVerifyLes:
         assert "cu" in chunk.description and "tau" in chunk.description
 
     def test_recorded_maps_are_built_once(self, monkeypatch):
-        # parse_data builds each recorded arrow's map to validate it and
-        # keeps it; the sequence reuses those maps and builds only the two
-        # degree-3 identifications it synthesizes (d = 3 and d = 4)
+        # parse_data builds each arrow's map, recorded or computed, to
+        # validate it and keeps it; the sequence reuses those maps and
+        # builds only the identifications it synthesizes: degree 0 for
+        # every d, and degree 3 for d = 3 and d = 4
         original = certified.assignments_to_group_hom
         built = []
 
@@ -199,13 +200,13 @@ class TestVerifyLes:
             return original(source, target, assignments)
         monkeypatch.setattr(certified, "assignments_to_group_hom", counting)
         data = certified.parse_data(certified.default_data_path().read_text())
-        assert len(built) == len(data.arrows) == 20
+        assert len(built) == len(data.arrows) == 6
         built.clear()
         for d in (2, 3, 4):
             assert verify_les(d, data).all_exact
         recorded = {arrow.assignments for arrow in data.arrows}
         assert [a for a in built if a in recorded] == []
-        assert [a[0][0] for a in built] == ["hz3", "hz3"]
+        assert [a[0][0] for a in built] == ["hz0", "hz0", "hz3", "hz0", "hz3"]
 
     def test_cover_degree_five_vanishing_is_consistent(self):
         for d in (2, 3, 4):
@@ -283,10 +284,11 @@ class TestDerivation:
         }
 
     def test_tampered_cover_divisor_contradicts(self):
-        # the divisibility of c^2u is read from its recorded cover arrow, so
-        # an image of -5*rho admits no extension of Z/6 by Z
+        # the divisibility of c^2u is read from its cover arrow, which the
+        # 3 -> 2 square solves from p1u's, so an image of 5*rho for p1u
+        # gives c^2u -5*rho, and that admits no extension of Z/6 by Z
         text = certified.default_data_path().read_text()
-        modified = text.replace("map=c^2u:-6*rho", "map=c^2u:-5*rho")
+        modified = text.replace("map=p1u:6*rho", "map=p1u:5*rho")
         assert modified != text
         data = certified.parse_data(modified)
         assert [(c.divisor, c.generator) for c in default_constraints(2, 4, data)] \
@@ -308,12 +310,18 @@ class TestDerivation:
             derive_cover_cohomology(4, 4, default_constraints(4, 4, data), data)
 
 
+def ring_dim(d: int, k: int):
+    """The ring restriction from d to d - 1 in degree k, as a GroupHom."""
+    return certified.assignments_to_group_hom(
+        thom_module_piece(d, k), thom_module_piece(d - 1, k), ring_restriction(d, k, d - 1))
+
+
 class TestCommutingSquare:
     def test_generator_chases_agree(self):
         data = load_data()
         top = cover_map(4, 4, "cover").to_group_hom(data)      # eu,p1u -> psi,sigma
         right = cover_map(4, 4, "covdim").to_group_hom(data)   # psi,sigma -> rho
-        left = cover_map(4, 4, "dim").to_group_hom(data)       # eu,p1u -> p1u
+        left = ring_dim(4, 4)                                  # eu,p1u -> p1u
         bottom = cover_map(3, 4, "cover").to_group_hom(data)   # p1u -> rho
         via_cover = product(right.matrix, top.matrix)
         via_dimension = product(bottom.matrix, left.matrix)
@@ -325,6 +333,16 @@ class TestCommutingSquare:
         # eu: (2*psi - sigma) -> 2*rho - 2*rho = 0 equals eu -> 0 -> 0
         eu_index = src.names.index("eu")
         assert via_cover.columns()[eu_index] == [0]
+
+    def test_the_solved_square_commutes(self):
+        # p1u -> 6*rho -> 6*rho equals p1u -> -c^2u -> 6*rho
+        data = load_data()
+        right = cover_map(3, 4, "covdim").to_group_hom(data)   # rho -> rho
+        top = cover_map(3, 4, "cover").to_group_hom(data)      # p1u -> rho
+        bottom = cover_map(2, 4, "cover").to_group_hom(data)   # c^2u -> rho
+        assert product(right.matrix, top.matrix) == product(bottom.matrix,
+                                                            ring_dim(3, 4).matrix) \
+            == IntMatrix.from_rows([[6]])
 
 
 class TestSpectrumId:
