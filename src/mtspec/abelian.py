@@ -176,9 +176,12 @@ def _smith(rows: list, n: int):
     keep them smaller and faster to compute than floor quotients do.
     """
     m = len(rows)
-    block = _identity(m)
-    for row, u in zip(rows, block):  # each row: its entries, then its U row
-        u[:0] = row
+    block = []  # each row: its entries, then its U row
+    zeros = [0] * m
+    for i, row in enumerate(rows):
+        row = [*row, *zeros]
+        row[n + i] = 1
+        block.append(row)
     V = _identity(n)  # V[j] is column j
     U, diag = [], []
     t, r = 0, min(m, n)
@@ -252,7 +255,12 @@ def _smith(rows: list, n: int):
 
 
 def _identity(n: int) -> list:
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +360,11 @@ def _clear_pivot(top: list, mat: list, modulus: int) -> int:
             row[0], row[j] = (s * x + t * y) % modulus, (ag * y - bg * x) % modulus
 
 
-def _lattice_solver(columns):
-    """Precompute a membership test for the Z-span of the given columns,
-    of which there is at least one."""
-    u, diag, _ = _smith(list(zip(*columns)), len(columns))
-    rank = sum(1 for x in diag if x)
+def _lattice_solver(rows, ncols: int):
+    """Precompute a membership test for the Z-span of the columns of the
+    matrix with these rows, which has at least one column."""
+    u, diag, _ = _smith(rows, ncols)
+    rank = len(diag) - diag.count(0)
     divisors = list(zip(u[:rank], diag))
     rest = u[rank:]
 
@@ -480,11 +488,16 @@ def _invariant_factors(orders) -> tuple:
     return tuple(x for x in finite if x > 1)
 
 
-def _relation_columns(group: FgAbGroup) -> list:
-    """Presentation relations of the group in its canonical generators."""
-    n, free = group.num_generators, group.free_rank
-    return [[d if i == free + j else 0 for i in range(n)]
-            for j, d in enumerate(group.torsion)]
+def _with_relations(rows, ncols: int, group: FgAbGroup) -> list:
+    """The rows of [matrix | relations of the group]: the matrix has ncols
+    columns and one row per canonical generator of the group, and the
+    relations are its invariant factors on their own generators."""
+    free, torsion = group.free_rank, group.torsion
+    zeros = [0] * len(torsion)
+    out = [[*row, *zeros] for row in rows]
+    for j, d in enumerate(torsion):
+        out[free + j][ncols + j] = d
+    return out
 
 
 def element_is_zero(group: FgAbGroup, vector) -> bool:
@@ -524,8 +537,20 @@ class GroupHom:
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
+    """The zero map.  It is well-defined by construction, so it is built
+    without the checks of IntMatrix and GroupHom."""
     n = source.num_generators
-    return GroupHom(source, target, IntMatrix([[0] * n] * target.num_generators, n))
+    return _unchecked(GroupHom, source=source, target=target,
+                      matrix=_unchecked(IntMatrix, rows=((0,) * n,) * target.num_generators,
+                                        ncols=n))
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without its __post_init__,
+    for values that meet its invariants by construction."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def check_exact(f: GroupHom, g: GroupHom) -> bool:
@@ -544,12 +569,13 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     if middle.is_trivial:
         return True
     n = middle.num_generators
+    f_rows, f_width = f.matrix.rows, f.matrix.ncols
+    relations = f_width + len(middle.torsion)  # columns of [f | middle relations]
     g_rows = g.matrix.rows
     if not any(map(any, g_rows)):
-        cols = f.matrix.columns() + _relation_columns(middle)
-        _, diag, _ = _smith(_rows(cols, n), len(cols))
+        _, diag, _ = _smith(_with_relations(f_rows, f_width, middle), relations)
         return diag.count(1) == n
-    f_cols = f.matrix.columns() if any(map(any, f.matrix.rows)) else []
+    f_cols = f.matrix.columns() if any(map(any, f_rows)) else []
     for col in f_cols:
         if not element_is_zero(g.target, [sum(a * b for a, b in zip(row, col))
                                           for row in g_rows]):
@@ -557,13 +583,11 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
 
     # kernel of g as a lattice in Z^n: x with g.matrix @ x in the span of
     # the target relations; computed from the kernel of [g.matrix | rel_tgt]
-    rel_tgt = _relation_columns(g.target)
-    stacked = [[*row, *(rel[i] for rel in rel_tgt)] for i, row in enumerate(g_rows)]
-    _, diag, v = _smith(stacked, n + len(rel_tgt))
-    kernel = [col[:n] for col in v[sum(1 for x in diag if x):]]
+    _, diag, v = _smith(_with_relations(g_rows, n, g.target), n + len(g.target.torsion))
+    kernel = [col[:n] for col in v[len(diag) - diag.count(0):]]
     if not f_cols:
         return all(element_is_zero(middle, x) for x in kernel)
-    in_image = _lattice_solver(f_cols + _relation_columns(middle))
+    in_image = _lattice_solver(_with_relations(f_rows, f_width, middle), relations)
     return all(in_image(x) for x in kernel)
 
 
@@ -601,20 +625,14 @@ def cokernel(relations: IntMatrix) -> FgAbGroup:
     return FgAbGroup(free, chain[:len(chain) - free])
 
 
-def _rows(columns, n: int) -> list:
-    """The rows of the n-row matrix with the given columns."""
-    return list(zip(*columns)) if columns else [()] * n
-
-
-def _quotient(n: int, columns):
-    """Z^n modulo the span of the columns, from one Smith form: the group
-    Q and the rows of the projection onto Q's canonical generators (the
-    rows of U for the free part, then those of invariant factors above 1)."""
-    u, diag, _ = _smith(_rows(columns, n), len(columns))
-    rank = sum(1 for x in diag if x)
-    torsion_rows = [i for i in range(rank) if diag[i] > 1]
-    return (FgAbGroup(n - rank, tuple(diag[i] for i in torsion_rows)),
-            u[rank:] + [u[i] for i in torsion_rows])
+def _quotient(rows, ncols: int):
+    """Z^n modulo the span of the columns of the matrix with these n rows,
+    from one Smith form: the group Q and the rows of the projection onto
+    Q's canonical generators (the rows of U for the free part, then those
+    of invariant factors above 1)."""
+    u, diag, _ = _smith(rows, ncols)
+    ones, rank = diag.count(1), len(diag) - diag.count(0)  # the chain is 1, ..., 1, d, ..., 0, ...
+    return FgAbGroup(len(rows) - rank, tuple(diag[ones:rank])), u[rank:] + u[ones:rank]
 
 
 def cokernel_with_projection(group: FgAbGroup, column_vectors):
@@ -624,8 +642,12 @@ def cokernel_with_projection(group: FgAbGroup, column_vectors):
     canonical form Q of the quotient.
     """
     n = group.num_generators
-    quotient, proj_rows = _quotient(
-        n, [list(c) for c in column_vectors] + _relation_columns(group))
+    columns = [list(c) for c in column_vectors]
+    if any(len(c) != n for c in columns):
+        raise ValueError("column length does not match generator count")
+    rows = [[c[i] for c in columns] for i in range(n)]
+    quotient, proj_rows = _quotient(_with_relations(rows, len(columns), group),
+                                    len(columns) + len(group.torsion))
     return quotient, GroupHom(group, quotient, IntMatrix(proj_rows, n))
 
 
@@ -638,8 +660,10 @@ class Extension:
     """One extension class 0 -> A -> X -> B -> 0.
 
     ``a_images`` holds, for each A-generator, its image in X on the
-    canonical generators of ``group`` (free ones first), as read off the
-    Smith form of X's presentation; a torsion coordinate is not reduced.
+    canonical generators of ``group`` (free ones first): read off the
+    Smith form of X's presentation, or, for the split class of a free B,
+    the A-generator's own coordinate in B + A.  A torsion coordinate is
+    not reduced.
     """
 
     group: FgAbGroup
@@ -661,16 +685,24 @@ _MAX_EXTENSION_CLASSES = 200_000
 def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
     """Yield one Extension per class of Ext^1(B, A).
 
-    Classes are enumerated through coset representatives of A/(d*A) for
-    each torsion order d of B.  The presentation of the middle group has
-    the lifted B-generators first and the A-generators last; one Smith
-    form of it gives the canonical group and the images of A in it.
+    When B has no torsion, Ext^1(B, A) = 0 and the one class is the split
+    B + A, with no Smith form: its canonical generators are B's free ones,
+    then A's in their order, so A-generator j is coordinate rank(B) + j.
+    Otherwise classes are enumerated through coset representatives of
+    A/(d*A) for each torsion order d of B.  The presentation of the middle
+    group has the lifted B-generators first and the A-generators last; one
+    Smith form of it gives the canonical group and the images of A in it.
+    Either way, a torsion order of A or B above ENUMERATION_BOUND raises.
     """
     for d in a.torsion + b.torsion:
         if d > ENUMERATION_BOUND:
             raise MtspecError("torsion order %d exceeds the enumeration bound" % d)
     fa, ta = a.free_rank, a.torsion
     na, a_offset = a.num_generators, b.num_generators
+    if not b.torsion:
+        yield Extension(FgAbGroup(b.free_rank + fa, ta),
+                        tuple(map(tuple, _identity(a_offset + na)[a_offset:])))
+        return
 
     reps_per_relation = []
     count = 1
@@ -682,14 +714,20 @@ def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
             raise MtspecError("too many extension classes to enumerate")
         reps_per_relation.append(reps)
 
-    # each relation d e_i of B lifts to d e_i - phi_i; A keeps its own
-    b_relations = _relation_columns(b)
-    a_relations = [[0] * a_offset + col for col in _relation_columns(a)]
+    # the presentation's columns: each relation d e_i of B lifts to
+    # d e_i - phi_i, and A keeps its own; only the A rows vary with phi
+    width = len(b.torsion) + len(ta)
+    b_rows = [[0] * width for _ in range(a_offset)]
+    for i, d in enumerate(b.torsion):
+        b_rows[b.free_rank + i][i] = d
+    a_relations = _with_relations([()] * na, 0, a)  # A's relation matrix, by rows
     for phi in itertools.product(*reps_per_relation):
-        cols = [rel + [-c for c in rep] for rel, rep in zip(b_relations, phi)]
-        group, proj_rows = _quotient(a_offset + na, cols + a_relations)
-        yield Extension(group, tuple(tuple(row[a_offset + j] for row in proj_rows)
-                                     for j in range(na)))
+        rows = b_rows + [[-rep[j] for rep in phi] + relations
+                         for j, relations in enumerate(a_relations)]
+        group, proj_rows = _quotient(rows, width)
+        # X has B's torsion, so the projection has rows; its column
+        # a_offset + j is the image of A-generator j
+        yield Extension(group, tuple(zip(*proj_rows))[a_offset:])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,9 @@ Each public function that takes ``data=`` resolves the file once, at its
 top, and passes that one CertifiedData to everything it calls: a call
 answers from one snapshot of the data even if MTSPEC_DATA changes during
 it, and a caller that passes ``data=`` skips the lookup altogether.
+CertifiedData.derived is the workspace of the consistency proof in
+``spectra``, which keeps there what it builds from this snapshot alone;
+it is empty when the file is read, so nothing carries over between files.
 
 The lookups at the end of the module serve the tables: homotopy and
 cohomology of the suspended Madsen-Tillmann spectra and their first
@@ -190,6 +193,7 @@ class CertifiedData:
         self.families = families        # name -> FamilyRecord
         self.path = path
         self.homs = {}                  # ArrowRecord -> GroupHom, built by _validate
+        self.derived = {}               # the proof's workspace (see spectra)
 
     def entry(self, d: int, cover: int, k: int) -> CohomologyEntry | None:
         return self.cohomology.get((d, cover, k))
@@ -352,7 +356,8 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
     groups, entries = {}, {}
 
     def group(text):
-        if text not in groups:
+        parsed = groups.get(text)
+        if parsed is None:
             # counted as spelled, before the canonical form sorts the
             # torsion; |k| for Z^k, so a negative rank hides no parts
             spelled = sum(abs(int(part[2:])) if part.startswith("Z^") else 1
@@ -360,28 +365,30 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             if spelled > MAX_GROUP_GENERATORS:
                 raise ValueError("%d generators, more than MAX_GROUP_GENERATORS (%d)"
                                  % (spelled, MAX_GROUP_GENERATORS))
-            groups[text] = FgAbGroup.from_text(text)
-        return groups[text]
+            parsed = groups[text] = FgAbGroup.from_text(text)
+        return parsed
 
+    # a line is taken apart once, by split; the stripped line is made only
+    # where it is shown (an arrow, whose refusal comes later, or an error)
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
+        rectype = parts[0]
         try:
-            if line.startswith("version="):
+            if rectype.startswith("version="):
                 if version is not None:
                     raise ValueError("a version line came earlier")
-                version = int(line.split("=", 1)[1])
+                version = int(raw.strip()[len("version="):])
                 continue
-            parts = line.split()
-            rectype, fields = parts[0], _parse_fields(parts[1:])
+            fields = _parse_fields(parts[1:])
             if "p1" in fields:
                 raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
             known = _RECORD_FIELDS.get(rectype)
             if known is None:
                 raise ValueError("unknown record type %r" % rectype)
             if not known.issuperset(fields):  # a misspelled field would lose its value
-                raise ValueError("a %s record has no field %s" % (
+                raise ValueError("a record of type %s has no field %s" % (
                     rectype, ", ".join(sorted(k + "=" for k in fields.keys() - known))))
             if rectype == "cohomology":
                 table, key = cohomology, (int(fields["d"]), int(fields["cover"]),
@@ -390,10 +397,10 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     raise ValueError("uncovered rows are the ring's Thom-module "
                                      "pieces, not recorded; delete the cover=0 row")
                 spelled = (fields["group"], fields.get("gens", ""))
-                if spelled not in entries:
-                    entries[spelled] = CohomologyEntry(group(spelled[0]),
-                                                       _parse_gens(spelled[1]))
-                rec = entries[spelled]
+                rec = entries.get(spelled)
+                if rec is None:
+                    rec = entries[spelled] = CohomologyEntry(group(spelled[0]),
+                                                             _parse_gens(spelled[1]))
             elif rectype == "homotopy":
                 table, key = homotopy, (int(fields["d"]), int(fields["k"]))
                 rec = group(fields["group"])
@@ -410,7 +417,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     raise ValueError(rule + ", not recorded; delete the line")
                 if rec.kind not in ("cover", "covdim"):
                     raise ValueError("unknown arrow kind %r" % rec.kind)
-                lines[rec] = line
+                lines[rec] = raw.strip()
             elif rectype == "manifold":
                 rec = ManifoldClass(
                     name=fields["name"], dim=int(fields["dim"]),
@@ -433,7 +440,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 raise ValueError("a record with the key %s came earlier" % (key,))
             table[key] = rec
         except (KeyError, ValueError) as exc:
-            raise DataFormatError("bad record %r: %s" % (line, exc))
+            raise DataFormatError("bad record %r: %s" % (raw.strip(), exc))
     if version is None:
         raise DataFormatError("data file lacks a version line")
     data = CertifiedData(version, cohomology, homotopy, hz, arrows,

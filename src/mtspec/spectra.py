@@ -16,6 +16,12 @@ re-exports the table lookups (``SpectrumId``, ``cohomology``,
 ``equivalent_stored_cover``, ``cover_map`` and ``MAX_TABLE_DEGREE``), so
 ``spectra.cohomology`` and the others resolve as before; serving a table
 does not import it.
+
+Every exactness check and every derivation runs on each call.  What the
+proof only builds from a snapshot, the entries of H^k(HZ), the zero map
+between two groups and the cover's connectivity, it builds once per
+snapshot and keeps in that CertifiedData's ``derived`` dict, its
+workspace; a new data file is a new CertifiedData with an empty one.
 """
 
 from __future__ import annotations
@@ -33,6 +39,42 @@ from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology, cover_map,  # 
                         equivalent_stored_cover, grid_equivalence, homotopy_group,
                         hz_self_cohomology)
 from .errors import DataFormatError, InternalCheckError, MtspecError
+
+# ---------------------------------------------------------------------------
+# the proof's workspace: values that depend on the snapshot alone, kept in
+# data.derived under ("hz", k), ("zero", source, target) or ("connectivity", d)
+
+
+def _hz_entry(k: int, data) -> CohomologyEntry:
+    """H^k(HZ) as a table entry; the group is cyclic, generated by hz<k>."""
+    key = ("hz", k)
+    entry = data.derived.get(key)
+    if entry is None:
+        hz = hz_self_cohomology(k, data)
+        entry = CohomologyEntry(hz, tuple(("hz%d" % k, order or None)
+                                          for order in hz.generator_orders()))
+        data.derived[key] = entry
+    return entry
+
+
+def _zero_map(source: FgAbGroup, target: FgAbGroup, data) -> GroupHom:
+    key = ("zero", source, target)
+    hom = data.derived.get(key)
+    if hom is None:
+        hom = data.derived[key] = zero_hom(source, target)
+    return hom
+
+
+def _cover_connectivity(d: int, data) -> int:
+    """First degree >= 1 where the cover can have homotopy, per the table."""
+    key = ("connectivity", d)
+    conn = data.derived.get(key)
+    if conn is None:
+        conn = next((i for i in range(1, d + 1)
+                     if not homotopy_group(d, i, data).is_trivial), d + 1)
+        data.derived[key] = conn
+    return conn
+
 
 # ---------------------------------------------------------------------------
 # long exact sequence verification
@@ -82,9 +124,7 @@ def verify_les(d: int, data=None) -> LesReport:
              for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
     for k in range(MAX_TABLE_DEGREE + 2):
         labels.append("HZ^%d(HZ)" % k)
-        hz = hz_self_cohomology(k, data)  # cyclic, generated by hz<k>
-        nodes.append(CohomologyEntry(hz, tuple(("hz%d" % k, order or None)
-                                               for order in hz.generator_orders())))
+        nodes.append(_hz_entry(k, data))
         if k <= MAX_TABLE_DEGREE:
             for spectrum, text in shown:
                 labels.append("H^%d(%s)" % (k, text))
@@ -131,26 +171,24 @@ def verify_les(d: int, data=None) -> LesReport:
     # maps[i] goes into nodes[i], and the last one out of the sequence; a
     # map touching a zero group is None, made a zero map only if checked
     groups = [TRIVIAL_GROUP] + [node.group for node in nodes] + [TRIVIAL_GROUP]
+    trivial = [group.is_trivial for group in groups]
     maps = [None]
     for i in range(1, len(nodes)):
         k, step = divmod(i - 1, 3)
-        touches_zero = groups[i].is_trivial or groups[i + 1].is_trivial
-        maps.append(None if touches_zero else (alpha, beta, delta)[step](k))
+        maps.append(None if trivial[i] or trivial[i + 1] else (alpha, beta, delta)[step](k))
     maps.append(None)
 
     def into(i: int) -> GroupHom:
-        return maps[i] or zero_hom(groups[i], groups[i + 1])
+        return maps[i] or _zero_map(groups[i], groups[i + 1], data)
 
     checks = []
     for idx, label in enumerate(labels):
-        exact = idx not in failures and (groups[idx + 1].is_trivial
+        exact = idx not in failures and (trivial[idx + 1]
                                          or check_exact(into(idx), into(idx + 1)))
         checks.append(LesCheck(label, exact, failures.get(idx, "")))
 
-    runs = itertools.groupby(range(len(nodes)),
-                             key=lambda idx: groups[idx + 1].is_trivial)
-    chunks = [_make_chunk(nodes, checks, list(run))
-              for trivial, run in runs if not trivial]
+    runs = itertools.groupby(range(len(nodes)), key=lambda idx: trivial[idx + 1])
+    chunks = [_make_chunk(nodes, checks, list(run)) for zero, run in runs if not zero]
 
     return LesReport(d, tuple(checks), tuple(chunks), tuple(notes))
 
@@ -214,14 +252,6 @@ class DerivationResult:
     notes: tuple = ()
 
 
-def _cover_connectivity(d: int, data) -> int:
-    """First degree >= 1 where the cover can have homotopy, per the table."""
-    for i in range(1, d + 1):
-        if not homotopy_group(d, i, data).is_trivial:
-            return i
-    return d + 1
-
-
 def _extract_ses(d: int, k: int, data):
     """The short exact sequence around the cover entry in degree k.
 
@@ -229,7 +259,7 @@ def _extract_ses(d: int, k: int, data):
     or None when the bounding map in this degree is not pinned by the
     recorded data (the degree-3 self-cohomology can map either way).
     """
-    e_here = cohomology(SpectrumId(d, 0), k, data)
+    e_here = data.entry(d, 0, k)  # the ring's rows are there for every d and k
     hz_here = hz_self_cohomology(k, data)
     if e_here.group.is_trivial:
         a_group, a_names = TRIVIAL_GROUP, ()
@@ -242,7 +272,7 @@ def _extract_ses(d: int, k: int, data):
     else:
         return None
 
-    e_next = cohomology(SpectrumId(d, 0), k + 1, data) if k + 1 <= MAX_TABLE_DEGREE else None
+    e_next = data.entry(d, 0, k + 1) if k + 1 <= MAX_TABLE_DEGREE else None
     hz_next = hz_self_cohomology(k + 1, data)
     if hz_next.is_trivial:
         b_group = TRIVIAL_GROUP

@@ -396,6 +396,12 @@ class TestQuotientProjection:
             for col in cols:
                 assert element_is_zero(q, image(proj.matrix, col))
 
+    @pytest.mark.parametrize("column", [[1], [1, 0, 0]], ids=["short", "long"])
+    def test_column_of_the_wrong_length_is_refused(self, column):
+        # unchecked, a short column would be read in a smaller group
+        with pytest.raises(ValueError, match="column length"):
+            cokernel_with_projection(FgAbGroup(2), [column])
+
 
 class TestUnitsKernel:
     def test_examples(self):

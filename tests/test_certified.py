@@ -313,6 +313,9 @@ class TestParser:
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
             parse_data(MINIMAL + record + "\n")
         assert "has no field " + field in str(info.value)
+        # the type follows "of type", so no article has to agree with it
+        rectype = record.split()[0]
+        assert "a record of type %s has no field %s" % (rectype, field) in str(info.value)
 
     def test_manifold_record_must_be_a_manifold(self):
         with pytest.raises(DataFormatError, match="name=X"):

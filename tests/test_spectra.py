@@ -4,7 +4,7 @@ from mtspec import certified
 from mtspec.abelian import FgAbGroup, IntMatrix
 from mtspec.certified import load_data
 from mtspec.charclasses import ring_restriction, thom_module_piece
-from mtspec.errors import DataFormatError, MtspecError
+from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
 from mtspec.spectra import (KIND_DIVISIBILITY, DerivationConstraint,
                             SpectrumId, cohomology, cover_map, default_constraints,
                             derive_cover_cohomology, grid_equivalence,
@@ -358,13 +358,55 @@ class TestSpectrumId:
             SpectrumId(2, 4)
 
 
+# the cover entry that ROADMAP's item 2 tampers with: the table then
+# disagrees with the exact sequence in degree 4 of d = 2
+TAMPER = ("cohomology d=2 cover=1 k=4 group=Z gens=rho",
+          "cohomology d=2 cover=1 k=4 group=Z/3 gens=rho:3")
+
+
+def prove_all(data):
+    """Every exactness check and every cover derivation of the snapshot."""
+    reports = [verify_les(d, data) for d in (2, 3, 4)]
+    derived = {(d, k): derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
+               for d in (2, 3, 4) for k in range(6)}
+    return reports, derived
+
+
+@pytest.mark.parametrize("tampered_first", [False, True], ids=["shipped-first", "tampered-first"])
+def test_the_proof_workspace_stays_inside_its_snapshot(tampered_first):
+    # what the proof keeps lives on its CertifiedData: proving one snapshot
+    # changes nothing that the proof of another one sees, in either order
+    text = certified.default_data_path().read_text()
+    tampered_text = text.replace(*TAMPER)
+    assert tampered_text != text
+    shipped, tampered = load_data(), certified.parse_data(tampered_text)
+
+    def prove_shipped():
+        reports, derived = prove_all(shipped)
+        assert all(report.all_exact for report in reports)
+        assert derived[(2, 4)].group == FgAbGroup(1)
+
+    def prove_tampered():
+        assert not verify_les(2, tampered).all_exact
+        with pytest.raises(InternalCheckError,
+                           match=r"derived Z for \(d=2, cover=1, k=4\) but the table holds Z/3"):
+            derive_cover_cohomology(2, 4, default_constraints(2, 4, tampered), tampered)
+
+    steps = [prove_tampered, prove_shipped] if tampered_first else [prove_shipped, prove_tampered]
+    for step in steps + [prove_shipped]:
+        step()
+    assert certified.parse_data(text).derived == {}  # a new snapshot starts empty
+
+
 def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     # exact call counts, no timing, on the shipped data.  Each nontrivial
     # exactness check takes one Smith form, plus a lattice solver when
     # neither map is zero (4 of 22), and each of the 4 connecting maps one
-    # more; each extension class takes one.  Before, a class took a
-    # cokernel plus a second Smith form per divisibility test, and every
-    # check two Smith forms: 53 _smith and 26 cokernel calls in all.
+    # more; each extension class of a B with torsion takes one, and the 10
+    # split classes (B = 0 here) none.  Before, every extension class took
+    # one (56 in all); before that, a class took a cokernel plus a second
+    # Smith form per divisibility test, and every check two Smith forms:
+    # 53 _smith and 26 cokernel calls in all.
     from mtspec import abelian, classify
     calls = {}
     for name in ("_smith", "cokernel"):
@@ -381,6 +423,10 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     for d in (2, 3, 4):
         for k in range(6):
             derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
-    assert calls == {"_smith": 56}
+    assert calls == {"_smith": 46}
     classify.gilmer_masbaum_report(data)
-    assert calls == {"_smith": 56}
+    assert calls == {"_smith": 46}
+    # a free B splits every extension: no Smith form at all
+    split = list(abelian.enumerate_extensions(FgAbGroup(2), FgAbGroup(1)))
+    assert [ext.group for ext in split] == [FgAbGroup(3)]
+    assert calls == {"_smith": 46}
