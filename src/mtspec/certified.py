@@ -1,27 +1,29 @@
 """The versioned certified data file, and the tables served from it.
 
 The file ships with the package and carries the cover rows of the
-cohomology table with their named generators, the homotopy table, the
-self-cohomology of the integral Eilenberg-MacLane spectrum, the four
-recorded arrows of the restriction diagram, and the manifold catalog.
-What the package computes is not in it: the uncovered cohomology rows
-are the ring's Thom-module pieces (``charclasses.thom_module_piece``),
-entered before the file's rows are read; a manifold's p1 number is 3 *
-signature (Hirzebruch), a property of ManifoldClass; the restriction
-between the spectra is the ring's (``charclasses.ring_restriction``), a
-map touching a zero group is zero, and ``spectra.verify_les`` synthesizes
-the degree-0 unit map; and once the recorded arrows are validated, covdim
-d=3 k=4 is the same-name map and cover d=2 k=4 is solved from the 3 -> 2
-square.  A file that records any of these anyway is refused naming the
-line.  Loading validates the rest: no group may have more than
-MAX_GROUP_GENERATORS generators as spelled, an hz group must be cyclic,
-no two records of one type may share a key, no record may name a field
-twice and the file has one integer version line (each repeat is
-refused, not taken in place of the first), each arrow's map must be
-well-defined between the rows it names (the maps built for that check
-are kept and served by ArrowRecord.to_group_hom), each manifold record
-must satisfy the ManifoldClass invariants, and each family record (name
-ending in _g) must yield valid members for g = 0 and g = 1, which
+cohomology table, each its named generators (version 4), the homotopy
+table, the self-cohomology of the integral Eilenberg-MacLane spectrum,
+the four recorded arrows of the restriction diagram, and the manifold
+catalog.  What the package computes is not in it: the uncovered
+cohomology rows are the ring's Thom-module pieces
+(``charclasses.thom_module_piece``), entered before the file's rows are
+read; a manifold's p1 number is 3 * signature (Hirzebruch), a property
+of ManifoldClass; the restriction between the spectra is the ring's
+(``charclasses.ring_restriction``), a map touching a zero group is zero,
+and ``spectra.verify_les`` synthesizes the degree-0 unit map; and once
+the recorded arrows are validated, covdim d=3 k=4 is the same-name map
+and cover d=2 k=4 is solved from the 3 -> 2 square.  A file that records
+any of these anyway is refused naming the line, and so is a cohomology
+row's group= field, which its generators give.  Loading validates the
+rest: no group or gens= list may have more than MAX_GROUP_GENERATORS
+generators as spelled, a row's torsion orders must form a divisibility
+chain, an hz group must be cyclic, no two records of one type may share
+a key, no record may name a field twice and the file has one integer
+version line (each repeat is refused, not taken in place of the first),
+each arrow's map must be well-defined between the rows it names (built
+once every row is read, it is the ArrowRecord's hom), each manifold
+record must satisfy the ManifoldClass invariants, and each family record
+(name ending in _g) must yield valid members for g = 0 and g = 1, which
 suffices because every invariant is affine in g.  The environment
 variable MTSPEC_DATA overrides the path; a file that cannot be read or
 is not UTF-8 is a DataFormatError like any other bad file.
@@ -44,9 +46,11 @@ Each public function that takes ``data=`` resolves the file once, at its
 top, and passes that one CertifiedData to everything it calls: a call
 answers from one snapshot of the data even if MTSPEC_DATA changes during
 it, and a caller that passes ``data=`` skips the lookup altogether.
-CertifiedData.derived is the workspace of the consistency proof in
-``spectra``, which keeps there what it builds from this snapshot alone;
-it is empty when the file is read, so nothing carries over between files.
+Each loaded fact is one value: a cohomology or hz row is a
+CohomologyEntry, an arrow an ArrowRecord with its map.
+CertifiedData.derived is the workspace of the consistency proof in ``spectra``, which keeps
+there what it builds from this snapshot alone; it is empty when the file
+is read, so nothing carries over between files.
 
 The lookups at the end of the module serve the tables: homotopy and
 cohomology of the suspended Madsen-Tillmann spectra and their first
@@ -93,19 +97,11 @@ class ArrowRecord:
     k: int
     provenance: str  # diagram (recorded) | names | square (computed)
     assignments: tuple  # ((source name, ((target name, coeff), ...)), ...)
+    hom: GroupHom    # the map in canonical coordinates, built at load
 
     def image_of(self, name: str) -> dict:
         """The image of one source generator as {target name: coefficient}."""
         return dict(dict(self.assignments)[name])
-
-    def to_group_hom(self, data: CertifiedData) -> GroupHom:
-        """The map in canonical coordinates between its two table entries,
-        as built when the data loaded; an arrow the data does not hold
-        raises MtspecError."""
-        hom = data.homs.get(self)
-        if hom is None:
-            raise MtspecError("arrow %s is not recorded in this data" % (self,))
-        return hom
 
 
 @dataclass(frozen=True)
@@ -186,20 +182,18 @@ class CertifiedData:
         self.version = version
         self.cohomology = cohomology    # (d, cover, k) -> CohomologyEntry
         self.homotopy = homotopy        # (d, k) -> FgAbGroup
-        self.hz = hz                    # k -> FgAbGroup
-        self._arrow_index = arrows      # (kind, d, k) -> ArrowRecord
-        self.arrows = list(arrows.values())
+        self.hz = hz                    # k -> CohomologyEntry, generated by hz<k>
+        self.arrows = arrows            # (kind, d, k) -> ArrowRecord
         self.manifolds = manifolds      # name -> ManifoldClass
         self.families = families        # name -> FamilyRecord
         self.path = path
-        self.homs = {}                  # ArrowRecord -> GroupHom, built by _validate
         self.derived = {}               # the proof's workspace (see spectra)
 
     def entry(self, d: int, cover: int, k: int) -> CohomologyEntry | None:
         return self.cohomology.get((d, cover, k))
 
     def arrow(self, kind: str, d: int, k: int) -> ArrowRecord | None:
-        return self._arrow_index.get((kind, d, k))
+        return self.arrows.get((kind, d, k))
 
 
 def _parse_combo(text: str):
@@ -229,19 +223,16 @@ def _parse_map(text: str):
 
 
 def _parse_gens(text: str):
-    gens = []
-    if text:
-        for item in text.split(","):
-            if ":" in item:
-                name, order = item.split(":", 1)
-                gens.append((name, int(order)))
-            else:
-                gens.append((item, None))
-    return tuple(gens)
+    items = text.split(",") if text else ()
+    if len(items) > MAX_GROUP_GENERATORS:  # counted before an order is read
+        raise ValueError("%d generators, more than MAX_GROUP_GENERATORS (%d)"
+                         % (len(items), MAX_GROUP_GENERATORS))
+    return tuple((name, int(order) if colon else None)
+                 for name, colon, order in (item.partition(":") for item in items))
 
 
 _RECORD_FIELDS = {
-    "cohomology": {"d", "cover", "k", "group", "gens"},
+    "cohomology": {"d", "cover", "k", "gens"},
     "homotopy": {"d", "k", "group"},
     "hz": {"k", "group"},
     "arrow": {"kind", "d", "k", "map"},
@@ -281,50 +272,52 @@ _RULED_ARROWS = {
 }
 
 
-def _arrow_endpoints(data: CertifiedData, arrow: ArrowRecord):
-    """The (source, target) table entries an arrow maps between."""
-    if arrow.kind == "cover":
-        source, target = data.entry(arrow.d, 0, arrow.k), data.entry(arrow.d, 1, arrow.k)
-    else:  # covdim; parse_data refuses any other kind
-        source, target = data.entry(arrow.d, 1, arrow.k), data.entry(arrow.d - 1, 1, arrow.k)
-    if source is None or target is None:
-        raise DataFormatError("the arrow references a missing table entry")
-    return source, target
+def _load_arrows(cohomology: dict, recorded: dict) -> dict:
+    """The recorded arrows, given as {(kind, d, k): (line, assignments)},
+    then the two the load computes, each with its map built between the
+    table entries it names; a refusal names the line or the rule."""
+    arrows = {}
 
+    def add(kind, d, k, provenance, assignments):
+        if kind == "cover":
+            source, target = cohomology.get((d, 0, k)), cohomology.get((d, 1, k))
+        else:  # covdim; parse_data refuses any other kind
+            source, target = cohomology.get((d, 1, k)), cohomology.get((d - 1, 1, k))
+        if source is None or target is None:
+            raise DataFormatError("the arrow references a missing table entry")
+        if provenance == "diagram" and (source.group.is_trivial or target.group.is_trivial):
+            raise DataFormatError("a map into or out of a zero group is zero, "
+                                  "not recorded; delete the line")
+        arrows[(kind, d, k)] = ArrowRecord(kind, d, k, provenance, assignments,
+                                           assignments_to_group_hom(source, target, assignments))
 
-def _validate(data: CertifiedData, lines: dict):
-    for arrow in data.arrows:
+    for (kind, d, k), (line, assignments) in recorded.items():
         try:
-            source, target = _arrow_endpoints(data, arrow)
-            if source.group.is_trivial or target.group.is_trivial:
-                raise DataFormatError("a map into or out of a zero group is zero, "
-                                      "not recorded; delete the line")
-            data.homs[arrow] = assignments_to_group_hom(source, target, arrow.assignments)
+            add(kind, d, k, "diagram", assignments)
         except DataFormatError as exc:
-            raise DataFormatError("bad record %r: %s" % (lines[arrow], exc))
-    for arrow in _computed_arrows(data):
+            raise DataFormatError("bad record %r: %s" % (line, exc))
+    for arrow in _computed_arrows(cohomology, arrows):
         try:
-            data.homs[arrow] = assignments_to_group_hom(*_arrow_endpoints(data, arrow),
-                                                        arrow.assignments)
+            add(*arrow)
         except DataFormatError as exc:
             raise DataFormatError("the computed %s arrow d=%d k=%d (prov=%s): %s"
-                                  % (arrow.kind, arrow.d, arrow.k, arrow.provenance, exc))
-        data._arrow_index[(arrow.kind, arrow.d, arrow.k)] = arrow
-        data.arrows.append(arrow)
+                                  % (*arrow[:4], exc))
+    return arrows
 
 
-def _computed_arrows(data: CertifiedData):
-    """The 3 -> 2 row of the degree-4 square, from the validated arrows.
+def _computed_arrows(cohomology: dict, arrows: dict):
+    """The 3 -> 2 row of the degree-4 square, (kind, d, k, provenance,
+    assignments) each, from the validated arrows.
 
     covdim keeps names, so cover_2 = covdim o cover_3 o dim^-1 is cover_3
     read through dim^-1.  The ring's dim sends each generator to +-1 times
     one generator or to 0, so its inverse is a lookup by name.  A file
     without cover_3 gets neither arrow, as it lacks any arrow it omits.
     """
-    cover_3 = data.arrow("cover", 3, 4)
+    cover_3 = arrows.get(("cover", 3, 4))
     if cover_3 is None:
         return ()
-    names = data.entry(3, 1, 4).names  # cover_3 was built, so the row exists
+    names = cohomology[(3, 1, 4)].names  # cover_3 was built, so the row exists
     preimage = {image[0][0]: (name, image[0][1])
                 for name, image in ring_restriction(3, 4, 2)
                 if len(image) == 1 and image[0][1] in (1, -1)}
@@ -336,8 +329,8 @@ def _computed_arrows(data: CertifiedData):
         source, sign = preimage[name]
         solved.append((name, tuple((target, sign * coeff)
                                    for target, coeff in cover_3.image_of(source).items())))
-    return (ArrowRecord("covdim", 3, 4, "names", tuple((n, ((n, 1),)) for n in names)),
-            ArrowRecord("cover", 2, 4, "square", tuple(solved)))
+    return (("covdim", 3, 4, "names", tuple((n, ((n, 1),)) for n in names)),
+            ("cover", 2, 4, "square", tuple(solved)))
 
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:
@@ -347,12 +340,12 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                   for d in (1, 2, 3, 4) for k in range(MAX_TABLE_DEGREE + 1)}
     homotopy = {}
     hz = {}
+    # each recorded arrow's line and assignments, until every row is read
     arrows = {}
-    lines = {}  # ArrowRecord -> its line, named by a refusal after the parse
     manifolds = {}
     families = {}
     # the rows repeat few texts: one group per group text, and one entry
-    # per (group, gens) text, shared by every row that spells it
+    # per gens text, shared by every row that spells it
     groups, entries = {}, {}
 
     def group(text):
@@ -384,6 +377,9 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             fields = _parse_fields(parts[1:])
             if "p1" in fields:
                 raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
+            if rectype == "cohomology" and "group" in fields:
+                raise ValueError("a cohomology row's group is read from its generators, "
+                                 "not recorded; delete the group= field")
             known = _RECORD_FIELDS.get(rectype)
             if known is None:
                 raise ValueError("unknown record type %r" % rectype)
@@ -396,28 +392,28 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 if key[1] == 0:
                     raise ValueError("uncovered rows are the ring's Thom-module "
                                      "pieces, not recorded; delete the cover=0 row")
-                spelled = (fields["group"], fields.get("gens", ""))
+                spelled = fields.get("gens", "")
                 rec = entries.get(spelled)
                 if rec is None:
-                    rec = entries[spelled] = CohomologyEntry(group(spelled[0]),
-                                                             _parse_gens(spelled[1]))
+                    rec = entries[spelled] = CohomologyEntry(_parse_gens(spelled))
             elif rectype == "homotopy":
                 table, key = homotopy, (int(fields["d"]), int(fields["k"]))
                 rec = group(fields["group"])
             elif rectype == "hz":
-                table, key, rec = hz, int(fields["k"]), group(fields["group"])
-                if rec.num_generators > 1:  # verify_les names its generator hz<k>
+                table, key, parsed = hz, int(fields["k"]), group(fields["group"])
+                if parsed.num_generators > 1:  # the entry names its generator hz<k>
                     raise ValueError("an hz group must be cyclic, generated by hz%d" % key)
+                rec = CohomologyEntry(tuple(("hz%d" % key, order or None)
+                                            for order in parsed.generator_orders()))
             elif rectype == "arrow":
-                rec = ArrowRecord(kind=fields["kind"], d=int(fields["d"]), k=int(fields["k"]),
-                                  provenance="diagram", assignments=_parse_map(fields["map"]))
-                table, key = arrows, (rec.kind, rec.d, rec.k)
-                rule = _RULED_ARROWS.get(rec.kind) or _RULED_ARROWS.get(key)
+                kind = fields["kind"]
+                table, key = arrows, (kind, int(fields["d"]), int(fields["k"]))
+                rec = (raw.strip(), _parse_map(fields["map"]))
+                rule = _RULED_ARROWS.get(kind) or _RULED_ARROWS.get(key)
                 if rule:
                     raise ValueError(rule + ", not recorded; delete the line")
-                if rec.kind not in ("cover", "covdim"):
-                    raise ValueError("unknown arrow kind %r" % rec.kind)
-                lines[rec] = raw.strip()
+                if kind not in ("cover", "covdim"):
+                    raise ValueError("unknown arrow kind %r" % kind)
             elif rectype == "manifold":
                 rec = ManifoldClass(
                     name=fields["name"], dim=int(fields["dim"]),
@@ -443,10 +439,8 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             raise DataFormatError("bad record %r: %s" % (raw.strip(), exc))
     if version is None:
         raise DataFormatError("data file lacks a version line")
-    data = CertifiedData(version, cohomology, homotopy, hz, arrows,
+    return CertifiedData(version, cohomology, homotopy, hz, _load_arrows(cohomology, arrows),
                          manifolds, families, path)
-    _validate(data, lines)
-    return data
 
 
 MAX_DATA_BYTES = 1 << 20  # the shipped file has under 5 KB
@@ -522,8 +516,9 @@ def homotopy_group(d: int, k: int, data=None) -> FgAbGroup:
     return table[(d, k)]
 
 
-def hz_self_cohomology(k: int, data=None) -> FgAbGroup:
-    """Integral self-cohomology of the integral Eilenberg-MacLane spectrum."""
+def hz_self_cohomology(k: int, data=None) -> CohomologyEntry:
+    """Integral self-cohomology of the integral Eilenberg-MacLane spectrum,
+    as a table entry generated by hz<k>."""
     table = (data or load_data()).hz
     if k not in table:
         raise MtspecError("self-cohomology degree %d is outside the table" % k)

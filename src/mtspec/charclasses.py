@@ -18,16 +18,18 @@ computed here.
 
 A formal degree-zero class u turns each graded piece into the matching
 piece of the suspended Thom spectrum: the virtual bundle has dimension
-zero, so tensoring with u shifts nothing.  The certified tables take
-their uncovered rows from thom_module_piece, and the restriction between
-the spectra is ring_restriction: no data file records it, and the loader
-solves the d=2 cover arrow in degree 4 from the 3 -> 2 square with it.
+zero, so tensoring with u shifts nothing.  A table entry,
+CohomologyEntry, is its named generators; its group is read from them.
+The certified tables take their uncovered rows from thom_module_piece,
+and the restriction between the spectra is ring_restriction: no data
+file records it, and the loader solves the d=2 cover arrow in degree 4
+from the 3 -> 2 square with it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import FgAbGroup
 
@@ -43,20 +45,21 @@ MAX_DEGREE = 64
 
 @dataclass(frozen=True)
 class CohomologyEntry:
-    """A group together with its ordered, named generating set.
+    """A group given by its ordered, named generating set.
 
     Each generator is (name, torsion order) with None marking a free
-    generator; the list must realize the group exactly.
+    generator.  The group is read from the list: one Z per free generator
+    and the torsion orders, sorted, as invariant factors, so the orders
+    must form a divisibility chain of integers >= 2 (FgAbGroup's rule).
     """
 
-    group: FgAbGroup
     generators: tuple  # ((name, order-or-None), ...)
+    group: FgAbGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        free = [g for g in self.generators if g[1] is None]
-        torsion = sorted(g[1] for g in self.generators if g[1] is not None)
-        if len(free) != self.group.free_rank or tuple(torsion) != tuple(sorted(self.group.torsion)):
-            raise ValueError("generator list does not realize the group")
+        torsion = sorted(order for _, order in self.generators if order is not None)
+        object.__setattr__(self, "group",
+                           FgAbGroup(len(self.generators) - len(torsion), tuple(torsion)))
 
     @property
     def names(self) -> tuple:
@@ -107,11 +110,8 @@ def thom_module_piece(d: int, k: int) -> CohomologyEntry:
     """
     entry = _THOM_PIECES.get((d, k))
     if entry is None:
-        gens = tuple((_thom_name(exps), 2 if exps[0] else None)
-                     for exps in _degree_monomials(d, k))
-        free = sum(1 for _, order in gens if order is None)
-        cyclic = [order for _, order in gens if order is not None]
-        entry = _THOM_PIECES[(d, k)] = CohomologyEntry(FgAbGroup.of(free, cyclic), gens)
+        entry = _THOM_PIECES[(d, k)] = CohomologyEntry(tuple(
+            (_thom_name(exps), 2 if exps[0] else None) for exps in _degree_monomials(d, k)))
     return entry
 
 

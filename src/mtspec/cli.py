@@ -112,7 +112,7 @@ def cmd_table(args, data):
                             homotopy_group, hz_self_cohomology)
     if args.kind == "hz":
         inputs = {"kind": "hz"}
-        rows = [{"k": k, "group": group_to_json(hz_self_cohomology(k, data))}
+        rows = [{"k": k, "group": group_to_json(hz_self_cohomology(k, data).group)}
                 for k in range(7)]
     elif args.d is None:
         raise MtspecError("table %s needs --d" % args.kind)
@@ -208,7 +208,21 @@ def _render_kernel(result: dict, ascii_mode: bool) -> str:
     return "%s: %s" % (head, listing)
 
 
+# the options each theory of eval reads; any other is refused, not ignored
+_EVAL_OPTIONS = {"four_d": ("l1", "l2", "manifold"), "frobenius": ("mu", "g", "manifold"),
+                 "euler": ("lam", "manifold", "chi_total", "chi_source")}
+
+
 def cmd_eval(args, data):
+    # every theory reads --manifold; --g and the Euler characteristics stand in for one
+    for dest in ("lam", "mu", "l1", "l2", "g", "chi_total", "chi_source"):
+        if getattr(args, dest) is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if dest not in _EVAL_OPTIONS[args.theory]:
+            raise MtspecError("eval %s does not take %s" % (args.theory, flag))
+        if args.manifold is not None and dest in ("g", "chi_total", "chi_source"):
+            raise MtspecError("eval %s takes --manifold or %s, not both" % (args.theory, flag))
     from . import tftlab
     from .exactnum import parse_exact
     catalog = tftlab.standard_manifolds(data)

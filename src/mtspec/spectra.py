@@ -10,18 +10,18 @@ from the homotopy table and divisibility from the recorded cover arrows.
 The tables themselves are served by ``certified``, next to the data file
 they are read from, which computes the uncovered rows, the restriction
 between the spectra and part of the restriction diagram; this module is
-the machine-checked consistency proof of the cover rows.  It
-re-exports the table lookups (``SpectrumId``, ``cohomology``,
-``homotopy_group``, ``hz_self_cohomology``, ``grid_equivalence``,
-``equivalent_stored_cover``, ``cover_map`` and ``MAX_TABLE_DEGREE``), so
-``spectra.cohomology`` and the others resolve as before; serving a table
-does not import it.
+the machine-checked consistency proof of the cover rows.  Of the table
+lookups it imports, ``SpectrumId``, ``cohomology`` and
+``grid_equivalence`` are also read through it by callers outside the
+package; serving a table does not import it.
 
-Every exactness check and every derivation runs on each call.  What the
-proof only builds from a snapshot, the entries of H^k(HZ), the zero map
-between two groups and the cover's connectivity, it builds once per
-snapshot and keeps in that CertifiedData's ``derived`` dict, its
-workspace; a new data file is a new CertifiedData with an empty one.
+Every exactness check and every derivation runs on each call.  The
+arrows enter with the maps built when the data loaded, and H^k(HZ) as
+the table entry the load built.  What the proof only builds from a
+snapshot, the zero map between two groups and the cover's connectivity,
+it builds once per snapshot and keeps in that CertifiedData's
+``derived`` dict, its workspace; a new data file is a new CertifiedData
+with an empty one.
 """
 
 from __future__ import annotations
@@ -33,28 +33,15 @@ from dataclasses import dataclass
 from . import certified
 from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
                       cokernel_with_projection, enumerate_extensions, zero_hom)
-from .charclasses import CohomologyEntry
-# the lookups below are used here or re-exported; see the module docstring
-from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology, cover_map,  # noqa: F401
-                        equivalent_stored_cover, grid_equivalence, homotopy_group,
-                        hz_self_cohomology)
+# the lookups below are used here, and some are read through this module;
+# see the module docstring
+from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology,  # noqa: F401
+                        grid_equivalence, homotopy_group, hz_self_cohomology)
 from .errors import DataFormatError, InternalCheckError, MtspecError
 
 # ---------------------------------------------------------------------------
 # the proof's workspace: values that depend on the snapshot alone, kept in
-# data.derived under ("hz", k), ("zero", source, target) or ("connectivity", d)
-
-
-def _hz_entry(k: int, data) -> CohomologyEntry:
-    """H^k(HZ) as a table entry; the group is cyclic, generated by hz<k>."""
-    key = ("hz", k)
-    entry = data.derived.get(key)
-    if entry is None:
-        hz = hz_self_cohomology(k, data)
-        entry = CohomologyEntry(hz, tuple(("hz%d" % k, order or None)
-                                          for order in hz.generator_orders()))
-        data.derived[key] = entry
-    return entry
+# data.derived under ("zero", source, target) or ("connectivity", d)
 
 
 def _zero_map(source: FgAbGroup, target: FgAbGroup, data) -> GroupHom:
@@ -124,7 +111,7 @@ def verify_les(d: int, data=None) -> LesReport:
              for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
     for k in range(MAX_TABLE_DEGREE + 2):
         labels.append("HZ^%d(HZ)" % k)
-        nodes.append(_hz_entry(k, data))
+        nodes.append(hz_self_cohomology(k, data))
         if k <= MAX_TABLE_DEGREE:
             for spectrum, text in shown:
                 labels.append("H^%d(%s)" % (k, text))
@@ -154,7 +141,7 @@ def verify_les(d: int, data=None) -> LesReport:
         if record is None:
             failures[3 * k + 2] = "cover arrow not recorded"
             return None
-        return record.to_group_hom(data)
+        return record.hom
 
     def delta(k: int):
         src, tgt = nodes[3 * k + 2], nodes[3 * k + 3]
@@ -260,7 +247,7 @@ def _extract_ses(d: int, k: int, data):
     recorded data (the degree-3 self-cohomology can map either way).
     """
     e_here = data.entry(d, 0, k)  # the ring's rows are there for every d and k
-    hz_here = hz_self_cohomology(k, data)
+    hz_here = hz_self_cohomology(k, data).group
     if e_here.group.is_trivial:
         a_group, a_names = TRIVIAL_GROUP, ()
     elif hz_here.is_trivial:
@@ -273,7 +260,7 @@ def _extract_ses(d: int, k: int, data):
         return None
 
     e_next = data.entry(d, 0, k + 1) if k + 1 <= MAX_TABLE_DEGREE else None
-    hz_next = hz_self_cohomology(k + 1, data)
+    hz_next = hz_self_cohomology(k + 1, data).group
     if hz_next.is_trivial:
         b_group = TRIVIAL_GROUP
     elif e_next is not None and e_next.group.is_trivial:

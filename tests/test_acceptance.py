@@ -9,15 +9,14 @@ from fractions import Fraction
 
 from mtspec.abelian import (FgAbGroup, IntMatrix, check_exact, cokernel,
                             cokernel_with_projection, smith_normal_form)
-from mtspec.certified import assignments_to_group_hom, load_data
+from mtspec.certified import assignments_to_group_hom, cover_map
 from mtspec.charclasses import ring_restriction, thom_module_piece
 from mtspec.classify import (ExtensionClass, TheoryParams, classify,
                              gilmer_masbaum_report, mcg_extension_class,
                              restrict_theory, restriction_kernel)
 from mtspec.exactnum import ExactComplex
-from mtspec.spectra import (SpectrumId, cohomology, cover_map,
-                            default_constraints, derive_cover_cohomology,
-                            verify_les)
+from mtspec.spectra import (SpectrumId, cohomology, default_constraints,
+                            derive_cover_cohomology, verify_les)
 from mtspec.tftlab import (FormalSum, SurfaceBordism, euler_theory_value,
                            frobenius_closed_value, is_vf_nullbordant,
                            standard_manifolds, vf_invariant)
@@ -260,12 +259,11 @@ def test_criterion_8_property_suites():
             failures.append(("cokernel invariance", a))
 
     # commuting square of recorded generator maps
-    data = load_data()
-    via_cover = product(cover_map(4, 4, "covdim").to_group_hom(data).matrix,
-                        cover_map(4, 4, "cover").to_group_hom(data).matrix)
+    via_cover = product(cover_map(4, 4, "covdim").hom.matrix,
+                        cover_map(4, 4, "cover").hom.matrix)
     ring_dim = assignments_to_group_hom(thom_module_piece(4, 4), thom_module_piece(3, 4),
                                         ring_restriction(4, 4, 3))
-    via_dim = product(cover_map(3, 4, "cover").to_group_hom(data).matrix,
+    via_dim = product(cover_map(3, 4, "cover").hom.matrix,
                       ring_dim.matrix)
     src = cohomology(SpectrumId(4, 0), 4)
     if via_cover != via_dim:

@@ -11,20 +11,20 @@ from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, ManifoldClass,
                               default_data_path, load_data, parse_data)
 from mtspec.charclasses import thom_module_piece
 from mtspec.cli import main
-from mtspec.errors import DataFormatError, MtspecError
+from mtspec.errors import DataFormatError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
-version=3
-cohomology d=2 cover=1 k=2 group=Z gens=tau
+version=4
+cohomology d=2 cover=1 k=2 gens=tau
 """
 
 
 class TestShippedData:
     def test_loads_and_validates(self):
         data = load_data()
-        assert data.version == 3
+        assert data.version == 4
         assert len(data.cohomology) == 42  # seven rows, degrees 0..5
         assert set(data.hz) == set(range(7))
 
@@ -33,7 +33,7 @@ class TestShippedData:
         arrow_lines = [line for line in text.splitlines() if line.startswith("arrow ")]
         assert len(arrow_lines) == 4
         assert all(" prov=" not in line and " to=" not in line for line in arrow_lines)
-        arrows = {(a.kind, a.d, a.k): a for a in load_data().arrows}
+        arrows = load_data().arrows
         assert {key: a.provenance for key, a in arrows.items()} == {
             ("cover", 2, 2): "diagram", ("cover", 3, 4): "diagram",
             ("cover", 4, 4): "diagram", ("covdim", 4, 4): "diagram",
@@ -89,7 +89,7 @@ class TestArrowsAtLoad:
     diagram; a record of an arrow a rule gives is refused naming the line."""
 
     def test_a_version_2_file_is_refused_at_its_first_arrow(self):
-        text = default_data_path().read_text().replace("version=3", "version=2")
+        text = default_data_path().read_text().replace("version=4", "version=2")
         arrows = [line for line in text.splitlines() if line.startswith("arrow ")]
         for line in arrows:
             text = text.replace(line + "\n", "")
@@ -117,8 +117,8 @@ class TestArrowsAtLoad:
         ("arrow kind=cover d=2 k=1 map=x:1*t", "zero group"),      # out of one
     ], ids=["dim", "unit", "names", "square", "into-zero", "out-of-zero"])
     def test_a_ruled_arrow_exits_two(self, capsys, monkeypatch, tmp_path, line, reason):
-        text = (MINIMAL + "cohomology d=2 cover=1 k=0 group=0\n"
-                "cohomology d=2 cover=1 k=1 group=Z gens=t\n" + line + "\n")
+        text = (MINIMAL + "cohomology d=2 cover=1 k=0\n"
+                "cohomology d=2 cover=1 k=1 gens=t\n" + line + "\n")
         with pytest.raises(DataFormatError, match=re.escape(repr(line))) as info:
             parse_data(text)
         assert reason in str(info.value)
@@ -141,8 +141,8 @@ class TestArrowsAtLoad:
             parse_data(default_data_path().read_text())
 
     def test_a_computed_arrow_that_is_not_well_defined_is_refused(self):
-        text = tampered("cohomology d=2 cover=1 k=4 group=Z gens=rho",
-                        "cohomology d=2 cover=1 k=4 group=Z gens=theta")
+        text = tampered("cohomology d=2 cover=1 k=4 gens=rho",
+                        "cohomology d=2 cover=1 k=4 gens=theta")
         with pytest.raises(DataFormatError, match=re.escape(
                 "the computed covdim arrow d=3 k=4 (prov=names): "
                 "unknown target generator 'rho'")):
@@ -154,8 +154,8 @@ class TestRepeatedKeys:
     refused, whatever the order of its fields."""
 
     @pytest.mark.parametrize("record", [
-        "cohomology d=2 cover=1 k=2 group=Z/3 gens=tau:3",
-        "cohomology d=2 cover=1 k=2 group=Z gens=tau",      # a verbatim repeat
+        "cohomology d=2 cover=1 k=2 gens=tau:3",
+        "cohomology d=2 cover=1 k=2 gens=tau",              # a verbatim repeat
         "homotopy k=0 d=2 group=Z",
         "hz k=0 group=Z/2",
         "arrow kind=cover d=3 k=4 map=p1u:5*rho",
@@ -176,12 +176,12 @@ class TestRepeatedFields:
 
     @pytest.mark.parametrize("old,new", [
         # would load as the d=2 row, which the line also spells d=3
-        ("cohomology d=2 cover=1 k=2 group=Z gens=tau",
-         "cohomology d=3 cover=1 k=2 d=2 group=Z gens=tau"),
+        ("cohomology d=2 cover=1 k=2 gens=tau",
+         "cohomology d=3 cover=1 k=2 d=2 gens=tau"),
         # would load with euler 4
         ("manifold name=S2 dim=2 euler=2", "manifold name=S2 dim=2 euler=2 euler=4"),
-        ("version=3", "version=3\nversion=2"),    # would load as version 2
-        ("version=3", "version=abc"),             # escaped as a bare ValueError
+        ("version=4", "version=4\nversion=2"),    # would load as version 2
+        ("version=4", "version=abc"),             # escaped as a bare ValueError
     ])
     def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
         modified = tampered(old, new)
@@ -218,7 +218,7 @@ class TestUnreadableFile:
                             + comments * (MAX_DATA_BYTES // len(comments)))
         elif kind == "non-utf8":  # 0xff starts no UTF-8 sequence
             path = tmp_path / "latin.txt"
-            path.write_bytes(b"version=3\n\xff\n")
+            path.write_bytes(b"version=4\n\xff\n")
         else:
             path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
@@ -259,7 +259,7 @@ class TestParser:
 
     def test_version_required(self):
         with pytest.raises(DataFormatError, match="lacks a version line"):
-            parse_data("cohomology d=2 cover=1 k=2 group=Z gens=tau\n")
+            parse_data("cohomology d=2 cover=1 k=2 gens=tau\n")
 
     def test_unknown_record_rejected(self):
         with pytest.raises(DataFormatError):
@@ -271,12 +271,43 @@ class TestParser:
     ], ids=["record-type", "arrow-kind"])
     def test_unknown_name_is_refused_naming_the_line(self, record, reason):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=3\n" + record + "\n")
+            parse_data("version=4\n" + record + "\n")
         assert reason in str(info.value)
 
-    def test_generator_list_must_realize_group(self):
-        with pytest.raises(DataFormatError, match="does not realize the group"):
-            parse_data("version=3\ncohomology d=2 cover=1 k=2 group=Z gens=tau,x\n")
+    @pytest.mark.parametrize("gens,reason", [
+        ("tau:2,x:3", "divisibility chain"),     # Z/2+Z/3 is Z/6, which needs one name
+        ("tau:6,x:4", "divisibility chain"),     # sorted, 4 and 6 are no chain either
+        ("tau,x:1", "integers >= 2"),
+        ("tau:0", "integers >= 2"),
+        ("tau:-2", "integers >= 2"),
+    ], ids=["2-3", "6-4", "order-1", "order-0", "negative"])
+    def test_torsion_orders_must_form_a_chain_of_orders_from_two(self, gens, reason):
+        record = "cohomology d=2 cover=1 k=2 gens=%s" % gens
+        with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
+            parse_data("version=4\n" + record + "\n")
+        assert reason in str(info.value)
+
+    def test_a_chain_of_torsion_orders_is_the_group(self):
+        entry = parse_data("version=4\ncohomology d=2 cover=1 k=2 "
+                           "gens=a:6,b,c:2,d:12\n").entry(2, 1, 2)
+        assert (entry.group.free_rank, entry.group.torsion) == (1, (2, 6, 12))
+        assert entry.names == ("a", "b", "c", "d")
+
+    def test_a_group_field_on_a_cohomology_row_is_refused(self, capsys, monkeypatch, tmp_path):
+        # a version-3 file fails at its first cover row
+        v3 = default_data_path().read_text().replace("version=4", "version=3").replace(
+            "cohomology d=2 cover=1 k=0\n", "cohomology d=2 cover=1 k=0 group=0\n")
+        record = "cohomology d=2 cover=1 k=0 group=0"
+        with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
+            parse_data(v3)
+        assert "delete the group= field" in str(info.value)
+        path = tmp_path / "v3.txt"
+        path.write_text(v3)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert repr(record) in captured.err and "delete the group= field" in captured.err
 
     def test_uncovered_row_must_match_the_ring(self):
         # the uncovered rows are the ring's pieces themselves, in any file
@@ -287,7 +318,7 @@ class TestParser:
                     assert data.entry(d, 0, k) is thom_module_piece(d, k), (d, k)
 
     @pytest.mark.parametrize("record,remedy", [
-        ("cohomology d=2 cover=0 k=0 group=Z gens=u", "delete the cover=0 row"),
+        ("cohomology d=2 cover=0 k=0 gens=u", "delete the cover=0 row"),
         ("manifold name=CP2 dim=4 euler=3 signature=1 p1=3", "delete the p1= field"),
         ("family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 p1=0", "delete the p1= field"),
     ], ids=["cover-row", "manifold-p1", "family-p1"])
@@ -302,7 +333,7 @@ class TestParser:
         ("manifold name=X4 dim=4 euler=2 signatur=2", "signatur="),
         ("hz k=7 group=Z bogus=3", "bogus="),
         ("homotopy d=2 k=1 group=0 cover=1", "cover="),
-        ("cohomology d=2 cover=1 k=3 group=0 gen=tau", "gen="),
+        ("cohomology d=2 cover=1 k=3 gen=tau", "gen="),
         ("arrow kind=cover d=2 k=2 map=tau:1*tau from=1", "from="),
         ("arrow kind=cover d=2 k=2 map=cu:2*tau prov=diagram", "prov="),
         ("arrow kind=covdim d=4 to=3 k=4 map=psi:1*rho;sigma:2*rho", "to="),
@@ -345,29 +376,24 @@ class TestParser:
 
     def test_ill_defined_arrow_rejected(self):
         bad = (
-            "version=3\n"
-            "cohomology d=3 cover=1 k=3 group=Z gens=x\n"
+            "version=4\n"
+            "cohomology d=3 cover=1 k=3 gens=x\n"
             "arrow kind=cover d=3 k=3 map=W3u:1*x\n"
         )
         with pytest.raises(DataFormatError, match="not well-defined"):
             parse_data(bad)
 
-    def test_foreign_arrow_is_not_recorded(self):
-        arrow = load_data().arrow("cover", 4, 4)
-        with pytest.raises(MtspecError, match="is not recorded in this data"):
-            arrow.to_group_hom(parse_data(MINIMAL))
-
     def test_bad_combo_rejected(self):
         bad = (
-            "version=3\n"
-            "cohomology d=2 cover=1 k=0 group=Z gens=t\n"
+            "version=4\n"
+            "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:t+t\n"
         )
         with pytest.raises(DataFormatError):
             parse_data(bad)
 
     @pytest.mark.parametrize("record", [
-        "cohomology d=2 cover=0 k=0 group=Z gens=u junk",         # a field without =
+        "cohomology d=2 cover=0 k=0 gens=u junk",    # a field without =
         "arrow kind=cover d=2 k=0 map=u:t+t",        # a bad combo
         "arrow kind=cover d=2 k=0 map=u",            # a map item without :
     ])
@@ -393,8 +419,8 @@ class TestParser:
 
     def test_long_digit_run_fails_fast(self):
         bad = (
-            "version=3\n"
-            "cohomology d=2 cover=1 k=0 group=Z gens=t\n"
+            "version=4\n"
+            "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:" + "1" * 100_000 + "\n"
         )
         start = time.perf_counter()

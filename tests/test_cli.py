@@ -220,6 +220,28 @@ class TestEvalCommands:
                              "--format", "json")
         assert json.loads(out)["inputs"] == {"theory": "frobenius", "mu": "4", "g": 2}
 
+    @pytest.mark.parametrize("argv,option", [
+        (["frobenius", "--mu", "2", "--g", "3", "--manifold", "S2"], "--g"),
+        (["euler", "--lam", "2", "--manifold", "S2", "--chi-total", "5"], "--chi-total"),
+        (["euler", "--lam", "2", "--manifold", "S2", "--chi-source", "1"], "--chi-source"),
+        (["four_d", "--l1", "2", "--l2", "3", "--manifold", "K3", "--lam", "5"], "--lam"),
+        (["four_d", "--l1", "2", "--l2", "3", "--manifold", "K3", "--g", "1"], "--g"),
+        (["euler", "--lam", "2", "--manifold", "S2", "--l2", "3"], "--l2"),
+        (["euler", "--lam", "2", "--chi-total", "4", "--g", "1"], "--g"),
+        (["frobenius", "--mu", "2", "--g", "3", "--chi-total", "4"], "--chi-total"),
+        (["frobenius", "--mu", "2", "--manifold", "S2", "--lam", "2"], "--lam"),
+    ], ids=["frobenius-g-and-manifold", "euler-manifold-and-chi-total",
+            "euler-manifold-and-chi-source", "four_d-lam", "four_d-g", "euler-l2", "euler-g",
+            "frobenius-chi-total", "frobenius-lam"])
+    def test_an_option_the_theory_does_not_read_is_refused(self, capsys, argv, option):
+        # each used to answer and drop the option
+        for extra in ([], ["--format", "json"]):
+            assert main(["eval", *argv, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert option in captured.err.replace(",", " ").split()
+
     def test_unknown_manifold_exits_two(self, capsys):
         assert main(["eval", "four_d", "--l1", "2", "--l2", "1",
                      "--manifold", "Nope"]) == 2
@@ -317,12 +339,12 @@ class TestProcessLevel:
         # uncovered rows come from the ring; a file that records one is refused
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
         override = tmp_path / "tampered.txt"
-        override.write_text(text + "cohomology d=1 cover=0 k=5 group=Z gens=x\n")
+        override.write_text(text + "cohomology d=1 cover=0 k=5 gens=x\n")
         proc = run_subprocess("table", "cohomology", "--d", "1",
                               env_extra={"MTSPEC_DATA": str(override)})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "cohomology d=1 cover=0 k=5 group=Z gens=x" in proc.stderr
+        assert "cohomology d=1 cover=0 k=5 gens=x" in proc.stderr
         assert "delete the cover=0 row" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -473,8 +495,8 @@ class TestProcessLevel:
     def test_data_override(self, tmp_path):
         text = (pathlib.Path(SRC) / "mtspec" / "data" / "certified_data.txt").read_text()
         modified = text.replace(
-            "cohomology d=2 cover=1 k=2 group=Z gens=tau",
-            "cohomology d=2 cover=1 k=2 group=Z/3 gens=tau:3")
+            "cohomology d=2 cover=1 k=2 gens=tau",
+            "cohomology d=2 cover=1 k=2 gens=tau:3")
         override = tmp_path / "override.txt"
         override.write_text(modified)
         proc = run_subprocess("table", "cohomology", "--d", "2", "--cover", "1",

@@ -177,7 +177,7 @@ RECORD_TYPES = ["cohomology", "homotopy", "hz", "arrow", "manifold", "family", "
 FIELD_VALUES = ["0", "1", "-1", "2", "5", "99999999999999999999", "", "x", "Z", "Z^2",
                 "Z/2", "Z/0", "Z/1", "Z+Z/2", "tau", "tau:2", "u:1*u", "u:", "u:1*",
                 "psi:1*rho;sigma:2*rho", "cover", "dim", "covdim", "unit", "zz", "=",
-                "Sigma_g", "Sigma"]
+                "Sigma_g", "Sigma", "tau:2,x:3", "tau:1"]
 
 
 @st.composite
@@ -254,6 +254,45 @@ def test_a_group_at_the_generator_bound_loads():
                            "\nhomotopy d=2 k=0 group=Z^%d\n" % MAX_GROUP_GENERATORS)
     assert text != shipped
     assert parse_data(text).homotopy[(2, 0)] == FgAbGroup(MAX_GROUP_GENERATORS)
+
+
+def with_cover_gens(count, order=""):
+    """The shipped file with `count` generators in its zero d=3 cover row
+    of degree 2, which no arrow touches."""
+    shipped = "\n".join(SHIPPED_LINES) + "\n"
+    gens = ",".join("g%d%s" % (i, order) for i in range(count))
+    text = shipped.replace("\ncohomology d=3 cover=1 k=2\n",
+                           "\ncohomology d=3 cover=1 k=2 gens=%s\n" % gens)
+    assert text != shipped
+    return text
+
+
+@pytest.mark.parametrize("count,order", [(MAX_GROUP_GENERATORS + 1, ""),
+                                         (MAX_GROUP_GENERATORS + 1, ":2"),
+                                         (200_000, ":0")], ids=["33", "33-torsion", "200000"])
+def test_a_generator_list_past_the_bound_is_refused_at_once(count, order, tmp_path,
+                                                            monkeypatch, capsys):
+    # the length is checked before an order is read or an entry is built
+    start = time.perf_counter()
+    with pytest.raises(DataFormatError, match=r"^bad record 'cohomology d=3 cover=1 k=2 "
+                                              r"gens=g0[^']*': %d generators, more than "
+                                              r"MAX_GROUP_GENERATORS \(32\)$" % count):
+        parse_data(with_cover_gens(count, order))
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "data.txt"
+    path.write_text(with_cover_gens(count, order), encoding="utf-8")
+    monkeypatch.setenv("MTSPEC_DATA", str(path))
+    assert cli.main(["table", "hz"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order,group", [("", FgAbGroup(MAX_GROUP_GENERATORS)),
+                                         (":2", FgAbGroup(0, (2,) * MAX_GROUP_GENERATORS))],
+                         ids=["free", "torsion"])
+def test_a_generator_list_at_the_bound_loads(order, group):
+    entry = parse_data(with_cover_gens(MAX_GROUP_GENERATORS, order)).entry(3, 1, 2)
+    assert entry.group == group and len(entry.names) == MAX_GROUP_GENERATORS
 
 
 # ---------------------------------------------------------------------------

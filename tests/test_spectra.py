@@ -2,11 +2,11 @@ import pytest
 
 from mtspec import certified
 from mtspec.abelian import FgAbGroup, IntMatrix
-from mtspec.certified import load_data
+from mtspec.certified import cover_map, load_data
 from mtspec.charclasses import ring_restriction, thom_module_piece
 from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
 from mtspec.spectra import (KIND_DIVISIBILITY, DerivationConstraint,
-                            SpectrumId, cohomology, cover_map, default_constraints,
+                            SpectrumId, cohomology, default_constraints,
                             derive_cover_cohomology, grid_equivalence,
                             homotopy_group, hz_self_cohomology, verify_les)
 from mtspec.tftlab import FormalSum, standard_manifolds, vf_invariant
@@ -59,9 +59,9 @@ class TestVfSplitting:
 
 class TestHzTable:
     def test_values(self):
-        assert hz_self_cohomology(5) == FgAbGroup(0, (6,))
-        assert hz_self_cohomology(3) == Z2
-        assert hz_self_cohomology(0) == Z
+        assert hz_self_cohomology(5).group == FgAbGroup(0, (6,))
+        assert hz_self_cohomology(3).group == Z2
+        assert hz_self_cohomology(0).group == Z
 
     def test_out_of_table(self):
         with pytest.raises(MtspecError, match="degree 7 is outside the table"):
@@ -131,9 +131,15 @@ class TestCoverMap:
 
     def test_well_defined_group_homs(self):
         data = load_data()
-        for record in data.arrows:
-            arrow = cover_map(record.d, record.k, record.kind)
-            arrow.to_group_hom(data)  # raises if the torsion is not respected
+        for (kind, d, k), record in data.arrows.items():
+            arrow = cover_map(d, k, kind)
+            assert arrow is record and (arrow.kind, arrow.d, arrow.k) == (kind, d, k)
+            # the map was built at load, which refuses one that is not
+            # well-defined on the torsion, between the entries it names
+            source, target = ((d, 0, k), (d, 1, k)) if kind == "cover" else \
+                ((d, 1, k), (d - 1, 1, k))
+            assert arrow.hom.source == data.entry(*source).group
+            assert arrow.hom.target == data.entry(*target).group
 
 
 class TestVerifyLes:
@@ -204,7 +210,7 @@ class TestVerifyLes:
         built.clear()
         for d in (2, 3, 4):
             assert verify_les(d, data).all_exact
-        recorded = {arrow.assignments for arrow in data.arrows}
+        recorded = {arrow.assignments for arrow in data.arrows.values()}
         assert [a for a in built if a in recorded] == []
         assert [a[0][0] for a in built] == ["hz0", "hz0", "hz3", "hz0", "hz3"]
 
@@ -212,7 +218,7 @@ class TestVerifyLes:
         for d in (2, 3, 4):
             assert cohomology(SpectrumId(d, 1), 5).group == FgAbGroup()
             assert cohomology(SpectrumId(d, 0), 5).group == FgAbGroup()
-            assert hz_self_cohomology(6) == FgAbGroup()
+            assert hz_self_cohomology(6).group == FgAbGroup()
 
 
 class TestGridEquivalence:
@@ -318,11 +324,10 @@ def ring_dim(d: int, k: int):
 
 class TestCommutingSquare:
     def test_generator_chases_agree(self):
-        data = load_data()
-        top = cover_map(4, 4, "cover").to_group_hom(data)      # eu,p1u -> psi,sigma
-        right = cover_map(4, 4, "covdim").to_group_hom(data)   # psi,sigma -> rho
+        top = cover_map(4, 4, "cover").hom      # eu,p1u -> psi,sigma
+        right = cover_map(4, 4, "covdim").hom   # psi,sigma -> rho
         left = ring_dim(4, 4)                                  # eu,p1u -> p1u
-        bottom = cover_map(3, 4, "cover").to_group_hom(data)   # p1u -> rho
+        bottom = cover_map(3, 4, "cover").hom   # p1u -> rho
         via_cover = product(right.matrix, top.matrix)
         via_dimension = product(bottom.matrix, left.matrix)
         assert via_cover == via_dimension
@@ -336,10 +341,9 @@ class TestCommutingSquare:
 
     def test_the_solved_square_commutes(self):
         # p1u -> 6*rho -> 6*rho equals p1u -> -c^2u -> 6*rho
-        data = load_data()
-        right = cover_map(3, 4, "covdim").to_group_hom(data)   # rho -> rho
-        top = cover_map(3, 4, "cover").to_group_hom(data)      # p1u -> rho
-        bottom = cover_map(2, 4, "cover").to_group_hom(data)   # c^2u -> rho
+        right = cover_map(3, 4, "covdim").hom   # rho -> rho
+        top = cover_map(3, 4, "cover").hom      # p1u -> rho
+        bottom = cover_map(2, 4, "cover").hom   # c^2u -> rho
         assert product(right.matrix, top.matrix) == product(bottom.matrix,
                                                             ring_dim(3, 4).matrix) \
             == IntMatrix.from_rows([[6]])
@@ -360,8 +364,8 @@ class TestSpectrumId:
 
 # the cover entry that ROADMAP's item 2 tampers with: the table then
 # disagrees with the exact sequence in degree 4 of d = 2
-TAMPER = ("cohomology d=2 cover=1 k=4 group=Z gens=rho",
-          "cohomology d=2 cover=1 k=4 group=Z/3 gens=rho:3")
+TAMPER = ("cohomology d=2 cover=1 k=4 gens=rho",
+          "cohomology d=2 cover=1 k=4 gens=rho:3")
 
 
 def prove_all(data):
