@@ -17,11 +17,14 @@ any of these anyway is refused naming the line, and so is a cohomology
 row's group= field, which its generators give.  Loading validates the
 rest: no group or gens= list may have more than MAX_GROUP_GENERATORS
 generators as spelled, a row's torsion orders must form a divisibility
-chain, an hz group must be cyclic, no two records of one type may share
-a key, no record may name a field twice and the file has one integer
-version line (each repeat is refused, not taken in place of the first),
-each arrow's map must be well-defined between the rows it names (built
-once every row is read, it is the ArrowRecord's hom), each manifold
+chain and its generators have distinct names spelled as a map names one,
+an hz group must be cyclic, no two records of one type may share
+a key, no record may name a field twice, the file has one version line
+(each repeat is refused, not taken in place of the first) and it states
+4, which is compared once every row is read so that an older file is
+refused at a row its migration changes, each arrow's map must be
+well-defined between the rows it names (built once every row is read,
+it is the ArrowRecord's hom), each manifold
 record must satisfy the ManifoldClass invariants, and each family record
 (name ending in _g) must yield valid members for g = 0 and g = 1, which
 suffices because every invariant is affine in g.  The environment
@@ -81,7 +84,9 @@ MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
 # the load time grows superlinearly with the rank
 MAX_GROUP_GENERATORS = 32
 
-_TERM_RE = re.compile(r"([+-]?\d+)\*([A-Za-z][A-Za-z0-9^]*)")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names it
+_TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
+_DATA_VERSION = 4  # the version this loader reads
 
 
 @dataclass(frozen=True)
@@ -227,8 +232,17 @@ def _parse_gens(text: str):
     if len(items) > MAX_GROUP_GENERATORS:  # counted before an order is read
         raise ValueError("%d generators, more than MAX_GROUP_GENERATORS (%d)"
                          % (len(items), MAX_GROUP_GENERATORS))
-    return tuple((name, int(order) if colon else None)
+    gens = tuple((name, int(order) if colon else None)
                  for name, colon, order in (item.partition(":") for item in items))
+    seen = set()
+    for name, _ in gens:
+        if not _NAME_RE.fullmatch(name):  # no arrow could name it
+            raise ValueError("generator name %r is not spelled as a map names one "
+                             "(%s)" % (name, _NAME_RE.pattern))
+        if name in seen:
+            raise ValueError("the generator %s is named twice" % name)
+        seen.add(name)
+    return gens
 
 
 _RECORD_FIELDS = {
@@ -372,7 +386,8 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             if rectype.startswith("version="):
                 if version is not None:
                     raise ValueError("a version line came earlier")
-                version = int(raw.strip()[len("version="):])
+                version_line = raw.strip()
+                version = int(version_line[len("version="):])
                 continue
             fields = _parse_fields(parts[1:])
             if "p1" in fields:
@@ -439,6 +454,10 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             raise DataFormatError("bad record %r: %s" % (raw.strip(), exc))
     if version is None:
         raise DataFormatError("data file lacks a version line")
+    # checked once every row is read, so an old file's rows name their own migration
+    if version != _DATA_VERSION:
+        raise DataFormatError("bad record %r: this program reads data version %d"
+                              % (version_line, _DATA_VERSION))
     return CertifiedData(version, cohomology, homotopy, hz, _load_arrows(cohomology, arrows),
                          manifolds, families, path)
 
@@ -564,10 +583,9 @@ def equivalent_stored_cover(d: int, cover: int, data=None) -> int:
     """The stored cover level (0 or 1) equivalent to the requested one."""
     if cover <= 1:
         return cover
-    data = data or load_data()
-    for stored in (1, 0):
-        if grid_equivalence(d, cover, stored, data):
-            return stored
+    # level 0 needs pi_0 .. pi_(cover-1) to vanish, a superset of what level 1 needs
+    if grid_equivalence(d, cover, 1, data):
+        return 1
     raise MtspecError("cover level %d of d=%d is not equivalent to a stored one"
                       % (cover, d))
 

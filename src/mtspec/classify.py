@@ -6,18 +6,22 @@ Z -> C -> C^x: torsion-free classes in degree d contribute one C^x
 coordinate each, and torsion in degree d+1 would contribute a finite
 part (it is zero in every case in range, but is computed honestly).
 Restriction maps act multiplicatively through the recorded generator
-maps; kernels are reported as groups and, when small, as explicit
-root-of-unity tuples.  Everything is exact.  Only the functions that
-make coordinates import ``exactnum`` (and ``fractions``), so a
-classification or the certificate loads neither.
+maps.  A kernel is read off one Smith form of the transposed exponent
+matrix: its group from the diagonal, and, when small, its elements as
+root-of-unity tuples whose phases are integers modulo the lcm of that
+diagonal.  Everything is exact.  Only the functions that make
+coordinates import ``exactnum``, so a classification or the certificate
+does not load it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from . import certified
-from .abelian import FgAbGroup, IntMatrix, smith_normal_form, units_kernel
+from .abelian import FgAbGroup, IntMatrix, smith_normal_form
 from .certified import SpectrumId
 from .errors import InternalCheckError, MtspecError
 
@@ -33,10 +37,6 @@ class TheoryGroup:
     unit_rank: int            # number of C^x coordinates
     finite_part: FgAbGroup    # torsion contribution from one degree up
     basis_names: tuple        # generator names the coordinates are dual to
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.unit_rank == 0 and self.finite_part.is_trivial
 
 
 @dataclass(frozen=True)
@@ -140,46 +140,33 @@ class RestrictionKernel:
 
 
 def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> RestrictionKernel:
-    """Theories with the same restriction: the kernel of the coordinate map."""
+    """Theories with the same restriction: the kernel of the coordinate map.
+
+    With x = exp(2*pi*i*z) it is {z mod 1 : A^T z integral}.  Given
+    U * A^T * V = D and z = V w, w_c is a multiple of 1/s_c for each nonzero
+    diagonal entry s_c and free otherwise: the group is Z^(m - rank) plus
+    the Z/s_c, and a finite kernel's phases are integers modulo their lcm.
+    """
     data = data or certified.load_data()
     source = classify(d, n_from, data)
     _check_levels(d, n_from, n_to)  # before the target level is classified
     matrix = restriction_matrix(source, classify(d, n_to, data), data)
-    group = units_kernel(matrix)
+    _, diag_m, v = smith_normal_form(matrix.transpose())
+    diag = [s for s in diag_m.diagonal() if s]
+    group = FgAbGroup(len(matrix.rows) - len(diag), tuple(s for s in diag if s > 1))
     elements = None
     order = group.order()
     if order is not None and order <= _KERNEL_LISTING_BOUND:
-        elements = _enumerate_kernel_elements(matrix)
+        from .exactnum import ExactComplex
+        lcm = math.lcm(*diag)
+        steps = [lcm // s for s in diag]
+        phases = sorted(
+            tuple(sum(x * k * step for x, k, step in zip(row, ks, steps)) % lcm
+                  for row in v.rows)
+            for ks in itertools.product(*map(range, diag)))
+        elements = tuple(tuple(ExactComplex.root_of_unity(lcm, p) for p in phase)
+                         for phase in phases)
     return RestrictionKernel(group, source.basis_names, elements)
-
-
-def _enumerate_kernel_elements(matrix: IntMatrix) -> tuple:
-    """All solutions of prod_i x_i^(A[i][j]) = 1 when there are finitely many.
-
-    Writing x = exp(2*pi*i*z) turns the condition into A^T z integral; the
-    solutions mod 1 are enumerated exactly through the Smith form of A^T.
-    """
-    from fractions import Fraction
-
-    from .exactnum import ExactComplex
-    m = len(matrix.rows)
-    if m == 0:
-        return ((),)
-    _, diag_m, v = smith_normal_form(matrix.transpose())
-    diag = diag_m.diagonal()
-    if sum(1 for x in diag if x) != m:
-        raise InternalCheckError("kernel is infinite; elements cannot be listed")
-    combos = [[]]
-    for i in range(m):
-        combos = [c + [k] for c in combos for k in range(diag[i])]
-    elements = []
-    for combo in combos:
-        w = [Fraction(k, diag[i]) for i, k in enumerate(combo)]
-        z = [sum(Fraction(x) * y for x, y in zip(row, w)) % 1 for row in v.rows]
-        elements.append(tuple(
-            ExactComplex.root_of_unity(f.denominator, f.numerator) for f in z))
-    elements.sort(key=lambda tup: [x.root for x in tup])
-    return tuple(elements)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ This little value class is what keeps theory parameters, kernel elements
 and manifold invariants exact end to end.  Every value is q * zeta_n^k
 with q a positive rational and 0 <= k < n reduced, which is closed under
 multiplication and integer powers.  There is no floating point anywhere.
+A value leaves the program only as its JSON form (``to_json``), from
+which the CLI renders the text users see.
 """
 
 from __future__ import annotations
@@ -87,43 +89,13 @@ class ExactComplex:
                                   "MAX_POWER_DIGITS = %d" % (digits, MAX_POWER_DIGITS))
         return ExactComplex._make(self.mag ** exponent, self.root * exponent)
 
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.root == 0 or self.root == Fraction(1, 2)
-
-    def rational_value(self) -> Fraction:
-        if self.root == 0:
-            return self.mag
-        if self.root == Fraction(1, 2):
-            return -self.mag
-        raise ValueError("%s is not rational" % self)
-
-    @property
-    def root_order(self) -> int:
-        return self.root.denominator
-
-    @property
-    def root_power(self) -> int:
-        return self.root.numerator
-
     # -- rendering ----------------------------------------------------------
-
-    def __str__(self):
-        if self.is_rational:
-            return _text(self.rational_value())
-        zeta = "zeta%d" % self.root_order
-        if self.root_power != 1:
-            zeta += "^%d" % self.root_power
-        if self.mag == 1:
-            return zeta
-        return "%s*%s" % (_text(self.mag), zeta)
 
     def to_json(self) -> dict:
         out = {"magnitude": _text(self.mag)}
         if self.root != 0:
-            out["root_of_unity"] = {"order": self.root_order, "power": self.root_power}
+            out["root_of_unity"] = {"order": self.root.denominator,
+                                    "power": self.root.numerator}
         return out
 
 

@@ -337,12 +337,9 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
                     "stated homotopy %s conflicts with the table value %s"
                     % (c.group, table_pi))
             iso_group = table_pi
-    if iso_group is not None and has_uct:
-        dual = FgAbGroup(iso_group.free_rank)
-        if pinned is not None and pinned != dual:
-            raise MtspecError("constraints pin two different groups")
-        pinned = dual
-        notes.append("pinned to %s: dual of the first homotopy group" % dual)
+    if iso_group is not None and has_uct:  # then k == conn: no vanishing was admitted
+        pinned = FgAbGroup(iso_group.free_rank)
+        notes.append("pinned to %s: dual of the first homotopy group" % pinned)
 
     divisibility = [c for c in constraints if c.kind == KIND_DIVISIBILITY]
 

@@ -170,9 +170,9 @@ class TestRepeatedKeys:
 
 
 class TestRepeatedFields:
-    """A field named twice in one record, and a second or non-integer
-    version line, are refused naming the line, in process and through
-    MTSPEC_DATA."""
+    """A field named twice in one record, and a second version line or one
+    that does not state 4, are refused naming the line, in process and
+    through MTSPEC_DATA."""
 
     @pytest.mark.parametrize("old,new", [
         # would load as the d=2 row, which the line also spells d=3
@@ -182,6 +182,8 @@ class TestRepeatedFields:
         ("manifold name=S2 dim=2 euler=2", "manifold name=S2 dim=2 euler=2 euler=4"),
         ("version=4", "version=4\nversion=2"),    # would load as version 2
         ("version=4", "version=abc"),             # escaped as a bare ValueError
+        ("version=4", "version=3"),               # loaded version-4 rows as version 3
+        ("version=4", "version=-7"),
     ])
     def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
         modified = tampered(old, new)
@@ -292,6 +294,32 @@ class TestParser:
                            "gens=a:6,b,c:2,d:12\n").entry(2, 1, 2)
         assert (entry.group.free_rank, entry.group.torsion) == (1, (2, 6, 12))
         assert entry.names == ("a", "b", "c", "d")
+
+    @pytest.mark.parametrize("old,new,reason", [
+        # rho,rho loaded as Z^2, whose second rho no arrow could name
+        ("d=2 cover=1 k=4 gens=rho\n", "d=2 cover=1 k=4 gens=rho,rho\n",
+         "the generator rho is named twice"),
+        ("k=4 gens=psi,sigma\n", "k=4 gens=psi,sigma,psi:2\n",
+         "the generator psi is named twice"),
+        ("k=2 gens=tau\n", "k=2 gens=tau,\n", "generator name '' is not spelled"),
+        ("k=2 gens=tau\n", "k=2 gens=2tau\n", "generator name '2tau' is not spelled"),
+        ("k=2 gens=tau\n", "k=2 gens=t-u:2\n", "generator name 't-u' is not spelled"),
+    ], ids=["repeated", "repeated-torsion", "empty", "digit-first", "dash"])
+    def test_a_generator_no_map_can_name_is_refused(self, capsys, monkeypatch, tmp_path,
+                                                     old, new, reason):
+        modified = tampered(old, new)
+        record = next(line for line in modified.splitlines()
+                      if line.endswith(new.strip()))
+        with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
+            parse_data(modified)
+        assert reason in str(info.value)
+        path = tmp_path / "names.txt"
+        path.write_text(modified)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert repr(record) in captured.err and reason in captured.err
 
     def test_a_group_field_on_a_cohomology_row_is_refused(self, capsys, monkeypatch, tmp_path):
         # a version-3 file fails at its first cover row

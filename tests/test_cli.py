@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from mtspec import cli
-from mtspec.certified import load_data
+from mtspec.certified import load_data, parse_data
 from mtspec.cli import (build_parser, document_to_json, main, parse_args, render_gen,
                         render_group)
 from mtspec.exactnum import parse_exact
-from mtspec.spectra import SpectrumId
+from mtspec.spectra import SpectrumId, verify_les
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -797,3 +797,56 @@ class TestEntryPoint:
 
         garbage(1)  # the handler's lazy imports and the data file's cache
         assert garbage(1) == garbage(500)
+
+
+KERNEL_4_TO_3 = ["kernel", "--d", "4", "--from", "4", "--to", "3"]
+
+
+class TestEditedDataBranches:
+    """Branches that only an edited data file reaches.  Each case edits the
+    shipped file, then runs either the long exact sequence of a dimension
+    (an int), whose failed check must carry the note, or a command line,
+    whose exit code and output (stdout on success, stderr otherwise) must
+    hold the text."""
+
+    @pytest.mark.parametrize("edits,run,expected", [
+        ([("arrow kind=cover d=3 k=4 map=p1u:6*rho\n", "")],
+         3, "cover arrow not recorded"),
+        ([("hz k=3 group=Z/2\n", "hz k=3 group=Z/4\n")],
+         4, "groups differ but no map is recorded"),
+        ([("p1u:3*sigma", "p1u:0")],
+         KERNEL_4_TO_3 + ["--ascii"], (0, "Z\n")),
+        ([("p1u:3*sigma", "p1u:0")],
+         KERNEL_4_TO_3 + ["--format", "json"], (0, '"elements": null')),
+        ([("homotopy d=3 k=1 group=0\n", "homotopy d=3 k=1 group=Z/2\n")],
+         ["gilmer-masbaum"], (3, "the second cover no longer matches the stored one")),
+        ([("psi:1*rho", "psi:2*rho")],
+         ["gilmer-masbaum"], (3, "psi no longer maps to the generator")),
+        ([("cohomology d=2 cover=1 k=3\n", "cohomology d=2 cover=1 k=3 gens=x:2\n")],
+         ["restrict", "--d", "2", "--from", "2", "--to", "1", "--params", "3"],
+         (2, "coordinate transport needs trivial finite parts")),
+        ([("gens=tau\n", "gens=tau,x:2\n"), ("cu:2*tau", "cu:2*tau+1*x")],
+         ["kernel", "--d", "2", "--from", "2", "--to", "1"],
+         (2, "image of cu lands outside the free generators")),
+    ], ids=["cover-arrow-missing", "hz-group-differs", "infinite-kernel-text",
+            "infinite-kernel-json", "second-cover", "psi-image", "finite-part",
+            "torsion-image"])
+    def test_an_edited_file_reaches_the_branch(self, capsys, monkeypatch, tmp_path,
+                                               edits, run, expected):
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        if isinstance(run, int):
+            report = verify_les(run, parse_data(text))
+            assert not report.all_exact
+            assert expected in [check.note for check in report.checks]
+            return
+        path = tmp_path / "edited.txt"
+        path.write_text(text)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        code, needle = expected
+        assert main(run) == code
+        captured = capsys.readouterr()
+        assert needle in (captured.out if code == 0 else captured.err)
+        assert "Traceback" not in captured.err

@@ -177,7 +177,7 @@ RECORD_TYPES = ["cohomology", "homotopy", "hz", "arrow", "manifold", "family", "
 FIELD_VALUES = ["0", "1", "-1", "2", "5", "99999999999999999999", "", "x", "Z", "Z^2",
                 "Z/2", "Z/0", "Z/1", "Z+Z/2", "tau", "tau:2", "u:1*u", "u:", "u:1*",
                 "psi:1*rho;sigma:2*rho", "cover", "dim", "covdim", "unit", "zz", "=",
-                "Sigma_g", "Sigma", "tau:2,x:3", "tau:1"]
+                "Sigma_g", "Sigma", "tau:2,x:3", "tau:1", "rho,rho", "tau,"]
 
 
 @st.composite

@@ -29,6 +29,8 @@ ALLOWED = {
                          "Smith form's entries, until it reads the rows itself",
     "LesReport.all_exact": "the verify-data oracle reads it, and so will the "
                            "planned `mtspec verify`",
+    "units_kernel": "the benchmark's snf-large workload times it; the "
+                    "package reads a restriction kernel off one Smith form",
 }
 
 

@@ -173,7 +173,7 @@ class TestFrobenius:
         mu = rational(Fraction(7, 3))
         assert frobenius_closed_value(mu, 1) == ExactComplex.one()
         assert frobenius_closed_value(mu, 0) == mu
-        assert frobenius_closed_value(4, 2).rational_value() == Fraction(1, 4)
+        assert frobenius_closed_value(4, 2) == ExactComplex.of(Fraction(1, 4))
 
     def test_surface_values(self):
         mu = rational(Fraction(7, 3))
@@ -199,8 +199,7 @@ class TestEulerTheory:
 
     def test_negative_relative_euler(self):
         lam = rational(3)
-        assert euler_theory_value(lam, SurfaceBordism(-1, 1)).rational_value() \
-            == Fraction(1, 9)
+        assert euler_theory_value(lam, SurfaceBordism(-1, 1)) == ExactComplex.of(Fraction(1, 9))
 
     def test_matches_frobenius_at_square(self):
         rng = random.Random(55)
