@@ -111,7 +111,9 @@ class ArrowRecord:
 
 @dataclass(frozen=True)
 class ManifoldClass:
-    """An oriented closed manifold, remembered through its invariants."""
+    """An oriented closed manifold, or an integer combination of such
+    manifolds of one dimension, remembered through its invariants; every
+    rule below is linear, so a combination of valid classes is valid."""
 
     name: str
     dim: int
@@ -557,9 +559,10 @@ def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
         raise MtspecError("cohomology is tabulated for degrees 0..%d" % MAX_TABLE_DEGREE)
     entry = data.entry(spectrum.d, spectrum.cover_level, k)
     if entry is None:
-        raise MtspecError("no table entry for %s in degree %d; resolve higher "
-                          "covers through grid_equivalence first"
-                          % (spectrum.display(True), k))
+        hint = ("; resolve higher covers through grid_equivalence first"
+                if spectrum.cover_level >= 2 else "")
+        raise MtspecError("no table entry for %s in degree %d%s"
+                          % (spectrum.display(True), k, hint))
     return entry
 
 

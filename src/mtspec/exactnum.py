@@ -108,17 +108,21 @@ def _text(q: Fraction) -> str:
 
 
 # Each token takes the whitespace after it, so a run of whitespace can be
-# matched one way only and a failing match backtracks in linear time.
+# matched one way only and a failing match backtracks in linear time.  The
+# unicode forms are those the CLI prints: "·" for "*", a superscript power.
 _PARSE_RE = re.compile(
     r"""^\s*(?:(?P<sign>[+-])\s*)?
         (?:(?P<rat>\d+(?:/\d+)?)\s*)?
-        (?:(?:\*\s*)?(?:zeta|ζ)(?P<order>\d+)(?:\^(?P<power>-?\d+))?\s*)?$""",
+        (?:(?:[*·]\s*)?(?:zeta|ζ)(?P<order>\d+)
+           (?:\^(?P<power>-?\d+)|(?P<superscript>[⁰¹²³⁴⁵⁶⁷⁸⁹]+))?\s*)?$""",
     re.VERBOSE,
 )
+_FROM_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 
 
 def parse_exact(text: str) -> ExactComplex:
-    """Parse "2", "-3/2", "zeta6", "zeta6^5" or "-2*zeta3" exactly."""
+    """Parse "2", "-3/2", "zeta6", "zeta6^5", "-2*zeta3", "ζ6⁵" or "2·ζ3"
+    exactly."""
     match = _PARSE_RE.match(text)
     if not match or (match.group("rat") is None and match.group("order") is None):
         raise MtspecError("cannot parse exact value %r" % text)
@@ -126,7 +130,8 @@ def parse_exact(text: str) -> ExactComplex:
         mag = Fraction(match.group("rat")) if match.group("rat") else Fraction(1)
         root = Fraction(0)
         if match.group("order"):
-            power = int(match.group("power") or 1)
+            power = int(match.group("power")
+                        or (match.group("superscript") or "1").translate(_FROM_SUPERSCRIPTS))
             root = Fraction(power, int(match.group("order")))
     except ZeroDivisionError:
         raise MtspecError("zero denominator in exact value %r" % text) from None

@@ -5,8 +5,10 @@ range see only the Euler characteristic, the signature, the first
 Pontryagin number and (in dimensions 1 mod 4) the real semicharacteristic,
 so the data model (ManifoldClass, defined in certified and re-exported
 here) stores the others and computes p1 = 3*sigma by the signature
-theorem.  The catalog serves the ManifoldClass instances built and
-validated when the shipped data file loads; none is invented silently.
+theorem.  A class may be an integer combination of manifolds of one
+dimension (``formal_sum``), as those theories see a sum only through its
+summed invariants.  The catalog serves the ManifoldClass instances built
+and validated when the shipped data file loads; none is invented silently.
 
 All evaluation is exact: parameters and values are rational numbers
 times roots of unity.
@@ -23,17 +25,6 @@ from .errors import MtspecError
 from .exactnum import ExactComplex
 
 
-def disjoint_union(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
-    """Disjoint union: every invariant is additive."""
-    if a.dim != b.dim:
-        raise MtspecError("disjoint union needs equal dimensions")
-    kr = None
-    if a.kr is not None and b.kr is not None:
-        kr = (a.kr + b.kr) % 2
-    return ManifoldClass("%s+%s" % (a.name, b.name), a.dim,
-                         a.euler + b.euler, a.signature + b.signature, kr=kr)
-
-
 def connected_sum(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
     """Connected sum in dimensions 2 and 4: the sphere's euler 2 drops out."""
     if a.dim != b.dim:
@@ -44,23 +35,26 @@ def connected_sum(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
                          a.euler + b.euler - 2, a.signature + b.signature)
 
 
-@dataclass(frozen=True)
-class FormalSum:
-    """An integer combination of manifold classes of one dimension."""
+def formal_sum(pairs) -> ManifoldClass:
+    """The class of the sum of k*M over one or more (M, k) pairs.
 
-    terms: tuple  # ((ManifoldClass, multiplicity), ...)
-
-    def __post_init__(self):
-        dims = {m.dim for m, _ in self.terms}
-        if len(dims) > 1:
+    Every term must have the first term's dimension, whatever its
+    multiplicity.  The euler number and the signature add with the
+    multiplicities, kr adds mod 2 (None when a term has none), and the
+    name, which only messages read, joins the terms with '+'.
+    """
+    dim = pairs[0][0].dim
+    euler = signature = kr = 0
+    names = []
+    for manifold, mult in pairs:
+        if manifold.dim != dim:
             raise MtspecError("formal sums must be homogeneous in dimension")
-
-    @classmethod
-    def of(cls, pairs) -> "FormalSum":
-        acc = {}
-        for manifold, mult in pairs:
-            acc[manifold] = acc.get(manifold, 0) + mult
-        return cls(tuple((m, c) for m, c in acc.items() if c))
+        euler += mult * manifold.euler
+        signature += mult * manifold.signature
+        kr = None if kr is None or manifold.kr is None else kr + mult * manifold.kr
+        names.append(manifold.name if mult == 1 else "%d*%s" % (mult, manifold.name))
+    return ManifoldClass("+".join(names), dim, euler, signature,
+                         kr=None if kr is None else kr % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +65,19 @@ class ManifoldCatalog:
     """Named manifolds plus one-parameter families from the data file."""
 
     def __init__(self, manifolds, families):
-        self._entries = dict(manifolds)
-        self._families = []
-        for family in families.values():
-            pattern = re.compile("^" + re.escape(family.name[:-2]) + r"_(\d+)$")
-            self._families.append((pattern, family))
+        self._entries = manifolds
+        self._families = families  # "<prefix>_g" -> FamilyRecord
 
     def get(self, name: str) -> ManifoldClass:
-        if name in self._entries:
-            return self._entries[name]
-        for pattern, family in self._families:
-            match = pattern.match(name)
-            if match:
-                return family.member(name, _int(match.group(1)))
+        entry = self._entries.get(name)
+        if entry is not None:
+            return entry
+        # Sigma_3 is the member g=3 of Sigma_g; a name with no '_' looks
+        # up "g", which names no family
+        prefix, sep, g = name.rpartition("_")
+        family = self._families.get(prefix + sep + "g")
+        if family is not None and g.isdecimal():
+            return family.member(name, _int(g))
         raise MtspecError("no catalog entry named %r" % name)
 
 
@@ -96,36 +90,31 @@ def standard_manifolds(data=None) -> ManifoldCatalog:
 # vector-field bordism invariants
 
 
-def vf_invariant(d: int, s: FormalSum) -> tuple:
-    """The complete invariant tuple of a formal sum in dimension d.
+def vf_invariant(d: int, m: ManifoldClass) -> tuple:
+    """The complete invariant tuple of a class (or formal sum) in dimension d.
 
-    d=1: the semicharacteristic sum mod 2; d=2: half the euler sum;
+    d=1: the semicharacteristic mod 2; d=2: half the euler number;
     d=3: nothing (the group is trivial); d=4: (half of euler+signature,
     signature).
     """
     if d not in (1, 2, 3, 4):
         raise MtspecError("dimension must be 1..4")
-    for manifold, _ in s.terms:
-        if manifold.dim != d:
-            raise MtspecError("sum contains a manifold of dimension %d" % manifold.dim)
+    if m.dim != d:
+        raise MtspecError("sum contains a manifold of dimension %d" % m.dim)
     if d == 1:
-        total = 0
-        for manifold, mult in s.terms:
-            if manifold.kr is None:
-                raise MtspecError("%s carries no semicharacteristic" % manifold.name)
-            total += mult * manifold.kr
-        return (total % 2,)
+        if m.kr is None:
+            raise MtspecError("%s carries no semicharacteristic" % m.name)
+        return (m.kr,)
     if d == 2:
-        return (sum(mult * (m.euler // 2) for m, mult in s.terms),)
+        return (m.euler // 2,)
     if d == 3:
         return ()
-    return (sum(mult * ((m.euler + m.signature) // 2) for m, mult in s.terms),
-            sum(mult * m.signature for m, mult in s.terms))
+    return ((m.euler + m.signature) // 2, m.signature)
 
 
-def is_vf_nullbordant(d: int, s: FormalSum) -> bool:
+def is_vf_nullbordant(d: int, m: ManifoldClass) -> bool:
     """True when the invariant tuple vanishes (complete for d <= 4)."""
-    return all(x == 0 for x in vf_invariant(d, s))
+    return all(x == 0 for x in vf_invariant(d, m))
 
 
 # ---------------------------------------------------------------------------
@@ -189,36 +178,30 @@ def _int(digits: str) -> int:
         raise MtspecError(str(exc)) from None
 
 
-def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> FormalSum:
+def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> ManifoldClass:
     """Parse sums like "K3 + 2*S4" or "Sigma_3 - (-2)*S2"."""
     pos = 0
     pairs = []
-    first = True
     while pos < len(text):
         match = _SUM_TERM_RE.match(text, pos)
-        if not match or (not first and match.group(1) is None):
+        if not match or (pairs and match.group(1) is None):
             raise MtspecError("cannot parse formal sum at %r" % text[pos:])
         sign = -1 if match.group(1) == "-" else 1
         coeff = _int(match.group(2)) if match.group(2) is not None else 1
         pairs.append((catalog.get(match.group(3)), sign * coeff))
         pos = match.end()
-        first = False
     if not pairs:
         raise MtspecError("empty formal sum")
-    return FormalSum.of(pairs)
+    return formal_sum(pairs)
 
 
 def parse_manifold(text: str, catalog: ManifoldCatalog) -> ManifoldClass:
     """Parse a name, a connect-sum chain with '#', or a disjoint union with '+'."""
-    pieces = [p.strip() for p in text.split("+")]
-    built = []
-    for piece in pieces:
+    chains = []
+    for piece in text.split("+"):
         parts = [catalog.get(p.strip()) for p in piece.split("#")]
         acc = parts[0]
         for nxt in parts[1:]:
             acc = connected_sum(acc, nxt)
-        built.append(acc)
-    acc = built[0]
-    for nxt in built[1:]:
-        acc = disjoint_union(acc, nxt)
-    return acc
+        chains.append((acc, 1))
+    return formal_sum(chains)

@@ -13,8 +13,10 @@ from mtspec import cli
 from mtspec.certified import load_data, parse_data
 from mtspec.cli import (build_parser, document_to_json, main, parse_args, render_gen,
                         render_group)
+from mtspec.errors import MtspecError
 from mtspec.exactnum import parse_exact
 from mtspec.spectra import SpectrumId, verify_les
+from mtspec.tftlab import parse_formal_sum, standard_manifolds, vf_invariant
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -146,6 +148,13 @@ class TestTableCommand:
         assert main(["table", "cohomology", "--d", "1", "--cover", "2"]) == 2
         assert "not equivalent to a stored one" in capsys.readouterr().err
 
+    def test_a_missing_first_cover_row_names_no_higher_cover(self, capsys):
+        # d=1 records no cover rows; cover 1 is a stored level, so there is
+        # no higher cover to resolve
+        assert main(["table", "cohomology", "--d", "1", "--cover", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: no table entry for p>=1 Sigma^1 MTSO(1) in degree 0\n"
+
 
 class TestClassifyCommands:
     def test_classify_text(self, capsys):
@@ -257,6 +266,22 @@ class TestBordismCommand:
     def test_four_dimensional_pair(self, capsys):
         code, out = run_main(capsys, "bordism", "--d", "4", "--sum", "CP2")
         assert code == 0 and out == "invariant: (2, 1)\nnull-bordant: false\n"
+
+    @pytest.mark.parametrize("d,total,message", [
+        ("4", "0*S2", "sum contains a manifold of dimension 2"),
+        ("4", "S2 - S2", "sum contains a manifold of dimension 2"),
+        ("1", "K3 - K3", "sum contains a manifold of dimension 4"),
+        ("2", "0*K3 + S2", "formal sums must be homogeneous in dimension"),
+    ])
+    def test_a_cancelled_term_counts_for_the_dimension(self, capsys, d, total, message):
+        # each once answered for the dimension of the terms left over
+        assert main(["bordism", "--d", d, "--sum", total]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+
+    def test_a_cancelled_sum_in_process(self):
+        with pytest.raises(MtspecError, match="sum contains a manifold of dimension 2"):
+            vf_invariant(4, parse_formal_sum("S2 - S2", standard_manifolds()))
 
 
 class TestGilmerMasbaumCommand:

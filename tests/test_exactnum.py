@@ -80,12 +80,16 @@ class TestParsing:
         ("-zeta4", ExactComplex.root_of_unity(4, 3)),
         ("2*zeta3", ExactComplex.of(2) * ExactComplex.root_of_unity(3)),
         ("ζ6", ExactComplex.root_of_unity(6)),
+        ("ζ3²", ExactComplex.root_of_unity(3, 2)),
+        ("2·ζ3", ExactComplex.of(2) * ExactComplex.root_of_unity(3)),
+        ("3/2 · ζ12¹¹", ExactComplex.of(Fraction(3, 2)) * ExactComplex.root_of_unity(12, 11)),
     ])
     def test_literals(self, text, expected):
         assert parse_exact(text) == expected
 
     @pytest.mark.parametrize("text", ["", "x", "1.5", "zeta", "0",
-                                      "1/0", "3/00", "zeta0", "-2*zeta0^3"])
+                                      "1/0", "3/00", "zeta0", "-2*zeta0^3",
+                                      "ζ3^²", "ζ3 ²", "ζ3⁻¹", "2²", "ζ0²", "·ζ", "2··ζ3"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_exact(text)
@@ -152,28 +156,66 @@ def literal_like(st):
         return st.sampled_from(("",) + options)
 
     return st.tuples(ws, slot("+", "-", "x"), ws,
-                     slot("2", "13", "3/4", "1/0", "٣", "/", "2/"), ws,
-                     slot("*", "**", "!"), ws, slot("zeta", "ζ", "zet"),
-                     slot("6", "0", "12"), slot("^5", "^-1", "^", "^x"),
+                     slot("2", "13", "3/4", "1/0", "٣", "/", "2/", "2²"), ws,
+                     slot("*", "**", "!", "·", "·*"), ws, slot("zeta", "ζ", "zet"),
+                     slot("6", "0", "12"),
+                     slot("^5", "^-1", "^", "^x", "⁵", "¹¹", "⁻¹", "^²", "²^5"),
                      ws).map("".join)
+
+
+SUPERSCRIPT_RUN = re.compile("[⁰¹²³⁴⁵⁶⁷⁸⁹]+")
+
+
+def as_ascii(text):
+    """The text with the CLI's unicode forms spelled in ASCII: "·" as "*"
+    and a superscript power as "^" and its digits."""
+    return SUPERSCRIPT_RUN.sub(
+        lambda m: "^" + m.group().translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")),
+        text.replace("·", "*"))
 
 
 class TestParserLanguage:
     def test_same_language_as_the_old_expression(self):
+        # a text without "·" or superscripts is matched as before, and the
+        # superscript group is None there; a unicode form is matched as its
+        # ASCII spelling is
         hypothesis = pytest.importorskip("hypothesis")
 
         @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
                              database=None)
         @hypothesis.given(literal_like(hypothesis.strategies))
         def check(text):
-            old = OLD_PARSE_RE.match(text)
+            old = OLD_PARSE_RE.match(as_ascii(text))
             new = exactnum._PARSE_RE.match(text)
-            assert (old and old.groupdict()) == (new and new.groupdict())
+            groups = new and new.groupdict()
+            if groups:
+                superscript = groups.pop("superscript")
+                if as_ascii(text) == text:
+                    assert superscript is None
+                elif superscript is not None:
+                    groups["power"] = as_ascii(superscript)[1:]
+            assert (old and old.groupdict()) == groups
+
+        check()
+
+    def test_rendered_text_reads_back(self):
+        # both the --ascii and the unicode text users see parse back
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(st.fractions().filter(bool), st.integers(1, 60),
+                          st.integers(-100, 100), st.booleans())
+        def check(q, order, power, ascii_mode):
+            v = ExactComplex.of(q) * ExactComplex.root_of_unity(order, power)
+            assert parse_exact(render_exact(v.to_json(), ascii_mode)) == v
 
         check()
 
     @pytest.mark.parametrize("text", [" " * 100_000 + "!", "2" + " " * 100_000 + "!",
-                                      "-" + " " * 100_000 + "*"])
+                                      "-" + " " * 100_000 + "*",
+                                      "2·" + " " * 100_000 + "ζ3²!"])
     def test_long_whitespace_fails_in_linear_time(self, text):
         start = time.perf_counter()
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from mtspec.spectra import (KIND_DIVISIBILITY, DerivationConstraint,
                             SpectrumId, cohomology, default_constraints,
                             derive_cover_cohomology, grid_equivalence,
                             homotopy_group, hz_self_cohomology, verify_les)
-from mtspec.tftlab import FormalSum, standard_manifolds, vf_invariant
+from mtspec.tftlab import standard_manifolds, vf_invariant
 
 from test_abelian import product
 
@@ -38,7 +38,7 @@ class TestVfSplitting:
     @staticmethod
     def invariant_length(d, name):
         manifold = standard_manifolds().get(name)
-        return len(vf_invariant(d, FormalSum.of([(manifold, 1)])))
+        return len(vf_invariant(d, manifold))
 
     def test_dimension_four(self):
         assert homotopy_group(4, 4) == FgAbGroup(2)

@@ -10,9 +10,8 @@ from mtspec.certified import load_data
 from mtspec.classify import restriction_kernel
 from mtspec.errors import MtspecError
 from mtspec.exactnum import ExactComplex
-from mtspec.tftlab import (FormalSum, ManifoldClass, SurfaceBordism,
-                           connected_sum, disjoint_union,
-                           euler_theory_value, frobenius_closed_value,
+from mtspec.tftlab import (ManifoldClass, SurfaceBordism, connected_sum,
+                           euler_theory_value, formal_sum, frobenius_closed_value,
                            frobenius_surface_value, invertible_4d_value,
                            is_vf_nullbordant, parse_formal_sum, parse_manifold,
                            standard_manifolds, vf_invariant)
@@ -23,10 +22,6 @@ FOUR_MANIFOLDS = sorted(n for n, m in load_data().manifolds.items() if m.dim == 
 
 def sigma(g):
     return CATALOG.get("Sigma_%d" % g)
-
-
-def single(manifold):
-    return FormalSum.of([(manifold, 1)])
 
 
 def rational(value):
@@ -85,7 +80,7 @@ class TestConstructors:
         for a in FOUR_MANIFOLDS:
             for b in FOUR_MANIFOLDS:
                 for m in (connected_sum(CATALOG.get(a), CATALOG.get(b)),
-                          disjoint_union(CATALOG.get(a), CATALOG.get(b))):
+                          formal_sum([(CATALOG.get(a), 1), (CATALOG.get(b), 1)])):
                     assert m.p1_number == 3 * m.signature
 
     def test_connected_sum(self):
@@ -98,13 +93,14 @@ class TestConstructors:
 
     def test_disjoint_union(self):
         s4 = CATALOG.get("S4")
-        assert disjoint_union(s4, s4).euler == 4
-        pair = disjoint_union(CATALOG.get("S1"), CATALOG.get("S1"))
+        assert formal_sum([(s4, 1), (s4, 1)]).euler == 4
+        pair = formal_sum([(CATALOG.get("S1"), 1), (CATALOG.get("S1"), 1)])
         assert pair.kr == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(MtspecError, match="disjoint union needs equal dimensions"):
-            disjoint_union(CATALOG.get("S2"), CATALOG.get("S4"))
+        # a term counts for the dimension even when its multiplicity is 0
+        with pytest.raises(MtspecError, match="formal sums must be homogeneous in dimension"):
+            formal_sum([(CATALOG.get("S2"), 1), (CATALOG.get("S4"), 0)])
         with pytest.raises(MtspecError, match="connected sum is provided for dimensions 2 and 4"):
             connected_sum(CATALOG.get("S1"), CATALOG.get("S1"))
 
@@ -113,59 +109,81 @@ class TestConstructors:
         for _ in range(30):
             a = CATALOG.get(rng.choice(FOUR_MANIFOLDS))
             b = CATALOG.get(rng.choice(FOUR_MANIFOLDS))
-            built = connected_sum(a, b) if rng.random() < 0.5 else disjoint_union(a, b)
+            built = (connected_sum(a, b) if rng.random() < 0.5
+                     else formal_sum([(a, 1), (b, 1)]))
             assert (built.euler + built.signature) % 2 == 0
 
 
 class TestVfInvariants:
     def test_surface_relations(self):
         for g in range(11):
-            s = FormalSum.of([(sigma(g), 1), (CATALOG.get("S2"), g - 1)])
+            s = formal_sum([(sigma(g), 1), (CATALOG.get("S2"), g - 1)])
             assert vf_invariant(2, s) == (0,)
             assert is_vf_nullbordant(2, s)
 
     def test_circle_doubling(self):
         s1 = CATALOG.get("S1")
-        assert vf_invariant(1, FormalSum.of([(s1, 2)])) == (0,)
-        assert not is_vf_nullbordant(1, single(s1))
+        assert vf_invariant(1, formal_sum([(s1, 2)])) == (0,)
+        assert not is_vf_nullbordant(1, s1)
 
     def test_sphere_generates_dimension_two(self):
         for k in range(-3, 4):
-            s = FormalSum.of([(CATALOG.get("S2"), k)])
+            s = formal_sum([(CATALOG.get("S2"), k)])
             assert is_vf_nullbordant(2, s) == (k == 0)
 
     def test_dimension_three_always_bounds(self):
         for name in ("S3", "T3"):
-            s = single(CATALOG.get(name))
+            s = CATALOG.get(name)
             assert vf_invariant(3, s) == ()
             assert is_vf_nullbordant(3, s)
 
     def test_projective_plane_invariant(self):
-        assert vf_invariant(4, single(CATALOG.get("CP2"))) == (2, 1)
+        assert vf_invariant(4, CATALOG.get("CP2")) == (2, 1)
 
     def test_product_relations(self):
         for g in range(11):
-            s = FormalSum.of([(CATALOG.get("S2xSigma_%d" % g), 1),
-                              (CATALOG.get("S4"), -(2 - 2 * g))])
+            s = formal_sum([(CATALOG.get("S2xSigma_%d" % g), 1),
+                            (CATALOG.get("S4"), -(2 - 2 * g))])
             assert vf_invariant(4, s) == (0, 0)
 
     def test_additivity(self):
         rng = random.Random(77)
         for _ in range(20):
-            a = FormalSum.of([(CATALOG.get(rng.choice(FOUR_MANIFOLDS)), rng.randint(-3, 3))])
-            b = FormalSum.of([(CATALOG.get(rng.choice(FOUR_MANIFOLDS)), rng.randint(-3, 3))])
-            va, vb = vf_invariant(4, a), vf_invariant(4, b)
-            vsum = vf_invariant(4, FormalSum.of(a.terms + b.terms))
+            a = [(CATALOG.get(rng.choice(FOUR_MANIFOLDS)), rng.randint(-3, 3))]
+            b = [(CATALOG.get(rng.choice(FOUR_MANIFOLDS)), rng.randint(-3, 3))]
+            va, vb = vf_invariant(4, formal_sum(a)), vf_invariant(4, formal_sum(b))
+            vsum = vf_invariant(4, formal_sum(a + b))
             assert vsum == tuple(x + y for x, y in zip(va, vb))
+
+    def test_a_sum_is_read_term_by_term(self):
+        # the oracle is the invariant summed over the terms, each read alone
+        def per_term(d, pairs):
+            if d == 1:
+                return (sum(k * m.kr for m, k in pairs) % 2,)
+            if d == 2:
+                return (sum(k * (m.euler // 2) for m, k in pairs),)
+            if d == 3:
+                return ()
+            return (sum(k * ((m.euler + m.signature) // 2) for m, k in pairs),
+                    sum(k * m.signature for m, k in pairs))
+
+        names = {1: ["S1"], 2: ["S2", "Sigma_1", "Sigma_3", "Sigma_7"],
+                 3: ["S3", "T3"], 4: FOUR_MANIFOLDS + ["S2xSigma_2"]}
+        rng = random.Random(25)
+        for _ in range(200):
+            d = rng.randint(1, 4)
+            pairs = [(CATALOG.get(rng.choice(names[d])), rng.randint(-3, 3))
+                     for _ in range(rng.randint(1, 4))]
+            assert vf_invariant(d, formal_sum(pairs)) == per_term(d, pairs)
 
     def test_missing_kr(self):
         bare = ManifoldClass("loop", 1, euler=0)
         with pytest.raises(MtspecError, match="carries no semicharacteristic"):
-            vf_invariant(1, single(bare))
+            vf_invariant(1, bare)
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(MtspecError, match="formal sums must be homogeneous in dimension"):
-            FormalSum.of([(CATALOG.get("S2"), 1), (CATALOG.get("S4"), 1)])
+            formal_sum([(CATALOG.get("S2"), 1), (CATALOG.get("S4"), 1)])
 
 
 class TestFrobenius:
@@ -181,7 +199,7 @@ class TestFrobenius:
             assert frobenius_surface_value(mu, sigma(g)) == \
                 frobenius_closed_value(mu, g)
         # multiplicative under disjoint union: mu^(chi/2)
-        two_spheres = disjoint_union(CATALOG.get("S2"), CATALOG.get("S2"))
+        two_spheres = formal_sum([(CATALOG.get("S2"), 1), (CATALOG.get("S2"), 1)])
         assert frobenius_surface_value(mu, two_spheres) == mu * mu
         with pytest.raises(MtspecError, match="the Frobenius theory evaluates surfaces"):
             frobenius_surface_value(mu, CATALOG.get("S4"))
@@ -227,7 +245,7 @@ class TestFourDimensionalTheory:
         l1, l2 = rational(Fraction(3, 2)), rational(Fraction(-5, 4))
         for _ in range(15):
             a, b = CATALOG.get(rng.choice(FOUR_MANIFOLDS)), CATALOG.get(rng.choice(FOUR_MANIFOLDS))
-            assert invertible_4d_value(l1, l2, disjoint_union(a, b)) == \
+            assert invertible_4d_value(l1, l2, formal_sum([(a, 1), (b, 1)])) == \
                 invertible_4d_value(l1, l2, a) * invertible_4d_value(l1, l2, b)
 
     def test_kernel_theories_are_invisible_on_catalog(self):
@@ -252,9 +270,11 @@ class TestFourDimensionalTheory:
 class TestExpressionParsing:
     def test_formal_sums(self):
         s = parse_formal_sum("K3 + 2*S4", CATALOG)
-        assert dict((m.name, c) for m, c in s.terms) == {"K3": 1, "S4": 2}
+        assert (s.name, s.dim, s.euler, s.signature) == ("K3+2*S4", 4, 28, -16)
         s = parse_formal_sum("Sigma_3 - (-2)*S2", CATALOG)
-        assert dict((m.name, c) for m, c in s.terms) == {"Sigma_3": 1, "S2": 2}
+        assert (s.name, s.dim, s.euler, s.signature) == ("Sigma_3+2*S2", 2, 0, 0)
+        s = parse_formal_sum("S1 - 3*S1", CATALOG)
+        assert (s.name, s.dim, s.euler, s.kr) == ("S1+-3*S1", 1, 0, 0)
 
     def test_manifold_expressions(self):
         m = parse_manifold("CP2 # CP2", CATALOG)
