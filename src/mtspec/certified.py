@@ -18,7 +18,9 @@ row's group= field, which its generators give.  Loading validates the
 rest: no group or gens= list may have more than MAX_GROUP_GENERATORS
 generators as spelled, a row's torsion orders must form a divisibility
 chain and its generators have distinct names spelled as a map names one,
-an hz group must be cyclic, no two records of one type may share
+an hz group must be cyclic, a homotopy row of degree 0 must state Z (the
+ring's H^0 = Z u and H^1 = 0 force pi_0 = H_0 = Z, by Hurewicz and
+universal coefficients), no two records of one type may share
 a key, no record may name a field twice, the file has one version line
 (each repeat is refused, not taken in place of the first) and it states
 4, which is compared once every row is read so that an older file is
@@ -87,6 +89,7 @@ MAX_GROUP_GENERATORS = 32
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names it
 _TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
 _DATA_VERSION = 4  # the version this loader reads
+_PI_0 = FgAbGroup(1)  # the one group a homotopy row of degree 0 may state
 
 
 @dataclass(frozen=True)
@@ -166,11 +169,11 @@ def assignments_to_group_hom(source: CohomologyEntry,
     if set(amap) != set(src_names):
         raise DataFormatError("assignments do not cover the source generators")
     position = {}  # target name -> canonical index; a repeated name takes the first
-    for name, i in zip(target.names, target.canonical_index()):
+    for name, i in zip(target.names, target.positions):
         position.setdefault(name, i)
     n_src = len(source.generators)
     canonical = [[0] * n_src for _ in target.generators]
-    for src_name, j in zip(src_names, source.canonical_index()):
+    for src_name, j in zip(src_names, source.positions):
         for tgt_name, coeff in amap[src_name].items():
             if tgt_name not in position:
                 raise DataFormatError("unknown target generator %r" % tgt_name)
@@ -416,6 +419,11 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             elif rectype == "homotopy":
                 table, key = homotopy, (int(fields["d"]), int(fields["k"]))
                 rec = group(fields["group"])
+                if key[1] == 0 and rec != _PI_0:
+                    raise ValueError(
+                        "pi_0 is Z for every d: the ring gives H^0 = Z u and H^1 = 0, "
+                        "so Hurewicz (pi_0 = H_0 for a connective spectrum) and "
+                        "universal coefficients force H_0 = Z")
             elif rectype == "hz":
                 table, key, parsed = hz, int(fields["k"]), group(fields["group"])
                 if parsed.num_generators > 1:  # the entry names its generator hz<k>

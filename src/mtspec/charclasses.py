@@ -51,33 +51,38 @@ class CohomologyEntry:
     generator.  The group is read from the list: one Z per free generator
     and the torsion orders, sorted, as invariant factors, so the orders
     must form a divisibility chain of integers >= 2 (FgAbGroup's rule).
+    The views of the list are built with the entry: its names, its free
+    names, and each generator's position among the canonical generators
+    (free ones first, then torsion by ascending order).
     """
 
     generators: tuple  # ((name, order-or-None), ...)
     group: FgAbGroup = field(init=False, repr=False, compare=False)
+    names: tuple = field(init=False, repr=False, compare=False)
+    free_names: tuple = field(init=False, repr=False, compare=False)
+    positions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        torsion = sorted(order for _, order in self.generators if order is not None)
-        object.__setattr__(self, "group",
-                           FgAbGroup(len(self.generators) - len(torsion), tuple(torsion)))
-
-    @property
-    def names(self) -> tuple:
-        return tuple(name for name, _ in self.generators)
-
-    @property
-    def free_names(self) -> tuple:
-        return tuple(name for name, order in self.generators if order is None)
-
-    def canonical_index(self) -> list:
-        """Position of each listed generator among the canonical ones
-        (free generators first, then torsion by ascending order)."""
-        canonical = sorted(range(len(self.generators)),
-                           key=lambda i: (self.generators[i][1] or 0, i))
-        out = [0] * len(canonical)
+        names, free_names, canonical, torsion = [], [], [], []
+        for i, (name, order) in enumerate(self.generators):
+            names.append(name)
+            if order is None:
+                free_names.append(name)
+                canonical.append(i)
+            else:
+                torsion.append((order, i))
+        torsion.sort()
+        orders = []
+        for order, i in torsion:
+            orders.append(order)
+            canonical.append(i)
+        positions = [0] * len(canonical)
         for position, i in enumerate(canonical):
-            out[i] = position
-        return out
+            positions[i] = position
+        # the entry is frozen: its views are set past __setattr__
+        self.__dict__.update(group=FgAbGroup(len(free_names), tuple(orders)),
+                             names=tuple(names), free_names=tuple(free_names),
+                             positions=tuple(positions))
 
 
 def _degree_monomials(d: int, k: int) -> list:

@@ -18,17 +18,19 @@ package; serving a table does not import it.
 Every exactness check and every derivation runs on each call.  The
 arrows enter with the maps built when the data loaded, and H^k(HZ) as
 the table entry the load built.  What the proof only builds from a
-snapshot, the zero map between two groups and the cover's connectivity,
-it builds once per snapshot and keeps in that CertifiedData's
-``derived`` dict, its workspace; a new data file is a new CertifiedData
-with an empty one.
+snapshot, it builds once per snapshot and keeps in that CertifiedData's
+``derived`` dict, its workspace: the zero map between two groups, the
+cover's connectivity, each identification of two entries that the
+sequence synthesizes (or the reason there is none), and each completed
+enumeration of Ext^1(B, A).  A new data file is a new CertifiedData with
+an empty one.  The proof's records are named tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import certified
 from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
@@ -41,7 +43,8 @@ from .errors import DataFormatError, InternalCheckError, MtspecError
 
 # ---------------------------------------------------------------------------
 # the proof's workspace: values that depend on the snapshot alone, kept in
-# data.derived under ("zero", source, target) or ("connectivity", d)
+# data.derived under ("zero", source, target), ("connectivity", d),
+# ("identify", source entry, target entry) or ("extensions", A, B)
 
 
 def _zero_map(source: FgAbGroup, target: FgAbGroup, data) -> GroupHom:
@@ -67,26 +70,34 @@ def _cover_connectivity(d: int, data) -> int:
 # long exact sequence verification
 
 
-@dataclass(frozen=True)
-class LesCheck:
-    label: str
-    exact: bool
-    note: str = ""
+def _identification(source, target, data):
+    """The isomorphism pairing the entries' generators in order, or the
+    reason there is none."""
+    key = ("identify", source, target)
+    found = data.derived.get(key)
+    if found is None:
+        if source.group != target.group:
+            found = "groups differ but no map is recorded"
+        else:
+            pairing = tuple((s, ((t, 1),)) for s, t in zip(source.names, target.names))
+            try:
+                found = certified.assignments_to_group_hom(source, target, pairing)
+            except DataFormatError:
+                found = "no generator pairing identifies the groups"
+        data.derived[key] = found
+    return found
 
 
-@dataclass(frozen=True)
-class LesChunk:
-    description: str
-    groups: tuple
-    exact: bool
+class LesCheck(namedtuple("LesCheck", "label exact note", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LesReport:
-    d: int
-    checks: tuple
-    chunks: tuple
-    notes: tuple
+class LesChunk(namedtuple("LesChunk", "description groups exact")):
+    __slots__ = ()
+
+
+class LesReport(namedtuple("LesReport", "d checks chunks notes")):
+    __slots__ = ()
 
     @property
     def all_exact(self) -> bool:
@@ -121,20 +132,14 @@ def verify_les(d: int, data=None) -> LesReport:
     failures = {}
 
     def alpha(k: int):
-        src, tgt = nodes[3 * k], nodes[3 * k + 1]
-        if src.group == tgt.group:
-            pairing = tuple((s, ((t, 1),)) for s, t in zip(src.names, tgt.names))
-            try:
-                hom = certified.assignments_to_group_hom(src, tgt, pairing)
-            except DataFormatError:
-                failures[3 * k + 1] = "no generator pairing identifies the groups"
-                return None
-            notes.append("degree %d: identification of %s with %s synthesized "
-                         "as the canonical isomorphism"
-                         % (k, labels[3 * k], labels[3 * k + 1]))
-            return hom
-        failures[3 * k + 1] = "groups differ but no map is recorded"
-        return None
+        found = _identification(nodes[3 * k], nodes[3 * k + 1], data)
+        if isinstance(found, str):
+            failures[3 * k + 1] = found
+            return None
+        notes.append("degree %d: identification of %s with %s synthesized "
+                     "as the canonical isomorphism"
+                     % (k, labels[3 * k], labels[3 * k + 1]))
+        return found
 
     def beta(k: int):
         record = data.arrow("cover", d, k)
@@ -201,16 +206,12 @@ KIND_UNIVERSAL_COEFFICIENTS = "UniversalCoefficients"
 KIND_DIVISIBILITY = "DivisibilityFromSquare"
 
 
-@dataclass(frozen=True)
-class DerivationConstraint:
+class DerivationConstraint(namedtuple("DerivationConstraint",
+                                      "kind degree group divisor generator basis",
+                                      defaults=(None, None, None, None, ""))):
     """One side fact admitted into the derivation, citing its table source."""
 
-    kind: str
-    degree: int | None = None
-    group: FgAbGroup | None = None
-    divisor: int | None = None
-    generator: str | None = None
-    basis: str = ""
+    __slots__ = ()
 
     @classmethod
     def hurewicz_vanishing(cls, basis: str) -> "DerivationConstraint":
@@ -231,12 +232,9 @@ class DerivationConstraint:
                    basis=basis)
 
 
-@dataclass(frozen=True)
-class DerivationResult:
-    group: FgAbGroup | None
-    ambiguous: bool
-    candidates: frozenset | None
-    notes: tuple = ()
+class DerivationResult(namedtuple("DerivationResult", "group ambiguous candidates notes",
+                                  defaults=((),))):
+    __slots__ = ()
 
 
 def _extract_ses(d: int, k: int, data):
@@ -358,7 +356,14 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
                 "divisibility constraint references a generator, but the "
                 "subgroup has none in this degree")
         survivors = set()
-        for ext in enumerate_extensions(a_group, b_group):
+        # a completed enumeration is kept for the snapshot; one cut short
+        # below, where the pinned group turns up, is not
+        key = ("extensions", a_group, b_group)
+        kept = data.derived.get(key)
+        seen = [] if kept is None else None
+        for ext in kept if kept is not None else enumerate_extensions(a_group, b_group):
+            if seen is not None:
+                seen.append(ext)
             ok = True
             for c in divisibility:
                 if c.generator not in a_names:
@@ -372,6 +377,9 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
                 survivors.add(ext.group)
                 if ext.group == pinned:
                     break  # the pinned group is admissible; nothing else can survive
+        else:
+            if seen is not None:
+                data.derived[key] = tuple(seen)
         if not survivors:
             raise MtspecError("no extension satisfies the constraints")
         if pinned is not None:

@@ -25,14 +25,20 @@ from .errors import MtspecError
 from .exactnum import ExactComplex
 
 
-def connected_sum(a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
-    """Connected sum in dimensions 2 and 4: the sphere's euler 2 drops out."""
-    if a.dim != b.dim:
-        raise MtspecError("connected sum needs equal dimensions")
-    if a.dim not in (2, 4):
-        raise MtspecError("connected sum is provided for dimensions 2 and 4")
-    return ManifoldClass("%s#%s" % (a.name, b.name), a.dim,
-                         a.euler + b.euler - 2, a.signature + b.signature)
+def connected_sum(*chain: ManifoldClass) -> ManifoldClass:
+    """Connected sum of a chain in dimensions 2 and 4: each '#' drops a
+    sphere's euler 2.  A chain of one manifold is that manifold."""
+    first = chain[0]
+    for other in chain[1:]:
+        if other.dim != first.dim:
+            raise MtspecError("connected sum needs equal dimensions")
+        if first.dim not in (2, 4):
+            raise MtspecError("connected sum is provided for dimensions 2 and 4")
+    if len(chain) == 1:
+        return first
+    return ManifoldClass("#".join(m.name for m in chain), first.dim,
+                         sum(m.euler for m in chain) - 2 * (len(chain) - 1),
+                         sum(m.signature for m in chain))
 
 
 def formal_sum(pairs) -> ManifoldClass:
@@ -167,6 +173,10 @@ def invertible_4d_value(l1, l2, m: ManifoldClass) -> ExactComplex:
 # matched one way only and a failing match backtracks in linear time.
 _SUM_TERM_RE = re.compile(
     r"\s*(?:([+-])\s*)?(?:(?:\(\s*)?(-?\d+)\s*(?:\)\s*)?\*\s*)?([A-Za-z][A-Za-z0-9_]*)")
+# the catalog names one manifold expression or formal sum may hold
+MAX_EXPRESSION_TERMS = 1000
+_TOO_MANY_TERMS = ("the expression has more than MAX_EXPRESSION_TERMS (%d) terms"
+                   % MAX_EXPRESSION_TERMS)
 
 
 def _int(digits: str) -> int:
@@ -186,6 +196,8 @@ def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> ManifoldClass:
         match = _SUM_TERM_RE.match(text, pos)
         if not match or (pairs and match.group(1) is None):
             raise MtspecError("cannot parse formal sum at %r" % text[pos:])
+        if len(pairs) == MAX_EXPRESSION_TERMS:  # before the term past it is looked up
+            raise MtspecError(_TOO_MANY_TERMS)
         sign = -1 if match.group(1) == "-" else 1
         coeff = _int(match.group(2)) if match.group(2) is not None else 1
         pairs.append((catalog.get(match.group(3)), sign * coeff))
@@ -197,11 +209,9 @@ def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> ManifoldClass:
 
 def parse_manifold(text: str, catalog: ManifoldCatalog) -> ManifoldClass:
     """Parse a name, a connect-sum chain with '#', or a disjoint union with '+'."""
+    if text.count("+") + text.count("#") >= MAX_EXPRESSION_TERMS:  # before a name is read
+        raise MtspecError(_TOO_MANY_TERMS)
     chains = []
     for piece in text.split("+"):
-        parts = [catalog.get(p.strip()) for p in piece.split("#")]
-        acc = parts[0]
-        for nxt in parts[1:]:
-            acc = connected_sum(acc, nxt)
-        chains.append((acc, 1))
+        chains.append((connected_sum(*[catalog.get(p.strip()) for p in piece.split("#")]), 1))
     return formal_sum(chains)

@@ -445,6 +445,23 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be cyclic" in captured.err
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("group", ["0", "Z/2", "Z/3", "Z^2", "Z/6", "Z^3"])
+    def test_pi_0_is_z(self, capsys, monkeypatch, tmp_path, d, group):
+        # the ring gives H^0 = Z u and H^1 = 0 for every d, so Hurewicz and
+        # universal coefficients force pi_0 = H_0 = Z
+        record = "homotopy d=%d k=0 group=%s" % (d, group)
+        text = tampered("homotopy d=%d k=0 group=Z\n" % d, record + "\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(repr(record)) + ": pi_0 is Z for every d"):
+            parse_data(text)
+        path = tmp_path / "pi0.txt"
+        path.write_text(text)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "homotopy", "--d", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "pi_0 is Z" in captured.err
+
     def test_long_digit_run_fails_fast(self):
         bad = (
             "version=4\n"

@@ -20,7 +20,8 @@ from mtspec.certified import (MAX_GROUP_GENERATORS, CertifiedData, default_data_
                               load_data, parse_data)
 from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
 from mtspec.exactnum import ExactComplex, parse_exact
-from mtspec.tftlab import ManifoldClass, parse_formal_sum, parse_manifold, standard_manifolds
+from mtspec.tftlab import (MAX_EXPRESSION_TERMS, ManifoldClass, parse_formal_sum,
+                           parse_manifold, standard_manifolds)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -169,6 +170,36 @@ def test_parse_manifold_answers_or_refuses(text):
     assert value is None or isinstance(value, ManifoldClass)
 
 
+# one grammar each: the parser, a text of n terms, and a call that reads it
+TERM_BOUND_CASES = {
+    "formal-sum": (parse_formal_sum, lambda n: " + ".join(["S4"] * n),
+                   lambda text: ["bordism", "--d", "4", "--sum", text]),
+    "manifold": (parse_manifold, lambda n: "#".join(["Sigma_1"] * n),
+                 lambda text: ["eval", "euler", "--lam", "zeta6", "--manifold", text]),
+}
+
+
+@pytest.mark.parametrize("grammar", sorted(TERM_BOUND_CASES))
+def test_an_expression_at_the_term_bound_is_read(grammar, capsys):
+    parse, text_of, argv = TERM_BOUND_CASES[grammar]
+    text = text_of(MAX_EXPRESSION_TERMS)
+    assert isinstance(parse(text, CATALOG), ManifoldClass)
+    assert cli.main(argv(text)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("grammar", sorted(TERM_BOUND_CASES))
+def test_an_expression_past_the_term_bound_is_refused(grammar, capsys):
+    parse, text_of, argv = TERM_BOUND_CASES[grammar]
+    text = text_of(MAX_EXPRESSION_TERMS + 1)
+    with pytest.raises(MtspecError, match=r"more than MAX_EXPRESSION_TERMS \(1000\) terms"):
+        parse(text, CATALOG)
+    assert cli.main(argv(text)) == 2
+    assert capsys.readouterr() == (
+        "", "error: the expression has more than MAX_EXPRESSION_TERMS (1000) terms\n")
+
+
+
 # ---------------------------------------------------------------------------
 # parse_data loads a file or raises DataFormatError
 
@@ -248,12 +279,13 @@ def test_a_group_past_the_generator_bound_is_refused_at_once(group, tmp_path, mo
 
 
 def test_a_group_at_the_generator_bound_loads():
-    # an hz group must be cyclic, so the bound is met in a homotopy row
+    # an hz group must be cyclic and pi_0 is Z, so the bound is met in a
+    # homotopy row of positive degree
     shipped = "\n".join(SHIPPED_LINES) + "\n"
-    text = shipped.replace("\nhomotopy d=2 k=0 group=Z\n",
-                           "\nhomotopy d=2 k=0 group=Z^%d\n" % MAX_GROUP_GENERATORS)
+    text = shipped.replace("\nhomotopy d=3 k=1 group=0\n",
+                           "\nhomotopy d=3 k=1 group=Z^%d\n" % MAX_GROUP_GENERATORS)
     assert text != shipped
-    assert parse_data(text).homotopy[(2, 0)] == FgAbGroup(MAX_GROUP_GENERATORS)
+    assert parse_data(text).homotopy[(3, 1)] == FgAbGroup(MAX_GROUP_GENERATORS)
 
 
 def with_cover_gens(count, order=""):

@@ -165,9 +165,14 @@ class TestVerifyLes:
             return original(source, target, assignments)
         monkeypatch.setattr(certified, "assignments_to_group_hom", patched)
 
+    @staticmethod
+    def _fresh_data():
+        # a snapshot whose workspace holds no identification yet
+        return certified.parse_data(certified.default_data_path().read_text())
+
     def test_failed_identification_is_reported(self, monkeypatch):
         self._fail_identification(monkeypatch, DataFormatError("no pairing"))
-        report = verify_les(4)
+        report = verify_les(4, self._fresh_data())
         assert not report.all_exact
         assert "no generator pairing identifies the groups" in \
             [c.note for c in report.checks]
@@ -178,7 +183,7 @@ class TestVerifyLes:
     def test_unrelated_errors_propagate(self, monkeypatch):
         self._fail_identification(monkeypatch, RuntimeError("broken"))
         with pytest.raises(RuntimeError):
-            verify_les(4)
+            verify_les(4, self._fresh_data())
 
     def test_degree_four_chunk_of_d4(self):
         report = verify_les(4)
@@ -196,8 +201,9 @@ class TestVerifyLes:
     def test_recorded_maps_are_built_once(self, monkeypatch):
         # parse_data builds each arrow's map, recorded or computed, to
         # validate it and keeps it; the sequence reuses those maps and
-        # builds only the identifications it synthesizes: degree 0 for
-        # every d, and degree 3 for d = 3 and d = 4
+        # builds only the identifications it synthesizes, each once per
+        # snapshot: degree 0 (the same entries for every d), and degree 3
+        # (the same entries for d = 3 and d = 4)
         original = certified.assignments_to_group_hom
         built = []
 
@@ -212,7 +218,7 @@ class TestVerifyLes:
             assert verify_les(d, data).all_exact
         recorded = {arrow.assignments for arrow in data.arrows.values()}
         assert [a for a in built if a in recorded] == []
-        assert [a[0][0] for a in built] == ["hz0", "hz0", "hz3", "hz0", "hz3"]
+        assert [a[0][0] for a in built] == ["hz0", "hz3"]
 
     def test_cover_degree_five_vanishing_is_consistent(self):
         for d in (2, 3, 4):
@@ -407,10 +413,13 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     # exactness check takes one Smith form, plus a lattice solver when
     # neither map is zero (4 of 22), and each of the 4 connecting maps one
     # more; each extension class of a B with torsion takes one, and the 10
-    # split classes (B = 0 here) none.  Before, every extension class took
-    # one (56 in all); before that, a class took a cokernel plus a second
-    # Smith form per divisibility test, and every check two Smith forms:
-    # 53 _smith and 26 cokernel calls in all.
+    # split classes (B = 0 here) none.  The (2, 4) and (3, 4) derivations
+    # share the six classes of Ext^1(Z/6, Z), enumerated once per snapshot,
+    # and the (4, 4) one stops at the pinned group after 2 of its classes.
+    # Before, the six were enumerated twice (46 in all); before that, every
+    # extension class took one (56); before that, a class took a cokernel
+    # plus a second Smith form per divisibility test, and every check two
+    # Smith forms: 53 _smith and 26 cokernel calls in all.
     from mtspec import abelian, classify
     calls = {}
     for name in ("_smith", "cokernel"):
@@ -427,10 +436,42 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     for d in (2, 3, 4):
         for k in range(6):
             derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
-    assert calls == {"_smith": 46}
+    assert calls == {"_smith": 40}
     classify.gilmer_masbaum_report(data)
-    assert calls == {"_smith": 46}
+    assert calls == {"_smith": 40}
     # a free B splits every extension: no Smith form at all
     split = list(abelian.enumerate_extensions(FgAbGroup(2), FgAbGroup(1)))
     assert [ext.group for ext in split] == [FgAbGroup(3)]
-    assert calls == {"_smith": 46}
+    assert calls == {"_smith": 40}
+
+
+def test_the_workspace_keeps_each_completed_enumeration(monkeypatch):
+    from mtspec import spectra
+    enumerated = []
+
+    def counting(a, b, _original=spectra.enumerate_extensions):
+        enumerated.append((a, b))
+        return _original(a, b)
+    monkeypatch.setattr(spectra, "enumerate_extensions", counting)
+    data = certified.parse_data(certified.default_data_path().read_text())
+    reports, derived = prove_all(data)
+    assert all(report.all_exact for report in reports)
+    z6 = FgAbGroup(0, (6,))
+    assert enumerated.count((Z, z6)) == 1  # shared by (2, 4) and (3, 4)
+    assert isinstance(data.derived[("extensions", Z, z6)], tuple)
+    # the (4, 4) enumeration stops at the pinned group, so it is not kept
+    assert (FgAbGroup(2), z6) in enumerated
+    assert ("extensions", FgAbGroup(2), z6) not in data.derived
+    assert certified.parse_data(certified.default_data_path().read_text()).derived == {}
+
+
+def test_proof_records_are_immutable():
+    data = load_data()
+    report = verify_les(2, data)
+    records = [report, report.checks[0], report.chunks[0],
+               DerivationConstraint.hurewicz_vanishing("basis"),
+               derive_cover_cohomology(2, 4, default_constraints(2, 4, data), data)]
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)

@@ -90,6 +90,13 @@ class TestConstructors:
         assert (both.euler + both.signature) % 2 == 0
         genus_sum = connected_sum(sigma(1), sigma(2))
         assert genus_sum.euler == sigma(3).euler
+        # a chain is summed in one pass, as '#' reads left to right
+        chain = connected_sum(sigma(1), sigma(2), sigma(1))
+        assert (chain.name, chain.euler, chain.signature) == (
+            "Sigma_1#Sigma_2#Sigma_1", sigma(4).euler, 0)
+        assert connected_sum(cp2) is cp2
+        with pytest.raises(MtspecError, match="connected sum needs equal dimensions"):
+            connected_sum(sigma(1), sigma(2), cp2)
 
     def test_disjoint_union(self):
         s4 = CATALOG.get("S4")
