@@ -90,6 +90,19 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names i
 _TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
 _DATA_VERSION = 4  # the version this loader reads
 _PI_0 = FgAbGroup(1)  # the one group a homotopy row of degree 0 may state
+# the keys a table row may have, and the refusal of any other: the first
+# covers that the proof derives, the homotopy groups in degrees 0..d, and
+# H^k(HZ) in the degrees of the long exact sequence; nothing reads or
+# proves a row outside them
+_COVER_ROW_KEYS = frozenset((d, 1, k) for d in (2, 3, 4) for k in range(MAX_TABLE_DEGREE + 1))
+_HOMOTOPY_KEYS = frozenset((d, k) for d in (1, 2, 3, 4) for k in range(d + 1))
+_HZ_DEGREES = range(MAX_TABLE_DEGREE + 2)
+_OUTSIDE = {
+    "cohomology": "outside the tables: a cohomology row has d=2..4, cover=1 and "
+                  "k=0..%d" % MAX_TABLE_DEGREE,
+    "homotopy": "outside the tables: a homotopy row has d=1..4 and k=0..d",
+    "hz": "outside the tables: an hz row has k=0..%d" % (MAX_TABLE_DEGREE + 1),
+}
 
 
 @dataclass(frozen=True)
@@ -412,12 +425,16 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 if key[1] == 0:
                     raise ValueError("uncovered rows are the ring's Thom-module "
                                      "pieces, not recorded; delete the cover=0 row")
+                if key not in _COVER_ROW_KEYS:
+                    raise ValueError(_OUTSIDE[rectype])
                 spelled = fields.get("gens", "")
                 rec = entries.get(spelled)
                 if rec is None:
                     rec = entries[spelled] = CohomologyEntry(_parse_gens(spelled))
             elif rectype == "homotopy":
                 table, key = homotopy, (int(fields["d"]), int(fields["k"]))
+                if key not in _HOMOTOPY_KEYS:
+                    raise ValueError(_OUTSIDE[rectype])
                 rec = group(fields["group"])
                 if key[1] == 0 and rec != _PI_0:
                     raise ValueError(
@@ -425,7 +442,10 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                         "so Hurewicz (pi_0 = H_0 for a connective spectrum) and "
                         "universal coefficients force H_0 = Z")
             elif rectype == "hz":
-                table, key, parsed = hz, int(fields["k"]), group(fields["group"])
+                table, key = hz, int(fields["k"])
+                if key not in _HZ_DEGREES:
+                    raise ValueError(_OUTSIDE[rectype])
+                parsed = group(fields["group"])
                 if parsed.num_generators > 1:  # the entry names its generator hz<k>
                     raise ValueError("an hz group must be cyclic, generated by hz%d" % key)
                 rec = CohomologyEntry(tuple(("hz%d" % key, order or None)

@@ -9,9 +9,9 @@ Restriction maps act multiplicatively through the recorded generator
 maps.  A kernel is read off one Smith form of the transposed exponent
 matrix: its group from the diagonal, and, when small, its elements as
 root-of-unity tuples whose phases are integers modulo the lcm of that
-diagonal.  Everything is exact.  Only the functions that make
-coordinates import ``exactnum``, so a classification or the certificate
-does not load it.
+diagonal.  Everything is exact.  ``exactnum`` is imported when the first
+coordinate is made, not with this module, so a classification or the
+certificate does not load it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ from .certified import SpectrumId
 from .errors import InternalCheckError, MtspecError
 
 _KERNEL_LISTING_BOUND = 64
+_exact_complex = None  # exactnum.ExactComplex, once a coordinate is made
+
+
+def _exact():
+    """exactnum.ExactComplex, imported on the first call only."""
+    global _exact_complex
+    if _exact_complex is None:
+        from .exactnum import ExactComplex
+        _exact_complex = ExactComplex
+    return _exact_complex
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,8 @@ class TheoryParams:
 
     @classmethod
     def of(cls, values) -> "TheoryParams":
-        from .exactnum import ExactComplex
-        return cls(tuple(ExactComplex.of(v) for v in values))
+        exact = _exact().of
+        return cls(tuple(exact(v) for v in values))
 
     def __iter__(self):
         return iter(self.coords)
@@ -110,7 +120,6 @@ def restriction_matrix(source: TheoryGroup, target: TheoryGroup, data=None) -> I
 def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
                     data=None) -> TheoryParams:
     """Push theory coordinates along a restriction, exactly."""
-    from .exactnum import ExactComplex
     data = data or certified.load_data()
     source = classify(d, n_from, data)
     _check_levels(d, n_from, n_to)  # before the target level is classified
@@ -118,12 +127,13 @@ def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
     if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
         raise MtspecError("coordinate transport needs trivial finite parts")
     matrix = restriction_matrix(source, target, data)
-    coords = tuple(ExactComplex.of(v) for v in params)
+    exact = _exact()
+    coords = tuple(exact.of(v) for v in params)
     if len(coords) != len(matrix.rows):
         raise MtspecError("expected %d coordinates, got %d" % (len(matrix.rows), len(coords)))
     out = []
     for column in matrix.columns():
-        value = ExactComplex.one()
+        value = exact.one()
         for x, e in zip(coords, column):
             value = value * x ** e
         out.append(value)
@@ -157,14 +167,14 @@ def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> Restriction
     elements = None
     order = group.order()
     if order is not None and order <= _KERNEL_LISTING_BOUND:
-        from .exactnum import ExactComplex
+        root_of_unity = _exact().root_of_unity
         lcm = math.lcm(*diag)
         steps = [lcm // s for s in diag]
         phases = sorted(
             tuple(sum(x * k * step for x, k, step in zip(row, ks, steps)) % lcm
                   for row in v.rows)
             for ks in itertools.product(*map(range, diag)))
-        elements = tuple(tuple(ExactComplex.root_of_unity(lcm, p) for p in phase)
+        elements = tuple(tuple(root_of_unity(lcm, p) for p in phase)
                          for phase in phases)
     return RestrictionKernel(group, source.basis_names, elements)
 

@@ -2,10 +2,16 @@
 
 This little value class is what keeps theory parameters, kernel elements
 and manifold invariants exact end to end.  Every value is q * zeta_n^k
-with q a positive rational and 0 <= k < n reduced, which is closed under
-multiplication and integer powers.  There is no floating point anywhere.
-A value leaves the program only as its JSON form (``to_json``), from
-which the CLI renders the text users see.
+with q a positive rational (a ``Fraction``) and the phase k/n of a full
+turn kept as the reduced integer pair (power k, order n): 0 <= k < n,
+gcd(k, n) = 1, and n = 1 for the phase 0.  The set is closed under
+multiplication and integer powers, and since the pair is reduced, two
+values are equal exactly when their fields are.  A product adds the
+phases over the product of the orders, a power multiplies the power, and
+a sign adds half a turn; each is reduced with one ``%`` and one
+``math.gcd``, so no ``Fraction`` is made for a phase.  There is no
+floating point anywhere.  A value leaves the program only as its JSON
+form (``to_json``), from which the CLI renders the text users see.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import MtspecError
 
@@ -27,51 +34,66 @@ MAX_POWER_DIGITS = 20_000
 
 @dataclass(frozen=True)
 class ExactComplex:
-    mag: Fraction   # > 0
-    root: Fraction  # phase as a fraction of a full turn, in [0, 1)
+    mag: Fraction  # > 0
+    power: int     # the phase is power/order of a full turn, reduced:
+    order: int     # 0 <= power < order, coprime, and order 1 for phase 0
 
     def __post_init__(self):
         if self.mag <= 0:
             raise ValueError("magnitude must be positive (values are nonzero)")
-        if not 0 <= self.root < 1:
-            raise ValueError("root exponent must be reduced into [0, 1)")
+        if not (0 <= self.power < self.order and gcd(self.power, self.order) == 1):
+            raise ValueError("the phase must be a reduced pair: 0 <= power < order, "
+                             "coprime")
+
+    @property
+    def root(self) -> Fraction:
+        """The phase as a fraction of a full turn, in [0, 1)."""
+        return Fraction(self.power, self.order)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(mag: Fraction, root: Fraction) -> "ExactComplex":
+    def _make(mag: Fraction, power: int, order: int) -> "ExactComplex":
+        """mag * zeta_order^power for any rational mag != 0, any integer
+        power and order >= 1, reduced: a negative mag is -mag half a turn
+        on."""
         if mag == 0:
             raise MtspecError("exact complex values are nonzero")
         if mag < 0:
             mag = -mag
-            root = root + Fraction(1, 2)
-        return ExactComplex(mag, root % 1)
+            power, order = 2 * power + order, 2 * order
+        power %= order
+        common = gcd(power, order)
+        return ExactComplex(mag, power // common, order // common)
 
     @classmethod
     def of(cls, value) -> "ExactComplex":
         if isinstance(value, ExactComplex):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls._make(Fraction(value), Fraction(0))
+            return cls._make(Fraction(value), 0, 1)
         if isinstance(value, str):
             return parse_exact(value)
         raise TypeError("cannot build an exact value from %r" % (value,))
 
     @classmethod
     def one(cls) -> "ExactComplex":
-        return cls(Fraction(1), Fraction(0))
+        return cls(Fraction(1), 0, 1)
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "ExactComplex":
         if order < 1:
             raise ValueError("root order must be positive")
-        return cls._make(Fraction(1), Fraction(power, order))
+        return cls._make(Fraction(1), power, order)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
         other = ExactComplex.of(other)
-        return ExactComplex._make(self.mag * other.mag, self.root + other.root)
+        # power/order + power'/order' over the common multiple order*order'
+        return ExactComplex._make(self.mag * other.mag,
+                                  self.power * other.order + other.power * self.order,
+                                  self.order * other.order)
 
     def __pow__(self, exponent: int) -> "ExactComplex":
         if not isinstance(exponent, int):
@@ -87,15 +109,14 @@ class ExactComplex:
             if digits > MAX_POWER_DIGITS:
                 raise MtspecError("a power with about %d digits exceeds the bound "
                                   "MAX_POWER_DIGITS = %d" % (digits, MAX_POWER_DIGITS))
-        return ExactComplex._make(self.mag ** exponent, self.root * exponent)
+        return ExactComplex._make(self.mag ** exponent, self.power * exponent, self.order)
 
     # -- rendering ----------------------------------------------------------
 
     def to_json(self) -> dict:
         out = {"magnitude": _text(self.mag)}
-        if self.root != 0:
-            out["root_of_unity"] = {"order": self.root.denominator,
-                                    "power": self.root.numerator}
+        if self.order != 1:
+            out["root_of_unity"] = {"order": self.order, "power": self.power}
         return out
 
 
@@ -128,15 +149,17 @@ def parse_exact(text: str) -> ExactComplex:
         raise MtspecError("cannot parse exact value %r" % text)
     try:
         mag = Fraction(match.group("rat")) if match.group("rat") else Fraction(1)
-        root = Fraction(0)
+        power, order = 0, 1
         if match.group("order"):
             power = int(match.group("power")
                         or (match.group("superscript") or "1").translate(_FROM_SUPERSCRIPTS))
-            root = Fraction(power, int(match.group("order")))
+            order = int(match.group("order"))
+            if not order:  # zeta0, as 1/0: no root has order 0
+                raise ZeroDivisionError
     except ZeroDivisionError:
         raise MtspecError("zero denominator in exact value %r" % text) from None
     except ValueError as exc:  # more digits than this interpreter converts
         raise MtspecError("cannot parse exact value: %s" % exc) from None
     if match.group("sign") == "-":
         mag = -mag
-    return ExactComplex._make(mag, root)
+    return ExactComplex._make(mag, power, order)

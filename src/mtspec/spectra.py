@@ -23,11 +23,13 @@ snapshot, it builds once per snapshot and keeps in that CertifiedData's
 cover's connectivity, each identification of two entries that the
 sequence synthesizes (or the reason there is none), and each completed
 enumeration of Ext^1(B, A).  A new data file is a new CertifiedData with
-an empty one.  The proof's records are named tuples.
+an empty one.  The sequence's labels depend on d alone and are built
+once per d.  The proof's records are named tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -88,6 +90,23 @@ def _identification(source, target, data):
     return found
 
 
+@functools.cache
+def _les_layout(d: int) -> tuple:
+    """The labels of the sequence for d, in order, and the (spectrum,
+    degree) of the table entry behind each, the spectrum None for HZ."""
+    shown = [(spectrum, spectrum.display(True))
+             for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
+    labels, lookups = [], []
+    for k in range(MAX_TABLE_DEGREE + 2):
+        labels.append("HZ^%d(HZ)" % k)
+        lookups.append((None, k))
+        if k <= MAX_TABLE_DEGREE:
+            for spectrum, text in shown:
+                labels.append("H^%d(%s)" % (k, text))
+                lookups.append((spectrum, k))
+    return tuple(labels), tuple(lookups)
+
+
 class LesCheck(namedtuple("LesCheck", "label exact note", defaults=("",))):
     __slots__ = ()
 
@@ -117,16 +136,9 @@ def verify_les(d: int, data=None) -> LesReport:
     data = data or certified.load_data()
     if d not in (2, 3, 4):
         raise MtspecError("the fiber sequence is recorded for d = 2, 3, 4")
-    labels, nodes = [], []  # one labelled CohomologyEntry per group, in order
-    shown = [(spectrum, spectrum.display(True))
-             for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
-    for k in range(MAX_TABLE_DEGREE + 2):
-        labels.append("HZ^%d(HZ)" % k)
-        nodes.append(hz_self_cohomology(k, data))
-        if k <= MAX_TABLE_DEGREE:
-            for spectrum, text in shown:
-                labels.append("H^%d(%s)" % (k, text))
-                nodes.append(cohomology(spectrum, k, data))
+    labels, lookups = _les_layout(d)  # one labelled CohomologyEntry per group, in order
+    nodes = [hz_self_cohomology(k, data) if spectrum is None else cohomology(spectrum, k, data)
+             for spectrum, k in lookups]
 
     notes = []
     failures = {}

@@ -462,6 +462,26 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == "" and "pi_0 is Z" in captured.err
 
+    @pytest.mark.parametrize("record,allowed", [
+        ("homotopy d=9 k=7 group=Z/5", "a homotopy row has d=1..4 and k=0..d"),
+        ("hz k=40 group=Z/2", "an hz row has k=0..6"),
+        ("cohomology d=7 cover=1 k=3 gens=x", "a cohomology row has d=2..4, cover=1 and k=0..5"),
+    ], ids=["homotopy", "hz", "cohomology"])
+    def test_a_row_outside_the_tables_is_refused(self, capsys, monkeypatch, tmp_path,
+                                                  record, allowed):
+        # nothing serves or proves such a row, so the shipped file plus one
+        # is refused, naming the line and the range
+        text = default_data_path().read_text() + record + "\n"
+        with pytest.raises(DataFormatError,
+                           match=re.escape("%r: outside the tables: %s" % (record, allowed))):
+            parse_data(text)
+        path = tmp_path / "outside.txt"
+        path.write_text(text)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside the tables" in captured.err
+
     def test_long_digit_run_fails_fast(self):
         bad = (
             "version=4\n"

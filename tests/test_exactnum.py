@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import time
@@ -17,8 +18,9 @@ class TestConstruction:
     def test_sign_folds_into_the_root(self):
         minus_two = ExactComplex.of(-2)
         assert minus_two.mag == 2
+        assert (minus_two.power, minus_two.order) == (1, 2)
         assert minus_two.root == Fraction(1, 2)
-        
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             ExactComplex.of(0)
@@ -221,3 +223,128 @@ class TestParserLanguage:
         with pytest.raises(ValueError):
             parse_exact(text)
         assert time.perf_counter() - start < 1
+
+
+# An independent model of a value: its magnitude and its phase as a
+# Fraction of a full turn in [0, 1), as the benchmark's oracles keep it.
+def model_mul(a, b):
+    return a[0] * b[0], (a[1] + b[1]) % 1
+
+
+def model_pow(a, n):
+    return a[0] ** n, (a[1] * n) % 1
+
+
+def model(value):
+    return value.mag, value.root
+
+
+def assert_reduced(value):
+    assert 0 <= value.power < value.order
+    assert math.gcd(value.power, value.order) == 1  # so order 1 for phase 0
+    assert value.mag > 0
+
+
+def with_models(st, rationals, orders, powers):
+    """(value, its model) pairs: q * zeta_order^power, built through
+    ExactComplex.of, root_of_unity and a product, and modelled apart."""
+    def pair(q, order, power):
+        value = ExactComplex.of(q) * ExactComplex.root_of_unity(order, power)
+        sign = Fraction(1, 2) if q < 0 else Fraction(0)
+        return value, (abs(q), (sign + Fraction(power, order)) % 1)
+    return st.builds(pair, rationals, orders, powers)
+
+
+def check_examples(*strategies, examples=200):
+    """The decorated check, run on that many examples of the strategies."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def run(check):
+        hypothesis.settings(max_examples=examples, deadline=None, derandomize=True,
+                            database=None)(hypothesis.given(*strategies)(check))()
+    return run
+
+
+class TestAgainstTheModel:
+    """Products, powers, signs and equality agree with the Fraction model,
+    and every value's phase is a reduced (power, order) pair."""
+
+    @staticmethod
+    def values():
+        st = pytest.importorskip("hypothesis.strategies")
+        return with_models(st, st.fractions(min_value=-9, max_value=9,
+                                            max_denominator=9).filter(bool),
+                           st.integers(1, 60), st.integers(-200, 200))
+
+    def test_products(self):
+        @check_examples(self.values(), self.values())
+        def check(a, b):
+            product = a[0] * b[0]
+            assert_reduced(product)
+            assert model(product) == model_mul(a[1], b[1])
+            assert model(a[0]) == a[1] and model(b[0]) == b[1]
+
+    def test_powers(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @check_examples(self.values(), st.integers(-MAX_POWER_EXPONENT, MAX_POWER_EXPONENT),
+                        examples=100)
+        def check(a, n):
+            power = a[0] ** n
+            assert_reduced(power)
+            assert model(power) == model_pow(a[1], n)
+
+    def test_sign_is_half_a_turn(self):
+        @check_examples(self.values())
+        def check(a):
+            negated = a[0] * ExactComplex.of(-1)
+            assert_reduced(negated)
+            assert model(negated) == (a[1][0], (a[1][1] + Fraction(1, 2)) % 1)
+            assert negated != a[0] and negated * ExactComplex.of(-1) == a[0]
+
+    def test_equality_is_the_models(self):
+        st = pytest.importorskip("hypothesis.strategies")
+        # small orders and magnitudes, so that equal values come up often
+        small = with_models(st, st.sampled_from([Fraction(-1), Fraction(1), Fraction(2)]),
+                            st.integers(1, 6), st.integers(-6, 6))
+
+        @check_examples(small, small)
+        def check(a, b):
+            assert (a[0] == b[0]) == (a[1] == b[1])
+            if a[0] == b[0]:
+                assert hash(a[0]) == hash(b[0])
+
+    def test_the_json_text_parses_back(self):
+        @check_examples(self.values())
+        def check(a):
+            document = a[0].to_json()
+            text = document["magnitude"]
+            root = document.get("root_of_unity")
+            if root is not None:
+                text += "*zeta%d^%d" % (root["order"], root["power"])
+            assert parse_exact(text) == a[0]
+
+    @pytest.mark.parametrize("text", ["zeta1^5", "-zeta2", "zeta4^4", "-1*zeta6^3"])
+    def test_phases_that_are_whole_turns_are_one(self, text):
+        one = parse_exact(text)
+        assert one == ExactComplex.one()
+        assert (one.power, one.order) == (0, 1)
+        assert one.to_json() == {"magnitude": "1"}
+
+    def test_a_huge_order_squares_at_once(self):
+        start = time.perf_counter()
+        z = parse_exact("zeta999999999999")
+        assert z * z == z ** 2 == ExactComplex.root_of_unity(999999999999, 2)
+        assert (z ** 2).to_json() == {"magnitude": "1", "root_of_unity": {
+            "order": 999999999999, "power": 2}}
+        assert time.perf_counter() - start < 0.1
+
+    def test_an_unreduced_pair_is_refused(self):
+        for power, order in [(0, 2), (2, 4), (3, 3), (-1, 3), (0, 0)]:
+            with pytest.raises(ValueError):
+                ExactComplex(Fraction(1), power, order)
+        with pytest.raises(ValueError):
+            ExactComplex(Fraction(-1), 0, 1)
+        assert ExactComplex(Fraction(1), 0, 1) == ExactComplex.one()
+        with pytest.raises(AttributeError):
+            ExactComplex.one().power = 1

@@ -31,6 +31,8 @@ ALLOWED = {
                            "planned `mtspec verify`",
     "units_kernel": "the benchmark's snf-large workload times it; the "
                     "package reads a restriction kernel off one Smith form",
+    "ExactComplex.root": "the benchmark's oracles read a value's phase as a "
+                         "Fraction; the package reads the integer pair",
 }
 
 

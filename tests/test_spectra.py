@@ -220,6 +220,23 @@ class TestVerifyLes:
         assert [a for a in built if a in recorded] == []
         assert [a[0][0] for a in built] == ["hz0", "hz3"]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_every_call_gives_the_same_report(self, d):
+        # a check per group, labelled in sequence order; the labels depend
+        # on d alone, and reports on one snapshot or on two are equal
+        # field for field
+        text = certified.default_data_path().read_text()
+        data = certified.parse_data(text)
+        report = verify_les(d, data)
+        spectra = ("Sigma^%d MTSO(%d)" % (d, d), "p>=1 Sigma^%d MTSO(%d)" % (d, d))
+        labels = []
+        for k in range(7):
+            labels.append("HZ^%d(HZ)" % k)
+            labels += ["H^%d(%s)" % (k, spectrum) for spectrum in spectra if k <= 5]
+        assert [check.label for check in report.checks] == labels
+        for again in (verify_les(d, data), verify_les(d, certified.parse_data(text))):
+            assert again._asdict() == report._asdict()
+
     def test_cover_degree_five_vanishing_is_consistent(self):
         for d in (2, 3, 4):
             assert cohomology(SpectrumId(d, 1), 5).group == FgAbGroup()
