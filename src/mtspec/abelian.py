@@ -27,23 +27,26 @@ The Smith form has two paths:
   so one row step updates both, and a finished pivot sets its U row
   aside and leaves the block with its column.  ``smith_normal_form``
   wraps it in ``IntMatrix`` values for ``classify.restriction_kernel``.
-  The consistency proof calls it on lists, once per matrix it decides:
-  ``_quotient`` reads a quotient group and the projection onto it off U
-  and the diagonal (for ``cokernel_with_projection`` and for each class
-  of ``enumerate_extensions``), ``check_exact`` reads a kernel off V,
-  and ``_lattice_solver`` tests membership in a span.  Each pivot's column
+  The consistency proof factors each map once: a ``GroupHom`` keeps the
+  form of [matrix | target relations] from its first use.  ``check_exact``
+  reads a kernel off g's V and tests membership in f's image off f's U
+  and diagonal; ``_quotient`` reads a quotient group and the projection
+  onto it off U and the diagonal (for ``GroupHom.cokernel_projection``
+  and for each class of ``enumerate_extensions``).  Each pivot's column
   is cleared by row Euclid steps and its row by column Euclid steps,
   with nearest-integer quotients, before the next pivot is chosen.  That
   keeps the transform entries of a random 40 x 40 matrix with entries
   in [-9, 9] near 550 digits; choosing a new pivot from the whole block
   after every partial reduction lets them reach about 1,450.
 
-All values are immutable after construction and all operations are pure,
+All values are immutable after construction and all operations are pure
+(a map's stored Smith form is the same value whoever computes it first),
 so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -360,22 +363,6 @@ def _clear_pivot(top: list, mat: list, modulus: int) -> int:
             row[0], row[j] = (s * x + t * y) % modulus, (ag * y - bg * x) % modulus
 
 
-def _lattice_solver(rows, ncols: int):
-    """Precompute a membership test for the Z-span of the columns of the
-    matrix with these rows, which has at least one column."""
-    u, diag, _ = _smith(rows, ncols)
-    rank = len(diag) - diag.count(0)
-    divisors = list(zip(u[:rank], diag))
-    rest = u[rank:]
-
-    def contains(vec):
-        return (all(sum(a * b for a, b in zip(row, vec)) % d == 0
-                    for row, d in divisors)
-                and not any(sum(a * b for a, b in zip(row, vec)) for row in rest))
-
-    return contains
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
@@ -518,7 +505,9 @@ class GroupHom:
 
     Column j of ``matrix`` is the image of the j-th source generator in
     the target's canonical generators, so matrix shape is
-    (target generators) x (source generators).
+    (target generators) x (source generators).  Its image, kernel and
+    cokernel are read off one Smith form, kept from its first use outside
+    the fields, so equality, hashing and repr do not see it.
     """
 
     source: FgAbGroup
@@ -534,6 +523,21 @@ class GroupHom:
         for j, d in enumerate(self.source.torsion, self.source.free_rank):
             if not element_is_zero(self.target, [d * row[j] for row in rows]):
                 raise ValueError("homomorphism not well-defined on torsion generator %d" % j)
+
+    @functools.cached_property
+    def _smith_form(self):
+        """(U rows, diagonal, V columns) of [matrix | target relations],
+        shared by every reader, so not to be modified."""
+        matrix = self.matrix
+        return _smith(_with_relations(matrix.rows, matrix.ncols, self.target),
+                      matrix.ncols + len(self.target.torsion))
+
+    def cokernel_projection(self):
+        """The quotient Q of the target by the image, in canonical form, and
+        the projection onto it: (Q, a GroupHom from the target onto Q)."""
+        quotient, rows = _quotient(self._smith_form)
+        return quotient, GroupHom(self.target, quotient,
+                                  IntMatrix(rows, self.target.num_generators))
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
@@ -558,10 +562,10 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
 
     Once g o f == 0, image(f) lies in kernel(g): every image column then
     maps into the target relations, and the middle relations map there
-    because g is well-defined.  So only kernel(g) <= image(f) is tested.
-    A zero map on either side needs one Smith form: a zero g needs f onto,
-    read off the diagonal for [f | middle relations]; a zero f needs g
-    injective, every kernel vector of [g | target relations] zero.
+    because g is well-defined.  So only kernel(g) <= image(f) is tested,
+    on the maps' stored Smith forms: kernel(g) off g's V, image(f) off f's
+    U and diagonal.  A zero map on either side needs one form: a zero g
+    needs f onto, f's diagonal all 1; a zero f needs kernel(g) zero.
     """
     if f.target != g.source:
         raise InternalCheckError("check_exact needs target(f) == source(g)")
@@ -569,26 +573,30 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
     if middle.is_trivial:
         return True
     n = middle.num_generators
-    f_rows, f_width = f.matrix.rows, f.matrix.ncols
-    relations = f_width + len(middle.torsion)  # columns of [f | middle relations]
     g_rows = g.matrix.rows
     if not any(map(any, g_rows)):
-        _, diag, _ = _smith(_with_relations(f_rows, f_width, middle), relations)
-        return diag.count(1) == n
-    f_cols = f.matrix.columns() if any(map(any, f_rows)) else []
+        return f._smith_form[1].count(1) == n
+    f_cols = f.matrix.columns() if any(map(any, f.matrix.rows)) else []
     for col in f_cols:
         if not element_is_zero(g.target, [sum(a * b for a, b in zip(row, col))
                                           for row in g_rows]):
             return False
 
     # kernel of g as a lattice in Z^n: x with g.matrix @ x in the span of
-    # the target relations; computed from the kernel of [g.matrix | rel_tgt]
-    _, diag, v = _smith(_with_relations(g_rows, n, g.target), n + len(g.target.torsion))
+    # the target relations, from the kernel of [g.matrix | rel_tgt]
+    _, diag, v = g._smith_form
     kernel = [col[:n] for col in v[len(diag) - diag.count(0):]]
     if not f_cols:
         return all(element_is_zero(middle, x) for x in kernel)
-    in_image = _lattice_solver(_with_relations(f_rows, f_width, middle), relations)
-    return all(in_image(x) for x in kernel)
+    # x lies in the span of [f.matrix | rel_middle] when U x is divisible
+    # by the diagonal, entry by entry, and zero past its rank
+    u, diag, _ = f._smith_form
+    rank = len(diag) - diag.count(0)
+    for x in kernel:
+        coords = [sum(a * b for a, b in zip(row, x)) for row in u]
+        if any(c % d for c, d in zip(coords, diag[:rank])) or any(coords[rank:]):
+            return False
+    return True
 
 
 def cokernel(relations: IntMatrix) -> FgAbGroup:
@@ -625,30 +633,14 @@ def cokernel(relations: IntMatrix) -> FgAbGroup:
     return FgAbGroup(free, chain[:len(chain) - free])
 
 
-def _quotient(rows, ncols: int):
-    """Z^n modulo the span of the columns of the matrix with these n rows,
-    from one Smith form: the group Q and the rows of the projection onto
-    Q's canonical generators (the rows of U for the free part, then those
-    of invariant factors above 1)."""
-    u, diag, _ = _smith(rows, ncols)
+def _quotient(form):
+    """Z^m modulo the span of the columns of an m-row matrix, read off the
+    U rows and the diagonal of its Smith form: the group Q and the rows of
+    the projection onto Q's canonical generators (the rows of U for the
+    free part, then those of invariant factors above 1)."""
+    u, diag, _ = form
     ones, rank = diag.count(1), len(diag) - diag.count(0)  # the chain is 1, ..., 1, d, ..., 0, ...
-    return FgAbGroup(len(rows) - rank, tuple(diag[ones:rank])), u[rank:] + u[ones:rank]
-
-
-def cokernel_with_projection(group: FgAbGroup, column_vectors):
-    """Quotient of a group by the subgroup generated by the given columns.
-
-    Returns (Q, proj) with proj a GroupHom from the group onto the
-    canonical form Q of the quotient.
-    """
-    n = group.num_generators
-    columns = [list(c) for c in column_vectors]
-    if any(len(c) != n for c in columns):
-        raise ValueError("column length does not match generator count")
-    rows = [[c[i] for c in columns] for i in range(n)]
-    quotient, proj_rows = _quotient(_with_relations(rows, len(columns), group),
-                                    len(columns) + len(group.torsion))
-    return quotient, GroupHom(group, quotient, IntMatrix(proj_rows, n))
+    return FgAbGroup(len(u) - rank, tuple(diag[ones:rank])), u[rank:] + u[ones:rank]
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +716,7 @@ def enumerate_extensions(a: FgAbGroup, b: FgAbGroup):
     for phi in itertools.product(*reps_per_relation):
         rows = b_rows + [[-rep[j] for rep in phi] + relations
                          for j, relations in enumerate(a_relations)]
-        group, proj_rows = _quotient(rows, width)
+        group, proj_rows = _quotient(_smith(rows, width))
         # X has B's torsion, so the projection has rows; its column
         # a_offset + j is the image of A-generator j
         yield Extension(group, tuple(zip(*proj_rows))[a_offset:])

@@ -22,9 +22,11 @@ snapshot, it builds once per snapshot and keeps in that CertifiedData's
 ``derived`` dict, its workspace: the zero map between two groups, the
 cover's connectivity, each identification of two entries that the
 sequence synthesizes (or the reason there is none), and each completed
-enumeration of Ext^1(B, A).  A new data file is a new CertifiedData with
-an empty one.  The sequence's labels depend on d alone and are built
-once per d.  The proof's records are named tuples.
+enumeration of Ext^1(B, A).  A map keeps its Smith form, so each arrow
+and workspace map is factored once per snapshot, for every check and
+connecting map that reads it.  A new data file is a new CertifiedData
+with an empty one.  The sequence's labels depend on d alone and are
+built once per d.  The proof's records are named tuples.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import namedtuple
 
 from . import certified
 from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
-                      cokernel_with_projection, enumerate_extensions, zero_hom)
+                      enumerate_extensions, zero_hom)
 # the lookups below are used here, and some are read through this module;
 # see the module docstring
 from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology,  # noqa: F401
@@ -161,29 +163,29 @@ def verify_les(d: int, data=None) -> LesReport:
         return record.hom
 
     def delta(k: int):
-        src, tgt = nodes[3 * k + 2], nodes[3 * k + 3]
-        image = maps[3 * k + 2].matrix.columns() if maps[3 * k + 2] else []
-        quotient, proj = cokernel_with_projection(src.group, image)
-        if quotient != tgt.group:
+        quotient, proj = into(3 * k + 2).cokernel_projection()
+        expected = nodes[3 * k + 3].group
+        if quotient != expected:
             failures[3 * k + 3] = ("connecting map: quotient by the recorded "
-                                   "image is %s, expected %s" % (quotient, tgt.group))
+                                   "image is %s, expected %s" % (quotient, expected))
             return None
         notes.append("degree %d: connecting map onto %s synthesized as the "
                      "canonical quotient projection" % (k, labels[3 * k + 3]))
         return proj
 
     # maps[i] goes into nodes[i], and the last one out of the sequence; a
-    # map touching a zero group is None, made a zero map only if checked
+    # map touching a zero group is None, made a zero map only where read
     groups = [TRIVIAL_GROUP] + [node.group for node in nodes] + [TRIVIAL_GROUP]
     trivial = [group.is_trivial for group in groups]
+
+    def into(i: int) -> GroupHom:
+        return maps[i] or _zero_map(groups[i], groups[i + 1], data)
+
     maps = [None]
     for i in range(1, len(nodes)):
         k, step = divmod(i - 1, 3)
         maps.append(None if trivial[i] or trivial[i + 1] else (alpha, beta, delta)[step](k))
     maps.append(None)
-
-    def into(i: int) -> GroupHom:
-        return maps[i] or _zero_map(groups[i], groups[i + 1], data)
 
     checks = []
     for idx, label in enumerate(labels):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -8,9 +9,9 @@ import random
 import pytest
 
 from mtspec.abelian import (FgAbGroup, GroupHom, IntMatrix, TRIVIAL_GROUP, _smith,
-                            check_exact, cokernel, cokernel_with_projection,
-                            element_is_zero, enumerate_extensions,
-                            smith_normal_form, units_kernel)
+                            check_exact, cokernel, element_is_zero,
+                            enumerate_extensions, smith_normal_form,
+                            units_kernel, zero_hom)
 from mtspec.errors import InternalCheckError, MtspecError
 
 Z = FgAbGroup(1)
@@ -307,6 +308,18 @@ def hom_apply_oracle(hom, vec):
     return tuple(x % o for x, o in zip(image(hom.matrix, vec), orders))
 
 
+def fresh(hom):
+    """An equal map without a stored Smith form."""
+    return GroupHom(hom.source, hom.target, hom.matrix)
+
+
+def hom_from_columns(group, columns):
+    """The map from Z^len(columns) to the group taking generator j to column j."""
+    return GroupHom(FgAbGroup(len(columns)), group,
+                    IntMatrix([[c[i] for c in columns] for i in range(len(columns[0]))]
+                              if columns else [()] * group.num_generators, len(columns)))
+
+
 def brute_force_exact(f, g):
     middle = finite_elements(f.target)
     image = {hom_apply_oracle(f, v) for v in finite_elements(f.source)}
@@ -368,20 +381,23 @@ class TestCheckExact:
             b = random_finite_group(rng)
             c = random_finite_group(rng)
             f = random_hom(rng, a, b)
-            if rng.random() < 0.5:
+            draw = rng.random()
+            if draw < 0.5:
                 g = random_hom(rng, b, c)
             else:
-                # quotient by the image gives a guaranteed-exact pair
-                _, g = cokernel_with_projection(b, f.matrix.columns())
+                # quotient by the image gives a guaranteed-exact pair; half
+                # of them leave f without a stored form, half share f's
+                _, g = (f if draw < 0.75 else fresh(f)).cokernel_projection()
             expected = brute_force_exact(f, g)
             assert check_exact(f, g) == expected
+            assert check_exact(f, g) == expected  # again, on the stored forms
             agree_true += expected
         assert agree_true >= 20  # the sample must include genuinely exact pairs
 
 
 class TestQuotientProjection:
     def test_mod_two_projection(self):
-        q, proj = cokernel_with_projection(Z, [[2]])
+        q, proj = hom_from_columns(Z, [[2]]).cokernel_projection()
         assert q == FgAbGroup(0, (2,))
         assert not element_is_zero(q, image(proj.matrix, [1]))
         assert element_is_zero(q, image(proj.matrix, [2]))
@@ -392,15 +408,23 @@ class TestQuotientProjection:
             g = random_finite_group(rng)
             cols = [[rng.randint(-4, 4) for _ in range(g.num_generators)]
                     for _ in range(rng.randint(0, 2))]
-            q, proj = cokernel_with_projection(g, cols)
+            q, proj = hom_from_columns(g, cols).cokernel_projection()
             for col in cols:
                 assert element_is_zero(q, image(proj.matrix, col))
 
     @pytest.mark.parametrize("column", [[1], [1, 0, 0]], ids=["short", "long"])
     def test_column_of_the_wrong_length_is_refused(self, column):
         # unchecked, a short column would be read in a smaller group
-        with pytest.raises(ValueError, match="column length"):
-            cokernel_with_projection(FgAbGroup(2), [column])
+        with pytest.raises(ValueError, match="row count"):
+            hom_from_columns(FgAbGroup(2), [column])
+
+    def test_the_zero_map_projects_onto_an_isomorphic_copy(self):
+        target = FgAbGroup(1, (2, 4))
+        for source in (TRIVIAL_GROUP, FgAbGroup(2)):
+            zero = zero_hom(source, target)
+            q, proj = zero.cokernel_projection()
+            assert q == target
+            assert check_exact(zero, proj)  # the projection is injective
 
 
 class TestUnitsKernel:
@@ -692,7 +716,8 @@ def test_smith_transforms_are_pinned(shape, torsion, deficient, digest):
 def composable_pairs(st, max_order=36):
     """(f, g) through a finite middle group of order <= max_order; either
     map may be zero, and g may be the projection onto the cokernel of f,
-    which makes the pair exact."""
+    which makes the pair exact.  That projection is read off f's stored
+    Smith form, or off an equal map's, which leaves f without one."""
     groups = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), max_size=3).map(
         lambda cyclic: FgAbGroup.of(cyclic=cyclic)).filter(
         lambda group: group.order() <= max_order)
@@ -707,9 +732,9 @@ def composable_pairs(st, max_order=36):
     def build(draw):
         a, b = draw(groups), draw(groups)
         f = hom(draw, a, b, draw(st.booleans()))
-        kind = draw(st.sampled_from(["random", "zero", "cokernel"]))
-        if kind == "cokernel":
-            _, g = cokernel_with_projection(b, f.matrix.columns())
+        kind = draw(st.sampled_from(["random", "zero", "cokernel", "cokernel of a copy"]))
+        if kind.startswith("cokernel"):
+            _, g = (f if kind == "cokernel" else fresh(f)).cokernel_projection()
         else:
             g = hom(draw, b, draw(groups), kind == "zero")
         return f, g
@@ -725,8 +750,10 @@ def test_check_exact_matches_the_element_chase():
     @hypothesis.given(composable_pairs(st))
     def check(pair):
         f, g = pair
+        seen.add("f stored" if "_smith_form" in vars(f) else "f cold")
         exact = brute_force_exact(f, g)
         assert check_exact(f, g) == exact
+        assert check_exact(f, g) == exact  # again, on the forms the first call kept
         outcome = "exact" if exact else "not exact"
         seen.add(outcome)
         if f.target.is_trivial:
@@ -743,7 +770,59 @@ def test_check_exact_matches_the_element_chase():
     check()
     assert seen == {"exact", "not exact", "trivial middle", "empty f", "empty g",
                     "zero f, exact", "zero f, not exact",
-                    "zero g, exact", "zero g, not exact"}
+                    "zero g, exact", "zero g, not exact", "f stored", "f cold"}
+
+
+def test_cokernel_projection_matches_the_element_chase():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @property_settings(hypothesis, 200)
+    @hypothesis.given(composable_pairs(st))
+    def check(pair):
+        f, _ = pair
+        q, proj = f.cokernel_projection()
+        assert (proj.source, proj.target) == (f.target, q)
+        image = {hom_apply_oracle(f, v) for v in finite_elements(f.source)}
+        assert q.order() * len(image) == f.target.order()
+        assert all(not any(hom_apply_oracle(proj, x)) for x in image)
+        onto = {hom_apply_oracle(proj, v) for v in finite_elements(f.target)}
+        assert onto == set(finite_elements(q))
+
+    check()
+
+
+class TestStoredSmithForm:
+    def test_a_map_is_factored_once(self, monkeypatch):
+        # h, times 2 on Z, is g in one check, the map a quotient is read
+        # off, and f in the next check: its form is computed once, and so
+        # is that of the projection
+        from mtspec import abelian
+        factored = []
+
+        def counting(rows, ncols, _original=abelian._smith):
+            factored.append(tuple(map(tuple, rows)))
+            return _original(rows, ncols)
+        monkeypatch.setattr(abelian, "_smith", counting)
+        h = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
+        assert check_exact(zero_hom(Z, Z), h)
+        q, proj = h.cokernel_projection()
+        assert q == Z_MOD_2
+        assert check_exact(h, proj)
+        assert factored == [((2,),), ((1, 2),)]  # h, then [proj | 2] into Z/2
+
+    def test_the_stored_form_is_not_a_field(self):
+        h = GroupHom(Z2, FgAbGroup(0, (4,)), IntMatrix.from_rows([[2, 0]]))
+        h.cokernel_projection()
+        other = fresh(h)
+        assert "_smith_form" in vars(h) and "_smith_form" not in vars(other)
+        assert h == other and hash(h) == hash(other) and repr(h) == repr(other)
+        assert [field.name for field in dataclasses.fields(GroupHom)] == [
+            "source", "target", "matrix"]
+        zero = zero_hom(Z, Z_MOD_2)  # built without __post_init__
+        zero.cokernel_projection()
+        assert zero == GroupHom(Z, Z_MOD_2, IntMatrix([[0]], 1))
+        assert hash(zero) == hash(GroupHom(Z, Z_MOD_2, IntMatrix([[0]], 1)))
 
 
 def hom_of(source, target, rows):
@@ -767,6 +846,23 @@ Z_MOD_2 = FgAbGroup(0, (2,))
 ], ids=range(8))
 def test_zero_side_on_a_free_middle(f, g, exact):
     # the element chase needs finite groups; these are decided by hand
+    assert check_exact(f, g) == exact
+
+
+Z3 = FgAbGroup(3)
+
+
+@pytest.mark.parametrize("f,g,exact", [
+    (hom_of(Z, Z2, [[1], [0]]), hom_of(Z2, Z, [[0, 1]]), True),
+    # the kernel holds e1, and the image only 2 e1
+    (hom_of(Z, Z2, [[2], [0]]), hom_of(Z2, Z, [[0, 1]]), False),
+    # the kernel holds e3, past the rank of the image
+    (hom_of(Z, Z3, [[1], [0], [0]]), hom_of(Z3, Z, [[0, 1, 0]]), False),
+    (hom_of(Z2, Z3, [[1, 0], [0, 0], [0, 1]]), hom_of(Z3, Z, [[0, 1, 0]]), True),
+], ids=range(4))
+def test_both_sides_nonzero_on_a_free_middle(f, g, exact):
+    # membership in the image needs U x divisible by the diagonal and zero
+    # past its rank; only a middle with free rank reaches the second part
     assert check_exact(f, g) == exact
 
 

@@ -426,17 +426,19 @@ def test_the_proof_workspace_stays_inside_its_snapshot(tampered_first):
 
 
 def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
-    # exact call counts, no timing, on the shipped data.  Each nontrivial
-    # exactness check takes one Smith form, plus a lattice solver when
-    # neither map is zero (4 of 22), and each of the 4 connecting maps one
-    # more; each extension class of a B with torsion takes one, and the 10
-    # split classes (B = 0 here) none.  The (2, 4) and (3, 4) derivations
-    # share the six classes of Ext^1(Z/6, Z), enumerated once per snapshot,
-    # and the (4, 4) one stops at the pinned group after 2 of its classes.
-    # Before, the six were enumerated twice (46 in all); before that, every
-    # extension class took one (56); before that, a class took a cokernel
-    # plus a second Smith form per divisibility test, and every check two
-    # Smith forms: 53 _smith and 26 cokernel calls in all.
+    # exact call counts, no timing, on the shipped data.  Each map of the
+    # sequences is factored once, on first use, whichever checks and
+    # connecting maps read it: 10 maps for d = 2..4.  Each extension class
+    # of a B with torsion takes one, and the 10 split classes (B = 0 here)
+    # none.  The (2, 4) and (3, 4) derivations share the six classes of
+    # Ext^1(Z/6, Z), enumerated once per snapshot, and the (4, 4) one stops
+    # at the pinned group after 2 of its classes.  Before, a map was
+    # factored again by each check and connecting map that read it (30 in
+    # the sequences, 40 in all); before that, the six were enumerated twice
+    # (46); before that, every extension class took one (56); before that,
+    # a class took a cokernel plus a second Smith form per divisibility
+    # test, and every check two Smith forms: 53 _smith and 26 cokernel
+    # calls in all.
     from mtspec import abelian, classify
     calls = {}
     for name in ("_smith", "cokernel"):
@@ -449,17 +451,17 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     assert calls == {}
     for d in (2, 3, 4):
         assert verify_les(d, data).all_exact
-    assert calls == {"_smith": 30}
+    assert calls == {"_smith": 10}
     for d in (2, 3, 4):
         for k in range(6):
             derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
-    assert calls == {"_smith": 40}
+    assert calls == {"_smith": 20}
     classify.gilmer_masbaum_report(data)
-    assert calls == {"_smith": 40}
+    assert calls == {"_smith": 20}
     # a free B splits every extension: no Smith form at all
     split = list(abelian.enumerate_extensions(FgAbGroup(2), FgAbGroup(1)))
     assert [ext.group for ext in split] == [FgAbGroup(3)]
-    assert calls == {"_smith": 40}
+    assert calls == {"_smith": 20}
 
 
 def test_the_workspace_keeps_each_completed_enumeration(monkeypatch):
