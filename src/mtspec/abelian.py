@@ -9,38 +9,31 @@ built on.  An ``IntMatrix`` stores its rows as a tuple of tuples, with its
 column count for the matrix without rows, so every routine here reads the
 rows directly.
 
-The Smith form has two paths:
+One private core, ``_smith``, computes every Smith form, on plain row
+lists: it returns U's rows, the diagonal and V's columns.  A matrix and
+a map each keep their form from its first use.  An ``IntMatrix`` keeps
+the form of its rows, which ``smith_normal_form`` wraps in matrix
+values (for ``classify.restriction_kernel``) and ``cokernel`` reads a
+group off.  A ``GroupHom`` keeps the form of [matrix | target
+relations], so the consistency proof factors each map once:
+``check_exact`` reads a kernel off g's V and tests membership in f's
+image off f's U and diagonal, and ``_quotient`` reads a quotient group
+and the projection onto it off U and the diagonal (for ``cokernel``,
+``GroupHom.cokernel_projection`` and each class of
+``enumerate_extensions``).
 
-- Diagonal only, modulo maximal minors (``cokernel``): a fraction-free
-  elimination finds the rank r, a nonzero r x r minor and, in its last
-  pivot row, more r x r minors.  With D the gcd of these, the matrix is
-  diagonalized over Z/D, so entries stay bounded; D = 1, the usual case
-  for a wide matrix of full row rank, means no torsion and no pass.  A
-  nonsingular square matrix is diagonalized modulo the gcd of its
-  determinant and the (r-1) x (r-1) minors of the next-to-last pivot
-  row instead, which yields every invariant factor but the top one.
-  ``units_kernel`` goes through it.
-- With unimodular transforms, for callers that need U or V: one private
-  core, ``_smith``, on plain row lists, returning U's rows, the diagonal
-  and V's columns.  It works on the active block only: each working row
-  holds its entries from the pivot column on, followed by its row of U,
-  so one row step updates both, and a finished pivot sets its U row
-  aside and leaves the block with its column.  ``smith_normal_form``
-  wraps it in ``IntMatrix`` values for ``classify.restriction_kernel``.
-  The consistency proof factors each map once: a ``GroupHom`` keeps the
-  form of [matrix | target relations] from its first use.  ``check_exact``
-  reads a kernel off g's V and tests membership in f's image off f's U
-  and diagonal; ``_quotient`` reads a quotient group and the projection
-  onto it off U and the diagonal (for ``GroupHom.cokernel_projection``
-  and for each class of ``enumerate_extensions``).  Each pivot's column
-  is cleared by row Euclid steps and its row by column Euclid steps,
-  with nearest-integer quotients, before the next pivot is chosen.  That
-  keeps the transform entries of a random 40 x 40 matrix with entries
-  in [-9, 9] near 550 digits; choosing a new pivot from the whole block
-  after every partial reduction lets them reach about 1,450.
+``_smith`` works on the active block only: each working row holds its
+entries from the pivot column on, followed by its row of U, so one row
+step updates both, and a finished pivot sets its U row aside and leaves
+the block with its column.  Each pivot's column is cleared by row Euclid
+steps and its row by column Euclid steps, with nearest-integer
+quotients, before the next pivot is chosen.  That keeps the transform
+entries of a random 40 x 40 matrix with entries in [-9, 9] near 550
+digits; choosing a new pivot from the whole block after every partial
+reduction lets them reach about 1,450.
 
 All values are immutable after construction and all operations are pure
-(a map's stored Smith form is the same value whoever computes it first),
+(a stored Smith form is the same value whoever computes it first),
 so concurrent use needs no synchronization.
 """
 
@@ -62,7 +55,9 @@ from .errors import InternalCheckError, MtspecError
 class IntMatrix:
     """An immutable integer matrix: its rows as tuples, and its column
     count, which a matrix without rows cannot show.  Any iterable of
-    integer rows is accepted and stored as a tuple of tuples."""
+    integer rows is accepted and stored as a tuple of tuples.  Its Smith
+    form is kept from its first use outside the fields, so equality,
+    hashing and repr do not see it."""
 
     rows: tuple
     ncols: int
@@ -105,41 +100,11 @@ class IntMatrix:
     def diagonal(self) -> list:
         return [row[i] for i, row in enumerate(self.rows[:self.ncols])]
 
-
-def _rank_and_minor(rows, ncols: int):
-    """Rank r of an integer matrix, a nonzero r x r minor of it, a list of
-    more r x r minors, and a list of (r-1) x (r-1) minors, each up to sign.
-
-    One fraction-free (Bareiss) elimination with row swaps; a column with
-    no pivot is skipped.  The minor is that of the pivot rows and pivot
-    columns, so for a nonsingular square matrix it is the determinant up to
-    sign; it is 1 when r = 0.  Every intermediate entry is itself a minor
-    of the input, so entries stay within Hadamard's bound.  In particular
-    each entry of the last pivot row right of its pivot is the r x r minor
-    on the pivot rows and on the pivot columns with the last one swapped
-    for that entry's column: these are the spare minors returned.
-    Likewise each entry of the next-to-last pivot row, from its pivot on,
-    is an (r-1) x (r-1) minor; for r < 2 the list is [1], the empty minor.
-    """
-    m = [list(row) for row in rows]
-    rank, prev, last, before = 0, 1, ncols, ncols
-    for c in range(ncols):
-        if rank == len(m):
-            break
-        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        p = m[rank][c]
-        tail = m[rank][c + 1:]
-        for row in m[rank + 1:]:
-            q = row[c]
-            row[c + 1:] = [(x * p - q * y) // prev for x, y in zip(row[c + 1:], tail)]
-        prev, last, before = p, c, last
-        rank += 1
-    spare = m[rank - 1][last + 1:] if rank else []
-    lower = m[rank - 2][before:] if rank >= 2 else [1]
-    return rank, prev, spare, lower
+    @functools.cached_property
+    def _smith_form(self):
+        """(U rows, diagonal, V columns) of the rows, shared by every
+        reader, so not to be modified."""
+        return _smith(self.rows, self.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +116,10 @@ def smith_normal_form(matrix: IntMatrix):
 
     Returns (U, D, V) with U * matrix * V == D, det(U), det(V) in {1, -1},
     D diagonal with nonnegative entries satisfying d1 | d2 | ... (zeros
-    trail).  The work is done by ``_smith`` on plain lists.
+    trail): the matrix's stored form, wrapped in matrix values.
     """
     m, n = len(matrix.rows), matrix.ncols
-    U, diag, V = _smith(matrix.rows, n)
+    U, diag, V = matrix._smith_form
     D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
     return IntMatrix(U, m), IntMatrix(D, n), IntMatrix(zip(*V), n)
 
@@ -264,103 +229,6 @@ def _identity(n: int) -> list:
         row[i] = 1
         rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Smith diagonal modulo a maximal minor
-
-
-def _xgcd(a: int, b: int):
-    """(g, s, t) with g = gcd(a, b) = s * a + t * b, for a, b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
-def _cyclic_orders_modulo(rows, modulus: int) -> list:
-    """Orders of cyclic groups whose sum is Z^m / (column span + modulus Z^m).
-
-    Here m = len(rows).  The matrix is diagonalized over Z/modulus, so no
-    entry grows past the modulus.  A pivot that is a unit there clears its
-    row and column by plain elimination and adds nothing.  Otherwise 2 x 2
-    extended-gcd row and column steps shrink the pivot to a divisor of the
-    modulus, which is recorded.  Each row left once the rest is zero adds
-    a full Z/modulus.  The orders are not sorted into a divisibility chain.
-    """
-    mat = [[x % modulus for x in row] for row in rows]
-    orders = []
-    while mat and mat[0]:
-        pivot = _pick_pivot(mat, modulus)
-        if pivot is None:
-            break
-        g, pi, pj = pivot
-        top = mat.pop(pi)
-        if g == 1:
-            inv = pow(top[pj], -1, modulus)
-            top = [x * inv % modulus for x in top]
-            mat = [[(x - f * y) % modulus for x, y in zip(row, top)]
-                   if (f := row[pj]) else row for row in mat]
-        else:
-            for row in (top, *mat):
-                row[0], row[pj] = row[pj], row[0]
-            orders.append(_clear_pivot(top, mat, modulus))
-            pj = 0
-        for row in mat:  # the pivot column is zero now
-            row[pj] = row[-1]
-            row.pop()
-    orders.extend([modulus] * len(mat))
-    return orders
-
-
-def _pick_pivot(mat: list, modulus: int):
-    """(gcd with the modulus, row, column) of the first entry that is a unit
-    mod the modulus, else of the nonzero entry sharing least with it; None
-    when every entry is zero."""
-    best = None
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                g = math.gcd(x, modulus)
-                if g == 1:
-                    return g, i, j
-                if best is None or g < best[0]:
-                    best = (g, i, j)
-    return best
-
-
-def _clear_pivot(top: list, mat: list, modulus: int) -> int:
-    """Clear column 0 of ``mat`` and the row ``top`` around the pivot top[0].
-
-    Works mod the modulus; rows of ``mat`` are replaced in place.  Returns
-    the order gcd(pivot, modulus) of the cyclic group the pivot splits off.
-    """
-    while True:
-        for k, row in enumerate(mat):
-            a, b = top[0], row[0]
-            if not b:
-                continue
-            if b % a == 0:
-                q = b // a
-                mat[k] = [(x - q * y) % modulus for x, y in zip(row, top)]
-            else:
-                g, s, t = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                top, mat[k] = ([(s * x + t * y) % modulus for x, y in zip(top, row)],
-                               [(ag * y - bg * x) % modulus for x, y in zip(top, row)])
-        # column 0 is now top[0] * e_0, and modulus * e_0 lies in the span
-        p = top[0] = math.gcd(top[0], modulus)
-        j = next((j for j in range(1, len(top)) if top[j] % p), None)
-        if j is None:
-            return p
-        g, s, t = _xgcd(p, top[j])
-        ag, bg = p // g, top[j] // g
-        for row in (top, *mat):
-            x, y = row[0], row[j]
-            row[0], row[j] = (s * x + t * y) % modulus, (ag * y - bg * x) % modulus
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +402,12 @@ class GroupHom:
 
     def cokernel_projection(self):
         """The quotient Q of the target by the image, in canonical form, and
-        the projection onto it: (Q, a GroupHom from the target onto Q)."""
+        the projection onto it: (Q, a GroupHom from the target onto Q).
+        The pair is kept like the form, so the projection keeps its own."""
+        return self._cokernel_projection
+
+    @functools.cached_property
+    def _cokernel_projection(self):
         quotient, rows = _quotient(self._smith_form)
         return quotient, GroupHom(self.target, quotient,
                                   IntMatrix(rows, self.target.num_generators))
@@ -600,37 +473,9 @@ def check_exact(f: GroupHom, g: GroupHom) -> bool:
 
 
 def cokernel(relations: IntMatrix) -> FgAbGroup:
-    """The group Z^rows modulo the column span of the relation matrix.
-
-    Diagonal only, modulo minors: with rank r, the product of the nonzero
-    invariant factors s_i is the gcd of all r x r minors, so every s_i
-    divides the gcd D of the few r x r minors the rank computation
-    yields.  Then Z^rows / (span + D Z^rows) is the sum of the Z/s_i and
-    rows - r copies of Z/D.  Those copies, the top of the chain, become
-    the free part.  No transform is built and no entry exceeds D; when
-    D = 1, as for most wide matrices of full row rank, there is no torsion
-    and no pass at all.
-
-    A nonsingular square matrix has a single r x r minor, |det|, but
-    s_1 ... s_(r-1) is the gcd of the (r-1) x (r-1) minors, so it divides
-    the gcd g of |det| and the few the elimination yields.  The pass
-    modulo g returns s_1, ..., s_(r-1) and gcd(s_r, g), whose top is
-    replaced by s_r = |det| / (s_1 ... s_(r-1)); when g = 1 there is no
-    pass and the answer is Z/|det|.
-    """
-    rows = relations.rows
-    rank, minor, spare, lower = _rank_and_minor(rows, relations.ncols)
-    free = len(rows) - rank
-    if len(rows) == relations.ncols == rank:
-        modulus = math.gcd(minor, *lower)
-        chain = (_invariant_factors(_cyclic_orders_modulo(rows, modulus))[:-1]
-                 if modulus > 1 else ())
-        return FgAbGroup.of(0, chain + (abs(minor) // math.prod(chain),))
-    modulus = math.gcd(minor, *spare)
-    if modulus == 1:  # includes rank 0
-        return FgAbGroup(free)
-    chain = _invariant_factors(_cyclic_orders_modulo(rows, modulus))
-    return FgAbGroup(free, chain[:len(chain) - free])
+    """The group Z^rows modulo the column span of the relation matrix,
+    read off the matrix's stored Smith form."""
+    return _quotient(relations._smith_form)[0]
 
 
 def _quotient(form):

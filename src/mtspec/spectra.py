@@ -22,9 +22,10 @@ snapshot, it builds once per snapshot and keeps in that CertifiedData's
 ``derived`` dict, its workspace: the zero map between two groups, the
 cover's connectivity, each identification of two entries that the
 sequence synthesizes (or the reason there is none), and each completed
-enumeration of Ext^1(B, A).  A map keeps its Smith form, so each arrow
-and workspace map is factored once per snapshot, for every check and
-connecting map that reads it.  A new data file is a new CertifiedData
+enumeration of Ext^1(B, A).  A map keeps its Smith form and its
+cokernel projection, so each arrow and workspace map is factored once
+per snapshot, for every check and connecting map that reads it, and so
+is each projection.  A new data file is a new CertifiedData
 with an empty one.  The sequence's labels depend on d alone and are
 built once per d.  The proof's records are named tuples.
 """

@@ -432,9 +432,12 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     # of a B with torsion takes one, and the 10 split classes (B = 0 here)
     # none.  The (2, 4) and (3, 4) derivations share the six classes of
     # Ext^1(Z/6, Z), enumerated once per snapshot, and the (4, 4) one stops
-    # at the pinned group after 2 of its classes.  Before, a map was
-    # factored again by each check and connecting map that read it (30 in
-    # the sequences, 40 in all); before that, the six were enumerated twice
+    # at the pinned group after 2 of its classes.  A second proof of the
+    # same snapshot factors nothing: each connecting projection is kept on
+    # the map it is read off, with its own form.  Before, it was built anew
+    # and factored again (4 more).  Before that, a map was factored again
+    # by each check and connecting map that read it (30 in the sequences,
+    # 40 in all); before that, the six were enumerated twice
     # (46); before that, every extension class took one (56); before that,
     # a class took a cokernel plus a second Smith form per divisibility
     # test, and every check two Smith forms: 53 _smith and 26 cokernel
@@ -455,6 +458,9 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     for d in (2, 3, 4):
         for k in range(6):
             derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
+    assert calls == {"_smith": 20}
+    for d in (2, 3, 4):
+        assert verify_les(d, data).all_exact
     assert calls == {"_smith": 20}
     classify.gilmer_masbaum_report(data)
     assert calls == {"_smith": 20}
