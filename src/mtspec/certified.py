@@ -3,11 +3,14 @@
 The file ships with the package and carries the cover rows of the
 cohomology table, each its named generators (version 4), the homotopy
 table, the self-cohomology of the integral Eilenberg-MacLane spectrum,
-the four recorded arrows of the restriction diagram, and the manifold
-catalog.  What the package computes is not in it: the uncovered
-cohomology rows are the ring's Thom-module pieces
-(``charclasses.thom_module_piece``), entered before the file's rows are
-read; a manifold's p1 number is 3 * signature (Hirzebruch), a property
+the four recorded arrows of the restriction diagram, and the catalog
+entries no rule gives, CP2 and K3 (version 5).  What the package
+computes is not in it: the uncovered cohomology rows are the ring's
+Thom-module pieces (``charclasses.thom_module_piece``), and the spheres
+S1..S4 and tori T3, T4 are RULED_MANIFOLDS, both entered before the
+file's rows are read, and the families Sigma_<g> and S2xSigma_<g> are
+``family_member``;
+a manifold's p1 number is 3 * signature (Hirzebruch), a property
 of ManifoldClass; the restriction between the spectra is the ring's
 (``charclasses.ring_restriction``), a map touching a zero group is zero,
 and ``spectra.verify_les`` synthesizes the degree-0 unit map; and once
@@ -23,13 +26,11 @@ ring's H^0 = Z u and H^1 = 0 force pi_0 = H_0 = Z, by Hurewicz and
 universal coefficients), no two records of one type may share
 a key, no record may name a field twice, the file has one version line
 (each repeat is refused, not taken in place of the first) and it states
-4, which is compared once every row is read so that an older file is
+5, which is compared once every row is read so that an older file is
 refused at a row its migration changes, each arrow's map must be
 well-defined between the rows it names (built once every row is read,
-it is the ArrowRecord's hom), each manifold
-record must satisfy the ManifoldClass invariants, and each family record
-(name ending in _g) must yield valid members for g = 0 and g = 1, which
-suffices because every invariant is affine in g.  The environment
+it is the ArrowRecord's hom), and each manifold
+record must satisfy the ManifoldClass invariants.  The environment
 variable MTSPEC_DATA overrides the path; a file that cannot be read or
 is not UTF-8 is a DataFormatError like any other bad file.
 
@@ -88,7 +89,7 @@ MAX_GROUP_GENERATORS = 32
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names it
 _TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
-_DATA_VERSION = 4  # the version this loader reads
+_DATA_VERSION = 5  # the version this loader reads
 _PI_0 = FgAbGroup(1)  # the one group a homotopy row of degree 0 may state
 # the keys a table row may have, and the refusal of any other: the first
 # covers that the proof derives, the homotopy groups in degrees 0..d, and
@@ -159,18 +160,35 @@ class ManifoldClass:
         return 3 * self.signature
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
-    name: str       # pattern like Sigma_g; g is the nonnegative parameter
-    dim: int
-    euler0: int
-    eulerg: int
-    signature: int
+def _product(name: str, a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
+    """The product rule: dimensions add, euler numbers and signatures
+    multiply, and a product of positive dimensions has no kr."""
+    return ManifoldClass(name, a.dim + b.dim, a.euler * b.euler, a.signature * b.signature)
 
-    def member(self, name: str, g: int) -> ManifoldClass:
-        """The member with parameter g; raises MtspecError if invalid."""
-        return ManifoldClass(name, self.dim, self.euler0 + self.eulerg * g,
-                             self.signature)
+
+_FAMILY_RE = re.compile(r"(S2x)?Sigma_([0-9]+)")  # ASCII digits only
+
+
+def family_member(name: str) -> ManifoldClass | None:
+    """The member a family rule gives the name, or None: Sigma_<g> is the
+    genus-g surface, euler 2 - 2g, and S2xSigma_<g> its product with S2."""
+    match = _FAMILY_RE.fullmatch(name)
+    if match is None:
+        return None
+    try:
+        genus = int(match[2])
+    except ValueError as exc:  # past the interpreter's limit on converting digits
+        raise MtspecError(str(exc)) from None
+    surface = ManifoldClass(name, 2, 2 - 2 * genus)
+    return _product(name, RULED_MANIFOLDS["S2"], surface) if match[1] else surface
+
+
+# the sphere rule, euler(S^n) = 1 + (-1)^n with kr(S1) = 1 (one circle), and the
+# tori T3 = S1 x Sigma_1 and T4 = Sigma_1 x Sigma_1; parse_data enters these first
+_CIRCLE, _TORUS = ManifoldClass("S1", 1, 0, kr=1), family_member("Sigma_1")
+RULED_MANIFOLDS = {m.name: m for m in (
+    _CIRCLE, *(ManifoldClass("S%d" % n, n, 1 + (-1) ** n) for n in (2, 3, 4)),
+    _product("T3", _CIRCLE, _TORUS), _product("T4", _TORUS, _TORUS))}
 
 
 def assignments_to_group_hom(source: CohomologyEntry,
@@ -200,15 +218,13 @@ def assignments_to_group_hom(source: CohomologyEntry,
 class CertifiedData:
     """Parsed, validated contents of one certified data file."""
 
-    def __init__(self, version, cohomology, homotopy, hz, arrows,
-                 manifolds, families, path):
+    def __init__(self, version, cohomology, homotopy, hz, arrows, manifolds, path):
         self.version = version
         self.cohomology = cohomology    # (d, cover, k) -> CohomologyEntry
         self.homotopy = homotopy        # (d, k) -> FgAbGroup
         self.hz = hz                    # k -> CohomologyEntry, generated by hz<k>
         self.arrows = arrows            # (kind, d, k) -> ArrowRecord
-        self.manifolds = manifolds      # name -> ManifoldClass
-        self.families = families        # name -> FamilyRecord
+        self.manifolds = manifolds      # name -> ManifoldClass, ruled or recorded
         self.path = path
         self.derived = {}               # the proof's workspace (see spectra)
 
@@ -269,7 +285,6 @@ _RECORD_FIELDS = {
     "hz": {"k", "group"},
     "arrow": {"kind", "d", "k", "map"},
     "manifold": {"name", "dim", "euler", "signature", "kr"},
-    "family": {"name", "dim", "euler0", "eulerg", "signature"},
 }
 
 
@@ -374,8 +389,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
     hz = {}
     # each recorded arrow's line and assignments, until every row is read
     arrows = {}
-    manifolds = {}
-    families = {}
+    manifolds = dict(RULED_MANIFOLDS)  # the rows record only what no rule gives
     # the rows repeat few texts: one group per group text, and one entry
     # per gens text, shared by every row that spells it
     groups, entries = {}, {}
@@ -407,6 +421,9 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 version_line = raw.strip()
                 version = int(version_line[len("version="):])
                 continue
+            if rectype == "family":
+                raise ValueError("Sigma_<g> and S2xSigma_<g> are rules, not recorded; "
+                                 "delete the line")
             fields = _parse_fields(parts[1:])
             if "p1" in fields:
                 raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
@@ -460,23 +477,16 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 if kind not in ("cover", "covdim"):
                     raise ValueError("unknown arrow kind %r" % kind)
             elif rectype == "manifold":
+                name = fields["name"]
+                if name in RULED_MANIFOLDS or _FAMILY_RE.fullmatch(name):
+                    raise ValueError("%s is given by a rule (spheres, tori, Sigma_<g>, "
+                                     "S2xSigma_<g>), not recorded; delete the line" % name)
                 rec = ManifoldClass(
-                    name=fields["name"], dim=int(fields["dim"]),
+                    name=name, dim=int(fields["dim"]),
                     euler=int(fields["euler"]),
                     signature=int(fields.get("signature", 0)),
                     kr=int(fields["kr"]) if "kr" in fields else None)
                 table, key = manifolds, rec.name
-            elif rectype == "family":
-                rec = FamilyRecord(
-                    name=fields["name"], dim=int(fields["dim"]),
-                    euler0=int(fields["euler0"]), eulerg=int(fields["eulerg"]),
-                    signature=int(fields.get("signature", 0)))
-                if not rec.name.endswith("_g"):
-                    raise MtspecError("family name has no parameter slot _g")
-                # every invariant is affine in g, so two members check all
-                rec.member(rec.name, 0)
-                rec.member(rec.name, 1)
-                table, key = families, rec.name
             if key in table:  # a repeat is refused, not taken over the first
                 raise ValueError("a record with the key %s came earlier" % (key,))
             table[key] = rec
@@ -489,7 +499,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
         raise DataFormatError("bad record %r: this program reads data version %d"
                               % (version_line, _DATA_VERSION))
     return CertifiedData(version, cohomology, homotopy, hz, _load_arrows(cohomology, arrows),
-                         manifolds, families, path)
+                         manifolds, path)
 
 
 MAX_DATA_BYTES = 1 << 20  # the shipped file has under 5 KB

@@ -108,12 +108,12 @@ def document_to_json(command: str, inputs: dict, result: dict) -> str:
 
 
 def cmd_table(args, data):
-    from .certified import (SpectrumId, cohomology, equivalent_stored_cover,
-                            homotopy_group, hz_self_cohomology)
+    from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology,
+                            equivalent_stored_cover, homotopy_group, hz_self_cohomology)
     if args.kind == "hz":
         inputs = {"kind": "hz"}
         rows = [{"k": k, "group": group_to_json(hz_self_cohomology(k, data).group)}
-                for k in range(7)]
+                for k in range(MAX_TABLE_DEGREE + 2)]
     elif args.d is None:
         raise MtspecError("table %s needs --d" % args.kind)
     elif args.kind == "homotopy":
@@ -125,7 +125,7 @@ def cmd_table(args, data):
         SpectrumId(args.d, args.cover)  # refuses --d and --cover out of range
         stored = SpectrumId(args.d, equivalent_stored_cover(args.d, args.cover, data))
         rows = []
-        for k in range(6):
+        for k in range(MAX_TABLE_DEGREE + 1):
             entry = cohomology(stored, k, data)
             rows.append({"k": k, "group": group_to_json(entry.group),
                          "generators": [[n, o] for n, o in entry.generators]})

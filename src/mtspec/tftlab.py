@@ -7,8 +7,9 @@ so the data model (ManifoldClass, defined in certified and re-exported
 here) stores the others and computes p1 = 3*sigma by the signature
 theorem.  A class may be an integer combination of manifolds of one
 dimension (``formal_sum``), as those theories see a sum only through its
-summed invariants.  The catalog serves the ManifoldClass instances built
-and validated when the shipped data file loads; none is invented silently.
+summed invariants.  The catalog serves the data's ManifoldClass
+instances and the members of the families that ``certified``'s rules
+give, Sigma_<g> and S2xSigma_<g>; none is invented silently.
 
 All evaluation is exact: parameters and values are rational numbers
 times roots of unity.
@@ -26,8 +27,8 @@ from .exactnum import ExactComplex
 
 
 def connected_sum(*chain: ManifoldClass) -> ManifoldClass:
-    """Connected sum of a chain in dimensions 2 and 4: each '#' drops a
-    sphere's euler 2.  A chain of one manifold is that manifold."""
+    """Connected sum of a chain in dimensions 2 and 4: each '#' drops the
+    euler number of S^dim.  A chain of one manifold is that manifold."""
     first = chain[0]
     for other in chain[1:]:
         if other.dim != first.dim:
@@ -36,8 +37,9 @@ def connected_sum(*chain: ManifoldClass) -> ManifoldClass:
             raise MtspecError("connected sum is provided for dimensions 2 and 4")
     if len(chain) == 1:
         return first
+    sphere = certified.RULED_MANIFOLDS["S%d" % first.dim]
     return ManifoldClass("#".join(m.name for m in chain), first.dim,
-                         sum(m.euler for m in chain) - 2 * (len(chain) - 1),
+                         sum(m.euler for m in chain) - sphere.euler * (len(chain) - 1),
                          sum(m.signature for m in chain))
 
 
@@ -68,28 +70,21 @@ def formal_sum(pairs) -> ManifoldClass:
 
 
 class ManifoldCatalog:
-    """Named manifolds plus one-parameter families from the data file."""
+    """The data's named manifolds, and the members of the ruled families."""
 
-    def __init__(self, manifolds, families):
+    def __init__(self, manifolds):
         self._entries = manifolds
-        self._families = families  # "<prefix>_g" -> FamilyRecord
 
     def get(self, name: str) -> ManifoldClass:
-        entry = self._entries.get(name)
-        if entry is not None:
-            return entry
-        # Sigma_3 is the member g=3 of Sigma_g; a name with no '_' looks
-        # up "g", which names no family
-        prefix, sep, g = name.rpartition("_")
-        family = self._families.get(prefix + sep + "g")
-        if family is not None and g.isdecimal():
-            return family.member(name, _int(g))
-        raise MtspecError("no catalog entry named %r" % name)
+        entry = self._entries.get(name) or certified.family_member(name)
+        if entry is None:
+            raise MtspecError("no catalog entry named %r" % name)
+        return entry
 
 
 def standard_manifolds(data=None) -> ManifoldCatalog:
     data = data or certified.load_data()
-    return ManifoldCatalog(data.manifolds, data.families)
+    return ManifoldCatalog(data.manifolds)
 
 
 # ---------------------------------------------------------------------------

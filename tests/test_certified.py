@@ -16,7 +16,7 @@ from mtspec.errors import DataFormatError
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
-version=4
+version=5
 cohomology d=2 cover=1 k=2 gens=tau
 """
 
@@ -24,7 +24,7 @@ cohomology d=2 cover=1 k=2 gens=tau
 class TestShippedData:
     def test_loads_and_validates(self):
         data = load_data()
-        assert data.version == 4
+        assert data.version == 5
         assert len(data.cohomology) == 42  # seven rows, degrees 0..5
         assert set(data.hz) == set(range(7))
 
@@ -42,9 +42,12 @@ class TestShippedData:
         assert arrows[("cover", 2, 4)].assignments == (("c^2u", (("rho", -6),)),)
 
     def test_catalog_records(self):
-        data = load_data()
-        assert {"S1", "S2", "S4", "T4", "CP2", "K3"} <= set(data.manifolds)
-        assert set(data.families) == {"Sigma_g", "S2xSigma_g"}
+        # the file records CP2 and K3; the load enters the ruled names first
+        rows = [line for line in default_data_path().read_text().splitlines()
+                if line.startswith(("manifold ", "family "))]
+        assert [row.split()[1] for row in rows] == ["name=CP2", "name=K3"]
+        assert list(load_data().manifolds) == ["S1", "S2", "S3", "S4", "T3", "T4",
+                                               "CP2", "K3"]
 
 
 def tampered(old, new):
@@ -89,7 +92,7 @@ class TestArrowsAtLoad:
     diagram; a record of an arrow a rule gives is refused naming the line."""
 
     def test_a_version_2_file_is_refused_at_its_first_arrow(self):
-        text = default_data_path().read_text().replace("version=4", "version=2")
+        text = default_data_path().read_text().replace("version=5", "version=2")
         arrows = [line for line in text.splitlines() if line.startswith("arrow ")]
         for line in arrows:
             text = text.replace(line + "\n", "")
@@ -149,6 +152,78 @@ class TestArrowsAtLoad:
             parse_data(text)
 
 
+# the catalog rows of the version-4 file that rules give since version 5
+V4_RULED_ROWS = """\
+manifold name=S1 dim=1 euler=0 kr=1
+manifold name=S2 dim=2 euler=2
+manifold name=S3 dim=3 euler=0
+manifold name=T3 dim=3 euler=0
+manifold name=S4 dim=4 euler=2 signature=0
+manifold name=T4 dim=4 euler=0 signature=0
+family name=Sigma_g dim=2 euler0=2 eulerg=-2
+family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 signature=0
+"""
+
+
+class TestRuledCatalog:
+    """A version-5 file records only the catalog entries no rule gives: a
+    row that states a sphere, a torus or a family member, and any family
+    row, is refused naming the line."""
+
+    def test_the_version_4_file_is_refused_at_its_first_ruled_row(
+            self, capsys, monkeypatch, tmp_path):
+        rows = V4_RULED_ROWS.splitlines()
+        v4 = tampered("version=5", "version=4").replace(
+            "manifold name=CP2", "\n".join(rows[:6]) + "\nmanifold name=CP2")
+        v4 += "\n".join(rows[6:]) + "\n"
+        first = "manifold name=S1 dim=1 euler=0 kr=1"
+        with pytest.raises(DataFormatError, match=re.escape(repr(first))) as info:
+            parse_data(v4)
+        assert "delete the line" in str(info.value)
+        path = tmp_path / "v4.txt"
+        path.write_text(v4)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert repr(first) in captured.err and "delete the line" in captured.err
+
+    @pytest.mark.parametrize("row", V4_RULED_ROWS.splitlines() + [
+        "manifold name=Sigma_0 dim=2 euler=2",
+        "manifold name=S2xSigma_12 dim=4 euler=-44",
+        "family name=Sigma_g dim=2 euler0=2 eulerg=-1",
+        "family name=T_g dim=2 euler0=2 eulerg=-2 signature=0 kr=0",
+    ])
+    def test_a_ruled_row_is_refused_naming_the_line(self, row):
+        with pytest.raises(DataFormatError, match=re.escape(repr(row))) as info:
+            parse_data(default_data_path().read_text() + row + "\n")
+        assert str(info.value).endswith("not recorded; delete the line")
+
+    @pytest.mark.parametrize("row,argv", [
+        # served in place of the member, this row made the value 1, not 1/4
+        ("manifold name=Sigma_2 dim=2 euler=0",
+         ["eval", "euler", "--lam", "2", "--manifold", "Sigma_2"]),
+        ("manifold name=S2xSigma_1 dim=4 euler=0",
+         ["eval", "four_d", "--l1", "2", "--l2", "3", "--manifold", "S2xSigma_1"]),
+    ], ids=["Sigma_2", "S2xSigma_1"])
+    def test_a_row_cannot_shadow_a_family_member(self, capsys, monkeypatch, tmp_path,
+                                                 row, argv):
+        path = tmp_path / "shadow.txt"
+        path.write_text(default_data_path().read_text() + row + "\n")
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert repr(row) in captured.err and "delete the line" in captured.err
+
+    def test_a_name_no_rule_gives_is_recorded(self):
+        # Sigma_g and Sigma_x name no member: g is spelled in ASCII digits
+        data = parse_data(MINIMAL + "manifold name=Sigma_g dim=2 euler=4\n"
+                          "manifold name=Sigma_x dim=2 euler=0\n")
+        assert data.manifolds["Sigma_g"] == ManifoldClass("Sigma_g", 2, 4)
+        assert data.manifolds["Sigma_x"] == ManifoldClass("Sigma_x", 2, 0)
+
+
 class TestRepeatedKeys:
     """A record whose key an earlier record of its type already holds is
     refused, whatever the order of its fields."""
@@ -160,8 +235,7 @@ class TestRepeatedKeys:
         "hz k=0 group=Z/2",
         "arrow kind=cover d=3 k=4 map=p1u:5*rho",
         "arrow map=psi:1*rho;sigma:2*rho k=4 d=4 kind=covdim",
-        "manifold name=S2 dim=2 euler=2",
-        "family name=Sigma_g dim=2 euler0=2 eulerg=-2",
+        "manifold name=K3 dim=4 euler=24 signature=-16",
     ])
     def test_repeated_key_is_refused(self, record):
         text = default_data_path().read_text() + record + "\n"
@@ -171,19 +245,21 @@ class TestRepeatedKeys:
 
 class TestRepeatedFields:
     """A field named twice in one record, and a second version line or one
-    that does not state 4, are refused naming the line, in process and
+    that does not state 5, are refused naming the line, in process and
     through MTSPEC_DATA."""
 
     @pytest.mark.parametrize("old,new", [
         # would load as the d=2 row, which the line also spells d=3
         ("cohomology d=2 cover=1 k=2 gens=tau",
          "cohomology d=3 cover=1 k=2 d=2 gens=tau"),
-        # would load with euler 4
-        ("manifold name=S2 dim=2 euler=2", "manifold name=S2 dim=2 euler=2 euler=4"),
-        ("version=4", "version=4\nversion=2"),    # would load as version 2
-        ("version=4", "version=abc"),             # escaped as a bare ValueError
-        ("version=4", "version=3"),               # loaded version-4 rows as version 3
-        ("version=4", "version=-7"),
+        # would load with euler 5
+        ("manifold name=CP2 dim=4 euler=3 signature=1",
+         "manifold name=CP2 dim=4 euler=3 signature=1 euler=5"),
+        ("version=5", "version=5\nversion=2"),    # would load as version 2
+        ("version=5", "version=abc"),             # escaped as a bare ValueError
+        ("version=5", "version=3"),               # loaded version-5 rows as version 3
+        ("version=5", "version=4"),               # loaded version-5 rows as version 4
+        ("version=5", "version=-7"),
     ])
     def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
         modified = tampered(old, new)
@@ -220,7 +296,7 @@ class TestUnreadableFile:
                             + comments * (MAX_DATA_BYTES // len(comments)))
         elif kind == "non-utf8":  # 0xff starts no UTF-8 sequence
             path = tmp_path / "latin.txt"
-            path.write_bytes(b"version=4\n\xff\n")
+            path.write_bytes(b"version=5\n\xff\n")
         else:
             path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
@@ -273,7 +349,7 @@ class TestParser:
     ], ids=["record-type", "arrow-kind"])
     def test_unknown_name_is_refused_naming_the_line(self, record, reason):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=4\n" + record + "\n")
+            parse_data("version=5\n" + record + "\n")
         assert reason in str(info.value)
 
     @pytest.mark.parametrize("gens,reason", [
@@ -286,11 +362,11 @@ class TestParser:
     def test_torsion_orders_must_form_a_chain_of_orders_from_two(self, gens, reason):
         record = "cohomology d=2 cover=1 k=2 gens=%s" % gens
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=4\n" + record + "\n")
+            parse_data("version=5\n" + record + "\n")
         assert reason in str(info.value)
 
     def test_a_chain_of_torsion_orders_is_the_group(self):
-        entry = parse_data("version=4\ncohomology d=2 cover=1 k=2 "
+        entry = parse_data("version=5\ncohomology d=2 cover=1 k=2 "
                            "gens=a:6,b,c:2,d:12\n").entry(2, 1, 2)
         assert (entry.group.free_rank, entry.group.torsion) == (1, (2, 6, 12))
         assert entry.names == ("a", "b", "c", "d")
@@ -323,7 +399,7 @@ class TestParser:
 
     def test_a_group_field_on_a_cohomology_row_is_refused(self, capsys, monkeypatch, tmp_path):
         # a version-3 file fails at its first cover row
-        v3 = default_data_path().read_text().replace("version=4", "version=3").replace(
+        v3 = default_data_path().read_text().replace("version=5", "version=3").replace(
             "cohomology d=2 cover=1 k=0\n", "cohomology d=2 cover=1 k=0 group=0\n")
         record = "cohomology d=2 cover=1 k=0 group=0"
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
@@ -348,8 +424,7 @@ class TestParser:
     @pytest.mark.parametrize("record,remedy", [
         ("cohomology d=2 cover=0 k=0 gens=u", "delete the cover=0 row"),
         ("manifold name=CP2 dim=4 euler=3 signature=1 p1=3", "delete the p1= field"),
-        ("family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 p1=0", "delete the p1= field"),
-    ], ids=["cover-row", "manifold-p1", "family-p1"])
+    ], ids=["cover-row", "manifold-p1"])
     def test_computed_fact_is_refused(self, record, remedy):
         # a version-1 file recorded these; each now only repeats the code
         with pytest.raises(DataFormatError) as info:
@@ -365,9 +440,7 @@ class TestParser:
         ("arrow kind=cover d=2 k=2 map=tau:1*tau from=1", "from="),
         ("arrow kind=cover d=2 k=2 map=cu:2*tau prov=diagram", "prov="),
         ("arrow kind=covdim d=4 to=3 k=4 map=psi:1*rho;sigma:2*rho", "to="),
-        ("family name=T_g dim=2 euler0=2 eulerg=-2 signature=0 kr=0", "kr="),
-    ], ids=["manifold", "hz", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to",
-            "family"])
+    ], ids=["manifold", "hz", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to"])
     def test_unknown_field_is_refused_naming_the_line(self, record, field):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
             parse_data(MINIMAL + record + "\n")
@@ -380,22 +453,10 @@ class TestParser:
         with pytest.raises(DataFormatError, match="name=X"):
             parse_data(MINIMAL + "manifold name=X dim=3 euler=2\n")
 
-    @pytest.mark.parametrize("record", [
-        "family name=Sigma_g dim=2 euler0=2 eulerg=-1",   # Sigma_1 has odd euler
-        "family name=Sigma_g dim=2 euler0=1 eulerg=-2",   # Sigma_0 has odd euler
-        "family name=Sigma_g dim=3 euler0=0 eulerg=2",    # odd dimension, euler 2g
-        "family name=Sigma dim=2 euler0=2 eulerg=-2",     # no parameter slot
-    ])
-    def test_family_record_must_yield_manifolds(self, record):
-        with pytest.raises(DataFormatError, match="family name=Sigma"):
-            parse_data(MINIMAL + record + "\n")
-
     def test_four_manifold_record_must_satisfy_hirzebruch(self):
         # p1 = 3 * signature is computed, so no record can break it
-        data = parse_data(MINIMAL + "manifold name=X4 dim=4 euler=4 signature=2\n"
-                          "family name=SxS_g dim=4 euler0=4 eulerg=-4 signature=2\n")
+        data = parse_data(MINIMAL + "manifold name=X4 dim=4 euler=4 signature=2\n")
         assert data.manifolds["X4"].p1_number == 6
-        assert data.families["SxS_g"].member("SxS_3", 3).p1_number == 6
 
     def test_catalog_records_are_manifold_classes(self):
         data = parse_data(MINIMAL + "manifold name=CP2 dim=4 euler=3 signature=1\n")
@@ -404,7 +465,7 @@ class TestParser:
 
     def test_ill_defined_arrow_rejected(self):
         bad = (
-            "version=4\n"
+            "version=5\n"
             "cohomology d=3 cover=1 k=3 gens=x\n"
             "arrow kind=cover d=3 k=3 map=W3u:1*x\n"
         )
@@ -413,7 +474,7 @@ class TestParser:
 
     def test_bad_combo_rejected(self):
         bad = (
-            "version=4\n"
+            "version=5\n"
             "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:t+t\n"
         )
@@ -484,7 +545,7 @@ class TestParser:
 
     def test_long_digit_run_fails_fast(self):
         bad = (
-            "version=4\n"
+            "version=5\n"
             "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:" + "1" * 100_000 + "\n"
         )

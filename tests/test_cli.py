@@ -46,13 +46,14 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def write_odd_euler_t3(tmp_path):
-    """A copy of the shipped data file whose T3 record has euler 2."""
+def write_odd_parity_cp2(tmp_path):
+    """A copy of the shipped data file whose CP2 record has euler 4, so
+    euler + signature is odd."""
     text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
-    modified = text.replace("manifold name=T3 dim=3 euler=0",
-                            "manifold name=T3 dim=3 euler=2")
+    modified = text.replace("manifold name=CP2 dim=4 euler=3 signature=1",
+                            "manifold name=CP2 dim=4 euler=4 signature=1")
     assert modified != text
-    path = tmp_path / "odd_euler_t3.txt"
+    path = tmp_path / "odd_parity_cp2.txt"
     path.write_text(modified)
     return path
 
@@ -389,10 +390,10 @@ class TestProcessLevel:
         # manifold records are checked against the ManifoldClass invariants
         # when the file loads, not when the manifold is first used
         proc = run_subprocess("table", "hz", env_extra={
-            "MTSPEC_DATA": str(write_odd_euler_t3(tmp_path))})
+            "MTSPEC_DATA": str(write_odd_parity_cp2(tmp_path))})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "manifold name=T3 dim=3 euler=2" in proc.stderr
+        assert "manifold name=CP2 dim=4 euler=4 signature=1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
@@ -406,25 +407,23 @@ class TestProcessLevel:
     ])
     def test_invalid_manifold_record_refused_by_every_subcommand(
             self, capsys, monkeypatch, tmp_path, argv):
-        monkeypatch.setenv("MTSPEC_DATA", str(write_odd_euler_t3(tmp_path)))
+        monkeypatch.setenv("MTSPEC_DATA", str(write_odd_parity_cp2(tmp_path)))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "name=T3" in captured.err
+        assert "name=CP2" in captured.err
 
-    def test_invalid_family_record_exits_two(self, tmp_path):
-        # a family is checked through its members g=0 and g=1 at load;
-        # here Sigma_1 would have euler 1
+    def test_family_record_exits_two(self, tmp_path):
+        # the families are rules since data version 5; a version-4 family
+        # row is refused naming the line
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
-        modified = text.replace("family name=Sigma_g dim=2 euler0=2 eulerg=-2",
-                                "family name=Sigma_g dim=2 euler0=2 eulerg=-1")
-        assert modified != text
-        path = tmp_path / "odd_genus_step.txt"
-        path.write_text(modified)
+        row = "family name=Sigma_g dim=2 euler0=2 eulerg=-2"
+        path = tmp_path / "family.txt"
+        path.write_text(text + row + "\n")
         proc = run_subprocess("table", "hz", env_extra={"MTSPEC_DATA": str(path)})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "Sigma_g" in proc.stderr
+        assert repr(row) in proc.stderr and "delete the line" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource limits")

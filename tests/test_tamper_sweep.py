@@ -51,7 +51,7 @@ def row_edits(line):
     if kind == "arrow":
         return [_replaced(line, match, str(int(match[1]) + step))
                 for match in re.finditer(r"(\d+)\*", line) for step in (-1, 1)]
-    if kind in ("manifold", "family"):
+    if kind == "manifold":
         return [_replaced(line, match, str(int(match[1]) + step))
                 for match in re.finditer(r" (?!dim=)\w+=(-?\d+)", line)
                 for step in CATALOG_STEPS]
@@ -109,17 +109,8 @@ PASSING = {
     "an integrality check of the pairings would refuse these":
         ["arrow kind=cover d=4 k=4 map=eu:2*psi-0*sigma;p1u:3*sigma",
          "arrow kind=cover d=4 k=4 map=eu:2*psi-2*sigma;p1u:3*sigma"],
-    "a catalog number: no step of the proof reads the manifold catalog": [
-        "manifold name=S2 dim=2 euler=4",
-        "manifold name=S2 dim=2 euler=0",
-        "manifold name=S4 dim=4 euler=4 signature=0",
-        "manifold name=S4 dim=4 euler=0 signature=0",
-        "manifold name=S4 dim=4 euler=2 signature=2",
-        "manifold name=S4 dim=4 euler=2 signature=-2",
-        "manifold name=T4 dim=4 euler=2 signature=0",
-        "manifold name=T4 dim=4 euler=-2 signature=0",
-        "manifold name=T4 dim=4 euler=0 signature=2",
-        "manifold name=T4 dim=4 euler=0 signature=-2",
+    "a number of a recorded catalog row, CP2 or K3: no rule gives them, and "
+    "no step of the proof reads the manifold catalog": [
         "manifold name=CP2 dim=4 euler=5 signature=1",
         "manifold name=CP2 dim=4 euler=1 signature=1",
         "manifold name=CP2 dim=4 euler=3 signature=3",
@@ -128,23 +119,13 @@ PASSING = {
         "manifold name=K3 dim=4 euler=22 signature=-16",
         "manifold name=K3 dim=4 euler=24 signature=-14",
         "manifold name=K3 dim=4 euler=24 signature=-18",
-        "family name=Sigma_g dim=2 euler0=4 eulerg=-2",
-        "family name=Sigma_g dim=2 euler0=0 eulerg=-2",
-        "family name=Sigma_g dim=2 euler0=2 eulerg=0",
-        "family name=Sigma_g dim=2 euler0=2 eulerg=-4",
-        "family name=S2xSigma_g dim=4 euler0=6 eulerg=-4 signature=0",
-        "family name=S2xSigma_g dim=4 euler0=2 eulerg=-4 signature=0",
-        "family name=S2xSigma_g dim=4 euler0=4 eulerg=-2 signature=0",
-        "family name=S2xSigma_g dim=4 euler0=4 eulerg=-6 signature=0",
-        "family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 signature=2",
-        "family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 signature=-2",
     ],
 }
 
 # how many edits each step refuses first.  A weaker exactness check would
 # pass some of verify_les's edits on to a later step; a check added before
 # a step takes edits from it, and then these are pinned again on purpose
-REFUSED_BY = {"parse_data": 84, "verify_les": 92, "derivation": 33,
+REFUSED_BY = {"parse_data": 62, "verify_les": 92, "derivation": 33,
               "ambiguous derivation": 15, "certificate": 4}
 
 
@@ -163,9 +144,9 @@ def test_the_grammar_gives_every_row_its_edits(verdicts):
     kinds = Counter(edited.split(" ", 1)[0] for edited in verdicts)
     # 14 homotopy and 7 hz rows, 6 other groups each; 14 zero cohomology
     # rows with 4 other lists and 4 named ones with 5; 7 arrow coefficients;
-    # 18 catalog numbers
+    # 4 catalog numbers, of CP2 and K3
     assert kinds == {"homotopy": 84, "hz": 42, "cohomology": 76, "arrow": 14,
-                     "manifold": 39, "family": 15}
+                     "manifold": 12}
 
 
 def test_every_passing_edit_is_listed_with_its_reason(verdicts):

@@ -1,11 +1,12 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from mtspec import tftlab
+from mtspec import cli, tftlab
 from mtspec.certified import load_data
 from mtspec.classify import restriction_kernel
 from mtspec.errors import MtspecError
@@ -52,6 +53,47 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(MtspecError, match="no catalog entry named 'RP7'"):
             CATALOG.get("RP7")
+
+    # (dim, euler, signature, kr) of each name as the version-4 data file
+    # recorded it, row by row or through its family's euler0 + eulerg * g
+    VERSION_4 = dict(
+        [("S1", (1, 0, 0, 1)), ("S2", (2, 2, 0, None)), ("S3", (3, 0, 0, None)),
+         ("T3", (3, 0, 0, None)), ("S4", (4, 2, 0, None)), ("T4", (4, 0, 0, None)),
+         ("CP2", (4, 3, 1, None)), ("K3", (4, 24, -16, None))]
+        + [("Sigma_%d" % g, (2, 2 - 2 * g, 0, None)) for g in range(6)]
+        + [("S2xSigma_%d" % g, (4, 4 - 4 * g, 0, None)) for g in range(4)])
+
+    @pytest.mark.parametrize("name", sorted(VERSION_4))
+    def test_every_name_keeps_its_version_4_invariants(self, name):
+        m = CATALOG.get(name)
+        assert (m.name, (m.dim, m.euler, m.signature, m.kr)) == (name, self.VERSION_4[name])
+
+    @pytest.mark.parametrize("name", [
+        "Sigma_\u0663",      # ARABIC-INDIC DIGIT THREE, a decimal digit
+        "S2xSigma_\u0663",
+        "Sigma_\uff13",      # FULLWIDTH DIGIT THREE
+        "Sigma_\u00b3",      # SUPERSCRIPT THREE
+        "Sigma_", "Sigma_-1", "Sigma_+1", "Sigma_ 1", "Sigma_g", "sigma_1",
+    ])
+    def test_a_family_parameter_is_spelled_in_ascii_digits(self, capsys, name):
+        with pytest.raises(MtspecError, match="no catalog entry named"):
+            CATALOG.get(name)
+        assert cli.main(["eval", "euler", "--lam", "2", "--manifold", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: no catalog entry")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no limit on integer strings")
+    def test_a_parameter_past_the_digit_limit_is_refused(self):
+        # under Python's default limit of 4300 digits, as the library runs;
+        # the command line lifts the limit for its call
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(MtspecError, match="digits"):
+                CATALOG.get("Sigma_" + "1" * 5000)
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_every_four_manifold_satisfies_signature_theorem(self):
         for name in FOUR_MANIFOLDS:
@@ -119,6 +161,55 @@ class TestConstructors:
             built = (connected_sum(a, b) if rng.random() < 0.5
                      else formal_sum([(a, 1), (b, 1)]))
             assert (built.euler + built.signature) % 2 == 0
+
+
+def invariants(m):
+    return m.dim, m.euler, m.signature, m.p1_number, m.kr
+
+
+def check_examples(*strategies, examples=200):
+    """The decorated check, run on that many examples of the strategies."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def run(check):
+        hypothesis.settings(max_examples=examples, deadline=None, derandomize=True,
+                            database=None)(hypothesis.given(*strategies)(check))()
+    return run
+
+
+class TestRules:
+    """The sphere, product and family rules behind the catalog, checked as
+    properties of the classes the catalog serves."""
+
+    def test_genus_adds_under_connected_sum(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @check_examples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+        def check(g, h):
+            assert invariants(connected_sum(sigma(g), sigma(h))) == invariants(sigma(g + h))
+
+    def test_the_sphere_is_the_unit_of_connected_sum(self):
+        st = pytest.importorskip("hypothesis.strategies")
+        names = st.one_of(
+            st.sampled_from(["S2", "S4", "T4", "CP2", "K3"]),
+            st.integers(0, 10 ** 6).map("Sigma_{}".format),
+            st.integers(0, 10 ** 6).map("S2xSigma_{}".format))
+
+        @check_examples(names)
+        def check(name):
+            m = CATALOG.get(name)
+            sphere = CATALOG.get("S%d" % m.dim)
+            assert invariants(connected_sum(m, sphere)) == invariants(m)
+            assert invariants(connected_sum(sphere, m)) == invariants(m)
+
+    def test_euler_multiplies_on_s2_times_a_surface(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @check_examples(st.integers(0, 10 ** 6))
+        def check(g):
+            product = CATALOG.get("S2xSigma_%d" % g)
+            assert product.euler == CATALOG.get("S2").euler * sigma(g).euler
+            assert (product.dim, product.signature) == (4, 0)
 
 
 class TestVfInvariants:
