@@ -24,7 +24,8 @@ chain and its generators have distinct names spelled as a map names one,
 an hz group must be cyclic, a homotopy row of degree 0 must state Z (the
 ring's H^0 = Z u and H^1 = 0 force pi_0 = H_0 = Z, by Hurewicz and
 universal coefficients), no two records of one type may share
-a key, no record may name a field twice, the file has one version line
+a key, no record may name a field twice and no arrow's map a generator
+(a source, or a target within one image), the file has one version line
 (each repeat is refused, not taken in place of the first) and it states
 5, which is compared once every row is read so that an older file is
 refused at a row its migration changes, each arrow's map must be
@@ -74,6 +75,7 @@ import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, ring_restriction, thom_module_piece
@@ -160,9 +162,11 @@ class ManifoldClass:
         return 3 * self.signature
 
 
-def _product(name: str, a: ManifoldClass, b: ManifoldClass) -> ManifoldClass:
+def _product(name: str, a, b) -> ManifoldClass:
     """The product rule: dimensions add, euler numbers and signatures
-    multiply, and a product of positive dimensions has no kr."""
+    multiply, and a product of positive dimensions has no kr.  A factor
+    not served itself is any object with the three invariants: only the
+    product is checked, as a ManifoldClass."""
     return ManifoldClass(name, a.dim + b.dim, a.euler * b.euler, a.signature * b.signature)
 
 
@@ -179,8 +183,11 @@ def family_member(name: str) -> ManifoldClass | None:
         genus = int(match[2])
     except ValueError as exc:  # past the interpreter's limit on converting digits
         raise MtspecError(str(exc)) from None
-    surface = ManifoldClass(name, 2, 2 - 2 * genus)
-    return _product(name, RULED_MANIFOLDS["S2"], surface) if match[1] else surface
+    euler = 2 - 2 * genus  # of the genus-g surface
+    if match[1]:
+        return _product(name, RULED_MANIFOLDS["S2"],
+                        SimpleNamespace(dim=2, euler=euler, signature=0))
+    return ManifoldClass(name, 2, euler)
 
 
 # the sphere rule, euler(S^n) = 1 + (-1)^n with kr(S1) = 1 (one circle), and the
@@ -238,7 +245,7 @@ class CertifiedData:
 def _parse_combo(text: str):
     if text == "0":
         return ()
-    terms = []
+    terms = {}  # a repeat is refused, not taken over the first
     pos = 0
     while pos < len(text) or not terms:
         # matching only where the last term ended keeps the work linear; a
@@ -246,19 +253,24 @@ def _parse_combo(text: str):
         match = _TERM_RE.match(text, pos)
         if match is None:
             raise ValueError("cannot parse combo %r" % text)
-        terms.append((match.group(2), int(match.group(1))))
+        name = match.group(2)
+        if name in terms:
+            raise ValueError("the target generator %s is named twice in %r" % (name, text))
+        terms[name] = int(match.group(1))
         pos = match.end()
-    return tuple(terms)
+    return tuple(terms.items())
 
 
 def _parse_map(text: str):
-    out = []
+    out = {}  # a repeat is refused, not taken over the first
     for item in text.split(";"):
         if ":" not in item:
             raise ValueError("bad map item %r" % item)
         src, combo = item.split(":", 1)
-        out.append((src, _parse_combo(combo)))
-    return tuple(out)
+        if src in out:
+            raise ValueError("the source generator %s is named twice" % src)
+        out[src] = _parse_combo(combo)
+    return tuple(out.items())
 
 
 def _parse_gens(text: str):

@@ -1,6 +1,8 @@
-"""The consistency proof behind the certified tables.
+"""The consistency proof behind the certified tables, which ``prove``
+states once: the sequence for d = 2..4, then the 18 cover derivations,
+then the Gilmer-Masbaum certificate.  It is built from
 
-A long-exact-sequence verifier for the fiber sequence
+a long-exact-sequence verifier for the fiber sequence
 
     (cover) -> (spectrum) -> (integral Eilenberg-MacLane spectrum),
 
@@ -21,13 +23,14 @@ the table entry the load built.  What the proof only builds from a
 snapshot, it builds once per snapshot and keeps in that CertifiedData's
 ``derived`` dict, its workspace: the zero map between two groups, the
 cover's connectivity, each identification of two entries that the
-sequence synthesizes (or the reason there is none), and each completed
-enumeration of Ext^1(B, A).  A map keeps its Smith form and its
-cokernel projection, so each arrow and workspace map is factored once
-per snapshot, for every check and connecting map that reads it, and so
-is each projection.  A new data file is a new CertifiedData
-with an empty one.  The sequence's labels depend on d alone and are
-built once per d.  The proof's records are named tuples.
+sequence synthesizes (or the reason there is none), and each
+enumeration of Ext^1(B, A), as far as it has gone.  A map keeps its
+Smith form and its cokernel projection, so each arrow and workspace map
+is factored once per snapshot, for every check and connecting map that
+reads it, and so is each projection; a second proof of a snapshot
+factors nothing.  A new data file is a new CertifiedData with an empty
+one.  The sequence's labels depend on d alone and are built once per d.
+The proof's records are named tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import certified
+from . import certified, classify
 from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
                       enumerate_extensions, zero_hom)
 # the lookups below are used here, and some are read through this module;
@@ -58,6 +61,23 @@ def _zero_map(source: FgAbGroup, target: FgAbGroup, data) -> GroupHom:
     if hom is None:
         hom = data.derived[key] = zero_hom(source, target)
     return hom
+
+
+def _extensions(a_group: FgAbGroup, b_group: FgAbGroup, data):
+    """The classes of Ext^1(B, A), each enumerated once per snapshot: the
+    workspace keeps the classes enumerated so far with the enumeration
+    that continues them, so a derivation that stops early, at its pinned
+    group, leaves the rest to the next one that reads further.  A refused
+    enumeration refuses before its first class, and is not kept.  The
+    continuing enumeration is shared, so two threads must not prove one
+    snapshot at once."""
+    key = ("extensions", a_group, b_group)
+    seen, rest = data.derived.get(key) or ([], enumerate_extensions(a_group, b_group))
+    yield from seen
+    for ext in rest:
+        seen.append(ext)
+        data.derived[key] = seen, rest
+        yield ext
 
 
 def _cover_connectivity(d: int, data) -> int:
@@ -371,14 +391,7 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
                 "divisibility constraint references a generator, but the "
                 "subgroup has none in this degree")
         survivors = set()
-        # a completed enumeration is kept for the snapshot; one cut short
-        # below, where the pinned group turns up, is not
-        key = ("extensions", a_group, b_group)
-        kept = data.derived.get(key)
-        seen = [] if kept is None else None
-        for ext in kept if kept is not None else enumerate_extensions(a_group, b_group):
-            if seen is not None:
-                seen.append(ext)
+        for ext in _extensions(a_group, b_group, data):
             ok = True
             for c in divisibility:
                 if c.generator not in a_names:
@@ -392,9 +405,6 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
                 survivors.add(ext.group)
                 if ext.group == pinned:
                     break  # the pinned group is admissible; nothing else can survive
-        else:
-            if seen is not None:
-                data.derived[key] = tuple(seen)
         if not survivors:
             raise MtspecError("no extension satisfies the constraints")
         if pinned is not None:
@@ -413,3 +423,65 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
             "derived %s for (d=%d, cover=1, k=%d) but the table holds %s"
             % (result_group, d, k, table_value))
     return DerivationResult(result_group, False, candidates, tuple(notes))
+
+
+# ---------------------------------------------------------------------------
+# the proof of a data file: the one statement of its checks and their order
+
+
+class ProofCheck(namedtuple("ProofCheck", "step subject verdict reason")):
+    __slots__ = ()
+
+
+class ProofReport(namedtuple("ProofReport", "checks failure")):
+    __slots__ = ()
+
+
+# (step, subject, d, k) of each check of the proof, in order
+_CHECKS = (tuple(("verify_les", "d=%d" % d, d, None) for d in (2, 3, 4))
+           + tuple(("derivation", "d=%d k=%d" % (d, k), d, k)
+                   for d in (2, 3, 4) for k in range(MAX_TABLE_DEGREE + 1))
+           + (("certificate", "gilmer-masbaum", None, None),))
+
+
+def _verdict(step: str, d: int, k: int, data) -> tuple:
+    """The verdict and the reason of one check."""
+    if step == "verify_les":
+        report = verify_les(d, data)
+        if report.all_exact:
+            return "passed", ""
+        return "refused", "not exact at " + "; ".join(
+            c.label + (": " + c.note if c.note else "") for c in report.checks if not c.exact)
+    if step == "derivation":
+        result = derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
+        if not result.ambiguous:
+            return "passed", ""
+        return "ambiguous", "; ".join(result.notes) or "middle groups left: %s" % ", ".join(
+            sorted(map(str, result.candidates)))
+    classify.gilmer_masbaum_report(data)
+    return "passed", ""
+
+
+def prove(data=None) -> ProofReport:
+    """The consistency proof of a data file, and its one definition.
+
+    The long exact sequence for d = 2..4, then the 18 cover derivations
+    under ``default_constraints``, where an ambiguous result is a
+    refusal, then the Gilmer-Masbaum certificate, up to the first check
+    that does not pass.  Each check is a ProofCheck: its step, what it
+    checked, its verdict ("passed", "refused" or "ambiguous") and, unless
+    it passed, the reason; a refusal (an ``MtspecError`` or an
+    ``InternalCheckError``) is a verdict, never raised.  The report holds
+    the checks run and the first that did not pass, or None.
+    """
+    data = data or certified.load_data()
+    checks = []
+    for step, subject, d, k in _CHECKS:
+        try:
+            verdict, reason = _verdict(step, d, k, data)
+        except (MtspecError, InternalCheckError) as exc:
+            verdict, reason = "refused", str(exc)
+        checks.append(ProofCheck(step, subject, verdict, reason))
+        if verdict != "passed":
+            return ProofReport(tuple(checks), checks[-1])
+    return ProofReport(tuple(checks), None)

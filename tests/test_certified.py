@@ -244,9 +244,9 @@ class TestRepeatedKeys:
 
 
 class TestRepeatedFields:
-    """A field named twice in one record, and a second version line or one
-    that does not state 5, are refused naming the line, in process and
-    through MTSPEC_DATA."""
+    """A field named twice in one record, a generator named twice in an
+    arrow's map, and a second version line or one that does not state 5,
+    are refused naming the line, in process and through MTSPEC_DATA."""
 
     @pytest.mark.parametrize("old,new", [
         # would load as the d=2 row, which the line also spells d=3
@@ -255,6 +255,12 @@ class TestRepeatedFields:
         # would load with euler 5
         ("manifold name=CP2 dim=4 euler=3 signature=1",
          "manifold name=CP2 dim=4 euler=3 signature=1 euler=5"),
+        # would load as sigma:2*rho: the later term of a target won
+        ("arrow kind=covdim d=4 k=4 map=psi:1*rho;sigma:2*rho",
+         "arrow kind=covdim d=4 k=4 map=psi:1*rho;sigma:0*rho+2*rho"),
+        # would build 5 rho: the later image of a source won
+        ("arrow kind=cover d=3 k=4 map=p1u:6*rho",
+         "arrow kind=cover d=3 k=4 map=p1u:6*rho;p1u:5*rho"),
         ("version=5", "version=5\nversion=2"),    # would load as version 2
         ("version=5", "version=abc"),             # escaped as a bare ValueError
         ("version=5", "version=3"),               # loaded version-5 rows as version 3

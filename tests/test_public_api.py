@@ -16,19 +16,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "mtspec"
 
 ALLOWED = {
-    "verify_les": "verify-data entry point: checks the long exact sequence "
-                  "of any data file (benchmark workload; the planned "
-                  "`mtspec verify` will call it)",
-    "default_constraints": "verify-data entry point: the constraints each "
-                           "cover derivation runs under",
-    "derive_cover_cohomology": "verify-data entry point: re-derives each "
-                               "cover entry of any data file",
+    "prove": "the proof of a data file: the tests and the tamper sweep call "
+             "it, and the planned load gate for a file other than the shipped "
+             "one and `mtspec verify` will",
     "IntMatrix.to_rows": "the benchmark's Smith-form check reads it, until "
                          "the benchmark reads the rows itself",
     "IntMatrix.entries": "the benchmark's tracer reads it for the size of a "
                          "Smith form's entries, until it reads the rows itself",
-    "LesReport.all_exact": "the verify-data oracle reads it, and so will the "
-                           "planned `mtspec verify`",
     "units_kernel": "the benchmark's snf-large workload times it; the "
                     "package reads a restriction kernel off one Smith form",
     "ExactComplex.root": "the benchmark's oracles read a value's phase as a "

@@ -8,7 +8,7 @@ from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
 from mtspec.spectra import (KIND_DIVISIBILITY, DerivationConstraint,
                             SpectrumId, cohomology, default_constraints,
                             derive_cover_cohomology, grid_equivalence,
-                            homotopy_group, hz_self_cohomology, verify_les)
+                            homotopy_group, hz_self_cohomology, prove, verify_les)
 from mtspec.tftlab import standard_manifolds, vf_invariant
 
 from test_abelian import product
@@ -184,6 +184,8 @@ class TestVerifyLes:
         self._fail_identification(monkeypatch, RuntimeError("broken"))
         with pytest.raises(RuntimeError):
             verify_les(4, self._fresh_data())
+        with pytest.raises(RuntimeError):  # prove catches refusals only
+            prove(self._fresh_data())
 
     def test_degree_four_chunk_of_d4(self):
         report = verify_les(4)
@@ -391,12 +393,34 @@ TAMPER = ("cohomology d=2 cover=1 k=4 gens=rho",
           "cohomology d=2 cover=1 k=4 gens=rho:3")
 
 
-def prove_all(data):
-    """Every exactness check and every cover derivation of the snapshot."""
-    reports = [verify_les(d, data) for d in (2, 3, 4)]
-    derived = {(d, k): derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
-               for d in (2, 3, 4) for k in range(6)}
-    return reports, derived
+class TestProve:
+    def test_the_shipped_file_passes_every_check(self):
+        report = prove(load_data())
+        assert report.failure is None
+        assert [check.step for check in report.checks] == \
+            ["verify_les"] * 3 + ["derivation"] * 18 + ["certificate"]
+        assert [check.subject for check in report.checks] == ["d=2", "d=3", "d=4"] + [
+            "d=%d k=%d" % (d, k) for d in (2, 3, 4) for k in range(6)] + ["gilmer-masbaum"]
+        assert {check[2:] for check in report.checks} == {("passed", "")}
+
+    @pytest.mark.parametrize("edit,failure,needle", [
+        (TAMPER, ("verify_les", "d=2", "refused"), "; H^4(p>=1 Sigma^2 MTSO(2));"),
+        (("homotopy d=3 k=1 group=0", "homotopy d=3 k=1 group=Z/2"),
+         ("derivation", "d=3 k=2", "ambiguous"), "add a connectivity constraint"),
+        (("homotopy d=4 k=3 group=0", "homotopy d=4 k=3 group=Z/2"),
+         ("derivation", "d=4 k=4", "ambiguous"), "middle groups left: Z^2, Z^2+Z/2"),
+        (("homotopy d=2 k=2 group=Z", "homotopy d=2 k=2 group=0"),
+         ("derivation", "d=2 k=2", "refused"), "not an admissible middle group"),
+        (("psi:1*rho", "psi:3*rho"), ("certificate", "gilmer-masbaum", "refused"),
+         "psi no longer maps to the generator"),
+    ], ids=["sequence", "unpinned", "ambiguous", "derivation", "certificate"])
+    def test_a_refused_file_is_a_verdict_not_an_exception(self, edit, failure, needle):
+        text = certified.default_data_path().read_text()
+        assert text.count(edit[0]) == 1
+        report = prove(certified.parse_data(text.replace(*edit)))
+        assert report.failure == report.checks[-1] and report.failure[:3] == failure
+        assert needle in report.failure.reason
+        assert {check.verdict for check in report.checks[:-1]} <= {"passed"}
 
 
 @pytest.mark.parametrize("tampered_first", [False, True], ids=["shipped-first", "tampered-first"])
@@ -409,12 +433,10 @@ def test_the_proof_workspace_stays_inside_its_snapshot(tampered_first):
     shipped, tampered = load_data(), certified.parse_data(tampered_text)
 
     def prove_shipped():
-        reports, derived = prove_all(shipped)
-        assert all(report.all_exact for report in reports)
-        assert derived[(2, 4)].group == FgAbGroup(1)
+        assert prove(shipped).failure is None
 
     def prove_tampered():
-        assert not verify_les(2, tampered).all_exact
+        assert prove(tampered).failure.subject == "d=2"
         with pytest.raises(InternalCheckError,
                            match=r"derived Z for \(d=2, cover=1, k=4\) but the table holds Z/3"):
             derive_cover_cohomology(2, 4, default_constraints(2, 4, tampered), tampered)
@@ -432,17 +454,12 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     # of a B with torsion takes one, and the 10 split classes (B = 0 here)
     # none.  The (2, 4) and (3, 4) derivations share the six classes of
     # Ext^1(Z/6, Z), enumerated once per snapshot, and the (4, 4) one stops
-    # at the pinned group after 2 of its classes.  A second proof of the
-    # same snapshot factors nothing: each connecting projection is kept on
-    # the map it is read off, with its own form.  Before, it was built anew
-    # and factored again (4 more).  Before that, a map was factored again
-    # by each check and connecting map that read it (30 in the sequences,
-    # 40 in all); before that, the six were enumerated twice
-    # (46); before that, every extension class took one (56); before that,
-    # a class took a cokernel plus a second Smith form per divisibility
-    # test, and every check two Smith forms: 53 _smith and 26 cokernel
-    # calls in all.
-    from mtspec import abelian, classify
+    # at the pinned group after 2 of its classes.  The certificate factors
+    # nothing.  A second proof of the same snapshot factors nothing: each
+    # connecting projection is kept on the map it is read off, with its
+    # own form, and each enumeration as far as it went, the (4, 4) one
+    # too.
+    from mtspec import abelian
     calls = {}
     for name in ("_smith", "cokernel"):
         def counting(*args, _name=name, _original=getattr(abelian, name)):
@@ -452,17 +469,9 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
 
     data = certified.parse_data(certified.default_data_path().read_text())
     assert calls == {}
-    for d in (2, 3, 4):
-        assert verify_les(d, data).all_exact
-    assert calls == {"_smith": 10}
-    for d in (2, 3, 4):
-        for k in range(6):
-            derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
+    assert prove(data).failure is None
     assert calls == {"_smith": 20}
-    for d in (2, 3, 4):
-        assert verify_les(d, data).all_exact
-    assert calls == {"_smith": 20}
-    classify.gilmer_masbaum_report(data)
+    assert prove(data).failure is None
     assert calls == {"_smith": 20}
     # a free B splits every extension: no Smith form at all
     split = list(abelian.enumerate_extensions(FgAbGroup(2), FgAbGroup(1)))
@@ -470,7 +479,7 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     assert calls == {"_smith": 20}
 
 
-def test_the_workspace_keeps_each_completed_enumeration(monkeypatch):
+def test_the_workspace_keeps_each_enumeration_as_far_as_it_went(monkeypatch):
     from mtspec import spectra
     enumerated = []
 
@@ -479,23 +488,40 @@ def test_the_workspace_keeps_each_completed_enumeration(monkeypatch):
         return _original(a, b)
     monkeypatch.setattr(spectra, "enumerate_extensions", counting)
     data = certified.parse_data(certified.default_data_path().read_text())
-    reports, derived = prove_all(data)
-    assert all(report.all_exact for report in reports)
+    assert prove(data).failure is None
     z6 = FgAbGroup(0, (6,))
     assert enumerated.count((Z, z6)) == 1  # shared by (2, 4) and (3, 4)
-    assert isinstance(data.derived[("extensions", Z, z6)], tuple)
-    # the (4, 4) enumeration stops at the pinned group, so it is not kept
-    assert (FgAbGroup(2), z6) in enumerated
-    assert ("extensions", FgAbGroup(2), z6) not in data.derived
+    assert len(data.derived[("extensions", Z, z6)][0]) == 6
+    # the (4, 4) derivation stops at the pinned group after 2 of the 36
+    # classes; the next proof reads those 2 again, and a derivation that
+    # reads further continues the one enumeration
+    seen = data.derived[("extensions", FgAbGroup(2), z6)][0]
+    assert len(seen) == 2
+    assert prove(data).failure is None
+    assert len(seen) == 2
+    assert derive_cover_cohomology(4, 4, [], data).ambiguous
+    assert len(seen) == 36
+    assert len(set(enumerated)) == len(enumerated)  # none started twice
     assert certified.parse_data(certified.default_data_path().read_text()).derived == {}
+
+
+def test_a_refused_enumeration_is_refused_again():
+    text = certified.default_data_path().read_text().replace(
+        "hz k=5 group=Z/6", "hz k=5 group=Z/65")
+    data = certified.parse_data(text)
+    for _ in range(2):
+        with pytest.raises(MtspecError, match="torsion order 65 exceeds the enumeration bound"):
+            derive_cover_cohomology(3, 4, default_constraints(3, 4, data), data)
 
 
 def test_proof_records_are_immutable():
     data = load_data()
     report = verify_les(2, data)
+    proof = prove(data)
     records = [report, report.checks[0], report.chunks[0],
                DerivationConstraint.hurewicz_vanishing("basis"),
-               derive_cover_cohomology(2, 4, default_constraints(2, 4, data), data)]
+               derive_cover_cohomology(2, 4, default_constraints(2, 4, data), data),
+               proof, proof.checks[0]]
     for record in records:
         for field in record._fields:
             with pytest.raises(AttributeError):

@@ -11,11 +11,12 @@ The edits come from the record grammar, one row at a time:
 - each number of a catalog record moves by +1, +2 and -2, its ``dim``
   excepted: like ``d`` and ``k`` elsewhere, it says which record it is.
 
-The proof of an edited file is ``parse_data``, ``verify_les`` for
-d = 2..4, the 18 cover derivations under ``default_constraints`` and the
-certificate; an ambiguous derivation is a refusal.  The list of passing
-edits may shrink freely as checks are added.  It grows only with a stated
-reason, and never stands in for a check.
+An edited file is refused by ``parse_data`` or by the first check of
+``spectra.prove`` that does not pass: ``verify_les`` for d = 2..4, one of
+the 18 cover derivations (an ambiguous one is a refusal too) or the
+certificate.  The list of passing edits may shrink freely as checks are
+added.  It grows only with a stated reason, and never stands in for a
+check.
 """
 
 import re
@@ -23,9 +24,9 @@ from collections import Counter
 
 import pytest
 
-from mtspec import certified, classify
-from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
-from mtspec.spectra import default_constraints, derive_cover_cohomology, verify_les
+from mtspec import certified
+from mtspec.errors import DataFormatError
+from mtspec.spectra import prove
 
 GROUPS = ("0", "Z", "Z/2", "Z/3", "Z^2", "Z/6", "Z^3")
 GENS = (None, "x", "x:2", "x:3", "x,y")
@@ -70,28 +71,17 @@ def single_row_edits(text):
 
 
 def refusing_step(text):
-    """The first step of the proof that refuses the file, or None.  The
-    package has no single entry point for the proof yet; these are its
-    steps, in the order the benchmark's verify-data workload runs them."""
+    """The step that refuses the file, or None: "parse_data" when it does
+    not load, else the step of the first check of ``prove`` that does not
+    pass, "ambiguous derivation" for a derivation that leaves a choice."""
     try:
         data = certified.parse_data(text)
     except DataFormatError:
         return "parse_data"
-    if not all(verify_les(d, data).all_exact for d in (2, 3, 4)):
-        return "verify_les"
-    for d in (2, 3, 4):
-        for k in range(6):
-            try:
-                result = derive_cover_cohomology(d, k, default_constraints(d, k, data), data)
-            except (MtspecError, InternalCheckError):
-                return "derivation"
-            if result.ambiguous:
-                return "ambiguous derivation"
-    try:
-        classify.gilmer_masbaum_report(data)
-    except (MtspecError, InternalCheckError):
-        return "certificate"
-    return None
+    failure = prove(data).failure
+    if failure is None:
+        return None
+    return failure.step if failure.verdict == "refused" else "ambiguous " + failure.step
 
 
 # the edits the whole proof accepts, by the reason no check refuses them
