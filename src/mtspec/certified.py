@@ -2,38 +2,39 @@
 
 The file ships with the package and carries the cover rows of the
 cohomology table, each its named generators (version 4), the homotopy
-table, the self-cohomology of the integral Eilenberg-MacLane spectrum,
-the four recorded arrows of the restriction diagram, and the catalog
-entries no rule gives, CP2 and K3 (version 5).  What the package
-computes is not in it: the uncovered cohomology rows are the ring's
-Thom-module pieces (``charclasses.thom_module_piece``), and the spheres
-S1..S4 and tori T3, T4 are RULED_MANIFOLDS, both entered before the
-file's rows are read, and the families Sigma_<g> and S2xSigma_<g> are
-``family_member``;
-a manifold's p1 number is 3 * signature (Hirzebruch), a property
-of ManifoldClass; the restriction between the spectra is the ring's
-(``charclasses.ring_restriction``), a map touching a zero group is zero,
-and ``spectra.verify_les`` synthesizes the degree-0 unit map; and once
-the recorded arrows are validated, covdim d=3 k=4 is the same-name map
-and cover d=2 k=4 is solved from the 3 -> 2 square.  A file that records
-any of these anyway is refused naming the line, and so is a cohomology
-row's group= field, which its generators give.  Loading validates the
-rest: no group or gens= list may have more than MAX_GROUP_GENERATORS
-generators as spelled, a row's torsion orders must form a divisibility
-chain and its generators have distinct names spelled as a map names one,
-an hz group must be cyclic, a homotopy row of degree 0 must state Z (the
-ring's H^0 = Z u and H^1 = 0 force pi_0 = H_0 = Z, by Hurewicz and
-universal coefficients), no two records of one type may share
-a key, no record may name a field twice and no arrow's map a generator
-(a source, or a target within one image), the file has one version line
-(each repeat is refused, not taken in place of the first) and it states
-5, which is compared once every row is read so that an older file is
-refused at a row its migration changes, each arrow's map must be
-well-defined between the rows it names (built once every row is read,
-it is the ArrowRecord's hom), and each manifold
-record must satisfy the ManifoldClass invariants.  The environment
-variable MTSPEC_DATA overrides the path; a file that cannot be read or
-is not UTF-8 is a DataFormatError like any other bad file.
+table, the self-cohomology of the integral Eilenberg-MacLane spectrum
+and the four recorded arrows of the restriction diagram; it records no
+manifold (version 6).  What the package computes is not in it: the
+uncovered cohomology rows are the ring's Thom-module pieces
+(``charclasses.thom_module_piece``), and the spheres S1..S4, the tori
+T3, T4 and the hypersurfaces CP2 and K3 in CP^3 are RULED_MANIFOLDS,
+both entered before the file's rows are read, and the families Sigma_<g>
+and S2xSigma_<g> are ``family_member`` (a user's file may record a
+manifold no rule gives); a manifold's p1 number is 3 * signature
+(Hirzebruch), a property of ManifoldClass; the restriction between the
+spectra is the ring's (``charclasses.ring_restriction``), a map touching
+a zero group is zero, and ``spectra.verify_les`` synthesizes the
+degree-0 unit map; and once the recorded arrows are validated, covdim
+d=3 k=4 is the same-name map and cover d=2 k=4 is solved from the 3 -> 2
+square.  A file that records any of these anyway is refused naming the
+line, and so is a cohomology row's group= field, which its generators
+give.  Loading validates the rest: no group or gens= list may have more
+than MAX_GROUP_GENERATORS generators as spelled, a row's torsion orders
+must form a divisibility chain and its generators have distinct names
+spelled as a map names one, an hz group must be cyclic, a homotopy row
+of degree 0 must state Z (the ring's H^0 = Z u and H^1 = 0 force pi_0 =
+H_0 = Z, by Hurewicz and universal coefficients), no two records of one
+type may share a key, no record may name a field twice and no arrow's
+map a generator (a source, or a target within one image), the file has
+one version line (each repeat is refused, not taken in place of the
+first) and it states 6, which is compared once every row is read so that
+an older file is refused at a row its migration changes, each arrow's
+map must be well-defined between the rows it names (built once every row
+is read, it is the ArrowRecord's hom), and each manifold record must
+satisfy the ManifoldClass invariants under a name spelled as an
+expression names one.  The environment variable MTSPEC_DATA overrides
+the path; a file that cannot be read or is not UTF-8 is a
+DataFormatError like any other bad file.
 
 ``load_data`` reads MTSPEC_DATA on every call and checks its cache with
 one ``os.stat`` of the path in effect (the shipped file's absolute path is
@@ -90,8 +91,9 @@ MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
 MAX_GROUP_GENERATORS = 32
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names it
+_MANIFOLD_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # a manifold, as a sum names it
 _TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
-_DATA_VERSION = 5  # the version this loader reads
+_DATA_VERSION = 6  # the version this loader reads
 _PI_0 = FgAbGroup(1)  # the one group a homotopy row of degree 0 may state
 # the keys a table row may have, and the refusal of any other: the first
 # covers that the proof derives, the homotopy groups in degrees 0..d, and
@@ -170,6 +172,12 @@ def _product(name: str, a, b) -> ManifoldClass:
     return ManifoldClass(name, a.dim + b.dim, a.euler * b.euler, a.signature * b.signature)
 
 
+def _hypersurface(name: str, k: int) -> ManifoldClass:
+    """A smooth surface of degree k in CP^3: c1 = (4 - k)h, c2 = (k^2 - 4k + 6)h^2
+    and h^2 = k, so euler = c2 and signature = (c1^2 - 2 c2) / 3 (Gompf-Stipsicz)."""
+    return ManifoldClass(name, 4, k ** 3 - 4 * k ** 2 + 6 * k, -k * (k * k - 4) // 3)
+
+
 _FAMILY_RE = re.compile(r"(S2x)?Sigma_([0-9]+)")  # ASCII digits only
 
 
@@ -190,12 +198,13 @@ def family_member(name: str) -> ManifoldClass | None:
     return ManifoldClass(name, 2, euler)
 
 
-# the sphere rule, euler(S^n) = 1 + (-1)^n with kr(S1) = 1 (one circle), and the
-# tori T3 = S1 x Sigma_1 and T4 = Sigma_1 x Sigma_1; parse_data enters these first
+# the sphere rule, euler(S^n) = 1 + (-1)^n with kr(S1) = 1 (one circle), the tori
+# T3 = S1 x Sigma_1 and T4 = Sigma_1 x Sigma_1, and CP2 and K3; parse_data enters these first
 _CIRCLE, _TORUS = ManifoldClass("S1", 1, 0, kr=1), family_member("Sigma_1")
 RULED_MANIFOLDS = {m.name: m for m in (
     _CIRCLE, *(ManifoldClass("S%d" % n, n, 1 + (-1) ** n) for n in (2, 3, 4)),
-    _product("T3", _CIRCLE, _TORUS), _product("T4", _TORUS, _TORUS))}
+    _product("T3", _CIRCLE, _TORUS), _product("T4", _TORUS, _TORUS),
+    _hypersurface("CP2", 1), _hypersurface("K3", 4))}
 
 
 def assignments_to_group_hom(source: CohomologyEntry,
@@ -490,8 +499,11 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     raise ValueError("unknown arrow kind %r" % kind)
             elif rectype == "manifold":
                 name = fields["name"]
+                if not _MANIFOLD_NAME_RE.fullmatch(name):  # no command could name it
+                    raise ValueError("manifold name %r is not spelled as an expression "
+                                     "names one (%s)" % (name, _MANIFOLD_NAME_RE.pattern))
                 if name in RULED_MANIFOLDS or _FAMILY_RE.fullmatch(name):
-                    raise ValueError("%s is given by a rule (spheres, tori, Sigma_<g>, "
+                    raise ValueError("%s is given by a rule (spheres, tori, CP2, K3, Sigma_<g>, "
                                      "S2xSigma_<g>), not recorded; delete the line" % name)
                 rec = ManifoldClass(
                     name=name, dim=int(fields["dim"]),

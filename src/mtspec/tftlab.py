@@ -166,8 +166,8 @@ def invertible_4d_value(l1, l2, m: ManifoldClass) -> ExactComplex:
 
 # Each token takes the whitespace after it, so a run of whitespace can be
 # matched one way only and a failing match backtracks in linear time.
-_SUM_TERM_RE = re.compile(
-    r"\s*(?:([+-])\s*)?(?:(?:\(\s*)?(-?\d+)\s*(?:\)\s*)?\*\s*)?([A-Za-z][A-Za-z0-9_]*)")
+_SUM_TERM_RE = re.compile(r"\s*(?:([+-])\s*)?(?:(?:\(\s*)?(-?\d+)\s*(?:\)\s*)?\*\s*)?(%s)"
+                          % certified._MANIFOLD_NAME_RE.pattern)
 # the catalog names one manifold expression or formal sum may hold
 MAX_EXPRESSION_TERMS = 1000
 _TOO_MANY_TERMS = ("the expression has more than MAX_EXPRESSION_TERMS (%d) terms"

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,16 +8,18 @@ import time
 import pytest
 
 from mtspec import certified
-from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, ManifoldClass,
-                              default_data_path, load_data, parse_data)
+from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, RULED_MANIFOLDS,
+                              ManifoldClass, _hypersurface, default_data_path,
+                              family_member, load_data, parse_data)
 from mtspec.charclasses import thom_module_piece
 from mtspec.cli import main
 from mtspec.errors import DataFormatError
+from mtspec.tftlab import connected_sum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
-version=5
+version=6
 cohomology d=2 cover=1 k=2 gens=tau
 """
 
@@ -24,7 +27,7 @@ cohomology d=2 cover=1 k=2 gens=tau
 class TestShippedData:
     def test_loads_and_validates(self):
         data = load_data()
-        assert data.version == 5
+        assert data.version == 6
         assert len(data.cohomology) == 42  # seven rows, degrees 0..5
         assert set(data.hz) == set(range(7))
 
@@ -42,12 +45,13 @@ class TestShippedData:
         assert arrows[("cover", 2, 4)].assignments == (("c^2u", (("rho", -6),)),)
 
     def test_catalog_records(self):
-        # the file records CP2 and K3; the load enters the ruled names first
+        # the file records no manifold; the load enters the ruled names
         rows = [line for line in default_data_path().read_text().splitlines()
                 if line.startswith(("manifold ", "family "))]
-        assert [row.split()[1] for row in rows] == ["name=CP2", "name=K3"]
-        assert list(load_data().manifolds) == ["S1", "S2", "S3", "S4", "T3", "T4",
-                                               "CP2", "K3"]
+        assert rows == []
+        manifolds = load_data().manifolds
+        assert list(manifolds) == ["S1", "S2", "S3", "S4", "T3", "T4", "CP2", "K3"]
+        assert all(manifolds[name] is RULED_MANIFOLDS[name] for name in manifolds)
 
 
 def tampered(old, new):
@@ -92,7 +96,7 @@ class TestArrowsAtLoad:
     diagram; a record of an arrow a rule gives is refused naming the line."""
 
     def test_a_version_2_file_is_refused_at_its_first_arrow(self):
-        text = default_data_path().read_text().replace("version=5", "version=2")
+        text = default_data_path().read_text().replace("version=6", "version=2")
         arrows = [line for line in text.splitlines() if line.startswith("arrow ")]
         for line in arrows:
             text = text.replace(line + "\n", "")
@@ -152,43 +156,55 @@ class TestArrowsAtLoad:
             parse_data(text)
 
 
-# the catalog rows of the version-4 file that rules give since version 5
-V4_RULED_ROWS = """\
+# the catalog rows of the version-5 file, which rules give since version 6
+V5_CATALOG_ROWS = """\
+manifold name=CP2 dim=4 euler=3 signature=1
+manifold name=K3 dim=4 euler=24 signature=-16
+"""
+
+# the catalog rows of the version-4 file that rules give since version 5:
+# the spheres and tori before CP2 and K3, and the families after them
+V4_MANIFOLD_ROWS = """\
 manifold name=S1 dim=1 euler=0 kr=1
 manifold name=S2 dim=2 euler=2
 manifold name=S3 dim=3 euler=0
 manifold name=T3 dim=3 euler=0
 manifold name=S4 dim=4 euler=2 signature=0
 manifold name=T4 dim=4 euler=0 signature=0
+"""
+V4_FAMILY_ROWS = """\
 family name=Sigma_g dim=2 euler0=2 eulerg=-2
 family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 signature=0
 """
 
 
 class TestRuledCatalog:
-    """A version-5 file records only the catalog entries no rule gives: a
-    row that states a sphere, a torus or a family member, and any family
-    row, is refused naming the line."""
+    """A version-6 file records only the catalog entries no rule gives: a
+    row that states a sphere, a torus, CP2, K3 or a family member, and any
+    family row, is refused naming the line, and so is a name no expression
+    can spell."""
 
-    def test_the_version_4_file_is_refused_at_its_first_ruled_row(
-            self, capsys, monkeypatch, tmp_path):
-        rows = V4_RULED_ROWS.splitlines()
-        v4 = tampered("version=5", "version=4").replace(
-            "manifold name=CP2", "\n".join(rows[:6]) + "\nmanifold name=CP2")
-        v4 += "\n".join(rows[6:]) + "\n"
-        first = "manifold name=S1 dim=1 euler=0 kr=1"
+    @pytest.mark.parametrize("version,rows,first", [
+        (5, V5_CATALOG_ROWS, "manifold name=CP2 dim=4 euler=3 signature=1"),
+        (4, V4_MANIFOLD_ROWS + V5_CATALOG_ROWS + V4_FAMILY_ROWS,
+         "manifold name=S1 dim=1 euler=0 kr=1"),
+    ], ids=["version-5", "version-4"])
+    def test_an_older_file_is_refused_at_its_first_ruled_row(
+            self, capsys, monkeypatch, tmp_path, version, rows, first):
+        old = tampered("version=6", "version=%d" % version) + rows
         with pytest.raises(DataFormatError, match=re.escape(repr(first))) as info:
-            parse_data(v4)
+            parse_data(old)
         assert "delete the line" in str(info.value)
-        path = tmp_path / "v4.txt"
-        path.write_text(v4)
+        path = tmp_path / "old.txt"
+        path.write_text(old)
         monkeypatch.setenv("MTSPEC_DATA", str(path))
         assert main(["table", "hz"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert repr(first) in captured.err and "delete the line" in captured.err
 
-    @pytest.mark.parametrize("row", V4_RULED_ROWS.splitlines() + [
+    @pytest.mark.parametrize("row", (V5_CATALOG_ROWS + V4_MANIFOLD_ROWS
+                                     + V4_FAMILY_ROWS).splitlines() + [
         "manifold name=Sigma_0 dim=2 euler=2",
         "manifold name=S2xSigma_12 dim=4 euler=-44",
         "family name=Sigma_g dim=2 euler0=2 eulerg=-1",
@@ -219,9 +235,54 @@ class TestRuledCatalog:
     def test_a_name_no_rule_gives_is_recorded(self):
         # Sigma_g and Sigma_x name no member: g is spelled in ASCII digits
         data = parse_data(MINIMAL + "manifold name=Sigma_g dim=2 euler=4\n"
-                          "manifold name=Sigma_x dim=2 euler=0\n")
+                          "manifold name=Sigma_x dim=2 euler=0\n"
+                          "manifold name=X4 dim=4 euler=2 signature=0\n")
         assert data.manifolds["Sigma_g"] == ManifoldClass("Sigma_g", 2, 4)
         assert data.manifolds["Sigma_x"] == ManifoldClass("Sigma_x", 2, 0)
+        assert data.manifolds["X4"] == ManifoldClass("X4", 4, 2, 0)
+
+    @pytest.mark.parametrize("name", ["A+B", "X#Y", "Σ4", "4X"])
+    def test_a_name_no_expression_can_spell_is_refused(self, capsys, monkeypatch,
+                                                        tmp_path, name):
+        # served, A+B and X#Y were read as two names, and Σ4 and 4X could be
+        # evaluated alone but not in a formal sum
+        row = "manifold name=%s dim=4 euler=2 signature=0" % name
+        text = default_data_path().read_text() + row + "\n"
+        with pytest.raises(DataFormatError, match=re.escape(repr(row))) as info:
+            parse_data(text)
+        assert "is not spelled as an expression names one" in str(info.value)
+        path = tmp_path / "name.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["eval", "four_d", "--l1", "2", "--l2", "3", "--manifold", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert repr(row) in captured.err and "is not spelled" in captured.err
+
+
+class TestHypersurfaceRule:
+    """CP2 and K3 are the smooth surfaces of degree 1 and 4 in CP^3; the
+    rule is checked against identities it is not written from."""
+
+    def test_the_quadric_is_s2_x_s2(self):
+        quadric, s2xs2 = _hypersurface("Q", 2), family_member("S2xSigma_0")
+        assert (quadric.euler, quadric.signature) == (s2xs2.euler, s2xs2.signature) == (4, 0)
+
+    def test_the_cubic_is_cp2_blown_up_at_six_points(self):
+        cp2 = RULED_MANIFOLDS["CP2"]
+        minus_cp2 = ManifoldClass("-CP2", 4, cp2.euler, -cp2.signature)
+        blown_up = connected_sum(cp2, *[minus_cp2] * 6)
+        cubic = _hypersurface("cubic", 3)
+        assert (cubic.euler, cubic.signature) == (blown_up.euler, blown_up.signature) == (9, -5)
+
+    def test_noether_parity_and_integrality_hold_for_every_degree(self):
+        for k in range(1, 61):
+            surface = _hypersurface("X", k)
+            # Noether: (euler + signature) / 4 = 1 - q + p_g, with q = 0 and
+            # p_g = C(k - 1, 3), the monomials of degree k - 4 in four variables
+            assert surface.euler + surface.signature == 4 * (1 + math.comb(k - 1, 3)), k
+            assert (surface.euler + surface.signature) % 2 == 0, k
+            assert 3 * surface.signature == -k * (k * k - 4), k  # no remainder dropped
 
 
 class TestRepeatedKeys:
@@ -235,7 +296,8 @@ class TestRepeatedKeys:
         "hz k=0 group=Z/2",
         "arrow kind=cover d=3 k=4 map=p1u:5*rho",
         "arrow map=psi:1*rho;sigma:2*rho k=4 d=4 kind=covdim",
-        "manifold name=K3 dim=4 euler=24 signature=-16",
+        "manifold name=X4 dim=4 euler=24 signature=-16\n"
+        "manifold name=X4 dim=4 euler=24 signature=-16",      # a verbatim repeat
     ])
     def test_repeated_key_is_refused(self, record):
         text = default_data_path().read_text() + record + "\n"
@@ -245,7 +307,7 @@ class TestRepeatedKeys:
 
 class TestRepeatedFields:
     """A field named twice in one record, a generator named twice in an
-    arrow's map, and a second version line or one that does not state 5,
+    arrow's map, and a second version line or one that does not state 6,
     are refused naming the line, in process and through MTSPEC_DATA."""
 
     @pytest.mark.parametrize("old,new", [
@@ -253,19 +315,19 @@ class TestRepeatedFields:
         ("cohomology d=2 cover=1 k=2 gens=tau",
          "cohomology d=3 cover=1 k=2 d=2 gens=tau"),
         # would load with euler 5
-        ("manifold name=CP2 dim=4 euler=3 signature=1",
-         "manifold name=CP2 dim=4 euler=3 signature=1 euler=5"),
+        ("version=6", "version=6\nmanifold name=X4 dim=4 euler=3 signature=1 euler=5"),
         # would load as sigma:2*rho: the later term of a target won
         ("arrow kind=covdim d=4 k=4 map=psi:1*rho;sigma:2*rho",
          "arrow kind=covdim d=4 k=4 map=psi:1*rho;sigma:0*rho+2*rho"),
         # would build 5 rho: the later image of a source won
         ("arrow kind=cover d=3 k=4 map=p1u:6*rho",
          "arrow kind=cover d=3 k=4 map=p1u:6*rho;p1u:5*rho"),
-        ("version=5", "version=5\nversion=2"),    # would load as version 2
-        ("version=5", "version=abc"),             # escaped as a bare ValueError
-        ("version=5", "version=3"),               # loaded version-5 rows as version 3
-        ("version=5", "version=4"),               # loaded version-5 rows as version 4
-        ("version=5", "version=-7"),
+        ("version=6", "version=6\nversion=2"),    # would load as version 2
+        ("version=6", "version=abc"),             # escaped as a bare ValueError
+        ("version=6", "version=3"),               # loaded version-5 rows as version 3
+        ("version=6", "version=4"),               # loaded version-5 rows as version 4
+        ("version=6", "version=5"),               # version-6 rows as version 5
+        ("version=6", "version=-7"),
     ])
     def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
         modified = tampered(old, new)
@@ -302,7 +364,7 @@ class TestUnreadableFile:
                             + comments * (MAX_DATA_BYTES // len(comments)))
         elif kind == "non-utf8":  # 0xff starts no UTF-8 sequence
             path = tmp_path / "latin.txt"
-            path.write_bytes(b"version=5\n\xff\n")
+            path.write_bytes(b"version=6\n\xff\n")
         else:
             path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
@@ -355,7 +417,7 @@ class TestParser:
     ], ids=["record-type", "arrow-kind"])
     def test_unknown_name_is_refused_naming_the_line(self, record, reason):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=5\n" + record + "\n")
+            parse_data("version=6\n" + record + "\n")
         assert reason in str(info.value)
 
     @pytest.mark.parametrize("gens,reason", [
@@ -368,11 +430,11 @@ class TestParser:
     def test_torsion_orders_must_form_a_chain_of_orders_from_two(self, gens, reason):
         record = "cohomology d=2 cover=1 k=2 gens=%s" % gens
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=5\n" + record + "\n")
+            parse_data("version=6\n" + record + "\n")
         assert reason in str(info.value)
 
     def test_a_chain_of_torsion_orders_is_the_group(self):
-        entry = parse_data("version=5\ncohomology d=2 cover=1 k=2 "
+        entry = parse_data("version=6\ncohomology d=2 cover=1 k=2 "
                            "gens=a:6,b,c:2,d:12\n").entry(2, 1, 2)
         assert (entry.group.free_rank, entry.group.torsion) == (1, (2, 6, 12))
         assert entry.names == ("a", "b", "c", "d")
@@ -405,7 +467,7 @@ class TestParser:
 
     def test_a_group_field_on_a_cohomology_row_is_refused(self, capsys, monkeypatch, tmp_path):
         # a version-3 file fails at its first cover row
-        v3 = default_data_path().read_text().replace("version=5", "version=3").replace(
+        v3 = default_data_path().read_text().replace("version=6", "version=3").replace(
             "cohomology d=2 cover=1 k=0\n", "cohomology d=2 cover=1 k=0 group=0\n")
         record = "cohomology d=2 cover=1 k=0 group=0"
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
@@ -465,13 +527,13 @@ class TestParser:
         assert data.manifolds["X4"].p1_number == 6
 
     def test_catalog_records_are_manifold_classes(self):
-        data = parse_data(MINIMAL + "manifold name=CP2 dim=4 euler=3 signature=1\n")
-        assert data.manifolds["CP2"] == ManifoldClass("CP2", 4, 3, 1)
-        assert data.manifolds["CP2"].p1_number == 3
+        data = parse_data(MINIMAL + "manifold name=X4 dim=4 euler=3 signature=1\n")
+        assert data.manifolds["X4"] == ManifoldClass("X4", 4, 3, 1)
+        assert data.manifolds["X4"].p1_number == 3
 
     def test_ill_defined_arrow_rejected(self):
         bad = (
-            "version=5\n"
+            "version=6\n"
             "cohomology d=3 cover=1 k=3 gens=x\n"
             "arrow kind=cover d=3 k=3 map=W3u:1*x\n"
         )
@@ -480,7 +542,7 @@ class TestParser:
 
     def test_bad_combo_rejected(self):
         bad = (
-            "version=5\n"
+            "version=6\n"
             "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:t+t\n"
         )
@@ -551,7 +613,7 @@ class TestParser:
 
     def test_long_digit_run_fails_fast(self):
         bad = (
-            "version=5\n"
+            "version=6\n"
             "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:" + "1" * 100_000 + "\n"
         )

@@ -46,15 +46,12 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def write_odd_parity_cp2(tmp_path):
-    """A copy of the shipped data file whose CP2 record has euler 4, so
-    euler + signature is odd."""
+def write_odd_parity_manifold(tmp_path):
+    """A copy of the shipped data file plus a record of X4, a name no rule
+    gives, with euler 4 and signature 1, so euler + signature is odd."""
     text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
-    modified = text.replace("manifold name=CP2 dim=4 euler=3 signature=1",
-                            "manifold name=CP2 dim=4 euler=4 signature=1")
-    assert modified != text
-    path = tmp_path / "odd_parity_cp2.txt"
-    path.write_text(modified)
+    path = tmp_path / "odd_parity_x4.txt"
+    path.write_text(text + "manifold name=X4 dim=4 euler=4 signature=1\n")
     return path
 
 
@@ -390,10 +387,10 @@ class TestProcessLevel:
         # manifold records are checked against the ManifoldClass invariants
         # when the file loads, not when the manifold is first used
         proc = run_subprocess("table", "hz", env_extra={
-            "MTSPEC_DATA": str(write_odd_parity_cp2(tmp_path))})
+            "MTSPEC_DATA": str(write_odd_parity_manifold(tmp_path))})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "manifold name=CP2 dim=4 euler=4 signature=1" in proc.stderr
+        assert "manifold name=X4 dim=4 euler=4 signature=1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
@@ -407,11 +404,11 @@ class TestProcessLevel:
     ])
     def test_invalid_manifold_record_refused_by_every_subcommand(
             self, capsys, monkeypatch, tmp_path, argv):
-        monkeypatch.setenv("MTSPEC_DATA", str(write_odd_parity_cp2(tmp_path)))
+        monkeypatch.setenv("MTSPEC_DATA", str(write_odd_parity_manifold(tmp_path)))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "name=CP2" in captured.err
+        assert "name=X4" in captured.err
 
     def test_family_record_exits_two(self, tmp_path):
         # the families are rules since data version 5; a version-4 family

@@ -7,9 +7,9 @@ The edits come from the record grammar, one row at a time:
   Z/2, Z/3, Z^2, Z/6 and Z^3;
 - each ``cohomology`` row gets each other generator list among none,
   ``x``, ``x:2``, ``x:3`` and ``x,y``;
-- each arrow coefficient moves by -1 and +1;
-- each number of a catalog record moves by +1, +2 and -2, its ``dim``
-  excepted: like ``d`` and ``k`` elsewhere, it says which record it is.
+- each arrow coefficient moves by -1 and +1.
+
+The file records no manifold: rules give every catalog name.
 
 An edited file is refused by ``parse_data`` or by the first check of
 ``spectra.prove`` that does not pass: ``verify_les`` for d = 2..4, one of
@@ -30,7 +30,6 @@ from mtspec.spectra import prove
 
 GROUPS = ("0", "Z", "Z/2", "Z/3", "Z^2", "Z/6", "Z^3")
 GENS = (None, "x", "x:2", "x:3", "x,y")
-CATALOG_STEPS = (1, 2, -2)
 
 
 def _replaced(line, match, text):
@@ -52,10 +51,6 @@ def row_edits(line):
     if kind == "arrow":
         return [_replaced(line, match, str(int(match[1]) + step))
                 for match in re.finditer(r"(\d+)\*", line) for step in (-1, 1)]
-    if kind == "manifold":
-        return [_replaced(line, match, str(int(match[1]) + step))
-                for match in re.finditer(r" (?!dim=)\w+=(-?\d+)", line)
-                for step in CATALOG_STEPS]
     return []
 
 
@@ -99,23 +94,12 @@ PASSING = {
     "an integrality check of the pairings would refuse these":
         ["arrow kind=cover d=4 k=4 map=eu:2*psi-0*sigma;p1u:3*sigma",
          "arrow kind=cover d=4 k=4 map=eu:2*psi-2*sigma;p1u:3*sigma"],
-    "a number of a recorded catalog row, CP2 or K3: no rule gives them, and "
-    "no step of the proof reads the manifold catalog": [
-        "manifold name=CP2 dim=4 euler=5 signature=1",
-        "manifold name=CP2 dim=4 euler=1 signature=1",
-        "manifold name=CP2 dim=4 euler=3 signature=3",
-        "manifold name=CP2 dim=4 euler=3 signature=-1",
-        "manifold name=K3 dim=4 euler=26 signature=-16",
-        "manifold name=K3 dim=4 euler=22 signature=-16",
-        "manifold name=K3 dim=4 euler=24 signature=-14",
-        "manifold name=K3 dim=4 euler=24 signature=-18",
-    ],
 }
 
 # how many edits each step refuses first.  A weaker exactness check would
 # pass some of verify_les's edits on to a later step; a check added before
 # a step takes edits from it, and then these are pinned again on purpose
-REFUSED_BY = {"parse_data": 62, "verify_les": 92, "derivation": 33,
+REFUSED_BY = {"parse_data": 58, "verify_les": 92, "derivation": 33,
               "ambiguous derivation": 15, "certificate": 4}
 
 
@@ -133,10 +117,8 @@ def test_the_shipped_file_passes():
 def test_the_grammar_gives_every_row_its_edits(verdicts):
     kinds = Counter(edited.split(" ", 1)[0] for edited in verdicts)
     # 14 homotopy and 7 hz rows, 6 other groups each; 14 zero cohomology
-    # rows with 4 other lists and 4 named ones with 5; 7 arrow coefficients;
-    # 4 catalog numbers, of CP2 and K3
-    assert kinds == {"homotopy": 84, "hz": 42, "cohomology": 76, "arrow": 14,
-                     "manifold": 12}
+    # rows with 4 other lists and 4 named ones with 5; 7 arrow coefficients
+    assert kinds == {"homotopy": 84, "hz": 42, "cohomology": 76, "arrow": 14}
 
 
 def test_every_passing_edit_is_listed_with_its_reason(verdicts):
