@@ -3,38 +3,33 @@
 The file ships with the package and carries the cover rows of the
 cohomology table, each its named generators (version 4), the homotopy
 table, the self-cohomology of the integral Eilenberg-MacLane spectrum
-and the four recorded arrows of the restriction diagram; it records no
-manifold (version 6).  What the package computes is not in it: the
-uncovered cohomology rows are the ring's Thom-module pieces
-(``charclasses.thom_module_piece``), and the spheres S1..S4, the tori
-T3, T4 and the hypersurfaces CP2 and K3 in CP^3 are RULED_MANIFOLDS,
-both entered before the file's rows are read, and the families Sigma_<g>
-and S2xSigma_<g> are ``family_member`` (a user's file may record a
-manifold no rule gives); a manifold's p1 number is 3 * signature
-(Hirzebruch), a property of ManifoldClass; the restriction between the
-spectra is the ring's (``charclasses.ring_restriction``), a map touching
-a zero group is zero, and ``spectra.verify_les`` synthesizes the
-degree-0 unit map; and once the recorded arrows are validated, covdim
-d=3 k=4 is the same-name map and cover d=2 k=4 is solved from the 3 -> 2
-square.  A file that records any of these anyway is refused naming the
-line, and so is a cohomology row's group= field, which its generators
-give.  Loading validates the rest: no group or gens= list may have more
-than MAX_GROUP_GENERATORS generators as spelled, a row's torsion orders
-must form a divisibility chain and its generators have distinct names
-spelled as a map names one, an hz group must be cyclic, a homotopy row
-of degree 0 must state Z (the ring's H^0 = Z u and H^1 = 0 force pi_0 =
-H_0 = Z, by Hurewicz and universal coefficients), no two records of one
-type may share a key, no record may name a field twice and no arrow's
-map a generator (a source, or a target within one image), the file has
-one version line (each repeat is refused, not taken in place of the
-first) and it states 6, which is compared once every row is read so that
-an older file is refused at a row its migration changes, each arrow's
-map must be well-defined between the rows it names (built once every row
-is read, it is the ArrowRecord's hom), and each manifold record must
-satisfy the ManifoldClass invariants under a name spelled as an
-expression names one.  The environment variable MTSPEC_DATA overrides
-the path; a file that cannot be read or is not UTF-8 is a
-DataFormatError like any other bad file.
+and the four recorded arrows of the restriction diagram.  What the
+package computes is not in it: the uncovered cohomology rows are the
+ring's Thom-module pieces (``charclasses.thom_module_piece``); the
+restriction between the spectra is the ring's
+(``charclasses.ring_restriction``), a map touching a zero group is zero,
+and ``spectra.verify_les`` synthesizes the degree-0 unit map; and once
+the recorded arrows are validated, covdim d=3 k=4 is the same-name map
+and cover d=2 k=4 is solved from the 3 -> 2 square.  No manifold is
+data: the catalog is code in ``tftlab`` (version 7).  A file that
+records any of these anyway is refused naming the line, and so is a
+cohomology row's group= field, which its generators give, a p1= field
+(version 2), and a manifold row, whose refusal says which sum of catalog
+names to write instead.  Loading validates the rest: no group or gens=
+list may have more than MAX_GROUP_GENERATORS generators as spelled, a
+row's torsion orders must form a divisibility chain and its generators
+have distinct names spelled as a map names one, an hz group must be cyclic, a homotopy
+row of degree 0 must state Z (the ring's H^0 = Z u and H^1 = 0 force
+pi_0 = H_0 = Z, by Hurewicz and universal coefficients), no two records
+of one type may share a key, no record may name a field twice and no
+arrow's map a generator (a source, or a target within one image), the
+file has one version line (each repeat is refused, not taken in place
+of the first) and it states 7, which is compared once every row is read
+so that an older file is refused at a row its migration changes, and
+each arrow's map must be well-defined between the rows it names (built
+once every row is read, it is the ArrowRecord's hom).  The environment
+variable MTSPEC_DATA overrides the path; a file that cannot be read or
+is not UTF-8 is a DataFormatError like any other bad file.
 
 ``load_data`` reads MTSPEC_DATA on every call and checks its cache with
 one ``os.stat`` of the path in effect (the shipped file's absolute path is
@@ -76,7 +71,6 @@ import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, ring_restriction, thom_module_piece
@@ -91,9 +85,8 @@ MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
 MAX_GROUP_GENERATORS = 32
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names it
-_MANIFOLD_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # a manifold, as a sum names it
 _TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
-_DATA_VERSION = 6  # the version this loader reads
+_DATA_VERSION = 7  # the version this loader reads
 _PI_0 = FgAbGroup(1)  # the one group a homotopy row of degree 0 may state
 # the keys a table row may have, and the refusal of any other: the first
 # covers that the proof derives, the homotopy groups in degrees 0..d, and
@@ -130,83 +123,6 @@ class ArrowRecord:
         return dict(dict(self.assignments)[name])
 
 
-@dataclass(frozen=True)
-class ManifoldClass:
-    """An oriented closed manifold, or an integer combination of such
-    manifolds of one dimension, remembered through its invariants; every
-    rule below is linear, so a combination of valid classes is valid."""
-
-    name: str
-    dim: int
-    euler: int
-    signature: int = 0
-    kr: int | None = None
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3, 4):
-            raise MtspecError("dimension must be 1..4")
-        if self.dim % 2 and self.euler != 0:
-            raise MtspecError("closed odd-dimensional manifolds have euler 0")
-        if self.dim % 4 and self.signature:
-            raise MtspecError("signature is only meaningful in dimensions 0 mod 4")
-        if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
-            raise MtspecError("euler + signature must be even (duality parity)")
-        if self.kr is not None:
-            if self.dim % 4 != 1:
-                raise MtspecError("kr applies in dimensions 1 mod 4 only")
-            if self.kr not in (0, 1):
-                raise MtspecError("kr is a mod-2 value")
-
-    @property
-    def p1_number(self) -> int:
-        """The first Pontryagin number, 3 * signature by Hirzebruch's
-        signature theorem; 0 outside dimension 4, as the signature is."""
-        return 3 * self.signature
-
-
-def _product(name: str, a, b) -> ManifoldClass:
-    """The product rule: dimensions add, euler numbers and signatures
-    multiply, and a product of positive dimensions has no kr.  A factor
-    not served itself is any object with the three invariants: only the
-    product is checked, as a ManifoldClass."""
-    return ManifoldClass(name, a.dim + b.dim, a.euler * b.euler, a.signature * b.signature)
-
-
-def _hypersurface(name: str, k: int) -> ManifoldClass:
-    """A smooth surface of degree k in CP^3: c1 = (4 - k)h, c2 = (k^2 - 4k + 6)h^2
-    and h^2 = k, so euler = c2 and signature = (c1^2 - 2 c2) / 3 (Gompf-Stipsicz)."""
-    return ManifoldClass(name, 4, k ** 3 - 4 * k ** 2 + 6 * k, -k * (k * k - 4) // 3)
-
-
-_FAMILY_RE = re.compile(r"(S2x)?Sigma_([0-9]+)")  # ASCII digits only
-
-
-def family_member(name: str) -> ManifoldClass | None:
-    """The member a family rule gives the name, or None: Sigma_<g> is the
-    genus-g surface, euler 2 - 2g, and S2xSigma_<g> its product with S2."""
-    match = _FAMILY_RE.fullmatch(name)
-    if match is None:
-        return None
-    try:
-        genus = int(match[2])
-    except ValueError as exc:  # past the interpreter's limit on converting digits
-        raise MtspecError(str(exc)) from None
-    euler = 2 - 2 * genus  # of the genus-g surface
-    if match[1]:
-        return _product(name, RULED_MANIFOLDS["S2"],
-                        SimpleNamespace(dim=2, euler=euler, signature=0))
-    return ManifoldClass(name, 2, euler)
-
-
-# the sphere rule, euler(S^n) = 1 + (-1)^n with kr(S1) = 1 (one circle), the tori
-# T3 = S1 x Sigma_1 and T4 = Sigma_1 x Sigma_1, and CP2 and K3; parse_data enters these first
-_CIRCLE, _TORUS = ManifoldClass("S1", 1, 0, kr=1), family_member("Sigma_1")
-RULED_MANIFOLDS = {m.name: m for m in (
-    _CIRCLE, *(ManifoldClass("S%d" % n, n, 1 + (-1) ** n) for n in (2, 3, 4)),
-    _product("T3", _CIRCLE, _TORUS), _product("T4", _TORUS, _TORUS),
-    _hypersurface("CP2", 1), _hypersurface("K3", 4))}
-
-
 def assignments_to_group_hom(source: CohomologyEntry,
                              target: CohomologyEntry,
                              assignments) -> GroupHom:
@@ -234,13 +150,12 @@ def assignments_to_group_hom(source: CohomologyEntry,
 class CertifiedData:
     """Parsed, validated contents of one certified data file."""
 
-    def __init__(self, version, cohomology, homotopy, hz, arrows, manifolds, path):
+    def __init__(self, version, cohomology, homotopy, hz, arrows, path):
         self.version = version
         self.cohomology = cohomology    # (d, cover, k) -> CohomologyEntry
         self.homotopy = homotopy        # (d, k) -> FgAbGroup
         self.hz = hz                    # k -> CohomologyEntry, generated by hz<k>
         self.arrows = arrows            # (kind, d, k) -> ArrowRecord
-        self.manifolds = manifolds      # name -> ManifoldClass, ruled or recorded
         self.path = path
         self.derived = {}               # the proof's workspace (see spectra)
 
@@ -305,7 +220,6 @@ _RECORD_FIELDS = {
     "homotopy": {"d", "k", "group"},
     "hz": {"k", "group"},
     "arrow": {"kind", "d", "k", "map"},
-    "manifold": {"name", "dim", "euler", "signature", "kr"},
 }
 
 
@@ -410,7 +324,6 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
     hz = {}
     # each recorded arrow's line and assignments, until every row is read
     arrows = {}
-    manifolds = dict(RULED_MANIFOLDS)  # the rows record only what no rule gives
     # the rows repeat few texts: one group per group text, and one entry
     # per gens text, shared by every row that spells it
     groups, entries = {}, {}
@@ -445,6 +358,12 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             if rectype == "family":
                 raise ValueError("Sigma_<g> and S2xSigma_<g> are rules, not recorded; "
                                  "delete the line")
+            if rectype == "manifold":  # the catalog's sums replace it (version 7)
+                raise ValueError(
+                    "where the manifold is named, write the sum a*S4 + b*CP2 with b = "
+                    "signature and a = (euler - 3*signature)/2 (dim 4), (euler/2)*S2 (dim 2), "
+                    "S3 (dim 3), or S1 (kr 1) or 2*S1 (kr 0) (dim 1): a manifold is a sum of "
+                    "catalog names, not recorded; delete the line")
             fields = _parse_fields(parts[1:])
             if "p1" in fields:
                 raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
@@ -497,20 +416,6 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     raise ValueError(rule + ", not recorded; delete the line")
                 if kind not in ("cover", "covdim"):
                     raise ValueError("unknown arrow kind %r" % kind)
-            elif rectype == "manifold":
-                name = fields["name"]
-                if not _MANIFOLD_NAME_RE.fullmatch(name):  # no command could name it
-                    raise ValueError("manifold name %r is not spelled as an expression "
-                                     "names one (%s)" % (name, _MANIFOLD_NAME_RE.pattern))
-                if name in RULED_MANIFOLDS or _FAMILY_RE.fullmatch(name):
-                    raise ValueError("%s is given by a rule (spheres, tori, CP2, K3, Sigma_<g>, "
-                                     "S2xSigma_<g>), not recorded; delete the line" % name)
-                rec = ManifoldClass(
-                    name=name, dim=int(fields["dim"]),
-                    euler=int(fields["euler"]),
-                    signature=int(fields.get("signature", 0)),
-                    kr=int(fields["kr"]) if "kr" in fields else None)
-                table, key = manifolds, rec.name
             if key in table:  # a repeat is refused, not taken over the first
                 raise ValueError("a record with the key %s came earlier" % (key,))
             table[key] = rec
@@ -523,7 +428,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
         raise DataFormatError("bad record %r: this program reads data version %d"
                               % (version_line, _DATA_VERSION))
     return CertifiedData(version, cohomology, homotopy, hz, _load_arrows(cohomology, arrows),
-                         manifolds, path)
+                         path)
 
 
 MAX_DATA_BYTES = 1 << 20  # the shipped file has under 5 KB

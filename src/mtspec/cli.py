@@ -23,7 +23,9 @@ to load the exact numbers of ``exactnum``.  No subcommand loads the
 consistency proof in ``spectra``, and the process skips the
 interpreter's teardown (see ``entrypoint``).  The dispatcher reads
 MTSPEC_DATA and resolves the data file once per call, and hands that
-data to the handler, which passes it to every lookup it makes.
+data to the handler, which passes it to every lookup it makes; ``eval``
+and ``bordism`` read none, as the manifold catalog is code, but a bad
+file is refused by every subcommand alike.
 """
 
 from __future__ import annotations
@@ -107,7 +109,14 @@ def document_to_json(command: str, inputs: dict, result: dict) -> str:
 # --ascii, and returns the text
 
 
+# the options each kind of table reads; any other is refused, not ignored
+_TABLE_OPTIONS = {"cohomology": ("d", "cover"), "homotopy": ("d",), "hz": ()}
+
+
 def cmd_table(args, data):
+    for dest in ("d", "cover"):
+        if getattr(args, dest) is not None and dest not in _TABLE_OPTIONS[args.kind]:
+            raise MtspecError("table %s does not take --%s" % (args.kind, dest))
     from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology,
                             equivalent_stored_cover, homotopy_group, hz_self_cohomology)
     if args.kind == "hz":
@@ -121,9 +130,10 @@ def cmd_table(args, data):
         rows = [{"k": k, "group": group_to_json(homotopy_group(args.d, k, data))}
                 for k in range(args.d + 1)]
     else:
-        inputs = {"kind": "cohomology", "d": args.d, "cover": args.cover}
-        SpectrumId(args.d, args.cover)  # refuses --d and --cover out of range
-        stored = SpectrumId(args.d, equivalent_stored_cover(args.d, args.cover, data))
+        cover = args.cover or 0
+        inputs = {"kind": "cohomology", "d": args.d, "cover": cover}
+        SpectrumId(args.d, cover)  # refuses --d and --cover out of range
+        stored = SpectrumId(args.d, equivalent_stored_cover(args.d, cover, data))
         rows = []
         for k in range(MAX_TABLE_DEGREE + 1):
             entry = cohomology(stored, k, data)
@@ -225,12 +235,12 @@ def cmd_eval(args, data):
             raise MtspecError("eval %s takes --manifold or %s, not both" % (args.theory, flag))
     from . import tftlab
     from .exactnum import parse_exact
-    catalog = tftlab.standard_manifolds(data)
+    catalog = tftlab.standard_manifolds()
     inputs = {"theory": args.theory}
     if args.theory == "four_d":
         if args.l1 is None or args.l2 is None or args.manifold is None:
             raise MtspecError("eval four_d needs --l1, --l2 and --manifold")
-        manifold = tftlab.parse_manifold(args.manifold, catalog)
+        manifold = tftlab.parse_formal_sum(args.manifold, catalog)
         value = tftlab.invertible_4d_value(parse_exact(args.l1),
                                            parse_exact(args.l2), manifold)
         inputs.update({"l1": args.l1, "l2": args.l2, "manifold": args.manifold})
@@ -238,7 +248,7 @@ def cmd_eval(args, data):
         if args.lam is None:
             raise MtspecError("eval euler needs --lam")
         if args.manifold is not None:
-            manifold = tftlab.parse_manifold(args.manifold, catalog)
+            manifold = tftlab.parse_formal_sum(args.manifold, catalog)
             if manifold.dim != 2:
                 raise MtspecError("the Euler theory evaluates surfaces")
             bordism = tftlab.SurfaceBordism(manifold.euler, 0)
@@ -257,7 +267,7 @@ def cmd_eval(args, data):
         if args.g is not None:
             value = tftlab.frobenius_closed_value(parse_exact(args.mu), args.g)
         elif args.manifold is not None:
-            manifold = tftlab.parse_manifold(args.manifold, catalog)
+            manifold = tftlab.parse_formal_sum(args.manifold, catalog)
             value = tftlab.frobenius_surface_value(parse_exact(args.mu), manifold)
             inputs["manifold"] = args.manifold
         else:
@@ -272,7 +282,7 @@ def _render_eval(result: dict, ascii_mode: bool) -> str:
 
 def cmd_bordism(args, data):
     from . import tftlab
-    total = tftlab.parse_formal_sum(args.sum, tftlab.standard_manifolds(data))
+    total = tftlab.parse_formal_sum(args.sum, tftlab.standard_manifolds())
     return {"d": args.d, "sum": args.sum}, {
         "invariant": list(tftlab.vf_invariant(args.d, total)),
         "null_bordant": tftlab.is_vf_nullbordant(args.d, total)}
@@ -347,7 +357,7 @@ _SUBCOMMANDS = {
     "table": ("print a certified table", [
         (("kind",), {"choices": ["cohomology", "homotopy", "hz"]}),
         (("--d",), {"type": int}),
-        (("--cover",), {"type": int, "default": 0})]),
+        (("--cover",), {"type": int})]),
     "classify": ("the group of invertible theories", [
         _D, (("--n",), {"type": int, "required": True})]),
     "restrict": ("transport theory coordinates", [

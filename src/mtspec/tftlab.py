@@ -1,15 +1,19 @@
-"""Concrete manifold descriptors and theory evaluation.
+"""The manifold catalog, manifold expressions and theory evaluation.
 
 Manifolds are descriptor tuples, not triangulations: the theories in
 range see only the Euler characteristic, the signature, the first
 Pontryagin number and (in dimensions 1 mod 4) the real semicharacteristic,
-so the data model (ManifoldClass, defined in certified and re-exported
-here) stores the others and computes p1 = 3*sigma by the signature
-theorem.  A class may be an integer combination of manifolds of one
-dimension (``formal_sum``), as those theories see a sum only through its
-summed invariants.  The catalog serves the data's ManifoldClass
-instances and the members of the families that ``certified``'s rules
-give, Sigma_<g> and S2xSigma_<g>; none is invented silently.
+so the data model (ManifoldClass) stores the others and computes p1 =
+3*sigma by the signature theorem.  A class may be an integer combination
+of manifolds of one dimension (``formal_sum``), as those theories see a
+sum only through its summed invariants.
+
+The catalog is code, and no data file records a manifold (data version
+7): the spheres S1..S4, the tori T3, T4 and the hypersurfaces CP2 and K3
+in CP^3 are RULED_MANIFOLDS, and the families Sigma_<g> and S2xSigma_<g>
+are ``family_member``.  One expression language names a class:
+``parse_formal_sum`` reads integer combinations of '#'-chains of catalog
+names, for ``eval --manifold`` and ``bordism --sum`` alike.
 
 All evaluation is exact: parameters and values are rational numbers
 times roots of unity.
@@ -19,11 +23,114 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from . import certified
-from .certified import ManifoldClass
 from .errors import MtspecError
 from .exactnum import ExactComplex
+
+
+@dataclass(frozen=True)
+class ManifoldClass:
+    """An oriented closed manifold, or an integer combination of such
+    manifolds of one dimension, remembered through its invariants; every
+    rule below is linear, so a combination of valid classes is valid."""
+
+    name: str
+    dim: int
+    euler: int
+    signature: int = 0
+    kr: int | None = None
+
+    def __post_init__(self):
+        if self.dim not in (1, 2, 3, 4):
+            raise MtspecError("dimension must be 1..4")
+        if self.dim % 2 and self.euler != 0:
+            raise MtspecError("closed odd-dimensional manifolds have euler 0")
+        if self.dim % 4 and self.signature:
+            raise MtspecError("signature is only meaningful in dimensions 0 mod 4")
+        if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
+            raise MtspecError("euler + signature must be even (duality parity)")
+        if self.kr is not None:
+            if self.dim % 4 != 1:
+                raise MtspecError("kr applies in dimensions 1 mod 4 only")
+            if self.kr not in (0, 1):
+                raise MtspecError("kr is a mod-2 value")
+
+    @property
+    def p1_number(self) -> int:
+        """The first Pontryagin number, 3 * signature by Hirzebruch's
+        signature theorem; 0 outside dimension 4, as the signature is."""
+        return 3 * self.signature
+
+
+# ---------------------------------------------------------------------------
+# catalog
+
+
+def _product(name: str, a, b) -> ManifoldClass:
+    """The product rule: dimensions add, euler numbers and signatures
+    multiply, and a product of positive dimensions has no kr.  A factor
+    not served itself is any object with the three invariants: only the
+    product is checked, as a ManifoldClass."""
+    return ManifoldClass(name, a.dim + b.dim, a.euler * b.euler, a.signature * b.signature)
+
+
+def _hypersurface(name: str, k: int) -> ManifoldClass:
+    """A smooth surface of degree k in CP^3: c1 = (4 - k)h, c2 = (k^2 - 4k + 6)h^2
+    and h^2 = k, so euler = c2 and signature = (c1^2 - 2 c2) / 3 (Gompf-Stipsicz)."""
+    return ManifoldClass(name, 4, k ** 3 - 4 * k ** 2 + 6 * k, -k * (k * k - 4) // 3)
+
+
+def _int(digits: str) -> int:
+    """The integer the digits spell, refused past the interpreter's limit
+    on converting digits (``sys.set_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise MtspecError(str(exc)) from None
+
+
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # a catalog name, as an expression spells it
+_FAMILY_RE = re.compile(r"(S2x)?Sigma_([0-9]+)")  # ASCII digits only
+
+
+def family_member(name: str) -> ManifoldClass | None:
+    """The member a family rule gives the name, or None: Sigma_<g> is the
+    genus-g surface, euler 2 - 2g, and S2xSigma_<g> its product with S2."""
+    match = _FAMILY_RE.fullmatch(name)
+    if match is None:
+        return None
+    genus = _int(match[2])
+    euler = 2 - 2 * genus  # of the genus-g surface
+    if match[1]:
+        return _product(name, RULED_MANIFOLDS["S2"],
+                        SimpleNamespace(dim=2, euler=euler, signature=0))
+    return ManifoldClass(name, 2, euler)
+
+
+# the sphere rule, euler(S^n) = 1 + (-1)^n with kr(S1) = 1 (one circle), the tori
+# T3 = S1 x Sigma_1 and T4 = Sigma_1 x Sigma_1, and CP2 and K3
+_CIRCLE, _TORUS = ManifoldClass("S1", 1, 0, kr=1), family_member("Sigma_1")
+RULED_MANIFOLDS = {m.name: m for m in (
+    _CIRCLE, *(ManifoldClass("S%d" % n, n, 1 + (-1) ** n) for n in (2, 3, 4)),
+    _product("T3", _CIRCLE, _TORUS), _product("T4", _TORUS, _TORUS),
+    _hypersurface("CP2", 1), _hypersurface("K3", 4))}
+
+
+def _catalog_entry(name: str) -> ManifoldClass:
+    entry = RULED_MANIFOLDS.get(name) or family_member(name)
+    if entry is None:
+        raise MtspecError("no catalog entry named %r" % name)
+    return entry
+
+
+_CATALOG = SimpleNamespace(get=_catalog_entry)
+
+
+def standard_manifolds():
+    """The catalog the parsers read names from, built once: its get(name)
+    is a ruled name, else a family member, and refuses any other name."""
+    return _CATALOG
 
 
 def connected_sum(*chain: ManifoldClass) -> ManifoldClass:
@@ -37,7 +144,7 @@ def connected_sum(*chain: ManifoldClass) -> ManifoldClass:
             raise MtspecError("connected sum is provided for dimensions 2 and 4")
     if len(chain) == 1:
         return first
-    sphere = certified.RULED_MANIFOLDS["S%d" % first.dim]
+    sphere = RULED_MANIFOLDS["S%d" % first.dim]
     return ManifoldClass("#".join(m.name for m in chain), first.dim,
                          sum(m.euler for m in chain) - sphere.euler * (len(chain) - 1),
                          sum(m.signature for m in chain))
@@ -63,28 +170,6 @@ def formal_sum(pairs) -> ManifoldClass:
         names.append(manifold.name if mult == 1 else "%d*%s" % (mult, manifold.name))
     return ManifoldClass("+".join(names), dim, euler, signature,
                          kr=None if kr is None else kr % 2)
-
-
-# ---------------------------------------------------------------------------
-# catalog
-
-
-class ManifoldCatalog:
-    """The data's named manifolds, and the members of the ruled families."""
-
-    def __init__(self, manifolds):
-        self._entries = manifolds
-
-    def get(self, name: str) -> ManifoldClass:
-        entry = self._entries.get(name) or certified.family_member(name)
-        if entry is None:
-            raise MtspecError("no catalog entry named %r" % name)
-        return entry
-
-
-def standard_manifolds(data=None) -> ManifoldCatalog:
-    data = data or certified.load_data()
-    return ManifoldCatalog(data.manifolds)
 
 
 # ---------------------------------------------------------------------------
@@ -166,47 +251,41 @@ def invertible_4d_value(l1, l2, m: ManifoldClass) -> ExactComplex:
 
 # Each token takes the whitespace after it, so a run of whitespace can be
 # matched one way only and a failing match backtracks in linear time.
+# A term is an optional sign and coefficient and a catalog name, and each
+# '#' link after it extends its chain by one more name.
 _SUM_TERM_RE = re.compile(r"\s*(?:([+-])\s*)?(?:(?:\(\s*)?(-?\d+)\s*(?:\)\s*)?\*\s*)?(%s)"
-                          % certified._MANIFOLD_NAME_RE.pattern)
-# the catalog names one manifold expression or formal sum may hold
+                          % _NAME_RE.pattern)
+_LINK_RE = re.compile(r"\s*#\s*(%s)" % _NAME_RE.pattern)
+# the catalog names one expression may hold, in all its chains
 MAX_EXPRESSION_TERMS = 1000
-_TOO_MANY_TERMS = ("the expression has more than MAX_EXPRESSION_TERMS (%d) terms"
-                   % MAX_EXPRESSION_TERMS)
 
 
-def _int(digits: str) -> int:
-    """The integer the digits spell, refused past the interpreter's limit
-    on converting digits (``sys.set_int_max_str_digits``)."""
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise MtspecError(str(exc)) from None
-
-
-def parse_formal_sum(text: str, catalog: ManifoldCatalog) -> ManifoldClass:
-    """Parse sums like "K3 + 2*S4" or "Sigma_3 - (-2)*S2"."""
-    pos = 0
+def parse_formal_sum(text: str, catalog) -> ManifoldClass:
+    """Parse an integer combination of connected-sum chains of catalog
+    names, like "K3 + 2*S4", "Sigma_3 - (-2)*S2" or "2*CP2#K3 - S4"; a
+    coefficient multiplies the whole chain after it."""
+    pos = names = 0
     pairs = []
-    while pos < len(text):
+    end = len(text.rstrip())  # trailing whitespace ends the expression
+    while pos < end:
         match = _SUM_TERM_RE.match(text, pos)
         if not match or (pairs and match.group(1) is None):
             raise MtspecError("cannot parse formal sum at %r" % text[pos:])
-        if len(pairs) == MAX_EXPRESSION_TERMS:  # before the term past it is looked up
-            raise MtspecError(_TOO_MANY_TERMS)
         sign = -1 if match.group(1) == "-" else 1
         coeff = _int(match.group(2)) if match.group(2) is not None else 1
-        pairs.append((catalog.get(match.group(3)), sign * coeff))
-        pos = match.end()
+        chain, link = [], match
+        while link:
+            if names == MAX_EXPRESSION_TERMS:  # before the name past it is looked up
+                raise MtspecError("the expression has more than MAX_EXPRESSION_TERMS "
+                                  "(%d) terms" % MAX_EXPRESSION_TERMS)
+            names += 1
+            chain.append(catalog.get(link.groups()[-1]))
+            pos = link.end()
+            link = _LINK_RE.match(text, pos)
+        pairs.append((connected_sum(*chain), sign * coeff))
     if not pairs:
         raise MtspecError("empty formal sum")
     return formal_sum(pairs)
 
 
-def parse_manifold(text: str, catalog: ManifoldCatalog) -> ManifoldClass:
-    """Parse a name, a connect-sum chain with '#', or a disjoint union with '+'."""
-    if text.count("+") + text.count("#") >= MAX_EXPRESSION_TERMS:  # before a name is read
-        raise MtspecError(_TOO_MANY_TERMS)
-    chains = []
-    for piece in text.split("+"):
-        chains.append((connected_sum(*[catalog.get(p.strip()) for p in piece.split("#")]), 1))
-    return formal_sum(chains)
+parse_manifold = parse_formal_sum  # a second name, which perfbench/worker.py calls

@@ -8,18 +8,18 @@ import time
 import pytest
 
 from mtspec import certified
-from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, RULED_MANIFOLDS,
-                              ManifoldClass, _hypersurface, default_data_path,
-                              family_member, load_data, parse_data)
+from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, default_data_path,
+                              load_data, parse_data)
 from mtspec.charclasses import thom_module_piece
 from mtspec.cli import main
 from mtspec.errors import DataFormatError
-from mtspec.tftlab import connected_sum
+from mtspec.tftlab import (RULED_MANIFOLDS, ManifoldClass, _hypersurface, connected_sum,
+                           family_member)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
-version=6
+version=7
 cohomology d=2 cover=1 k=2 gens=tau
 """
 
@@ -27,7 +27,7 @@ cohomology d=2 cover=1 k=2 gens=tau
 class TestShippedData:
     def test_loads_and_validates(self):
         data = load_data()
-        assert data.version == 6
+        assert data.version == 7
         assert len(data.cohomology) == 42  # seven rows, degrees 0..5
         assert set(data.hz) == set(range(7))
 
@@ -45,13 +45,12 @@ class TestShippedData:
         assert arrows[("cover", 2, 4)].assignments == (("c^2u", (("rho", -6),)),)
 
     def test_catalog_records(self):
-        # the file records no manifold; the load enters the ruled names
+        # the file records no manifold; the catalog is code in tftlab
         rows = [line for line in default_data_path().read_text().splitlines()
                 if line.startswith(("manifold ", "family "))]
         assert rows == []
-        manifolds = load_data().manifolds
-        assert list(manifolds) == ["S1", "S2", "S3", "S4", "T3", "T4", "CP2", "K3"]
-        assert all(manifolds[name] is RULED_MANIFOLDS[name] for name in manifolds)
+        assert not hasattr(load_data(), "manifolds")
+        assert list(RULED_MANIFOLDS) == ["S1", "S2", "S3", "S4", "T3", "T4", "CP2", "K3"]
 
 
 def tampered(old, new):
@@ -96,7 +95,7 @@ class TestArrowsAtLoad:
     diagram; a record of an arrow a rule gives is refused naming the line."""
 
     def test_a_version_2_file_is_refused_at_its_first_arrow(self):
-        text = default_data_path().read_text().replace("version=6", "version=2")
+        text = default_data_path().read_text().replace("version=7", "version=2")
         arrows = [line for line in text.splitlines() if line.startswith("arrow ")]
         for line in arrows:
             text = text.replace(line + "\n", "")
@@ -157,6 +156,7 @@ class TestArrowsAtLoad:
 
 
 # the catalog rows of the version-5 file, which rules give since version 6
+# and no file records since version 7
 V5_CATALOG_ROWS = """\
 manifold name=CP2 dim=4 euler=3 signature=1
 manifold name=K3 dim=4 euler=24 signature=-16
@@ -179,10 +179,9 @@ family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 signature=0
 
 
 class TestRuledCatalog:
-    """A version-6 file records only the catalog entries no rule gives: a
-    row that states a sphere, a torus, CP2, K3 or a family member, and any
-    family row, is refused naming the line, and so is a name no expression
-    can spell."""
+    """A version-7 file records no manifold: every manifold row, and any
+    family row, is refused naming the line, and a manifold row's refusal
+    says which sum of catalog names to write instead."""
 
     @pytest.mark.parametrize("version,rows,first", [
         (5, V5_CATALOG_ROWS, "manifold name=CP2 dim=4 euler=3 signature=1"),
@@ -191,7 +190,7 @@ class TestRuledCatalog:
     ], ids=["version-5", "version-4"])
     def test_an_older_file_is_refused_at_its_first_ruled_row(
             self, capsys, monkeypatch, tmp_path, version, rows, first):
-        old = tampered("version=6", "version=%d" % version) + rows
+        old = tampered("version=7", "version=%d" % version) + rows
         with pytest.raises(DataFormatError, match=re.escape(repr(first))) as info:
             parse_data(old)
         assert "delete the line" in str(info.value)
@@ -232,32 +231,37 @@ class TestRuledCatalog:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert repr(row) in captured.err and "delete the line" in captured.err
 
-    def test_a_name_no_rule_gives_is_recorded(self):
-        # Sigma_g and Sigma_x name no member: g is spelled in ASCII digits
-        data = parse_data(MINIMAL + "manifold name=Sigma_g dim=2 euler=4\n"
-                          "manifold name=Sigma_x dim=2 euler=0\n"
-                          "manifold name=X4 dim=4 euler=2 signature=0\n")
-        assert data.manifolds["Sigma_g"] == ManifoldClass("Sigma_g", 2, 4)
-        assert data.manifolds["Sigma_x"] == ManifoldClass("Sigma_x", 2, 0)
-        assert data.manifolds["X4"] == ManifoldClass("X4", 4, 2, 0)
-
-    @pytest.mark.parametrize("name", ["A+B", "X#Y", "Σ4", "4X"])
-    def test_a_name_no_expression_can_spell_is_refused(self, capsys, monkeypatch,
-                                                        tmp_path, name):
-        # served, A+B and X#Y were read as two names, and Σ4 and 4X could be
-        # evaluated alone but not in a formal sum
-        row = "manifold name=%s dim=4 euler=2 signature=0" % name
-        text = default_data_path().read_text() + row + "\n"
+    @pytest.mark.parametrize("row", [
+        "manifold name=X4 dim=4 euler=4 signature=2",
+        "manifold name=Sigma_g dim=2 euler=4",
+    ])
+    def test_a_version_6_file_is_refused_at_its_manifold_row(
+            self, capsys, monkeypatch, tmp_path, row):
+        old = tampered("version=7", "version=6") + row + "\n"
         with pytest.raises(DataFormatError, match=re.escape(repr(row))) as info:
-            parse_data(text)
-        assert "is not spelled as an expression names one" in str(info.value)
-        path = tmp_path / "name.txt"
-        path.write_text(text, encoding="utf-8")
+            parse_data(old)
+        assert "write the sum a*S4 + b*CP2" in str(info.value)
+        path = tmp_path / "v6.txt"
+        path.write_text(old)
         monkeypatch.setenv("MTSPEC_DATA", str(path))
-        assert main(["eval", "four_d", "--l1", "2", "--l2", "3", "--manifold", name]) == 2
+        assert main(["table", "hz"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert repr(row) in captured.err and "is not spelled" in captured.err
+        assert repr(row) in captured.err and "write the sum a*S4 + b*CP2" in captured.err
+
+    def test_a_version_6_file_without_manifold_rows_is_refused_at_its_version_line(
+            self, capsys, monkeypatch, tmp_path):
+        old = tampered("version=7", "version=6")
+        with pytest.raises(DataFormatError, match=re.escape("'version=6'")) as info:
+            parse_data(old)
+        assert "reads data version 7" in str(info.value)
+        path = tmp_path / "v6.txt"
+        path.write_text(old)
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(["table", "hz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "'version=6'" in captured.err and "reads data version 7" in captured.err
 
 
 class TestHypersurfaceRule:
@@ -296,8 +300,6 @@ class TestRepeatedKeys:
         "hz k=0 group=Z/2",
         "arrow kind=cover d=3 k=4 map=p1u:5*rho",
         "arrow map=psi:1*rho;sigma:2*rho k=4 d=4 kind=covdim",
-        "manifold name=X4 dim=4 euler=24 signature=-16\n"
-        "manifold name=X4 dim=4 euler=24 signature=-16",      # a verbatim repeat
     ])
     def test_repeated_key_is_refused(self, record):
         text = default_data_path().read_text() + record + "\n"
@@ -307,27 +309,25 @@ class TestRepeatedKeys:
 
 class TestRepeatedFields:
     """A field named twice in one record, a generator named twice in an
-    arrow's map, and a second version line or one that does not state 6,
+    arrow's map, and a second version line or one that does not state 7,
     are refused naming the line, in process and through MTSPEC_DATA."""
 
     @pytest.mark.parametrize("old,new", [
         # would load as the d=2 row, which the line also spells d=3
         ("cohomology d=2 cover=1 k=2 gens=tau",
          "cohomology d=3 cover=1 k=2 d=2 gens=tau"),
-        # would load with euler 5
-        ("version=6", "version=6\nmanifold name=X4 dim=4 euler=3 signature=1 euler=5"),
         # would load as sigma:2*rho: the later term of a target won
         ("arrow kind=covdim d=4 k=4 map=psi:1*rho;sigma:2*rho",
          "arrow kind=covdim d=4 k=4 map=psi:1*rho;sigma:0*rho+2*rho"),
         # would build 5 rho: the later image of a source won
         ("arrow kind=cover d=3 k=4 map=p1u:6*rho",
          "arrow kind=cover d=3 k=4 map=p1u:6*rho;p1u:5*rho"),
-        ("version=6", "version=6\nversion=2"),    # would load as version 2
-        ("version=6", "version=abc"),             # escaped as a bare ValueError
-        ("version=6", "version=3"),               # loaded version-5 rows as version 3
-        ("version=6", "version=4"),               # loaded version-5 rows as version 4
-        ("version=6", "version=5"),               # version-6 rows as version 5
-        ("version=6", "version=-7"),
+        ("version=7", "version=7\nversion=2"),    # would load as version 2
+        ("version=7", "version=abc"),             # escaped as a bare ValueError
+        ("version=7", "version=3"),               # loaded version-5 rows as version 3
+        ("version=7", "version=4"),               # loaded version-5 rows as version 4
+        ("version=7", "version=5"),               # version-6 rows as version 5
+        ("version=7", "version=-7"),
     ])
     def test_refused_naming_the_line(self, capsys, monkeypatch, tmp_path, old, new):
         modified = tampered(old, new)
@@ -364,7 +364,7 @@ class TestUnreadableFile:
                             + comments * (MAX_DATA_BYTES // len(comments)))
         elif kind == "non-utf8":  # 0xff starts no UTF-8 sequence
             path = tmp_path / "latin.txt"
-            path.write_bytes(b"version=6\n\xff\n")
+            path.write_bytes(b"version=7\n\xff\n")
         else:
             path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
         monkeypatch.setenv("MTSPEC_DATA", str(path))
@@ -417,7 +417,7 @@ class TestParser:
     ], ids=["record-type", "arrow-kind"])
     def test_unknown_name_is_refused_naming_the_line(self, record, reason):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=6\n" + record + "\n")
+            parse_data("version=7\n" + record + "\n")
         assert reason in str(info.value)
 
     @pytest.mark.parametrize("gens,reason", [
@@ -430,11 +430,11 @@ class TestParser:
     def test_torsion_orders_must_form_a_chain_of_orders_from_two(self, gens, reason):
         record = "cohomology d=2 cover=1 k=2 gens=%s" % gens
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data("version=6\n" + record + "\n")
+            parse_data("version=7\n" + record + "\n")
         assert reason in str(info.value)
 
     def test_a_chain_of_torsion_orders_is_the_group(self):
-        entry = parse_data("version=6\ncohomology d=2 cover=1 k=2 "
+        entry = parse_data("version=7\ncohomology d=2 cover=1 k=2 "
                            "gens=a:6,b,c:2,d:12\n").entry(2, 1, 2)
         assert (entry.group.free_rank, entry.group.torsion) == (1, (2, 6, 12))
         assert entry.names == ("a", "b", "c", "d")
@@ -467,7 +467,7 @@ class TestParser:
 
     def test_a_group_field_on_a_cohomology_row_is_refused(self, capsys, monkeypatch, tmp_path):
         # a version-3 file fails at its first cover row
-        v3 = default_data_path().read_text().replace("version=6", "version=3").replace(
+        v3 = default_data_path().read_text().replace("version=7", "version=3").replace(
             "cohomology d=2 cover=1 k=0\n", "cohomology d=2 cover=1 k=0 group=0\n")
         record = "cohomology d=2 cover=1 k=0 group=0"
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
@@ -491,7 +491,8 @@ class TestParser:
 
     @pytest.mark.parametrize("record,remedy", [
         ("cohomology d=2 cover=0 k=0 gens=u", "delete the cover=0 row"),
-        ("manifold name=CP2 dim=4 euler=3 signature=1 p1=3", "delete the p1= field"),
+        # a manifold is refused as a row, before its p1= field is read
+        ("manifold name=CP2 dim=4 euler=3 signature=1 p1=3", "write the sum"),
     ], ids=["cover-row", "manifold-p1"])
     def test_computed_fact_is_refused(self, record, remedy):
         # a version-1 file recorded these; each now only repeats the code
@@ -500,15 +501,13 @@ class TestParser:
         assert repr(record) in str(info.value) and remedy in str(info.value)
 
     @pytest.mark.parametrize("record,field", [
-        # would load X4 with signature 0
-        ("manifold name=X4 dim=4 euler=2 signatur=2", "signatur="),
         ("hz k=7 group=Z bogus=3", "bogus="),
         ("homotopy d=2 k=1 group=0 cover=1", "cover="),
         ("cohomology d=2 cover=1 k=3 gen=tau", "gen="),
         ("arrow kind=cover d=2 k=2 map=tau:1*tau from=1", "from="),
         ("arrow kind=cover d=2 k=2 map=cu:2*tau prov=diagram", "prov="),
         ("arrow kind=covdim d=4 to=3 k=4 map=psi:1*rho;sigma:2*rho", "to="),
-    ], ids=["manifold", "hz", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to"])
+    ], ids=["hz", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to"])
     def test_unknown_field_is_refused_naming_the_line(self, record, field):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
             parse_data(MINIMAL + record + "\n")
@@ -517,23 +516,9 @@ class TestParser:
         rectype = record.split()[0]
         assert "a record of type %s has no field %s" % (rectype, field) in str(info.value)
 
-    def test_manifold_record_must_be_a_manifold(self):
-        with pytest.raises(DataFormatError, match="name=X"):
-            parse_data(MINIMAL + "manifold name=X dim=3 euler=2\n")
-
-    def test_four_manifold_record_must_satisfy_hirzebruch(self):
-        # p1 = 3 * signature is computed, so no record can break it
-        data = parse_data(MINIMAL + "manifold name=X4 dim=4 euler=4 signature=2\n")
-        assert data.manifolds["X4"].p1_number == 6
-
-    def test_catalog_records_are_manifold_classes(self):
-        data = parse_data(MINIMAL + "manifold name=X4 dim=4 euler=3 signature=1\n")
-        assert data.manifolds["X4"] == ManifoldClass("X4", 4, 3, 1)
-        assert data.manifolds["X4"].p1_number == 3
-
     def test_ill_defined_arrow_rejected(self):
         bad = (
-            "version=6\n"
+            "version=7\n"
             "cohomology d=3 cover=1 k=3 gens=x\n"
             "arrow kind=cover d=3 k=3 map=W3u:1*x\n"
         )
@@ -542,7 +527,7 @@ class TestParser:
 
     def test_bad_combo_rejected(self):
         bad = (
-            "version=6\n"
+            "version=7\n"
             "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:t+t\n"
         )
@@ -613,7 +598,7 @@ class TestParser:
 
     def test_long_digit_run_fails_fast(self):
         bad = (
-            "version=6\n"
+            "version=7\n"
             "cohomology d=2 cover=1 k=0 gens=t\n"
             "arrow kind=cover d=2 k=0 map=u:" + "1" * 100_000 + "\n"
         )

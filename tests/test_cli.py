@@ -46,9 +46,15 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+# how a manifold row's refusal begins: no data file records a manifold
+# since version 7, and the refusal says which sum to write instead
+MANIFOLD_ROW_REFUSAL = "where the manifold is named, write the sum a*S4 + b*CP2"
+
+
 def write_odd_parity_manifold(tmp_path):
-    """A copy of the shipped data file plus a record of X4, a name no rule
-    gives, with euler 4 and signature 1, so euler + signature is odd."""
+    """A copy of the shipped data file plus a manifold row, X4 with euler 4
+    and signature 1 (euler + signature odd, so no sum gives it); since
+    version 7 every manifold row is refused."""
     text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
     path = tmp_path / "odd_parity_x4.txt"
     path.write_text(text + "manifold name=X4 dim=4 euler=4 signature=1\n")
@@ -145,6 +151,27 @@ class TestTableCommand:
         assert main(["table", "cohomology", "--d", "2", "--cover", "3"]) == 2
         assert main(["table", "cohomology", "--d", "1", "--cover", "2"]) == 2
         assert "not equivalent to a stored one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,option", [
+        # printed the groups of the uncovered spectrum: the wrong table
+        (["homotopy", "--d", "2", "--cover", "1"], "--cover"),
+        (["hz", "--d", "3"], "--d"),
+        (["hz", "--cover", "1"], "--cover"),
+        (["hz", "--cover", "0"], "--cover"),
+    ], ids=["homotopy-cover", "hz-d", "hz-cover", "hz-cover-0"])
+    def test_an_option_the_kind_does_not_read_is_refused(self, capsys, argv, option):
+        for extra in ([], ["--format", "json"]):
+            assert main(["table", *argv, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: table %s does not take %s\n" % (argv[0], option)
+
+    def test_an_omitted_cover_is_level_0(self, capsys):
+        code, out = run_main(capsys, "table", "cohomology", "--d", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"kind": "cohomology", "d": 2, "cover": 0}
+        assert run_main(capsys, "table", "cohomology", "--d", "2")[1] == \
+            run_main(capsys, "table", "cohomology", "--d", "2", "--cover", "0")[1]
 
     def test_a_missing_first_cover_row_names_no_higher_cover(self, capsys):
         # d=1 records no cover rows; cover 1 is a stored level, so there is
@@ -249,6 +276,15 @@ class TestEvalCommands:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert option in captured.err.replace(",", " ").split()
 
+    def test_a_combination_of_chains_is_evaluated(self, capsys):
+        # 2*CP2 - S4 has euler 4 and signature 2, so the value is 2^4 * 3^6
+        code, out = run_main(capsys, "eval", "four_d", "--l1", "2", "--l2", "3",
+                             "--manifold", "2*CP2 - S4")
+        assert code == 0 and out == "11664\n"
+        code, out = run_main(capsys, "eval", "four_d", "--l1", "2", "--l2", "3",
+                             "--manifold", "2*K3#CP2")
+        assert code == 0 and out == "%s\n" % Fraction(2 ** 50, 3 ** 90)
+
     def test_unknown_manifold_exits_two(self, capsys):
         assert main(["eval", "four_d", "--l1", "2", "--l2", "1",
                      "--manifold", "Nope"]) == 2
@@ -264,6 +300,13 @@ class TestBordismCommand:
     def test_four_dimensional_pair(self, capsys):
         code, out = run_main(capsys, "bordism", "--d", "4", "--sum", "CP2")
         assert code == 0 and out == "invariant: (2, 1)\nnull-bordant: false\n"
+
+    def test_a_connected_sum_chain(self, capsys):
+        # K3#CP2 has euler 25 and signature -15
+        code, out = run_main(capsys, "bordism", "--d", "4", "--sum", "K3#CP2")
+        assert code == 0 and out == "invariant: (5, -15)\nnull-bordant: false\n"
+        code, out = run_main(capsys, "bordism", "--d", "4", "--sum", "2*K3#CP2")
+        assert code == 0 and out == "invariant: (10, -30)\nnull-bordant: false\n"
 
     @pytest.mark.parametrize("d,total,message", [
         ("4", "0*S2", "sum contains a manifold of dimension 2"),
@@ -384,13 +427,14 @@ class TestProcessLevel:
         assert "Traceback" not in proc.stderr
 
     def test_invalid_manifold_record_exits_two(self, tmp_path):
-        # manifold records are checked against the ManifoldClass invariants
-        # when the file loads, not when the manifold is first used
+        # a manifold row is refused when the file loads, not when the
+        # manifold is first used
         proc = run_subprocess("table", "hz", env_extra={
             "MTSPEC_DATA": str(write_odd_parity_manifold(tmp_path))})
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "manifold name=X4 dim=4 euler=4 signature=1" in proc.stderr
+        assert MANIFOLD_ROW_REFUSAL in proc.stderr and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
@@ -408,7 +452,7 @@ class TestProcessLevel:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "name=X4" in captured.err
+        assert "name=X4" in captured.err and MANIFOLD_ROW_REFUSAL in captured.err
 
     def test_family_record_exits_two(self, tmp_path):
         # the families are rules since data version 5; a version-4 family
@@ -539,7 +583,7 @@ class TestProcessLevel:
 
     def test_four_manifold_off_the_signature_theorem_exits_two(self, tmp_path):
         # X4 has the invariants of S4 but p1 = 5; p1 is 3 * signature by
-        # construction, so a record that states a p1 at all is refused
+        # construction, and a manifold row is refused whatever it states
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
         path = tmp_path / "x4.txt"
         path.write_text(text + "manifold name=X4 dim=4 euler=2 signature=0 p1=5\n")
@@ -547,19 +591,21 @@ class TestProcessLevel:
                               env_extra={"MTSPEC_DATA": str(path)})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "name=X4" in proc.stderr and "delete the p1= field" in proc.stderr
+        assert "name=X4" in proc.stderr and MANIFOLD_ROW_REFUSAL in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_misspelled_field_exits_two(self, tmp_path):
-        # read without its signature= field, X4 would evaluate to 2^2 = 4
+        # read without its gens= field, the row would be the zero group
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
-        path = tmp_path / "x4.txt"
-        path.write_text(text + "manifold name=X4 dim=4 euler=2 signatur=2\n")
-        proc = run_subprocess("eval", "four_d", "--l1", "2", "--l2", "3",
-                              "--manifold", "X4", env_extra={"MTSPEC_DATA": str(path)})
+        row = "cohomology d=2 cover=1 k=2 gens=tau"
+        assert text.count(row + "\n") == 1
+        path = tmp_path / "gen.txt"
+        path.write_text(text.replace(row + "\n", row.replace("gens=", "gen=") + "\n"))
+        proc = run_subprocess("table", "cohomology", "--d", "2", "--cover", "1",
+                              env_extra={"MTSPEC_DATA": str(path)})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "name=X4" in proc.stderr and "no field signatur=" in proc.stderr
+        assert "gen=tau" in proc.stderr and "no field gen=" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_inconsistent_data_exits_three(self, tmp_path):

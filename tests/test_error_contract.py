@@ -11,17 +11,18 @@ the shipped data ``cli.main`` returns 0 or 2 and never raises.
 import contextlib
 import io
 import time
+import types
 
 import pytest
 
 from mtspec import cli, errors
 from mtspec.abelian import FgAbGroup
 from mtspec.certified import (MAX_GROUP_GENERATORS, CertifiedData, default_data_path,
-                              load_data, parse_data)
+                              parse_data)
 from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
 from mtspec.exactnum import ExactComplex, parse_exact
-from mtspec.tftlab import (MAX_EXPRESSION_TERMS, ManifoldClass, parse_formal_sum,
-                           parse_manifold, standard_manifolds)
+from mtspec.tftlab import (MAX_EXPRESSION_TERMS, RULED_MANIFOLDS, ManifoldClass,
+                           parse_formal_sum, parse_manifold, standard_manifolds)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -115,7 +116,7 @@ def exact_literals():
 
 
 MANIFOLD_NAMES = st.sampled_from(
-    sorted(load_data().manifolds)
+    sorted(RULED_MANIFOLDS)
     + ["Sigma_0", "Sigma_3", "Sigma_99999999999", "S2xSigma_2", "Sigma_", "Sigma_-1",
        "Sigma_" + MANY_DIGITS, "Sigma_g", "RP7", "k3", ""])
 
@@ -170,34 +171,64 @@ def test_parse_manifold_answers_or_refuses(text):
     assert value is None or isinstance(value, ManifoldClass)
 
 
-# one grammar each: the parser, a text of n terms, and a call that reads it
+def chains_and_terms(n):
+    """n catalog names of dimension 4, in chains of up to three joined by
+    signed and weighted terms."""
+    names = ["K3", "CP2", "S4"] * (n // 3) + ["S4"] * (n % 3)
+    chains = ["#".join(names[i:i + 3]) for i in range(0, n, 3)]
+    return chains[0] + "".join((" - 2*" if i % 2 else " + (-3)*") + chain
+                               for i, chain in enumerate(chains[1:]))
+
+
+# one grammar, read by both commands: a text of n catalog names, as terms,
+# as one chain, and as chains joined by terms
 TERM_BOUND_CASES = {
-    "formal-sum": (parse_formal_sum, lambda n: " + ".join(["S4"] * n),
-                   lambda text: ["bordism", "--d", "4", "--sum", text]),
-    "manifold": (parse_manifold, lambda n: "#".join(["Sigma_1"] * n),
-                 lambda text: ["eval", "euler", "--lam", "zeta6", "--manifold", text]),
+    "terms": lambda n: " + ".join(["S4"] * n),
+    "chain": lambda n: "#".join(["S4"] * n),
+    "chains-and-terms": chains_and_terms,
+}
+COMMANDS = {
+    "bordism": lambda text: ["bordism", "--d", "4", "--sum", text],
+    "eval": lambda text: ["eval", "four_d", "--l1", "zeta6", "--l2", "zeta4",
+                          "--manifold", text],
 }
 
 
-@pytest.mark.parametrize("grammar", sorted(TERM_BOUND_CASES))
-def test_an_expression_at_the_term_bound_is_read(grammar, capsys):
-    parse, text_of, argv = TERM_BOUND_CASES[grammar]
-    text = text_of(MAX_EXPRESSION_TERMS)
-    assert isinstance(parse(text, CATALOG), ManifoldClass)
-    assert cli.main(argv(text)) == 0
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", sorted(TERM_BOUND_CASES))
+def test_an_expression_at_the_term_bound_is_read(case, command, capsys):
+    text = TERM_BOUND_CASES[case](MAX_EXPRESSION_TERMS)
+    assert isinstance(parse_formal_sum(text, CATALOG), ManifoldClass)
+    assert cli.main(COMMANDS[command](text)) == 0
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("grammar", sorted(TERM_BOUND_CASES))
-def test_an_expression_past_the_term_bound_is_refused(grammar, capsys):
-    parse, text_of, argv = TERM_BOUND_CASES[grammar]
-    text = text_of(MAX_EXPRESSION_TERMS + 1)
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", sorted(TERM_BOUND_CASES))
+def test_an_expression_past_the_term_bound_is_refused(case, command, capsys):
+    text = TERM_BOUND_CASES[case](MAX_EXPRESSION_TERMS + 1)
     with pytest.raises(MtspecError, match=r"more than MAX_EXPRESSION_TERMS \(1000\) terms"):
-        parse(text, CATALOG)
-    assert cli.main(argv(text)) == 2
+        parse_formal_sum(text, CATALOG)
+    assert cli.main(COMMANDS[command](text)) == 2
     assert capsys.readouterr() == (
         "", "error: the expression has more than MAX_EXPRESSION_TERMS (1000) terms\n")
 
+
+@pytest.mark.parametrize("case", sorted(TERM_BOUND_CASES))
+def test_the_name_past_the_bound_is_not_looked_up(case):
+    looked_up = []
+
+    def get(name):
+        looked_up.append(name)
+        return CATALOG.get(name)
+
+    counting = types.SimpleNamespace(get=get)
+    parse_formal_sum(TERM_BOUND_CASES[case](MAX_EXPRESSION_TERMS), counting)
+    assert len(looked_up) == MAX_EXPRESSION_TERMS
+    looked_up.clear()
+    with pytest.raises(MtspecError, match="MAX_EXPRESSION_TERMS"):
+        parse_formal_sum(TERM_BOUND_CASES[case](MAX_EXPRESSION_TERMS + 1), counting)
+    assert len(looked_up) == MAX_EXPRESSION_TERMS
 
 
 # ---------------------------------------------------------------------------

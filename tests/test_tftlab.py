@@ -7,18 +7,17 @@ from fractions import Fraction
 import pytest
 
 from mtspec import cli, tftlab
-from mtspec.certified import load_data
 from mtspec.classify import restriction_kernel
 from mtspec.errors import MtspecError
 from mtspec.exactnum import ExactComplex
-from mtspec.tftlab import (ManifoldClass, SurfaceBordism, connected_sum,
+from mtspec.tftlab import (RULED_MANIFOLDS, ManifoldClass, SurfaceBordism, connected_sum,
                            euler_theory_value, formal_sum, frobenius_closed_value,
                            frobenius_surface_value, invertible_4d_value,
                            is_vf_nullbordant, parse_formal_sum, parse_manifold,
                            standard_manifolds, vf_invariant)
 
 CATALOG = standard_manifolds()
-FOUR_MANIFOLDS = sorted(n for n, m in load_data().manifolds.items() if m.dim == 4)
+FOUR_MANIFOLDS = sorted(n for n, m in RULED_MANIFOLDS.items() if m.dim == 4)
 
 
 def sigma(g):
@@ -117,6 +116,19 @@ class TestConstructors:
             ManifoldClass("bad", 4, euler=2, signature=0, p1_number=5)
         with pytest.raises(TypeError, match="p1_number"):
             ManifoldClass("bad", 4, euler=3, signature=1, p1_number=0)
+
+    def test_the_invariants_a_manifold_row_was_checked_against(self):
+        # a data file recorded manifolds until version 6; the class checks them
+        with pytest.raises(MtspecError, match="dimension must be 1..4"):
+            ManifoldClass("bad", 5, euler=0)
+        with pytest.raises(MtspecError, match="odd-dimensional manifolds have euler 0"):
+            ManifoldClass("X", 3, euler=2)
+        with pytest.raises(MtspecError, match=r"euler \+ signature must be even"):
+            ManifoldClass("X4", 4, euler=4, signature=1)
+        with pytest.raises(MtspecError, match="kr is a mod-2 value"):
+            ManifoldClass("bad", 1, euler=0, kr=2)
+        x4 = ManifoldClass("X4", 4, euler=4, signature=2)
+        assert (x4.euler, x4.signature, x4.p1_number) == (4, 2, 6)
 
     def test_sums_keep_the_signature_theorem(self):
         for a in FOUR_MANIFOLDS:
@@ -379,6 +391,23 @@ class TestExpressionParsing:
         assert (m.euler, m.signature) == (4, 2)
         m = parse_manifold("S4 + S4", CATALOG)
         assert m.euler == 4
+        m = parse_manifold(" S4 + S4 ", CATALOG)
+        assert m.euler == 4
+
+    def test_the_two_commands_read_one_language(self):
+        assert parse_manifold is parse_formal_sum
+        # 2*CP2 - S4 has euler 4 and signature 2, the invariants of no catalog name
+        m = parse_formal_sum("2*CP2 - S4", CATALOG)
+        assert (m.dim, m.euler, m.signature) == (4, 4, 2)
+        assert invertible_4d_value(2, 3, m) == rational(2 ** 4 * 3 ** 6) == rational(11664)
+        m = parse_formal_sum("K3#CP2", CATALOG)
+        assert (vf_invariant(4, m), is_vf_nullbordant(4, m)) == ((5, -15), False)
+
+    def test_a_coefficient_multiplies_the_chain_after_it(self):
+        m = parse_formal_sum("2*K3#CP2", CATALOG)
+        assert (m.name, m.euler, m.signature) == ("2*K3#CP2", 50, -30)
+        m = parse_formal_sum("S4 - 3 * K3 # CP2 # CP2", CATALOG)
+        assert (m.euler, m.signature) == (2 - 3 * (24 + 3 + 3 - 4), -3 * (-16 + 2))
 
     def test_bad_expressions(self):
         with pytest.raises(ValueError):
@@ -406,6 +435,37 @@ def sum_like(st):
                      slot("*", "**"), ws, slot("S2", "Sigma_1", "K3", "_", "2x"),
                      ws).map("".join)
     return st.lists(term, min_size=1, max_size=3).map("".join)
+
+
+class TestEveryClassIsASum:
+    """The theories see a manifold only through its dimension, euler,
+    signature and kr, and a sum of catalog names reaches every value the
+    ManifoldClass invariants allow: so no class needs a recorded row."""
+
+    def test_dimension_four(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @check_examples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+        def check(half, signature):
+            euler = 2 * half - signature  # euler + signature is even
+            a, b = (euler - 3 * signature) // 2, signature
+            m = parse_formal_sum("(%d)*S4 + (%d)*CP2" % (a, b), CATALOG)
+            assert (m.dim, m.euler, m.signature) == (4, euler, signature)
+
+    def test_dimension_two(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @check_examples(st.integers(-10 ** 6, 10 ** 6))
+        def check(half):
+            m = parse_formal_sum("(%d)*S2" % half, CATALOG)
+            assert (m.dim, m.euler, m.signature) == (2, 2 * half, 0)
+
+    def test_dimensions_three_and_one(self):
+        m = parse_formal_sum("S3", CATALOG)
+        assert (m.dim, m.euler, m.signature) == (3, 0, 0)
+        for text, kr in [("S1", 1), ("2*S1", 0)]:
+            m = parse_formal_sum(text, CATALOG)
+            assert (m.dim, m.euler, m.kr) == (1, 0, kr)
 
 
 class TestSumParserLanguage:
