@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalCheckError, MtspecError
 
@@ -51,26 +51,22 @@ from .errors import InternalCheckError, MtspecError
 # integer matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows ncols")):
     """An immutable integer matrix: its rows as tuples, and its column
     count, which a matrix without rows cannot show.  Any iterable of
     integer rows is accepted and stored as a tuple of tuples.  Its Smith
     form is kept from its first use outside the fields, so equality,
     hashing and repr do not see it."""
 
-    rows: tuple
-    ncols: int
-
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        if self.ncols < 0:
+    def __new__(cls, rows, ncols: int):
+        rows = tuple(map(tuple, rows))
+        if ncols < 0:
             raise ValueError("negative column count")
-        if any(len(row) != self.ncols for row in rows):
+        if any(len(row) != ncols for row in rows):
             raise ValueError("row length does not match the column count")
         if not all(isinstance(x, int) for row in rows for x in row):
             raise ValueError("matrix entries must be integers")
+        return tuple.__new__(cls, (rows, ncols))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -235,8 +231,7 @@ def _identity(n: int) -> list:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
     """A finitely generated abelian group in invariant-factor form.
 
     ``torsion`` lists the invariant factors d1 | d2 | ... with each di >= 2.
@@ -246,18 +241,18 @@ class FgAbGroup:
     True
     """
 
-    free_rank: int = 0
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int = 0, torsion: tuple = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for d in self.torsion:
+        for d in torsion:
             if not isinstance(d, int) or d < 2:
                 raise ValueError("invariant factors must be integers >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @classmethod
     def of(cls, free_rank: int = 0, cyclic=()) -> "FgAbGroup":
@@ -367,8 +362,7 @@ def element_is_zero(group: FgAbGroup, vector) -> bool:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(namedtuple("GroupHom", "source target matrix")):
     """A homomorphism given on canonical generators.
 
     Column j of ``matrix`` is the image of the j-th source generator in
@@ -378,19 +372,16 @@ class GroupHom:
     the fields, so equality, hashing and repr do not see it.
     """
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        rows = self.matrix.rows
-        if len(rows) != self.target.num_generators:
+    def __new__(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        rows = matrix.rows
+        if len(rows) != target.num_generators:
             raise ValueError("matrix row count does not match target generators")
-        if self.matrix.ncols != self.source.num_generators:
+        if matrix.ncols != source.num_generators:
             raise ValueError("matrix column count does not match source generators")
-        for j, d in enumerate(self.source.torsion, self.source.free_rank):
-            if not element_is_zero(self.target, [d * row[j] for row in rows]):
+        for j, d in enumerate(source.torsion, source.free_rank):
+            if not element_is_zero(target, [d * row[j] for row in rows]):
                 raise ValueError("homomorphism not well-defined on torsion generator %d" % j)
+        return tuple.__new__(cls, (source, target, matrix))
 
     @functools.cached_property
     def _smith_form(self):
@@ -415,19 +406,10 @@ class GroupHom:
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
     """The zero map.  It is well-defined by construction, so it is built
-    without the checks of IntMatrix and GroupHom."""
+    by ``_make``, without the checks of IntMatrix and GroupHom."""
     n = source.num_generators
-    return _unchecked(GroupHom, source=source, target=target,
-                      matrix=_unchecked(IntMatrix, rows=((0,) * n,) * target.num_generators,
-                                        ncols=n))
-
-
-def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass built without its __post_init__,
-    for values that meet its invariants by construction."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
+    return GroupHom._make((source, target,
+                           IntMatrix._make((((0,) * n,) * target.num_generators, n))))
 
 
 def check_exact(f: GroupHom, g: GroupHom) -> bool:
@@ -492,8 +474,7 @@ def _quotient(form):
 # extensions
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(namedtuple("Extension", "group a_images")):
     """One extension class 0 -> A -> X -> B -> 0.
 
     ``a_images`` holds, for each A-generator, its image in X on the
@@ -503,8 +484,7 @@ class Extension:
     not reduced.
     """
 
-    group: FgAbGroup
-    a_images: tuple  # ((coordinate, ...), ...), one tuple per A-generator
+    __slots__ = ()
 
     def a_generator_divisible(self, index: int, divisor: int) -> bool:
         """Is the image of the A-generator divisible by ``divisor`` in X?

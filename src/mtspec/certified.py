@@ -13,9 +13,9 @@ the recorded arrows are validated, covdim d=3 k=4 is the same-name map
 and cover d=2 k=4 is solved from the 3 -> 2 square.  No manifold is
 data: the catalog is code in ``tftlab`` (version 7).  A file that
 records any of these anyway is refused naming the line, and so is a
-cohomology row's group= field, which its generators give, a p1= field
-(version 2), and a manifold row, whose refusal says which sum of catalog
-names to write instead.  Loading validates the rest: no group or gens=
+cohomology row's group= field, which its generators give, and a
+manifold row, whose refusal says which sum of catalog names to write
+instead.  Loading validates the rest: no group or gens=
 list may have more than MAX_GROUP_GENERATORS generators as spelled, a
 row's torsion orders must form a divisibility chain and its generators
 have distinct names spelled as a map names one, an hz group must be cyclic, a homotopy
@@ -69,8 +69,7 @@ import errno
 import os
 import re
 import stat
-from dataclasses import dataclass
-from pathlib import Path
+from collections import namedtuple
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, ring_restriction, thom_module_piece
@@ -103,20 +102,17 @@ _OUTSIDE = {
 }
 
 
-@dataclass(frozen=True)
-class ArrowRecord:
+class ArrowRecord(namedtuple("ArrowRecord", "kind d k provenance assignments hom")):
     """One generator map between two table entries in degree k.
 
     kind "cover" maps the spectrum to its first cover, and "covdim"
-    restricts the first cover from dimension d to d - 1.
+    restricts the first cover from dimension d to d - 1.  provenance is
+    diagram (recorded), names or square (computed); assignments are
+    ((source name, ((target name, coeff), ...)), ...), and hom is the map
+    in canonical coordinates, built at load.
     """
 
-    kind: str        # cover | covdim
-    d: int
-    k: int
-    provenance: str  # diagram (recorded) | names | square (computed)
-    assignments: tuple  # ((source name, ((target name, coeff), ...)), ...)
-    hom: GroupHom    # the map in canonical coordinates, built at load
+    __slots__ = ()
 
     def image_of(self, name: str) -> dict:
         """The image of one source generator as {target name: coefficient}."""
@@ -236,12 +232,15 @@ def _parse_fields(parts):
 
 
 # the shipped file, made absolute once; load_data stats it per call
-_SHIPPED_DATA_PATH = Path(os.path.abspath(__file__)).parent / "data" / "certified_data.txt"
+_SHIPPED_DATA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                                  "certified_data.txt")
 
 
-def default_data_path() -> Path:
-    """The shipped data file, absolute but not resolved."""
-    return _SHIPPED_DATA_PATH
+def default_data_path():
+    """The shipped data file as a pathlib.Path, absolute but not resolved;
+    pathlib is imported here, not with the module."""
+    from pathlib import Path
+    return Path(_SHIPPED_DATA_PATH)
 
 
 # the arrows a rule gives, by kind or by (kind, d, k), each with its rule
@@ -365,8 +364,6 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                     "S3 (dim 3), or S1 (kr 1) or 2*S1 (kr 0) (dim 1): a manifold is a sum of "
                     "catalog names, not recorded; delete the line")
             fields = _parse_fields(parts[1:])
-            if "p1" in fields:
-                raise ValueError("p1 is 3 * signature, not recorded; delete the p1= field")
             if rectype == "cohomology" and "group" in fields:
                 raise ValueError("a cohomology row's group is read from its generators, "
                                  "not recorded; delete the group= field")
@@ -438,7 +435,7 @@ _CACHE = {}  # (st_dev, st_ino) -> (st_size, st_mtime_ns, CertifiedData)
 
 def load_data(path=None) -> CertifiedData:
     if path is None:
-        path = os.environ.get(ENV_DATA_PATH) or default_data_path()
+        path = os.environ.get(ENV_DATA_PATH) or _SHIPPED_DATA_PATH
     try:
         st = os.stat(path)  # follows symlinks; a symlink loop raises ELOOP
         cached = _CACHE.get((st.st_dev, st.st_ino))
@@ -470,22 +467,21 @@ def load_data(path=None) -> CertifiedData:
 # serving the tables
 
 
-@dataclass(frozen=True)
-class SpectrumId:
+class SpectrumId(namedtuple("SpectrumId", "d cover_level")):
     """A suspended oriented Madsen-Tillmann spectrum, possibly covered.
 
     The suspension is always by the dimension d, and cover_level k means
     the connective cover killing homotopy below degree k (0 = no cover).
     """
 
-    d: int
-    cover_level: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d not in (1, 2, 3, 4):
+    def __new__(cls, d: int, cover_level: int = 0):
+        if d not in (1, 2, 3, 4):
             raise MtspecError("dimension must be 1..4")
-        if self.cover_level not in (0, 1, 2, 3):
+        if cover_level not in (0, 1, 2, 3):
             raise MtspecError("cover level must be 0..3")
+        return tuple.__new__(cls, (d, cover_level))
 
     def display(self, ascii_mode: bool = False) -> str:
         if ascii_mode:

@@ -29,7 +29,7 @@ from the 3 -> 2 square with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .abelian import FgAbGroup
 
@@ -43,8 +43,7 @@ MAX_DEGREE = 64
 # graded pieces and named entries
 
 
-@dataclass(frozen=True)
-class CohomologyEntry:
+class CohomologyEntry(namedtuple("CohomologyEntry", "generators")):
     """A group given by its ordered, named generating set.
 
     Each generator is (name, torsion order) with None marking a free
@@ -56,15 +55,9 @@ class CohomologyEntry:
     (free ones first, then torsion by ascending order).
     """
 
-    generators: tuple  # ((name, order-or-None), ...)
-    group: FgAbGroup = field(init=False, repr=False, compare=False)
-    names: tuple = field(init=False, repr=False, compare=False)
-    free_names: tuple = field(init=False, repr=False, compare=False)
-    positions: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __new__(cls, generators: tuple):  # ((name, order-or-None), ...)
         names, free_names, canonical, torsion = [], [], [], []
-        for i, (name, order) in enumerate(self.generators):
+        for i, (name, order) in enumerate(generators):
             names.append(name)
             if order is None:
                 free_names.append(name)
@@ -79,10 +72,13 @@ class CohomologyEntry:
         positions = [0] * len(canonical)
         for position, i in enumerate(canonical):
             positions[i] = position
-        # the entry is frozen: its views are set past __setattr__
+        # the views are attributes, not fields, so equality, hashing and repr
+        # see the generators only
+        self = tuple.__new__(cls, (generators,))
         self.__dict__.update(group=FgAbGroup(len(free_names), tuple(orders)),
                              names=tuple(names), free_names=tuple(free_names),
                              positions=tuple(positions))
+        return self
 
 
 def _degree_monomials(d: int, k: int) -> list:

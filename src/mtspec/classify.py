@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import certified
 from .abelian import FgAbGroup, IntMatrix, smith_normal_form
@@ -38,22 +38,19 @@ def _exact():
     return _exact_complex
 
 
-@dataclass(frozen=True)
-class TheoryGroup:
-    """The group of invertible theories at one (dimension, level)."""
+class TheoryGroup(namedtuple("TheoryGroup", "d n unit_rank finite_part basis_names")):
+    """The group of invertible theories at one (dimension, level): the
+    number of C^x coordinates, the torsion contribution from one degree
+    up, and the generator names the coordinates are dual to."""
 
-    d: int
-    n: int
-    unit_rank: int            # number of C^x coordinates
-    finite_part: FgAbGroup    # torsion contribution from one degree up
-    basis_names: tuple        # generator names the coordinates are dual to
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TheoryParams:
-    """Multiplicative coordinates of one invertible theory."""
+class TheoryParams(namedtuple("TheoryParams", "coords")):
+    """Multiplicative coordinates of one invertible theory: ExactComplex
+    values, one per basis name, which iterating the record yields."""
 
-    coords: tuple  # ExactComplex values, one per basis name
+    __slots__ = ()
 
     @classmethod
     def of(cls, values) -> "TheoryParams":
@@ -63,12 +60,14 @@ class TheoryParams:
     def __iter__(self):
         return iter(self.coords)
 
+    def __getnewargs__(self):  # the field, not what iterating yields
+        return (self.coords,)
 
-@dataclass(frozen=True)
-class ExtensionClass:
+
+class ExtensionClass(namedtuple("ExtensionClass", "rho_multiple")):
     """An integer multiple of the generating class of the cover group."""
 
-    rho_multiple: int
+    __slots__ = ()
 
 
 def classify(d: int, n: int, data=None) -> TheoryGroup:
@@ -140,13 +139,11 @@ def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
     return TheoryParams(tuple(out))
 
 
-@dataclass(frozen=True)
-class RestrictionKernel:
-    """Kernel of a restriction map, with explicit elements when small."""
+class RestrictionKernel(namedtuple("RestrictionKernel", "group basis_names elements")):
+    """Kernel of a restriction map, with explicit elements when small:
+    tuples of ExactComplex, or None when infinite or large."""
 
-    group: FgAbGroup
-    basis_names: tuple
-    elements: tuple | None  # tuples of ExactComplex, or None when infinite/large
+    __slots__ = ()
 
 
 def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> RestrictionKernel:
@@ -192,17 +189,16 @@ def mcg_extension_class(x: ExtensionClass) -> int:
     return 2 * x.rho_multiple
 
 
-@dataclass(frozen=True)
-class GilmerMasbaumReport:
-    """The full impossibility certificate for the fundamental extension."""
+class GilmerMasbaumReport(namedtuple(
+        "GilmerMasbaumReport", "group generator atiyah_class walker_class gilmer_class "
+                               "mcg_dictionary fundamental_realizable")):
+    """The full impossibility certificate for the fundamental extension:
+    the classification group of Z-central extensions and its generating
+    class, the three classes, the dictionary ((key, rho multiple, induced
+    class), ...), and whether the fundamental extension is realizable,
+    which also decides Walker's index-4 subcategory."""
 
-    group: FgAbGroup            # classification group of Z-central extensions
-    generator: str              # its generating class
-    atiyah_class: ExtensionClass
-    walker_class: ExtensionClass
-    gilmer_class: ExtensionClass
-    mcg_dictionary: tuple       # ((key, rho multiple, induced class), ...)
-    fundamental_realizable: bool  # also decides Walker's index-4 subcategory
+    __slots__ = ()
 
 
 def gilmer_masbaum_report(data=None) -> GilmerMasbaumReport:

@@ -20,8 +20,10 @@ with inside its handler: ``table`` loads only the data file's lookups in
 ``certified``, ``eval`` and ``bordism`` load ``tftlab``, and the other
 four load ``classify``, of which only ``restrict`` and ``kernel`` go on
 to load the exact numbers of ``exactnum``.  No subcommand loads the
-consistency proof in ``spectra``, and the process skips the
-interpreter's teardown (see ``entrypoint``).  The dispatcher reads
+consistency proof in ``spectra``, nor ``inspect`` or ``pathlib``: the
+records are named tuples, whose classes cost little to build, and
+``certified`` keeps the shipped path as a string.  The
+process skips the interpreter's teardown (see ``entrypoint``).  The dispatcher reads
 MTSPEC_DATA and resolves the data file once per call, and hands that
 data to the handler, which passes it to every lookup it makes; ``eval``
 and ``bordism`` read none, as the manifold catalog is code, but a bad

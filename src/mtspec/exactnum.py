@@ -17,7 +17,7 @@ form (``to_json``), from which the CLI renders the text users see.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -32,18 +32,19 @@ MAX_POWER_EXPONENT = 10_000
 MAX_POWER_DIGITS = 20_000
 
 
-@dataclass(frozen=True)
-class ExactComplex:
-    mag: Fraction  # > 0
-    power: int     # the phase is power/order of a full turn, reduced:
-    order: int     # 0 <= power < order, coprime, and order 1 for phase 0
+class ExactComplex(namedtuple("ExactComplex", "mag power order")):
+    """mag * zeta_order^power: mag > 0, and the phase power/order of a full
+    turn is reduced, 0 <= power < order, coprime, and order 1 for phase 0."""
 
-    def __post_init__(self):
-        if self.mag <= 0:
+    __slots__ = ()
+
+    def __new__(cls, mag: Fraction, power: int, order: int):
+        if mag <= 0:
             raise ValueError("magnitude must be positive (values are nonzero)")
-        if not (0 <= self.power < self.order and gcd(self.power, self.order) == 1):
+        if not (0 <= power < order and gcd(power, order) == 1):
             raise ValueError("the phase must be a reduced pair: 0 <= power < order, "
                              "coprime")
+        return tuple.__new__(cls, (mag, power, order))
 
     @property
     def root(self) -> Fraction:
@@ -53,7 +54,7 @@ class ExactComplex:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(mag: Fraction, power: int, order: int) -> "ExactComplex":
+    def _reduced(mag: Fraction, power: int, order: int) -> "ExactComplex":
         """mag * zeta_order^power for any rational mag != 0, any integer
         power and order >= 1, reduced: a negative mag is -mag half a turn
         on."""
@@ -71,7 +72,7 @@ class ExactComplex:
         if isinstance(value, ExactComplex):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls._make(Fraction(value), 0, 1)
+            return cls._reduced(Fraction(value), 0, 1)
         if isinstance(value, str):
             return parse_exact(value)
         raise TypeError("cannot build an exact value from %r" % (value,))
@@ -84,16 +85,16 @@ class ExactComplex:
     def root_of_unity(cls, order: int, power: int = 1) -> "ExactComplex":
         if order < 1:
             raise ValueError("root order must be positive")
-        return cls._make(Fraction(1), power, order)
+        return cls._reduced(Fraction(1), power, order)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
         other = ExactComplex.of(other)
         # power/order + power'/order' over the common multiple order*order'
-        return ExactComplex._make(self.mag * other.mag,
-                                  self.power * other.order + other.power * self.order,
-                                  self.order * other.order)
+        return ExactComplex._reduced(self.mag * other.mag,
+                                     self.power * other.order + other.power * self.order,
+                                     self.order * other.order)
 
     def __pow__(self, exponent: int) -> "ExactComplex":
         if not isinstance(exponent, int):
@@ -109,7 +110,7 @@ class ExactComplex:
             if digits > MAX_POWER_DIGITS:
                 raise MtspecError("a power with about %d digits exceeds the bound "
                                   "MAX_POWER_DIGITS = %d" % (digits, MAX_POWER_DIGITS))
-        return ExactComplex._make(self.mag ** exponent, self.power * exponent, self.order)
+        return ExactComplex._reduced(self.mag ** exponent, self.power * exponent, self.order)
 
     # -- rendering ----------------------------------------------------------
 
@@ -162,4 +163,4 @@ def parse_exact(text: str) -> ExactComplex:
         raise MtspecError("cannot parse exact value: %s" % exc) from None
     if match.group("sign") == "-":
         mag = -mag
-    return ExactComplex._make(mag, power, order)
+    return ExactComplex._reduced(mag, power, order)

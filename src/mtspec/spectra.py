@@ -320,7 +320,7 @@ def default_constraints(d: int, k: int, data=None) -> list:
         pi = homotopy_group(d, conn, data)
         return [
             DerivationConstraint.hurewicz_iso(
-                conn, pi, "homotopy table: first homotopy of the cover is %s" % pi),
+                conn, pi, "homotopy table: first homotopy of the cover is %s" % (pi,)),
             DerivationConstraint.universal_coefficients(
                 "cohomology in the first nonzero degree is the dual of homology"),
         ]
@@ -372,7 +372,7 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
             iso_group = table_pi
     if iso_group is not None and has_uct:  # then k == conn: no vanishing was admitted
         pinned = FgAbGroup(iso_group.free_rank)
-        notes.append("pinned to %s: dual of the first homotopy group" % pinned)
+        notes.append("pinned to %s: dual of the first homotopy group" % (pinned,))
 
     divisibility = [c for c in constraints if c.kind == KIND_DIVISIBILITY]
 

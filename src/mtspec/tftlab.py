@@ -22,39 +22,36 @@ times roots of unity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from types import SimpleNamespace
 
 from .errors import MtspecError
 from .exactnum import ExactComplex
 
 
-@dataclass(frozen=True)
-class ManifoldClass:
+class ManifoldClass(namedtuple("ManifoldClass", "name dim euler signature kr")):
     """An oriented closed manifold, or an integer combination of such
     manifolds of one dimension, remembered through its invariants; every
     rule below is linear, so a combination of valid classes is valid."""
 
-    name: str
-    dim: int
-    euler: int
-    signature: int = 0
-    kr: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3, 4):
+    def __new__(cls, name: str, dim: int, euler: int, signature: int = 0,
+                kr: int | None = None):
+        if dim not in (1, 2, 3, 4):
             raise MtspecError("dimension must be 1..4")
-        if self.dim % 2 and self.euler != 0:
+        if dim % 2 and euler != 0:
             raise MtspecError("closed odd-dimensional manifolds have euler 0")
-        if self.dim % 4 and self.signature:
+        if dim % 4 and signature:
             raise MtspecError("signature is only meaningful in dimensions 0 mod 4")
-        if self.dim % 2 == 0 and (self.euler + self.signature) % 2:
+        if dim % 2 == 0 and (euler + signature) % 2:
             raise MtspecError("euler + signature must be even (duality parity)")
-        if self.kr is not None:
-            if self.dim % 4 != 1:
+        if kr is not None:
+            if dim % 4 != 1:
                 raise MtspecError("kr applies in dimensions 1 mod 4 only")
-            if self.kr not in (0, 1):
+            if kr not in (0, 1):
                 raise MtspecError("kr is a mod-2 value")
+        return tuple.__new__(cls, (name, dim, euler, signature, kr))
 
     @property
     def p1_number(self) -> int:
@@ -134,20 +131,21 @@ def standard_manifolds():
 
 
 def connected_sum(*chain: ManifoldClass) -> ManifoldClass:
-    """Connected sum of a chain in dimensions 2 and 4: each '#' drops the
-    euler number of S^dim.  A chain of one manifold is that manifold."""
+    """Connected sum of a chain of one dimension: each '#' drops the euler
+    number of S^dim, and in dimension 1 also its kr, mod 2, so a chain of
+    circles is a circle.  A chain of one manifold is that manifold."""
     first = chain[0]
     for other in chain[1:]:
         if other.dim != first.dim:
             raise MtspecError("connected sum needs equal dimensions")
-        if first.dim not in (2, 4):
-            raise MtspecError("connected sum is provided for dimensions 2 and 4")
     if len(chain) == 1:
         return first
-    sphere = RULED_MANIFOLDS["S%d" % first.dim]
+    sphere, links = RULED_MANIFOLDS["S%d" % first.dim], len(chain) - 1
+    krs = [m.kr for m in chain]
+    kr = None if first.dim != 1 or None in krs else (sum(krs) - sphere.kr * links) % 2
     return ManifoldClass("#".join(m.name for m in chain), first.dim,
-                         sum(m.euler for m in chain) - sphere.euler * (len(chain) - 1),
-                         sum(m.signature for m in chain))
+                         sum(m.euler for m in chain) - sphere.euler * links,
+                         sum(m.signature for m in chain), kr)
 
 
 def formal_sum(pairs) -> ManifoldClass:
@@ -225,12 +223,10 @@ def frobenius_surface_value(mu, m: ManifoldClass) -> ExactComplex:
     return ExactComplex.of(mu) ** (m.euler // 2)
 
 
-@dataclass(frozen=True)
-class SurfaceBordism:
+class SurfaceBordism(namedtuple("SurfaceBordism", "chi_total chi_source", defaults=(0,))):
     """A surface bordism remembered through euler data of total and source."""
 
-    chi_total: int
-    chi_source: int = 0
+    __slots__ = ()
 
 
 def euler_theory_value(lam, b: SurfaceBordism) -> ExactComplex:

@@ -502,12 +502,14 @@ class TestParser:
 
     @pytest.mark.parametrize("record,field", [
         ("hz k=7 group=Z bogus=3", "bogus="),
+        # no record type has a p1= field since version 7, so it has no refusal of its own
+        ("hz k=0 group=Z p1=3", "p1="),
         ("homotopy d=2 k=1 group=0 cover=1", "cover="),
         ("cohomology d=2 cover=1 k=3 gen=tau", "gen="),
         ("arrow kind=cover d=2 k=2 map=tau:1*tau from=1", "from="),
         ("arrow kind=cover d=2 k=2 map=cu:2*tau prov=diagram", "prov="),
         ("arrow kind=covdim d=4 to=3 k=4 map=psi:1*rho;sigma:2*rho", "to="),
-    ], ids=["hz", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to"])
+    ], ids=["hz", "hz-p1", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to"])
     def test_unknown_field_is_refused_naming_the_line(self, record, field):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
             parse_data(MINIMAL + record + "\n")

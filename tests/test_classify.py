@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 import random
 from fractions import Fraction
 
@@ -91,6 +93,7 @@ class TestRestrictTheory:
     def test_stated_formula_example(self):
         out = restrict_theory(4, 4, 3, TheoryParams.of([2, 3]))
         assert list(out) == [ExactComplex.of(4), ExactComplex.of(Fraction(27, 2))]
+        assert copy.copy(out) == pickle.loads(pickle.dumps(out)) == out
 
     def test_two_dimensional_squaring(self):
         out = restrict_theory(2, 2, 1, TheoryParams.of([Fraction(-3, 2)]))

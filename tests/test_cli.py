@@ -308,6 +308,14 @@ class TestBordismCommand:
         code, out = run_main(capsys, "bordism", "--d", "4", "--sum", "2*K3#CP2")
         assert code == 0 and out == "invariant: (10, -30)\nnull-bordant: false\n"
 
+    @pytest.mark.parametrize("argv,out", [
+        (["--d", "3", "--sum", "S3#T3"], "invariant: 0\nnull-bordant: true\n"),
+        (["--d", "1", "--sum", "S1#S1"], "invariant: 1\nnull-bordant: false\n"),
+    ], ids=["d3", "d1"])
+    def test_a_chain_in_an_odd_dimension(self, capsys, argv, out):
+        # a chain of 3-manifolds is one, and a chain of circles is a circle
+        assert run_main(capsys, "bordism", *argv) == (0, out)
+
     @pytest.mark.parametrize("d,total,message", [
         ("4", "0*S2", "sum contains a manifold of dimension 2"),
         ("4", "S2 - S2", "sum contains a manifold of dimension 2"),
@@ -710,7 +718,8 @@ from mtspec.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "mtspec"
-                            or m in ("json", "fractions", "decimal"))))
+                            or m in ("json", "fractions", "decimal", "dataclasses",
+                                     "inspect", "pathlib"))))
 """
 
 TABLE_MODULES = {"mtspec", "mtspec.abelian", "mtspec.certified", "mtspec.charclasses",
@@ -735,7 +744,8 @@ class TestSubcommandImports:
         # a fresh interpreter per subcommand, without site, whose imports
         # vary by installation; the consistency proof in spectra is never
         # loaded to serve an answer, json only for --format json, and the
-        # exact numbers only where a subcommand makes or reads them
+        # exact numbers only where a subcommand makes or reads them; no
+        # subcommand loads dataclasses, inspect or pathlib
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         env.pop("MTSPEC_DATA", None)

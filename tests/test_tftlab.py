@@ -162,8 +162,16 @@ class TestConstructors:
         # a term counts for the dimension even when its multiplicity is 0
         with pytest.raises(MtspecError, match="formal sums must be homogeneous in dimension"):
             formal_sum([(CATALOG.get("S2"), 1), (CATALOG.get("S4"), 0)])
-        with pytest.raises(MtspecError, match="connected sum is provided for dimensions 2 and 4"):
-            connected_sum(CATALOG.get("S1"), CATALOG.get("S1"))
+        with pytest.raises(MtspecError, match="connected sum needs equal dimensions"):
+            connected_sum(CATALOG.get("S1"), CATALOG.get("S3"))
+
+    def test_connected_sums_in_odd_dimensions(self):
+        # each '#' drops the sphere's euler number, and in dimension 1 its kr
+        s1, s3 = CATALOG.get("S1"), CATALOG.get("S3")
+        assert connected_sum(s1, s1) == ManifoldClass("S1#S1", 1, 0, kr=1)
+        assert connected_sum(s1, s1, s1).kr == 1
+        assert connected_sum(s3, CATALOG.get("T3")) == ManifoldClass("S3#T3", 3, 0)
+        assert connected_sum(s3, s3).kr is None
 
     def test_constructed_four_manifolds_keep_parity(self):
         rng = random.Random(8)
