@@ -44,13 +44,14 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import InternalCheckError, MtspecError
+from .errors import InternalCheckError, MtspecError, checked
 
 
 # ---------------------------------------------------------------------------
 # integer matrices
 
 
+@checked
 class IntMatrix(namedtuple("IntMatrix", "rows ncols")):
     """An immutable integer matrix: its rows as tuples, and its column
     count, which a matrix without rows cannot show.  Any iterable of
@@ -231,6 +232,7 @@ def _identity(n: int) -> list:
 # finitely generated abelian groups
 
 
+@checked
 class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
     """A finitely generated abelian group in invariant-factor form.
 
@@ -318,6 +320,11 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
     def __str__(self):
         return self.to_text()
 
+    def __add__(self, other):  # a tuple's concatenation or repeat is no group
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
 
 TRIVIAL_GROUP = FgAbGroup()
 
@@ -362,6 +369,7 @@ def element_is_zero(group: FgAbGroup, vector) -> bool:
 # homomorphisms
 
 
+@checked
 class GroupHom(namedtuple("GroupHom", "source target matrix")):
     """A homomorphism given on canonical generators.
 
@@ -406,10 +414,10 @@ class GroupHom(namedtuple("GroupHom", "source target matrix")):
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
     """The zero map.  It is well-defined by construction, so it is built
-    by ``_make``, without the checks of IntMatrix and GroupHom."""
+    by ``tuple.__new__``, without the checks of IntMatrix and GroupHom."""
     n = source.num_generators
-    return GroupHom._make((source, target,
-                           IntMatrix._make((((0,) * n,) * target.num_generators, n))))
+    zeros = tuple.__new__(IntMatrix, (((0,) * n,) * target.num_generators, n))
+    return tuple.__new__(GroupHom, (source, target, zeros))
 
 
 def check_exact(f: GroupHom, g: GroupHom) -> bool:

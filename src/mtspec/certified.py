@@ -1,66 +1,61 @@
 """The versioned certified data file, and the tables served from it.
 
-The file ships with the package and carries the cover rows of the
-cohomology table, each its named generators (version 4), the homotopy
-table, the self-cohomology of the integral Eilenberg-MacLane spectrum
-and the four recorded arrows of the restriction diagram.  What the
-package computes is not in it: the uncovered cohomology rows are the
-ring's Thom-module pieces (``charclasses.thom_module_piece``); the
-restriction between the spectra is the ring's
+The file ships with the package and records the cover rows of the
+cohomology table, each as its named generators, the homotopy table, the
+self-cohomology of the integral Eilenberg-MacLane spectrum and four
+arrows of the restriction diagram.  Each decision about what it may
+record is declared once, here: the dimensions the consistency proof
+covers (``COVER_DIMENSIONS``), which bound the cover rows; the arrow
+kinds and the two rows each joins (``_ARROW_KINDS``); the kinds a rule
+gives (``_RULED_KINDS``); and the two arrows the load computes once the
+recorded ones are validated, with their rules (``_COMPUTED_ARROWS``).
+The rest of what the package computes is not data either: the uncovered
+rows are the ring's Thom-module pieces (``charclasses.thom_module_piece``),
+the restriction between the spectra is the ring's
 (``charclasses.ring_restriction``), a map touching a zero group is zero,
-and ``spectra.verify_les`` synthesizes the degree-0 unit map; and once
-the recorded arrows are validated, covdim d=3 k=4 is the same-name map
-and cover d=2 k=4 is solved from the 3 -> 2 square.  No manifold is
-data: the catalog is code in ``tftlab`` (version 7).  A file that
-records any of these anyway is refused naming the line, and so is a
-cohomology row's group= field, which its generators give, and a
-manifold row, whose refusal says which sum of catalog names to write
-instead.  Loading validates the rest: no group or gens=
-list may have more than MAX_GROUP_GENERATORS generators as spelled, a
-row's torsion orders must form a divisibility chain and its generators
-have distinct names spelled as a map names one, an hz group must be cyclic, a homotopy
-row of degree 0 must state Z (the ring's H^0 = Z u and H^1 = 0 force
-pi_0 = H_0 = Z, by Hurewicz and universal coefficients), no two records
-of one type may share a key, no record may name a field twice and no
-arrow's map a generator (a source, or a target within one image), the
-file has one version line (each repeat is refused, not taken in place
-of the first) and it states 7, which is compared once every row is read
+``spectra.verify_les`` synthesizes the degree-0 unit map, and the
+manifold catalog is code in ``tftlab`` (version 7).  A file that records
+any of these is refused naming the line, and so is a cohomology row's
+group= field, which its generators give, and a manifold row, whose
+refusal says which sum of catalog names to write instead.  Loading
+validates the rest: no group or gens= list may have more than
+MAX_GROUP_GENERATORS generators as spelled, a row's torsion orders must
+form a divisibility chain and its generators have distinct names spelled
+as a map names one, an hz group must be cyclic, a homotopy row of degree
+0 must state Z (the ring's H^0 = Z u and H^1 = 0 force pi_0 = H_0 = Z, by
+Hurewicz and universal coefficients), no two records of one type may
+share a key, no record may name a field twice and no arrow's map a
+generator (a source, or a target within one image), the file has one
+version line and it states 7, which is compared once every row is read
 so that an older file is refused at a row its migration changes, and
-each arrow's map must be well-defined between the rows it names (built
-once every row is read, it is the ArrowRecord's hom).  The environment
-variable MTSPEC_DATA overrides the path; a file that cannot be read or
-is not UTF-8 is a DataFormatError like any other bad file.
+each arrow's map must be well-defined between the rows it joins (it is
+the ArrowRecord's hom).  MTSPEC_DATA overrides the path; a file that
+cannot be read or is not UTF-8 is a DataFormatError like any other.
 
 ``load_data`` reads MTSPEC_DATA on every call and checks its cache with
 one ``os.stat`` of the path in effect (the shipped file's absolute path is
-computed once, at import).  The cache is keyed on the file's identity, its
-device and inode, and an entry is served while the file keeps the size
-and modification time it had when it was read, the rule
+computed once, at import).  The cache is keyed on the file's device and
+inode, and an entry is served while the file keeps the size and
+modification time it had when it was read, the rule
 ``linecache.checkcache`` uses.  So a symlink or a relative MTSPEC_DATA
 naming the shipped file shares its CertifiedData, a retargeted symlink
 and a file moved over the path are followed, and a rewrite that changes
 the size or the mtime is read again; a rewrite of the same size within
-one mtime tick is not seen.  A miss reads the file and resolves its path
-once, with ``os.path.realpath``, to name it in CertifiedData.path.  Only a
-regular file of at most MAX_DATA_BYTES is read: a fifo, which would block
-the read, a device, which may never end, and a longer file are unreadable
-files, as are a missing file, a directory and a symlink loop.
-Each public function that takes ``data=`` resolves the file once, at its
-top, and passes that one CertifiedData to everything it calls: a call
-answers from one snapshot of the data even if MTSPEC_DATA changes during
-it, and a caller that passes ``data=`` skips the lookup altogether.
-Each loaded fact is one value: a cohomology or hz row is a
-CohomologyEntry, an arrow an ArrowRecord with its map.
-CertifiedData.derived is the workspace of the consistency proof in ``spectra``, which keeps
-there what it builds from this snapshot alone; it is empty when the file
-is read, so nothing carries over between files.
+one mtime tick is not seen.  A miss reads the file and names it in
+CertifiedData.path by its ``os.path.realpath``.  Only a regular file of
+at most MAX_DATA_BYTES is read: a fifo, which would block the read, a
+device, which may never end, and a longer file are unreadable, as are a
+missing file, a directory and a symlink loop.  Each public function that
+takes ``data=`` resolves the file once, at its top, and passes that one
+CertifiedData to everything it calls, so a call answers from one
+snapshot; a caller that passes ``data=`` skips the lookup.
+CertifiedData.derived is the workspace of the consistency proof in
+``spectra``; it is empty when the file is read, so nothing carries over
+between files.
 
-The lookups at the end of the module serve the tables: homotopy and
-cohomology of the suspended Madsen-Tillmann spectra and their first
-covers (SpectrumId), the self-cohomology of the Eilenberg-MacLane
-spectrum, grid equivalences between cover levels, and the arrows,
-recorded or computed.  They need nothing beyond this module, so serving a table loads
-no part of the consistency proof in ``spectra``.
+The lookups at the end of the module serve the tables (SpectrumId names
+a spectrum) and need nothing beyond this module, so serving a table
+loads no part of the proof.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ from collections import namedtuple
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, ring_restriction, thom_module_piece
-from .errors import DataFormatError, MtspecError
+from .errors import DataFormatError, MtspecError, checked
 
 ENV_DATA_PATH = "MTSPEC_DATA"
 MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
@@ -87,26 +82,34 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names i
 _TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
 _DATA_VERSION = 7  # the version this loader reads
 _PI_0 = FgAbGroup(1)  # the one group a homotopy row of degree 0 may state
+# the proof's domain: the dimensions whose first cover is recorded and derived
+COVER_DIMENSIONS = (2, 3, 4)
 # the keys a table row may have, and the refusal of any other: the first
 # covers that the proof derives, the homotopy groups in degrees 0..d, and
 # H^k(HZ) in the degrees of the long exact sequence; nothing reads or
 # proves a row outside them
-_COVER_ROW_KEYS = frozenset((d, 1, k) for d in (2, 3, 4) for k in range(MAX_TABLE_DEGREE + 1))
+_COVER_ROW_KEYS = frozenset((d, 1, k) for d in COVER_DIMENSIONS
+                            for k in range(MAX_TABLE_DEGREE + 1))
 _HOMOTOPY_KEYS = frozenset((d, k) for d in (1, 2, 3, 4) for k in range(d + 1))
 _HZ_DEGREES = range(MAX_TABLE_DEGREE + 2)
 _OUTSIDE = {
-    "cohomology": "outside the tables: a cohomology row has d=2..4, cover=1 and "
-                  "k=0..%d" % MAX_TABLE_DEGREE,
+    "cohomology": "outside the tables: a cohomology row has d=%d..%d, cover=1 and k=0..%d"
+                  % (COVER_DIMENSIONS[0], COVER_DIMENSIONS[-1], MAX_TABLE_DEGREE),
     "homotopy": "outside the tables: a homotopy row has d=1..4 and k=0..d",
     "hz": "outside the tables: an hz row has k=0..%d" % (MAX_TABLE_DEGREE + 1),
 }
 
 
-class ArrowRecord(namedtuple("ArrowRecord", "kind d k provenance assignments hom")):
-    """One generator map between two table entries in degree k.
+# each arrow kind, and the two rows of degree k that it joins, the source's
+# then the target's, as (offset from d, cover level): "cover" maps the
+# spectrum to its first cover, and "covdim" restricts the first cover from
+# dimension d to d - 1; any other kind is refused
+_ARROW_KINDS = {"cover": ((0, 0), (0, 1)), "covdim": ((0, 1), (-1, 1))}
 
-    kind "cover" maps the spectrum to its first cover, and "covdim"
-    restricts the first cover from dimension d to d - 1.  provenance is
+
+class ArrowRecord(namedtuple("ArrowRecord", "kind d k provenance assignments hom")):
+    """One generator map between two table entries in degree k, those
+    that its kind joins (``_ARROW_KINDS``).  provenance is
     diagram (recorded), names or square (computed); assignments are
     ((source name, ((target name, coeff), ...)), ...), and hom is the map
     in canonical coordinates, built at load.
@@ -235,21 +238,40 @@ def _parse_fields(parts):
 _SHIPPED_DATA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                                   "certified_data.txt")
 
-
-def default_data_path():
-    """The shipped data file as a pathlib.Path, absolute but not resolved;
-    pathlib is imported here, not with the module."""
-    from pathlib import Path
-    return Path(_SHIPPED_DATA_PATH)
-
-
-# the arrows a rule gives, by kind or by (kind, d, k), each with its rule
-_RULED_ARROWS = {
+# the arrow kinds a rule gives, each with its rule
+_RULED_KINDS = {
     "dim": "the restriction between the spectra is the ring's "
            "(charclasses.ring_restriction)",
     "unit": "the degree-0 unit map is the canonical identification",
-    ("covdim", 3, 4): "covdim d=3 k=4 keeps the generator names",
-    ("cover", 2, 4): "cover d=2 k=4 is solved from the 3 -> 2 square",
+}
+
+
+def _solved_square(cohomology: dict, cover_3: ArrowRecord) -> tuple:
+    """cover d=2 k=4 = covdim o cover_3 o dim^-1, which is cover_3 read
+    through dim^-1 as covdim keeps names.  The ring's dim sends each
+    generator to +-1 times one generator or to 0: its inverse is a lookup."""
+    preimage = {image[0][0]: (name, image[0][1])
+                for name, image in ring_restriction(3, 4, 2)
+                if len(image) == 1 and image[0][1] in (1, -1)}
+    solved = []
+    for name in thom_module_piece(2, 4).names:
+        if name not in preimage:
+            raise DataFormatError("the 3 -> 2 square leaves the cover image of %s "
+                                  "undetermined" % name)
+        source, sign = preimage[name]
+        solved.append((name, tuple((target, sign * coeff)
+                                   for target, coeff in cover_3.image_of(source).items())))
+    return tuple(solved)
+
+
+# the arrows the load computes from the validated cover d=3 k=4, in order,
+# by key: (provenance, rule, what solves the assignments from rows and arrow)
+_COMPUTED_ARROWS = {
+    ("covdim", 3, 4): ("names", "covdim d=3 k=4 keeps the generator names",
+                       lambda cohomology, _: tuple((n, ((n, 1),))
+                                                   for n in cohomology[(3, 1, 4)].names)),
+    ("cover", 2, 4): ("square", "cover d=2 k=4 is solved from the 3 -> 2 square",
+                      _solved_square),
 }
 
 
@@ -260,10 +282,8 @@ def _load_arrows(cohomology: dict, recorded: dict) -> dict:
     arrows = {}
 
     def add(kind, d, k, provenance, assignments):
-        if kind == "cover":
-            source, target = cohomology.get((d, 0, k)), cohomology.get((d, 1, k))
-        else:  # covdim; parse_data refuses any other kind
-            source, target = cohomology.get((d, 1, k)), cohomology.get((d - 1, 1, k))
+        source, target = (cohomology.get((d + step, cover, k))
+                          for step, cover in _ARROW_KINDS[kind])
         if source is None or target is None:
             raise DataFormatError("the arrow references a missing table entry")
         if provenance == "diagram" and (source.group.is_trivial or target.group.is_trivial):
@@ -277,41 +297,16 @@ def _load_arrows(cohomology: dict, recorded: dict) -> dict:
             add(kind, d, k, "diagram", assignments)
         except DataFormatError as exc:
             raise DataFormatError("bad record %r: %s" % (line, exc))
-    for arrow in _computed_arrows(cohomology, arrows):
-        try:
-            add(*arrow)
-        except DataFormatError as exc:
-            raise DataFormatError("the computed %s arrow d=%d k=%d (prov=%s): %s"
-                                  % (*arrow[:4], exc))
-    return arrows
-
-
-def _computed_arrows(cohomology: dict, arrows: dict):
-    """The 3 -> 2 row of the degree-4 square, (kind, d, k, provenance,
-    assignments) each, from the validated arrows.
-
-    covdim keeps names, so cover_2 = covdim o cover_3 o dim^-1 is cover_3
-    read through dim^-1.  The ring's dim sends each generator to +-1 times
-    one generator or to 0, so its inverse is a lookup by name.  A file
-    without cover_3 gets neither arrow, as it lacks any arrow it omits.
-    """
     cover_3 = arrows.get(("cover", 3, 4))
-    if cover_3 is None:
-        return ()
-    names = cohomology[(3, 1, 4)].names  # cover_3 was built, so the row exists
-    preimage = {image[0][0]: (name, image[0][1])
-                for name, image in ring_restriction(3, 4, 2)
-                if len(image) == 1 and image[0][1] in (1, -1)}
-    solved = []
-    for name in thom_module_piece(2, 4).names:
-        if name not in preimage:
-            raise DataFormatError("the 3 -> 2 square leaves the cover image of %s "
-                                  "undetermined" % name)
-        source, sign = preimage[name]
-        solved.append((name, tuple((target, sign * coeff)
-                                   for target, coeff in cover_3.image_of(source).items())))
-    return (("covdim", 3, 4, "names", tuple((n, ((n, 1),)) for n in names)),
-            ("cover", 2, 4, "square", tuple(solved)))
+    if cover_3 is not None:  # a file without it gets neither, as it lacks any arrow it omits
+        for (kind, d, k), (provenance, _, solve) in _COMPUTED_ARROWS.items():
+            assignments = solve(cohomology, cover_3)
+            try:
+                add(kind, d, k, provenance, assignments)
+            except DataFormatError as exc:
+                raise DataFormatError("the computed %s arrow d=%d k=%d (prov=%s): %s"
+                                      % (kind, d, k, provenance, exc))
+    return arrows
 
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:
@@ -408,10 +403,10 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 kind = fields["kind"]
                 table, key = arrows, (kind, int(fields["d"]), int(fields["k"]))
                 rec = (raw.strip(), _parse_map(fields["map"]))
-                rule = _RULED_ARROWS.get(kind) or _RULED_ARROWS.get(key)
-                if rule:
+                if kind in _RULED_KINDS or key in _COMPUTED_ARROWS:
+                    rule = _RULED_KINDS.get(kind) or _COMPUTED_ARROWS[key][1]
                     raise ValueError(rule + ", not recorded; delete the line")
-                if kind not in ("cover", "covdim"):
+                if kind not in _ARROW_KINDS:
                     raise ValueError("unknown arrow kind %r" % kind)
             if key in table:  # a repeat is refused, not taken over the first
                 raise ValueError("a record with the key %s came earlier" % (key,))
@@ -467,6 +462,7 @@ def load_data(path=None) -> CertifiedData:
 # serving the tables
 
 
+@checked
 class SpectrumId(namedtuple("SpectrumId", "d cover_level")):
     """A suspended oriented Madsen-Tillmann spectrum, possibly covered.
 
@@ -560,13 +556,11 @@ def cover_map(d: int, k: int, kind: str = "cover",
               data=None) -> ArrowRecord:
     """A generator map as loaded, recorded or computed (see its provenance).
 
-    kind "cover" is the map from the spectrum to its first cover, and
-    "covdim" the dimension restriction from the first cover in d to the
-    one in d - 1.  An arrow the data does not hold raises MtspecError;
-    nothing is ever guessed.
+    kind is "cover" or "covdim" (``_ARROW_KINDS``).  An arrow the data
+    does not hold raises MtspecError; nothing is ever guessed.
     """
     data = data or load_data()
-    if kind not in ("cover", "covdim"):
+    if kind not in _ARROW_KINDS:
         raise ValueError("unknown arrow kind %r" % kind)
     record = data.arrow(kind, d, k)
     if record is None:

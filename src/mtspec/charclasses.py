@@ -32,6 +32,7 @@ import itertools
 from collections import namedtuple
 
 from .abelian import FgAbGroup
+from .errors import checked
 
 _GENERATORS = ("W3", "e", "p1", "c")  # the order of a monomial's exponents
 _DEGREES = (3, 4, 4, 2)
@@ -43,6 +44,7 @@ MAX_DEGREE = 64
 # graded pieces and named entries
 
 
+@checked
 class CohomologyEntry(namedtuple("CohomologyEntry", "generators")):
     """A group given by its ordered, named generating set.
 

@@ -9,13 +9,16 @@ Restriction maps act multiplicatively through the recorded generator
 maps.  A kernel is read off one Smith form of the transposed exponent
 matrix: its group from the diagonal, and, when small, its elements as
 root-of-unity tuples whose phases are integers modulo the lcm of that
-diagonal.  Everything is exact.  ``exactnum`` is imported when the first
-coordinate is made, not with this module, so a classification or the
-certificate does not load it.
+diagonal.  Both read the theory groups at the two levels through one
+prelude, ``_restriction``, which checks the levels once.  A theory's
+coordinates are a tuple, ``TheoryParams``.  Everything is exact.
+``exactnum`` is imported when the first coordinate is made, not with
+this module, so a classification or the certificate does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -26,16 +29,13 @@ from .certified import SpectrumId
 from .errors import InternalCheckError, MtspecError
 
 _KERNEL_LISTING_BOUND = 64
-_exact_complex = None  # exactnum.ExactComplex, once a coordinate is made
 
 
+@functools.cache
 def _exact():
-    """exactnum.ExactComplex, imported on the first call only."""
-    global _exact_complex
-    if _exact_complex is None:
-        from .exactnum import ExactComplex
-        _exact_complex = ExactComplex
-    return _exact_complex
+    """exactnum.ExactComplex, imported on the first call, not with this module."""
+    from .exactnum import ExactComplex
+    return ExactComplex
 
 
 class TheoryGroup(namedtuple("TheoryGroup", "d n unit_rank finite_part basis_names")):
@@ -46,22 +46,15 @@ class TheoryGroup(namedtuple("TheoryGroup", "d n unit_rank finite_part basis_nam
     __slots__ = ()
 
 
-class TheoryParams(namedtuple("TheoryParams", "coords")):
-    """Multiplicative coordinates of one invertible theory: ExactComplex
-    values, one per basis name, which iterating the record yields."""
+class TheoryParams(tuple):
+    """Multiplicative coordinates of one invertible theory: the tuple of
+    its ExactComplex values, one per basis name."""
 
     __slots__ = ()
 
     @classmethod
     def of(cls, values) -> "TheoryParams":
-        exact = _exact().of
-        return cls(tuple(exact(v) for v in values))
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getnewargs__(self):  # the field, not what iterating yields
-        return (self.coords,)
+        return cls(map(_exact().of, values))
 
 
 class ExtensionClass(namedtuple("ExtensionClass", "rho_multiple")):
@@ -82,21 +75,24 @@ def classify(d: int, n: int, data=None) -> TheoryGroup:
     return TheoryGroup(d, n, here.group.free_rank, finite, here.free_names)
 
 
-def _check_levels(d: int, n_from: int, n_to: int):
+def _restriction(d: int, n_from: int, n_to: int, data) -> tuple:
+    """The theory groups at the two levels of a restriction, source first.
+    The levels are checked once the source is classified, before the
+    target is, so a bad target level gets this one message."""
+    source = classify(d, n_from, data)
     if not 1 <= n_to < n_from <= d <= 4:
         raise MtspecError("need 1 <= n_to < n_from <= d <= 4")
+    return source, classify(d, n_to, data)
 
 
-def restriction_matrix(source: TheoryGroup, target: TheoryGroup, data=None) -> IntMatrix:
-    """Exponent matrix of the restriction map on free generators, from the
-    theories at one level of a dimension to those at a lower level.
+def _restriction_matrix(source: TheoryGroup, target: TheoryGroup, data) -> IntMatrix:
+    """Exponent matrix of the restriction map on free generators, between
+    the theory groups that ``_restriction`` gives.
 
     Row i carries the powers of the i-th source coordinate, so the j-th
     restricted coordinate is prod_i s_i^(A[i][j]).
     """
     d, n_from, n_to = source.d, source.n, target.n
-    _check_levels(d, n_from, n_to)
-    data = data or certified.load_data()
     src_names, tgt_names = source.basis_names, target.basis_names
     if (certified.equivalent_stored_cover(d, d - n_from, data)
             == certified.equivalent_stored_cover(d, d - n_to, data)):
@@ -120,23 +116,16 @@ def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
                     data=None) -> TheoryParams:
     """Push theory coordinates along a restriction, exactly."""
     data = data or certified.load_data()
-    source = classify(d, n_from, data)
-    _check_levels(d, n_from, n_to)  # before the target level is classified
-    target = classify(d, n_to, data)
+    source, target = _restriction(d, n_from, n_to, data)
     if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
         raise MtspecError("coordinate transport needs trivial finite parts")
-    matrix = restriction_matrix(source, target, data)
-    exact = _exact()
-    coords = tuple(exact.of(v) for v in params)
+    matrix = _restriction_matrix(source, target, data)
+    coords = TheoryParams.of(params)
     if len(coords) != len(matrix.rows):
         raise MtspecError("expected %d coordinates, got %d" % (len(matrix.rows), len(coords)))
-    out = []
-    for column in matrix.columns():
-        value = exact.one()
-        for x, e in zip(coords, column):
-            value = value * x ** e
-        out.append(value)
-    return TheoryParams(tuple(out))
+    one = _exact().one()
+    return TheoryParams(math.prod((x ** e for x, e in zip(coords, column)), start=one)
+                        for column in matrix.columns())
 
 
 class RestrictionKernel(namedtuple("RestrictionKernel", "group basis_names elements")):
@@ -155,9 +144,8 @@ def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> Restriction
     the Z/s_c, and a finite kernel's phases are integers modulo their lcm.
     """
     data = data or certified.load_data()
-    source = classify(d, n_from, data)
-    _check_levels(d, n_from, n_to)  # before the target level is classified
-    matrix = restriction_matrix(source, classify(d, n_to, data), data)
+    source, target = _restriction(d, n_from, n_to, data)
+    matrix = _restriction_matrix(source, target, data)
     _, diag_m, v = smith_normal_form(matrix.transpose())
     diag = [s for s in diag_m.diagonal() if s]
     group = FgAbGroup(len(matrix.rows) - len(diag), tuple(s for s in diag if s > 1))

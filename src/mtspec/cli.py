@@ -111,7 +111,7 @@ def document_to_json(command: str, inputs: dict, result: dict) -> str:
 # --ascii, and returns the text
 
 
-# the options each kind of table reads; any other is refused, not ignored
+# each kind of table, in usage order, and the options it reads; any other is refused
 _TABLE_OPTIONS = {"cohomology": ("d", "cover"), "homotopy": ("d",), "hz": ()}
 
 
@@ -220,9 +220,9 @@ def _render_kernel(result: dict, ascii_mode: bool) -> str:
     return "%s: %s" % (head, listing)
 
 
-# the options each theory of eval reads; any other is refused, not ignored
-_EVAL_OPTIONS = {"four_d": ("l1", "l2", "manifold"), "frobenius": ("mu", "g", "manifold"),
-                 "euler": ("lam", "manifold", "chi_total", "chi_source")}
+# each theory of eval, in usage order, and the options it reads; any other is refused
+_EVAL_OPTIONS = {"euler": ("lam", "manifold", "chi_total", "chi_source"),
+                 "frobenius": ("mu", "g", "manifold"), "four_d": ("l1", "l2", "manifold")}
 
 
 def cmd_eval(args, data):
@@ -357,7 +357,7 @@ _TO = (("--to",), {"dest": "n_to", "type": int, "required": True})
 # pairs in the order of its usage line; _add_common adds --format and --ascii
 _SUBCOMMANDS = {
     "table": ("print a certified table", [
-        (("kind",), {"choices": ["cohomology", "homotopy", "hz"]}),
+        (("kind",), {"choices": tuple(_TABLE_OPTIONS)}),
         (("--d",), {"type": int}),
         (("--cover",), {"type": int})]),
     "classify": ("the group of invertible theories", [
@@ -366,7 +366,7 @@ _SUBCOMMANDS = {
         _D, _FROM, _TO, (("--params",), {"default": ""})]),
     "kernel": ("kernel of a restriction map", [_D, _FROM, _TO]),
     "eval": ("evaluate a concrete theory", [
-        (("theory",), {"choices": ["euler", "frobenius", "four_d"]}),
+        (("theory",), {"choices": tuple(_EVAL_OPTIONS)}),
         (("--lam",), {}), (("--mu",), {}), (("--l1",), {}), (("--l2",), {}),
         (("--manifold",), {}),
         (("--g",), {"type": int}),

@@ -4,6 +4,8 @@ An ``MtspecError`` refuses the caller's input, and a ``DataFormatError``
 the data file; both exit 2.  Any other exception is an internal failure
 and exits 3, an ``InternalCheckError`` (a consistency check of the data or
 of the proof failed) as well as a ``ValueError`` from a broken invariant.
+Each record checks its invariants in ``__new__``, and ``checked`` makes
+its copies (``_make``, ``_replace``) do so too.
 """
 
 
@@ -17,3 +19,10 @@ class DataFormatError(MtspecError):
 
 class InternalCheckError(Exception):
     """An internal cross-check failed (exit 3); deliberately no MtspecError."""
+
+
+def checked(record):
+    """The named-tuple record class, its _make (and so _replace) built
+    through its __new__, so that no copy skips the checks made there."""
+    record._make = classmethod(lambda cls, fields: cls(*fields))
+    return record

@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .errors import MtspecError
+from .errors import MtspecError, checked
 
 # Bounds on powers of a magnitude other than 1: the largest |exponent|, and
 # the most decimal digits the result's numerator or denominator may have.
@@ -32,6 +32,7 @@ MAX_POWER_EXPONENT = 10_000
 MAX_POWER_DIGITS = 20_000
 
 
+@checked
 class ExactComplex(namedtuple("ExactComplex", "mag power order")):
     """mag * zeta_order^power: mag > 0, and the phase power/order of a full
     turn is reduced, 0 <= power < order, coprime, and order 1 for phase 0."""
@@ -95,6 +96,11 @@ class ExactComplex(namedtuple("ExactComplex", "mag power order")):
         return ExactComplex._reduced(self.mag * other.mag,
                                      self.power * other.order + other.power * self.order,
                                      self.order * other.order)
+
+    __rmul__ = __mul__  # k * x is the product, not a repeat of the tuple
+
+    def __add__(self, other):  # a concatenation of the fields is no sum
+        return NotImplemented
 
     def __pow__(self, exponent: int) -> "ExactComplex":
         if not isinstance(exponent, int):

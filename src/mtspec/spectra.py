@@ -1,36 +1,32 @@
 """The consistency proof behind the certified tables, which ``prove``
-states once: the sequence for d = 2..4, then the 18 cover derivations,
-then the Gilmer-Masbaum certificate.  It is built from
-
-a long-exact-sequence verifier for the fiber sequence
+states once: the sequence for each dimension of
+``certified.COVER_DIMENSIONS`` (d = 2..4, the one statement of the
+proof's domain), then the 18 cover derivations, then the Gilmer-Masbaum
+certificate.  It is built from a long-exact-sequence verifier for the
+fiber sequence
 
     (cover) -> (spectrum) -> (integral Eilenberg-MacLane spectrum),
 
 and a constrained derivation engine that re-derives every cover entry of
 the table, admitting only constraints read from the data: Hurewicz facts
 from the homotopy table and divisibility from the recorded cover arrows.
-The tables themselves are served by ``certified``, next to the data file
-they are read from, which computes the uncovered rows, the restriction
-between the spectra and part of the restriction diagram; this module is
-the machine-checked consistency proof of the cover rows.  Of the table
-lookups it imports, ``SpectrumId``, ``cohomology`` and
-``grid_equivalence`` are also read through it by callers outside the
-package; serving a table does not import it.
+The tables themselves, with the arrows the load computes, are served by
+``certified``; of its lookups, ``SpectrumId``, ``cohomology`` and
+``grid_equivalence`` are also read through this module by callers
+outside the package.  Serving a table does not import it.
 
-Every exactness check and every derivation runs on each call.  The
-arrows enter with the maps built when the data loaded, and H^k(HZ) as
-the table entry the load built.  What the proof only builds from a
-snapshot, it builds once per snapshot and keeps in that CertifiedData's
-``derived`` dict, its workspace: the zero map between two groups, the
-cover's connectivity, each identification of two entries that the
-sequence synthesizes (or the reason there is none), and each
-enumeration of Ext^1(B, A), as far as it has gone.  A map keeps its
-Smith form and its cokernel projection, so each arrow and workspace map
-is factored once per snapshot, for every check and connecting map that
-reads it, and so is each projection; a second proof of a snapshot
-factors nothing.  A new data file is a new CertifiedData with an empty
-one.  The sequence's labels depend on d alone and are built once per d.
-The proof's records are named tuples.
+Every exactness check and every derivation runs on each call.  What the
+proof only builds from a snapshot, it builds once per snapshot and keeps
+in that CertifiedData's ``derived`` dict, its workspace, through one
+decorator, ``_per_snapshot``: the zero map between two groups, the
+cover's connectivity and each identification of two entries that the
+sequence synthesizes (or the reason there is none); each enumeration of
+Ext^1(B, A) is kept there as far as it has gone.  A map keeps its Smith
+form and its cokernel projection, so each arrow and workspace map is
+factored once per snapshot, and a second proof of a snapshot factors
+nothing.  A new data file is a new CertifiedData with an empty
+workspace.  The sequence's labels depend on d alone and are built once
+per d.  The proof's records are named tuples.
 """
 
 from __future__ import annotations
@@ -45,22 +41,29 @@ from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
                       enumerate_extensions, zero_hom)
 # the lookups below are used here, and some are read through this module;
 # see the module docstring
-from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology,  # noqa: F401
-                        grid_equivalence, homotopy_group, hz_self_cohomology)
+from .certified import (COVER_DIMENSIONS, MAX_TABLE_DEGREE, SpectrumId,  # noqa: F401
+                        cohomology, grid_equivalence, homotopy_group, hz_self_cohomology)
 from .errors import DataFormatError, InternalCheckError, MtspecError
 
 # ---------------------------------------------------------------------------
 # the proof's workspace: values that depend on the snapshot alone, kept in
-# data.derived under ("zero", source, target), ("connectivity", d),
-# ("identify", source entry, target entry) or ("extensions", A, B)
+# data.derived under (function that builds it, *arguments) or ("extensions", A, B)
 
 
+def _per_snapshot(build):
+    """build(*args, data), built once per snapshot and kept in its workspace."""
+    def kept(*args):
+        derived, key = args[-1].derived, (build, *args[:-1])
+        value = derived.get(key)
+        if value is None:
+            value = derived[key] = build(*args)
+        return value
+    return kept
+
+
+@_per_snapshot
 def _zero_map(source: FgAbGroup, target: FgAbGroup, data) -> GroupHom:
-    key = ("zero", source, target)
-    hom = data.derived.get(key)
-    if hom is None:
-        hom = data.derived[key] = zero_hom(source, target)
-    return hom
+    return zero_hom(source, target)
 
 
 def _extensions(a_group: FgAbGroup, b_group: FgAbGroup, data):
@@ -80,37 +83,28 @@ def _extensions(a_group: FgAbGroup, b_group: FgAbGroup, data):
         yield ext
 
 
+@_per_snapshot
 def _cover_connectivity(d: int, data) -> int:
     """First degree >= 1 where the cover can have homotopy, per the table."""
-    key = ("connectivity", d)
-    conn = data.derived.get(key)
-    if conn is None:
-        conn = next((i for i in range(1, d + 1)
-                     if not homotopy_group(d, i, data).is_trivial), d + 1)
-        data.derived[key] = conn
-    return conn
+    return next((i for i in range(1, d + 1)
+                 if not homotopy_group(d, i, data).is_trivial), d + 1)
 
 
 # ---------------------------------------------------------------------------
 # long exact sequence verification
 
 
+@_per_snapshot
 def _identification(source, target, data):
     """The isomorphism pairing the entries' generators in order, or the
     reason there is none."""
-    key = ("identify", source, target)
-    found = data.derived.get(key)
-    if found is None:
-        if source.group != target.group:
-            found = "groups differ but no map is recorded"
-        else:
-            pairing = tuple((s, ((t, 1),)) for s, t in zip(source.names, target.names))
-            try:
-                found = certified.assignments_to_group_hom(source, target, pairing)
-            except DataFormatError:
-                found = "no generator pairing identifies the groups"
-        data.derived[key] = found
-    return found
+    if source.group != target.group:
+        return "groups differ but no map is recorded"
+    pairing = tuple((s, ((t, 1),)) for s, t in zip(source.names, target.names))
+    try:
+        return certified.assignments_to_group_hom(source, target, pairing)
+    except DataFormatError:
+        return "no generator pairing identifies the groups"
 
 
 @functools.cache
@@ -130,12 +124,8 @@ def _les_layout(d: int) -> tuple:
     return tuple(labels), tuple(lookups)
 
 
-class LesCheck(namedtuple("LesCheck", "label exact note", defaults=("",))):
-    __slots__ = ()
-
-
-class LesChunk(namedtuple("LesChunk", "description groups exact")):
-    __slots__ = ()
+LesCheck = namedtuple("LesCheck", "label exact note", defaults=("",))
+LesChunk = namedtuple("LesChunk", "description groups exact")
 
 
 class LesReport(namedtuple("LesReport", "d checks chunks notes")):
@@ -157,8 +147,9 @@ def verify_les(d: int, data=None) -> LesReport:
     is reported as a failure.
     """
     data = data or certified.load_data()
-    if d not in (2, 3, 4):
-        raise MtspecError("the fiber sequence is recorded for d = 2, 3, 4")
+    if d not in COVER_DIMENSIONS:
+        raise MtspecError("the fiber sequence is recorded for d = %s"
+                          % ", ".join(map(str, COVER_DIMENSIONS)))
     labels, lookups = _les_layout(d)  # one labelled CohomologyEntry per group, in order
     nodes = [hz_self_cohomology(k, data) if spectrum is None else cohomology(spectrum, k, data)
              for spectrum, k in lookups]
@@ -267,9 +258,8 @@ class DerivationConstraint(namedtuple("DerivationConstraint",
                    basis=basis)
 
 
-class DerivationResult(namedtuple("DerivationResult", "group ambiguous candidates notes",
-                                  defaults=((),))):
-    __slots__ = ()
+DerivationResult = namedtuple("DerivationResult", "group ambiguous candidates notes",
+                              defaults=((),))
 
 
 def _extract_ses(d: int, k: int, data):
@@ -345,8 +335,9 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
     (asserted against the certified table) or flags the ambiguity.
     """
     data = data or certified.load_data()
-    if d not in (2, 3, 4) or not 0 <= k <= MAX_TABLE_DEGREE:
-        raise MtspecError("cover entries exist for d=2..4, k=0..5")
+    if d not in COVER_DIMENSIONS or not 0 <= k <= MAX_TABLE_DEGREE:
+        raise MtspecError("cover entries exist for d=%d..%d, k=0..%d"
+                          % (COVER_DIMENSIONS[0], COVER_DIMENSIONS[-1], MAX_TABLE_DEGREE))
     notes = []
 
     pinned = None
@@ -429,18 +420,14 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
 # the proof of a data file: the one statement of its checks and their order
 
 
-class ProofCheck(namedtuple("ProofCheck", "step subject verdict reason")):
-    __slots__ = ()
-
-
-class ProofReport(namedtuple("ProofReport", "checks failure")):
-    __slots__ = ()
+ProofCheck = namedtuple("ProofCheck", "step subject verdict reason")
+ProofReport = namedtuple("ProofReport", "checks failure")
 
 
 # (step, subject, d, k) of each check of the proof, in order
-_CHECKS = (tuple(("verify_les", "d=%d" % d, d, None) for d in (2, 3, 4))
+_CHECKS = (tuple(("verify_les", "d=%d" % d, d, None) for d in COVER_DIMENSIONS)
            + tuple(("derivation", "d=%d k=%d" % (d, k), d, k)
-                   for d in (2, 3, 4) for k in range(MAX_TABLE_DEGREE + 1))
+                   for d in COVER_DIMENSIONS for k in range(MAX_TABLE_DEGREE + 1))
            + (("certificate", "gilmer-masbaum", None, None),))
 
 

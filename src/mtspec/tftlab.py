@@ -25,10 +25,11 @@ import re
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .errors import MtspecError
+from .errors import MtspecError, checked
 from .exactnum import ExactComplex
 
 
+@checked
 class ManifoldClass(namedtuple("ManifoldClass", "name dim euler signature kr")):
     """An oriented closed manifold, or an integer combination of such
     manifolds of one dimension, remembered through its invariants; every

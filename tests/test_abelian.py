@@ -179,6 +179,12 @@ class TestFgAbGroup:
         with pytest.raises(ValueError):
             FgAbGroup(0, (1,))
 
+    def test_groups_do_not_add_or_repeat_as_tuples(self):
+        # a concatenation of the fields is no direct sum
+        for operation in (lambda: Z + Z2, lambda: 2 * Z, lambda: Z * 2):
+            with pytest.raises(TypeError):
+                operation()
+
     def test_text_roundtrip(self):
         for g in (TRIVIAL_GROUP, Z, Z2, FgAbGroup(1, (2, 6)), FgAbGroup(0, (6,))):
             assert FgAbGroup.from_text(g.to_text()) == g

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -8,8 +9,7 @@ import time
 import pytest
 
 from mtspec import certified
-from mtspec.certified import (MAX_DATA_BYTES, MAX_TABLE_DEGREE, default_data_path,
-                              load_data, parse_data)
+from mtspec.certified import MAX_DATA_BYTES, MAX_TABLE_DEGREE, load_data, parse_data
 from mtspec.charclasses import thom_module_piece
 from mtspec.cli import main
 from mtspec.errors import DataFormatError
@@ -17,6 +17,7 @@ from mtspec.tftlab import (RULED_MANIFOLDS, ManifoldClass, _hypersurface, connec
                            family_member)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SHIPPED = pathlib.Path(certified.__file__).parent / "data" / "certified_data.txt"
 
 MINIMAL = """\
 version=7
@@ -32,7 +33,7 @@ class TestShippedData:
         assert set(data.hz) == set(range(7))
 
     def test_the_file_records_the_diagram_and_the_load_computes_two_arrows(self):
-        text = default_data_path().read_text()
+        text = SHIPPED.read_text()
         arrow_lines = [line for line in text.splitlines() if line.startswith("arrow ")]
         assert len(arrow_lines) == 4
         assert all(" prov=" not in line and " to=" not in line for line in arrow_lines)
@@ -46,7 +47,7 @@ class TestShippedData:
 
     def test_catalog_records(self):
         # the file records no manifold; the catalog is code in tftlab
-        rows = [line for line in default_data_path().read_text().splitlines()
+        rows = [line for line in SHIPPED.read_text().splitlines()
                 if line.startswith(("manifold ", "family "))]
         assert rows == []
         assert not hasattr(load_data(), "manifolds")
@@ -54,7 +55,7 @@ class TestShippedData:
 
 
 def tampered(old, new):
-    text = default_data_path().read_text()
+    text = SHIPPED.read_text()
     modified = text.replace(old, new)
     assert modified != text
     return modified
@@ -95,7 +96,7 @@ class TestArrowsAtLoad:
     diagram; a record of an arrow a rule gives is refused naming the line."""
 
     def test_a_version_2_file_is_refused_at_its_first_arrow(self):
-        text = default_data_path().read_text().replace("version=7", "version=2")
+        text = SHIPPED.read_text().replace("version=7", "version=2")
         arrows = [line for line in text.splitlines() if line.startswith("arrow ")]
         for line in arrows:
             text = text.replace(line + "\n", "")
@@ -110,7 +111,7 @@ class TestArrowsAtLoad:
     def test_each_version_2_arrow_is_refused_naming_its_line(self, line):
         # the four diagram arrows are repeats; each other one a rule gives
         with pytest.raises(DataFormatError, match=re.escape(repr(line))) as info:
-            parse_data(default_data_path().read_text() + line + "\n")
+            parse_data(SHIPPED.read_text() + line + "\n")
         reason = str(info.value)
         assert "came earlier" in reason or "not recorded; delete the line" in reason
 
@@ -144,7 +145,22 @@ class TestArrowsAtLoad:
         monkeypatch.setattr(certified, "ring_restriction", lambda d, k, to_d: (("p1u", ()),))
         with pytest.raises(DataFormatError, match="leaves the cover image of c\\^2u "
                                                   "undetermined"):
-            parse_data(default_data_path().read_text())
+            parse_data(SHIPPED.read_text())
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ("", "arrow kind=cover d=9 k=4 map=u:1*u\n",
+         "the arrow references a missing table entry"),
+        ("arrow kind=cover d=4 k=4 map=eu:2*psi-1*sigma;p1u:3*sigma\n",
+         "arrow kind=cover d=4 k=4 map=eu:2*psi-1*sigma\n",
+         "assignments do not cover the source generators"),
+    ], ids=["rows-outside-the-tables", "a-source-generator-left-out"])
+    def test_a_recorded_arrow_must_map_the_rows_it_joins(self, old, new, reason):
+        text = SHIPPED.read_text()
+        text = text.replace(old, new) if old else text + new
+        assert text != SHIPPED.read_text()
+        with pytest.raises(DataFormatError, match=re.escape(
+                "bad record %r: %s" % (new.strip(), reason))):
+            parse_data(text)
 
     def test_a_computed_arrow_that_is_not_well_defined_is_refused(self):
         text = tampered("cohomology d=2 cover=1 k=4 gens=rho",
@@ -211,7 +227,7 @@ class TestRuledCatalog:
     ])
     def test_a_ruled_row_is_refused_naming_the_line(self, row):
         with pytest.raises(DataFormatError, match=re.escape(repr(row))) as info:
-            parse_data(default_data_path().read_text() + row + "\n")
+            parse_data(SHIPPED.read_text() + row + "\n")
         assert str(info.value).endswith("not recorded; delete the line")
 
     @pytest.mark.parametrize("row,argv", [
@@ -224,7 +240,7 @@ class TestRuledCatalog:
     def test_a_row_cannot_shadow_a_family_member(self, capsys, monkeypatch, tmp_path,
                                                  row, argv):
         path = tmp_path / "shadow.txt"
-        path.write_text(default_data_path().read_text() + row + "\n")
+        path.write_text(SHIPPED.read_text() + row + "\n")
         monkeypatch.setenv("MTSPEC_DATA", str(path))
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -302,7 +318,7 @@ class TestRepeatedKeys:
         "arrow map=psi:1*rho;sigma:2*rho k=4 d=4 kind=covdim",
     ])
     def test_repeated_key_is_refused(self, record):
-        text = default_data_path().read_text() + record + "\n"
+        text = SHIPPED.read_text() + record + "\n"
         with pytest.raises(DataFormatError, match="came earlier"):
             parse_data(text)
 
@@ -360,7 +376,7 @@ class TestUnreadableFile:
         elif kind == "oversized":  # a valid file, padded past the bound
             path = tmp_path / "big.txt"
             comments = "#" * 1023 + "\n"
-            path.write_text(default_data_path().read_text()
+            path.write_text(SHIPPED.read_text()
                             + comments * (MAX_DATA_BYTES // len(comments)))
         elif kind == "non-utf8":  # 0xff starts no UTF-8 sequence
             path = tmp_path / "latin.txt"
@@ -467,7 +483,7 @@ class TestParser:
 
     def test_a_group_field_on_a_cohomology_row_is_refused(self, capsys, monkeypatch, tmp_path):
         # a version-3 file fails at its first cover row
-        v3 = default_data_path().read_text().replace("version=7", "version=3").replace(
+        v3 = SHIPPED.read_text().replace("version=7", "version=3").replace(
             "cohomology d=2 cover=1 k=0\n", "cohomology d=2 cover=1 k=0 group=0\n")
         record = "cohomology d=2 cover=1 k=0 group=0"
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
@@ -483,7 +499,7 @@ class TestParser:
 
     def test_uncovered_row_must_match_the_ring(self):
         # the uncovered rows are the ring's pieces themselves, in any file
-        for text in (MINIMAL, default_data_path().read_text()):
+        for text in (MINIMAL, SHIPPED.read_text()):
             data = parse_data(text)
             for d in (1, 2, 3, 4):
                 for k in range(MAX_TABLE_DEGREE + 1):
@@ -587,7 +603,7 @@ class TestParser:
                                                   record, allowed):
         # nothing serves or proves such a row, so the shipped file plus one
         # is refused, naming the line and the range
-        text = default_data_path().read_text() + record + "\n"
+        text = SHIPPED.read_text() + record + "\n"
         with pytest.raises(DataFormatError,
                            match=re.escape("%r: outside the tables: %s" % (record, allowed))):
             parse_data(text)

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from mtspec.abelian import FgAbGroup
-from mtspec.classify import (ExtensionClass, TheoryParams, classify,
-                             gilmer_masbaum_report, mcg_extension_class,
-                             restrict_theory, restriction_kernel,
-                             restriction_matrix)
+from mtspec.certified import load_data
+from mtspec.classify import (ExtensionClass, TheoryParams, _restriction,
+                             _restriction_matrix, classify, gilmer_masbaum_report,
+                             mcg_extension_class, restrict_theory, restriction_kernel)
 from mtspec.errors import MtspecError
 from mtspec.exactnum import ExactComplex
 
@@ -20,7 +20,10 @@ def zeta(order, power=1):
 
 
 def levels_matrix(d, n_from, n_to):
-    return restriction_matrix(classify(d, n_from), classify(d, n_to))
+    # the exponent matrix of restrict_theory and restriction_kernel, from the
+    # theory groups of their one prelude, which checks the levels
+    data = load_data()
+    return _restriction_matrix(*_restriction(d, n_from, n_to, data), data)
 
 
 def random_rational(rng):
@@ -97,7 +100,7 @@ class TestRestrictTheory:
 
     def test_two_dimensional_squaring(self):
         out = restrict_theory(2, 2, 1, TheoryParams.of([Fraction(-3, 2)]))
-        assert out.coords[0] == ExactComplex.of(Fraction(9, 4))
+        assert out[0] == ExactComplex.of(Fraction(9, 4))
 
     def test_identity_parameters(self):
         out = restrict_theory(4, 4, 3, TheoryParams.of([1, 1]))
@@ -108,7 +111,7 @@ class TestRestrictTheory:
         for _ in range(100):
             l1, l2 = random_rational(rng), random_rational(rng)
             out = restrict_theory(4, 4, 3, TheoryParams.of([l1, l2]))
-            assert out.coords == (ExactComplex.of(l1 * l1), ExactComplex.of(l2 ** 3 / l1))
+            assert out == (ExactComplex.of(l1 * l1), ExactComplex.of(l2 ** 3 / l1))
 
     def test_functoriality(self):
         rng = random.Random(31)
@@ -117,7 +120,7 @@ class TestRestrictTheory:
             direct = restrict_theory(4, 4, 1, params)
             stepped = restrict_theory(
                 4, 3, 1, restrict_theory(4, 4, 3, params))
-            assert direct.coords == stepped.coords
+            assert direct == stepped
 
 
 class TestRestrictionKernel:
@@ -155,9 +158,8 @@ class TestRestrictionKernel:
         for kappa in restriction_kernel(4, 4, 3).elements:
             params = TheoryParams.of([random_rational(rng), random_rational(rng)])
             twisted = TheoryParams.of(
-                [k * p for k, p in zip(kappa, params.coords)])
-            assert restrict_theory(4, 4, 3, twisted).coords == \
-                restrict_theory(4, 4, 3, params).coords
+                [k * p for k, p in zip(kappa, params)])
+            assert restrict_theory(4, 4, 3, twisted) == restrict_theory(4, 4, 3, params)
 
 
 class TestMcgExtensions:

@@ -276,6 +276,11 @@ class TestEvalCommands:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert option in captured.err.replace(",", " ").split()
 
+    def test_frobenius_needs_mu(self, capsys):
+        assert main(["eval", "frobenius", "--g", "2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: eval frobenius needs --mu\n")
+
     def test_a_combination_of_chains_is_evaluated(self, capsys):
         # 2*CP2 - S4 has euler 4 and signature 2, so the value is 2^4 * 3^6
         code, out = run_main(capsys, "eval", "four_d", "--l1", "2", "--l2", "3",

@@ -19,7 +19,7 @@ import pathlib
 import pytest
 
 from mtspec import certified
-from mtspec.certified import SpectrumId, default_data_path, parse_data
+from mtspec.certified import SpectrumId, parse_data
 from mtspec.classify import (TheoryParams, classify, gilmer_masbaum_report,
                              restrict_theory, restriction_kernel)
 from mtspec.cli import main
@@ -28,6 +28,8 @@ from mtspec.exactnum import ExactComplex
 from mtspec.tftlab import (SurfaceBordism, euler_theory_value, frobenius_closed_value,
                            invertible_4d_value, is_vf_nullbordant, parse_formal_sum,
                            parse_manifold, standard_manifolds, vf_invariant)
+
+SHIPPED = pathlib.Path(certified.__file__).parent / "data" / "certified_data.txt"
 
 
 def _bordism(data):
@@ -105,7 +107,7 @@ class TestOneLookupPerCall:
 
 def variant_data():
     """The shipped file with four served answers changed; it still loads."""
-    text = default_data_path().read_text()
+    text = SHIPPED.read_text()
     for old, new in [("gens=tau", "gens=theta"), ("cu:2*tau", "cu:2*theta"),
                      ("p1u:3*sigma", "p1u:5*sigma"), ("map=p1u:6*rho", "map=p1u:10*rho")]:
         assert text.count(old) == 1, old
@@ -177,7 +179,7 @@ class TestOneStatPerLookup:
         monkeypatch.delenv(certified.ENV_DATA_PATH, raising=False)
         if source == "environment":
             copy = tmp_path / "copy.txt"
-            copy.write_text(default_data_path().read_text())
+            copy.write_text(SHIPPED.read_text())
             monkeypatch.setenv(certified.ENV_DATA_PATH, str(copy))
         data = certified.load_data()
         calls = count_path_calls(monkeypatch)
@@ -186,7 +188,7 @@ class TestOneStatPerLookup:
 
     def test_a_miss_resolves_once(self, monkeypatch, tmp_path):
         copy = tmp_path / "copy.txt"
-        copy.write_text(default_data_path().read_text())
+        copy.write_text(SHIPPED.read_text())
         monkeypatch.setenv(certified.ENV_DATA_PATH, str(copy))
         calls = count_path_calls(monkeypatch)
         certified.load_data()
@@ -204,12 +206,12 @@ class TestSameFileSameData:
         expected = capsys.readouterr().out
         if route == "symlink":
             link = tmp_path / "link.txt"
-            link.symlink_to(default_data_path())
+            link.symlink_to(SHIPPED)
             monkeypatch.setenv(certified.ENV_DATA_PATH, str(link))
         else:
             monkeypatch.chdir(tmp_path)
             monkeypatch.setenv(certified.ENV_DATA_PATH,
-                               os.path.relpath(default_data_path(), tmp_path))
+                               os.path.relpath(SHIPPED, tmp_path))
         assert certified.load_data() is shipped
         assert main(["table", "hz"]) == 0
         assert capsys.readouterr().out == expected
@@ -235,7 +237,7 @@ class TestChangedFile:
     @pytest.fixture
     def copy(self, tmp_path):
         path = tmp_path / "copy.txt"
-        path.write_text(default_data_path().read_text())
+        path.write_text(SHIPPED.read_text())
         return path
 
     @pytest.mark.parametrize("name", ["theta", "tao"])  # a new size, the same size

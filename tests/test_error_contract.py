@@ -10,15 +10,16 @@ the shipped data ``cli.main`` returns 0 or 2 and never raises.
 
 import contextlib
 import io
+import pathlib
 import time
 import types
 
 import pytest
 
-from mtspec import cli, errors
-from mtspec.abelian import FgAbGroup
-from mtspec.certified import (MAX_GROUP_GENERATORS, CertifiedData, default_data_path,
-                              parse_data)
+from mtspec import certified, cli, errors
+from mtspec.abelian import FgAbGroup, GroupHom, IntMatrix
+from mtspec.certified import MAX_GROUP_GENERATORS, CertifiedData, SpectrumId, parse_data
+from mtspec.charclasses import CohomologyEntry
 from mtspec.errors import DataFormatError, InternalCheckError, MtspecError
 from mtspec.exactnum import ExactComplex, parse_exact
 from mtspec.tftlab import (MAX_EXPRESSION_TERMS, RULED_MANIFOLDS, ManifoldClass,
@@ -28,7 +29,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 CATALOG = standard_manifolds()
-SHIPPED_LINES = default_data_path().read_text(encoding="utf-8").splitlines()
+SHIPPED = pathlib.Path(certified.__file__).parent / "data" / "certified_data.txt"
+SHIPPED_LINES = SHIPPED.read_text(encoding="utf-8").splitlines()
 
 # bounded and repeatable; a deadline of one second per example catches a
 # parser gone quadratic or backtracking on the long runs below.  Each test
@@ -469,3 +471,26 @@ def test_main_answers_or_refuses_on_the_shipped_data(argv):
     else:
         assert not out.getvalue()
         assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+# ---------------------------------------------------------------------------
+# a record's _replace makes the checks of its constructor
+
+
+@pytest.mark.parametrize("record,fields,error", [
+    (FgAbGroup(0, (2,)), {"torsion": (3, 2)}, "divisibility chain"),
+    (IntMatrix(((1,),), 1), {"ncols": 2}, "row length"),
+    (GroupHom(FgAbGroup(1), FgAbGroup(1), IntMatrix(((1,),), 1)),
+     {"source": FgAbGroup(0, (2,))}, "not well-defined"),
+    (ExactComplex.one(), {"power": 1}, "reduced pair"),
+    (SpectrumId(2), {"d": 5}, "dimension must be 1..4"),
+    (ManifoldClass("S2", 2, 2), {"euler": 1}, "euler \\+ signature must be even"),
+], ids=["FgAbGroup", "IntMatrix", "GroupHom", "ExactComplex", "SpectrumId", "ManifoldClass"])
+def test_replace_is_refused_as_the_constructor_refuses(record, fields, error):
+    with pytest.raises(ValueError, match=error):
+        record._replace(**fields)
+
+
+def test_replace_builds_a_table_entry_with_its_views():
+    entry = CohomologyEntry((("x", None),))._replace(generators=(("y", 2), ("z", None)))
+    assert (entry.group, entry.names, entry.free_names) == (FgAbGroup(1, (2,)), ("y", "z"), ("z",))

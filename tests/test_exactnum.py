@@ -30,6 +30,14 @@ class TestConstruction:
         assert ExactComplex.root_of_unity(6, 0) == ExactComplex.one()
         assert ExactComplex.root_of_unity(4, 7) == ExactComplex.root_of_unity(4, 3)
 
+    def test_a_float_is_refused(self):
+        with pytest.raises(TypeError, match="cannot build an exact value from 1.5"):
+            ExactComplex.of(1.5)
+
+    def test_a_root_of_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match="root order must be positive"):
+            ExactComplex.root_of_unity(0)
+
 
 class TestArithmetic:
     def test_group_law_of_roots(self):
@@ -67,6 +75,16 @@ class TestArithmetic:
         z3 = ExactComplex.root_of_unity(3)
         assert (z3 ** (3 * 10 ** 20 + 1)) == z3
         assert ExactComplex.of(-1) ** (10 ** 20 + 1) == ExactComplex.of(-1)
+
+    def test_an_integer_times_a_value_is_the_product(self):
+        # not the value's fields repeated, as a tuple's would be
+        assert 2 * ExactComplex.of(3) == ExactComplex.of(3) * 2 == ExactComplex.of(6)
+        assert -1 * ExactComplex.root_of_unity(4) == ExactComplex.root_of_unity(4, 3)
+
+    def test_values_do_not_add(self):
+        # the values form a multiplicative group; a concatenation is no sum
+        with pytest.raises(TypeError):
+            ExactComplex.of(3) + ExactComplex.of(3)
 
     def test_non_integer_power_rejected(self):
         with pytest.raises(TypeError):

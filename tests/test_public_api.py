@@ -25,9 +25,6 @@ ALLOWED = {
                          "Smith form's entries, until it reads the rows itself",
     "units_kernel": "the benchmark's snf-large workload times it; the "
                     "package reads a restriction kernel off one Smith form",
-    "default_data_path": "the shipped file's path as a pathlib.Path, for the "
-                         "tests and the benchmark; the package keeps it as a str, "
-                         "so that no subcommand imports pathlib",
     "ExactComplex.root": "the benchmark's oracles read a value's phase as a "
                          "Fraction; the package reads the integer pair",
 }

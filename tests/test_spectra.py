@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from mtspec import certified
@@ -15,6 +17,7 @@ from test_abelian import product
 
 Z = FgAbGroup(1)
 Z2 = FgAbGroup(0, (2,))
+SHIPPED = pathlib.Path(certified.__file__).parent / "data" / "certified_data.txt"
 
 
 class TestHomotopyTable:
@@ -93,6 +96,10 @@ class TestCohomology:
                 assert stored.group == live.group, (d, k)
                 assert stored.generators == live.generators, (d, k)
 
+    def test_a_degree_past_the_table_is_refused(self):
+        with pytest.raises(MtspecError, match=r"cohomology is tabulated for degrees 0\.\.5"):
+            cohomology(SpectrumId(2, 1), 6)
+
     def test_unsupported_cover(self):
         with pytest.raises(MtspecError, match="no table entry for p>=2 Sigma"):
             cohomology(SpectrumId(4, 2), 4)
@@ -168,7 +175,7 @@ class TestVerifyLes:
     @staticmethod
     def _fresh_data():
         # a snapshot whose workspace holds no identification yet
-        return certified.parse_data(certified.default_data_path().read_text())
+        return certified.parse_data(SHIPPED.read_text())
 
     def test_failed_identification_is_reported(self, monkeypatch):
         self._fail_identification(monkeypatch, DataFormatError("no pairing"))
@@ -213,7 +220,7 @@ class TestVerifyLes:
             built.append(assignments)
             return original(source, target, assignments)
         monkeypatch.setattr(certified, "assignments_to_group_hom", counting)
-        data = certified.parse_data(certified.default_data_path().read_text())
+        data = certified.parse_data(SHIPPED.read_text())
         assert len(built) == len(data.arrows) == 6
         built.clear()
         for d in (2, 3, 4):
@@ -227,7 +234,7 @@ class TestVerifyLes:
         # a check per group, labelled in sequence order; the labels depend
         # on d alone, and reports on one snapshot or on two are equal
         # field for field
-        text = certified.default_data_path().read_text()
+        text = SHIPPED.read_text()
         data = certified.parse_data(text)
         report = verify_les(d, data)
         spectra = ("Sigma^%d MTSO(%d)" % (d, d), "p>=1 Sigma^%d MTSO(%d)" % (d, d))
@@ -288,6 +295,26 @@ class TestDerivation:
         result = derive_cover_cohomology(4, 2, [])
         assert result.ambiguous and result.candidates is None
 
+    def test_outside_the_proof_is_refused(self):
+        with pytest.raises(MtspecError, match="the fiber sequence is recorded for d = 2, 3, 4$"):
+            verify_les(1)
+        with pytest.raises(MtspecError, match=r"cover entries exist for d=2\.\.4, k=0\.\.5$"):
+            derive_cover_cohomology(2, 6, [])
+
+    def test_iso_at_another_degree_contradicts(self):
+        with pytest.raises(MtspecError,
+                           match="the first-homotopy identification applies only in degree 2"):
+            derive_cover_cohomology(2, 3, [DerivationConstraint.hurewicz_iso(3, Z, "misapplied")])
+
+    def test_divisibility_needs_a_generator_of_the_subgroup(self):
+        # in degree 0 the unit map is an isomorphism, so A is zero
+        with pytest.raises(MtspecError, match="the subgroup has none in this degree"):
+            derive_cover_cohomology(2, 0, [
+                DerivationConstraint.divisibility_from_square(2, "u", "misapplied")])
+        with pytest.raises(MtspecError, match="no generator named 'W3u' in this degree"):
+            derive_cover_cohomology(3, 4, [
+                DerivationConstraint.divisibility_from_square(6, "W3u", "misapplied")])
+
     def test_vanishing_out_of_range_contradicts(self):
         with pytest.raises(MtspecError, match="homotopy table stops below degree 4"):
             derive_cover_cohomology(
@@ -318,7 +345,7 @@ class TestDerivation:
         # the divisibility of c^2u is read from its cover arrow, which the
         # 3 -> 2 square solves from p1u's, so an image of 5*rho for p1u
         # gives c^2u -5*rho, and that admits no extension of Z/6 by Z
-        text = certified.default_data_path().read_text()
+        text = SHIPPED.read_text()
         modified = text.replace("map=p1u:6*rho", "map=p1u:5*rho")
         assert modified != text
         data = certified.parse_data(modified)
@@ -332,7 +359,7 @@ class TestDerivation:
         # a homotopy table with pi_4 = Z pins H^4 of the d=4 cover to Z, but
         # every extension of Z/6 by Z^2 has rank 2: no class may end the
         # search early, and the contradiction is reported
-        text = certified.default_data_path().read_text()
+        text = SHIPPED.read_text()
         modified = text.replace("homotopy d=4 k=4 group=Z^2", "homotopy d=4 k=4 group=Z")
         assert modified != text
         data = certified.parse_data(modified)
@@ -415,7 +442,7 @@ class TestProve:
          "psi no longer maps to the generator"),
     ], ids=["sequence", "unpinned", "ambiguous", "derivation", "certificate"])
     def test_a_refused_file_is_a_verdict_not_an_exception(self, edit, failure, needle):
-        text = certified.default_data_path().read_text()
+        text = SHIPPED.read_text()
         assert text.count(edit[0]) == 1
         report = prove(certified.parse_data(text.replace(*edit)))
         assert report.failure == report.checks[-1] and report.failure[:3] == failure
@@ -427,7 +454,7 @@ class TestProve:
 def test_the_proof_workspace_stays_inside_its_snapshot(tampered_first):
     # what the proof keeps lives on its CertifiedData: proving one snapshot
     # changes nothing that the proof of another one sees, in either order
-    text = certified.default_data_path().read_text()
+    text = SHIPPED.read_text()
     tampered_text = text.replace(*TAMPER)
     assert tampered_text != text
     shipped, tampered = load_data(), certified.parse_data(tampered_text)
@@ -467,7 +494,7 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(abelian, name, counting)
 
-    data = certified.parse_data(certified.default_data_path().read_text())
+    data = certified.parse_data(SHIPPED.read_text())
     assert calls == {}
     assert prove(data).failure is None
     assert calls == {"_smith": 20}
@@ -487,7 +514,7 @@ def test_the_workspace_keeps_each_enumeration_as_far_as_it_went(monkeypatch):
         enumerated.append((a, b))
         return _original(a, b)
     monkeypatch.setattr(spectra, "enumerate_extensions", counting)
-    data = certified.parse_data(certified.default_data_path().read_text())
+    data = certified.parse_data(SHIPPED.read_text())
     assert prove(data).failure is None
     z6 = FgAbGroup(0, (6,))
     assert enumerated.count((Z, z6)) == 1  # shared by (2, 4) and (3, 4)
@@ -502,11 +529,11 @@ def test_the_workspace_keeps_each_enumeration_as_far_as_it_went(monkeypatch):
     assert derive_cover_cohomology(4, 4, [], data).ambiguous
     assert len(seen) == 36
     assert len(set(enumerated)) == len(enumerated)  # none started twice
-    assert certified.parse_data(certified.default_data_path().read_text()).derived == {}
+    assert certified.parse_data(SHIPPED.read_text()).derived == {}
 
 
 def test_a_refused_enumeration_is_refused_again():
-    text = certified.default_data_path().read_text().replace(
+    text = SHIPPED.read_text().replace(
         "hz k=5 group=Z/6", "hz k=5 group=Z/65")
     data = certified.parse_data(text)
     for _ in range(2):
