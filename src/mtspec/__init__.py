@@ -10,3 +10,4 @@ three-dimensional bordism category.
 """
 
 __version__ = "0.1.0"
+DIMENSIONS = (1, 2, 3, 4)  # the dimensions served, declared once for every module

@@ -4,11 +4,14 @@ The file ships with the package and records the cover rows of the
 cohomology table, each as its named generators, the homotopy table, the
 self-cohomology of the integral Eilenberg-MacLane spectrum and four
 arrows of the restriction diagram.  Each decision about what it may
-record is declared once, here: the dimensions the consistency proof
-covers (``COVER_DIMENSIONS``), which bound the cover rows; the arrow
-kinds and the two rows each joins (``_ARROW_KINDS``); the kinds a rule
-gives (``_RULED_KINDS``); and the two arrows the load computes once the
-recorded ones are validated, with their rules (``_COMPUTED_ARROWS``).
+record is declared once: the dimensions served (``mtspec.DIMENSIONS``),
+which bound the uncovered and homotopy rows; here, the tables' degrees
+(``TABLE_DEGREES``, and ``HZ_DEGREES`` for H^k(HZ)), the dimensions the
+consistency proof covers (``COVER_DIMENSIONS``), which bound the cover
+rows, the arrow kinds and the two rows each joins (``_ARROW_KINDS``),
+the kinds a rule gives (``_RULED_KINDS``), and the two arrows the load
+computes once the recorded ones are validated, with their rules
+(``_COMPUTED_ARROWS``).
 The rest of what the package computes is not data either: the uncovered
 rows are the ring's Thom-module pieces (``charclasses.thom_module_piece``),
 the restriction between the spectra is the ring's
@@ -66,12 +69,12 @@ import re
 import stat
 from collections import namedtuple
 
+from . import DIMENSIONS
 from .abelian import FgAbGroup, GroupHom, IntMatrix
 from .charclasses import CohomologyEntry, ring_restriction, thom_module_piece
 from .errors import DataFormatError, MtspecError, checked
 
 ENV_DATA_PATH = "MTSPEC_DATA"
-MAX_TABLE_DEGREE = 5  # cohomology is tabulated in degrees 0..5
 # generators of one group in the data file, free rank plus cyclic parts:
 # sixteen times the shipped file's largest group, Z^2.  A file at the
 # bound loads as fast as the shipped one; past a few thousand generators
@@ -82,21 +85,23 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9^]*")  # a generator, as a map names i
 _TERM_RE = re.compile(r"([+-]?\d+)\*(%s)" % _NAME_RE.pattern)
 _DATA_VERSION = 7  # the version this loader reads
 _PI_0 = FgAbGroup(1)  # the one group a homotopy row of degree 0 may state
+# the tables' shape, declared once: cohomology is tabulated in degrees 0..5,
+# and H^k(HZ) one degree further, as far as the long exact sequence reaches
+TABLE_DEGREES = range(6)
+HZ_DEGREES = range(TABLE_DEGREES.stop + 1)
 # the proof's domain: the dimensions whose first cover is recorded and derived
 COVER_DIMENSIONS = (2, 3, 4)
 # the keys a table row may have, and the refusal of any other: the first
 # covers that the proof derives, the homotopy groups in degrees 0..d, and
 # H^k(HZ) in the degrees of the long exact sequence; nothing reads or
 # proves a row outside them
-_COVER_ROW_KEYS = frozenset((d, 1, k) for d in COVER_DIMENSIONS
-                            for k in range(MAX_TABLE_DEGREE + 1))
-_HOMOTOPY_KEYS = frozenset((d, k) for d in (1, 2, 3, 4) for k in range(d + 1))
-_HZ_DEGREES = range(MAX_TABLE_DEGREE + 2)
+_COVER_ROW_KEYS = frozenset((d, 1, k) for d in COVER_DIMENSIONS for k in TABLE_DEGREES)
+_HOMOTOPY_KEYS = frozenset((d, k) for d in DIMENSIONS for k in range(d + 1))
 _OUTSIDE = {
     "cohomology": "outside the tables: a cohomology row has d=%d..%d, cover=1 and k=0..%d"
-                  % (COVER_DIMENSIONS[0], COVER_DIMENSIONS[-1], MAX_TABLE_DEGREE),
+                  % (COVER_DIMENSIONS[0], COVER_DIMENSIONS[-1], TABLE_DEGREES[-1]),
     "homotopy": "outside the tables: a homotopy row has d=1..4 and k=0..d",
-    "hz": "outside the tables: an hz row has k=0..%d" % (MAX_TABLE_DEGREE + 1),
+    "hz": "outside the tables: an hz row has k=0..%d" % HZ_DEGREES[-1],
 }
 
 
@@ -312,8 +317,7 @@ def _load_arrows(cohomology: dict, recorded: dict) -> dict:
 def parse_data(text: str, path="<memory>") -> CertifiedData:
     version = None
     # the uncovered rows are the ring's; the file records only the covers
-    cohomology = {(d, 0, k): thom_module_piece(d, k)
-                  for d in (1, 2, 3, 4) for k in range(MAX_TABLE_DEGREE + 1)}
+    cohomology = {(d, 0, k): thom_module_piece(d, k) for d in DIMENSIONS for k in TABLE_DEGREES}
     homotopy = {}
     hz = {}
     # each recorded arrow's line and assignments, until every row is read
@@ -392,7 +396,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                         "universal coefficients force H_0 = Z")
             elif rectype == "hz":
                 table, key = hz, int(fields["k"])
-                if key not in _HZ_DEGREES:
+                if key not in HZ_DEGREES:
                     raise ValueError(_OUTSIDE[rectype])
                 parsed = group(fields["group"])
                 if parsed.num_generators > 1:  # the entry names its generator hz<k>
@@ -473,7 +477,7 @@ class SpectrumId(namedtuple("SpectrumId", "d cover_level")):
     __slots__ = ()
 
     def __new__(cls, d: int, cover_level: int = 0):
-        if d not in (1, 2, 3, 4):
+        if d not in DIMENSIONS:
             raise MtspecError("dimension must be 1..4")
         if cover_level not in (0, 1, 2, 3):
             raise MtspecError("cover level must be 0..3")
@@ -514,8 +518,8 @@ def cohomology(spectrum: SpectrumId, k: int, data=None) -> CohomologyEntry:
     refused here.
     """
     data = data or load_data()
-    if not 0 <= k <= MAX_TABLE_DEGREE:
-        raise MtspecError("cohomology is tabulated for degrees 0..%d" % MAX_TABLE_DEGREE)
+    if k not in TABLE_DEGREES:
+        raise MtspecError("cohomology is tabulated for degrees 0..%d" % TABLE_DEGREES[-1])
     entry = data.entry(spectrum.d, spectrum.cover_level, k)
     if entry is None:
         hint = ("; resolve higher covers through grid_equivalence first"

@@ -31,12 +31,13 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
+from . import DIMENSIONS
 from .abelian import FgAbGroup
 from .errors import checked
 
 _GENERATORS = ("W3", "e", "p1", "c")  # the order of a monomial's exponents
 _DEGREES = (3, 4, 4, 2)
-_LEGAL = {1: (), 2: ("c",), 3: ("W3", "p1"), 4: ("W3", "e", "p1")}
+_LEGAL = {1: (), 2: ("c",), 3: ("W3", "p1"), 4: ("W3", "e", "p1")}  # each d-ring's generators
 MAX_DEGREE = 64
 
 
@@ -86,7 +87,7 @@ class CohomologyEntry(namedtuple("CohomologyEntry", "generators")):
 def _degree_monomials(d: int, k: int) -> list:
     """Exponent tuples of the degree-k monomials of the d-ring, in the
     tables' order: descending lexicographic, so e comes before p1."""
-    if d not in _LEGAL:
+    if d not in DIMENSIONS:
         raise ValueError("ambient dimension must be 1, 2, 3 or 4")
     if not 0 <= k <= MAX_DEGREE:
         raise ValueError("degree must lie in 0..%d" % MAX_DEGREE)

@@ -1,17 +1,18 @@
 """Classification of invertible topological field theories for d <= 4.
 
-The classification group in dimension d at category number n is read off
-the certified cohomology tables through the unit-coefficient sequence
-Z -> C -> C^x: torsion-free classes in degree d contribute one C^x
-coordinate each, and torsion in degree d+1 would contribute a finite
-part (it is zero in every case in range, but is computed honestly).
+The classification group in dimension d (one of ``mtspec.DIMENSIONS``)
+at category number n is read off the certified cohomology tables through
+the unit-coefficient sequence Z -> C -> C^x: torsion-free classes in
+degree d contribute one C^x coordinate each, and torsion in degree d+1 a
+finite part (zero on the shipped file, but computed honestly).
 Restriction maps act multiplicatively through the recorded generator
 maps.  A kernel is read off one Smith form of the transposed exponent
 matrix: its group from the diagonal, and, when small, its elements as
 root-of-unity tuples whose phases are integers modulo the lcm of that
-diagonal.  Both read the theory groups at the two levels through one
-prelude, ``_restriction``, which checks the levels once.  A theory's
-coordinates are a tuple, ``TheoryParams``.  Everything is exact.
+diagonal.  Both read one prelude, ``_restriction``, the one check of the
+levels and the one finite-part rule (both must be trivial, or the map
+is refused), which builds the exponent matrix.  A theory's coordinates
+are a tuple, ``TheoryParams``.  Everything is exact.
 ``exactnum`` is imported when the first coordinate is made, not with
 this module, so a classification or the certificate does not load it.
 """
@@ -23,7 +24,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import certified
+from . import DIMENSIONS, certified
 from .abelian import FgAbGroup, IntMatrix, smith_normal_form
 from .certified import SpectrumId
 from .errors import InternalCheckError, MtspecError
@@ -65,7 +66,7 @@ class ExtensionClass(namedtuple("ExtensionClass", "rho_multiple")):
 
 def classify(d: int, n: int, data=None) -> TheoryGroup:
     """Invertible theories in dimension d with category number n."""
-    if not (isinstance(d, int) and isinstance(n, int) and 1 <= n <= d <= 4):
+    if not (isinstance(d, int) and isinstance(n, int) and d in DIMENSIONS and 1 <= n <= d):
         raise MtspecError("need 1 <= n <= d <= 4")
     data = data or certified.load_data()
     spec = SpectrumId(d, certified.equivalent_stored_cover(d, d - n, data))
@@ -76,50 +77,44 @@ def classify(d: int, n: int, data=None) -> TheoryGroup:
 
 
 def _restriction(d: int, n_from: int, n_to: int, data) -> tuple:
-    """The theory groups at the two levels of a restriction, source first.
-    The levels are checked once the source is classified, before the
-    target is, so a bad target level gets this one message."""
-    source = classify(d, n_from, data)
-    if not 1 <= n_to < n_from <= d <= 4:
-        raise MtspecError("need 1 <= n_to < n_from <= d <= 4")
-    return source, classify(d, n_to, data)
+    """The source's theory group and the exponent matrix of the restriction
+    map on free generators: row i carries the powers of the i-th source
+    coordinate, so the j-th restricted coordinate is prod_i s_i^(A[i][j]).
 
-
-def _restriction_matrix(source: TheoryGroup, target: TheoryGroup, data) -> IntMatrix:
-    """Exponent matrix of the restriction map on free generators, between
-    the theory groups that ``_restriction`` gives.
-
-    Row i carries the powers of the i-th source coordinate, so the j-th
-    restricted coordinate is prod_i s_i^(A[i][j]).
+    The levels are checked once the source is classified, which checks d
+    and n_from, and before the target is, so a bad target level gets this
+    one message.  Both finite parts must be trivial: a map of the free
+    coordinates says nothing of a finite part's theories.
     """
-    d, n_from, n_to = source.d, source.n, target.n
+    data = data or certified.load_data()
+    source = classify(d, n_from, data)
+    if not 1 <= n_to < n_from:
+        raise MtspecError("need 1 <= n_to < n_from <= d <= 4")
+    target = classify(d, n_to, data)
+    if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
+        raise MtspecError("coordinate transport needs trivial finite parts")
     src_names, tgt_names = source.basis_names, target.basis_names
     if (certified.equivalent_stored_cover(d, d - n_from, data)
             == certified.equivalent_stored_cover(d, d - n_to, data)):
         if src_names != tgt_names:
             raise InternalCheckError("equivalent covers disagree on generators")
-        return IntMatrix.identity(len(src_names))
+        return source, IntMatrix.identity(len(src_names))
     if not src_names:
-        return IntMatrix((), len(tgt_names))
+        return source, IntMatrix((), len(tgt_names))
     arrow = certified.cover_map(d, d, "cover", data)
     rows = []
     for name in src_names:
         image = arrow.image_of(name)
-        extra = set(image) - set(tgt_names)
-        if extra:
+        if not set(image) <= set(tgt_names):
             raise MtspecError("image of %s lands outside the free generators" % name)
         rows.append([image.get(t, 0) for t in tgt_names])
-    return IntMatrix.from_rows(rows)
+    return source, IntMatrix.from_rows(rows)
 
 
 def restrict_theory(d: int, n_from: int, n_to: int, params: TheoryParams,
                     data=None) -> TheoryParams:
     """Push theory coordinates along a restriction, exactly."""
-    data = data or certified.load_data()
-    source, target = _restriction(d, n_from, n_to, data)
-    if not (source.finite_part.is_trivial and target.finite_part.is_trivial):
-        raise MtspecError("coordinate transport needs trivial finite parts")
-    matrix = _restriction_matrix(source, target, data)
+    _, matrix = _restriction(d, n_from, n_to, data)
     coords = TheoryParams.of(params)
     if len(coords) != len(matrix.rows):
         raise MtspecError("expected %d coordinates, got %d" % (len(matrix.rows), len(coords)))
@@ -143,9 +138,7 @@ def restriction_kernel(d: int, n_from: int, n_to: int, data=None) -> Restriction
     diagonal entry s_c and free otherwise: the group is Z^(m - rank) plus
     the Z/s_c, and a finite kernel's phases are integers modulo their lcm.
     """
-    data = data or certified.load_data()
-    source, target = _restriction(d, n_from, n_to, data)
-    matrix = _restriction_matrix(source, target, data)
+    source, matrix = _restriction(d, n_from, n_to, data)
     _, diag_m, v = smith_normal_form(matrix.transpose())
     diag = [s for s in diag_m.diagonal() if s]
     group = FgAbGroup(len(matrix.rows) - len(diag), tuple(s for s in diag if s > 1))

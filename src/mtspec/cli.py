@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Each subcommand has a handler, which returns (inputs, result), and a
-renderer, which builds the text (unicode, or --ascii) from the result
-alone; ``--format json`` prints the document {"command", "inputs",
-"result"} instead.  So the text shows nothing the document lacks but the
+Each subcommand is keyed once, in ``_SUBCOMMANDS``: its help line, its
+arguments, its handler, which returns (inputs, result), and its renderer,
+which builds the text (unicode, or --ascii) from the result alone;
+``--format json`` prints the document {"command", "inputs", "result"}
+instead.  So the text shows nothing the document lacks but the
 certificate's constant prose.
 
 Exit codes follow the contract of ``errors``: 0 on success; 2 on a usage
@@ -111,23 +112,32 @@ def document_to_json(command: str, inputs: dict, result: dict) -> str:
 # --ascii, and returns the text
 
 
+def _given(args):
+    """(dest, flag) of each option that the call gives, in usage order."""
+    for (flag, *_), options in _SUBCOMMANDS[args.command][1]:
+        dest = flag[:2] == "--" and options.get("dest", flag[2:].replace("-", "_"))
+        if dest and getattr(args, dest) is not None:
+            yield dest, flag
+
+
 # each kind of table, in usage order, and the options it reads; any other is refused
 _TABLE_OPTIONS = {"cohomology": ("d", "cover"), "homotopy": ("d",), "hz": ()}
 
 
 def cmd_table(args, data):
-    for dest in ("d", "cover"):
-        if getattr(args, dest) is not None and dest not in _TABLE_OPTIONS[args.kind]:
-            raise MtspecError("table %s does not take --%s" % (args.kind, dest))
-    from .certified import (MAX_TABLE_DEGREE, SpectrumId, cohomology,
+    for dest, flag in _given(args):
+        if dest not in _TABLE_OPTIONS[args.kind]:
+            raise MtspecError("table %s does not take %s" % (args.kind, flag))
+    from .certified import (HZ_DEGREES, TABLE_DEGREES, SpectrumId, cohomology,
                             equivalent_stored_cover, homotopy_group, hz_self_cohomology)
     if args.kind == "hz":
         inputs = {"kind": "hz"}
         rows = [{"k": k, "group": group_to_json(hz_self_cohomology(k, data).group)}
-                for k in range(MAX_TABLE_DEGREE + 2)]
+                for k in HZ_DEGREES]
     elif args.d is None:
         raise MtspecError("table %s needs --d" % args.kind)
     elif args.kind == "homotopy":
+        SpectrumId(args.d)  # refuses --d out of range
         inputs = {"kind": "homotopy", "d": args.d}
         rows = [{"k": k, "group": group_to_json(homotopy_group(args.d, k, data))}
                 for k in range(args.d + 1)]
@@ -137,7 +147,7 @@ def cmd_table(args, data):
         SpectrumId(args.d, cover)  # refuses --d and --cover out of range
         stored = SpectrumId(args.d, equivalent_stored_cover(args.d, cover, data))
         rows = []
-        for k in range(MAX_TABLE_DEGREE + 1):
+        for k in TABLE_DEGREES:
             entry = cohomology(stored, k, data)
             rows.append({"k": k, "group": group_to_json(entry.group),
                          "generators": [[n, o] for n, o in entry.generators]})
@@ -227,10 +237,7 @@ _EVAL_OPTIONS = {"euler": ("lam", "manifold", "chi_total", "chi_source"),
 
 def cmd_eval(args, data):
     # every theory reads --manifold; --g and the Euler characteristics stand in for one
-    for dest in ("lam", "mu", "l1", "l2", "g", "chi_total", "chi_source"):
-        if getattr(args, dest) is None:
-            continue
-        flag = "--" + dest.replace("_", "-")
+    for dest, flag in _given(args):
         if dest not in _EVAL_OPTIONS[args.theory]:
             raise MtspecError("eval %s does not take %s" % (args.theory, flag))
         if args.manifold is not None and dest in ("g", "chi_total", "chi_source"):
@@ -353,29 +360,36 @@ _D = (("--d",), {"type": int, "required": True})
 _FROM = (("--from",), {"dest": "n_from", "type": int, "required": True})
 _TO = (("--to",), {"dest": "n_to", "type": int, "required": True})
 
-# each subcommand's help line and its own arguments, as (flags, options)
-# pairs in the order of its usage line; _add_common adds --format and --ascii
+# each subcommand, keyed once: its help line, its own arguments as (flags,
+# options) pairs in the order of its usage line (_add_common adds --format
+# and --ascii), its handler and its renderer
 _SUBCOMMANDS = {
     "table": ("print a certified table", [
         (("kind",), {"choices": tuple(_TABLE_OPTIONS)}),
         (("--d",), {"type": int}),
-        (("--cover",), {"type": int})]),
+        (("--cover",), {"type": int})], cmd_table, _render_table),
     "classify": ("the group of invertible theories", [
-        _D, (("--n",), {"type": int, "required": True})]),
+        _D, (("--n",), {"type": int, "required": True})], cmd_classify, _render_theory_group),
     "restrict": ("transport theory coordinates", [
-        _D, _FROM, _TO, (("--params",), {"default": ""})]),
-    "kernel": ("kernel of a restriction map", [_D, _FROM, _TO]),
+        _D, _FROM, _TO, (("--params",), {"default": ""})], cmd_restrict, _render_restrict),
+    "kernel": ("kernel of a restriction map", [_D, _FROM, _TO], cmd_kernel, _render_kernel),
     "eval": ("evaluate a concrete theory", [
         (("theory",), {"choices": tuple(_EVAL_OPTIONS)}),
         (("--lam",), {}), (("--mu",), {}), (("--l1",), {}), (("--l2",), {}),
         (("--manifold",), {}),
         (("--g",), {"type": int}),
         (("--chi-total",), {"type": int}),
-        (("--chi-source",), {"type": int})]),
+        (("--chi-source",), {"type": int})], cmd_eval, _render_eval),
     "bordism": ("vector-field bordism invariant of a sum", [
-        _D, (("--sum",), {"required": True})]),
-    "gilmer-masbaum": ("print the impossibility certificate", []),
+        _D, (("--sum",), {"required": True})], cmd_bordism, _render_bordism),
+    "gilmer-masbaum": ("print the impossibility certificate", [],
+                       cmd_gilmer_masbaum, _render_gilmer_masbaum),
 }
+
+# dispatch reads the handlers and renderers from module-level dicts, where
+# a span tracer (perfbench/tracer.py) rebinds the functions it wraps
+_HANDLERS = {name: entry[2] for name, entry in _SUBCOMMANDS.items()}
+_RENDERERS = {name: entry[3] for name, entry in _SUBCOMMANDS.items()}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -386,7 +400,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "invertible topological field theories in dimensions <= 4.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command else _SUBCOMMANDS:
-        help_text, arguments = _SUBCOMMANDS[name]
+        help_text, arguments = _SUBCOMMANDS[name][:2]
         subparser = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             subparser.add_argument(*flags, **options)
@@ -408,16 +422,6 @@ def parse_args(argv) -> argparse.Namespace:
         if not extras:
             return args
     return build_parser().parse_args(argv)
-
-
-_HANDLERS = {"table": cmd_table, "classify": cmd_classify, "restrict": cmd_restrict,
-             "kernel": cmd_kernel, "eval": cmd_eval, "bordism": cmd_bordism,
-             "gilmer-masbaum": cmd_gilmer_masbaum}
-
-# each subcommand's text, from its result and --ascii
-_RENDERERS = {"table": _render_table, "classify": _render_theory_group,
-              "restrict": _render_restrict, "kernel": _render_kernel, "eval": _render_eval,
-              "bordism": _render_bordism, "gilmer-masbaum": _render_gilmer_masbaum}
 
 
 def main(argv=None) -> int:

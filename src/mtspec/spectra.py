@@ -41,7 +41,7 @@ from .abelian import (FgAbGroup, GroupHom, TRIVIAL_GROUP, check_exact,
                       enumerate_extensions, zero_hom)
 # the lookups below are used here, and some are read through this module;
 # see the module docstring
-from .certified import (COVER_DIMENSIONS, MAX_TABLE_DEGREE, SpectrumId,  # noqa: F401
+from .certified import (COVER_DIMENSIONS, HZ_DEGREES, TABLE_DEGREES, SpectrumId,  # noqa: F401
                         cohomology, grid_equivalence, homotopy_group, hz_self_cohomology)
 from .errors import DataFormatError, InternalCheckError, MtspecError
 
@@ -111,17 +111,12 @@ def _identification(source, target, data):
 def _les_layout(d: int) -> tuple:
     """The labels of the sequence for d, in order, and the (spectrum,
     degree) of the table entry behind each, the spectrum None for HZ."""
-    shown = [(spectrum, spectrum.display(True))
-             for spectrum in (SpectrumId(d, 0), SpectrumId(d, 1))]
-    labels, lookups = [], []
-    for k in range(MAX_TABLE_DEGREE + 2):
-        labels.append("HZ^%d(HZ)" % k)
-        lookups.append((None, k))
-        if k <= MAX_TABLE_DEGREE:
-            for spectrum, text in shown:
-                labels.append("H^%d(%s)" % (k, text))
-                lookups.append((spectrum, k))
-    return tuple(labels), tuple(lookups)
+    lookups = tuple((spectrum, k) for k in HZ_DEGREES
+                    for spectrum in (None, SpectrumId(d, 0), SpectrumId(d, 1))
+                    if spectrum is None or k in TABLE_DEGREES)
+    labels = tuple("HZ^%d(HZ)" % k if spectrum is None
+                   else "H^%d(%s)" % (k, spectrum.display(True)) for spectrum, k in lookups)
+    return labels, lookups
 
 
 LesCheck = namedtuple("LesCheck", "label exact note", defaults=("",))
@@ -282,7 +277,7 @@ def _extract_ses(d: int, k: int, data):
     else:
         return None
 
-    e_next = data.entry(d, 0, k + 1) if k + 1 <= MAX_TABLE_DEGREE else None
+    e_next = data.entry(d, 0, k + 1)  # None past the table
     hz_next = hz_self_cohomology(k + 1, data).group
     if hz_next.is_trivial:
         b_group = TRIVIAL_GROUP
@@ -335,9 +330,9 @@ def derive_cover_cohomology(d: int, k: int, constraints, data=None) -> Derivatio
     (asserted against the certified table) or flags the ambiguity.
     """
     data = data or certified.load_data()
-    if d not in COVER_DIMENSIONS or not 0 <= k <= MAX_TABLE_DEGREE:
+    if d not in COVER_DIMENSIONS or k not in TABLE_DEGREES:
         raise MtspecError("cover entries exist for d=%d..%d, k=0..%d"
-                          % (COVER_DIMENSIONS[0], COVER_DIMENSIONS[-1], MAX_TABLE_DEGREE))
+                          % (COVER_DIMENSIONS[0], COVER_DIMENSIONS[-1], TABLE_DEGREES[-1]))
     notes = []
 
     pinned = None
@@ -427,7 +422,7 @@ ProofReport = namedtuple("ProofReport", "checks failure")
 # (step, subject, d, k) of each check of the proof, in order
 _CHECKS = (tuple(("verify_les", "d=%d" % d, d, None) for d in COVER_DIMENSIONS)
            + tuple(("derivation", "d=%d k=%d" % (d, k), d, k)
-                   for d in COVER_DIMENSIONS for k in range(MAX_TABLE_DEGREE + 1))
+                   for d in COVER_DIMENSIONS for k in TABLE_DEGREES)
            + (("certificate", "gilmer-masbaum", None, None),))
 
 

@@ -25,6 +25,7 @@ import re
 from collections import namedtuple
 from types import SimpleNamespace
 
+from . import DIMENSIONS
 from .errors import MtspecError, checked
 from .exactnum import ExactComplex
 
@@ -39,7 +40,7 @@ class ManifoldClass(namedtuple("ManifoldClass", "name dim euler signature kr")):
 
     def __new__(cls, name: str, dim: int, euler: int, signature: int = 0,
                 kr: int | None = None):
-        if dim not in (1, 2, 3, 4):
+        if dim not in DIMENSIONS:
             raise MtspecError("dimension must be 1..4")
         if dim % 2 and euler != 0:
             raise MtspecError("closed odd-dimensional manifolds have euler 0")
@@ -182,7 +183,7 @@ def vf_invariant(d: int, m: ManifoldClass) -> tuple:
     d=3: nothing (the group is trivial); d=4: (half of euler+signature,
     signature).
     """
-    if d not in (1, 2, 3, 4):
+    if d not in DIMENSIONS:
         raise MtspecError("dimension must be 1..4")
     if m.dim != d:
         raise MtspecError("sum contains a manifold of dimension %d" % m.dim)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from mtspec import certified
-from mtspec.certified import MAX_DATA_BYTES, MAX_TABLE_DEGREE, load_data, parse_data
+from mtspec.certified import MAX_DATA_BYTES, TABLE_DEGREES, load_data, parse_data
 from mtspec.charclasses import thom_module_piece
 from mtspec.cli import main
 from mtspec.errors import DataFormatError
@@ -502,7 +502,7 @@ class TestParser:
         for text in (MINIMAL, SHIPPED.read_text()):
             data = parse_data(text)
             for d in (1, 2, 3, 4):
-                for k in range(MAX_TABLE_DEGREE + 1):
+                for k in TABLE_DEGREES:
                     assert data.entry(d, 0, k) is thom_module_piece(d, k), (d, k)
 
     @pytest.mark.parametrize("record,remedy", [

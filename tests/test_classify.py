@@ -8,9 +8,9 @@ import pytest
 
 from mtspec.abelian import FgAbGroup
 from mtspec.certified import load_data
-from mtspec.classify import (ExtensionClass, TheoryParams, _restriction,
-                             _restriction_matrix, classify, gilmer_masbaum_report,
-                             mcg_extension_class, restrict_theory, restriction_kernel)
+from mtspec.classify import (ExtensionClass, TheoryParams, _restriction, classify,
+                             gilmer_masbaum_report, mcg_extension_class, restrict_theory,
+                             restriction_kernel)
 from mtspec.errors import MtspecError
 from mtspec.exactnum import ExactComplex
 
@@ -20,10 +20,9 @@ def zeta(order, power=1):
 
 
 def levels_matrix(d, n_from, n_to):
-    # the exponent matrix of restrict_theory and restriction_kernel, from the
-    # theory groups of their one prelude, which checks the levels
-    data = load_data()
-    return _restriction_matrix(*_restriction(d, n_from, n_to, data), data)
+    # the exponent matrix of restrict_theory and restriction_kernel, from
+    # their one prelude, which checks the levels
+    return _restriction(d, n_from, n_to, load_data())[1]
 
 
 def random_rational(rng):

@@ -907,12 +907,16 @@ class TestEditedDataBranches:
         ([("cohomology d=2 cover=1 k=3\n", "cohomology d=2 cover=1 k=3 gens=x:2\n")],
          ["restrict", "--d", "2", "--from", "2", "--to", "1", "--params", "3"],
          (2, "coordinate transport needs trivial finite parts")),
+        # a kernel of the free coordinates alone would miss the finite part's theories
+        ([("cohomology d=2 cover=1 k=3\n", "cohomology d=2 cover=1 k=3 gens=x:2\n")],
+         ["kernel", "--d", "2", "--from", "2", "--to", "1"],
+         (2, "coordinate transport needs trivial finite parts")),
         ([("gens=tau\n", "gens=tau,x:2\n"), ("cu:2*tau", "cu:2*tau+1*x")],
          ["kernel", "--d", "2", "--from", "2", "--to", "1"],
          (2, "image of cu lands outside the free generators")),
     ], ids=["cover-arrow-missing", "hz-group-differs", "infinite-kernel-text",
             "infinite-kernel-json", "second-cover", "psi-image", "finite-part",
-            "torsion-image"])
+            "finite-part-kernel", "torsion-image"])
     def test_an_edited_file_reaches_the_branch(self, capsys, monkeypatch, tmp_path,
                                                edits, run, expected):
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
