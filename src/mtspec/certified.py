@@ -9,18 +9,18 @@ which bound the uncovered and homotopy rows; here, the tables' degrees
 (``TABLE_DEGREES``, and ``HZ_DEGREES`` for H^k(HZ)), the dimensions the
 consistency proof covers (``COVER_DIMENSIONS``), which bound the cover
 rows, the arrow kinds and the two rows each joins (``_ARROW_KINDS``),
-the kinds a rule gives (``_RULED_KINDS``), and the two arrows the load
-computes once the recorded ones are validated, with their rules
-(``_COMPUTED_ARROWS``).
+and the two arrows the load computes once the recorded ones are
+validated, with their rules (``_COMPUTED_ARROWS``).
 The rest of what the package computes is not data either: the uncovered
 rows are the ring's Thom-module pieces (``charclasses.thom_module_piece``),
 the restriction between the spectra is the ring's
 (``charclasses.ring_restriction``), a map touching a zero group is zero,
 ``spectra.verify_les`` synthesizes the degree-0 unit map, and the
-manifold catalog is code in ``tftlab`` (version 7).  A file that records
-any of these is refused naming the line, and so is a cohomology row's
-group= field, which its generators give, and a manifold row, whose
-refusal says which sum of catalog names to write instead.  Loading
+manifold catalog is code in ``tftlab``.  The loader reads data version 7
+only, and knows four record types and their fields (``_RECORD_FIELDS``):
+a record of another type or kind, a field its type does not have and a
+row outside the tables are refused naming the line, and so is a record
+of a computed arrow or of an arrow touching a zero group.  Loading
 validates the rest: no group or gens= list may have more than
 MAX_GROUP_GENERATORS generators as spelled, a row's torsion orders must
 form a divisibility chain and its generators have distinct names spelled
@@ -29,11 +29,11 @@ as a map names one, an hz group must be cyclic, a homotopy row of degree
 Hurewicz and universal coefficients), no two records of one type may
 share a key, no record may name a field twice and no arrow's map a
 generator (a source, or a target within one image), the file has one
-version line and it states 7, which is compared once every row is read
-so that an older file is refused at a row its migration changes, and
-each arrow's map must be well-defined between the rows it joins (it is
-the ArrowRecord's hom).  MTSPEC_DATA overrides the path; a file that
-cannot be read or is not UTF-8 is a DataFormatError like any other.
+version line, refused at that line unless it states 7, and every row of
+the tables, and each arrow's map must be well-defined between the rows
+it joins (it is the ArrowRecord's hom).  MTSPEC_DATA overrides the path;
+a file that cannot be read or is not UTF-8 is a DataFormatError like any
+other.
 
 ``load_data`` reads MTSPEC_DATA on every call and checks its cache with
 one ``os.stat`` of the path in effect (the shipped file's absolute path is
@@ -91,10 +91,10 @@ TABLE_DEGREES = range(6)
 HZ_DEGREES = range(TABLE_DEGREES.stop + 1)
 # the proof's domain: the dimensions whose first cover is recorded and derived
 COVER_DIMENSIONS = (2, 3, 4)
-# the keys a table row may have, and the refusal of any other: the first
-# covers that the proof derives, the homotopy groups in degrees 0..d, and
-# H^k(HZ) in the degrees of the long exact sequence; nothing reads or
-# proves a row outside them
+# the keys of the table rows, each of which a file records, and the refusal
+# of any other: the first covers that the proof derives, the homotopy
+# groups in degrees 0..d, and H^k(HZ) in the degrees of the long exact
+# sequence; nothing reads or proves a row outside them
 _COVER_ROW_KEYS = frozenset((d, 1, k) for d in COVER_DIMENSIONS for k in TABLE_DEGREES)
 _HOMOTOPY_KEYS = frozenset((d, k) for d in DIMENSIONS for k in range(d + 1))
 _OUTSIDE = {
@@ -154,8 +154,7 @@ def assignments_to_group_hom(source: CohomologyEntry,
 class CertifiedData:
     """Parsed, validated contents of one certified data file."""
 
-    def __init__(self, version, cohomology, homotopy, hz, arrows, path):
-        self.version = version
+    def __init__(self, cohomology, homotopy, hz, arrows, path):
         self.cohomology = cohomology    # (d, cover, k) -> CohomologyEntry
         self.homotopy = homotopy        # (d, k) -> FgAbGroup
         self.hz = hz                    # k -> CohomologyEntry, generated by hz<k>
@@ -243,14 +242,6 @@ def _parse_fields(parts):
 _SHIPPED_DATA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                                   "certified_data.txt")
 
-# the arrow kinds a rule gives, each with its rule
-_RULED_KINDS = {
-    "dim": "the restriction between the spectra is the ring's "
-           "(charclasses.ring_restriction)",
-    "unit": "the degree-0 unit map is the canonical identification",
-}
-
-
 def _solved_square(cohomology: dict, cover_3: ArrowRecord) -> tuple:
     """cover d=2 k=4 = covdim o cover_3 o dim^-1, which is cover_3 read
     through dim^-1 as covdim keeps names.  The ring's dim sends each
@@ -315,7 +306,7 @@ def _load_arrows(cohomology: dict, recorded: dict) -> dict:
 
 
 def parse_data(text: str, path="<memory>") -> CertifiedData:
-    version = None
+    versioned = False
     # the uncovered rows are the ring's; the file records only the covers
     cohomology = {(d, 0, k): thom_module_piece(d, k) for d in DIMENSIONS for k in TABLE_DEGREES}
     homotopy = {}
@@ -340,7 +331,7 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
         return parsed
 
     # a line is taken apart once, by split; the stripped line is made only
-    # where it is shown (an arrow, whose refusal comes later, or an error)
+    # where it is read whole (a version line or an arrow) or in an error
     for raw in text.splitlines():
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -348,24 +339,13 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
         rectype = parts[0]
         try:
             if rectype.startswith("version="):
-                if version is not None:
+                if versioned:
                     raise ValueError("a version line came earlier")
-                version_line = raw.strip()
-                version = int(version_line[len("version="):])
+                if int(raw.strip()[len("version="):]) != _DATA_VERSION:
+                    raise ValueError("this program reads data version %d" % _DATA_VERSION)
+                versioned = True
                 continue
-            if rectype == "family":
-                raise ValueError("Sigma_<g> and S2xSigma_<g> are rules, not recorded; "
-                                 "delete the line")
-            if rectype == "manifold":  # the catalog's sums replace it (version 7)
-                raise ValueError(
-                    "where the manifold is named, write the sum a*S4 + b*CP2 with b = "
-                    "signature and a = (euler - 3*signature)/2 (dim 4), (euler/2)*S2 (dim 2), "
-                    "S3 (dim 3), or S1 (kr 1) or 2*S1 (kr 0) (dim 1): a manifold is a sum of "
-                    "catalog names, not recorded; delete the line")
             fields = _parse_fields(parts[1:])
-            if rectype == "cohomology" and "group" in fields:
-                raise ValueError("a cohomology row's group is read from its generators, "
-                                 "not recorded; delete the group= field")
             known = _RECORD_FIELDS.get(rectype)
             if known is None:
                 raise ValueError("unknown record type %r" % rectype)
@@ -375,9 +355,6 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
             if rectype == "cohomology":
                 table, key = cohomology, (int(fields["d"]), int(fields["cover"]),
                                           int(fields["k"]))
-                if key[1] == 0:
-                    raise ValueError("uncovered rows are the ring's Thom-module "
-                                     "pieces, not recorded; delete the cover=0 row")
                 if key not in _COVER_ROW_KEYS:
                     raise ValueError(_OUTSIDE[rectype])
                 spelled = fields.get("gens", "")
@@ -407,24 +384,26 @@ def parse_data(text: str, path="<memory>") -> CertifiedData:
                 kind = fields["kind"]
                 table, key = arrows, (kind, int(fields["d"]), int(fields["k"]))
                 rec = (raw.strip(), _parse_map(fields["map"]))
-                if kind in _RULED_KINDS or key in _COMPUTED_ARROWS:
-                    rule = _RULED_KINDS.get(kind) or _COMPUTED_ARROWS[key][1]
-                    raise ValueError(rule + ", not recorded; delete the line")
                 if kind not in _ARROW_KINDS:
                     raise ValueError("unknown arrow kind %r" % kind)
+                if key in _COMPUTED_ARROWS:  # the load would overwrite it
+                    raise ValueError(_COMPUTED_ARROWS[key][1] + ", not recorded; delete the line")
             if key in table:  # a repeat is refused, not taken over the first
                 raise ValueError("a record with the key %s came earlier" % (key,))
             table[key] = rec
         except (KeyError, ValueError) as exc:
             raise DataFormatError("bad record %r: %s" % (raw.strip(), exc))
-    if version is None:
+    if not versioned:
         raise DataFormatError("data file lacks a version line")
-    # checked once every row is read, so an old file's rows name their own migration
-    if version != _DATA_VERSION:
-        raise DataFormatError("bad record %r: this program reads data version %d"
-                              % (version_line, _DATA_VERSION))
-    return CertifiedData(version, cohomology, homotopy, hz, _load_arrows(cohomology, arrows),
-                         path)
+    for rectype, table, keys, spelled in (
+            ("cohomology", cohomology, _COVER_ROW_KEYS, "d=%d cover=%d k=%d"),
+            ("homotopy", homotopy, _HOMOTOPY_KEYS, "d=%d k=%d"),
+            ("hz", hz, HZ_DEGREES, "k=%d")):
+        missing = [key for key in keys if key not in table]
+        if missing:  # a lookup would call the row outside the table
+            raise DataFormatError("the file lacks the %s row %s"
+                                  % (rectype, spelled % min(missing)))
+    return CertifiedData(cohomology, homotopy, hz, _load_arrows(cohomology, arrows), path)
 
 
 MAX_DATA_BYTES = 1 << 20  # the shipped file has under 5 KB

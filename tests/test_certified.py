@@ -19,16 +19,11 @@ from mtspec.tftlab import (RULED_MANIFOLDS, ManifoldClass, _hypersurface, connec
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SHIPPED = pathlib.Path(certified.__file__).parent / "data" / "certified_data.txt"
 
-MINIMAL = """\
-version=7
-cohomology d=2 cover=1 k=2 gens=tau
-"""
-
 
 class TestShippedData:
     def test_loads_and_validates(self):
         data = load_data()
-        assert data.version == 7
+        assert "version=7" in SHIPPED.read_text().splitlines()
         assert len(data.cohomology) == 42  # seven rows, degrees 0..5
         assert set(data.hz) == set(range(7))
 
@@ -92,40 +87,52 @@ def without_prov_and_to(line):
 
 
 class TestArrowsAtLoad:
-    """A version-3 file records only the four arrows of the restriction
-    diagram; a record of an arrow a rule gives is refused naming the line."""
+    """A data file records only the four arrows of the restriction diagram;
+    a record of an arrow the load computes, or of one into or out of a zero
+    group, is refused naming the line, and so is an arrow of any other kind."""
 
     def test_a_version_2_file_is_refused_at_its_first_arrow(self):
-        text = SHIPPED.read_text().replace("version=7", "version=2")
+        text = SHIPPED.read_text()
         arrows = [line for line in text.splitlines() if line.startswith("arrow ")]
         for line in arrows:
             text = text.replace(line + "\n", "")
-        v2 = text + V2_ARROWS
+        v2 = text.replace("version=7", "version=2") + V2_ARROWS
+        # the file is refused at its version line; under version 7, its
+        # rows are refused at the first arrow
+        with pytest.raises(DataFormatError, match=re.escape(
+                "'version=2': this program reads data version 7")):
+            parse_data(v2)
         first = V2_ARROWS.splitlines()[0]
         with pytest.raises(DataFormatError, match=re.escape(repr(first))) as info:
-            parse_data(v2)
+            parse_data(text + V2_ARROWS)
         assert "has no field prov=" in str(info.value)
 
     @pytest.mark.parametrize("line", [without_prov_and_to(line)
                                       for line in V2_ARROWS.splitlines()])
     def test_each_version_2_arrow_is_refused_naming_its_line(self, line):
-        # the four diagram arrows are repeats; each other one a rule gives
+        # the four diagram arrows are repeats, the two computed ones and
+        # those into or out of a zero group are not recorded, and the ring
+        # gives dim and the identification unit, kinds no file records
         with pytest.raises(DataFormatError, match=re.escape(repr(line))) as info:
             parse_data(SHIPPED.read_text() + line + "\n")
         reason = str(info.value)
-        assert "came earlier" in reason or "not recorded; delete the line" in reason
+        kind = line.split()[1][len("kind="):]
+        if kind in ("dim", "unit"):
+            assert reason.endswith("unknown arrow kind %r" % kind)
+        else:
+            assert "came earlier" in reason or "not recorded; delete the line" in reason
 
     @pytest.mark.parametrize("line,reason", [
-        ("arrow kind=dim d=4 k=0 map=u:1*u", "the ring's"),
-        ("arrow kind=unit d=2 k=0 map=hz0:1*u", "canonical identification"),
+        ("arrow kind=dim d=4 k=0 map=u:1*u", "unknown arrow kind 'dim'"),
+        ("arrow kind=unit d=2 k=0 map=hz0:1*u", "unknown arrow kind 'unit'"),
         ("arrow kind=covdim d=3 k=4 map=rho:1*rho", "keeps the generator names"),
         ("arrow kind=cover d=2 k=4 map=c^2u:-6*rho", "solved from the 3 -> 2 square"),
         ("arrow kind=cover d=2 k=0 map=u:0", "zero group"),        # into a zero group
         ("arrow kind=cover d=2 k=1 map=x:1*t", "zero group"),      # out of one
     ], ids=["dim", "unit", "names", "square", "into-zero", "out-of-zero"])
     def test_a_ruled_arrow_exits_two(self, capsys, monkeypatch, tmp_path, line, reason):
-        text = (MINIMAL + "cohomology d=2 cover=1 k=0\n"
-                "cohomology d=2 cover=1 k=1 gens=t\n" + line + "\n")
+        text = tampered("cohomology d=2 cover=1 k=1\n",
+                        "cohomology d=2 cover=1 k=1 gens=t\n") + line + "\n"
         with pytest.raises(DataFormatError, match=re.escape(repr(line))) as info:
             parse_data(text)
         assert reason in str(info.value)
@@ -171,15 +178,15 @@ class TestArrowsAtLoad:
             parse_data(text)
 
 
-# the catalog rows of the version-5 file, which rules give since version 6
-# and no file records since version 7
+# the catalog rows of the version-5 file: rules give them, and no file
+# records a manifold
 V5_CATALOG_ROWS = """\
 manifold name=CP2 dim=4 euler=3 signature=1
 manifold name=K3 dim=4 euler=24 signature=-16
 """
 
-# the catalog rows of the version-4 file that rules give since version 5:
-# the spheres and tori before CP2 and K3, and the families after them
+# the other catalog rows of the version-4 file, which rules give: the
+# spheres and tori before CP2 and K3, and the families after them
 V4_MANIFOLD_ROWS = """\
 manifold name=S1 dim=1 euler=0 kr=1
 manifold name=S2 dim=2 euler=2
@@ -195,9 +202,9 @@ family name=S2xSigma_g dim=4 euler0=4 eulerg=-4 signature=0
 
 
 class TestRuledCatalog:
-    """A version-7 file records no manifold: every manifold row, and any
-    family row, is refused naming the line, and a manifold row's refusal
-    says which sum of catalog names to write instead."""
+    """A data file records no manifold: every manifold row, and any family
+    row, is an unknown record type, refused naming the line.  An older
+    file, which recorded them, is refused at its version line."""
 
     @pytest.mark.parametrize("version,rows,first", [
         (5, V5_CATALOG_ROWS, "manifold name=CP2 dim=4 euler=3 signature=1"),
@@ -206,17 +213,22 @@ class TestRuledCatalog:
     ], ids=["version-5", "version-4"])
     def test_an_older_file_is_refused_at_its_first_ruled_row(
             self, capsys, monkeypatch, tmp_path, version, rows, first):
+        # the file is refused at its version line; under version 7, its
+        # rows are refused at the first ruled row
         old = tampered("version=7", "version=%d" % version) + rows
-        with pytest.raises(DataFormatError, match=re.escape(repr(first))) as info:
+        refusal = "'version=%d': this program reads data version 7" % version
+        with pytest.raises(DataFormatError, match=re.escape(refusal)):
             parse_data(old)
-        assert "delete the line" in str(info.value)
+        with pytest.raises(DataFormatError, match=re.escape(repr(first))) as info:
+            parse_data(SHIPPED.read_text() + rows)
+        assert "unknown record type 'manifold'" in str(info.value)
         path = tmp_path / "old.txt"
         path.write_text(old)
         monkeypatch.setenv("MTSPEC_DATA", str(path))
         assert main(["table", "hz"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert repr(first) in captured.err and "delete the line" in captured.err
+        assert refusal in captured.err
 
     @pytest.mark.parametrize("row", (V5_CATALOG_ROWS + V4_MANIFOLD_ROWS
                                      + V4_FAMILY_ROWS).splitlines() + [
@@ -228,7 +240,7 @@ class TestRuledCatalog:
     def test_a_ruled_row_is_refused_naming_the_line(self, row):
         with pytest.raises(DataFormatError, match=re.escape(repr(row))) as info:
             parse_data(SHIPPED.read_text() + row + "\n")
-        assert str(info.value).endswith("not recorded; delete the line")
+        assert str(info.value).endswith("unknown record type %r" % row.split()[0])
 
     @pytest.mark.parametrize("row,argv", [
         # served in place of the member, this row made the value 1, not 1/4
@@ -245,7 +257,7 @@ class TestRuledCatalog:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert repr(row) in captured.err and "delete the line" in captured.err
+        assert repr(row) in captured.err and "unknown record type 'manifold'" in captured.err
 
     @pytest.mark.parametrize("row", [
         "manifold name=X4 dim=4 euler=4 signature=2",
@@ -253,17 +265,22 @@ class TestRuledCatalog:
     ])
     def test_a_version_6_file_is_refused_at_its_manifold_row(
             self, capsys, monkeypatch, tmp_path, row):
+        # the file is refused at its version line; under version 7, the
+        # row is refused as an unknown record type
         old = tampered("version=7", "version=6") + row + "\n"
-        with pytest.raises(DataFormatError, match=re.escape(repr(row))) as info:
+        refusal = "'version=6': this program reads data version 7"
+        with pytest.raises(DataFormatError, match=re.escape(refusal)):
             parse_data(old)
-        assert "write the sum a*S4 + b*CP2" in str(info.value)
+        with pytest.raises(DataFormatError, match=re.escape(repr(row))) as info:
+            parse_data(SHIPPED.read_text() + row + "\n")
+        assert "unknown record type 'manifold'" in str(info.value)
         path = tmp_path / "v6.txt"
         path.write_text(old)
         monkeypatch.setenv("MTSPEC_DATA", str(path))
         assert main(["table", "hz"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert repr(row) in captured.err and "write the sum a*S4 + b*CP2" in captured.err
+        assert refusal in captured.err
 
     def test_a_version_6_file_without_manifold_rows_is_refused_at_its_version_line(
             self, capsys, monkeypatch, tmp_path):
@@ -326,7 +343,8 @@ class TestRepeatedKeys:
 class TestRepeatedFields:
     """A field named twice in one record, a generator named twice in an
     arrow's map, and a second version line or one that does not state 7,
-    are refused naming the line, in process and through MTSPEC_DATA."""
+    are refused naming the line, in process and through MTSPEC_DATA; a
+    version other than 7 is refused at its line, before any later row."""
 
     @pytest.mark.parametrize("old,new", [
         # would load as the d=2 row, which the line also spells d=3
@@ -415,7 +433,7 @@ class TestUnreadableFile:
 
 class TestParser:
     def test_minimal_document(self):
-        data = parse_data(MINIMAL)
+        data = parse_data(SHIPPED.read_text())
         assert data.entry(2, 1, 2).names == ("tau",)
         assert data.entry(2, 0, 0).names == ("u",)
 
@@ -425,7 +443,7 @@ class TestParser:
 
     def test_unknown_record_rejected(self):
         with pytest.raises(DataFormatError):
-            parse_data(MINIMAL + "mystery a=1\n")
+            parse_data(SHIPPED.read_text() + "mystery a=1\n")
 
     @pytest.mark.parametrize("record,reason", [
         ("bogus x=1", "unknown record type 'bogus'"),
@@ -450,8 +468,9 @@ class TestParser:
         assert reason in str(info.value)
 
     def test_a_chain_of_torsion_orders_is_the_group(self):
-        entry = parse_data("version=7\ncohomology d=2 cover=1 k=2 "
-                           "gens=a:6,b,c:2,d:12\n").entry(2, 1, 2)
+        entry = parse_data(tampered("cohomology d=2 cover=1 k=3\n",
+                                    "cohomology d=2 cover=1 k=3 gens=a:6,b,c:2,d:12\n")
+                           ).entry(2, 1, 3)
         assert (entry.group.free_rank, entry.group.torsion) == (1, (2, 6, 12))
         assert entry.names == ("a", "b", "c", "d")
 
@@ -482,38 +501,39 @@ class TestParser:
         assert repr(record) in captured.err and reason in captured.err
 
     def test_a_group_field_on_a_cohomology_row_is_refused(self, capsys, monkeypatch, tmp_path):
-        # a version-3 file fails at its first cover row
-        v3 = SHIPPED.read_text().replace("version=7", "version=3").replace(
-            "cohomology d=2 cover=1 k=0\n", "cohomology d=2 cover=1 k=0 group=0\n")
+        # a version-3 row: its group is read from its generators
         record = "cohomology d=2 cover=1 k=0 group=0"
+        v3_row = tampered("cohomology d=2 cover=1 k=0\n", record + "\n")
+        refusal = "a record of type cohomology has no field group="
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data(v3)
-        assert "delete the group= field" in str(info.value)
+            parse_data(v3_row)
+        assert refusal in str(info.value)
         path = tmp_path / "v3.txt"
-        path.write_text(v3)
+        path.write_text(v3_row)
         monkeypatch.setenv("MTSPEC_DATA", str(path))
         assert main(["table", "hz"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert repr(record) in captured.err and "delete the group= field" in captured.err
+        assert repr(record) in captured.err and refusal in captured.err
 
     def test_uncovered_row_must_match_the_ring(self):
         # the uncovered rows are the ring's pieces themselves, in any file
-        for text in (MINIMAL, SHIPPED.read_text()):
+        for text in (tampered("cohomology d=2 cover=1 k=3\n",
+                              "cohomology d=2 cover=1 k=3 gens=x:2\n"), SHIPPED.read_text()):
             data = parse_data(text)
             for d in (1, 2, 3, 4):
                 for k in TABLE_DEGREES:
                     assert data.entry(d, 0, k) is thom_module_piece(d, k), (d, k)
 
     @pytest.mark.parametrize("record,remedy", [
-        ("cohomology d=2 cover=0 k=0 gens=u", "delete the cover=0 row"),
+        ("cohomology d=2 cover=0 k=0 gens=u", "outside the tables: a cohomology row has"),
         # a manifold is refused as a row, before its p1= field is read
-        ("manifold name=CP2 dim=4 euler=3 signature=1 p1=3", "write the sum"),
+        ("manifold name=CP2 dim=4 euler=3 signature=1 p1=3", "unknown record type 'manifold'"),
     ], ids=["cover-row", "manifold-p1"])
     def test_computed_fact_is_refused(self, record, remedy):
         # a version-1 file recorded these; each now only repeats the code
         with pytest.raises(DataFormatError) as info:
-            parse_data(MINIMAL + record + "\n")
+            parse_data(SHIPPED.read_text() + record + "\n")
         assert repr(record) in str(info.value) and remedy in str(info.value)
 
     @pytest.mark.parametrize("record,field", [
@@ -528,18 +548,16 @@ class TestParser:
     ], ids=["hz", "hz-p1", "homotopy", "cohomology", "arrow", "arrow-prov", "arrow-to"])
     def test_unknown_field_is_refused_naming_the_line(self, record, field):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))) as info:
-            parse_data(MINIMAL + record + "\n")
+            parse_data(SHIPPED.read_text() + record + "\n")
         assert "has no field " + field in str(info.value)
         # the type follows "of type", so no article has to agree with it
         rectype = record.split()[0]
         assert "a record of type %s has no field %s" % (rectype, field) in str(info.value)
 
     def test_ill_defined_arrow_rejected(self):
-        bad = (
-            "version=7\n"
-            "cohomology d=3 cover=1 k=3 gens=x\n"
-            "arrow kind=cover d=3 k=3 map=W3u:1*x\n"
-        )
+        # W3u has order 2, and x has none
+        bad = tampered("cohomology d=3 cover=1 k=3\n", "cohomology d=3 cover=1 k=3 gens=x\n"
+                       ) + "arrow kind=cover d=3 k=3 map=W3u:1*x\n"
         with pytest.raises(DataFormatError, match="not well-defined"):
             parse_data(bad)
 
@@ -559,7 +577,7 @@ class TestParser:
     ])
     def test_field_errors_name_the_line(self, record):
         with pytest.raises(DataFormatError, match=re.escape(repr(record))):
-            parse_data(MINIMAL + record + "\n")
+            parse_data(SHIPPED.read_text() + record + "\n")
 
     @pytest.mark.parametrize("group", ["Z^2", "Z+Z/2", "Z/2+Z/2"])
     def test_hz_group_must_be_cyclic(self, capsys, monkeypatch, tmp_path, group):

@@ -46,15 +46,15 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-# how a manifold row's refusal begins: no data file records a manifold
-# since version 7, and the refusal says which sum to write instead
-MANIFOLD_ROW_REFUSAL = "where the manifold is named, write the sum a*S4 + b*CP2"
+# a manifold row's refusal: no data file records a manifold, as the
+# catalog is code in tftlab, so the loader knows no such record type
+MANIFOLD_ROW_REFUSAL = "unknown record type 'manifold'"
 
 
 def write_odd_parity_manifold(tmp_path):
     """A copy of the shipped data file plus a manifold row, X4 with euler 4
-    and signature 1 (euler + signature odd, so no sum gives it); since
-    version 7 every manifold row is refused."""
+    and signature 1 (euler + signature odd, so no sum gives it); every
+    manifold row is refused."""
     text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
     path = tmp_path / "odd_parity_x4.txt"
     path.write_text(text + "manifold name=X4 dim=4 euler=4 signature=1\n")
@@ -415,7 +415,8 @@ class TestProcessLevel:
         assert "Traceback" not in proc.stderr
 
     def test_tampered_uncovered_row_exits_two(self, tmp_path):
-        # uncovered rows come from the ring; a file that records one is refused
+        # uncovered rows come from the ring; a file that records one is
+        # refused as a row outside the tables
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
         override = tmp_path / "tampered.txt"
         override.write_text(text + "cohomology d=1 cover=0 k=5 gens=x\n")
@@ -424,7 +425,7 @@ class TestProcessLevel:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "cohomology d=1 cover=0 k=5 gens=x" in proc.stderr
-        assert "delete the cover=0 row" in proc.stderr
+        assert "outside the tables: a cohomology row has d=2..4, cover=1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_symlink_loop_data_path_exits_two(self, tmp_path):
@@ -468,8 +469,8 @@ class TestProcessLevel:
         assert "name=X4" in captured.err and MANIFOLD_ROW_REFUSAL in captured.err
 
     def test_family_record_exits_two(self, tmp_path):
-        # the families are rules since data version 5; a version-4 family
-        # row is refused naming the line
+        # the families are rules, so a family row is an unknown record
+        # type, refused naming the line
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
         row = "family name=Sigma_g dim=2 euler0=2 eulerg=-2"
         path = tmp_path / "family.txt"
@@ -477,7 +478,7 @@ class TestProcessLevel:
         proc = run_subprocess("table", "hz", env_extra={"MTSPEC_DATA": str(path)})
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert repr(row) in proc.stderr and "delete the line" in proc.stderr
+        assert repr(row) in proc.stderr and "unknown record type 'family'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource limits")
@@ -914,9 +915,15 @@ class TestEditedDataBranches:
         ([("gens=tau\n", "gens=tau,x:2\n"), ("cu:2*tau", "cu:2*tau+1*x")],
          ["kernel", "--d", "2", "--from", "2", "--to", "1"],
          (2, "image of cu lands outside the free generators")),
+        # a row inside the tables that the file lacks is refused by every
+        # subcommand, not called "outside the table" by the one that reads it
+        ([("homotopy d=3 k=2 group=0\n", "")],
+         ["table", "homotopy", "--d", "3"], (2, "the file lacks the homotopy row d=3 k=2")),
+        ([("hz k=6 group=0\n", "")],
+         ["table", "hz"], (2, "the file lacks the hz row k=6")),
     ], ids=["cover-arrow-missing", "hz-group-differs", "infinite-kernel-text",
             "infinite-kernel-json", "second-cover", "psi-image", "finite-part",
-            "finite-part-kernel", "torsion-image"])
+            "finite-part-kernel", "torsion-image", "missing-homotopy-row", "missing-hz-row"])
     def test_an_edited_file_reaches_the_branch(self, capsys, monkeypatch, tmp_path,
                                                edits, run, expected):
         text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()

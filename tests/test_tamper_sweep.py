@@ -9,6 +9,8 @@ The edits come from the record grammar, one row at a time:
   ``x``, ``x:2``, ``x:3`` and ``x,y``;
 - each arrow coefficient moves by -1 and +1.
 
+Deleting any one record line is refused as well.
+
 The file records no manifold: rules give every catalog name.
 
 An edited file is refused by ``parse_data`` or by the first check of
@@ -131,3 +133,12 @@ def test_every_passing_edit_is_listed_with_its_reason(verdicts):
 
 def test_each_step_refuses_its_share(verdicts):
     assert Counter(step for step in verdicts.values() if step) == REFUSED_BY
+
+
+def test_every_deleted_row_is_refused():
+    lines = SHIPPED.read_text().split("\n")
+    records = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    # the version line, 18 cover rows, 14 homotopy and 7 hz rows, 4 arrows
+    assert len(records) == 44
+    for i in records:
+        assert refusing_step("\n".join(lines[:i] + lines[i + 1:])) is not None, lines[i]
