@@ -29,11 +29,11 @@ as a map names one, an hz group must be cyclic, a homotopy row of degree
 Hurewicz and universal coefficients), no two records of one type may
 share a key, no record may name a field twice and no arrow's map a
 generator (a source, or a target within one image), the file has one
-version line, refused at that line unless it states 7, and every row of
-the tables, and each arrow's map must be well-defined between the rows
-it joins (it is the ArrowRecord's hom).  MTSPEC_DATA overrides the path;
-a file that cannot be read or is not UTF-8 is a DataFormatError like any
-other.
+version line, refused at that line unless it states 7, every row of the
+tables and every cover arrow between two nonzero rows, which the long
+exact sequence reads, and each arrow's map must be well-defined between
+the rows it joins (it is the ArrowRecord's hom).  MTSPEC_DATA overrides
+the path; an unreadable or non-UTF-8 file is a DataFormatError too.
 
 ``load_data`` reads MTSPEC_DATA on every call and checks its cache with
 one ``os.stat`` of the path in effect (the shipped file's absolute path is
@@ -100,7 +100,8 @@ _HOMOTOPY_KEYS = frozenset((d, k) for d in DIMENSIONS for k in range(d + 1))
 _OUTSIDE = {
     "cohomology": "outside the tables: a cohomology row has d=%d..%d, cover=1 and k=0..%d"
                   % (COVER_DIMENSIONS[0], COVER_DIMENSIONS[-1], TABLE_DEGREES[-1]),
-    "homotopy": "outside the tables: a homotopy row has d=1..4 and k=0..d",
+    "homotopy": "outside the tables: a homotopy row has d=%d..%d and k=0..d"
+                % (DIMENSIONS[0], DIMENSIONS[-1]),
     "hz": "outside the tables: an hz row has k=0..%d" % HZ_DEGREES[-1],
 }
 
@@ -242,10 +243,12 @@ def _parse_fields(parts):
 _SHIPPED_DATA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                                   "certified_data.txt")
 
-def _solved_square(cohomology: dict, cover_3: ArrowRecord) -> tuple:
-    """cover d=2 k=4 = covdim o cover_3 o dim^-1, which is cover_3 read
+def _solved_square(cohomology: dict, arrows: dict) -> tuple:
+    """cover d=2 k=4 = covdim o cover_3 o dim^-1: cover_3, which is zero when
+    absent (the load refuses a file that lacks it between nonzero rows), read
     through dim^-1 as covdim keeps names.  The ring's dim sends each
     generator to +-1 times one generator or to 0: its inverse is a lookup."""
+    images = dict(arrows[("cover", 3, 4)].assignments) if ("cover", 3, 4) in arrows else {}
     preimage = {image[0][0]: (name, image[0][1])
                 for name, image in ring_restriction(3, 4, 2)
                 if len(image) == 1 and image[0][1] in (1, -1)}
@@ -256,12 +259,12 @@ def _solved_square(cohomology: dict, cover_3: ArrowRecord) -> tuple:
                                   "undetermined" % name)
         source, sign = preimage[name]
         solved.append((name, tuple((target, sign * coeff)
-                                   for target, coeff in cover_3.image_of(source).items())))
+                                   for target, coeff in images.get(source, ()))))
     return tuple(solved)
 
 
-# the arrows the load computes from the validated cover d=3 k=4, in order,
-# by key: (provenance, rule, what solves the assignments from rows and arrow)
+# the arrows the load computes once the recorded ones are validated, in
+# order, by key: (provenance, rule, what solves the assignments from them)
 _COMPUTED_ARROWS = {
     ("covdim", 3, 4): ("names", "covdim d=3 k=4 keeps the generator names",
                        lambda cohomology, _: tuple((n, ((n, 1),))
@@ -293,15 +296,18 @@ def _load_arrows(cohomology: dict, recorded: dict) -> dict:
             add(kind, d, k, "diagram", assignments)
         except DataFormatError as exc:
             raise DataFormatError("bad record %r: %s" % (line, exc))
-    cover_3 = arrows.get(("cover", 3, 4))
-    if cover_3 is not None:  # a file without it gets neither, as it lacks any arrow it omits
-        for (kind, d, k), (provenance, _, solve) in _COMPUTED_ARROWS.items():
-            assignments = solve(cohomology, cover_3)
-            try:
-                add(kind, d, k, provenance, assignments)
-            except DataFormatError as exc:
-                raise DataFormatError("the computed %s arrow d=%d k=%d (prov=%s): %s"
-                                      % (kind, d, k, provenance, exc))
+    for (kind, d, k), (provenance, _, solve) in _COMPUTED_ARROWS.items():
+        assignments = solve(cohomology, arrows)
+        try:
+            add(kind, d, k, provenance, assignments)
+        except DataFormatError as exc:
+            raise DataFormatError("the computed %s arrow d=%d k=%d (prov=%s): %s"
+                                  % (kind, d, k, provenance, exc))
+    for d in COVER_DIMENSIONS:  # the sequence reads each cover arrow between nonzero rows
+        for k in TABLE_DEGREES:
+            if (cohomology[(d, 1, k)].generators and ("cover", d, k) not in arrows
+                    and cohomology[(d, 0, k)].generators):
+                raise DataFormatError("the file lacks the arrow kind=cover d=%d k=%d" % (d, k))
     return arrows
 
 
@@ -457,7 +463,7 @@ class SpectrumId(namedtuple("SpectrumId", "d cover_level")):
 
     def __new__(cls, d: int, cover_level: int = 0):
         if d not in DIMENSIONS:
-            raise MtspecError("dimension must be 1..4")
+            raise MtspecError("dimension must be %d..%d" % (DIMENSIONS[0], DIMENSIONS[-1]))
         if cover_level not in (0, 1, 2, 3):
             raise MtspecError("cover level must be 0..3")
         return tuple.__new__(cls, (d, cover_level))

@@ -10,8 +10,10 @@ The rings served here are, as graded rings,
 A monomial is its exponent tuple over (W3, e, p1, c).  The restriction
 maps keep same-named generators, send e to zero, send p1 to -c^2 and W3
 to zero once there is no degree-3 class left, and send c to zero in
-d = 1.  Each generator goes to plus or minus a power of one generator or
-to zero, so each monomial goes to plus or minus one monomial or to zero:
+d = 1.  p1 is p1 of the virtual bundle -U, of which MTSO(d) is the Thom
+spectrum: p1(-U) = -p1(U), and p1(U) = c^2 over BSO(2), hence -c^2.
+Each generator goes to plus or minus a power of one generator or to
+zero, so each monomial goes to plus or minus one monomial or to zero:
 ring_restriction needs no ring arithmetic.  The class W3 arises as an
 integral Bockstein of the second mod-2 class; no mod-2 operations are
 computed here.
@@ -88,7 +90,8 @@ def _degree_monomials(d: int, k: int) -> list:
     """Exponent tuples of the degree-k monomials of the d-ring, in the
     tables' order: descending lexicographic, so e comes before p1."""
     if d not in DIMENSIONS:
-        raise ValueError("ambient dimension must be 1, 2, 3 or 4")
+        raise ValueError("ambient dimension must be %s or %d"
+                         % (", ".join(map(str, DIMENSIONS[:-1])), DIMENSIONS[-1]))
     if not 0 <= k <= MAX_DEGREE:
         raise ValueError("degree must lie in 0..%d" % MAX_DEGREE)
     ranges = [range(k // deg + 1) if g in _LEGAL[d] else (0,)

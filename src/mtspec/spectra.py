@@ -21,12 +21,13 @@ in that CertifiedData's ``derived`` dict, its workspace, through one
 decorator, ``_per_snapshot``: the zero map between two groups, the
 cover's connectivity and each identification of two entries that the
 sequence synthesizes (or the reason there is none); each enumeration of
-Ext^1(B, A) is kept there as far as it has gone.  A map keeps its Smith
-form and its cokernel projection, so each arrow and workspace map is
-factored once per snapshot, and a second proof of a snapshot factors
-nothing.  A new data file is a new CertifiedData with an empty
-workspace.  The sequence's labels depend on d alone and are built once
-per d.  The proof's records are named tuples.
+Ext^1(B, A) is kept there once it has run to the end.  A map keeps its
+Smith form and its cokernel projection, so each arrow and workspace map
+is factored once per snapshot; a second proof of a snapshot factors only
+the classes read before a derivation stopped at its pinned group.  A new
+data file is a new CertifiedData with an empty workspace.  The labels of
+the sequence depend on d alone and are built once per d.  Records are
+named tuples.
 """
 
 from __future__ import annotations
@@ -67,20 +68,17 @@ def _zero_map(source: FgAbGroup, target: FgAbGroup, data) -> GroupHom:
 
 
 def _extensions(a_group: FgAbGroup, b_group: FgAbGroup, data):
-    """The classes of Ext^1(B, A), each enumerated once per snapshot: the
-    workspace keeps the classes enumerated so far with the enumeration
-    that continues them, so a derivation that stops early, at its pinned
-    group, leaves the rest to the next one that reads further.  A refused
-    enumeration refuses before its first class, and is not kept.  The
-    continuing enumeration is shared, so two threads must not prove one
-    snapshot at once."""
+    """The classes of Ext^1(B, A), kept in the workspace once the enumeration
+    has run to the end: not when a derivation stops it, nor when it refuses."""
     key = ("extensions", a_group, b_group)
-    seen, rest = data.derived.get(key) or ([], enumerate_extensions(a_group, b_group))
-    yield from seen
-    for ext in rest:
-        seen.append(ext)
-        data.derived[key] = seen, rest
+    if key in data.derived:
+        yield from data.derived[key]
+        return
+    classes = []
+    for ext in enumerate_extensions(a_group, b_group):
+        classes.append(ext)
         yield ext
+    data.derived[key] = tuple(classes)
 
 
 @_per_snapshot
@@ -162,12 +160,8 @@ def verify_les(d: int, data=None) -> LesReport:
                      % (k, labels[3 * k], labels[3 * k + 1]))
         return found
 
-    def beta(k: int):
-        record = data.arrow("cover", d, k)
-        if record is None:
-            failures[3 * k + 2] = "cover arrow not recorded"
-            return None
-        return record.hom
+    def beta(k: int):  # the load refuses a file that lacks it
+        return data.arrows[("cover", d, k)].hom
 
     def delta(k: int):
         quotient, proj = into(3 * k + 2).cokernel_projection()
@@ -309,11 +303,9 @@ def default_constraints(d: int, k: int, data=None) -> list:
             DerivationConstraint.universal_coefficients(
                 "cohomology in the first nonzero degree is the dual of homology"),
         ]
-    arrow = data.arrow("cover", d, k)
-    if arrow is None:
-        return []
+    arrow = data.arrow("cover", d, k)  # None where a row is zero
     constraints = []
-    for name, combo in arrow.assignments:
+    for name, combo in arrow.assignments if arrow else ():
         divisor = math.gcd(*(coeff for _, coeff in combo))
         if divisor > 1:
             constraints.append(DerivationConstraint.divisibility_from_square(

@@ -41,7 +41,7 @@ class ManifoldClass(namedtuple("ManifoldClass", "name dim euler signature kr")):
     def __new__(cls, name: str, dim: int, euler: int, signature: int = 0,
                 kr: int | None = None):
         if dim not in DIMENSIONS:
-            raise MtspecError("dimension must be 1..4")
+            raise MtspecError("dimension must be %d..%d" % (DIMENSIONS[0], DIMENSIONS[-1]))
         if dim % 2 and euler != 0:
             raise MtspecError("closed odd-dimensional manifolds have euler 0")
         if dim % 4 and signature:
@@ -184,7 +184,7 @@ def vf_invariant(d: int, m: ManifoldClass) -> tuple:
     signature).
     """
     if d not in DIMENSIONS:
-        raise MtspecError("dimension must be 1..4")
+        raise MtspecError("dimension must be %d..%d" % (DIMENSIONS[0], DIMENSIONS[-1]))
     if m.dim != d:
         raise MtspecError("sum contains a manifold of dimension %d" % m.dim)
     if d == 1:

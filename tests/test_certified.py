@@ -122,6 +122,31 @@ class TestArrowsAtLoad:
         else:
             assert "came earlier" in reason or "not recorded; delete the line" in reason
 
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 4), (4, 4)])
+    def test_a_file_lacks_no_cover_arrow_between_two_nonzero_rows(self, d, k):
+        # the sequence reads each of them; cover d=2 k=4 is computed
+        lines = SHIPPED.read_text().splitlines(keepends=True)
+        arrow = "arrow kind=cover d=%d k=%d " % (d, k)
+        kept = [line for line in lines if not line.startswith(arrow)]
+        assert len(kept) == len(lines) - 1
+        with pytest.raises(DataFormatError, match="^the file lacks the arrow kind=cover "
+                                                  "d=%d k=%d$" % (d, k)):
+            parse_data("".join(kept))
+
+    def test_a_file_lacks_the_arrows_into_a_zero_row(self):
+        # without H^4 of the d=3 cover, the cover and covdim arrows into it
+        # are zero and unrecorded, and the load computes both of its arrows
+        text = tampered("cohomology d=3 cover=1 k=4 gens=rho\n", "cohomology d=3 cover=1 k=4\n")
+        for line in ("arrow kind=cover d=3 k=4 map=p1u:6*rho\n",
+                     "arrow kind=covdim d=4 k=4 map=psi:1*rho;sigma:2*rho\n"):
+            assert text.count(line) == 1
+            text = text.replace(line, "")
+        arrows = parse_data(text).arrows
+        assert ("cover", 3, 4) not in arrows and ("covdim", 4, 4) not in arrows
+        assert arrows[("covdim", 3, 4)].assignments == ()
+        assert arrows[("cover", 2, 4)].assignments == (("c^2u", ()),)
+        assert arrows[("cover", 2, 4)].hom.matrix.rows == ((0,),)
+
     @pytest.mark.parametrize("line,reason", [
         ("arrow kind=dim d=4 k=0 map=u:1*u", "unknown arrow kind 'dim'"),
         ("arrow kind=unit d=2 k=0 map=hz0:1*u", "unknown arrow kind 'unit'"),

@@ -893,8 +893,9 @@ class TestEditedDataBranches:
     hold the text."""
 
     @pytest.mark.parametrize("edits,run,expected", [
+        # the sequence reads the arrow, and the load refuses a file that lacks it
         ([("arrow kind=cover d=3 k=4 map=p1u:6*rho\n", "")],
-         3, "cover arrow not recorded"),
+         ["table", "hz"], (2, "the file lacks the arrow kind=cover d=3 k=4")),
         ([("hz k=3 group=Z/2\n", "hz k=3 group=Z/4\n")],
          4, "groups differ but no map is recorded"),
         ([("p1u:3*sigma", "p1u:0")],
@@ -943,3 +944,24 @@ class TestEditedDataBranches:
         captured = capsys.readouterr()
         assert needle in (captured.out if code == 0 else captured.err)
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("line", [
+        "arrow kind=cover d=2 k=2 map=cu:2*tau\n",
+        "arrow kind=cover d=3 k=4 map=p1u:6*rho\n",
+        "arrow kind=cover d=4 k=4 map=eu:2*psi-1*sigma;p1u:3*sigma\n",
+    ], ids=["d2k2", "d3k4", "d4k4"])
+    @pytest.mark.parametrize("run", [["table", "hz"], ["classify", "--d", "4", "--n", "4"],
+                                     KERNEL_4_TO_3, ["gilmer-masbaum"]],
+                             ids=["table", "classify", "kernel", "gilmer-masbaum"])
+    def test_every_subcommand_refuses_a_file_that_lacks_a_cover_arrow(
+            self, capsys, monkeypatch, tmp_path, line, run):
+        # not only the subcommand that reads the arrow
+        text = (SRC / "mtspec" / "data" / "certified_data.txt").read_text()
+        assert text.count(line) == 1
+        path = tmp_path / "edited.txt"
+        path.write_text(text.replace(line, ""))
+        monkeypatch.setenv("MTSPEC_DATA", str(path))
+        assert main(run) == 2
+        captured = capsys.readouterr()
+        key = " ".join(line.split()[1:4])
+        assert captured.err == "error: the file lacks the arrow %s\n" % key

@@ -482,10 +482,11 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     # none.  The (2, 4) and (3, 4) derivations share the six classes of
     # Ext^1(Z/6, Z), enumerated once per snapshot, and the (4, 4) one stops
     # at the pinned group after 2 of its classes.  The certificate factors
-    # nothing.  A second proof of the same snapshot factors nothing: each
-    # connecting projection is kept on the map it is read off, with its
-    # own form, and each enumeration as far as it went, the (4, 4) one
-    # too.
+    # nothing.  A second proof of the same snapshot factors only the
+    # classes of the two enumerations that stopped at their pinned group,
+    # 2 each, the (2, 2) one and the (4, 4) one: each connecting
+    # projection is kept on the map it is read off, with its own form, and
+    # each enumeration that ran to the end is kept.
     from mtspec import abelian
     calls = {}
     for name in ("_smith", "cokernel"):
@@ -499,14 +500,14 @@ def test_one_proof_pass_factors_each_matrix_once(monkeypatch):
     assert prove(data).failure is None
     assert calls == {"_smith": 20}
     assert prove(data).failure is None
-    assert calls == {"_smith": 20}
+    assert calls == {"_smith": 24}
     # a free B splits every extension: no Smith form at all
     split = list(abelian.enumerate_extensions(FgAbGroup(2), FgAbGroup(1)))
     assert [ext.group for ext in split] == [FgAbGroup(3)]
-    assert calls == {"_smith": 20}
+    assert calls == {"_smith": 24}
 
 
-def test_the_workspace_keeps_each_enumeration_as_far_as_it_went(monkeypatch):
+def test_the_workspace_keeps_each_finished_enumeration(monkeypatch):
     from mtspec import spectra
     enumerated = []
 
@@ -516,19 +517,22 @@ def test_the_workspace_keeps_each_enumeration_as_far_as_it_went(monkeypatch):
     monkeypatch.setattr(spectra, "enumerate_extensions", counting)
     data = certified.parse_data(SHIPPED.read_text())
     assert prove(data).failure is None
-    z6 = FgAbGroup(0, (6,))
+    z2, z6, z_2 = FgAbGroup(0, (2,)), FgAbGroup(0, (6,)), FgAbGroup(2)
     assert enumerated.count((Z, z6)) == 1  # shared by (2, 4) and (3, 4)
-    assert len(data.derived[("extensions", Z, z6)][0]) == 6
-    # the (4, 4) derivation stops at the pinned group after 2 of the 36
-    # classes; the next proof reads those 2 again, and a derivation that
-    # reads further continues the one enumeration
-    seen = data.derived[("extensions", FgAbGroup(2), z6)][0]
-    assert len(seen) == 2
+    assert len(data.derived[("extensions", Z, z6)]) == 6
+    # the (2, 2) and (4, 4) derivations stop at the pinned group, after the
+    # 2 classes of Ext(Z/2, Z) and 2 of the 36 of Ext(Z/6, Z^2): neither
+    # enumeration is kept, and the next proof runs each again
+    assert ("extensions", Z, z2) not in data.derived
+    assert ("extensions", z_2, z6) not in data.derived
     assert prove(data).failure is None
-    assert len(seen) == 2
+    assert [enumerated.count(pair) for pair in ((Z, z6), (Z, z2), (z_2, z6))] == [1, 2, 2]
+    # a derivation that reads on runs the enumeration to the end and keeps
+    # it, and the next proof reads it from the workspace
     assert derive_cover_cohomology(4, 4, [], data).ambiguous
-    assert len(seen) == 36
-    assert len(set(enumerated)) == len(enumerated)  # none started twice
+    assert len(data.derived[("extensions", z_2, z6)]) == 36
+    assert prove(data).failure is None
+    assert [enumerated.count(pair) for pair in ((Z, z6), (Z, z2), (z_2, z6))] == [1, 3, 3]
     assert certified.parse_data(SHIPPED.read_text()).derived == {}
 
 

@@ -103,7 +103,7 @@ PASSING = {
 # how many edits each step refuses first.  A weaker exactness check would
 # pass some of verify_les's edits on to a later step; a check added before
 # a step takes edits from it, and then these are pinned again on purpose
-REFUSED_BY = {"parse_data": 58, "verify_les": 92, "derivation": 33,
+REFUSED_BY = {"parse_data": 78, "verify_les": 72, "derivation": 33,
               "ambiguous derivation": 15, "certificate": 4}
 
 
